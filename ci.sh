@@ -20,6 +20,12 @@ cargo fmt --all --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# The benchmark is its own package (own [workspace], path deps on
+# crates/*), invisible to every --workspace command above: check it here
+# so API drift against it fails CI instead of the benchmark driver.
+echo "==> cargo check (nested benchmark package)"
+cargo check --offline --manifest-path benchmark/Cargo.toml --target-dir target
+
 echo "==> cargo build --release --offline"
 cargo build --workspace --release --offline
 
@@ -162,5 +168,8 @@ cargo bench -q --offline -p mfaplace-bench --bench serve_fleet
 
 echo "==> placement-jobs bench (results/serve_jobs.json)"
 cargo bench -q --offline -p mfaplace-bench --bench serve_jobs
+
+echo "==> benchmark package gate (fmt, clippy, harness tests, smoke pass)"
+benchmark/check.sh
 
 echo "CI OK"

@@ -58,7 +58,9 @@ pub struct CompileReport {
     pub artifact_bytes: usize,
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a 64 over `bytes`: the artifact checksum and the plan cache's
+/// content identity.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);

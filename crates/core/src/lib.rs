@@ -34,5 +34,5 @@ pub use mfaplace_infer::{
     Calibration, PlanCache, PlanCacheStats, PlanKey, PlanPrecision, PlanSource, Precision,
     QuantOptions, QuantStats,
 };
-pub use predictor::{Engine, ModelPredictor};
+pub use predictor::{Engine, ModelPredictor, PredictorStatus};
 pub use train::{TrainConfig, TrainReport, Trainer};

@@ -56,12 +56,7 @@ pub fn load_predictor(
 /// Returns a human-readable error naming the file if it cannot be read.
 pub fn content_hash(path: &str) -> Result<u64, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in &bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    Ok(h)
+    Ok(compile::fnv1a(&bytes))
 }
 
 /// Like [`load_predictor`], but the predictor compiles its inference plans
@@ -84,30 +79,32 @@ pub fn load_predictor_with_cache(
     opts: LoadOptions,
     plan_cache: &Arc<PlanCache>,
 ) -> Result<(ArchSpec, ModelPredictor<AnyModel>), String> {
-    let source = PlanSource::Content(content_hash(path)?);
-    if compile::is_artifact(path) {
-        let art = compile::read_artifact(path)?;
-        let ckpt = checkpoint::read_checkpoint_bytes(&art.checkpoint)
-            .map_err(|e| format!("{path}: {e}"))?;
-        let (spec, mut predictor) =
-            predictor_from_checkpoint(ckpt, path, opts, plan_cache, source)?;
-        predictor.set_fold_bn(art.fold_bn);
-        predictor.set_calibration(
-            Arc::new(art.calibration),
-            QuantOptions {
-                precision: art.precision,
-            },
-        );
-        // The artifact's reason to exist is quantized serving: default to
-        // the quant engine, but let an explicit MFAPLACE_ENGINE win.
-        let env = std::env::var("MFAPLACE_ENGINE")
-            .ok()
-            .and_then(|v| Engine::parse(&v));
-        predictor.set_engine(env.unwrap_or(Engine::Quant));
-        return Ok((spec, predictor));
+    // One read: the bytes that are parsed are the bytes that are hashed, so
+    // a checkpoint atomically replaced mid-load can never key its weights
+    // under the previous file's identity in the shared plan cache.
+    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    let source = PlanSource::Content(compile::fnv1a(&bytes));
+    let parse = |b: &[u8]| checkpoint::read_checkpoint_bytes(b).map_err(|e| format!("{path}: {e}"));
+    if !bytes.starts_with(compile::ARTIFACT_MAGIC) {
+        return predictor_from_checkpoint(parse(&bytes)?, path, opts, plan_cache, source);
     }
-    let ckpt = checkpoint::read_checkpoint(path).map_err(|e| format!("{path}: {e}"))?;
-    predictor_from_checkpoint(ckpt, path, opts, plan_cache, source)
+    let art = compile::artifact_from_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
+    let (spec, mut predictor) =
+        predictor_from_checkpoint(parse(&art.checkpoint)?, path, opts, plan_cache, source)?;
+    predictor.set_fold_bn(art.fold_bn);
+    predictor.set_calibration(
+        Arc::new(art.calibration),
+        QuantOptions {
+            precision: art.precision,
+        },
+    );
+    // The artifact's reason to exist is quantized serving: default to
+    // the quant engine, but let an explicit MFAPLACE_ENGINE win.
+    let env = std::env::var("MFAPLACE_ENGINE")
+        .ok()
+        .and_then(|v| Engine::parse(&v));
+    predictor.set_engine(env.unwrap_or(Engine::Quant));
+    Ok((spec, predictor))
 }
 
 /// Rebuilds the model a parsed checkpoint describes and wraps it in a
@@ -235,6 +232,11 @@ mod tests {
         let (loaded_spec, mut predictor) = load_predictor(&path, LoadOptions::default()).unwrap();
         assert_eq!(loaded_spec, spec);
         assert_eq!(predictor.model().name(), "Ours");
+        // The plan-cache identity is the hash of the bytes that were parsed.
+        assert_eq!(
+            predictor.plan_source(),
+            PlanSource::Content(content_hash(&path).unwrap())
+        );
 
         // Weights must equal a fresh build with the same seed.
         let mut g = Graph::new();

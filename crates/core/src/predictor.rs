@@ -17,7 +17,8 @@
 //! liveness-packed arena. Plan outputs are bitwise identical to the tape's
 //! (test-enforced), so switching engines never changes an answer; if a
 //! recorded tape cannot be compiled the predictor falls back to the tape
-//! permanently and reports why via [`ModelPredictor::plan_broken`].
+//! permanently; [`ModelPredictor::status`] reports which engine is really
+//! serving and why.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -84,6 +85,25 @@ impl Engine {
             Engine::Quant => "quant",
         }
     }
+}
+
+/// Why [`Engine::Quant`] serves the f32 plan on an uncalibrated predictor.
+const NO_CALIBRATION: &str = "quant engine: no calibration attached";
+
+/// What a predictor is doing right now, as opposed to what it was asked to
+/// do — see [`ModelPredictor::status`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PredictorStatus {
+    /// The engine selected via [`ModelPredictor::set_engine`].
+    pub requested: Engine,
+    /// The engine the next forward actually runs.
+    pub served: Engine,
+    /// The numeric precision that forward runs at.
+    pub precision: PlanPrecision,
+    /// Why `served` is not `requested`; `None` exactly when they are equal.
+    pub fallback: Option<String>,
+    /// Peak-memory plan stats as the served engine experiences them.
+    pub plan: Option<PlanStats>,
 }
 
 /// A trained model plus its graph, usable inside a placement flow.
@@ -255,15 +275,46 @@ impl<M: CongestionModel> ModelPredictor<M> {
         self.quant.as_ref().map(|(_, o)| *o)
     }
 
-    /// The numeric precision forwards currently run at: the calibration
-    /// precision when the quant engine is active and usable, `f32`
-    /// otherwise.
-    pub fn precision(&self) -> PlanPrecision {
-        match (self.engine, &self.quant) {
-            (Engine::Quant, Some((_, opts))) if self.quant_broken.is_none() => {
-                opts.precision.into()
+    /// The engine the next forward runs and, when that is not the requested
+    /// one, why — the single encoding of the quant → plan → tape fallback
+    /// rule. Dispatch, [`ModelPredictor::precision`],
+    /// [`ModelPredictor::active_plan_stats`] and [`ModelPredictor::status`]
+    /// all read it, so they cannot disagree.
+    fn effective(&self) -> (Engine, Option<&str>) {
+        let mut served = self.engine;
+        let mut why = None;
+        if served == Engine::Quant && (self.quant.is_none() || self.quant_broken.is_some()) {
+            served = Engine::Plan;
+            why = Some(self.quant_broken.as_deref().unwrap_or(NO_CALIBRATION));
+        }
+        if served == Engine::Plan {
+            if let Some(broken) = &self.plan_broken {
+                served = Engine::Tape;
+                why = Some(broken);
             }
+        }
+        (served, why)
+    }
+
+    /// The numeric precision forwards currently run at: the calibration
+    /// precision while the quant engine is really serving, `f32` otherwise.
+    pub fn precision(&self) -> PlanPrecision {
+        match (self.effective().0, &self.quant) {
+            (Engine::Quant, Some((_, opts))) => opts.precision.into(),
             _ => PlanPrecision::F32,
+        }
+    }
+
+    /// Requested engine, engine really serving, precision, fallback reason
+    /// and active plan stats in one consistent snapshot.
+    pub fn status(&self) -> PredictorStatus {
+        let (served, why) = self.effective();
+        PredictorStatus {
+            requested: self.engine,
+            served,
+            precision: self.precision(),
+            fallback: why.map(str::to_owned),
+            plan: self.active_plan_stats(),
         }
     }
 
@@ -319,17 +370,16 @@ impl<M: CongestionModel> ModelPredictor<M> {
         self.peak_quant.clone()
     }
 
-    /// Plan stats as the active engine experiences them: the quantized
+    /// Plan stats as the served engine experiences them: the quantized
     /// plan's counters (int8/f16 arena and weight bytes) when the quant
     /// engine is serving a quantized plan, the f32 plan's otherwise —
-    /// what the serve layer publishes as `mfaplace_infer_plan_*` gauges.
+    /// what the serve layer renders as `mfaplace_infer_plan_*` gauges.
     pub fn active_plan_stats(&self) -> Option<PlanStats> {
-        if self.engine == Engine::Quant && self.quant_broken.is_none() {
-            if let Some(s) = &self.peak_quant_plan {
-                return Some(s.clone());
-            }
-        }
-        self.peak_stats.clone()
+        let quant = match self.effective().0 {
+            Engine::Quant => self.peak_quant_plan.clone(),
+            _ => None,
+        };
+        quant.or_else(|| self.peak_stats.clone())
     }
 
     /// The batch size a request batch of `n` samples is padded to before
@@ -461,75 +511,64 @@ impl<M: CongestionModel> ModelPredictor<M> {
         Ok(qplan)
     }
 
-    /// Plan-engine logits, or `None` when compilation failed (caller falls
-    /// back to the tape). Pads the batch up to its bucket size, runs the
+    /// Logits from the compiled `engine` (plan or quant), or `None` when its
+    /// build failed — the reason is latched, so [`Self::effective`] names
+    /// the next engine down. Pads the batch up to its bucket size, runs the
     /// bucketed plan, and slices the padding back off.
-    fn plan_logits(&mut self, batch: &Tensor) -> Option<Tensor> {
-        if self.plan_broken.is_some() {
-            return None;
+    fn compiled_logits(&mut self, engine: Engine, batch: &Tensor) -> Option<Tensor> {
+        enum Compiled {
+            F32(Arc<Plan>),
+            Quant(Arc<QuantPlan>),
         }
         let n = batch.shape()[0];
         let bucket = Self::bucketed_batch(n);
         let mut plan_shape = batch.shape().to_vec();
         plan_shape[0] = bucket;
-        let plan = match self.resolve_plan(&plan_shape) {
-            Ok(plan) => plan,
+        let quant = engine == Engine::Quant;
+        let resolved = if quant {
+            self.resolve_quant_plan(&plan_shape).map(Compiled::Quant)
+        } else {
+            self.resolve_plan(&plan_shape).map(Compiled::F32)
+        };
+        let compiled = match resolved {
+            Ok(compiled) => compiled,
             Err(e) => {
-                mfaplace_rt::timer::count("infer/plan_fallback", 1);
-                self.plan_broken = Some(e);
+                let (counter, latch) = if quant {
+                    ("infer/quant_fallback", &mut self.quant_broken)
+                } else {
+                    ("infer/plan_fallback", &mut self.plan_broken)
+                };
+                mfaplace_rt::timer::count(counter, 1);
+                *latch = Some(e);
                 return None;
             }
         };
-        let _t = ScopeTimer::new("core/forward_plan");
-        let out = if bucket == n {
-            run_plan_workers(&plan, &mut self.arena, batch.data(), self.plan_workers).to_vec()
+        let mut padded = Vec::new();
+        let input = if bucket == n {
+            batch.data()
         } else {
-            let per_in = batch.data().len() / n;
-            let mut padded = vec![0.0f32; bucket * per_in];
-            padded[..n * per_in].copy_from_slice(batch.data());
-            let full = run_plan_workers(&plan, &mut self.arena, &padded, self.plan_workers);
-            let per_out = full.len() / bucket;
-            full[..n * per_out].to_vec()
+            padded.resize(bucket * (batch.data().len() / n), 0.0f32);
+            padded[..batch.data().len()].copy_from_slice(batch.data());
+            &padded[..]
         };
-        let mut out_shape = plan.output_shape().to_vec();
-        out_shape[0] = n;
-        Some(Tensor::from_vec(out_shape, out).expect("plan output tensor"))
-    }
-
-    /// Quant-engine logits, or `None` when no calibration is attached or
-    /// the quantized build failed (caller falls back to the f32 plan,
-    /// which is bitwise identical to the tape). Batch padding mirrors
-    /// [`ModelPredictor::plan_logits`].
-    fn quant_logits(&mut self, batch: &Tensor) -> Option<Tensor> {
-        if self.quant.is_none() || self.quant_broken.is_some() {
-            return None;
-        }
-        let n = batch.shape()[0];
-        let bucket = Self::bucketed_batch(n);
-        let mut plan_shape = batch.shape().to_vec();
-        plan_shape[0] = bucket;
-        let qplan = match self.resolve_quant_plan(&plan_shape) {
-            Ok(qplan) => qplan,
-            Err(e) => {
-                mfaplace_rt::timer::count("infer/quant_fallback", 1);
-                self.quant_broken = Some(e);
-                return None;
+        let (full, mut out_shape) = match &compiled {
+            Compiled::F32(plan) => {
+                let _t = ScopeTimer::new("core/forward_plan");
+                let full = run_plan_workers(plan, &mut self.arena, input, self.plan_workers);
+                (full, plan.output_shape().to_vec())
+            }
+            Compiled::Quant(qplan) => {
+                let _t = ScopeTimer::new("core/forward_quant");
+                let full = run_quant_plan(qplan, &mut self.qarena, input);
+                (full, qplan.output_shape().to_vec())
             }
         };
-        let _t = ScopeTimer::new("core/forward_quant");
-        let out = if bucket == n {
-            run_quant_plan(&qplan, &mut self.qarena, batch.data()).to_vec()
-        } else {
-            let per_in = batch.data().len() / n;
-            let mut padded = vec![0.0f32; bucket * per_in];
-            padded[..n * per_in].copy_from_slice(batch.data());
-            let full = run_quant_plan(&qplan, &mut self.qarena, &padded);
-            let per_out = full.len() / bucket;
-            full[..n * per_out].to_vec()
-        };
-        let mut out_shape = qplan.output_shape().to_vec();
         out_shape[0] = n;
-        Some(Tensor::from_vec(out_shape, out).expect("quant plan output tensor"))
+        let per_out = full.len() / bucket;
+        Some(
+            Tensor::from_vec(out_shape, full[..n * per_out].to_vec())
+                .expect("compiled plan output tensor"),
+        )
     }
 
     /// Tape-engine logits (the reference path).
@@ -566,15 +605,17 @@ impl<M: CongestionModel> ModelPredictor<M> {
         }
         let batch = Tensor::from_vec(vec![n, c, h, w], data).expect("stacked batch");
 
-        let logits = match self.engine {
-            Engine::Plan => self
-                .plan_logits(&batch)
-                .unwrap_or_else(|| self.tape_logits(&batch)),
-            Engine::Quant => self
-                .quant_logits(&batch)
-                .or_else(|| self.plan_logits(&batch))
-                .unwrap_or_else(|| self.tape_logits(&batch)),
-            Engine::Tape => self.tape_logits(&batch),
+        // A failed build latches its reason, which moves `effective()` one
+        // engine down the chain; the tape cannot fail, so this terminates.
+        let logits = loop {
+            match self.effective().0 {
+                Engine::Tape => break self.tape_logits(&batch),
+                engine => {
+                    if let Some(logits) = self.compiled_logits(engine, &batch) {
+                        break logits;
+                    }
+                }
+            }
         };
         let levels = expected_levels(&logits); // [N, H, W]
         let hw = h * w;
@@ -813,6 +854,62 @@ mod tests {
             qs.arena_bytes,
             qs.f32_arena_bytes
         );
+    }
+
+    #[test]
+    fn status_reports_the_engine_really_serving_and_why() {
+        let d = DesignPreset::design_116()
+            .with_scale(512, 64, 32)
+            .generate(1);
+        let x = FeatureStack::extract(&d, &d.random_placement(5), 32, 32).to_tensor();
+
+        // Uncalibrated quant serves the f32 plan, and says so.
+        let mut p = small_predictor(10);
+        p.set_engine(Engine::Quant);
+        let status = p.status();
+        assert_eq!(
+            (status.requested, status.served),
+            (Engine::Quant, Engine::Plan)
+        );
+        assert_eq!(status.fallback.as_deref(), Some(NO_CALIBRATION));
+
+        // A calibration that does not fit this model's plan (collected on a
+        // much shallower network) latches `quant_broken` on the first
+        // forward; the answer is still the bitwise f32 one.
+        let mut g = Graph::new();
+        let mut rng = StdRng::seed_from_u64(10);
+        let unet = mfaplace_models::UNetModel::new(&mut g, 2, &mut rng);
+        let mut other = ModelPredictor::new(g, unet);
+        let stale = other
+            .calibrate(std::slice::from_ref(&x), QuantOptions::default())
+            .unwrap();
+        p.set_calibration(stale, QuantOptions::default());
+        assert_eq!(
+            p.status().served,
+            Engine::Quant,
+            "calibrated, not yet built"
+        );
+        let via_quant = p.predict_batch_tensors(std::slice::from_ref(&x));
+        let status = p.status();
+        assert_eq!(status.requested, Engine::Quant);
+        assert_eq!(status.served, Engine::Plan);
+        assert_eq!(status.precision, PlanPrecision::F32);
+        assert_eq!(status.fallback.as_deref(), p.quant_broken());
+        assert!(
+            status.fallback.as_deref().unwrap().contains("recalibrate"),
+            "{status:?}"
+        );
+        assert_eq!(
+            status.plan,
+            p.plan_stats(),
+            "f32 plan stats while fallen back"
+        );
+        let mut plan = small_predictor(10);
+        plan.set_engine(Engine::Plan);
+        let via_plan = plan.predict_batch_tensors(std::slice::from_ref(&x));
+        assert_eq!(via_quant[0].data(), via_plan[0].data());
+        assert_eq!(plan.status().fallback, None, "healthy: nothing to report");
+        assert_eq!(plan.status().served, Engine::Plan);
     }
 
     #[test]

@@ -581,7 +581,7 @@ impl JobEngine {
                         return;
                     }
                 };
-                grid = slot.slot().spec().grid;
+                grid = slot.slot().status().spec.grid;
                 slot_predictor = SlotPredictor::new(slot, deadline);
                 predictor_error = slot_predictor.error_slot();
                 &mut slot_predictor

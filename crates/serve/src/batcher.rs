@@ -29,7 +29,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use mfaplace_core::loader::{load_predictor_with_cache, LoadOptions};
-use mfaplace_core::predictor::{Engine, ModelPredictor};
+use mfaplace_core::predictor::{Engine, ModelPredictor, PredictorStatus};
 use mfaplace_core::PlanCache;
 use mfaplace_models::{AnyModel, ArchSpec};
 use mfaplace_rt::timer::ScopeTimer;
@@ -118,7 +118,10 @@ struct QueueState {
 
 /// The bounded request queue plus its coalescing policy.
 pub struct Batcher {
-    state: Mutex<QueueState>,
+    /// Shared with the metrics registry, which reads the depth at scrape
+    /// time. Never record a metric while holding this lock: a render holds
+    /// the registry lock while it reads the queue.
+    state: Arc<Mutex<QueueState>>,
     cv: Condvar,
     cfg: BatchConfig,
     metrics: SlotMetrics,
@@ -132,8 +135,11 @@ impl Batcher {
 
     /// Creates an empty batcher recording under a named fleet slot.
     pub fn for_slot(cfg: BatchConfig, metrics: SlotMetrics) -> Self {
+        let state = Arc::new(Mutex::new(QueueState::default()));
+        let queue = state.clone();
+        metrics.watch_queue_depth(move || lock_queue(&queue).jobs.len());
         Batcher {
-            state: Mutex::new(QueueState::default()),
+            state,
             cv: Condvar::new(),
             cfg,
             metrics,
@@ -146,7 +152,7 @@ impl Batcher {
     }
 
     fn lock(&self) -> MutexGuard<'_, QueueState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+        lock_queue(&self.state)
     }
 
     /// Enqueues one `[C, H, W]` feature stack for prediction. On success
@@ -168,19 +174,19 @@ impl Batcher {
             if state.draining {
                 return Err(SubmitError::Draining);
             }
-            if state.jobs.len() >= self.cfg.queue_bound {
-                self.metrics.record_queue_rejection();
-                return Err(SubmitError::QueueFull);
+            if state.jobs.len() < self.cfg.queue_bound {
+                state.jobs.push_back(Job {
+                    input,
+                    deadline,
+                    tx,
+                });
+                drop(state);
+                self.cv.notify_all();
+                return Ok(rx);
             }
-            state.jobs.push_back(Job {
-                input,
-                deadline,
-                tx,
-            });
-            self.metrics.set_queue_depth(state.jobs.len());
         }
-        self.cv.notify_all();
-        Ok(rx)
+        self.metrics.record_queue_rejection();
+        Err(SubmitError::QueueFull)
     }
 
     /// Stops accepting new jobs and wakes the worker so it can finish the
@@ -221,9 +227,7 @@ impl Batcher {
             }
         }
         let take = state.jobs.len().min(self.cfg.max_batch);
-        let batch: Vec<Job> = state.jobs.drain(..take).collect();
-        self.metrics.set_queue_depth(state.jobs.len());
-        Some(batch)
+        Some(state.jobs.drain(..take).collect())
     }
 
     /// Runs the batching loop until [`Batcher::shutdown`] is called and
@@ -260,47 +264,79 @@ impl Batcher {
     }
 }
 
+fn lock_queue(state: &Mutex<QueueState>) -> MutexGuard<'_, QueueState> {
+    state.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 struct LoadedModel {
     predictor: ModelPredictor<AnyModel>,
     spec: ArchSpec,
     version: u64,
 }
 
+impl LoadedModel {
+    fn status(&self) -> SlotStatus {
+        SlotStatus {
+            spec: self.spec,
+            version: self.version,
+            predictor: self.predictor.status(),
+        }
+    }
+}
+
+/// Point-in-time description of a slot — the one thing `/metrics`,
+/// `/model`, `/models`, the request-path grid check, the job engine and
+/// the CLI banner all read.
+#[derive(Clone, Debug)]
+pub struct SlotStatus {
+    /// The served architecture (its grid is what inputs must match).
+    pub spec: ArchSpec,
+    /// Monotonic version, bumped by every successful [`ModelSlot::reload`].
+    pub version: u64,
+    /// Requested engine, engine really serving, precision, fallback reason
+    /// and active plan stats.
+    pub predictor: PredictorStatus,
+}
+
 /// The currently served model behind an atomic-swap lock.
 ///
-/// Every publication of slot state to metrics (engine gauge, model
-/// info/version) happens while the state lock is held, so concurrent
-/// `set_engine` / `reload` calls publish in the same order they mutate —
-/// the gauges can never end up describing a state the slot is not in.
+/// The slot keeps one [`SlotStatus`] snapshot, replaced at every mutation
+/// (load, `set_engine`, forward, `reload`) while the state lock is held —
+/// so concurrent mutations publish in the order they happen and the
+/// snapshot can never describe a state the slot is not in — but read
+/// without that lock, so no reader ever waits behind an in-flight forward.
 pub struct ModelSlot {
     name: String,
     inner: Mutex<LoadedModel>,
+    status: Arc<Mutex<Arc<SlotStatus>>>,
     plan_cache: Arc<PlanCache>,
-    metrics: SlotMetrics,
+}
+
+fn read_status(status: &Mutex<Arc<SlotStatus>>) -> Arc<SlotStatus> {
+    status.lock().unwrap_or_else(|e| e.into_inner()).clone()
 }
 
 impl ModelSlot {
     /// Loads the initial model from `path` under the default slot name,
-    /// with a private plan cache sized from the environment.
+    /// with a private plan cache sized from the environment, and exposes
+    /// it on `metrics`.
     ///
     /// # Errors
     ///
     /// Returns a human-readable error when the checkpoint cannot be
     /// loaded.
     pub fn load(path: &str, opts: LoadOptions, metrics: Arc<Metrics>) -> Result<Self, String> {
-        Self::load_named(
-            DEFAULT_SLOT,
-            path,
-            opts,
-            Arc::new(PlanCache::from_env()),
-            metrics,
-        )
+        let cache = Arc::new(PlanCache::from_env());
+        let slot = Self::load_named(DEFAULT_SLOT, path, opts, cache)?;
+        slot.register(&metrics);
+        Ok(slot)
     }
 
     /// Loads the initial model from `path` as fleet slot `name`, compiling
     /// inference plans into the shared `plan_cache` (keyed by the file's
     /// content hash, so slots loaded from byte-identical checkpoints share
-    /// one compiled plan set).
+    /// one compiled plan set). The fleet registers it with the metrics
+    /// registry when it is installed.
     ///
     /// # Errors
     ///
@@ -311,51 +347,61 @@ impl ModelSlot {
         path: &str,
         opts: LoadOptions,
         plan_cache: Arc<PlanCache>,
-        metrics: Arc<Metrics>,
     ) -> Result<Self, String> {
         let (spec, predictor) = load_predictor_with_cache(path, opts, &plan_cache)?;
-        let metrics = metrics.slot(name);
-        metrics.set_model(spec.arch.model_name(), 1);
-        metrics.set_engine(predictor.engine().name());
-        metrics.set_precision(predictor.precision().name());
-        Ok(ModelSlot {
-            name: name.to_owned(),
-            inner: Mutex::new(LoadedModel {
-                predictor,
-                spec,
-                version: 1,
-            }),
-            plan_cache,
-            metrics,
-        })
+        Ok(Self::new(name, spec, predictor, plan_cache))
     }
 
     /// Wraps an already-built predictor (tests, in-process serving) under
-    /// the default slot name.
+    /// the default slot name and exposes it on `metrics`.
     pub fn from_predictor(
         spec: ArchSpec,
         predictor: ModelPredictor<AnyModel>,
         metrics: Arc<Metrics>,
     ) -> Self {
         let plan_cache = predictor.plan_cache().clone();
-        let metrics = metrics.slot(DEFAULT_SLOT);
-        metrics.set_model(spec.arch.model_name(), 1);
-        metrics.set_engine(predictor.engine().name());
-        metrics.set_precision(predictor.precision().name());
+        let slot = Self::new(DEFAULT_SLOT, spec, predictor, plan_cache);
+        slot.register(&metrics);
+        slot
+    }
+
+    fn new(
+        name: &str,
+        spec: ArchSpec,
+        predictor: ModelPredictor<AnyModel>,
+        plan_cache: Arc<PlanCache>,
+    ) -> Self {
+        let model = LoadedModel {
+            predictor,
+            spec,
+            version: 1,
+        };
         ModelSlot {
-            name: DEFAULT_SLOT.to_owned(),
-            inner: Mutex::new(LoadedModel {
-                predictor,
-                spec,
-                version: 1,
-            }),
+            name: name.to_owned(),
+            status: Arc::new(Mutex::new(Arc::new(model.status()))),
+            inner: Mutex::new(model),
             plan_cache,
-            metrics,
         }
+    }
+
+    /// Exposes this slot's status under its name on `metrics`, to be read
+    /// at every scrape; returns the handle the slot's batcher records
+    /// through.
+    pub fn register(&self, metrics: &Arc<Metrics>) -> SlotMetrics {
+        let handle = metrics.slot(&self.name);
+        let status = self.status.clone();
+        handle.watch_status(move || read_status(&status));
+        handle
     }
 
     fn lock(&self) -> MutexGuard<'_, LoadedModel> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Replaces the status snapshot. Takes the guarded state as proof that
+    /// the caller holds the state lock.
+    fn publish(&self, model: &LoadedModel) {
+        *self.status.lock().unwrap_or_else(|e| e.into_inner()) = Arc::new(model.status());
     }
 
     /// The fleet slot name this model serves under.
@@ -368,33 +414,27 @@ impl ModelSlot {
         &self.plan_cache
     }
 
-    /// The served architecture spec (grid size is what inputs must match).
-    pub fn spec(&self) -> ArchSpec {
-        self.lock().spec
+    /// The current status snapshot. Never waits for a forward.
+    pub fn status(&self) -> Arc<SlotStatus> {
+        read_status(&self.status)
     }
 
     /// Monotonic version, bumped by every successful [`ModelSlot::reload`].
     pub fn version(&self) -> u64 {
-        self.lock().version
+        self.status().version
     }
 
-    /// The inference engine the served predictor is using.
+    /// The inference engine the served predictor was asked to use.
     pub fn engine(&self) -> Engine {
-        self.lock().predictor.engine()
+        self.status().predictor.requested
     }
 
-    /// Switches the served predictor between the tape and plan engines
-    /// (compiled plans are kept either way) and republishes the engine
-    /// gauge — both under the state lock, so a concurrent [`reload`]
-    /// cannot interleave and leave the gauge describing the wrong engine.
-    ///
-    /// [`reload`]: ModelSlot::reload
+    /// Switches the served predictor between engines (compiled plans are
+    /// kept either way).
     pub fn set_engine(&self, engine: Engine) {
         let mut model = self.lock();
         model.predictor.set_engine(engine);
-        self.metrics.set_engine(engine.name());
-        self.metrics
-            .set_precision(model.predictor.precision().name());
+        self.publish(&model);
     }
 
     /// Runs one batched forward. Panics inside the model are caught and
@@ -419,28 +459,8 @@ impl ModelSlot {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             model.predictor.predict_batch_tensors(inputs)
         }));
-        if result.is_ok() {
-            // `active_plan_stats` reflects the engine actually serving:
-            // quant arena/weight bytes under the quant engine, the f32
-            // plan otherwise. Precision is republished because it can
-            // flip from "f32" the moment the first quant plan compiles
-            // (or back, if a quant build fails and the slot falls back).
-            let (ops, arena, levels, elided) =
-                model
-                    .predictor
-                    .active_plan_stats()
-                    .map_or((0, 0, 0, 0), |s| {
-                        (
-                            s.ops as u64,
-                            s.arena_bytes as u64,
-                            s.levels as u64,
-                            s.copies_elided as u64,
-                        )
-                    });
-            self.metrics.set_plan_stats(ops, arena, levels, elided);
-            self.metrics
-                .set_precision(model.predictor.precision().name());
-        }
+        // A forward can compile a plan or latch a fallback.
+        self.publish(&model);
         result.map_err(|payload| {
             let msg = payload
                 .downcast_ref::<&str>()
@@ -464,7 +484,7 @@ impl ModelSlot {
         // file must never interrupt serving. Plans for the new weights go
         // into the same shared cache, keyed by the new file's content hash.
         let (spec, mut predictor) = load_predictor_with_cache(path, opts, &self.plan_cache)?;
-        let current_grid = self.spec().grid;
+        let current_grid = self.status().spec.grid;
         if spec.grid != current_grid {
             return Err(format!(
                 "new checkpoint grid {} differs from served grid {current_grid}; \
@@ -473,53 +493,51 @@ impl ModelSlot {
             ));
         }
         let mut slot = self.lock();
-        // Keep the engine choice sticky across hot reloads, swap the whole
-        // loaded state as one assignment, and publish the gauges before
-        // releasing the lock — a concurrent `set_engine` either fully
-        // precedes this swap (its choice is the sticky one) or fully
-        // follows it (it overrides); no interleaving can desynchronize
-        // the served state from the metrics.
+        // Keep the engine choice sticky across hot reloads and swap the
+        // whole loaded state as one assignment — a concurrent `set_engine`
+        // either fully precedes this swap (its choice is the sticky one) or
+        // fully follows it (it overrides).
         predictor.set_engine(slot.predictor.engine());
         let version = slot.version + 1;
-        let engine = predictor.engine();
         *slot = LoadedModel {
             predictor,
             spec,
             version,
         };
-        self.metrics.set_model(spec.arch.model_name(), version);
-        self.metrics.set_engine(engine.name());
-        let precision = slot.predictor.precision();
-        self.metrics.set_precision(precision.name());
+        self.publish(&slot);
         Ok((version, spec))
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mfaplace_core::loader::init_checkpoint;
     use mfaplace_models::Arch;
 
-    fn temp_path(name: &str) -> String {
+    pub(crate) fn temp_path(name: &str) -> String {
         let dir = std::env::temp_dir().join("mfaplace_batcher_test");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name).to_string_lossy().into_owned()
     }
 
-    fn tiny_spec() -> ArchSpec {
+    pub(crate) fn tiny_spec() -> ArchSpec {
         let mut spec = ArchSpec::new(Arch::UNet, 16);
         spec.base_channels = 2;
         spec
     }
 
-    fn tiny_slot(metrics: Arc<Metrics>) -> ModelSlot {
-        let path = temp_path("tiny_unet.mfaw");
+    pub(crate) fn tiny_slot(metrics: Arc<Metrics>) -> ModelSlot {
+        // One file per call: tests run in parallel, and a shared path lets
+        // one test read a checkpoint another is still writing.
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = temp_path(&format!("tiny_unet_{n}.mfaw"));
         init_checkpoint(&tiny_spec(), 1, &path).unwrap();
         ModelSlot::load(&path, LoadOptions::default(), metrics).unwrap()
     }
 
-    fn input(seed: f32) -> Tensor {
+    pub(crate) fn input(seed: f32) -> Tensor {
         Tensor::from_fn(vec![6, 16, 16], |i| ((i as f32) * 0.01 + seed).sin())
     }
 
@@ -632,6 +650,51 @@ mod tests {
         assert_eq!(slot.version(), 2);
         let still = slot.predict_batch(std::slice::from_ref(&x)).unwrap();
         assert_eq!(after[0].data(), still[0].data());
+    }
+
+    /// Readers must never wait for the state lock a forward holds: with
+    /// that lock held on another thread (exactly what `predict_batch` does
+    /// for a whole forward), status reads, a scrape and a submission all
+    /// have to complete.
+    #[test]
+    fn status_render_and_submit_never_wait_for_the_state_lock() {
+        let metrics = Arc::new(Metrics::new());
+        let slot = Arc::new(tiny_slot(metrics.clone()));
+        let batcher = Batcher::new(BatchConfig::default(), metrics.clone());
+
+        let (locked_tx, locked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let holder = {
+            let slot = slot.clone();
+            std::thread::spawn(move || {
+                let _forward = slot.lock();
+                locked_tx.send(()).unwrap();
+                let _ = release_rx.recv();
+            })
+        };
+        locked_rx.recv().unwrap();
+
+        let (done_tx, done_rx) = mpsc::channel();
+        let reader = std::thread::spawn(move || {
+            let status = slot.status();
+            assert_eq!((status.version, slot.version()), (1, 1));
+            assert_eq!(status.spec.grid, 16);
+            assert_eq!(slot.engine(), status.predictor.requested);
+            let text = metrics.render();
+            assert!(text.contains("mfaplace_model_version 1"), "{text}");
+            let deadline = Instant::now() + Duration::from_secs(10);
+            assert!(batcher.submit(input(0.0), deadline).is_ok());
+            assert!(
+                metrics.render().contains("mfaplace_queue_depth 1"),
+                "depth is read from the queue itself"
+            );
+            done_tx.send(()).unwrap();
+        });
+        let finished = done_rx.recv_timeout(Duration::from_secs(20));
+        release_tx.send(()).unwrap();
+        holder.join().unwrap();
+        finished.expect("a reader blocked on the slot's state lock");
+        reader.join().unwrap();
     }
 
     /// Regression test for the engine/reload publication race: `reload`

@@ -24,7 +24,7 @@ use mfaplace_core::loader::LoadOptions;
 use mfaplace_core::PlanCache;
 
 use crate::batcher::{BatchConfig, Batcher, ModelSlot};
-use crate::metrics::Metrics;
+use crate::metrics::{plan_cache_source, Metrics};
 
 /// Per-tenant admission-control knobs for one slot.
 #[derive(Debug, Clone, Copy, Default)]
@@ -105,12 +105,14 @@ impl ModelFleet {
         Self::with_plan_cache(metrics, batch_cfg, Arc::new(PlanCache::from_env()))
     }
 
-    /// Like [`ModelFleet::new`] with an explicit shared plan cache.
+    /// Like [`ModelFleet::new`] with an explicit shared plan cache, whose
+    /// counters every `/metrics` scrape reads.
     pub fn with_plan_cache(
         metrics: Arc<Metrics>,
         batch_cfg: BatchConfig,
         plan_cache: Arc<PlanCache>,
     ) -> Self {
+        metrics.register_external(plan_cache_source(&plan_cache));
         ModelFleet {
             inner: RwLock::new(FleetInner::default()),
             metrics,
@@ -163,13 +165,7 @@ impl ModelFleet {
         }
         // Load outside the registry lock: a slow checkpoint read must not
         // stall routing. The duplicate check re-runs at insert time.
-        let slot = ModelSlot::load_named(
-            name,
-            path,
-            opts,
-            self.plan_cache.clone(),
-            self.metrics.clone(),
-        )?;
+        let slot = ModelSlot::load_named(name, path, opts, self.plan_cache.clone())?;
         self.install_slot(slot, limits)
     }
 
@@ -190,15 +186,26 @@ impl ModelFleet {
         if let Some(bound) = limits.queue_bound {
             cfg.queue_bound = bound.max(1);
         }
+        // Everything from the duplicate check to the insert happens under
+        // the registry lock, so a concurrent add of the same name can
+        // neither take over the winner's metric series nor leave a worker
+        // behind.
+        let mut inner = self.write();
+        if inner.slots.contains_key(&name) {
+            return Err(format!("slot {name:?} already exists"));
+        }
+        let batcher = Arc::new(Batcher::for_slot(cfg, slot.register(&self.metrics)));
         let slot = Arc::new(slot);
-        let batcher = Arc::new(Batcher::for_slot(cfg, self.metrics.slot(&name)));
         let worker = {
             let slot = slot.clone();
             let batcher = batcher.clone();
             std::thread::Builder::new()
                 .name(format!("mfaplace-serve-{name}"))
                 .spawn(move || batcher.run_worker(&slot))
-                .map_err(|e| format!("spawn worker for slot {name:?}: {e}"))?
+                .map_err(|e| {
+                    self.metrics.remove_slot(&name);
+                    format!("spawn worker for slot {name:?}: {e}")
+                })?
         };
         let fleet_slot = Arc::new(FleetSlot {
             slot,
@@ -206,14 +213,6 @@ impl ModelFleet {
             default_deadline: limits.default_deadline,
             worker: Mutex::new(Some(worker)),
         });
-        let mut inner = self.write();
-        if inner.slots.contains_key(&name) {
-            // Lost a race with a concurrent add; tear our copy down.
-            drop(inner);
-            fleet_slot.drain_and_join();
-            self.metrics.remove_slot(&name);
-            return Err(format!("slot {name:?} already exists"));
-        }
         inner.slots.insert(name.clone(), fleet_slot.clone());
         if inner.default_name.is_none() {
             inner.default_name = Some(name);
@@ -254,8 +253,8 @@ impl ModelFleet {
         self.read().default_name.clone()
     }
 
-    /// Deregisters slot `name`, drains its queue (already-accepted jobs
-    /// are answered), joins its worker and drops its metric series. Other
+    /// Deregisters slot `name`, drops its metric series, drains its queue
+    /// (already-accepted jobs are answered) and joins its worker. Other
     /// slots are untouched.
     ///
     /// # Errors
@@ -270,15 +269,17 @@ impl ModelFleet {
                     "slot {name:?} is the default slot and cannot be removed"
                 ));
             }
-            match inner.slots.remove(name) {
-                Some(s) => s,
-                None => return Err(unknown_slot_message(name, &inner.slots)),
-            }
+            let Some(removed) = inner.slots.remove(name) else {
+                return Err(unknown_slot_message(name, &inner.slots));
+            };
+            // Still under the registry lock, so a re-add of the same name
+            // registers its series strictly after this drop.
+            self.metrics.remove_slot(name);
+            removed
         };
         // Drain outside the registry lock: routing stays live while the
         // removed slot answers its tail.
         removed.drain_and_join();
-        self.metrics.remove_slot(name);
         Ok(())
     }
 
@@ -298,12 +299,6 @@ impl ModelFleet {
         let slot = self.resolve(name)?;
         let (version, spec) = slot.slot().reload(path, opts)?;
         Ok((slot.name().to_owned(), version, spec))
-    }
-
-    /// Publishes the shared plan cache's counters to the metrics registry
-    /// (called on every `/metrics` scrape).
-    pub fn publish_plan_cache_stats(&self) {
-        self.metrics.set_plan_cache_stats(self.plan_cache.stats());
     }
 
     /// Drains every slot and joins every worker — the shutdown barrier.

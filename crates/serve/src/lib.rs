@@ -30,8 +30,9 @@
 //! - [`fleet`] — the [`fleet::ModelFleet`] registry: named slots, per-
 //!   tenant admission control, shared compiled-plan cache, zero-downtime
 //!   add/remove/reload.
-//! - [`metrics`] — request/batch/latency metrics rendered as plaintext
-//!   `GET /metrics` — fleet-wide aggregates plus per-slot
+//! - [`metrics`] — request/batch/latency events recorded, slot state and
+//!   plan-cache counters read from their owners at scrape time, rendered
+//!   as plaintext `GET /metrics` — fleet-wide families plus per-slot
 //!   `mfaplace_slot_*` families and `mfaplace_plan_cache_*` gauges.
 //! - [`server`] — the TCP front end and endpoint routing.
 //! - [`client`] — a matching blocking client for the CLI and tests.
@@ -48,7 +49,9 @@ pub mod metrics;
 pub mod protocol;
 pub mod server;
 
-pub use batcher::{BatchConfig, Batcher, JobError, ModelSlot, SubmitError, DEFAULT_SLOT};
+pub use batcher::{
+    BatchConfig, Batcher, JobError, ModelSlot, SlotStatus, SubmitError, DEFAULT_SLOT,
+};
 pub use fleet::{FleetSlot, ModelFleet, SlotLimits};
 pub use metrics::{Metrics, SlotMetrics};
 pub use server::{

@@ -5,20 +5,26 @@
 //! under `mfaplace_rt_*` names, so kernel-level instrumentation shows up
 //! in the same scrape.
 //!
-//! With the model fleet the registry is two-level: the original
-//! un-labelled families (`mfaplace_queue_depth`, `mfaplace_batch_size`,
-//! `mfaplace_engine_info`, …) stay as **aggregates** across every slot —
-//! existing dashboards keep working — while a [`SlotMetrics`] handle (one
-//! per fleet slot) additionally maintains `mfaplace_slot_*` families
-//! labelled `{slot="…"}`. Point-in-time gauges (model info, engine) are
-//! last-writer-wins at the aggregate level; the per-slot copies are the
-//! authoritative ones in a multi-slot deployment.
+//! **Events are recorded, state is read.** The registry stores only what
+//! happened (requests, batches, latencies, rejections, deadline misses);
+//! what *is* — served model, engine, precision, plan stats, queue depth,
+//! plan-cache occupancy — is read from its owner at every scrape, so a
+//! gauge can never lag behind or contradict the thing it describes.
+//!
+//! With the model fleet the document is two-level: the un-labelled
+//! families (`mfaplace_queue_depth`, `mfaplace_batch_size`,
+//! `mfaplace_engine_info`, …) cover the whole fleet — counters and queue
+//! depth are sums over slots, point-in-time state gauges describe the
+//! **default slot** (the first one registered) — while every slot
+//! additionally gets `mfaplace_slot_*` families labelled `{slot="…"}`.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use mfaplace_core::PlanCacheStats;
+use mfaplace_core::PlanCache;
+
+use crate::batcher::SlotStatus;
 
 /// Upper bucket bounds of the batch-size histogram (last bucket is +Inf).
 pub const BATCH_BUCKETS: [usize; 6] = [1, 2, 4, 8, 16, 32];
@@ -26,46 +32,50 @@ pub const BATCH_BUCKETS: [usize; 6] = [1, 2, 4, 8, 16, 32];
 /// Number of most-recent request latencies kept for quantile estimates.
 const LATENCY_WINDOW: usize = 4096;
 
-/// Per-slot slice of the registry, rendered under `mfaplace_slot_*`.
+/// Event counters kept once fleet-wide and once per slot.
 #[derive(Default)]
-struct SlotStats {
-    requests: BTreeMap<u16, u64>,
-    queue_depth: u64,
+struct Counters {
     queue_rejections: u64,
     deadline_misses: u64,
     batches: u64,
     batched_items: u64,
-    model_name: String,
-    model_version: u64,
-    engine_name: String,
-    precision_name: String,
-    plan_ops: u64,
-    plan_arena_bytes: u64,
-    plan_levels: u64,
-    plan_copies_elided: u64,
+}
+
+/// A scrape-time read of state owned elsewhere. Called with the registry
+/// locked, so it must not record into the registry — nor take a lock its
+/// owner ever records under.
+type Source<T> = Box<dyn Fn() -> T + Send + Sync>;
+
+/// Per-slot slice of the registry, rendered under `mfaplace_slot_*`.
+#[derive(Default)]
+struct SlotStats {
+    requests: BTreeMap<u16, u64>,
+    counters: Counters,
+    status: Option<Source<Arc<SlotStatus>>>,
+    queue_depth: Option<Source<usize>>,
 }
 
 #[derive(Default)]
 struct Inner {
     requests_total: BTreeMap<(String, u16), u64>,
     batch_hist: [u64; BATCH_BUCKETS.len() + 1],
-    batches_total: u64,
-    batched_items_total: u64,
     latencies_us: Vec<u64>,
     latency_next: usize,
-    queue_depth: u64,
-    queue_rejections: u64,
-    deadline_misses: u64,
-    model_version: u64,
-    model_name: String,
-    engine_name: String,
-    precision_name: String,
-    plan_ops: u64,
-    plan_arena_bytes: u64,
-    plan_levels: u64,
-    plan_copies_elided: u64,
+    total: Counters,
     slots: BTreeMap<String, SlotStats>,
-    plan_cache: Option<PlanCacheStats>,
+    /// The first slot registered: the one un-labelled state gauges describe.
+    default_slot: Option<String>,
+}
+
+impl Inner {
+    /// Applies `count` fleet-wide and — while `slot` is still registered —
+    /// to its own series.
+    fn count(&mut self, slot: &str, count: impl Fn(&mut Counters)) {
+        count(&mut self.total);
+        if let Some(s) = self.slots.get_mut(slot) {
+            count(&mut s.counters);
+        }
+    }
 }
 
 /// Thread-safe metrics registry shared by the server, batcher and worker.
@@ -75,7 +85,7 @@ pub struct Metrics {
     /// Extra exposition sources appended to every render — how subsystems
     /// outside this crate (e.g. the job engine) publish their own families
     /// into the same `/metrics` document.
-    externals: Mutex<Vec<Box<dyn Fn() -> String + Send + Sync>>>,
+    externals: Mutex<Vec<Source<String>>>,
 }
 
 impl Metrics {
@@ -96,18 +106,6 @@ impl Metrics {
             .or_insert(0) += 1;
     }
 
-    /// Counts one executed batch of `size` requests.
-    pub fn record_batch(&self, size: usize) {
-        let mut m = self.lock();
-        let idx = BATCH_BUCKETS
-            .iter()
-            .position(|&b| size <= b)
-            .unwrap_or(BATCH_BUCKETS.len());
-        m.batch_hist[idx] += 1;
-        m.batches_total += 1;
-        m.batched_items_total += size as u64;
-    }
-
     /// Records one request's end-to-end latency.
     pub fn record_latency(&self, latency: Duration) {
         let us = latency.as_micros().min(u128::from(u64::MAX)) as u64;
@@ -121,55 +119,12 @@ impl Metrics {
         m.latency_next = (m.latency_next + 1) % LATENCY_WINDOW;
     }
 
-    /// Sets the queue-depth gauge.
-    pub fn set_queue_depth(&self, depth: usize) {
-        self.lock().queue_depth = depth as u64;
-    }
-
-    /// Counts one request rejected due to a full queue.
-    pub fn record_queue_rejection(&self) {
-        self.lock().queue_rejections += 1;
-    }
-
-    /// Counts one request dropped for missing its deadline.
-    pub fn record_deadline_miss(&self) {
-        self.lock().deadline_misses += 1;
-    }
-
-    /// Publishes the currently served model (name + hot-reload version).
-    pub fn set_model(&self, name: &str, version: u64) {
-        let mut m = self.lock();
-        m.model_name = name.to_owned();
-        m.model_version = version;
-    }
-
-    /// Publishes the active inference engine (`"tape"` / `"plan"` /
-    /// `"quant"`).
-    pub fn set_engine(&self, name: &str) {
-        self.lock().engine_name = name.to_owned();
-    }
-
-    /// Publishes the numeric precision forwards run at (`"f32"` /
-    /// `"int8"` / `"f16"`).
-    pub fn set_precision(&self, name: &str) {
-        self.lock().precision_name = name.to_owned();
-    }
-
-    /// Publishes the compiled-plan gauges (op count, arena bytes, scheduler
-    /// level count and elided-copy count of the peak-memory plan). Zeroed
-    /// while no plan is compiled.
-    pub fn set_plan_stats(&self, ops: u64, arena_bytes: u64, levels: u64, copies_elided: u64) {
-        let mut m = self.lock();
-        m.plan_ops = ops;
-        m.plan_arena_bytes = arena_bytes;
-        m.plan_levels = levels;
-        m.plan_copies_elided = copies_elided;
-    }
-
-    /// Creates the per-slot handle for `name`, registering the slot in the
-    /// rendered output immediately.
+    /// Registers slot `name` in the rendered output and returns the handle
+    /// its batcher and model record through.
     pub fn slot(self: &Arc<Self>, name: &str) -> SlotMetrics {
-        self.lock().slots.entry(name.to_owned()).or_default();
+        let mut m = self.lock();
+        m.slots.entry(name.to_owned()).or_default();
+        m.default_slot.get_or_insert_with(|| name.to_owned());
         SlotMetrics {
             metrics: self.clone(),
             slot: name.to_owned(),
@@ -177,28 +132,21 @@ impl Metrics {
     }
 
     /// Drops `name`'s `mfaplace_slot_*` series (slot removed from the
-    /// fleet) and re-derives the aggregate queue depth from the survivors.
+    /// fleet). Handles that outlive the slot keep counting fleet-wide but
+    /// can no longer bring the series back.
     pub fn remove_slot(&self, name: &str) {
         let mut m = self.lock();
         m.slots.remove(name);
-        m.queue_depth = m.slots.values().map(|s| s.queue_depth).sum();
+        if m.default_slot.as_deref() == Some(name) {
+            m.default_slot = None;
+        }
     }
 
     /// Counts one completed predict on `slot` with HTTP `status`.
     pub fn record_slot_request(&self, slot: &str, status: u16) {
-        let mut m = self.lock();
-        *m.slots
-            .entry(slot.to_owned())
-            .or_default()
-            .requests
-            .entry(status)
-            .or_insert(0) += 1;
-    }
-
-    /// Publishes the shared plan cache's counters (entries, bytes, budget,
-    /// hits/misses/evictions) for the next render.
-    pub fn set_plan_cache_stats(&self, stats: PlanCacheStats) {
-        self.lock().plan_cache = Some(stats);
+        if let Some(s) = self.lock().slots.get_mut(slot) {
+            *s.requests.entry(status).or_insert(0) += 1;
+        }
     }
 
     /// Registers an extra exposition source: `render_fn` is called on
@@ -215,8 +163,38 @@ impl Metrics {
     /// Renders the plaintext exposition document.
     pub fn render(&self) -> String {
         let m = self.lock();
-        let mut out = String::new();
 
+        // One pass over the slots reads every owner exactly once; the
+        // default slot's status snapshot feeds both views.
+        let mut queue_depth = 0;
+        let mut default_state = String::new();
+        let mut slots = String::new();
+        for (name, s) in &m.slots {
+            for (status, n) in &s.requests {
+                slots.push_str(&format!(
+                    "mfaplace_slot_requests_total{{slot=\"{name}\",status=\"{status}\"}} {n}\n"
+                ));
+            }
+            let depth = s.queue_depth.as_ref().map_or(0, |read| read() as u64);
+            queue_depth += depth;
+            for (family, v) in [
+                ("queue_depth", depth),
+                ("queue_rejections_total", s.counters.queue_rejections),
+                ("deadline_misses_total", s.counters.deadline_misses),
+                ("batches_total", s.counters.batches),
+                ("batched_items_total", s.counters.batched_items),
+            ] {
+                slots.push_str(&format!("mfaplace_slot_{family}{{slot=\"{name}\"}} {v}\n"));
+            }
+            if let Some(status) = s.status.as_ref().map(|read| read()) {
+                if m.default_slot.as_deref() == Some(name) {
+                    render_status(&mut default_state, None, &status);
+                }
+                render_status(&mut slots, Some(name), &status);
+            }
+        }
+
+        let mut out = String::new();
         out.push_str("# TYPE mfaplace_requests_total counter\n");
         for ((endpoint, status), n) in &m.requests_total {
             out.push_str(&format!(
@@ -225,14 +203,14 @@ impl Metrics {
         }
 
         out.push_str("# TYPE mfaplace_queue_depth gauge\n");
-        out.push_str(&format!("mfaplace_queue_depth {}\n", m.queue_depth));
+        out.push_str(&format!("mfaplace_queue_depth {queue_depth}\n"));
         out.push_str(&format!(
             "mfaplace_queue_rejections_total {}\n",
-            m.queue_rejections
+            m.total.queue_rejections
         ));
         out.push_str(&format!(
             "mfaplace_deadline_misses_total {}\n",
-            m.deadline_misses
+            m.total.deadline_misses
         ));
 
         out.push_str("# TYPE mfaplace_batch_size histogram\n");
@@ -247,10 +225,10 @@ impl Metrics {
         out.push_str(&format!(
             "mfaplace_batch_size_bucket{{le=\"+Inf\"}} {cumulative}\n"
         ));
-        out.push_str(&format!("mfaplace_batch_size_count {}\n", m.batches_total));
+        out.push_str(&format!("mfaplace_batch_size_count {}\n", m.total.batches));
         out.push_str(&format!(
             "mfaplace_batch_size_sum {}\n",
-            m.batched_items_total
+            m.total.batched_items
         ));
 
         if !m.latencies_us.is_empty() {
@@ -269,21 +247,8 @@ impl Metrics {
                 sorted.len()
             ));
         }
+        drop(m);
 
-        out.push_str(&format!(
-            "mfaplace_model_info{{name=\"{}\"}} 1\n",
-            m.model_name
-        ));
-        out.push_str(&format!("mfaplace_model_version {}\n", m.model_version));
-
-        out.push_str(&format!(
-            "mfaplace_engine_info{{engine=\"{}\"}} 1\n",
-            m.engine_name
-        ));
-        out.push_str(&format!(
-            "mfaplace_precision_info{{precision=\"{}\"}} 1\n",
-            m.precision_name
-        ));
         // Process-global SIMD kernel backend; read at render time so the
         // gauge always reflects the dispatcher's actual state (the CI
         // consistency check compares this against `mfaplace kernels`).
@@ -291,97 +256,11 @@ impl Metrics {
             "mfaplace_kernel_backend{{backend=\"{}\"}} 1\n",
             mfaplace_tensor::simd::active().name()
         ));
-        out.push_str("# TYPE mfaplace_infer_plan_ops gauge\n");
-        out.push_str(&format!("mfaplace_infer_plan_ops {}\n", m.plan_ops));
-        out.push_str("# TYPE mfaplace_infer_plan_arena_bytes gauge\n");
-        out.push_str(&format!(
-            "mfaplace_infer_plan_arena_bytes {}\n",
-            m.plan_arena_bytes
-        ));
-        out.push_str("# TYPE mfaplace_infer_plan_levels gauge\n");
-        out.push_str(&format!("mfaplace_infer_plan_levels {}\n", m.plan_levels));
-        out.push_str("# TYPE mfaplace_infer_plan_copies_elided gauge\n");
-        out.push_str(&format!(
-            "mfaplace_infer_plan_copies_elided {}\n",
-            m.plan_copies_elided
-        ));
-
-        for (name, s) in &m.slots {
-            for (status, n) in &s.requests {
-                out.push_str(&format!(
-                    "mfaplace_slot_requests_total{{slot=\"{name}\",status=\"{status}\"}} {n}\n"
-                ));
-            }
-            out.push_str(&format!(
-                "mfaplace_slot_queue_depth{{slot=\"{name}\"}} {}\n",
-                s.queue_depth
-            ));
-            out.push_str(&format!(
-                "mfaplace_slot_queue_rejections_total{{slot=\"{name}\"}} {}\n",
-                s.queue_rejections
-            ));
-            out.push_str(&format!(
-                "mfaplace_slot_deadline_misses_total{{slot=\"{name}\"}} {}\n",
-                s.deadline_misses
-            ));
-            out.push_str(&format!(
-                "mfaplace_slot_batches_total{{slot=\"{name}\"}} {}\n",
-                s.batches
-            ));
-            out.push_str(&format!(
-                "mfaplace_slot_batched_items_total{{slot=\"{name}\"}} {}\n",
-                s.batched_items
-            ));
-            out.push_str(&format!(
-                "mfaplace_slot_model_info{{slot=\"{name}\",name=\"{}\"}} 1\n",
-                s.model_name
-            ));
-            out.push_str(&format!(
-                "mfaplace_slot_model_version{{slot=\"{name}\"}} {}\n",
-                s.model_version
-            ));
-            out.push_str(&format!(
-                "mfaplace_slot_engine_info{{slot=\"{name}\",engine=\"{}\"}} 1\n",
-                s.engine_name
-            ));
-            out.push_str(&format!(
-                "mfaplace_slot_precision_info{{slot=\"{name}\",precision=\"{}\"}} 1\n",
-                s.precision_name
-            ));
-            out.push_str(&format!(
-                "mfaplace_slot_plan_ops{{slot=\"{name}\"}} {}\n",
-                s.plan_ops
-            ));
-            out.push_str(&format!(
-                "mfaplace_slot_plan_arena_bytes{{slot=\"{name}\"}} {}\n",
-                s.plan_arena_bytes
-            ));
-            out.push_str(&format!(
-                "mfaplace_slot_plan_levels{{slot=\"{name}\"}} {}\n",
-                s.plan_levels
-            ));
-            out.push_str(&format!(
-                "mfaplace_slot_plan_copies_elided{{slot=\"{name}\"}} {}\n",
-                s.plan_copies_elided
-            ));
-        }
-
-        if let Some(pc) = &m.plan_cache {
-            out.push_str("# TYPE mfaplace_plan_cache_bytes gauge\n");
-            out.push_str(&format!("mfaplace_plan_cache_entries {}\n", pc.entries));
-            out.push_str(&format!("mfaplace_plan_cache_bytes {}\n", pc.bytes));
-            out.push_str(&format!("mfaplace_plan_cache_max_bytes {}\n", pc.max_bytes));
-            out.push_str(&format!("mfaplace_plan_cache_hits_total {}\n", pc.hits));
-            out.push_str(&format!("mfaplace_plan_cache_misses_total {}\n", pc.misses));
-            out.push_str(&format!(
-                "mfaplace_plan_cache_evictions_total {}\n",
-                pc.evictions
-            ));
-        }
-        drop(m);
+        out.push_str(&default_state);
+        out.push_str(&slots);
 
         // Families published by registered subsystems (e.g. the job
-        // engine's `mfaplace_jobs_*`).
+        // engine's `mfaplace_jobs_*`, the fleet's `mfaplace_plan_cache_*`).
         for external in self
             .externals
             .lock()
@@ -410,10 +289,88 @@ impl Metrics {
     }
 }
 
+/// Renders one status snapshot: the un-labelled fleet view (`slot` is
+/// `None`; the default slot's snapshot) or a slot's `mfaplace_slot_*` view.
+fn render_status(out: &mut String, slot: Option<&str>, status: &SlotStatus) {
+    // `mfaplace_model_version 3` vs `mfaplace_slot_model_version{slot="a"} 3`.
+    let (prefix, plan_prefix, label, labels) = match slot {
+        None => (
+            "mfaplace_",
+            "mfaplace_infer_plan_",
+            String::new(),
+            String::new(),
+        ),
+        Some(name) => (
+            "mfaplace_slot_",
+            "mfaplace_slot_plan_",
+            format!("slot=\"{name}\","),
+            format!("{{slot=\"{name}\"}}"),
+        ),
+    };
+    let p = &status.predictor;
+    for (family, key, value) in [
+        ("model_info", "name", status.spec.arch.model_name()),
+        ("engine_info", "engine", p.requested.name()),
+        ("precision_info", "precision", p.precision.name()),
+    ] {
+        out.push_str(&format!("{prefix}{family}{{{label}{key}=\"{value}\"}} 1\n"));
+    }
+    // Only a slot that is not serving what it was asked to has this series.
+    if let (Some(_), Some(reason)) = (slot, &p.fallback) {
+        let reason = reason
+            .replace('\\', "\\\\")
+            .replace('"', "\\\"")
+            .replace('\n', " ");
+        out.push_str(&format!(
+            "{prefix}engine_fallback_info{{{label}reason=\"{reason}\"}} 1\n"
+        ));
+    }
+    out.push_str(&format!(
+        "{prefix}model_version{labels} {}\n",
+        status.version
+    ));
+    // Zeroed while no plan is compiled.
+    let plan = p.plan.clone().unwrap_or_default();
+    for (family, v) in [
+        ("ops", plan.ops),
+        ("arena_bytes", plan.arena_bytes),
+        ("levels", plan.levels),
+        ("copies_elided", plan.copies_elided),
+    ] {
+        if slot.is_none() {
+            out.push_str(&format!("# TYPE {plan_prefix}{family} gauge\n"));
+        }
+        out.push_str(&format!("{plan_prefix}{family}{labels} {v}\n"));
+    }
+}
+
+/// The `mfaplace_plan_cache_*` exposition source for `cache`: register it
+/// with [`Metrics::register_external`] and every scrape reads the cache's
+/// own counters. Holds the cache weakly — a registry that outlives the
+/// fleet must not keep its compiled plans alive.
+pub fn plan_cache_source(cache: &Arc<PlanCache>) -> Box<dyn Fn() -> String + Send + Sync> {
+    let cache = Arc::downgrade(cache);
+    Box::new(move || {
+        let Some(pc) = cache.upgrade().map(|cache| cache.stats()) else {
+            return String::new();
+        };
+        format!(
+            "# TYPE mfaplace_plan_cache_bytes gauge\n\
+             mfaplace_plan_cache_entries {}\n\
+             mfaplace_plan_cache_bytes {}\n\
+             mfaplace_plan_cache_max_bytes {}\n\
+             mfaplace_plan_cache_hits_total {}\n\
+             mfaplace_plan_cache_misses_total {}\n\
+             mfaplace_plan_cache_evictions_total {}\n",
+            pc.entries, pc.bytes, pc.max_bytes, pc.hits, pc.misses, pc.evictions
+        )
+    })
+}
+
 /// A per-slot view of the shared [`Metrics`] registry. Every recording
-/// method updates both the slot's `mfaplace_slot_*` series and the
-/// fleet-wide aggregate family under one lock, so the two can never
-/// disagree about what was counted.
+/// method updates both the fleet-wide family and — while the slot is still
+/// registered — its `mfaplace_slot_*` series under one lock, so the two
+/// can never disagree about what was counted.
 #[derive(Clone)]
 pub struct SlotMetrics {
     metrics: Arc<Metrics>,
@@ -421,132 +378,81 @@ pub struct SlotMetrics {
 }
 
 impl SlotMetrics {
-    /// The underlying shared registry.
-    pub fn metrics(&self) -> &Arc<Metrics> {
-        &self.metrics
-    }
-
-    /// The slot this handle records under.
-    pub fn slot_name(&self) -> &str {
-        &self.slot
-    }
-
-    fn with_slot(&self, f: impl FnOnce(&mut SlotStats, &mut Inner)) {
-        let mut m = self.metrics.lock();
-        // Detach the slot entry so both it and the aggregates can be
-        // borrowed mutably; re-inserted below.
-        let mut s = m.slots.remove(&self.slot).unwrap_or_default();
-        f(&mut s, &mut m);
-        m.slots.insert(self.slot.clone(), s);
-    }
-
     /// Counts one executed batch of `size` requests on this slot.
     pub fn record_batch(&self, size: usize) {
-        self.metrics.record_batch(size);
-        self.with_slot(|s, _| {
-            s.batches += 1;
-            s.batched_items += size as u64;
-        });
-    }
-
-    /// Sets this slot's queue-depth gauge; the aggregate becomes the sum
-    /// over all live slots.
-    pub fn set_queue_depth(&self, depth: usize) {
-        self.with_slot(|s, m| {
-            s.queue_depth = depth as u64;
-            m.queue_depth = m.slots.values().map(|o| o.queue_depth).sum::<u64>() + s.queue_depth;
+        let idx = BATCH_BUCKETS
+            .iter()
+            .position(|&b| size <= b)
+            .unwrap_or(BATCH_BUCKETS.len());
+        let mut m = self.metrics.lock();
+        m.batch_hist[idx] += 1;
+        m.count(&self.slot, |c| {
+            c.batches += 1;
+            c.batched_items += size as u64;
         });
     }
 
     /// Counts one request rejected by this slot's full queue.
     pub fn record_queue_rejection(&self) {
-        self.with_slot(|s, m| {
-            s.queue_rejections += 1;
-            m.queue_rejections += 1;
-        });
+        let mut m = self.metrics.lock();
+        m.count(&self.slot, |c| c.queue_rejections += 1);
     }
 
     /// Counts one request dropped on this slot for missing its deadline.
     pub fn record_deadline_miss(&self) {
-        self.with_slot(|s, m| {
-            s.deadline_misses += 1;
-            m.deadline_misses += 1;
-        });
+        let mut m = self.metrics.lock();
+        m.count(&self.slot, |c| c.deadline_misses += 1);
     }
 
-    /// Publishes this slot's served model (aggregate copy is last-writer-
-    /// wins across slots).
-    pub fn set_model(&self, name: &str, version: u64) {
-        self.with_slot(|s, m| {
-            s.model_name = name.to_owned();
-            s.model_version = version;
-            m.model_name = name.to_owned();
-            m.model_version = version;
-        });
+    /// Has every scrape read this slot's status snapshot from `read`.
+    pub fn watch_status(&self, read: impl Fn() -> Arc<SlotStatus> + Send + Sync + 'static) {
+        if let Some(s) = self.metrics.lock().slots.get_mut(&self.slot) {
+            s.status = Some(Box::new(read));
+        }
     }
 
-    /// Publishes this slot's active engine (aggregate copy is last-writer-
-    /// wins across slots).
-    pub fn set_engine(&self, name: &str) {
-        self.with_slot(|s, m| {
-            s.engine_name = name.to_owned();
-            m.engine_name = name.to_owned();
-        });
-    }
-
-    /// Publishes this slot's forward precision (aggregate copy is
-    /// last-writer-wins across slots).
-    pub fn set_precision(&self, name: &str) {
-        self.with_slot(|s, m| {
-            s.precision_name = name.to_owned();
-            m.precision_name = name.to_owned();
-        });
-    }
-
-    /// Publishes this slot's compiled-plan gauges (aggregate copy is
-    /// last-writer-wins across slots).
-    pub fn set_plan_stats(&self, ops: u64, arena_bytes: u64, levels: u64, copies_elided: u64) {
-        self.with_slot(|s, m| {
-            s.plan_ops = ops;
-            s.plan_arena_bytes = arena_bytes;
-            s.plan_levels = levels;
-            s.plan_copies_elided = copies_elided;
-            m.plan_ops = ops;
-            m.plan_arena_bytes = arena_bytes;
-            m.plan_levels = levels;
-            m.plan_copies_elided = copies_elided;
-        });
-    }
-
-    /// Counts one completed predict on this slot with HTTP `status`.
-    pub fn record_request(&self, status: u16) {
-        self.with_slot(|s, _| {
-            *s.requests.entry(status).or_insert(0) += 1;
-        });
+    /// Has every scrape read this slot's queue depth from `read`.
+    pub fn watch_queue_depth(&self, read: impl Fn() -> usize + Send + Sync + 'static) {
+        if let Some(s) = self.metrics.lock().slots.get_mut(&self.slot) {
+            s.queue_depth = Some(Box::new(read));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batcher::tests::{input, temp_path, tiny_slot, tiny_spec};
+    use crate::batcher::{ModelSlot, DEFAULT_SLOT};
+    use mfaplace_core::loader::{init_checkpoint, LoadOptions};
+    use mfaplace_core::predictor::Engine;
 
     #[test]
     fn render_contains_all_families() {
-        let m = Metrics::new();
+        let m = Arc::new(Metrics::new());
         m.record_request("/predict", 200);
         m.record_request("/predict", 200);
         m.record_request("/metrics", 200);
-        m.record_batch(1);
-        m.record_batch(8);
-        m.record_batch(100);
         m.record_latency(Duration::from_millis(2));
         m.record_latency(Duration::from_millis(4));
-        m.set_queue_depth(3);
-        m.record_queue_rejection();
-        m.record_deadline_miss();
-        m.set_model("Ours", 2);
-        m.set_engine("plan");
-        m.set_plan_stats(42, 1024, 9, 3);
+
+        // State is read from its owners: a real slot (one forward compiles
+        // a plan, one reload bumps the version) and a queue of depth 3.
+        let slot = tiny_slot(m.clone());
+        slot.set_engine(Engine::Plan);
+        let other = temp_path("metrics_v2.mfaw");
+        init_checkpoint(&tiny_spec(), 5, &other).unwrap();
+        slot.reload(&other, LoadOptions::default()).unwrap();
+        slot.predict_batch(&[input(0.0)]).unwrap();
+        let plan = slot.status().predictor.plan.clone().expect("compiled");
+        assert!(plan.ops > 0 && plan.arena_bytes > 0 && plan.levels > 0);
+        let events = m.slot(DEFAULT_SLOT);
+        events.watch_queue_depth(|| 3);
+        events.record_batch(1);
+        events.record_batch(8);
+        events.record_batch(100);
+        events.record_queue_rejection();
+        events.record_deadline_miss();
 
         let text = m.render();
         assert!(
@@ -571,11 +477,15 @@ mod tests {
         );
         assert!(text.contains("mfaplace_model_version 2"), "{text}");
         assert!(
-            text.contains("mfaplace_model_info{name=\"Ours\"} 1"),
+            text.contains("mfaplace_model_info{name=\"U-net\"} 1"),
             "{text}"
         );
         assert!(
             text.contains("mfaplace_engine_info{engine=\"plan\"} 1"),
+            "{text}"
+        );
+        assert!(
+            text.contains("mfaplace_precision_info{precision=\"f32\"} 1"),
             "{text}"
         );
         assert!(
@@ -585,49 +495,60 @@ mod tests {
             )),
             "{text}"
         );
-        assert!(text.contains("mfaplace_infer_plan_ops 42"), "{text}");
-        assert!(
-            text.contains("mfaplace_infer_plan_arena_bytes 1024"),
-            "{text}"
-        );
-        assert!(text.contains("mfaplace_infer_plan_levels 9"), "{text}");
-        assert!(
-            text.contains("mfaplace_infer_plan_copies_elided 3"),
-            "{text}"
-        );
+        for (family, v) in [
+            ("ops", plan.ops),
+            ("arena_bytes", plan.arena_bytes),
+            ("levels", plan.levels),
+            ("copies_elided", plan.copies_elided),
+        ] {
+            let line = format!("mfaplace_infer_plan_{family} {v}\n");
+            assert!(text.contains(&line), "{line}{text}");
+        }
+        // Healthy slot: no fallback series.
+        assert!(!text.contains("engine_fallback_info"), "{text}");
     }
 
     #[test]
     fn slot_metrics_update_both_levels() {
         let m = Arc::new(Metrics::new());
-        let a = m.slot("alpha");
-        let b = m.slot("beta");
-        a.set_model("UNet", 1);
-        a.set_engine("plan");
+        let cache = Arc::new(PlanCache::from_env());
+        m.register_external(plan_cache_source(&cache));
+        let ckpt = temp_path("metrics_slots.mfaw");
+        init_checkpoint(&tiny_spec(), 3, &ckpt).unwrap();
+        let load = |name: &str, engine: Engine| {
+            let slot =
+                ModelSlot::load_named(name, &ckpt, LoadOptions::default(), cache.clone()).unwrap();
+            slot.set_engine(engine);
+            let events = slot.register(&m);
+            (slot, events)
+        };
+        let (alpha, a) = load("alpha", Engine::Plan);
+        let (beta, b) = load("beta", Engine::Tape);
+        alpha.predict_batch(&[input(0.0)]).unwrap();
+        // Beta mutates last; the un-labelled gauges must still be alpha's.
+        beta.predict_batch(&[input(0.0)]).unwrap();
+        let plan = alpha.status().predictor.plan.clone().expect("compiled");
         a.record_batch(3);
-        a.set_queue_depth(2);
-        b.set_queue_depth(5);
+        a.watch_queue_depth(|| 2);
+        b.watch_queue_depth(|| 5);
         a.record_queue_rejection();
         b.record_deadline_miss();
-        a.set_plan_stats(7, 4096, 5, 2);
-        a.record_request(200);
-        a.record_request(200);
+        m.record_slot_request("alpha", 200);
+        m.record_slot_request("alpha", 200);
         m.record_slot_request("beta", 504);
-        m.set_plan_cache_stats(PlanCacheStats {
-            entries: 2,
-            bytes: 99,
-            max_bytes: 1000,
-            hits: 4,
-            misses: 2,
-            evictions: 1,
-        });
 
         let text = m.render();
-        // Aggregates keep working.
+        // Fleet-wide families keep working: events and queue depth are
+        // sums, state gauges describe the default (first) slot.
         assert!(text.contains("mfaplace_queue_depth 7"), "{text}");
         assert!(text.contains("mfaplace_queue_rejections_total 1"), "{text}");
         assert!(text.contains("mfaplace_deadline_misses_total 1"), "{text}");
         assert!(text.contains("mfaplace_batch_size_sum 3"), "{text}");
+        assert!(
+            text.contains("mfaplace_engine_info{engine=\"plan\"} 1"),
+            "{text}"
+        );
+        assert!(!text.contains("mfaplace_engine_info{engine=\"tape\"}"));
         // Per-slot families.
         assert!(
             text.contains("mfaplace_slot_requests_total{slot=\"alpha\",status=\"200\"} 2"),
@@ -646,7 +567,7 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("mfaplace_slot_model_info{slot=\"alpha\",name=\"UNet\"} 1"),
+            text.contains("mfaplace_slot_model_info{slot=\"alpha\",name=\"U-net\"} 1"),
             "{text}"
         );
         assert!(
@@ -654,31 +575,50 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("mfaplace_slot_plan_arena_bytes{slot=\"alpha\"} 4096"),
+            text.contains("mfaplace_slot_engine_info{slot=\"beta\",engine=\"tape\"} 1"),
             "{text}"
         );
-        assert!(
-            text.contains("mfaplace_slot_plan_levels{slot=\"alpha\"} 5"),
-            "{text}"
-        );
-        assert!(
-            text.contains("mfaplace_slot_plan_copies_elided{slot=\"alpha\"} 2"),
-            "{text}"
-        );
-        // Plan-cache gauges.
-        assert!(text.contains("mfaplace_plan_cache_entries 2"), "{text}");
-        assert!(text.contains("mfaplace_plan_cache_bytes 99"), "{text}");
-        assert!(text.contains("mfaplace_plan_cache_hits_total 4"), "{text}");
-        assert!(
-            text.contains("mfaplace_plan_cache_evictions_total 1"),
-            "{text}"
-        );
+        for (family, v) in [
+            ("arena_bytes", plan.arena_bytes),
+            ("levels", plan.levels),
+            ("copies_elided", plan.copies_elided),
+        ] {
+            let line = format!("mfaplace_slot_plan_{family}{{slot=\"alpha\"}} {v}\n");
+            assert!(text.contains(&line), "{line}{text}");
+        }
+        // Plan-cache gauges are the cache's own counters.
+        let pc = cache.stats();
+        assert_eq!(pc.entries, 1, "alpha compiled one plan; beta ran the tape");
+        for (family, v) in [
+            ("entries", pc.entries as u64),
+            ("bytes", pc.bytes as u64),
+            ("hits_total", pc.hits),
+            ("evictions_total", pc.evictions),
+        ] {
+            let line = format!("mfaplace_plan_cache_{family} {v}\n");
+            assert!(text.contains(&line), "{line}{text}");
+        }
 
-        // Removal drops the series and re-derives the aggregate depth.
+        // Removal drops the series, and the fleet-wide depth with it.
         m.remove_slot("beta");
         let text = m.render();
         assert!(!text.contains("slot=\"beta\""), "{text}");
         assert!(text.contains("mfaplace_queue_depth 2"), "{text}");
+
+        // Late records — a handler thread or a draining worker finishing
+        // after the removal — still count fleet-wide but must not bring
+        // the slot's series back.
+        b.record_batch(2);
+        b.record_queue_rejection();
+        b.record_deadline_miss();
+        b.watch_queue_depth(|| 9);
+        m.record_slot_request("beta", 200);
+        let text = m.render();
+        assert!(!text.contains("slot=\"beta\""), "{text}");
+        assert!(text.contains("mfaplace_queue_depth 2"), "{text}");
+        assert!(text.contains("mfaplace_batch_size_sum 5"), "{text}");
+        assert!(text.contains("mfaplace_queue_rejections_total 2"), "{text}");
+        assert!(text.contains("mfaplace_deadline_misses_total 2"), "{text}");
     }
 
     #[test]

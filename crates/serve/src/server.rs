@@ -27,7 +27,7 @@ use mfaplace_core::loader::LoadOptions;
 use mfaplace_core::predictor::Engine;
 use mfaplace_tensor::Tensor;
 
-use crate::batcher::{BatchConfig, JobError, ModelSlot, SubmitError};
+use crate::batcher::{BatchConfig, JobError, ModelSlot, SlotStatus, SubmitError};
 use crate::fleet::{FleetSlot, ModelFleet, SlotLimits};
 use crate::http::{HttpError, Request, Response};
 use crate::metrics::Metrics;
@@ -331,13 +331,10 @@ fn route(shared: &Shared, req: &Request) -> Option<Response> {
     let slot = slot.as_deref();
     Some(match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => Response::text(200, "ok\n"),
-        ("GET", "/metrics") => {
-            shared.fleet.publish_plan_cache_stats();
-            Response::text(200, shared.metrics.render())
-        }
+        ("GET", "/metrics") => Response::text(200, shared.metrics.render()),
         ("GET", "/model") => model_info(shared, slot, false),
-        ("POST", "/predict") => predict_features(shared, req, slot),
-        ("POST", "/predict/design") => predict_design(shared, req, slot),
+        ("POST", "/predict") => predict(shared, req, slot, false),
+        ("POST", "/predict/design") => predict(shared, req, slot, true),
         ("POST", "/admin/reload") => {
             let path = String::from_utf8_lossy(&req.body).trim().to_owned();
             if path.is_empty() {
@@ -408,8 +405,8 @@ fn route_models(shared: &Shared, req: &Request) -> Response {
         ("GET", "", "") => Response::text(200, fleet_listing(shared)),
         (_, "", "") => Response::text(405, "method not allowed\n"),
         ("GET", name, "") => model_info(shared, Some(name), true),
-        ("POST", name, "predict") => predict_features(shared, req, Some(name)),
-        ("POST", name, "predict/design") => predict_design(shared, req, Some(name)),
+        ("POST", name, "predict") => predict(shared, req, Some(name), false),
+        ("POST", name, "predict/design") => predict(shared, req, Some(name), true),
         (_, _, "" | "predict" | "predict/design") => Response::text(405, "method not allowed\n"),
         _ => Response::text(404, "no such endpoint\n"),
     }
@@ -426,13 +423,13 @@ fn fleet_listing(shared: &Shared) -> String {
         let Ok(fs) = shared.fleet.resolve(Some(&name)) else {
             continue; // removed between names() and resolve()
         };
-        let spec = fs.slot().spec();
+        let status = fs.slot().status();
         out.push_str(&format!(
             "{name} model={} grid={} version={} engine={}{}\n",
-            spec.arch.model_name(),
-            spec.grid,
-            fs.slot().version(),
-            fs.slot().engine().name(),
+            status.spec.arch.model_name(),
+            status.spec.grid,
+            status.version,
+            status.predictor.requested.name(),
             if default.as_deref() == Some(name.as_str()) {
                 " default"
             } else {
@@ -448,20 +445,33 @@ fn model_info(shared: &Shared, slot: Option<&str>, with_slot_line: bool) -> Resp
         Ok(fs) => fs,
         Err(m) => return Response::text(404, m + "\n"),
     };
-    let spec = fs.slot().spec();
     let mut body = String::new();
     if with_slot_line {
         body.push_str(&format!("slot {}\n", fs.name()));
     }
-    body.push_str(&format!(
-        "model {}\ngrid {}\nbase_channels {}\nversion {}\nengine {}\n",
-        spec.arch.model_name(),
-        spec.grid,
-        spec.base_channels,
-        fs.slot().version(),
-        fs.slot().engine().name()
-    ));
+    body.push_str(&model_text(&fs.slot().status()));
     Response::text(200, body)
+}
+
+/// The `/model` body: what was asked for (`engine`), what is really
+/// serving (`served_engine`, `precision`) and — only when those differ —
+/// why (`fallback`).
+fn model_text(status: &SlotStatus) -> String {
+    let p = &status.predictor;
+    let mut text = format!(
+        "model {}\ngrid {}\nbase_channels {}\nversion {}\nengine {}\nserved_engine {}\nprecision {}\n",
+        status.spec.arch.model_name(),
+        status.spec.grid,
+        status.spec.base_channels,
+        status.version,
+        p.requested.name(),
+        p.served.name(),
+        p.precision.name()
+    );
+    if let Some(reason) = &p.fallback {
+        text.push_str(&format!("fallback {}\n", reason.replace('\n', " ")));
+    }
+    text
 }
 
 /// `POST /admin/slots` command interpreter. Whitespace-token commands:
@@ -494,7 +504,7 @@ fn admin_slots(shared: &Shared, req: &Request) -> Response {
                 .add_slot(name, path, LoadOptions::default(), limits)
             {
                 Ok(fs) => {
-                    let spec = fs.slot().spec();
+                    let spec = fs.slot().status().spec;
                     Response::text(
                         200,
                         format!(
@@ -533,13 +543,27 @@ fn admin_slots(shared: &Shared, req: &Request) -> Response {
     }
 }
 
-fn predict_features(shared: &Shared, req: &Request, slot: Option<&str>) -> Response {
+/// `POST /predict` (binary feature stack) and, with `design`, `POST
+/// /predict/design` (design + placement text featurized server-side).
+fn predict(shared: &Shared, req: &Request, slot: Option<&str>, design: bool) -> Response {
+    // The deadline clock starts when the request arrives, not after
+    // featurization.
+    let arrived = Instant::now();
     let fs = match shared.fleet.resolve(slot) {
         Ok(fs) => fs,
         Err(m) => return Response::text(404, m + "\n"),
     };
-    let response = match protocol::decode_features(&req.body) {
-        Ok(features) => predict_on(shared, req, &fs, features),
+    // Read from the status snapshot: never waits behind a running forward.
+    let grid = fs.slot().status().spec.grid;
+    let features = if design {
+        std::str::from_utf8(&req.body)
+            .map_err(|_| "body is not utf-8 text".to_owned())
+            .and_then(|text| protocol::featurize_design_request(text, grid))
+    } else {
+        protocol::decode_features(&req.body)
+    };
+    let response = match features {
+        Ok(features) => predict_on(shared, req, &fs, features, grid, arrived),
         Err(m) => Response::text(400, m + "\n"),
     };
     shared
@@ -548,27 +572,14 @@ fn predict_features(shared: &Shared, req: &Request, slot: Option<&str>) -> Respo
     response
 }
 
-fn predict_design(shared: &Shared, req: &Request, slot: Option<&str>) -> Response {
-    let fs = match shared.fleet.resolve(slot) {
-        Ok(fs) => fs,
-        Err(m) => return Response::text(404, m + "\n"),
-    };
-    let grid = fs.slot().spec().grid;
-    let response = match std::str::from_utf8(&req.body)
-        .map_err(|_| "body is not utf-8 text".to_owned())
-        .and_then(|text| protocol::featurize_design_request(text, grid))
-    {
-        Ok(features) => predict_on(shared, req, &fs, features),
-        Err(m) => Response::text(400, m + "\n"),
-    };
-    shared
-        .metrics
-        .record_slot_request(fs.name(), response.status);
-    response
-}
-
-fn predict_on(shared: &Shared, req: &Request, fs: &Arc<FleetSlot>, features: Tensor) -> Response {
-    let grid = fs.slot().spec().grid;
+fn predict_on(
+    shared: &Shared,
+    req: &Request,
+    fs: &FleetSlot,
+    features: Tensor,
+    grid: usize,
+    arrived: Instant,
+) -> Response {
     let shape = features.shape().to_vec();
     if shape != [protocol::NUM_WIRE_FEATURES, grid, grid] {
         return Response::text(
@@ -588,8 +599,7 @@ fn predict_on(shared: &Shared, req: &Request, fs: &Arc<FleetSlot>, features: Ten
         .map(Duration::from_millis)
         .or_else(|| fs.default_deadline())
         .unwrap_or(shared.cfg.default_deadline);
-    let deadline = Instant::now() + deadline_ms;
-    let rx = match fs.batcher().submit(features, deadline) {
+    let rx = match fs.batcher().submit(features, arrived + deadline_ms) {
         Ok(rx) => rx,
         Err(SubmitError::QueueFull) => {
             return Response::text(429, "queue full, retry later\n");
@@ -603,5 +613,75 @@ fn predict_on(shared: &Shared, req: &Request, fs: &Arc<FleetSlot>, features: Ten
         Ok(Err(JobError::DeadlineExceeded)) => Response::text(504, "deadline exceeded\n"),
         Ok(Err(JobError::ModelError(m))) => Response::text(500, m + "\n"),
         Err(_) => Response::text(500, "worker exited before answering\n"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::batcher::tests::{input, temp_path, tiny_slot, tiny_spec};
+    use mfaplace_core::loader::{init_checkpoint, load_predictor};
+    use mfaplace_core::QuantOptions;
+    use mfaplace_models::{Arch, ArchSpec};
+
+    /// A slot asked for the quant engine whose quantized build fails keeps
+    /// serving the f32 plan; `/model` and `/metrics` must both say so.
+    #[test]
+    fn model_text_and_metrics_surface_a_latched_fallback() {
+        let x = input(0.5);
+        // A calibration collected on another architecture cannot be
+        // aligned onto the UNet's plan.
+        let other = temp_path("fallback_pgnn.mfaw");
+        let mut other_spec = ArchSpec::new(Arch::Pgnn, 16);
+        other_spec.base_channels = 2;
+        init_checkpoint(&other_spec, 1, &other).unwrap();
+        let (_, mut donor) = load_predictor(&other, LoadOptions::default()).unwrap();
+        let stale = donor
+            .calibrate(std::slice::from_ref(&x), QuantOptions::default())
+            .unwrap();
+
+        let ckpt = temp_path("fallback_unet.mfaw");
+        init_checkpoint(&tiny_spec(), 1, &ckpt).unwrap();
+        let (spec, mut predictor) = load_predictor(&ckpt, LoadOptions::default()).unwrap();
+        predictor.set_calibration(stale, QuantOptions::default());
+        predictor.set_engine(Engine::Quant);
+        let metrics = Arc::new(Metrics::new());
+        let slot = ModelSlot::from_predictor(spec, predictor, metrics.clone());
+        slot.predict_batch(std::slice::from_ref(&x)).unwrap();
+
+        let text = model_text(&slot.status());
+        assert!(
+            text.starts_with("model U-net\ngrid 16\nbase_channels 2\nversion 1\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("engine quant\nserved_engine plan\nprecision f32\nfallback "),
+            "{text}"
+        );
+        assert!(text.contains("recalibrate"), "{text}");
+        let scrape = metrics.render();
+        assert!(
+            scrape.contains("mfaplace_slot_engine_fallback_info{slot=\"default\",reason=\""),
+            "{scrape}"
+        );
+        assert!(
+            scrape.contains("mfaplace_slot_engine_info{slot=\"default\",engine=\"quant\"} 1"),
+            "{scrape}"
+        );
+        assert!(
+            scrape.contains("mfaplace_precision_info{precision=\"f32\"} 1"),
+            "{scrape}"
+        );
+
+        // A healthy slot reports no fallback on either surface.
+        let metrics = Arc::new(Metrics::new());
+        let healthy = tiny_slot(metrics.clone());
+        healthy.set_engine(Engine::Plan);
+        let text = model_text(&healthy.status());
+        assert!(
+            text.ends_with("engine plan\nserved_engine plan\nprecision f32\n"),
+            "{text}"
+        );
+        assert!(!metrics.render().contains("engine_fallback_info"));
     }
 }

@@ -323,3 +323,99 @@ fn slots_serving_one_file_share_one_compiled_plan_set() {
 
     server.join();
 }
+
+/// Sorted `family{label keys}` names of a `/metrics` scrape (`# TYPE`
+/// comments skipped).
+fn metric_families(scrape: &str) -> Vec<String> {
+    let mut families: Vec<String> = scrape
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.is_empty())
+        .map(|l| {
+            let series = l.rsplit_once(' ').map_or(l, |(s, _)| s);
+            match series.split_once('{') {
+                None => series.to_owned(),
+                Some((name, labels)) => {
+                    let keys: Vec<&str> = labels
+                        .trim_end_matches('}')
+                        .split("\",")
+                        .filter_map(|kv| kv.split_once('=').map(|(k, _)| k))
+                        .collect();
+                    format!("{name}{{{}}}", keys.join(","))
+                }
+            }
+        })
+        .collect();
+    families.sort();
+    families.dedup();
+    families
+}
+
+/// The family names and label keys a two-slot fleet rendered before slot
+/// state moved from pushed copies to scrape-time reads. Dashboards key on
+/// these; the refactor may not rename, drop or relabel any of them.
+const FAMILIES_BEFORE_PULL: &[&str] = &[
+    "mfaplace_batch_size_bucket{le}",
+    "mfaplace_batch_size_count",
+    "mfaplace_batch_size_sum",
+    "mfaplace_deadline_misses_total",
+    "mfaplace_engine_info{engine}",
+    "mfaplace_infer_plan_arena_bytes",
+    "mfaplace_infer_plan_copies_elided",
+    "mfaplace_infer_plan_levels",
+    "mfaplace_infer_plan_ops",
+    "mfaplace_kernel_backend{backend}",
+    "mfaplace_model_info{name}",
+    "mfaplace_model_version",
+    "mfaplace_plan_cache_bytes",
+    "mfaplace_plan_cache_entries",
+    "mfaplace_plan_cache_evictions_total",
+    "mfaplace_plan_cache_hits_total",
+    "mfaplace_plan_cache_max_bytes",
+    "mfaplace_plan_cache_misses_total",
+    "mfaplace_precision_info{precision}",
+    "mfaplace_queue_depth",
+    "mfaplace_queue_rejections_total",
+    "mfaplace_request_latency_seconds_count",
+    "mfaplace_request_latency_seconds{quantile}",
+    "mfaplace_requests_total{endpoint,status}",
+    "mfaplace_rt_counter{name}",
+    "mfaplace_rt_timer_calls{scope}",
+    "mfaplace_rt_timer_seconds_total{scope}",
+    "mfaplace_slot_batched_items_total{slot}",
+    "mfaplace_slot_batches_total{slot}",
+    "mfaplace_slot_deadline_misses_total{slot}",
+    "mfaplace_slot_engine_info{slot,engine}",
+    "mfaplace_slot_model_info{slot,name}",
+    "mfaplace_slot_model_version{slot}",
+    "mfaplace_slot_plan_arena_bytes{slot}",
+    "mfaplace_slot_plan_copies_elided{slot}",
+    "mfaplace_slot_plan_levels{slot}",
+    "mfaplace_slot_plan_ops{slot}",
+    "mfaplace_slot_precision_info{slot,precision}",
+    "mfaplace_slot_queue_depth{slot}",
+    "mfaplace_slot_queue_rejections_total{slot}",
+    "mfaplace_slot_requests_total{slot,status}",
+];
+
+/// The one family added since: present only while a slot is not serving
+/// the engine it was asked for (e.g. under `MFAPLACE_ENGINE=quant` with no
+/// calibration attached).
+const FALLBACK_FAMILY: &str = "mfaplace_slot_engine_fallback_info{slot,reason}";
+
+#[test]
+fn metric_families_and_label_keys_are_unchanged() {
+    let ckpt_a = checkpoint("families_a.mfaw", 31);
+    let ckpt_b = checkpoint("families_b.mfaw", 32);
+    let server = start_fleet(&[("alpha", &ckpt_a), ("beta", &ckpt_b)]);
+    let addr = server.addr().to_string();
+    let x = input(2.5);
+    client::predict_features_slot(&addr, Some("alpha"), &x).unwrap();
+    client::predict_features_slot(&addr, Some("beta"), &x).unwrap();
+    let scrape = client::request(&addr, "GET", "/metrics", &[], b"")
+        .unwrap()
+        .text();
+    let mut families = metric_families(&scrape);
+    families.retain(|f| f != FALLBACK_FAMILY);
+    assert_eq!(families, FAMILIES_BEFORE_PULL, "{scrape}");
+    server.join();
+}

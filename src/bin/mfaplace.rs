@@ -776,12 +776,12 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         if let Some(engine) = engine {
             fs.slot().set_engine(engine);
         }
-        let spec = fs.slot().spec();
+        let status = fs.slot().status();
         slot_lines.push(format!(
             "  slot {name}: {} (grid {}, {} engine) from {path}",
-            spec.arch.model_name(),
-            spec.grid,
-            fs.slot().engine().name()
+            status.spec.arch.model_name(),
+            status.spec.grid,
+            status.predictor.requested.name()
         ));
     }
     // Placement jobs run through the same fleet, so their per-iteration
