@@ -55,13 +55,6 @@ echo "==> SIMD differential suite (vector kernels vs scalar reference)"
 cargo test -q -p mfaplace-tensor --offline --test simd_equivalence
 cargo test -q -p mfaplace-core --offline --test kernel_tolerance
 
-# The parallel level scheduler must be bitwise identical to serial replay
-# at every worker count; run the infer suites under both a forced-serial
-# and a forced-parallel executor so the env plumbing itself is exercised.
-echo "==> plan scheduler suite (MFAPLACE_PLAN_WORKERS=1 and =4)"
-MFAPLACE_PLAN_WORKERS=1 cargo test -q -p mfaplace-infer --offline
-MFAPLACE_PLAN_WORKERS=4 cargo test -q -p mfaplace-infer --offline
-
 # Quantized serving round trip: offline compile writes an artifact that
 # model-info recognizes and a server loads without re-calibrating; a
 # predict through the quant engine must answer.
@@ -72,7 +65,7 @@ TMPQ=$(mktemp -d)
 ./target/release/mfaplace init-model --arch ours --grid 16 --seed 3 \
     --out "$TMPQ/m.mfaw" >/dev/null
 ./target/release/mfaplace compile --model "$TMPQ/m.mfaw" --calib "$TMPQ/d.nl" \
-    --placements 1 --iterations 2 --precision int8 --out "$TMPQ/m.mfaq"
+    --placements 1 --iterations 2 --out "$TMPQ/m.mfaq"
 # Capture to a file rather than `| grep -q`: grep exiting at first match
 # would close the pipe while model-info is still printing (SIGPIPE panic).
 ./target/release/mfaplace model-info --model "$TMPQ/m.mfaq" >"$TMPQ/info.txt"
@@ -109,14 +102,6 @@ fi
 # workspace stays green under MFAPLACE_ENGINE=quant.
 echo "==> workspace once under the quant engine"
 MFAPLACE_ENGINE=quant cargo test -q --workspace --offline
-
-echo "==> quantized-plan tolerance suite (level-map contract)"
-cargo test -q -p mfaplace-infer --offline --test quant_tolerance
-
-# The workspace test pass above already ran this; the explicit invocation
-# keeps the equivalence contract visible in the full gate's log.
-echo "==> compiled-plan equivalence suite (plan vs tape, bitwise)"
-cargo test -q -p mfaplace-infer --offline --test plan_equivalence
 
 echo "==> 2-worker training smoke (CLI train path)"
 TMP=$(mktemp -d)

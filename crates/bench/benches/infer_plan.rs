@@ -18,7 +18,7 @@
 
 use mfaplace_autograd::Graph;
 use mfaplace_core::predictor::{Engine, ModelPredictor};
-use mfaplace_core::{Precision, QuantOptions};
+use mfaplace_core::QuantOptions;
 use mfaplace_models::{Arch, ArchSpec};
 use mfaplace_rt::bench::Suite;
 use mfaplace_rt::rng::{SeedableRng, StdRng};
@@ -34,13 +34,13 @@ const PAR_WORKERS: usize = 4;
 /// everywhere; the parallel scheduler only where it can pay off (batch-1
 /// latency at placement-relevant grids — batched forwards already
 /// parallelize across the batch dimension inside the kernels). The
-/// quantized variants (int8 arena with int8 GEMMs, f16 arena) run at
-/// the grids where arena size matters (64 and the placement-scale 256).
+/// quantized variant (int8 arena with int8 GEMMs) runs at the grids
+/// where arena size matters (64 and the placement-scale 256).
 fn variants(grid: usize, batch: usize) -> &'static [&'static str] {
     if batch == 1 && grid >= 64 {
-        &["tape", "plan", "plan-par", "plan-int8", "plan-f16"]
+        &["tape", "plan", "plan-par", "plan-int8"]
     } else if grid >= 64 {
-        &["tape", "plan", "plan-int8", "plan-f16"]
+        &["tape", "plan", "plan-int8"]
     } else {
         &ENGINES
     }
@@ -63,7 +63,7 @@ fn run_child(child: &str) {
     let variant = parts.next().expect("engine");
     let engine = match variant {
         "plan-par" => Engine::Plan,
-        "plan-int8" | "plan-f16" => Engine::Quant,
+        "plan-int8" => Engine::Quant,
         other => Engine::parse(other).expect("engine"),
     };
 
@@ -80,17 +80,12 @@ fn run_child(child: &str) {
     if engine == Engine::Quant {
         // Offline calibration happens outside the sampled region, like
         // the plan compilation warm-up below.
-        let precision = if variant == "plan-f16" {
-            Precision::F16
-        } else {
-            Precision::Int8
-        };
         let mut c_rng = StdRng::seed_from_u64(2);
         let calib: Vec<Tensor> = (0..3)
             .map(|_| Tensor::randn(vec![6, grid, grid], 1.0, &mut c_rng))
             .collect();
         predictor
-            .calibrate(&calib, QuantOptions { precision })
+            .calibrate(&calib, QuantOptions::default())
             .expect("calibrate");
     }
 
@@ -223,19 +218,17 @@ fn main() {
                     p / pp
                 );
             }
-            for q in ["plan-int8", "plan-f16"] {
-                let name = format!("infer/{q}/grid{grid}/batch{batch}/forward");
-                if let Some(qn) = median_of(&merged, &name) {
-                    let rss_q = peak_rss_of(&merged, &name)
-                        .map(|r| format!("peak rss {:.1} MiB", r as f64 / (1024.0 * 1024.0)))
-                        .unwrap_or_else(|| "peak rss n/a".to_owned());
-                    println!(
-                        "grid {grid} batch {batch}  plan {:>12.1} ns  {q} {:>12.1} ns  speedup {:.2}x  {rss_q}",
-                        p,
-                        qn,
-                        p / qn
-                    );
-                }
+            let name = format!("infer/plan-int8/grid{grid}/batch{batch}/forward");
+            if let Some(qn) = median_of(&merged, &name) {
+                let rss_q = peak_rss_of(&merged, &name)
+                    .map(|r| format!("peak rss {:.1} MiB", r as f64 / (1024.0 * 1024.0)))
+                    .unwrap_or_else(|| "peak rss n/a".to_owned());
+                println!(
+                    "grid {grid} batch {batch}  plan {:>12.1} ns  plan-int8 {:>12.1} ns  speedup {:.2}x  {rss_q}",
+                    p,
+                    qn,
+                    p / qn
+                );
             }
         }
     }

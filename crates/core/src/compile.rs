@@ -6,7 +6,8 @@
 //!
 //! - the full checkpoint bytes (self-describing v2/v3 `.mfaw`),
 //! - the offline [`Calibration`] (per-step activation ranges),
-//! - the chosen [`Precision`] and whether BN folding was applied,
+//! - a precision code (int8, the only one supported) and whether BN
+//!   folding was applied,
 //! - an FNV-1a checksum over the whole payload.
 //!
 //! [`crate::loader::load_predictor_with_cache`] detects the magic and
@@ -14,16 +15,22 @@
 //! engine selected (unless `MFAPLACE_ENGINE` overrides), so `serve` and
 //! `predict` round-trip the artifact with zero extra flags.
 
-use mfaplace_infer::{Calibration, PlanStats, Precision, QuantOptions, QuantStats};
+use mfaplace_infer::{Calibration, PlanStats, QuantOptions};
 use mfaplace_models::ArchSpec;
 use mfaplace_tensor::Tensor;
 
 use crate::loader::{load_predictor, LoadOptions};
+use crate::predictor::Engine;
 
 /// Magic prefix of a quantized serving artifact.
 pub const ARTIFACT_MAGIC: &[u8; 8] = b"MFAQART1";
 
 const ARTIFACT_VERSION: u32 = 1;
+/// Precision codes of the header field. Only int8 artifacts are written
+/// or served; f16 ones (written before the f16 arena was removed) are
+/// recognized so the rejection can say what they are.
+const PRECISION_INT8: u32 = 1;
+const PRECISION_F16: u32 = 2;
 /// Fixed-size header: magic + version + precision + fold + calib len +
 /// checkpoint len.
 const HEADER_LEN: usize = 8 + 4 + 4 + 4 + 4 + 8;
@@ -31,8 +38,6 @@ const HEADER_LEN: usize = 8 + 4 + 4 + 4 + 4 + 8;
 /// A parsed serving artifact.
 #[derive(Clone, Debug)]
 pub struct Artifact {
-    /// Arena precision the calibration was validated for.
-    pub precision: Precision,
     /// Whether plans must be compiled with BN folding (the calibration
     /// was collected on folded plans).
     pub fold_bn: bool,
@@ -48,10 +53,8 @@ pub struct CompileReport {
     /// Architecture of the compiled checkpoint.
     pub spec: ArchSpec,
     /// Stats of the quantized batch-1 plan (arena/weight bytes reflect
-    /// quantized storage).
+    /// quantized storage; `quant` holds the quantization counters).
     pub stats: PlanStats,
-    /// Quantization counters of that plan.
-    pub qstats: QuantStats,
     /// Calibration inputs consumed.
     pub calib_inputs: usize,
     /// Total artifact size on disk.
@@ -79,17 +82,12 @@ pub fn is_artifact(path: &str) -> bool {
 }
 
 /// Serializes an artifact (deterministic for identical inputs).
-pub fn artifact_to_bytes(
-    calibration: &Calibration,
-    precision: Precision,
-    fold_bn: bool,
-    checkpoint: &[u8],
-) -> Vec<u8> {
+pub fn artifact_to_bytes(calibration: &Calibration, fold_bn: bool, checkpoint: &[u8]) -> Vec<u8> {
     let calib = calibration.to_bytes();
     let mut out = Vec::with_capacity(HEADER_LEN + calib.len() + checkpoint.len() + 8);
     out.extend_from_slice(ARTIFACT_MAGIC);
     out.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
-    out.extend_from_slice(&u32::from(precision.code()).to_le_bytes());
+    out.extend_from_slice(&PRECISION_INT8.to_le_bytes());
     out.extend_from_slice(&u32::from(fold_bn).to_le_bytes());
     out.extend_from_slice(&(calib.len() as u32).to_le_bytes());
     out.extend_from_slice(&(checkpoint.len() as u64).to_le_bytes());
@@ -114,10 +112,13 @@ pub fn artifact_from_bytes(b: &[u8]) -> Result<Artifact, String> {
     if version != ARTIFACT_VERSION {
         return Err(format!("unsupported artifact version {version}"));
     }
-    let precision = u8::try_from(u32::from_le_bytes(b[12..16].try_into().unwrap()))
-        .ok()
-        .and_then(Precision::from_code)
-        .ok_or("unknown artifact precision code")?;
+    match u32::from_le_bytes(b[12..16].try_into().unwrap()) {
+        PRECISION_INT8 => {}
+        PRECISION_F16 => {
+            return Err("unsupported artifact precision f16 (recompile for int8)".into());
+        }
+        code => return Err(format!("unknown artifact precision code {code}")),
+    }
     let fold_bn = u32::from_le_bytes(b[16..20].try_into().unwrap()) != 0;
     let calib_len = u32::from_le_bytes(b[20..24].try_into().unwrap()) as usize;
     let ckpt_len = u64::from_le_bytes(b[24..32].try_into().unwrap()) as usize;
@@ -129,7 +130,6 @@ pub fn artifact_from_bytes(b: &[u8]) -> Result<Artifact, String> {
     }
     let calibration = Calibration::from_bytes(&body[HEADER_LEN..HEADER_LEN + calib_len])?;
     Ok(Artifact {
-        precision,
         fold_bn,
         calibration,
         checkpoint: body[HEADER_LEN + calib_len..].to_vec(),
@@ -160,23 +160,22 @@ pub fn compile_for_serving(
     checkpoint_path: &str,
     load: LoadOptions,
     calib_inputs: &[Tensor],
-    precision: Precision,
     fold_bn: bool,
     out_path: &str,
 ) -> Result<CompileReport, String> {
     let (spec, mut predictor) = load_predictor(checkpoint_path, load)?;
     predictor.set_fold_bn(fold_bn);
-    let calibration = predictor.calibrate(calib_inputs, QuantOptions { precision })?;
+    let calibration = predictor.calibrate(calib_inputs, QuantOptions::default())?;
     // Prove the calibration quantizes this model before shipping it.
-    let (stats, qstats) = predictor.compile_quant_plan(1, 6, spec.grid, spec.grid)?;
+    predictor.set_engine(Engine::Quant);
+    let stats = predictor.compile_plan(1, 6, spec.grid, spec.grid)?;
     let checkpoint =
         std::fs::read(checkpoint_path).map_err(|e| format!("{checkpoint_path}: {e}"))?;
-    let bytes = artifact_to_bytes(&calibration, precision, fold_bn, &checkpoint);
+    let bytes = artifact_to_bytes(&calibration, fold_bn, &checkpoint);
     std::fs::write(out_path, &bytes).map_err(|e| format!("{out_path}: {e}"))?;
     Ok(CompileReport {
         spec,
         stats,
-        qstats,
         calib_inputs: calib_inputs.len(),
         artifact_bytes: bytes.len(),
     })
@@ -190,22 +189,18 @@ mod tests {
     fn artifact_round_trips_bitwise() {
         let calibration = test_calibration();
         let ckpt = vec![1u8, 2, 3, 4, 5];
-        let bytes = artifact_to_bytes(&calibration, Precision::Int8, true, &ckpt);
+        let bytes = artifact_to_bytes(&calibration, true, &ckpt);
         let art = artifact_from_bytes(&bytes).unwrap();
-        assert_eq!(art.precision, Precision::Int8);
         assert!(art.fold_bn);
         assert_eq!(art.checkpoint, ckpt);
         assert_eq!(art.calibration.to_bytes(), calibration.to_bytes());
         // Determinism: identical inputs, identical bytes.
-        assert_eq!(
-            bytes,
-            artifact_to_bytes(&calibration, Precision::Int8, true, &ckpt)
-        );
+        assert_eq!(bytes, artifact_to_bytes(&calibration, true, &ckpt));
     }
 
     #[test]
     fn corrupt_artifact_is_rejected() {
-        let bytes = artifact_to_bytes(&test_calibration(), Precision::F16, false, &[9u8; 32]);
+        let bytes = artifact_to_bytes(&test_calibration(), false, &[9u8; 32]);
         let mut flipped = bytes.clone();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x40;
@@ -214,6 +209,25 @@ mod tests {
         let err = artifact_from_bytes(&bytes[..bytes.len() - 1]).unwrap_err();
         assert!(!err.is_empty());
         assert!(artifact_from_bytes(b"not an artifact at all!!").is_err());
+    }
+
+    /// An artifact written before the f16 arena was removed (precision
+    /// code 2, valid checksum) must be rejected by name, not mis-served.
+    #[test]
+    fn f16_artifact_is_rejected_as_unsupported() {
+        let with_precision = |code: u32| {
+            let mut bytes = artifact_to_bytes(&test_calibration(), false, &[9u8; 32]);
+            let body = bytes.len() - 8;
+            bytes[12..16].copy_from_slice(&code.to_le_bytes());
+            let sum = fnv1a(&bytes[..body]);
+            bytes[body..].copy_from_slice(&sum.to_le_bytes());
+            bytes
+        };
+        assert!(artifact_from_bytes(&with_precision(PRECISION_INT8)).is_ok());
+        let err = artifact_from_bytes(&with_precision(PRECISION_F16)).unwrap_err();
+        assert!(err.contains("unsupported") && err.contains("f16"), "{err}");
+        let err = artifact_from_bytes(&with_precision(7)).unwrap_err();
+        assert!(err.contains("unknown artifact precision code 7"), "{err}");
     }
 
     fn test_calibration() -> Calibration {

@@ -31,8 +31,8 @@ pub use loader::{
 // without depending on `mfaplace-infer` directly.
 pub use metrics::{accuracy, nrms, r_squared, ConfusionMatrix, PredictionMetrics};
 pub use mfaplace_infer::{
-    Calibration, PlanCache, PlanCacheStats, PlanKey, PlanPrecision, PlanSource, Precision,
-    QuantOptions, QuantStats,
+    Calibration, PlanCache, PlanCacheStats, PlanKey, PlanPrecision, PlanSource, QuantOptions,
+    QuantStats,
 };
 pub use predictor::{Engine, ModelPredictor, PredictorStatus};
 pub use train::{TrainConfig, TrainReport, Trainer};

@@ -92,12 +92,7 @@ pub fn load_predictor_with_cache(
     let (spec, mut predictor) =
         predictor_from_checkpoint(parse(&art.checkpoint)?, path, opts, plan_cache, source)?;
     predictor.set_fold_bn(art.fold_bn);
-    predictor.set_calibration(
-        Arc::new(art.calibration),
-        QuantOptions {
-            precision: art.precision,
-        },
-    );
+    predictor.set_calibration(Arc::new(art.calibration), QuantOptions::default());
     // The artifact's reason to exist is quantized serving: default to
     // the quant engine, but let an explicit MFAPLACE_ENGINE win.
     let env = std::env::var("MFAPLACE_ENGINE")

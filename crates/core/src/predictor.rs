@@ -29,8 +29,8 @@ use mfaplace_fpga::features::FeatureStack;
 use mfaplace_fpga::gridmap::GridMap;
 use mfaplace_fpga::placement::Placement;
 use mfaplace_infer::{
-    run_plan_workers, run_quant_plan, Calibration, Plan, PlanCache, PlanKey, PlanOptions,
-    PlanPrecision, PlanSource, PlanStats, QuantOptions, QuantPlan, QuantStats,
+    run_plan, Calibration, Plan, PlanCache, PlanKey, PlanOptions, PlanPrecision, PlanSource,
+    PlanStats, QuantOptions, QuantStats,
 };
 use mfaplace_models::{expected_levels, CongestionModel};
 use mfaplace_placer::CongestionPredictor;
@@ -47,9 +47,9 @@ pub enum Engine {
     /// (fused kernels, zero allocations per forward). Bitwise identical
     /// outputs to [`Engine::Tape`].
     Plan,
-    /// Execute a quantized [`mfaplace_infer::QuantPlan`] — int8/f16
-    /// activation arena, int8 GEMM compute — built from the f32 plan plus
-    /// an offline [`Calibration`]. Requires calibration to be attached
+    /// Execute the plan lowered by [`mfaplace_infer::Plan::quantize`] —
+    /// int8/f16 activation arena, int8 GEMM compute — from the f32 plan
+    /// plus an offline [`Calibration`]. Requires calibration to be attached
     /// (via [`ModelPredictor::set_calibration`] or
     /// [`ModelPredictor::calibrate`]); without it, or if the quantized
     /// build fails, forwards silently fall back to the f32 plan (then the
@@ -118,12 +118,16 @@ pub struct ModelPredictor<M: CongestionModel> {
     plan_cache: Arc<PlanCache>,
     /// This predictor's weight identity in the cache key.
     plan_source: PlanSource,
-    /// One activation arena reused across every plan this predictor runs
-    /// (grown to the largest plan seen, never shrunk). Safe because every
-    /// plan op fully overwrites or explicitly clears its destination span.
-    arena: Vec<f32>,
-    /// Stats of the largest-arena plan resolved so far (peak memory).
+    /// One activation arena (u64-backed for alignment) reused across every
+    /// plan this predictor runs, f32 or quantized (grown to the largest
+    /// plan seen, never shrunk). Safe because every plan op fully
+    /// overwrites or explicitly clears its destination span.
+    arena: Vec<u64>,
+    /// Stats of the largest-arena f32 plan resolved so far (peak memory).
     peak_stats: Option<PlanStats>,
+    /// Stats of the largest-arena quantized plan resolved so far
+    /// (arena/weight bytes reflect quantized storage).
+    peak_quant: Option<PlanStats>,
     /// Parameter snapshots shared across the per-shape plans.
     weight_cache: HashMap<usize, Arc<Tensor>>,
     /// Set on the first failed capture; the predictor then stays on the
@@ -136,19 +140,11 @@ pub struct ModelPredictor<M: CongestionModel> {
     /// Offline calibration + quantization options. `None` means
     /// uncalibrated: [`Engine::Quant`] then falls back to the f32 plan.
     quant: Option<(Arc<Calibration>, QuantOptions)>,
-    /// Byte arena (u64-backed for alignment) reused across quant plans.
-    qarena: Vec<u64>,
     /// Set on the first failed quantized build; quant forwards then stay
     /// on the f32 fallback (surfaced via metrics/CLI, never a panic).
     quant_broken: Option<String>,
-    /// Quant counters of the largest-arena quantized plan so far.
-    peak_quant: Option<QuantStats>,
-    /// Plan counters of that same quantized plan (arena/weight bytes
-    /// reflect quantized storage).
-    peak_quant_plan: Option<PlanStats>,
-    /// Level-scheduler worker count for plan forwards (`1` = serial
-    /// replay; outputs are bitwise identical either way). Defaults to
-    /// `MFAPLACE_PLAN_WORKERS`, falling back to the pool thread budget.
+    /// Level-scheduler worker count for plan forwards (`1`, the default,
+    /// is serial replay; outputs are bitwise identical either way).
     plan_workers: usize,
 }
 
@@ -193,15 +189,13 @@ impl<M: CongestionModel> ModelPredictor<M> {
             plan_source,
             arena: Vec::new(),
             peak_stats: None,
+            peak_quant: None,
             weight_cache: HashMap::new(),
             plan_broken: None,
             fold_bn: false,
             quant: None,
-            qarena: Vec::new(),
             quant_broken: None,
-            peak_quant: None,
-            peak_quant_plan: None,
-            plan_workers: mfaplace_infer::plan_workers_from_env(),
+            plan_workers: 1,
         }
     }
 
@@ -296,11 +290,11 @@ impl<M: CongestionModel> ModelPredictor<M> {
         (served, why)
     }
 
-    /// The numeric precision forwards currently run at: the calibration
-    /// precision while the quant engine is really serving, `f32` otherwise.
+    /// The numeric precision forwards currently run at: `int8` while the
+    /// quant engine is really serving, `f32` otherwise.
     pub fn precision(&self) -> PlanPrecision {
-        match (self.effective().0, &self.quant) {
-            (Engine::Quant, Some((_, opts))) => opts.precision.into(),
+        match self.effective().0 {
+            Engine::Quant => PlanPrecision::Int8,
             _ => PlanPrecision::F32,
         }
     }
@@ -339,7 +333,7 @@ impl<M: CongestionModel> ModelPredictor<M> {
             ));
         }
         let plan_shape = vec![1, shape[0], shape[1], shape[2]];
-        let plan = self.resolve_plan(&plan_shape)?;
+        let plan = self.resolve_plan(&plan_shape, PlanPrecision::F32)?;
         let calib = Calibration::collect(&plan, inputs.iter().map(|t| t.data()))?;
         let calib = Arc::new(calib);
         self.set_calibration(calib.clone(), options);
@@ -356,10 +350,8 @@ impl<M: CongestionModel> ModelPredictor<M> {
         self.plan_source
     }
 
-    /// Stats of the largest-arena plan this predictor has resolved so far
-    /// (the peak-memory plan), if any forward has been compiled. For
-    /// quantized plans the stats reflect the quantized arena/weight
-    /// bytes; op structure counters always match the f32 plan.
+    /// Stats of the largest-arena f32 plan this predictor has resolved so
+    /// far (the peak-memory plan), if any forward has been compiled.
     pub fn plan_stats(&self) -> Option<PlanStats> {
         self.peak_stats.clone()
     }
@@ -367,7 +359,7 @@ impl<M: CongestionModel> ModelPredictor<M> {
     /// Quantization counters of the largest-arena quantized plan resolved
     /// so far, if any quant forward has compiled one.
     pub fn quant_plan_stats(&self) -> Option<QuantStats> {
-        self.peak_quant.clone()
+        self.peak_quant.as_ref()?.quant.clone()
     }
 
     /// Plan stats as the served engine experiences them: the quantized
@@ -376,7 +368,7 @@ impl<M: CongestionModel> ModelPredictor<M> {
     /// what the serve layer renders as `mfaplace_infer_plan_*` gauges.
     pub fn active_plan_stats(&self) -> Option<PlanStats> {
         let quant = match self.effective().0 {
-            Engine::Quant => self.peak_quant_plan.clone(),
+            Engine::Quant => self.peak_quant.clone(),
             _ => None,
         };
         quant.or_else(|| self.peak_stats.clone())
@@ -400,9 +392,11 @@ impl<M: CongestionModel> ModelPredictor<M> {
         }
     }
 
-    /// Compiles (or fetches from the shared cache) the plan for a
-    /// `[n, c, h, w]` input without running it, returning its stats — the
-    /// `model-info` hook. `n` is bucketed exactly as a predict would.
+    /// Compiles (or fetches from the shared cache) the plan the next
+    /// `[n, c, h, w]` forward would run — the quantized one while the
+    /// quant engine is really serving, the f32 one otherwise — without
+    /// running it, returning its stats (the `model-info` hook). `n` is
+    /// bucketed exactly as a predict would.
     ///
     /// Capture runs the model once on a zeros input; zoo forwards branch
     /// only on shape, so the recording is valid for any batch content.
@@ -414,101 +408,74 @@ impl<M: CongestionModel> ModelPredictor<M> {
         w: usize,
     ) -> Result<PlanStats, String> {
         let shape = vec![Self::bucketed_batch(n), c, h, w];
-        let plan = self.resolve_plan(&shape)?;
+        let plan = self.resolve_plan(&shape, self.precision())?;
         Ok(plan.stats().clone())
     }
 
-    /// [`ModelPredictor::compile_plan`] for the quantized flavour:
-    /// compiles (or fetches) the quantized plan for a `[n, c, h, w]`
-    /// input and returns `(plan stats, quant stats)`. Errors if no
-    /// calibration is attached or the quantized build fails.
-    pub fn compile_quant_plan(
+    /// Fetches the plan for `shape` at `precision` from the shared cache,
+    /// compiling and inserting it on a miss: f32 plans are captured from
+    /// one tape recording, int8 plans are lowered from the f32 plan with
+    /// the attached calibration. Errors when the capture fails, when no
+    /// calibration is attached, or when the calibration does not match the
+    /// captured plan (stale — e.g. a different checkpoint or grid; the
+    /// error says to recalibrate). Compilation runs outside the cache
+    /// lock, so two predictors racing on one cold key may both compile;
+    /// the loser replaces the winner's identical entry.
+    fn resolve_plan(
         &mut self,
-        n: usize,
-        c: usize,
-        h: usize,
-        w: usize,
-    ) -> Result<(PlanStats, QuantStats), String> {
-        let shape = vec![Self::bucketed_batch(n), c, h, w];
-        let qplan = self.resolve_quant_plan(&shape)?;
-        Ok((qplan.stats().clone(), qplan.quant_stats().clone()))
-    }
-
-    /// Fetches the plan for `shape` from the shared cache, capturing and
-    /// inserting it on a miss. The capture runs outside the cache lock, so
-    /// two predictors racing on one cold key may both compile; the loser
-    /// replaces the winner's identical entry.
-    fn resolve_plan(&mut self, shape: &[usize]) -> Result<Arc<Plan>, String> {
-        let key = PlanKey::f32(self.plan_source, shape.to_vec(), self.fold_bn);
+        shape: &[usize],
+        precision: PlanPrecision,
+    ) -> Result<Arc<Plan>, String> {
+        let key = PlanKey {
+            precision,
+            ..PlanKey::f32(self.plan_source, shape.to_vec(), self.fold_bn)
+        };
         let plan = match self.plan_cache.get(&key) {
             Some(plan) => plan,
             None => {
-                let batch = Tensor::zeros(shape.to_vec());
-                let mark = self.graph.mark();
-                let xv = self.graph.constant(batch);
-                let yv = self.model.forward(&mut self.graph, xv, false);
-                let captured = Plan::capture_cached(
-                    &self.graph,
-                    mark,
-                    xv,
-                    yv,
-                    PlanOptions {
-                        fold_bn: self.fold_bn,
-                    },
-                    &mut self.weight_cache,
-                );
-                self.graph.truncate(mark);
-                let plan = Arc::new(captured?);
+                let plan = Arc::new(match precision {
+                    PlanPrecision::F32 => self.capture_plan(shape)?,
+                    PlanPrecision::Int8 => {
+                        let (calib, opts) = self.quant.clone().ok_or(NO_CALIBRATION)?;
+                        self.resolve_plan(shape, PlanPrecision::F32)?
+                            .quantize(&calib, opts)?
+                    }
+                });
                 self.plan_cache.insert(key, plan.clone());
                 plan
             }
         };
-        let stats = plan.stats();
-        let is_peak = match &self.peak_stats {
-            None => true,
-            Some(peak) => stats.arena_bytes > peak.arena_bytes,
+        let peak = match precision {
+            PlanPrecision::F32 => &mut self.peak_stats,
+            PlanPrecision::Int8 => &mut self.peak_quant,
         };
-        if is_peak {
-            self.peak_stats = Some(stats.clone());
+        let stats = plan.stats();
+        if peak
+            .as_ref()
+            .is_none_or(|p| stats.arena_bytes > p.arena_bytes)
+        {
+            *peak = Some(stats.clone());
         }
         Ok(plan)
     }
 
-    /// Fetches the quantized plan for `shape`, building (f32 plan + the
-    /// attached calibration) and caching it on a miss. Errors when no
-    /// calibration is attached, when the f32 capture fails, or when the
-    /// calibration does not match the captured plan (stale — e.g. a
-    /// different checkpoint or grid; the error says to recalibrate).
-    fn resolve_quant_plan(&mut self, shape: &[usize]) -> Result<Arc<QuantPlan>, String> {
-        let (calib, opts) = self
-            .quant
-            .clone()
-            .ok_or_else(|| "quant engine: no calibration attached".to_string())?;
-        let key = PlanKey::quant(
-            self.plan_source,
-            shape.to_vec(),
-            opts.precision,
-            self.fold_bn,
+    /// Records one forward of `shape` on the tape and compiles it.
+    fn capture_plan(&mut self, shape: &[usize]) -> Result<Plan, String> {
+        let mark = self.graph.mark();
+        let xv = self.graph.constant(Tensor::zeros(shape.to_vec()));
+        let yv = self.model.forward(&mut self.graph, xv, false);
+        let captured = Plan::capture_cached(
+            &self.graph,
+            mark,
+            xv,
+            yv,
+            PlanOptions {
+                fold_bn: self.fold_bn,
+            },
+            &mut self.weight_cache,
         );
-        let qplan = match self.plan_cache.get_quant(&key) {
-            Some(qplan) => qplan,
-            None => {
-                let plan = self.resolve_plan(shape)?;
-                let qplan = Arc::new(QuantPlan::build(plan, &calib, opts)?);
-                self.plan_cache.insert_quant(key, qplan.clone());
-                qplan
-            }
-        };
-        let qs = qplan.quant_stats();
-        let is_qpeak = match &self.peak_quant {
-            None => true,
-            Some(peak) => qs.arena_bytes > peak.arena_bytes,
-        };
-        if is_qpeak {
-            self.peak_quant = Some(qs.clone());
-            self.peak_quant_plan = Some(qplan.stats().clone());
-        }
-        Ok(qplan)
+        self.graph.truncate(mark);
+        captured
     }
 
     /// Logits from the compiled `engine` (plan or quant), or `None` when its
@@ -516,22 +483,18 @@ impl<M: CongestionModel> ModelPredictor<M> {
     /// the next engine down. Pads the batch up to its bucket size, runs the
     /// bucketed plan, and slices the padding back off.
     fn compiled_logits(&mut self, engine: Engine, batch: &Tensor) -> Option<Tensor> {
-        enum Compiled {
-            F32(Arc<Plan>),
-            Quant(Arc<QuantPlan>),
-        }
         let n = batch.shape()[0];
         let bucket = Self::bucketed_batch(n);
         let mut plan_shape = batch.shape().to_vec();
         plan_shape[0] = bucket;
         let quant = engine == Engine::Quant;
-        let resolved = if quant {
-            self.resolve_quant_plan(&plan_shape).map(Compiled::Quant)
+        let (precision, timer) = if quant {
+            (PlanPrecision::Int8, "core/forward_quant")
         } else {
-            self.resolve_plan(&plan_shape).map(Compiled::F32)
+            (PlanPrecision::F32, "core/forward_plan")
         };
-        let compiled = match resolved {
-            Ok(compiled) => compiled,
+        let plan = match self.resolve_plan(&plan_shape, precision) {
+            Ok(plan) => plan,
             Err(e) => {
                 let (counter, latch) = if quant {
                     ("infer/quant_fallback", &mut self.quant_broken)
@@ -551,18 +514,11 @@ impl<M: CongestionModel> ModelPredictor<M> {
             padded[..batch.data().len()].copy_from_slice(batch.data());
             &padded[..]
         };
-        let (full, mut out_shape) = match &compiled {
-            Compiled::F32(plan) => {
-                let _t = ScopeTimer::new("core/forward_plan");
-                let full = run_plan_workers(plan, &mut self.arena, input, self.plan_workers);
-                (full, plan.output_shape().to_vec())
-            }
-            Compiled::Quant(qplan) => {
-                let _t = ScopeTimer::new("core/forward_quant");
-                let full = run_quant_plan(qplan, &mut self.qarena, input);
-                (full, qplan.output_shape().to_vec())
-            }
+        let full = {
+            let _t = ScopeTimer::new(timer);
+            run_plan(&plan, &mut self.arena, input, self.plan_workers)
         };
+        let mut out_shape = plan.output_shape().to_vec();
         out_shape[0] = n;
         let per_out = full.len() / bucket;
         Some(

@@ -8,7 +8,7 @@ use mfaplace_core::loader::{
     content_hash, init_checkpoint, load_predictor_with_cache, LoadOptions,
 };
 use mfaplace_core::predictor::{Engine, ModelPredictor};
-use mfaplace_core::{PlanCache, PlanKey, Precision, QuantOptions};
+use mfaplace_core::{PlanCache, PlanKey, PlanPrecision, QuantOptions};
 use mfaplace_models::{Arch, ArchSpec, CongestionModel};
 use mfaplace_tensor::Tensor;
 
@@ -149,7 +149,10 @@ fn mixed_precision_plans_share_one_cache_under_distinct_keys() {
     // Same content hash, two flavours, two entries.
     let source = p.plan_source();
     let fkey = PlanKey::f32(source, vec![1, 6, GRID, GRID], false);
-    let qkey = PlanKey::quant(source, vec![1, 6, GRID, GRID], Precision::Int8, false);
+    let qkey = PlanKey {
+        precision: PlanPrecision::Int8,
+        ..fkey.clone()
+    };
     assert!(cache.contains(&fkey), "{:?}", cache.stats());
     assert!(cache.contains(&qkey), "{:?}", cache.stats());
 

@@ -1,5 +1,5 @@
-//! A process-wide, byte-bounded LRU cache of compiled plans — f32
-//! [`Plan`]s and quantized [`QuantPlan`]s side by side.
+//! A process-wide, byte-bounded LRU cache of compiled [`Plan`]s — f32 and
+//! quantized side by side.
 //!
 //! The serve layer's model fleet loads N checkpoints, and each predictor
 //! compiles one plan per (bucketed) input shape. Without sharing, two
@@ -42,7 +42,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::plan::Plan;
-use crate::quant::{Precision, QuantPlan};
 
 /// Identity of the weights a plan was compiled from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -73,8 +72,6 @@ pub enum PlanPrecision {
     F32,
     /// int8 arena + int8 GEMM compute (f16/f32 islands where needed).
     Int8,
-    /// binary16 arena, f32 compute.
-    F16,
 }
 
 impl PlanPrecision {
@@ -83,16 +80,6 @@ impl PlanPrecision {
         match self {
             PlanPrecision::F32 => "f32",
             PlanPrecision::Int8 => "int8",
-            PlanPrecision::F16 => "f16",
-        }
-    }
-}
-
-impl From<Precision> for PlanPrecision {
-    fn from(p: Precision) -> PlanPrecision {
-        match p {
-            Precision::Int8 => PlanPrecision::Int8,
-            Precision::F16 => PlanPrecision::F16,
         }
     }
 }
@@ -124,21 +111,6 @@ impl PlanKey {
             folded,
         }
     }
-
-    /// Key for a quantized plan of the given precision.
-    pub fn quant(
-        source: PlanSource,
-        shape: Vec<usize>,
-        precision: Precision,
-        folded: bool,
-    ) -> PlanKey {
-        PlanKey {
-            source,
-            shape,
-            precision: precision.into(),
-            folded,
-        }
-    }
 }
 
 /// A snapshot of the cache counters, for `/metrics` and tests.
@@ -158,15 +130,8 @@ pub struct PlanCacheStats {
     pub evictions: u64,
 }
 
-/// One cached compiled program, either flavour.
-#[derive(Clone)]
-enum CachedPlan {
-    F32(Arc<Plan>),
-    Quant(Arc<QuantPlan>),
-}
-
 struct Entry {
-    plan: CachedPlan,
+    plan: Arc<Plan>,
     bytes: usize,
     last_used: u64,
 }
@@ -193,17 +158,9 @@ pub const DEFAULT_PLAN_CACHE_BYTES: usize = 256 << 20;
 
 /// Bytes an entry is charged: arena + weight tables (for quantized plans
 /// `weight_bytes` already includes the int8 weight copies) + metadata.
-fn plan_bytes(plan: &CachedPlan) -> usize {
-    match plan {
-        CachedPlan::F32(p) => {
-            let s = p.stats();
-            s.arena_bytes + s.weight_bytes + p.metadata_bytes()
-        }
-        CachedPlan::Quant(q) => {
-            let s = q.stats();
-            s.arena_bytes + s.weight_bytes + q.metadata_bytes()
-        }
-    }
+fn plan_bytes(plan: &Plan) -> usize {
+    let s = plan.stats();
+    s.arena_bytes + s.weight_bytes + plan.metadata_bytes()
 }
 
 impl PlanCache {
@@ -231,7 +188,8 @@ impl PlanCache {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn get_entry(&self, key: &PlanKey) -> Option<CachedPlan> {
+    /// Looks up a plan, bumping its recency and the hit/miss counters.
+    pub fn get(&self, key: &PlanKey) -> Option<Arc<Plan>> {
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -249,7 +207,10 @@ impl PlanCache {
         }
     }
 
-    fn insert_entry(&self, key: PlanKey, plan: CachedPlan) {
+    /// Inserts (or replaces) the plan for `key`, then evicts
+    /// least-recently-used entries — never the one just inserted — until
+    /// the byte budget holds or only one entry remains.
+    pub fn insert(&self, key: PlanKey, plan: Arc<Plan>) {
         let bytes = plan_bytes(&plan);
         let mut inner = self.lock();
         inner.tick += 1;
@@ -280,40 +241,9 @@ impl PlanCache {
         }
     }
 
-    /// Looks up an f32 plan, bumping its recency and the hit/miss
-    /// counters. A key resolving to a quantized entry returns `None`
-    /// (callers always construct keys with the matching precision, so
-    /// this is a key-construction bug, not a runtime state).
-    pub fn get(&self, key: &PlanKey) -> Option<Arc<Plan>> {
-        match self.get_entry(key)? {
-            CachedPlan::F32(p) => Some(p),
-            CachedPlan::Quant(_) => None,
-        }
-    }
-
-    /// Looks up a quantized plan, bumping recency and counters.
-    pub fn get_quant(&self, key: &PlanKey) -> Option<Arc<QuantPlan>> {
-        match self.get_entry(key)? {
-            CachedPlan::Quant(q) => Some(q),
-            CachedPlan::F32(_) => None,
-        }
-    }
-
     /// Whether `key` is cached, without touching recency or counters.
     pub fn contains(&self, key: &PlanKey) -> bool {
         self.lock().entries.contains_key(key)
-    }
-
-    /// Inserts (or replaces) the f32 plan for `key`, then evicts
-    /// least-recently-used entries — never the one just inserted — until
-    /// the byte budget holds or only one entry remains.
-    pub fn insert(&self, key: PlanKey, plan: Arc<Plan>) {
-        self.insert_entry(key, CachedPlan::F32(plan));
-    }
-
-    /// [`PlanCache::insert`] for a quantized plan.
-    pub fn insert_quant(&self, key: PlanKey, plan: Arc<QuantPlan>) {
-        self.insert_entry(key, CachedPlan::Quant(plan));
     }
 
     /// Current counters.
@@ -341,6 +271,7 @@ mod tests {
     use super::*;
     use crate::plan::PlanOptions;
     use crate::quant::{Calibration, QuantOptions};
+    use crate::PlanPrecision;
     use mfaplace_autograd::Graph;
     use mfaplace_tensor::Tensor;
 
@@ -357,10 +288,10 @@ mod tests {
         Arc::new(Plan::capture(&g, mark, x, y, PlanOptions::default()).unwrap())
     }
 
-    fn quantize(plan: &Arc<Plan>) -> Arc<QuantPlan> {
+    fn quantize(plan: &Arc<Plan>) -> Arc<Plan> {
         let input = vec![0.5f32, -1.0, 0.25, 0.75];
         let calib = Calibration::collect(plan, [input.as_slice()]).unwrap();
-        Arc::new(QuantPlan::build(plan.clone(), &calib, QuantOptions::default()).unwrap())
+        Arc::new(plan.quantize(&calib, QuantOptions::default()).unwrap())
     }
 
     fn key(source: PlanSource, n: usize) -> PlanKey {
@@ -368,7 +299,10 @@ mod tests {
     }
 
     fn qkey(source: PlanSource, n: usize) -> PlanKey {
-        PlanKey::quant(source, vec![n, 1, 2, 2], Precision::Int8, false)
+        PlanKey {
+            precision: PlanPrecision::Int8,
+            ..key(source, n)
+        }
     }
 
     #[test]
@@ -392,33 +326,32 @@ mod tests {
         let plan = tiny_plan(1.5);
         cache.insert(key(src, 1), plan.clone());
         // Same content hash + shape, different precision: distinct entry.
-        assert!(cache.get_quant(&qkey(src, 1)).is_none());
-        cache.insert_quant(qkey(src, 1), quantize(&plan));
-        assert!(cache.get_quant(&qkey(src, 1)).is_some());
-        assert!(cache.get(&key(src, 1)).is_some(), "f32 entry untouched");
+        assert!(cache.get(&qkey(src, 1)).is_none());
+        cache.insert(qkey(src, 1), quantize(&plan));
+        let q = cache.get(&qkey(src, 1)).expect("int8 entry");
+        assert!(q.stats().quant.is_some(), "int8 key holds the int8 plan");
+        let f = cache.get(&key(src, 1)).expect("f32 entry untouched");
+        assert!(f.stats().quant.is_none(), "f32 key holds the f32 plan");
         // A folded key never resolves to the unfolded plan.
         assert!(cache
             .get(&PlanKey::f32(src, vec![1, 1, 2, 2], true))
             .is_none());
-        // Precision-mismatched accessors refuse to cross-return.
-        assert!(cache.get(&qkey(src, 1)).is_none());
-        assert!(cache.get_quant(&key(src, 1)).is_none());
         assert_eq!(cache.stats().entries, 2);
     }
 
     #[test]
     fn quant_entries_are_charged_their_own_arena_bytes() {
-        // The 64-byte span granularity makes a *toy* plan's quant arena
-        // bigger than its 48-byte f32 arena; the ≤0.5× shrink contract is
-        // asserted at real model sizes by the quant tolerance suite. Here
-        // we check the cache charges exactly what the quant plan reports.
+        // At toy sizes the 64-byte span granularity dominates; the ≤0.5×
+        // shrink contract is asserted at real model sizes by the quant
+        // tolerance suite. Here we check the cache charges exactly what
+        // the quant plan reports.
         let cache = PlanCache::new(usize::MAX);
         let src = PlanSource::Content(9);
         let plan = tiny_plan(2.5);
         let qplan = quantize(&plan);
         cache.insert(key(src, 1), plan.clone());
         let f32_bytes = cache.stats().bytes;
-        cache.insert_quant(qkey(src, 1), qplan.clone());
+        cache.insert(qkey(src, 1), qplan.clone());
         let both_bytes = cache.stats().bytes;
         let qs = qplan.stats();
         let expected_q = qs.arena_bytes + qs.weight_bytes + qplan.metadata_bytes();
@@ -478,9 +411,9 @@ mod tests {
         // Budget fits the f32 plan + quant plan, nothing more.
         let cache = PlanCache::new(fb + qb);
         cache.insert(key(src, 1), plan.clone());
-        cache.insert_quant(qkey(src, 1), qplan.clone());
+        cache.insert(qkey(src, 1), qplan.clone());
         // Touch the quant entry, then over-fill: the f32 plan is LRU.
-        assert!(cache.get_quant(&qkey(src, 1)).is_some());
+        assert!(cache.get(&qkey(src, 1)).is_some());
         cache.insert(key(src, 2), tiny_plan(4.0));
         assert!(!cache.contains(&key(src, 1)), "f32 LRU entry evicted");
         assert!(cache.contains(&qkey(src, 1)), "quant entry survives");

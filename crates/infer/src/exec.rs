@@ -1,5 +1,6 @@
-//! The plan executor: runs a compiled [`Plan`] with zero per-forward heap
-//! allocations, writing every intermediate into the pre-sized arena.
+//! The plan executor: runs a compiled [`Plan`] — as captured or quantized
+//! — with zero per-forward heap allocations, writing every intermediate
+//! into the pre-sized arena.
 //!
 //! # Bitwise contract
 //!
@@ -10,28 +11,32 @@
 //! bias adds — pure per-element ops are bitwise-safe under any loop
 //! partitioning as long as the arithmetic sequence per element is
 //! identical). The equivalence suite asserts bit equality against the tape
-//! for every zoo architecture.
+//! for every zoo architecture. Quantized plans trade that contract for the
+//! level-map tolerance contract (see `quant.rs`) but stay bitwise
+//! run-to-run and across worker counts.
 //!
 //! # Allocation contract
 //!
-//! `run_batch` performs no heap allocation: outputs and op-local scratch
-//! (conv lowering buffers, attention score rows) live at plan-assigned
-//! arena offsets. The one documented exception matches the tape path:
-//! when an attention call is large enough to take the parallel tile path,
-//! each worker allocates its private score row (identical behaviour and
-//! threshold as the tape kernel, so tape-vs-plan comparisons stay fair).
+//! A forward performs no heap allocation: outputs and the op-local scratch
+//! each step declares (conv lowering buffers, attention score rows,
+//! quantize/dequantize staging) live at plan-assigned arena offsets. The
+//! one documented exception matches the tape path: when an attention call
+//! is large enough to take the parallel tile path, each worker allocates
+//! its private score row (identical behaviour and threshold as the tape
+//! kernel, so tape-vs-plan comparisons stay fair).
 //!
 //! # Parallel level scheduling
 //!
 //! The plan's steps are stored level-major: each level is a wave of
 //! mutually independent ops whose write spans are pairwise disjoint (see
 //! `assign_arena` / `verify_levels` in `plan.rs`). With `workers > 1`,
-//! [`run_plan_workers`] executes each level's ops concurrently on the
+//! [`run_plan`] executes each level's ops concurrently on the
 //! `mfaplace-rt` pool; because every op writes its own disjoint span and
 //! each kernel is deterministic at any worker count, the result is
 //! **bitwise identical** to serial replay — there is no reduction across
-//! ops, so no merge-order hazard exists. The worker count defaults to
-//! `MFAPLACE_PLAN_WORKERS` (falling back to the pool's thread budget).
+//! ops, so no merge-order hazard exists. Serial replay (`workers == 1`) is
+//! the default: on the measured hosts the scheduler never beat it (see
+//! EXPERIMENTS.md).
 //!
 //! # Safety
 //!
@@ -50,26 +55,9 @@ use mfaplace_rt::timer::ScopeTimer;
 use mfaplace_tensor::{layer_norm_rows, lowlevel, softmax_row};
 
 #[cfg(debug_assertions)]
-use crate::plan::for_each_operand;
-use crate::plan::{ArenaRange, BmmKind, IrOp, Loc, Plan, Step, ValId};
-
-/// Resolves the plan-executor worker count from `MFAPLACE_PLAN_WORKERS`.
-///
-/// Unset (or unparsable/zero) falls back to the runtime pool's thread
-/// budget (`MFAPLACE_THREADS` / available parallelism), so a single-core
-/// host stays on the serial path with zero overhead; `=1` forces serial
-/// replay explicitly.
-pub fn plan_workers_from_env() -> usize {
-    plan_workers_from_str(std::env::var("MFAPLACE_PLAN_WORKERS").ok().as_deref())
-}
-
-/// [`plan_workers_from_env`] over an explicit value, for tests and CLI.
-pub fn plan_workers_from_str(v: Option<&str>) -> usize {
-    match v.map(str::trim).and_then(|s| s.parse::<usize>().ok()) {
-        Some(n) if n > 0 => n,
-        _ => pool::max_threads(),
-    }
-}
+use crate::plan::{for_each_operand, spans_overlap, write_spans};
+use crate::plan::{ArenaRange, BmmKind, IrOp, Kernel, Loc, Plan, Step, Store, ValId};
+use crate::quant;
 
 /// Owns the mutable state (activation arena) needed to run a [`Plan`].
 ///
@@ -79,7 +67,7 @@ pub fn plan_workers_from_str(v: Option<&str>) -> usize {
 #[derive(Debug)]
 pub struct PlanExecutor {
     plan: Arc<Plan>,
-    arena: Vec<f32>,
+    arena: Vec<u64>,
     runs: u64,
     workers: usize,
 }
@@ -87,17 +75,15 @@ pub struct PlanExecutor {
 impl PlanExecutor {
     /// Builds an executor, allocating the arena once up front. Accepts a
     /// bare `Plan` or an `Arc<Plan>` (e.g. out of a [`crate::PlanCache`]).
-    /// The level-scheduler worker count comes from
-    /// [`plan_workers_from_env`]; override it with
-    /// [`PlanExecutor::set_workers`].
+    /// Replays serially until [`PlanExecutor::set_workers`] says otherwise.
     pub fn new(plan: impl Into<Arc<Plan>>) -> PlanExecutor {
         let plan = plan.into();
-        let arena = vec![0.0f32; plan.arena_len()];
+        let arena = vec![0u64; plan.arena_words()];
         PlanExecutor {
             plan,
             arena,
             runs: 0,
-            workers: plan_workers_from_env(),
+            workers: 1,
         }
     }
 
@@ -124,7 +110,7 @@ impl PlanExecutor {
 
     /// Arena base address — exposed so tests can assert the buffer is
     /// reused (stable) across forwards rather than reallocated.
-    pub fn arena_ptr(&self) -> *const f32 {
+    pub fn arena_ptr(&self) -> *const u64 {
         self.arena.as_ptr()
     }
 
@@ -133,7 +119,7 @@ impl PlanExecutor {
     /// call. Allocation-free: every write lands in the arena.
     pub fn run_batch(&mut self, input: &[f32]) -> &[f32] {
         self.runs += 1;
-        run_plan_workers(&self.plan, &mut self.arena, input, self.workers)
+        run_plan(&self.plan, &mut self.arena, input, self.workers)
     }
 }
 
@@ -148,20 +134,33 @@ impl PlanExecutor {
 /// every plan op either fully overwrites its destination span or
 /// explicitly clears it first — stale data from a previous plan is never
 /// observable.
-pub fn run_plan<'a>(plan: &Plan, arena: &'a mut Vec<f32>, input: &[f32]) -> &'a [f32] {
-    run_plan_workers(plan, arena, input, 1)
-}
-
-/// [`run_plan`] with an explicit level-scheduler worker count: levels of
-/// mutually independent ops execute concurrently on the `mfaplace-rt`
-/// pool (contiguous op-index blocks per worker), bitwise identical to
-/// serial replay because same-level ops write pairwise-disjoint arena
-/// spans and every kernel is deterministic at any worker count.
-pub fn run_plan_workers<'a>(
+///
+/// With `workers > 1`, levels of mutually independent ops execute
+/// concurrently on the `mfaplace-rt` pool (contiguous op-index blocks per
+/// worker), bitwise identical to serial replay because same-level ops
+/// write pairwise-disjoint arena spans and every kernel is deterministic
+/// at any worker count.
+pub fn run_plan<'a>(
     plan: &Plan,
-    arena: &'a mut Vec<f32>,
+    arena: &'a mut Vec<u64>,
     input: &[f32],
     workers: usize,
+) -> &'a [f32] {
+    replay(plan, arena, input, workers, None)
+}
+
+/// Called as `observe(step_index, out_slice)` after a step output is written.
+pub(crate) type Observer<'o> = &'o mut dyn FnMut(usize, &[f32]);
+
+/// [`run_plan`] with an optional observer of each f32-stored step output —
+/// the quantization calibrator's hook for collecting per-value activation
+/// ranges. Observed replays are serial; the observer only reads.
+pub(crate) fn replay<'a>(
+    plan: &Plan,
+    arena: &'a mut Vec<u64>,
+    input: &[f32],
+    workers: usize,
+    mut observe: Option<Observer<'_>>,
 ) -> &'a [f32] {
     assert_eq!(
         input.len(),
@@ -169,52 +168,55 @@ pub fn run_plan_workers<'a>(
         "plan input length mismatch (plan compiled for shape {:?})",
         plan.input_shape(),
     );
-    if arena.len() < plan.arena_len() {
-        arena.resize(plan.arena_len(), 0.0);
+    if arena.len() < plan.arena_words() {
+        arena.resize(plan.arena_words(), 0);
     }
-    let base = arena.as_mut_ptr();
-    if workers <= 1 {
-        for step in &plan.steps {
-            #[cfg(debug_assertions)]
-            check_disjoint(plan, step);
-            exec_step(plan, input, base, step);
+    let base = arena.as_mut_ptr().cast::<u8>();
+    // The finished f32 span of value `v`, if it has one.
+    let f32_span = |v: ValId| match (plan.values[v].loc, plan.values[v].store) {
+        // SAFETY: called only between steps, when no mutable borrow of the
+        // arena is live; the span lies inside the allocation sized above.
+        (Loc::Arena { off, .. }, Store::F32) => {
+            Some(unsafe { &*span::<f32>(base, off, plan.values[v].numel) })
         }
-    } else {
-        for range in &plan.levels {
-            let steps = &plan.steps[range.clone()];
-            #[cfg(debug_assertions)]
-            for step in steps {
-                check_disjoint(plan, step);
+        _ => None,
+    };
+    for range in &plan.levels {
+        let steps = &plan.steps[range.clone()];
+        #[cfg(debug_assertions)]
+        for step in steps {
+            check_disjoint(plan, step);
+        }
+        if workers <= 1 || steps.len() == 1 || observe.is_some() {
+            for (i, step) in range.clone().zip(steps) {
+                exec_step(plan, input, base, step);
+                if let (Some(observe), Some(out)) = (observe.as_deref_mut(), f32_span(step.out)) {
+                    observe(i, out);
+                }
             }
-            if steps.len() == 1 {
-                exec_step(plan, input, base, &steps[0]);
-                continue;
-            }
-            let _lvl = ScopeTimer::new("core/forward_plan_level");
-            let nt = workers.min(steps.len());
-            // Split the host's thread budget between op-level concurrency
-            // and each kernel's own intra-op parallelism (thread overrides
-            // are per-thread, so spawned workers start uncapped).
-            let inner = (pool::max_threads() / nt).max(1);
-            let shared = ArenaBase(base);
-            let shared = &shared;
-            pool::with_threads(nt, || {
-                pool::parallel_for(steps.len(), |r| {
-                    let base = shared.0;
-                    pool::with_threads(inner, || {
-                        for i in r {
-                            exec_step(plan, input, base, &steps[i]);
-                        }
-                    });
+            continue;
+        }
+        let _lvl = ScopeTimer::new("core/forward_plan_level");
+        let nt = workers.min(steps.len());
+        // Split the host's thread budget between op-level concurrency
+        // and each kernel's own intra-op parallelism (thread overrides
+        // are per-thread, so spawned workers start uncapped).
+        let inner = (pool::max_threads() / nt).max(1);
+        let shared = ArenaBase(base);
+        let shared = &shared;
+        pool::with_threads(nt, || {
+            pool::parallel_for(steps.len(), |r| {
+                let base = shared.0;
+                pool::with_threads(inner, || {
+                    for i in r {
+                        exec_step(plan, input, base, &steps[i]);
+                    }
                 });
             });
-        }
+        });
     }
     mfaplace_rt::timer::count("infer/plan_forwards", 1);
-    let Loc::Arena { off, len } = plan.values[plan.output].loc else {
-        unreachable!("plan output is always arena-resident");
-    };
-    &arena[off..off + len]
+    f32_span(plan.output).expect("plan output is always an f32 arena span")
 }
 
 /// The arena base pointer, shared across a level's workers.
@@ -222,64 +224,73 @@ pub fn run_plan_workers<'a>(
 /// Sound to send/share because the level scheduler guarantees every
 /// concurrently executing op writes a pairwise-disjoint span (verified at
 /// capture time by `verify_levels`).
-struct ArenaBase(*mut f32);
+struct ArenaBase(*mut u8);
 unsafe impl Send for ArenaBase {}
 unsafe impl Sync for ArenaBase {}
 
-/// Immutable view of a plan value.
+/// Typed view of `n` elements at byte offset `off` of the arena.
 ///
 /// # Safety
 ///
-/// For arena values the returned slice aliases `base`; the caller must not
-/// hold a mutable span overlapping it (guaranteed by `assign_arena`).
-unsafe fn src<'a>(plan: &'a Plan, input: &'a [f32], base: *const f32, v: ValId) -> &'a [f32] {
-    match plan.values[v].loc {
-        Loc::Input => input,
-        Loc::Weight(i) => plan.weights[i].data(),
-        Loc::Arena { off, len } => std::slice::from_raw_parts(base.add(off), len),
-        Loc::Unassigned => unreachable!("read of a fused-away value"),
-    }
+/// `off` must come from a span `assign_arena` placed (64-byte aligned, in
+/// bounds for `n` elements of `T`), and the view must not overlap any
+/// other live view that is written — the allocator invariant,
+/// debug-asserted by `check_disjoint`.
+pub(crate) unsafe fn span<'a, T>(base: *mut u8, off: usize, n: usize) -> &'a mut [T] {
+    std::slice::from_raw_parts_mut(base.add(off).cast::<T>(), n)
 }
 
-/// Mutable view of an arena span.
+/// The whole scratch piece `r` as elements of `T`.
 ///
 /// # Safety
 ///
-/// The span must be disjoint from every other span borrowed for the same
-/// op (allocator invariant, debug-asserted by `check_disjoint`).
-unsafe fn span_mut<'a>(base: *mut f32, r: ArenaRange) -> &'a mut [f32] {
-    std::slice::from_raw_parts_mut(base.add(r.off), r.len)
+/// As [`span`]; each of a step's pieces may be taken once per execution.
+pub(crate) unsafe fn piece<'a, T>(base: *mut u8, r: &ArenaRange) -> &'a mut [T] {
+    span(base, r.off, r.len / std::mem::size_of::<T>())
+}
+
+/// f32 view of value `v` when it needs no conversion: the forward input,
+/// a weight-table tensor, or an f32-stored arena span.
+///
+/// # Safety
+///
+/// Arena views alias `base`; the caller must not hold an overlapping
+/// mutable span (guaranteed by `assign_arena`).
+pub(crate) unsafe fn direct_f32<'a>(
+    plan: &'a Plan,
+    input: &'a [f32],
+    base: *mut u8,
+    v: ValId,
+) -> Option<&'a [f32]> {
+    let info = &plan.values[v];
+    match (info.loc, info.store) {
+        (Loc::Input, _) => Some(input),
+        (Loc::Weight(i), _) => Some(plan.weights[i].data()),
+        (Loc::Arena { off, .. }, Store::F32) => Some(span(base, off, info.numel)),
+        (Loc::Arena { .. }, _) => None,
+        (Loc::Unassigned, _) => unreachable!("read of a fused-away value"),
+    }
 }
 
 /// Debug re-check of the allocator invariant: the op's output and scratch
-/// spans overlap neither each other nor any operand span.
+/// spans overlap neither each other nor any operand span. Allocation-free,
+/// so the zero-allocation contract is testable in debug builds.
 #[cfg(debug_assertions)]
 fn check_disjoint(plan: &Plan, step: &Step) {
-    let mut writes: Vec<(usize, usize)> = Vec::new();
-    if let Loc::Arena { off, len } = plan.values[step.out].loc {
-        writes.push((off, len));
-    }
-    match &step.op {
-        IrOp::Conv2d { cols, ymat, .. } => {
-            writes.push((cols.off, cols.len));
-            writes.push((ymat.off, ymat.len));
-        }
-        IrOp::AttentionTm { scratch, .. } | IrOp::AttentionFm { scratch, .. } => {
-            writes.push((scratch.off, scratch.len));
-        }
-        _ => {}
-    }
-    let overlap = |a: (usize, usize), b: (usize, usize)| a.0 < b.0 + b.1 && b.0 < a.0 + a.1;
-    for (i, &wa) in writes.iter().enumerate() {
-        for &wb in &writes[i + 1..] {
-            assert!(!overlap(wa, wb), "write spans overlap in step {step:?}");
+    let writes = write_spans(step, &plan.values);
+    for (i, wa) in writes.clone().enumerate() {
+        for wb in writes.clone().skip(i + 1) {
+            assert!(
+                !spans_overlap(wa, wb),
+                "write spans overlap in step {step:?}"
+            );
         }
     }
     for_each_operand(&step.op, &mut |v| {
         if let Loc::Arena { off, len } = plan.values[v].loc {
-            for &w in &writes {
+            for w in writes.clone() {
                 assert!(
-                    !overlap(w, (off, len)),
+                    !spans_overlap(w, (off, len)),
                     "operand span overlaps a write span in step {step:?}"
                 );
             }
@@ -287,46 +298,8 @@ fn check_disjoint(plan: &Plan, step: &Step) {
     });
 }
 
-/// Serial replay of `plan` that calls `observe(step_index, out_slice)`
-/// after each step — the quantization calibrator's hook for collecting
-/// per-value activation ranges. Identical arithmetic to [`run_plan`]
-/// (same `exec_step` calls in the same order); the observer only reads.
-pub(crate) fn run_plan_observed<'a>(
-    plan: &Plan,
-    arena: &'a mut Vec<f32>,
-    input: &[f32],
-    observe: &mut dyn FnMut(usize, &[f32]),
-) -> &'a [f32] {
-    assert_eq!(
-        input.len(),
-        plan.input_numel(),
-        "plan input length mismatch (plan compiled for shape {:?})",
-        plan.input_shape(),
-    );
-    if arena.len() < plan.arena_len() {
-        arena.resize(plan.arena_len(), 0.0);
-    }
-    let base = arena.as_mut_ptr();
-    for (i, step) in plan.steps.iter().enumerate() {
-        #[cfg(debug_assertions)]
-        check_disjoint(plan, step);
-        exec_step(plan, input, base, step);
-        if let Loc::Arena { off, len } = plan.values[step.out].loc {
-            // SAFETY: the step finished; its output span is initialized
-            // and no mutable borrow of the arena is live.
-            observe(i, unsafe { std::slice::from_raw_parts(base.add(off), len) });
-        }
-    }
-    let Loc::Arena { off, len } = plan.values[plan.output].loc else {
-        unreachable!("plan output is always arena-resident");
-    };
-    &arena[off..off + len]
-}
-
 /// Op-local scratch views an [`exec_op`] call may need beyond its
 /// destination: the conv im2col/GEMM buffers and the attention score row.
-/// The f32 executor carves these from plan-assigned arena spans; the
-/// quantized executor carves them from its shared per-step scratch region.
 #[derive(Default)]
 pub(crate) struct OpScratch<'a> {
     pub cols: Option<&'a mut [f32]>,
@@ -334,40 +307,71 @@ pub(crate) struct OpScratch<'a> {
     pub att: Option<&'a mut [f32]>,
 }
 
-/// Executes one step. `base` points at the executor's arena.
-fn exec_step(plan: &Plan, input: &[f32], base: *mut f32, step: &Step) {
-    // SAFETY: all spans handed out below are either weight/input borrows or
-    // arena spans that `assign_arena` guarantees disjoint for this op; the
-    // debug assertion above re-checks the invariant.
-    let s = |v: ValId| unsafe { src(plan, input, base, v) };
-    let dst: &mut [f32] = {
-        let Loc::Arena { off, len } = plan.values[step.out].loc else {
-            unreachable!("step outputs are always arena-resident");
-        };
-        unsafe { span_mut(base, ArenaRange { off, len }) }
-    };
-    let scratch = match &step.op {
-        IrOp::Conv2d { cols, ymat, .. } => OpScratch {
-            cols: Some(unsafe { span_mut(base, *cols) }),
-            ymat: Some(unsafe { span_mut(base, *ymat) }),
-            att: None,
+/// Executes one step on its kernel. `base` points at the arena.
+fn exec_step(plan: &Plan, input: &[f32], base: *mut u8, step: &Step) {
+    match &step.kernel {
+        Kernel::ConvI8 {
+            qw,
+            wscale,
+            x_scale,
+        } => quant::conv_i8(plan, input, base, step, qw, wscale, *x_scale),
+        Kernel::MatmulI8 {
+            qb,
+            bscale,
+            a_scale,
+        } => quant::matmul_i8(plan, input, base, step, qb, bscale, *a_scale),
+        // SAFETY: every span handed out below is a weight/input borrow, an
+        // operand span, or this step's own output/scratch piece (each taken
+        // once), which `assign_arena` guarantees disjoint for this op; the
+        // debug assertion in the run loop re-checks the invariant.
+        Kernel::Generic => unsafe {
+            // In an all-f32 plan `staged` is empty and every view below is
+            // direct: resolve operands, borrow the destination, run the op.
+            for (&v, r) in step.staged.iter().zip(&step.scratch) {
+                quant::dequant_into(plan, base, v, piece(base, r));
+            }
+            let s = |v: ValId| -> &[f32] {
+                direct_f32(plan, input, base, v).unwrap_or_else(|| {
+                    let i = step.staged.iter().position(|&sv| sv == v);
+                    &*piece(base, &step.scratch[i.expect("narrow operand is staged")])
+                })
+            };
+            let mut rest = step.scratch[step.staged.len()..].iter();
+            let mut take = || piece::<f32>(base, rest.next().expect("declared scratch piece"));
+            let out = &plan.values[step.out];
+            let Loc::Arena { off, .. } = out.loc else {
+                unreachable!("step outputs are always arena-resident");
+            };
+            let dst = match out.store {
+                Store::F32 => span(base, off, out.numel),
+                _ => take(),
+            };
+            let scratch = match &step.op {
+                IrOp::Conv2d { .. } => OpScratch {
+                    cols: Some(take()),
+                    ymat: Some(take()),
+                    att: None,
+                },
+                IrOp::AttentionTm { .. } | IrOp::AttentionFm { .. } => OpScratch {
+                    att: Some(take()),
+                    ..OpScratch::default()
+                },
+                _ => OpScratch::default(),
+            };
+            exec_op(&step.op, &s, dst, scratch);
+            if out.store != Store::F32 {
+                quant::store_into(plan, base, step.out, dst);
+            }
         },
-        IrOp::AttentionTm { scratch, .. } | IrOp::AttentionFm { scratch, .. } => OpScratch {
-            att: Some(unsafe { span_mut(base, *scratch) }),
-            ..OpScratch::default()
-        },
-        _ => OpScratch::default(),
-    };
-    exec_op(&step.op, &s, dst, scratch);
+    }
 }
 
 /// Executes one op's f32 arithmetic against caller-resolved operand views.
 ///
-/// This is the single source of the per-op reference semantics: the f32
-/// executor calls it with arena-resident views (keeping the bitwise
-/// plan==tape contract — the arithmetic below is untouched by the
-/// factoring), and the quantized executor calls it for every op that runs
-/// on the f32 fallback path, with operands dequantized into scratch.
+/// This is the single source of the per-op reference semantics. For an
+/// all-f32 plan every view is arena-resident (keeping the bitwise
+/// plan==tape contract); in a quantized plan the generic kernel hands it
+/// operands dequantized into scratch.
 pub(crate) fn exec_op<'a>(
     op: &IrOp,
     s: &impl Fn(ValId) -> &'a [f32],

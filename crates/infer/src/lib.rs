@@ -11,7 +11,10 @@
 //! chains and `add → relu` pairs into single kernels (the fused epilogues
 //! already exist in `mfaplace-tensor`), and can optionally fold
 //! inference-mode batch norm into conv weights
-//! ([`PlanOptions::fold_bn`], off by default).
+//! ([`PlanOptions::fold_bn`], off by default). [`Plan::quantize`] lowers a
+//! captured plan to int8 storage and int8 GEMMs given an offline
+//! [`Calibration`]; the result is another [`Plan`], run by the same
+//! executor.
 //!
 //! The contract, enforced by this crate's equivalence suite: with default
 //! options, plan outputs are **bitwise identical** to the tape forward for
@@ -45,10 +48,6 @@ mod quant;
 pub use cache::{
     PlanCache, PlanCacheStats, PlanKey, PlanPrecision, PlanSource, DEFAULT_PLAN_CACHE_BYTES,
 };
-pub use exec::{
-    plan_workers_from_env, plan_workers_from_str, run_plan, run_plan_workers, PlanExecutor,
-};
+pub use exec::{run_plan, PlanExecutor};
 pub use plan::{Plan, PlanOptions, PlanStats};
-pub use quant::{
-    run_quant_plan, Calibration, Precision, QuantExecutor, QuantOptions, QuantPlan, QuantStats,
-};
+pub use quant::{Calibration, QuantOptions, QuantStats};

@@ -7,7 +7,7 @@
 //! *values*), a single recording at a given `[B, C, H, W]` is a faithful
 //! static program for every batch of that shape.
 //!
-//! Compilation runs four passes over the exported segment:
+//! Compilation runs these passes over the exported segment:
 //!
 //! 1. **Lowering** — tape nodes become [`IrOp`]s with all shapes baked in;
 //!    pre-mark operands (parameters) and mid-segment constants (e.g. the
@@ -35,14 +35,20 @@
 //!    still a valid topological order and the executor can run any level's
 //!    ops concurrently.
 //! 6. **Arena assignment** — liveness intervals for every intermediate plus
-//!    op-local scratch (conv im2col/GEMM buffers, attention score rows) are
-//!    packed by a first-fit free list with coalescing into a single arena
-//!    whose peak size is known at compile time. Spans are allocated and
-//!    released at *level* granularity, so ops in the same level always hold
-//!    pairwise-disjoint write spans (verified after the pass) — the
-//!    property that makes parallel level execution bitwise identical to
-//!    serial replay. The executor then runs every forward with zero heap
-//!    allocations.
+//!    the op-local scratch each step declares (conv im2col/GEMM buffers,
+//!    attention score rows, quantize/dequantize staging) are packed by a
+//!    first-fit free list with coalescing into a single byte arena (64-byte
+//!    blocks, so every typed view is aligned) whose peak size is known at
+//!    compile time. Spans are allocated and released at *level*
+//!    granularity, so ops in the same level always hold pairwise-disjoint
+//!    write spans (verified after the pass) — the property that makes
+//!    parallel level execution bitwise identical to serial replay. The
+//!    executor then runs every forward with zero heap allocations.
+//!
+//! A captured plan stores every value as f32 and runs every step on the
+//! generic f32 kernel. [`Plan::quantize`] (see `quant.rs`) is an IR→IR
+//! lowering that rewrites only the per-value [`Store`] and per-step
+//! [`Kernel`] tables and re-runs pass 6.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -93,6 +99,8 @@ pub struct PlanStats {
     pub max_level_width: usize,
     /// Pure-reshape `Copy` steps elided into arena aliases.
     pub copies_elided: usize,
+    /// Quantization counters; `None` for a plan as captured (all f32).
+    pub quant: Option<crate::quant::QuantStats>,
 }
 
 pub(crate) type ValId = usize;
@@ -104,10 +112,33 @@ pub(crate) enum Loc {
     Input,
     /// Index into the plan weight table.
     Weight(usize),
-    /// `[off, off+len)` in the execution arena.
+    /// Bytes `[off, off+len)` of the execution arena.
     Arena { off: usize, len: usize },
     /// Not yet placed (pre-arena pass) or fused away.
     Unassigned,
+}
+
+/// Arena allocation granularity in bytes: every span starts on a 64-byte
+/// boundary, so f32/f16/i32/i8 views over the `u64` backing are aligned.
+pub(crate) const BLOCK: usize = 64;
+
+/// Storage class of one plan value. Everything is `F32` as captured;
+/// [`Plan::quantize`] narrows arena-resident values.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Store {
+    F32,
+    F16,
+    I8 { scale: f32 },
+}
+
+impl Store {
+    pub(crate) fn elem_bytes(self) -> usize {
+        match self {
+            Store::F32 => 4,
+            Store::F16 => 2,
+            Store::I8 { .. } => 1,
+        }
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -115,13 +146,39 @@ pub(crate) struct ValueInfo {
     pub shape: Vec<usize>,
     pub numel: usize,
     pub loc: Loc,
+    pub store: Store,
 }
 
-/// An op-local scratch span in the arena (live only during its op).
+/// An op-local scratch span in the arena, in bytes (live only during its
+/// op's level).
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct ArenaRange {
     pub off: usize,
     pub len: usize,
+}
+
+/// How one step executes. Everything is `Generic` as captured;
+/// [`Plan::quantize`] moves eligible convs and linears onto the exact int8
+/// GEMM, carrying their quantized weight copies.
+#[derive(Clone, Debug)]
+pub(crate) enum Kernel {
+    /// The f32 reference arithmetic (`exec_op`); operands stored narrower
+    /// than f32 are dequantized into scratch first, and a narrower output
+    /// is staged in f32 and stored after.
+    Generic,
+    /// Conv on the int8 GEMM: per-OC weight scales, fused
+    /// bias/affine/ReLU dequant epilogue.
+    ConvI8 {
+        qw: Vec<i8>,
+        wscale: Vec<f32>,
+        x_scale: f32,
+    },
+    /// `x @ W` on the int8 GEMM: per-column weight scales.
+    MatmulI8 {
+        qb: Vec<i8>,
+        bscale: Vec<f32>,
+        a_scale: f32,
+    },
 }
 
 /// Batched-GEMM transpose flavour.
@@ -159,10 +216,6 @@ pub(crate) enum IrOp {
         oc: usize,
         oh: usize,
         ow: usize,
-        /// im2col lowering buffer (must be zero-filled every run).
-        cols: ArenaRange,
-        /// `[OC, B*OH*OW]` GEMM result before the batch-major reorder.
-        ymat: ArenaRange,
     },
     AddBiasChannel {
         x: ValId,
@@ -255,8 +308,6 @@ pub(crate) enum IrOp {
         lk: usize,
         d: usize,
         dv: usize,
-        /// One `[Lk]` score row (the fused kernel's streaming scratch).
-        scratch: ArenaRange,
     },
     AttentionFm {
         q: ValId,
@@ -267,8 +318,6 @@ pub(crate) enum IrOp {
         n: usize,
         nv: usize,
         l: usize,
-        /// One `[L]` score row.
-        scratch: ArenaRange,
     },
     /// Reshape: tape semantics are a copy, so the plan copies too.
     Copy {
@@ -319,6 +368,13 @@ pub(crate) enum IrOp {
 pub(crate) struct Step {
     pub op: IrOp,
     pub out: ValId,
+    pub kernel: Kernel,
+    /// Distinct operands stored narrower than f32 that the generic kernel
+    /// dequantizes, one per leading `scratch` piece (empty as captured).
+    pub staged: Vec<ValId>,
+    /// Op-local scratch spans in the order [`scratch_bytes`] declares them
+    /// and the kernel consumes them; placed by [`assign_arena`].
+    pub scratch: Vec<ArenaRange>,
 }
 
 /// A compiled, shape-specialized inference program.
@@ -332,18 +388,18 @@ pub struct Plan {
     pub(crate) weights: Vec<Arc<Tensor>>,
     pub(crate) input: ValId,
     pub(crate) output: ValId,
-    pub(crate) arena_len: usize,
+    pub(crate) arena_bytes: usize,
     /// Step-index ranges of the dependency levels, in execution order.
     /// Steps are stored level-major, so the ranges are contiguous and
     /// cover `0..steps.len()`; ops inside one level are mutually
     /// independent and write pairwise-disjoint arena spans.
     pub(crate) levels: Vec<std::ops::Range<usize>>,
     /// Storage root per value (`alias[v] == v` unless `v` is an elided
-    /// reshape of another value). Kept so alternative arena layouts —
-    /// the quantized byte arena — can redo liveness with different
-    /// per-value sizes while honouring the same sharing.
+    /// reshape of another value). Kept so [`Plan::quantize`] can redo
+    /// liveness with narrower per-value sizes while honouring the same
+    /// sharing.
     pub(crate) alias: Vec<ValId>,
-    stats: PlanStats,
+    pub(crate) stats: PlanStats,
 }
 
 impl Plan {
@@ -394,6 +450,7 @@ impl Plan {
                         shape: node.shape.clone(),
                         numel: node.shape.iter().product(),
                         loc: Loc::Input,
+                        store: Store::F32,
                     });
                     tape2val.insert(node.index, id);
                     input_val = Some(id);
@@ -412,6 +469,7 @@ impl Plan {
                 shape: node.shape.clone(),
                 numel: node.shape.iter().product(),
                 loc: Loc::Unassigned,
+                store: Store::F32,
             });
             tape2val.insert(node.index, out);
             let op = lower_op(
@@ -427,7 +485,13 @@ impl Plan {
                     weights: &mut weights,
                 },
             )?;
-            steps.push(Step { op, out });
+            steps.push(Step {
+                op,
+                out,
+                kernel: Kernel::Generic,
+                staged: Vec::new(),
+                scratch: Vec::new(),
+            });
         }
 
         let input_val = input_val
@@ -446,11 +510,8 @@ impl Plan {
         }
         let alias = elide_copies(&mut steps, &values, output_val, &mut stats);
         let levels = schedule_levels(&mut steps, &values, &alias);
-        let arena_len = assign_arena(&mut steps, &mut values, output_val, &alias, &levels);
-        verify_levels(&steps, &values, &levels)?;
 
         stats.ops = steps.len();
-        stats.arena_bytes = arena_len * std::mem::size_of::<f32>();
         stats.weights = weights.len();
         stats.weight_bytes = weights
             .iter()
@@ -459,17 +520,35 @@ impl Plan {
         stats.levels = levels.len();
         stats.max_level_width = levels.iter().map(|r| r.len()).max().unwrap_or(0);
 
-        Ok(Plan {
+        let mut plan = Plan {
             steps,
             values,
             weights,
             input: input_val,
             output: output_val,
-            arena_len,
+            arena_bytes: 0,
             levels,
             alias,
             stats,
-        })
+        };
+        plan.layout()?;
+        Ok(plan)
+    }
+
+    /// Places every value and declared scratch piece in the arena and
+    /// verifies the result — the last stage of both capture and
+    /// [`Plan::quantize`].
+    pub(crate) fn layout(&mut self) -> Result<(), String> {
+        self.arena_bytes = assign_arena(
+            &mut self.steps,
+            &mut self.values,
+            self.output,
+            &self.alias,
+            &self.levels,
+        );
+        verify_levels(&self.steps, &self.values, &self.levels)?;
+        self.stats.arena_bytes = self.arena_bytes;
+        Ok(())
     }
 
     /// Compile-time counters (op/fusion/arena sizes).
@@ -487,9 +566,9 @@ impl Plan {
         &self.values[self.output].shape
     }
 
-    /// Arena length in `f32` elements.
-    pub fn arena_len(&self) -> usize {
-        self.arena_len
+    /// Arena length in `u64` backing words.
+    pub(crate) fn arena_words(&self) -> usize {
+        self.arena_bytes.div_ceil(8)
     }
 
     /// Number of elements the forward input must have.
@@ -499,9 +578,10 @@ impl Plan {
 
     /// Estimated bytes of the plan's own metadata: op list, value table,
     /// alias map, level ranges and per-op heap vectors (fused affines,
-    /// permute strides, concat part lists). Weight tensor *data* is
-    /// excluded — it is accounted separately via
-    /// [`PlanStats::weight_bytes`]. The plan cache charges this so
+    /// permute strides, concat part lists, scratch tables). Weight *data*
+    /// — f32 tensors and quantized copies — is excluded; it is accounted
+    /// separately via [`PlanStats::weight_bytes`]. The plan cache charges
+    /// this so
     /// `MFAPLACE_PLAN_CACHE_MB` bounds what the process actually holds,
     /// not just arenas and weights.
     pub fn metadata_bytes(&self) -> usize {
@@ -515,6 +595,8 @@ impl Plan {
             b += v.shape.len() * size_of::<usize>();
         }
         for step in &self.steps {
+            b += step.staged.len() * size_of::<ValId>()
+                + step.scratch.len() * size_of::<ArenaRange>();
             b += match &step.op {
                 IrOp::Conv2d { affine, .. } => affine
                     .as_ref()
@@ -542,10 +624,10 @@ impl Plan {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "compiled plan: {} ops, arena {:.2} MiB ({} floats)",
+            "compiled plan: {} ops, arena {:.2} MiB ({} bytes)",
             s.ops,
             s.arena_bytes as f64 / (1024.0 * 1024.0),
-            self.arena_len,
+            s.arena_bytes,
         );
         let _ = writeln!(
             out,
@@ -567,6 +649,20 @@ impl Plan {
             "  scheduler: {} levels (critical path {} ops), widest level {} ops, copies elided {}",
             s.levels, s.levels, s.max_level_width, s.copies_elided,
         );
+        if let Some(q) = &s.quant {
+            let _ = writeln!(
+                out,
+                "  int8: {} int8-gemm / {} generic steps; values i8/f16/f32 {}/{}/{}; \
+                 f32 arena {} bytes; quantized weights {} bytes",
+                q.i8_steps,
+                q.generic_steps,
+                q.i8_values,
+                q.f16_values,
+                q.f32_values,
+                q.f32_arena_bytes,
+                q.qweight_bytes,
+            );
+        }
         let _ = write!(
             out,
             "  input {:?} -> output {:?}",
@@ -587,6 +683,7 @@ fn push_weight(
         shape: t.shape().to_vec(),
         numel: t.numel(),
         loc: Loc::Weight(weights.len()),
+        store: Store::F32,
     });
     weights.push(t);
     id
@@ -720,7 +817,6 @@ fn lower_op(
                     n,
                     nv,
                     l,
-                    scratch: ArenaRange::default(),
                 }
             } else {
                 let (b, lq, d) = {
@@ -739,7 +835,6 @@ fn lower_op(
                     lk,
                     d,
                     dv,
-                    scratch: ArenaRange::default(),
                 }
             }
         }
@@ -769,8 +864,6 @@ fn lower_op(
                 oc,
                 oh,
                 ow,
-                cols: ArenaRange::default(),
-                ymat: ArenaRange::default(),
             }
         }
         TapeOp::AddBiasChannel(x, bias) => {
@@ -1114,10 +1207,9 @@ fn fold_bn(
 }
 
 /// First-fit arena allocator over `(off, len)` holes, with coalescing.
-/// Unit-agnostic: the f32 arena allocates in floats, the quantized byte
-/// arena in 64-byte blocks.
+/// Unit-agnostic; [`assign_arena`] allocates in [`BLOCK`]s.
 #[derive(Default)]
-pub(crate) struct FreeList {
+struct FreeList {
     /// Free holes sorted by offset, pairwise non-adjacent.
     free: Vec<(usize, usize)>,
     /// High-water mark: total arena length.
@@ -1125,7 +1217,7 @@ pub(crate) struct FreeList {
 }
 
 impl FreeList {
-    pub(crate) fn alloc(&mut self, len: usize) -> usize {
+    fn alloc(&mut self, len: usize) -> usize {
         if len == 0 {
             return 0;
         }
@@ -1145,12 +1237,7 @@ impl FreeList {
         off
     }
 
-    /// High-water mark: total allocated length so far.
-    pub(crate) fn high(&self) -> usize {
-        self.high
-    }
-
-    pub(crate) fn release(&mut self, off: usize, len: usize) {
+    fn release(&mut self, off: usize, len: usize) {
         if len == 0 {
             return;
         }
@@ -1252,8 +1339,72 @@ fn schedule_levels(
     ranges
 }
 
-/// Assigns every intermediate (and op-local scratch) an arena span from
-/// liveness intervals; returns the arena length in floats.
+/// Byte sizes of the scratch pieces `step`'s kernel consumes, in order.
+/// The single declaration both the allocator and the executor rely on: the
+/// executor takes whole pieces, never recomputing a size.
+///
+/// - generic: one f32 buffer per `staged` operand, an f32 staging buffer
+///   for a narrower-than-f32 output, then the op's own scratch (conv
+///   im2col + `[OC, B*OH*OW]` GEMM result, or one attention score row);
+/// - int8 conv: the quantized input unless it is already stored as i8,
+///   the i8 im2col matrix, the i32 GEMM result;
+/// - int8 matmul: the quantized left operand unless stored as i8, the i32
+///   GEMM result.
+fn scratch_bytes(step: &Step, values: &[ValueInfo]) -> Vec<usize> {
+    let quantized_copy =
+        |v: ValId| (!matches!(values[v].store, Store::I8 { .. })).then_some(values[v].numel);
+    match (&step.kernel, &step.op) {
+        (
+            Kernel::ConvI8 { .. },
+            IrOp::Conv2d {
+                x,
+                b,
+                c,
+                kh,
+                kw,
+                oc,
+                oh,
+                ow,
+                ..
+            },
+        ) => {
+            let ncols = b * oh * ow;
+            quantized_copy(*x)
+                .into_iter()
+                .chain([c * kh * kw * ncols, 4 * oc * ncols])
+                .collect()
+        }
+        (Kernel::MatmulI8 { .. }, IrOp::Matmul { a, m, n, .. }) => {
+            quantized_copy(*a).into_iter().chain([4 * m * n]).collect()
+        }
+        (Kernel::Generic, op) => {
+            let mut pieces: Vec<usize> = step.staged.iter().map(|&v| 4 * values[v].numel).collect();
+            if values[step.out].store != Store::F32 {
+                pieces.push(4 * values[step.out].numel);
+            }
+            match op {
+                IrOp::Conv2d {
+                    b,
+                    c,
+                    kh,
+                    kw,
+                    oc,
+                    oh,
+                    ow,
+                    ..
+                } => pieces.extend([4 * c * kh * kw * b * oh * ow, 4 * oc * b * oh * ow]),
+                IrOp::AttentionTm { lk, .. } => pieces.push(4 * lk),
+                IrOp::AttentionFm { l, .. } => pieces.push(4 * l),
+                _ => {}
+            }
+            pieces
+        }
+        (kernel, op) => unreachable!("{kernel:?} never compiles from {op:?}"),
+    }
+}
+
+/// Assigns every intermediate and every declared scratch piece an arena
+/// span from liveness intervals; returns the arena length in bytes.
 ///
 /// Spans are allocated and released at **level** granularity: all of a
 /// level's outputs and scratch are placed while every span read at or
@@ -1288,62 +1439,34 @@ fn assign_arena(
     }
 
     let mut fl = FreeList::default();
+    let place = |fl: &mut FreeList, len: usize| ArenaRange {
+        off: fl.alloc(len.div_ceil(BLOCK)) * BLOCK,
+        len,
+    };
+    let release = |fl: &mut FreeList, off: usize, len: usize| {
+        fl.release(off / BLOCK, len.div_ceil(BLOCK));
+    };
     let mut freed = vec![false; values.len()];
     for (li, range) in levels.iter().enumerate() {
         // Allocate every output and scratch span of the level first…
-        let mut level_scratch: Vec<ArenaRange> = Vec::new();
         for step in &mut steps[range.clone()] {
             let out = step.out;
-            let out_len = values[out].numel;
-            let off = fl.alloc(out_len);
-            values[out].loc = Loc::Arena { off, len: out_len };
-            match &mut step.op {
-                IrOp::Conv2d {
-                    cols,
-                    ymat,
-                    b,
-                    c,
-                    kh,
-                    kw,
-                    oc,
-                    oh,
-                    ow,
-                    ..
-                } => {
-                    let cl = *c * *kh * *kw * *b * *oh * *ow;
-                    let yl = *oc * *b * *oh * *ow;
-                    *cols = ArenaRange {
-                        off: fl.alloc(cl),
-                        len: cl,
-                    };
-                    *ymat = ArenaRange {
-                        off: fl.alloc(yl),
-                        len: yl,
-                    };
-                    level_scratch.push(*cols);
-                    level_scratch.push(*ymat);
-                }
-                IrOp::AttentionTm { scratch: s, lk, .. } => {
-                    *s = ArenaRange {
-                        off: fl.alloc(*lk),
-                        len: *lk,
-                    };
-                    level_scratch.push(*s);
-                }
-                IrOp::AttentionFm { scratch: s, l, .. } => {
-                    *s = ArenaRange {
-                        off: fl.alloc(*l),
-                        len: *l,
-                    };
-                    level_scratch.push(*s);
-                }
-                _ => {}
-            }
+            let span = place(&mut fl, values[out].numel * values[out].store.elem_bytes());
+            values[out].loc = Loc::Arena {
+                off: span.off,
+                len: span.len,
+            };
+            step.scratch = scratch_bytes(step, values)
+                .into_iter()
+                .map(|len| place(&mut fl, len))
+                .collect();
         }
         // …then release at level end: scratch, operands whose final read
         // is in this level, and outputs nothing ever reads.
-        for s in level_scratch {
-            fl.release(s.off, s.len);
+        for step in &steps[range.clone()] {
+            for s in &step.scratch {
+                release(&mut fl, s.off, s.len);
+            }
         }
         for step in &steps[range.clone()] {
             let mut dying: Vec<ValId> = Vec::new();
@@ -1353,34 +1476,47 @@ fn assign_arena(
                     dying.push(r);
                 }
             });
+            let out = step.out;
+            if last_level[out].is_none() && out != out_root {
+                dying.push(out);
+            }
             for r in dying {
                 if let Loc::Arena { off, len } = values[r].loc {
                     if !freed[r] {
-                        fl.release(off, len);
+                        release(&mut fl, off, len);
                         freed[r] = true;
-                    }
-                }
-            }
-            let out = step.out;
-            if last_level[out].is_none() && out != out_root {
-                if let Loc::Arena { off, len } = values[out].loc {
-                    if !freed[out] {
-                        fl.release(off, len);
-                        freed[out] = true;
                     }
                 }
             }
         }
     }
     // Aliased values share their root's storage (same byte length — a
-    // reshape preserves numel; roots that are weights or the input keep
-    // their non-arena loc).
+    // reshape preserves numel and storage class; roots that are weights
+    // or the input keep their non-arena loc).
     for v in 0..values.len() {
         if alias[v] != v {
             values[v].loc = values[alias[v]].loc;
         }
     }
-    fl.high
+    fl.high * BLOCK
+}
+
+/// The arena spans `step` writes: its output and its scratch pieces.
+pub(crate) fn write_spans<'a>(
+    step: &'a Step,
+    values: &'a [ValueInfo],
+) -> impl Iterator<Item = (usize, usize)> + Clone + 'a {
+    let out = match values[step.out].loc {
+        Loc::Arena { off, len } => Some((off, len)),
+        _ => None,
+    };
+    out.into_iter()
+        .chain(step.scratch.iter().map(|r| (r.off, r.len)))
+        .filter(|&(_, len)| len > 0)
+}
+
+pub(crate) fn spans_overlap(a: (usize, usize), b: (usize, usize)) -> bool {
+    a.0 < b.0 + b.1 && b.0 < a.0 + a.1
 }
 
 /// Post-assignment safety check of the parallel-execution invariant: ops
@@ -1388,29 +1524,11 @@ fn assign_arena(
 /// another same-level op reads. A violation turns into a capture error
 /// (the predictor then falls back to the tape engine) instead of silent
 /// data corruption.
-fn verify_levels(
+pub(crate) fn verify_levels(
     steps: &[Step],
     values: &[ValueInfo],
     levels: &[std::ops::Range<usize>],
 ) -> Result<(), String> {
-    let write_spans = |step: &Step| -> Vec<(usize, usize)> {
-        let mut w = Vec::new();
-        if let Loc::Arena { off, len } = values[step.out].loc {
-            w.push((off, len));
-        }
-        match &step.op {
-            IrOp::Conv2d { cols, ymat, .. } => {
-                w.push((cols.off, cols.len));
-                w.push((ymat.off, ymat.len));
-            }
-            IrOp::AttentionTm { scratch, .. } | IrOp::AttentionFm { scratch, .. } => {
-                w.push((scratch.off, scratch.len));
-            }
-            _ => {}
-        }
-        w.retain(|&(_, len)| len > 0);
-        w
-    };
     let read_spans = |step: &Step| -> Vec<(usize, usize)> {
         let mut r = Vec::new();
         for_each_operand(&step.op, &mut |v| {
@@ -1422,25 +1540,22 @@ fn verify_levels(
         });
         r
     };
-    let overlap = |a: (usize, usize), b: (usize, usize)| a.0 < b.0 + b.1 && b.0 < a.0 + a.1;
     for (li, range) in levels.iter().enumerate() {
         let level = &steps[range.clone()];
         for i in 0..level.len() {
-            let wi = write_spans(&level[i]);
             let ri = read_spans(&level[i]);
             for other in level.iter().skip(i + 1) {
-                let wj = write_spans(other);
                 let rj = read_spans(other);
-                for &a in &wi {
-                    if wj.iter().any(|&b| overlap(a, b)) {
+                for a in write_spans(&level[i], values) {
+                    if write_spans(other, values).any(|b| spans_overlap(a, b)) {
                         return Err(format!("level {li}: write/write span overlap"));
                     }
-                    if rj.iter().any(|&b| overlap(a, b)) {
+                    if rj.iter().any(|&b| spans_overlap(a, b)) {
                         return Err(format!("level {li}: write/read span overlap"));
                     }
                 }
                 for &a in &ri {
-                    if wj.iter().any(|&b| overlap(a, b)) {
+                    if write_spans(other, values).any(|b| spans_overlap(a, b)) {
                         return Err(format!("level {li}: read/write span overlap"));
                     }
                 }

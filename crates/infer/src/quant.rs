@@ -1,11 +1,11 @@
-//! Quantized compiled plans: int8/f16 activation arenas with offline
-//! calibration and a serial byte-arena executor.
+//! Quantization as a lowering pass over [`Plan`]: offline calibration,
+//! [`Plan::quantize`], and the int8 kernels the executor dispatches to.
 //!
-//! A [`QuantPlan`] is built *from* a compiled f32 [`Plan`] plus a
-//! [`Calibration`] (per-step activation abs-max ranges collected by
-//! replaying the f32 plan over representative inputs). It reuses the f32
-//! plan's step list, dependency levels and alias classes unchanged, and
-//! re-derives only the storage layer:
+//! A quantized plan is an ordinary [`Plan`]: same step list, dependency
+//! levels, alias classes, allocator, verifier and run loop as the f32 plan
+//! it was lowered from. [`Plan::quantize`] takes a [`Calibration`]
+//! (per-step activation abs-max ranges collected by replaying the f32 plan
+//! over representative inputs) and rewrites only two tables:
 //!
 //! - every intermediate gets a **storage class** ([`Store`]): `i8`
 //!   (symmetric per-tensor scale, zero-point 0) for conv-trunk values,
@@ -14,27 +14,21 @@
 //!   enough), and f32 where calibration marks a value unquantizable
 //!   (non-finite range) or for the plan output (the level-map acceptance
 //!   contract is stated against f32 logits);
-//! - conv and linear **weights** are quantized per output channel
-//!   (`scale[oc] = absmax(row)/127`), so one i8×i8→i32 GEMM with a
-//!   per-row dequant epilogue replaces the f32 GEMM — the epilogue fuses
-//!   bias/affine/ReLU exactly like the f32 conv epilogue;
-//! - every step compiles to a [`StepPlan`]: `ConvI8`/`MatmulI8` run
-//!   dequant-free on the exact int8 kernels in `mfaplace_tensor::simd`
-//!   (bitwise identical across scalar/AVX2/NEON — integer accumulation
-//!   has no rounding), everything else runs `Generic`: operands are
-//!   dequantized into scratch and the op executes the *same* f32
-//!   arithmetic as the f32 plan ([`crate::exec::exec_op`]).
+//! - every step gets a [`Kernel`]: `ConvI8`/`MatmulI8` carry weights
+//!   quantized per output channel (`scale[oc] = absmax(row)/127`), so one
+//!   i8×i8→i32 GEMM with a per-row dequant epilogue replaces the f32 GEMM
+//!   — the epilogue fuses bias/affine/ReLU exactly like the f32 conv
+//!   epilogue — and run dequant-free on the exact int8 kernels in
+//!   `mfaplace_tensor::simd` (bitwise identical across scalar/AVX2/NEON —
+//!   integer accumulation has no rounding); everything else stays
+//!   `Generic`: operands are dequantized into the step's declared scratch
+//!   and the op executes the *same* f32 arithmetic as the f32 plan
+//!   ([`crate::exec::exec_op`]).
 //!
-//! # Arena
-//!
-//! Activations live in a byte-granular arena (backed by `Vec<u64>` for
-//! 8-byte alignment; spans are allocated in 64-byte blocks, so every
-//! typed view is aligned). Liveness re-runs the f32 plan's level-granular
-//! first-fit scheme with per-value byte sizes. A single shared scratch
-//! region at the arena tail — sized to the largest per-step need — holds
-//! quantize/dequant/im2col/GEMM temporaries; because that region is
-//! shared across steps, the quantized executor is **serial only** (the
-//! f32 plan keeps the parallel level scheduler).
+//! The pass then re-runs the one arena assignment with the narrower value
+//! sizes and each step's declared scratch, so the level-disjointness
+//! verifier, the debug per-op overlap check and the parallel level
+//! scheduler cover quantized plans exactly as they cover f32 ones.
 //!
 //! # Determinism
 //!
@@ -43,71 +37,16 @@
 //! are bitwise-reproducible for a given checkpoint, input set and kernel
 //! backend.
 
-use std::sync::Arc;
-
 use mfaplace_tensor::half::{f16_bits_to_f32, f32_to_f16_bits};
 use mfaplace_tensor::simd;
 
-use crate::exec::{exec_op, run_plan_observed, OpScratch};
-use crate::plan::{for_each_operand, FreeList, IrOp, Loc, Plan, PlanStats, Step, ValId};
+use crate::exec::{direct_f32, piece, replay, span};
+use crate::plan::{for_each_operand, ArenaRange, IrOp, Kernel, Loc, Plan, Step, Store, ValId};
 
-/// Byte-span allocation granularity: every arena span starts on a
-/// 64-byte boundary, so f32/f16/i32 views over the `u64` backing are
-/// always aligned.
-const BLOCK: usize = 64;
-
-/// Numeric precision of a quantized plan's activation arena.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Precision {
-    /// int8 conv trunk + f16 transformer values, int8 GEMM compute.
-    #[default]
-    Int8,
-    /// Everything stored as binary16; compute stays f32 (storage-only).
-    F16,
-}
-
-impl Precision {
-    /// Stable lower-case name (CLI flags, metrics labels, artifacts).
-    pub fn name(self) -> &'static str {
-        match self {
-            Precision::Int8 => "int8",
-            Precision::F16 => "f16",
-        }
-    }
-
-    /// Parses a CLI/env spelling. Accepts `int8`/`i8` and `f16`/`half`.
-    pub fn parse(s: &str) -> Option<Precision> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "int8" | "i8" => Some(Precision::Int8),
-            "f16" | "half" => Some(Precision::F16),
-            _ => None,
-        }
-    }
-
-    /// One-byte artifact tag.
-    pub fn code(self) -> u8 {
-        match self {
-            Precision::Int8 => 1,
-            Precision::F16 => 2,
-        }
-    }
-
-    /// Inverse of [`Precision::code`].
-    pub fn from_code(c: u8) -> Option<Precision> {
-        match c {
-            1 => Some(Precision::Int8),
-            2 => Some(Precision::F16),
-            _ => None,
-        }
-    }
-}
-
-/// Options for [`QuantPlan::build`].
+/// Options for [`Plan::quantize`]. int8 (with f16/f32 islands) is the only
+/// quantized precision, so there is nothing to choose yet.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct QuantOptions {
-    /// Arena precision; see [`Precision`].
-    pub precision: Precision,
-}
+pub struct QuantOptions {}
 
 /// Per-step activation ranges collected by replaying a compiled f32 plan
 /// over representative inputs (the offline calibration pass).
@@ -116,7 +55,7 @@ pub struct QuantOptions {
 /// kind. Step order is a deterministic function of the captured graph
 /// structure, but it is *not* perfectly batch-independent (e.g. the
 /// ViT positional embedding tiles itself with an extra concat at batch
-/// 2+), so [`QuantPlan::build`] aligns calibration entries to the
+/// 2+), so [`Plan::quantize`] aligns calibration entries to the
 /// target plan by op-kind sequence: an exact kind match applies
 /// directly, a near match (at least 90% of steps align under a
 /// longest-common-subsequence pairing — batch-bucket variants of one
@@ -142,6 +81,9 @@ impl Calibration {
     where
         I: IntoIterator<Item = &'a [f32]>,
     {
+        if plan.stats.quant.is_some() {
+            return Err("calibration replays the f32 plan, not a quantized one".into());
+        }
         let mut input_absmax = 0.0f32;
         let mut step_absmax = vec![0.0f32; plan.steps.len()];
         let mut arena = Vec::new();
@@ -149,9 +91,13 @@ impl Calibration {
         for input in batches {
             n += 1;
             input_absmax = fold_absmax(input_absmax, input);
-            run_plan_observed(plan, &mut arena, input, &mut |i, out| {
-                step_absmax[i] = fold_absmax(step_absmax[i], out);
-            });
+            replay(
+                plan,
+                &mut arena,
+                input,
+                1,
+                Some(&mut |i, out| step_absmax[i] = fold_absmax(step_absmax[i], out)),
+            );
         }
         if n == 0 {
             return Err("calibration needs at least one input batch".into());
@@ -318,53 +264,8 @@ fn quantize_one(v: f32, inv_scale: f32) -> i8 {
     (v * inv_scale).round().clamp(-127.0, 127.0) as i8
 }
 
-/// Storage class of one plan value inside the quantized arena.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) enum Store {
-    F32,
-    F16,
-    I8 { scale: f32 },
-}
-
-impl Store {
-    fn elem_bytes(self) -> usize {
-        match self {
-            Store::F32 => 4,
-            Store::F16 => 2,
-            Store::I8 { .. } => 1,
-        }
-    }
-}
-
-/// A byte span in the quantized arena.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct ByteRange {
-    pub off: usize,
-    pub len: usize,
-}
-
-/// How one step executes in the quantized plan.
-#[derive(Clone, Debug)]
-pub(crate) enum StepPlan {
-    /// Conv on the exact int8 GEMM: per-OC weight scales, fused
-    /// bias/affine/ReLU dequant epilogue.
-    ConvI8 {
-        qw: Vec<i8>,
-        wscale: Vec<f32>,
-        x_scale: f32,
-    },
-    /// `x @ W` on the exact int8 GEMM: per-column weight scales.
-    MatmulI8 {
-        qb: Vec<i8>,
-        bscale: Vec<f32>,
-        a_scale: f32,
-    },
-    /// f32 fallback: dequantize operands, run [`exec_op`], requantize.
-    Generic,
-}
-
-/// Counters specific to a quantized plan, surfaced by `model-info`,
-/// `/metrics` and the plan summary.
+/// Counters specific to a quantized plan ([`crate::PlanStats::quant`]),
+/// surfaced by `model-info`, `/metrics` and the plan summary.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct QuantStats {
     /// Step outputs stored as i8 / f16 / f32.
@@ -375,235 +276,98 @@ pub struct QuantStats {
     pub i8_steps: usize,
     /// Steps on the dequantize→f32→requantize fallback path.
     pub generic_steps: usize,
-    /// Quantized arena bytes (value spans + shared scratch region).
+    /// Quantized arena bytes (value spans + per-step scratch).
     pub arena_bytes: usize,
     /// The source f32 plan's arena bytes, for the ≤0.5× contract.
     pub f32_arena_bytes: usize,
     /// Bytes held by quantized weight copies (i8 data + scales).
     pub qweight_bytes: usize,
-    /// Bytes of the shared per-step scratch region (included in
-    /// `arena_bytes`).
-    pub scratch_bytes: usize,
 }
 
-/// A quantized compiled plan: the f32 [`Plan`]'s program with an
-/// int8/f16 storage layer and int8 compute for conv/linear GEMMs.
-#[derive(Clone, Debug)]
-pub struct QuantPlan {
-    pub(crate) base: Arc<Plan>,
-    pub(crate) store: Vec<Store>,
-    pub(crate) spans: Vec<Option<ByteRange>>,
-    pub(crate) qsteps: Vec<StepPlan>,
-    /// Shared per-step scratch region at the arena tail.
-    pub(crate) scratch: ByteRange,
-    arena_bytes: usize,
-    precision: Precision,
-    stats: PlanStats,
-    qstats: QuantStats,
-}
-
-impl QuantPlan {
-    /// Builds a quantized plan from a compiled f32 plan and a
-    /// calibration collected over the same model (any batch bucket —
-    /// entries are aligned to this plan's step list by op kind; see
-    /// [`Calibration`]). A calibration that does not align — e.g. from a
+impl Plan {
+    /// Lowers this f32 plan to int8: narrows value storage, moves eligible
+    /// convs and linears onto the int8 GEMM, and re-runs arena assignment.
+    /// `calib` may come from any batch bucket of the same model — entries
+    /// are aligned to this plan's step list by op kind; see
+    /// [`Calibration`]. A calibration that does not align — e.g. from a
     /// different checkpoint or grid — is an error whose message says to
     /// recalibrate, and callers fall back to f32.
-    pub fn build(
-        base: Arc<Plan>,
-        calib: &Calibration,
-        opts: QuantOptions,
-    ) -> Result<QuantPlan, String> {
-        let step_absmax = align_calibration(calib, &base)?;
-        let n_vals = base.values.len();
+    pub fn quantize(&self, calib: &Calibration, _opts: QuantOptions) -> Result<Plan, String> {
+        if self.stats.quant.is_some() {
+            return Err("plan is already quantized".into());
+        }
+        let step_absmax = align_calibration(calib, self)?;
+        let mut plan = self.clone();
 
         // Per-root activation abs-max: the input from the calibration's
         // input range, every step output from its step entry.
-        let mut val_absmax: Vec<Option<f32>> = vec![None; n_vals];
-        val_absmax[base.input] = Some(calib.input_absmax);
-        for (i, step) in base.steps.iter().enumerate() {
-            val_absmax[step.out] = Some(step_absmax[i]);
+        let mut val_absmax: Vec<Option<f32>> = vec![None; plan.values.len()];
+        val_absmax[plan.input] = Some(calib.input_absmax);
+        for (step, &am) in plan.steps.iter().zip(&step_absmax) {
+            val_absmax[step.out] = Some(am);
         }
 
         // Storage classes. The output root stays f32 (the acceptance
         // contract compares f32 logits); non-finite ranges stay f32.
-        let out_root = base.alias[base.output];
-        let mut store = vec![Store::F32; n_vals];
-        for (i, step) in base.steps.iter().enumerate() {
-            let r = step.out;
-            let am = step_absmax[i];
-            store[r] = if r == out_root || !am.is_finite() {
-                Store::F32
-            } else {
-                match opts.precision {
-                    Precision::F16 => Store::F16,
-                    Precision::Int8 => {
-                        if conv_trunk(&step.op) {
-                            Store::I8 {
-                                scale: absmax_to_scale(am),
-                            }
-                        } else {
-                            Store::F16
-                        }
-                    }
-                }
-            };
-        }
-        for v in 0..n_vals {
-            if base.alias[v] != v {
-                store[v] = store[base.alias[v]];
-            }
-        }
-
-        // Step compilation: int8 kernel paths where eligible.
-        let mut qsteps = Vec::with_capacity(base.steps.len());
-        let mut qweight_bytes = 0usize;
-        for step in base.steps.iter() {
-            let compiled = if opts.precision == Precision::Int8 {
-                compile_i8_step(&base, &val_absmax, step)
-            } else {
-                None
-            };
-            let sp = compiled.unwrap_or(StepPlan::Generic);
-            match &sp {
-                StepPlan::ConvI8 { qw, wscale, .. } => {
-                    qweight_bytes += qw.len() + 4 * wscale.len();
-                }
-                StepPlan::MatmulI8 { qb, bscale, .. } => {
-                    qweight_bytes += qb.len() + 4 * bscale.len();
-                }
-                StepPlan::Generic => {}
-            }
-            qsteps.push(sp);
-        }
-
-        // Byte arena: the f32 plan's level-granular liveness with
-        // per-value byte sizes, plus the shared scratch tail.
-        let (spans, data_bytes) = assign_byte_arena(&base, &store);
-        let scratch_len = base
-            .steps
-            .iter()
-            .zip(&qsteps)
-            .map(|(step, q)| step_scratch_bytes(&base, &store, q, step))
-            .max()
-            .unwrap_or(0);
-        let scratch = ByteRange {
-            off: data_bytes,
-            len: scratch_len,
-        };
-        let arena_bytes = data_bytes + scratch_len;
-
-        let mut qstats = QuantStats {
-            arena_bytes,
-            f32_arena_bytes: base.stats().arena_bytes,
-            qweight_bytes,
-            scratch_bytes: scratch_len,
+        let out_root = plan.alias[plan.output];
+        let mut q = QuantStats {
+            f32_arena_bytes: self.stats.arena_bytes,
             ..QuantStats::default()
         };
-        for step in base.steps.iter() {
-            match store[step.out] {
-                Store::I8 { .. } => qstats.i8_values += 1,
-                Store::F16 => qstats.f16_values += 1,
-                Store::F32 => qstats.f32_values += 1,
-            }
+        for (step, &am) in plan.steps.iter().zip(&step_absmax) {
+            let store = if step.out == out_root || !am.is_finite() {
+                q.f32_values += 1;
+                Store::F32
+            } else if conv_trunk(&step.op) {
+                q.i8_values += 1;
+                Store::I8 {
+                    scale: absmax_to_scale(am),
+                }
+            } else {
+                q.f16_values += 1;
+                Store::F16
+            };
+            plan.values[step.out].store = store;
         }
-        for q in &qsteps {
-            match q {
-                StepPlan::Generic => qstats.generic_steps += 1,
-                _ => qstats.i8_steps += 1,
-            }
+        for v in 0..plan.values.len() {
+            plan.values[v].store = plan.values[plan.alias[v]].store;
         }
 
-        let mut stats = base.stats().clone();
-        stats.arena_bytes = arena_bytes;
-        stats.weight_bytes += qweight_bytes;
+        // Kernels, and the narrow operands each generic step must stage.
+        for i in 0..plan.steps.len() {
+            let kernel = i8_kernel(&plan, &val_absmax, &plan.steps[i]).unwrap_or(Kernel::Generic);
+            let mut staged: Vec<ValId> = Vec::new();
+            match &kernel {
+                Kernel::ConvI8 { qw, wscale, .. } => {
+                    q.i8_steps += 1;
+                    q.qweight_bytes += qw.len() + 4 * wscale.len();
+                }
+                Kernel::MatmulI8 { qb, bscale, .. } => {
+                    q.i8_steps += 1;
+                    q.qweight_bytes += qb.len() + 4 * bscale.len();
+                }
+                Kernel::Generic => {
+                    q.generic_steps += 1;
+                    for_each_operand(&plan.steps[i].op, &mut |v| {
+                        let info = &plan.values[v];
+                        if matches!(info.loc, Loc::Arena { .. })
+                            && info.store != Store::F32
+                            && !staged.contains(&v)
+                        {
+                            staged.push(v);
+                        }
+                    });
+                }
+            }
+            plan.steps[i].kernel = kernel;
+            plan.steps[i].staged = staged;
+        }
 
-        Ok(QuantPlan {
-            base,
-            store,
-            spans,
-            qsteps,
-            scratch,
-            arena_bytes,
-            precision: opts.precision,
-            stats,
-            qstats,
-        })
-    }
-
-    /// The f32 plan this quantized plan was built from.
-    pub fn base(&self) -> &Arc<Plan> {
-        &self.base
-    }
-
-    /// Arena precision.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// Plan counters with `arena_bytes`/`weight_bytes` reflecting the
-    /// quantized storage (op structure counters match the f32 plan).
-    pub fn stats(&self) -> &PlanStats {
-        &self.stats
-    }
-
-    /// Quantization-specific counters.
-    pub fn quant_stats(&self) -> &QuantStats {
-        &self.qstats
-    }
-
-    /// Total arena bytes (value spans + shared scratch).
-    pub fn arena_bytes(&self) -> usize {
-        self.arena_bytes
-    }
-
-    /// Arena length in `u64` backing words.
-    pub fn arena_words(&self) -> usize {
-        self.arena_bytes.div_ceil(8)
-    }
-
-    /// Captured input shape `[B, C, H, W]`.
-    pub fn input_shape(&self) -> &[usize] {
-        self.base.input_shape()
-    }
-
-    /// Output shape.
-    pub fn output_shape(&self) -> &[usize] {
-        self.base.output_shape()
-    }
-
-    /// Elements in one forward's input.
-    pub fn input_numel(&self) -> usize {
-        self.base.input_numel()
-    }
-
-    /// Estimated bytes of this plan's own metadata (the base plan's
-    /// metadata plus the storage/step tables). Quantized weight *data*
-    /// is excluded — it is in [`QuantStats::qweight_bytes`].
-    pub fn metadata_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.base.metadata_bytes()
-            + self.store.len() * size_of::<Store>()
-            + self.spans.len() * size_of::<Option<ByteRange>>()
-            + self.qsteps.len() * size_of::<StepPlan>()
-    }
-
-    /// One-line human summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "quant[{}] {} ops ({} int8-gemm, {} generic); values i8/f16/f32 {}/{}/{}; arena {} B ({} B scratch) vs f32 {} B; qweights {} B",
-            self.precision.name(),
-            self.base.stats().ops,
-            self.qstats.i8_steps,
-            self.qstats.generic_steps,
-            self.qstats.i8_values,
-            self.qstats.f16_values,
-            self.qstats.f32_values,
-            self.qstats.arena_bytes,
-            self.qstats.scratch_bytes,
-            self.qstats.f32_arena_bytes,
-            self.qstats.qweight_bytes,
-        )
+        plan.layout()?;
+        q.arena_bytes = plan.stats.arena_bytes;
+        plan.stats.weight_bytes += q.qweight_bytes;
+        plan.stats.quant = Some(q);
+        Ok(plan)
     }
 }
 
@@ -630,7 +394,7 @@ fn conv_trunk(op: &IrOp) -> bool {
 /// Tries to compile one step onto the exact int8 GEMM path. `None`
 /// means the step runs `Generic` (weight not a table entry, contraction
 /// too long for exact i32, or a non-finite range somewhere).
-fn compile_i8_step(base: &Plan, val_absmax: &[Option<f32>], step: &Step) -> Option<StepPlan> {
+fn i8_kernel(plan: &Plan, val_absmax: &[Option<f32>], step: &Step) -> Option<Kernel> {
     match &step.op {
         IrOp::Conv2d {
             x,
@@ -645,14 +409,14 @@ fn compile_i8_step(base: &Plan, val_absmax: &[Option<f32>], step: &Step) -> Opti
             if k == 0 || k > simd::I8_GEMM_MAX_K {
                 return None;
             }
-            let Loc::Weight(wi) = base.values[*w].loc else {
+            let Loc::Weight(wi) = plan.values[*w].loc else {
                 return None;
             };
-            let x_am = val_absmax[base.alias[*x]]?;
+            let x_am = val_absmax[plan.alias[*x]]?;
             if !x_am.is_finite() {
                 return None;
             }
-            let wd = base.weights[wi].data();
+            let wd = plan.weights[wi].data();
             let mut qw = vec![0i8; oc * k];
             let mut wscale = vec![1.0f32; *oc];
             for row in 0..*oc {
@@ -668,7 +432,7 @@ fn compile_i8_step(base: &Plan, val_absmax: &[Option<f32>], step: &Step) -> Opti
                     *q = quantize_one(v, inv);
                 }
             }
-            Some(StepPlan::ConvI8 {
+            Some(Kernel::ConvI8 {
                 qw,
                 wscale,
                 x_scale: absmax_to_scale(x_am),
@@ -678,14 +442,14 @@ fn compile_i8_step(base: &Plan, val_absmax: &[Option<f32>], step: &Step) -> Opti
             if *k == 0 || *k > simd::I8_GEMM_MAX_K {
                 return None;
             }
-            let Loc::Weight(wi) = base.values[*b].loc else {
+            let Loc::Weight(wi) = plan.values[*b].loc else {
                 return None;
             };
-            let a_am = val_absmax[base.alias[*a]]?;
+            let a_am = val_absmax[plan.alias[*a]]?;
             if !a_am.is_finite() {
                 return None;
             }
-            let wd = base.weights[wi].data();
+            let wd = plan.weights[wi].data();
             let mut qb = vec![0i8; k * n];
             let mut bscale = vec![1.0f32; *n];
             for j in 0..*n {
@@ -703,7 +467,7 @@ fn compile_i8_step(base: &Plan, val_absmax: &[Option<f32>], step: &Step) -> Opti
                     qb[p * n + j] = quantize_one(wd[p * n + j], inv);
                 }
             }
-            Some(StepPlan::MatmulI8 {
+            Some(Kernel::MatmulI8 {
                 qb,
                 bscale,
                 a_scale: absmax_to_scale(a_am),
@@ -713,340 +477,75 @@ fn compile_i8_step(base: &Plan, val_absmax: &[Option<f32>], step: &Step) -> Opti
     }
 }
 
-fn align8(bytes: usize) -> usize {
-    (bytes + 7) & !7
-}
-
-/// Scratch bytes one step's execution carves from the shared region.
-/// Must upper-bound (here: exactly match) the executor's carving.
-fn step_scratch_bytes(base: &Plan, store: &[Store], q: &StepPlan, step: &Step) -> usize {
-    match q {
-        StepPlan::ConvI8 { .. } => {
-            let IrOp::Conv2d {
-                x,
-                b,
-                c,
-                kh,
-                kw,
-                oc,
-                oh,
-                ow,
-                ..
-            } = &step.op
-            else {
-                unreachable!("ConvI8 compiles only from Conv2d");
-            };
-            let ncols = b * oh * ow;
-            let k = c * kh * kw;
-            let mut s = 0usize;
-            if !matches!(store[*x], Store::I8 { .. }) {
-                s += align8(base.values[*x].numel);
-            }
-            s += align8(k * ncols); // i8 im2col matrix
-            s += align8(oc * ncols * 4); // i32 GEMM result
-            s
-        }
-        StepPlan::MatmulI8 { .. } => {
-            let IrOp::Matmul { a, m, k, n, .. } = &step.op else {
-                unreachable!("MatmulI8 compiles only from Matmul");
-            };
-            let mut s = 0usize;
-            if !matches!(store[*a], Store::I8 { .. }) {
-                s += align8(m * k);
-            }
-            s += align8(m * n * 4);
-            s
-        }
-        StepPlan::Generic => {
-            let mut s = 0usize;
-            let mut seen: Vec<ValId> = Vec::new();
-            for_each_operand(&step.op, &mut |v| {
-                if seen.contains(&v) {
-                    return;
-                }
-                seen.push(v);
-                if matches!(base.values[v].loc, Loc::Arena { .. })
-                    && !matches!(store[v], Store::F32)
-                {
-                    s += align8(base.values[v].numel * 4);
-                }
-            });
-            if !matches!(store[step.out], Store::F32) {
-                s += align8(base.values[step.out].numel * 4);
-            }
-            match &step.op {
-                IrOp::Conv2d { cols, ymat, .. } => {
-                    s += align8(cols.len * 4) + align8(ymat.len * 4);
-                }
-                IrOp::AttentionTm { scratch, .. } | IrOp::AttentionFm { scratch, .. } => {
-                    s += align8(scratch.len * 4);
-                }
-                _ => {}
-            }
-            s
-        }
-    }
-}
-
-/// Byte-arena assignment: the f32 plan's level-granular first-fit
-/// liveness re-run with per-value byte sizes (in 64-byte blocks).
-/// Returns per-value spans and the data-region byte length.
-fn assign_byte_arena(base: &Plan, store: &[Store]) -> (Vec<Option<ByteRange>>, usize) {
-    let values = &base.values;
-    let alias = &base.alias;
-    let out_root = alias[base.output];
-    let mut last_level: Vec<Option<usize>> = vec![None; values.len()];
-    for (li, range) in base.levels.iter().enumerate() {
-        for step in &base.steps[range.clone()] {
-            for_each_operand(&step.op, &mut |v| {
-                last_level[alias[v]] = Some(li);
-            });
-        }
-    }
-
-    let mut fl = FreeList::default();
-    let mut spans: Vec<Option<ByteRange>> = vec![None; values.len()];
-    let mut units = vec![0usize; values.len()];
-    let mut freed = vec![false; values.len()];
-    for (li, range) in base.levels.iter().enumerate() {
-        for step in &base.steps[range.clone()] {
-            let out = step.out;
-            let bytes = values[out].numel * store[out].elem_bytes();
-            let u = bytes.div_ceil(BLOCK);
-            let off = fl.alloc(u);
-            units[out] = u;
-            spans[out] = Some(ByteRange {
-                off: off * BLOCK,
-                len: bytes,
-            });
-        }
-        for step in &base.steps[range.clone()] {
-            let mut dying: Vec<ValId> = Vec::new();
-            for_each_operand(&step.op, &mut |v| {
-                let r = alias[v];
-                if last_level[r] == Some(li) && r != out_root && !dying.contains(&r) {
-                    dying.push(r);
-                }
-            });
-            for r in dying {
-                if let Some(sp) = spans[r] {
-                    if !freed[r] {
-                        fl.release(sp.off / BLOCK, units[r]);
-                        freed[r] = true;
-                    }
-                }
-            }
-            let out = step.out;
-            if last_level[out].is_none() && out != out_root {
-                if let Some(sp) = spans[out] {
-                    if !freed[out] {
-                        fl.release(sp.off / BLOCK, units[out]);
-                        freed[out] = true;
-                    }
-                }
-            }
-        }
-    }
-    for v in 0..values.len() {
-        if alias[v] != v {
-            spans[v] = spans[alias[v]];
-            units[v] = units[alias[v]];
-        }
-    }
-    (spans, fl.high() * BLOCK)
-}
-
 // ---------------------------------------------------------------------------
-// Execution
+// Execution: narrow-storage views and the int8 kernels
 // ---------------------------------------------------------------------------
 
-/// Owns the mutable byte arena needed to run a [`QuantPlan`].
-#[derive(Debug)]
-pub struct QuantExecutor {
-    plan: Arc<QuantPlan>,
-    arena: Vec<u64>,
-    runs: u64,
-}
-
-impl QuantExecutor {
-    /// Builds an executor, allocating the byte arena once up front.
-    pub fn new(plan: impl Into<Arc<QuantPlan>>) -> QuantExecutor {
-        let plan = plan.into();
-        let arena = vec![0u64; plan.arena_words()];
-        QuantExecutor {
-            plan,
-            arena,
-            runs: 0,
-        }
-    }
-
-    /// The quantized plan this executor runs.
-    pub fn plan(&self) -> &QuantPlan {
-        &self.plan
-    }
-
-    /// Number of completed forwards.
-    pub fn runs(&self) -> u64 {
-        self.runs
-    }
-
-    /// Runs one forward; the returned f32 output slice is valid until the
-    /// next call.
-    pub fn run_batch(&mut self, input: &[f32]) -> &[f32] {
-        self.runs += 1;
-        run_quant_plan(&self.plan, &mut self.arena, input)
-    }
-}
-
-/// Runs one forward of a quantized plan over caller-owned backing
-/// storage (grown to the plan's requirement, never shrunk). Serial only:
-/// all steps share the plan's single scratch region.
-pub fn run_quant_plan<'a>(qp: &QuantPlan, arena: &'a mut Vec<u64>, input: &[f32]) -> &'a [f32] {
-    assert_eq!(
-        input.len(),
-        qp.input_numel(),
-        "quant plan input length mismatch (plan compiled for shape {:?})",
-        qp.input_shape(),
-    );
-    let words = qp.arena_words();
-    if arena.len() < words {
-        arena.resize(words, 0);
-    }
-    let bytes = arena.as_mut_ptr() as *mut u8;
-    for (step, q) in qp.base.steps.iter().zip(&qp.qsteps) {
-        exec_quant_step(qp, input, bytes, step, q);
-    }
-    mfaplace_rt::timer::count("infer/quant_plan_forwards", 1);
-    let out = qp.base.output;
-    let sp = qp.spans[out].expect("quant plan output is arena-resident");
-    debug_assert!(matches!(qp.store[out], Store::F32));
-    // SAFETY: the output span is 64-byte aligned, initialized by the last
-    // step, inside the arena allocation, and borrowed for `'a`.
-    unsafe {
-        std::slice::from_raw_parts(bytes.add(sp.off) as *const f32, qp.base.values[out].numel)
-    }
-}
-
-/// Bump cursor over the plan's shared scratch region; all carves are
-/// 8-byte aligned and bounds-checked against the build-time sizing.
-struct Cursor {
-    base: *mut u8,
-    off: usize,
-    end: usize,
-}
-
-impl Cursor {
-    fn new(bytes: *mut u8, region: ByteRange) -> Cursor {
-        Cursor {
-            base: bytes,
-            off: region.off,
-            end: region.off + region.len,
-        }
-    }
-}
-
-/// Carves `n` elements of `T` from the scratch cursor.
-///
-/// # Safety
-///
-/// Every carve in one step must be from a distinct cursor range (the
-/// bump guarantees it); the caller must not let two live carves alias.
-unsafe fn take<'x, T>(cur: &mut Cursor, n: usize) -> &'x mut [T] {
-    let sz = align8(n * std::mem::size_of::<T>());
-    assert!(cur.off + sz <= cur.end, "quant scratch overflow");
-    let p = cur.base.add(cur.off) as *mut T;
-    cur.off += sz;
-    std::slice::from_raw_parts_mut(p, n)
-}
-
-/// f32 view of value `v` when no conversion is needed: the forward
-/// input, a weight-table tensor, or an f32-stored arena span.
-///
-/// # Safety
-///
-/// Arena views alias `bytes`; the caller must not hold an overlapping
-/// mutable span (liveness invariant, inherited from the f32 allocator).
-unsafe fn direct_f32<'x>(
-    qp: &'x QuantPlan,
-    input: &'x [f32],
-    bytes: *const u8,
-    v: ValId,
-) -> Option<&'x [f32]> {
-    match qp.base.values[v].loc {
-        Loc::Input => Some(input),
-        Loc::Weight(i) => Some(qp.base.weights[i].data()),
-        Loc::Arena { .. } => match qp.store[v] {
-            Store::F32 => {
-                let sp = qp.spans[v].expect("f32-stored value has a span");
-                Some(std::slice::from_raw_parts(
-                    bytes.add(sp.off) as *const f32,
-                    qp.base.values[v].numel,
-                ))
-            }
-            _ => None,
-        },
-        Loc::Unassigned => unreachable!("read of a fused-away value"),
-    }
-}
-
-/// i8 view of an i8-stored arena value.
-unsafe fn i8_view<'x>(qp: &QuantPlan, bytes: *const u8, v: ValId) -> &'x [i8] {
-    let sp = qp.spans[v].expect("i8-stored value has a span");
-    std::slice::from_raw_parts(bytes.add(sp.off) as *const i8, qp.base.values[v].numel)
+/// Byte offset of arena value `v`.
+fn arena_off(plan: &Plan, v: ValId) -> usize {
+    let Loc::Arena { off, .. } = plan.values[v].loc else {
+        unreachable!("narrow-stored values are arena-resident");
+    };
+    off
 }
 
 /// Dequantizes arena value `v` (f16 or i8 storage) into `dst`.
-unsafe fn dequant_into(qp: &QuantPlan, bytes: *const u8, v: ValId, dst: &mut [f32]) {
-    let sp = qp.spans[v].expect("quantized value has a span");
-    let n = qp.base.values[v].numel;
-    match qp.store[v] {
+///
+/// # Safety
+///
+/// `dst` must not overlap `v`'s span (allocator invariant).
+pub(crate) unsafe fn dequant_into(plan: &Plan, base: *mut u8, v: ValId, dst: &mut [f32]) {
+    let (off, n) = (arena_off(plan, v), plan.values[v].numel);
+    match plan.values[v].store {
         Store::F32 => unreachable!("f32 values are viewed, not dequantized"),
         Store::F16 => {
-            let src = std::slice::from_raw_parts(bytes.add(sp.off) as *const u16, n);
-            for (d, &h) in dst.iter_mut().zip(src) {
+            for (d, &h) in dst.iter_mut().zip(&*span::<u16>(base, off, n)) {
                 *d = f16_bits_to_f32(h);
             }
         }
         Store::I8 { scale } => {
-            let src = std::slice::from_raw_parts(bytes.add(sp.off) as *const i8, n);
-            for (d, &q) in dst.iter_mut().zip(src) {
+            for (d, &q) in dst.iter_mut().zip(&*span::<i8>(base, off, n)) {
                 *d = f32::from(q) * scale;
             }
         }
     }
 }
 
-/// Quantizes value `v` to i8 under `inv_scale`, reading straight from
-/// its storage (f32 view or f16 bits) with no f32 staging buffer.
-unsafe fn quantize_value_into(
-    qp: &QuantPlan,
-    input: &[f32],
-    bytes: *const u8,
+/// The i8 data of operand `v` under `inv_scale`: its own span when it is
+/// stored as i8, otherwise quantized into the step's next scratch piece
+/// straight from its storage (f32 view or f16 bits), with no f32 staging.
+///
+/// # Safety
+///
+/// As [`span`]: the scratch piece and `v`'s span are disjoint by the
+/// allocator invariant.
+unsafe fn i8_operand<'x>(
+    plan: &'x Plan,
+    input: &'x [f32],
+    base: *mut u8,
     v: ValId,
     inv_scale: f32,
-    dst: &mut [i8],
-) {
-    if let Some(src) = direct_f32(qp, input, bytes, v) {
+    scratch: &mut std::slice::Iter<'_, ArenaRange>,
+) -> &'x [i8] {
+    let n = plan.values[v].numel;
+    if matches!(plan.values[v].store, Store::I8 { .. }) {
+        return span(base, arena_off(plan, v), n);
+    }
+    let dst: &mut [i8] = piece(base, scratch.next().expect("declared scratch piece"));
+    if let Some(src) = direct_f32(plan, input, base, v) {
         for (q, &x) in dst.iter_mut().zip(src) {
             *q = quantize_one(x, inv_scale);
         }
-        return;
-    }
-    match qp.store[v] {
-        Store::F16 => {
-            let sp = qp.spans[v].expect("f16-stored value has a span");
-            let src = std::slice::from_raw_parts(
-                bytes.add(sp.off) as *const u16,
-                qp.base.values[v].numel,
-            );
-            for (q, &h) in dst.iter_mut().zip(src) {
-                *q = quantize_one(f16_bits_to_f32(h), inv_scale);
-            }
+    } else {
+        // Not i8 (returned above), not f32 (direct): f16 bits.
+        for (q, &h) in dst
+            .iter_mut()
+            .zip(&*span::<u16>(base, arena_off(plan, v), n))
+        {
+            *q = quantize_one(f16_bits_to_f32(h), inv_scale);
         }
-        // An i8-stored operand is read directly by the caller; f32 is
-        // covered by `direct_f32` above.
-        s => unreachable!("quantize from unexpected store {s:?}"),
     }
+    dst
 }
 
 /// Typed mutable view of a step's destination span.
@@ -1060,15 +559,13 @@ enum DstView<'x> {
 ///
 /// The destination span must be disjoint from every operand span read by
 /// the same step (liveness invariant).
-unsafe fn dst_view<'x>(qp: &QuantPlan, bytes: *mut u8, v: ValId) -> DstView<'x> {
-    let sp = qp.spans[v].expect("step outputs are arena-resident");
-    let n = qp.base.values[v].numel;
-    let p = bytes.add(sp.off);
-    match qp.store[v] {
-        Store::F32 => DstView::F32(std::slice::from_raw_parts_mut(p as *mut f32, n)),
-        Store::F16 => DstView::F16(std::slice::from_raw_parts_mut(p as *mut u16, n)),
+unsafe fn dst_view<'x>(plan: &Plan, base: *mut u8, v: ValId) -> DstView<'x> {
+    let (off, n) = (arena_off(plan, v), plan.values[v].numel);
+    match plan.values[v].store {
+        Store::F32 => DstView::F32(span(base, off, n)),
+        Store::F16 => DstView::F16(span(base, off, n)),
         Store::I8 { scale } => DstView::I8 {
-            q: std::slice::from_raw_parts_mut(p as *mut i8, n),
+            q: span(base, off, n),
             inv: 1.0 / scale,
         },
     }
@@ -1083,9 +580,13 @@ fn put(dv: &mut DstView<'_>, idx: usize, v: f32) {
     }
 }
 
-/// Stores an f32 buffer into a (non-f32) destination span.
-unsafe fn store_into(qp: &QuantPlan, bytes: *mut u8, v: ValId, src: &[f32]) {
-    match dst_view(qp, bytes, v) {
+/// Stores an f32 staging buffer into `v`'s narrower destination span.
+///
+/// # Safety
+///
+/// As [`dst_view`]; `src` must not overlap `v`'s span.
+pub(crate) unsafe fn store_into(plan: &Plan, base: *mut u8, v: ValId, src: &[f32]) {
+    match dst_view(plan, base, v) {
         DstView::F32(d) => d.copy_from_slice(src),
         DstView::F16(d) => {
             for (h, &x) in d.iter_mut().zip(src) {
@@ -1146,176 +647,111 @@ fn im2col_i8(
     }
 }
 
-fn exec_quant_step(qp: &QuantPlan, input: &[f32], bytes: *mut u8, step: &Step, q: &StepPlan) {
-    match q {
-        StepPlan::ConvI8 {
-            qw,
-            wscale,
-            x_scale,
-        } => {
-            let IrOp::Conv2d {
-                x,
-                bias,
-                affine,
-                relu,
-                stride,
-                pad,
-                b,
-                c,
-                h,
-                w_in,
-                kh,
-                kw,
-                oc,
-                oh,
-                ow,
-                ..
-            } = &step.op
-            else {
-                unreachable!("ConvI8 compiles only from Conv2d");
-            };
-            let (b, c, oc, oh, ow) = (*b, *c, *oc, *oh, *ow);
-            let k = c * kh * kw;
-            let ncols = b * oh * ow;
-            let ohow = oh * ow;
-            let mut cur = Cursor::new(bytes, qp.scratch);
-            // SAFETY: carves are disjoint by the bump cursor; arena views
-            // are disjoint from the scratch region and from the dst span
-            // by the liveness invariant.
-            unsafe {
-                let qx: &[i8] = if matches!(qp.store[*x], Store::I8 { .. }) {
-                    i8_view(qp, bytes, *x)
-                } else {
-                    let buf: &mut [i8] = take(&mut cur, qp.base.values[*x].numel);
-                    quantize_value_into(qp, input, bytes, *x, 1.0 / x_scale, buf);
-                    buf
-                };
-                let cols: &mut [i8] = take(&mut cur, k * ncols);
-                cols.fill(0);
-                im2col_i8(qx, b, c, *h, *w_in, *kh, *kw, *stride, *pad, oh, ow, cols);
-                let ymat: &mut [i32] = take(&mut cur, oc * ncols);
-                simd::i8_gemm(qw, cols, ymat, oc, k, ncols);
-                let bias_s =
-                    bias.map(|bv| direct_f32(qp, input, bytes, bv).expect("conv bias is a weight"));
-                let mut dv = dst_view(qp, bytes, step.out);
-                for ocx in 0..oc {
-                    // Exact dequant factor for this output channel; the
-                    // epilogue then replays the f32 epilogue's
-                    // bias→affine→relu sequence per element.
-                    let sc_q = x_scale * wscale[ocx];
-                    let bias_v = bias_s.map(|bv| bv[ocx]);
-                    let aff = affine.as_ref().map(|(sc, sh)| (sc[ocx], sh[ocx]));
-                    for bi in 0..b {
-                        let src_base = (ocx * b + bi) * ohow;
-                        let dst_base = (bi * oc + ocx) * ohow;
-                        for p in 0..ohow {
-                            let mut v = ymat[src_base + p] as f32 * sc_q;
-                            if let Some(bw) = bias_v {
-                                v += bw;
-                            }
-                            if let Some((a, s)) = aff {
-                                v = a * v + s;
-                            }
-                            if *relu {
-                                v = v.max(0.0);
-                            }
-                            put(&mut dv, dst_base + p, v);
-                        }
+/// Conv on the exact int8 GEMM.
+pub(crate) fn conv_i8(
+    plan: &Plan,
+    input: &[f32],
+    base: *mut u8,
+    step: &Step,
+    qw: &[i8],
+    wscale: &[f32],
+    x_scale: f32,
+) {
+    let IrOp::Conv2d {
+        x,
+        bias,
+        affine,
+        relu,
+        stride,
+        pad,
+        b,
+        c,
+        h,
+        w_in,
+        kh,
+        kw,
+        oc,
+        oh,
+        ow,
+        ..
+    } = &step.op
+    else {
+        unreachable!("ConvI8 compiles only from Conv2d");
+    };
+    let (b, c, oc, oh, ow) = (*b, *c, *oc, *oh, *ow);
+    let k = c * kh * kw;
+    let ncols = b * oh * ow;
+    let ohow = oh * ow;
+    let mut scratch = step.scratch.iter();
+    // SAFETY: the scratch pieces are this step's own, each taken once; the
+    // operand views are disjoint from them and from the dst span by the
+    // allocator invariant.
+    unsafe {
+        let qx = i8_operand(plan, input, base, *x, 1.0 / x_scale, &mut scratch);
+        let cols: &mut [i8] = piece(base, scratch.next().expect("i8 im2col piece"));
+        cols.fill(0);
+        im2col_i8(qx, b, c, *h, *w_in, *kh, *kw, *stride, *pad, oh, ow, cols);
+        let ymat: &mut [i32] = piece(base, scratch.next().expect("i32 GEMM piece"));
+        simd::i8_gemm(qw, cols, ymat, oc, k, ncols);
+        let bias_s =
+            bias.map(|bv| direct_f32(plan, input, base, bv).expect("conv bias is a weight"));
+        let mut dv = dst_view(plan, base, step.out);
+        for ocx in 0..oc {
+            // Exact dequant factor for this output channel; the
+            // epilogue then replays the f32 epilogue's
+            // bias→affine→relu sequence per element.
+            let sc_q = x_scale * wscale[ocx];
+            let bias_v = bias_s.map(|bv| bv[ocx]);
+            let aff = affine.as_ref().map(|(sc, sh)| (sc[ocx], sh[ocx]));
+            for bi in 0..b {
+                let src_base = (ocx * b + bi) * ohow;
+                let dst_base = (bi * oc + ocx) * ohow;
+                for p in 0..ohow {
+                    let mut v = ymat[src_base + p] as f32 * sc_q;
+                    if let Some(bw) = bias_v {
+                        v += bw;
                     }
+                    if let Some((a, s)) = aff {
+                        v = a * v + s;
+                    }
+                    if *relu {
+                        v = v.max(0.0);
+                    }
+                    put(&mut dv, dst_base + p, v);
                 }
             }
         }
-        StepPlan::MatmulI8 {
-            qb,
-            bscale,
-            a_scale,
-        } => {
-            let IrOp::Matmul { a, m, k, n, .. } = &step.op else {
-                unreachable!("MatmulI8 compiles only from Matmul");
-            };
-            let (m, k, n) = (*m, *k, *n);
-            let mut cur = Cursor::new(bytes, qp.scratch);
-            // SAFETY: as in ConvI8.
-            unsafe {
-                let qa: &[i8] = if matches!(qp.store[*a], Store::I8 { .. }) {
-                    i8_view(qp, bytes, *a)
-                } else {
-                    let buf: &mut [i8] = take(&mut cur, m * k);
-                    quantize_value_into(qp, input, bytes, *a, 1.0 / a_scale, buf);
-                    buf
-                };
-                let acc: &mut [i32] = take(&mut cur, m * n);
-                simd::i8_gemm(qa, qb, acc, m, k, n);
-                let mut dv = dst_view(qp, bytes, step.out);
-                for i in 0..m {
-                    for j in 0..n {
-                        put(
-                            &mut dv,
-                            i * n + j,
-                            acc[i * n + j] as f32 * (a_scale * bscale[j]),
-                        );
-                    }
-                }
-            }
-        }
-        StepPlan::Generic => {
-            let mut cur = Cursor::new(bytes, qp.scratch);
-            let mut operands: Vec<ValId> = Vec::new();
-            for_each_operand(&step.op, &mut |v| {
-                if !operands.contains(&v) {
-                    operands.push(v);
-                }
-            });
-            // SAFETY: dequant buffers are disjoint cursor carves; direct
-            // views never overlap the dst span (liveness invariant).
-            unsafe {
-                let mut resolved: Vec<(ValId, *const f32, usize)> =
-                    Vec::with_capacity(operands.len());
-                for &v in &operands {
-                    let view: &[f32] = match direct_f32(qp, input, bytes, v) {
-                        Some(s) => s,
-                        None => {
-                            let buf: &mut [f32] = take(&mut cur, qp.base.values[v].numel);
-                            dequant_into(qp, bytes, v, buf);
-                            buf
-                        }
-                    };
-                    resolved.push((v, view.as_ptr(), view.len()));
-                }
-                let out = step.out;
-                let out_numel = qp.base.values[out].numel;
-                let direct_out = matches!(qp.store[out], Store::F32);
-                let dst: &mut [f32] = if direct_out {
-                    let sp = qp.spans[out].expect("step outputs are arena-resident");
-                    std::slice::from_raw_parts_mut(bytes.add(sp.off) as *mut f32, out_numel)
-                } else {
-                    take(&mut cur, out_numel)
-                };
-                let scratch = match &step.op {
-                    IrOp::Conv2d { cols, ymat, .. } => OpScratch {
-                        cols: Some(take(&mut cur, cols.len)),
-                        ymat: Some(take(&mut cur, ymat.len)),
-                        att: None,
-                    },
-                    IrOp::AttentionTm { scratch, .. } | IrOp::AttentionFm { scratch, .. } => {
-                        OpScratch {
-                            att: Some(take(&mut cur, scratch.len)),
-                            ..OpScratch::default()
-                        }
-                    }
-                    _ => OpScratch::default(),
-                };
-                let s = |v: ValId| -> &[f32] {
-                    let &(_, p, len) = resolved
-                        .iter()
-                        .find(|e| e.0 == v)
-                        .expect("operand resolved before exec");
-                    std::slice::from_raw_parts(p, len)
-                };
-                exec_op(&step.op, &s, dst, scratch);
-                if !direct_out {
-                    store_into(qp, bytes, out, dst);
-                }
+    }
+}
+
+/// `x @ W` on the exact int8 GEMM.
+pub(crate) fn matmul_i8(
+    plan: &Plan,
+    input: &[f32],
+    base: *mut u8,
+    step: &Step,
+    qb: &[i8],
+    bscale: &[f32],
+    a_scale: f32,
+) {
+    let IrOp::Matmul { a, m, k, n, .. } = &step.op else {
+        unreachable!("MatmulI8 compiles only from Matmul");
+    };
+    let (m, k, n) = (*m, *k, *n);
+    let mut scratch = step.scratch.iter();
+    // SAFETY: as in `conv_i8`.
+    unsafe {
+        let qa = i8_operand(plan, input, base, *a, 1.0 / a_scale, &mut scratch);
+        let acc: &mut [i32] = piece(base, scratch.next().expect("i32 GEMM piece"));
+        simd::i8_gemm(qa, qb, acc, m, k, n);
+        let mut dv = dst_view(plan, base, step.out);
+        for i in 0..m {
+            for j in 0..n {
+                put(
+                    &mut dv,
+                    i * n + j,
+                    acc[i * n + j] as f32 * (a_scale * bscale[j]),
+                );
             }
         }
     }
@@ -1324,9 +760,11 @@ fn exec_quant_step(qp: &QuantPlan, input: &[f32], bytes: *mut u8, step: &Step, q
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::PlanOptions;
+    use crate::plan::{verify_levels, PlanOptions};
+    use crate::run_plan;
     use mfaplace_autograd::Graph;
     use mfaplace_tensor::Tensor;
+    use std::sync::Arc;
 
     /// conv(3→4, relu) → sigmoid → conv(4→2): exercises an i8-stored
     /// value (conv1 out), an f16-stored value (sigmoid out, consumed by
@@ -1363,14 +801,15 @@ mod tests {
     fn int8_plan_tracks_f32_plan() {
         let (plan, input) = conv_net(2);
         let calib = Calibration::collect(&plan, [input.as_slice()]).unwrap();
-        let qp = QuantPlan::build(plan.clone(), &calib, QuantOptions::default()).unwrap();
-        assert!(qp.quant_stats().i8_steps >= 2, "{}", qp.summary());
-        assert!(qp.quant_stats().i8_values >= 1, "{}", qp.summary());
-        assert!(qp.quant_stats().f16_values >= 1, "{}", qp.summary());
+        let qp = plan.quantize(&calib, QuantOptions::default()).unwrap();
+        let qs = qp.stats().quant.clone().expect("quantized");
+        assert!(qs.i8_steps >= 2, "{}", qp.summary());
+        assert!(qs.i8_values >= 1, "{}", qp.summary());
+        assert!(qs.f16_values >= 1, "{}", qp.summary());
 
         let mut arena = Vec::new();
-        let f32_out = crate::run_plan(&plan, &mut arena, &input).to_vec();
-        let mut qx = QuantExecutor::new(qp);
+        let f32_out = run_plan(&plan, &mut arena, &input, 1).to_vec();
+        let mut qx = crate::PlanExecutor::new(qp);
         let q_out = qx.run_batch(&input).to_vec();
         assert_eq!(f32_out.len(), q_out.len());
         let tol = 0.05 * max_abs(&f32_out) + 1e-3;
@@ -1383,34 +822,11 @@ mod tests {
     }
 
     #[test]
-    fn f16_plan_is_close_and_arena_shrinks() {
-        let (plan, input) = conv_net(1);
-        let calib = Calibration::collect(&plan, [input.as_slice()]).unwrap();
-        let qp = QuantPlan::build(
-            plan.clone(),
-            &calib,
-            QuantOptions {
-                precision: Precision::F16,
-            },
-        )
-        .unwrap();
-        assert_eq!(qp.quant_stats().i8_steps, 0);
-        let mut arena = Vec::new();
-        let f32_out = crate::run_plan(&plan, &mut arena, &input).to_vec();
-        let mut qx = QuantExecutor::new(qp);
-        let q_out = qx.run_batch(&input);
-        let tol = 2e-3 * max_abs(&f32_out) + 1e-5;
-        for (a, b) in f32_out.iter().zip(q_out) {
-            assert!((a - b).abs() <= tol, "f32 {a} vs f16 {b}");
-        }
-    }
-
-    #[test]
     fn int8_arena_is_at_most_half_of_f32() {
         let (plan, input) = conv_net(4);
         let calib = Calibration::collect(&plan, [input.as_slice()]).unwrap();
-        let qp = QuantPlan::build(plan, &calib, QuantOptions::default()).unwrap();
-        let qs = qp.quant_stats();
+        let qp = plan.quantize(&calib, QuantOptions::default()).unwrap();
+        let qs = qp.stats().quant.as_ref().expect("quantized");
         assert!(
             qs.arena_bytes * 2 <= qs.f32_arena_bytes,
             "quant arena {} B vs f32 {} B — {}",
@@ -1440,7 +856,42 @@ mod tests {
             step_absmax: calib.step_absmax[..calib.steps() - 1].to_vec(),
             kinds: calib.kinds[..calib.steps() - 1].to_vec(),
         };
-        let err = QuantPlan::build(plan, &stale, QuantOptions::default()).unwrap_err();
+        let err = plan.quantize(&stale, QuantOptions::default()).unwrap_err();
         assert!(err.contains("recalibrate"), "{err}");
+    }
+
+    /// The level verifier covers quantized plans: two int8 convs of one
+    /// input share a level, and pointing one's scratch piece at the
+    /// other's output must be rejected.
+    #[test]
+    fn verify_levels_rejects_a_corrupted_quantized_span() {
+        let mut g = Graph::new();
+        g.set_grad_enabled(false);
+        let w = |g: &mut Graph, salt: usize| {
+            g.param(Tensor::from_fn(vec![4, 3, 3, 3], |i| {
+                (((i * 37 + salt) % 41) as f32 / 20.5 - 1.0) * 0.35
+            }))
+        };
+        let (w1, w2) = (w(&mut g, 11), w(&mut g, 23));
+        let mark = g.mark();
+        let x = g.constant(Tensor::zeros(vec![1, 3, 8, 8]));
+        let (y1, y2) = (g.conv2d(x, w1, 1, 1), g.conv2d(x, w2, 1, 1));
+        let y = g.add(y1, y2);
+        let plan = Plan::capture(&g, mark, x, y, PlanOptions::default()).unwrap();
+        let input: Vec<f32> = (0..3 * 8 * 8)
+            .map(|i| (i % 13) as f32 / 6.5 - 1.0)
+            .collect();
+        let calib = Calibration::collect(&plan, [input.as_slice()]).unwrap();
+        let mut qp = plan.quantize(&calib, QuantOptions::default()).unwrap();
+        assert_eq!(qp.levels[0].len(), 2, "both convs in the first level");
+        assert!(matches!(qp.steps[0].kernel, Kernel::ConvI8 { .. }));
+        verify_levels(&qp.steps, &qp.values, &qp.levels).expect("sound as built");
+
+        let Loc::Arena { off, .. } = qp.values[qp.steps[0].out].loc else {
+            panic!("conv output is arena-resident");
+        };
+        qp.steps[1].scratch[0].off = off;
+        let err = verify_levels(&qp.steps, &qp.values, &qp.levels).unwrap_err();
+        assert!(err.contains("write/write"), "{err}");
     }
 }

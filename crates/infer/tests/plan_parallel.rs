@@ -1,7 +1,8 @@
 //! Parallel level-scheduler and copy-elision safety suite.
 //!
-//! The contract under test: executing a compiled plan with any worker
-//! count is **bitwise identical** to serial replay, for every zoo
+//! The contract under test: executing a compiled plan — as captured or
+//! quantized to int8 — with any worker count is **bitwise identical** to
+//! serial replay, for every zoo
 //! architecture — same-level ops write pairwise-disjoint arena spans and
 //! every kernel is deterministic at any worker count, so the merge order
 //! of a level cannot change the result. Also pins the copy-elision
@@ -11,7 +12,7 @@
 use std::collections::HashMap;
 
 use mfaplace_autograd::Graph;
-use mfaplace_infer::{plan_workers_from_str, run_plan_workers, Plan, PlanExecutor, PlanOptions};
+use mfaplace_infer::{run_plan, Calibration, Plan, PlanExecutor, PlanOptions, QuantOptions};
 use mfaplace_models::{AnyModel, Arch, ArchSpec, CongestionModel};
 use mfaplace_rt::rng::{SeedableRng, StdRng};
 use mfaplace_tensor::Tensor;
@@ -84,19 +85,28 @@ fn parallel_execution_is_bitwise_identical_to_serial_across_zoo() {
             let x = input_for(2, grid);
             let (tape_out, plan) = record(&mut g, &mut model, &x);
             let mut arena = Vec::new();
-            let serial = run_plan_workers(&plan, &mut arena, x.data(), 1).to_vec();
+            let serial = run_plan(&plan, &mut arena, x.data(), 1).to_vec();
             assert_bitwise(
                 &format!("{arch:?} grid={grid} serial-vs-tape"),
                 &tape_out,
                 &serial,
             );
-            for workers in [2, 4] {
-                let got = run_plan_workers(&plan, &mut arena, x.data(), workers);
-                assert_bitwise(
-                    &format!("{arch:?} grid={grid} workers={workers}"),
-                    &serial,
-                    got,
-                );
+            let calib = Calibration::collect(&plan, [x.data()]).expect("calibration");
+            let int8 = plan
+                .quantize(&calib, QuantOptions::default())
+                .expect("quantize");
+            for (flavour, plan) in [("f32", &plan), ("int8", &int8)] {
+                // Each flavour against its own serial replay: once per
+                // worker count, then a second run over the same arena.
+                let serial = run_plan(plan, &mut arena, x.data(), 1).to_vec();
+                for workers in [1, 2, 4, 4] {
+                    let got = run_plan(plan, &mut arena, x.data(), workers);
+                    assert_bitwise(
+                        &format!("{arch:?} grid={grid} {flavour} workers={workers}"),
+                        &serial,
+                        got,
+                    );
+                }
             }
         }
     }
@@ -172,7 +182,7 @@ fn copy_elision_is_safe_when_source_is_read_after_the_alias() {
     assert!(s.copies_elided >= 2, "reshapes not elided: {s:?}");
     let mut arena = Vec::new();
     for workers in [1, 2, 4] {
-        let got = run_plan_workers(&plan, &mut arena, g.value(x).data(), workers);
+        let got = run_plan(&plan, &mut arena, g.value(x).data(), workers);
         assert_bitwise(&format!("elision workers={workers}"), &tape_out, got);
     }
 }
@@ -191,19 +201,6 @@ fn output_reshape_of_the_input_keeps_its_copy() {
 
     let plan = Plan::capture(&g, mark, x, y, PlanOptions::default()).expect("capture");
     let mut arena = Vec::new();
-    let got = run_plan_workers(&plan, &mut arena, g.value(x).data(), 4);
+    let got = run_plan(&plan, &mut arena, g.value(x).data(), 4);
     assert_bitwise("input-rooted output reshape", &tape_out, got);
-}
-
-#[test]
-fn plan_workers_env_parsing() {
-    let fallback = plan_workers_from_str(None);
-    assert!(fallback >= 1, "fallback must be a positive pool budget");
-    assert_eq!(plan_workers_from_str(Some("4")), 4);
-    assert_eq!(plan_workers_from_str(Some(" 2 ")), 2);
-    assert_eq!(plan_workers_from_str(Some("1")), 1);
-    // Zero, junk and empty all fall back to the pool budget.
-    assert_eq!(plan_workers_from_str(Some("0")), fallback);
-    assert_eq!(plan_workers_from_str(Some("lots")), fallback);
-    assert_eq!(plan_workers_from_str(Some("")), fallback);
 }

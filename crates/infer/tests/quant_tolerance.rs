@@ -27,10 +27,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use mfaplace_autograd::Graph;
-use mfaplace_infer::{
-    run_quant_plan, Calibration, Plan, PlanExecutor, PlanOptions, Precision, QuantOptions,
-    QuantPlan,
-};
+use mfaplace_infer::{run_plan, Calibration, Plan, PlanExecutor, PlanOptions, QuantOptions};
 use mfaplace_models::{AnyModel, Arch, ArchSpec, CongestionModel};
 use mfaplace_rt::rng::{SeedableRng, StdRng};
 use mfaplace_tensor::Tensor;
@@ -141,70 +138,57 @@ fn compare_level_maps(
 }
 
 /// Calibrates over three fixed-seed inputs and returns the quant plan.
-fn calibrated_quant_plan(plan: &Arc<Plan>, grid: usize, precision: Precision) -> QuantPlan {
+fn calibrated_quant_plan(plan: &Plan, grid: usize) -> Plan {
     let calib_inputs: Vec<Tensor> = (0..3).map(|s| input_for(1, grid, s)).collect();
     let calib =
         Calibration::collect(plan, calib_inputs.iter().map(|t| t.data())).expect("calibration");
-    QuantPlan::build(plan.clone(), &calib, QuantOptions { precision }).expect("quant build")
+    plan.quantize(&calib, QuantOptions::default())
+        .expect("quant build")
 }
 
-fn assert_level_map_contract(arch: Arch, grid: usize, precision: Precision) {
+fn assert_level_map_contract(arch: Arch, grid: usize) {
     let (mut g, mut model) = build(arch, grid);
     let mut cache = HashMap::new();
     let x_eval = input_for(1, grid, 1000); // held out of calibration
     let plan = capture(&mut g, &mut model, &x_eval, &mut cache);
-    let qplan = calibrated_quant_plan(&plan, grid, precision);
+    let qplan = calibrated_quant_plan(&plan, grid);
 
-    let qs = qplan.quant_stats();
-    if precision == Precision::Int8 {
-        assert!(qs.i8_steps > 0, "{arch:?} grid {grid}: no int8 GEMM steps");
-        // The headline acceptance bound: total quantized arena (value
-        // spans plus shared scratch) at most half the f32 arena.
-        assert!(
-            2 * qs.arena_bytes <= qs.f32_arena_bytes,
-            "{arch:?} grid {grid}: int8 arena {} bytes exceeds half of \
-             the f32 arena {} bytes",
-            qs.arena_bytes,
-            qs.f32_arena_bytes,
-        );
-    } else {
-        // f16 halves every stored value, but its generic steps stage
-        // operands through the shared f32 scratch region, which can
-        // dominate small plans — so the bound excludes scratch.
-        assert!(
-            2 * (qs.arena_bytes - qs.scratch_bytes) <= qs.f32_arena_bytes,
-            "{arch:?} grid {grid}: f16 value spans {} bytes (of {} total) \
-             exceed half of the f32 arena {} bytes",
-            qs.arena_bytes - qs.scratch_bytes,
-            qs.arena_bytes,
-            qs.f32_arena_bytes,
-        );
-    }
+    let qs = qplan.stats().quant.as_ref().expect("quantized plan");
+    assert!(qs.i8_steps > 0, "{arch:?} grid {grid}: no int8 GEMM steps");
+    // The headline acceptance bound: total quantized arena (value spans
+    // plus per-step scratch) at most half the f32 arena.
+    assert!(
+        2 * qs.arena_bytes <= qs.f32_arena_bytes,
+        "{arch:?} grid {grid}: int8 arena {} bytes exceeds half of \
+         the f32 arena {} bytes",
+        qs.arena_bytes,
+        qs.f32_arena_bytes,
+    );
 
     let mut exec = PlanExecutor::new((*plan).clone());
     let f32_out = exec.run_batch(x_eval.data()).to_vec();
     let mut arena = Vec::new();
-    let q_out = run_quant_plan(&qplan, &mut arena, x_eval.data()).to_vec();
+    let q_out = run_plan(&qplan, &mut arena, x_eval.data(), 1).to_vec();
 
     let (flips_decisive, flips_total, tiles) = compare_level_maps(&f32_out, &q_out, 1, grid);
     assert_eq!(
         flips_decisive, 0,
-        "{arch:?} grid {grid} {precision:?}: quantization changed the \
+        "{arch:?} grid {grid}: quantization changed the \
          predicted level on a decisive tile (f32 margin > {DECISION_TOL} \
          of output scale)"
     );
     assert!(
         (flips_total as f32) <= MAX_FLIP_FRACTION * tiles as f32,
-        "{arch:?} grid {grid} {precision:?}: {flips_total} of {tiles} \
+        "{arch:?} grid {grid}: {flips_total} of {tiles} \
          tiles changed level (near-tie budget is {MAX_FLIP_FRACTION})"
     );
 
     // Quantized execution is bitwise deterministic run to run.
-    let again = run_quant_plan(&qplan, &mut arena, x_eval.data());
+    let again = run_plan(&qplan, &mut arena, x_eval.data(), 1);
     assert_eq!(
         q_out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         again.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        "{arch:?} grid {grid} {precision:?}: quant forward drifted across runs"
+        "{arch:?} grid {grid}: quant forward drifted across runs"
     );
 }
 
@@ -212,16 +196,7 @@ fn assert_level_map_contract(arch: Arch, grid: usize, precision: Precision) {
 fn int8_plan_preserves_the_level_map_across_zoo_and_grids() {
     for arch in ARCHS {
         for grid in [16, 32] {
-            assert_level_map_contract(arch, grid, Precision::Int8);
-        }
-    }
-}
-
-#[test]
-fn f16_plan_preserves_the_level_map_across_zoo_and_grids() {
-    for arch in ARCHS {
-        for grid in [16, 32] {
-            assert_level_map_contract(arch, grid, Precision::F16);
+            assert_level_map_contract(arch, grid);
         }
     }
 }
@@ -271,18 +246,13 @@ fn batch1_calibration_aligns_onto_larger_batch_plans() {
         "expected the batched plan to have a different step list \
          (otherwise this test exercises nothing)"
     );
-    let qplan = QuantPlan::build(
-        plan3.clone(),
-        &calib,
-        QuantOptions {
-            precision: Precision::Int8,
-        },
-    )
-    .expect("aligned quant build");
+    let qplan = plan3
+        .quantize(&calib, QuantOptions::default())
+        .expect("aligned quant build");
     let mut exec = PlanExecutor::new((*plan3).clone());
     let f32_out = exec.run_batch(x3.data()).to_vec();
     let mut arena = Vec::new();
-    let q_out = run_quant_plan(&qplan, &mut arena, x3.data()).to_vec();
+    let q_out = run_plan(&qplan, &mut arena, x3.data(), 1).to_vec();
     let (flips_decisive, flips_total, tiles) = compare_level_maps(&f32_out, &q_out, 3, grid);
     assert_eq!(
         flips_decisive, 0,

@@ -7,8 +7,10 @@
 //!
 //! Recording is on by default and costs one `Instant::now` pair plus a
 //! mutex lock per scope — intended for coarse scopes (a training epoch, a
-//! routing pass), not inner loops. Set `MFAPLACE_TIMERS=0` to disable
-//! recording entirely.
+//! routing pass), not inner loops. Only the first record under a label
+//! allocates (its registry key); after that a scope or count is
+//! allocation-free, which the compiled-plan forward relies on. Set
+//! `MFAPLACE_TIMERS=0` to disable recording entirely.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -51,13 +53,22 @@ fn enabled() -> bool {
         .load(Ordering::Relaxed)
 }
 
+/// The entry for `name`, looked up by `&str` so that only the first use of
+/// a label copies it.
+fn slot<'a, V: Default>(map: &'a mut BTreeMap<String, V>, name: &str) -> &'a mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_owned(), V::default());
+    }
+    map.get_mut(name).expect("present or just inserted")
+}
+
 /// Records one completed invocation of `name` taking `dur`.
 pub fn record(name: &str, dur: Duration) {
     if !enabled() {
         return;
     }
     let mut timers = registry().timers.lock().expect("timer registry poisoned");
-    let stat = timers.entry(name.to_owned()).or_default();
+    let stat = slot(&mut timers, name);
     stat.calls += 1;
     stat.total += dur;
     stat.max = stat.max.max(dur);
@@ -72,7 +83,7 @@ pub fn count(name: &str, n: u64) {
         .counters
         .lock()
         .expect("counter registry poisoned");
-    *counters.entry(name.to_owned()).or_insert(0) += n;
+    *slot(&mut counters, name) += n;
 }
 
 /// Clears all recorded timings and counters.
@@ -98,24 +109,24 @@ pub fn reset() {
 /// }
 /// assert!(mfaplace_rt::timer::report().contains("demo/scope"));
 /// ```
-pub struct ScopeTimer {
-    name: String,
+pub struct ScopeTimer<'a> {
+    name: &'a str,
     start: Instant,
 }
 
-impl ScopeTimer {
+impl<'a> ScopeTimer<'a> {
     /// Starts a timer that reports under `name` when dropped.
-    pub fn new(name: &str) -> Self {
+    pub fn new(name: &'a str) -> Self {
         ScopeTimer {
-            name: name.to_owned(),
+            name,
             start: Instant::now(),
         }
     }
 }
 
-impl Drop for ScopeTimer {
+impl Drop for ScopeTimer<'_> {
     fn drop(&mut self) {
-        record(&self.name, self.start.elapsed());
+        record(self.name, self.start.elapsed());
     }
 }
 

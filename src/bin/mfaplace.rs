@@ -26,7 +26,7 @@ use mfaplace::core::loader::{
 };
 use mfaplace::core::predictor::Engine;
 use mfaplace::core::train::{TrainConfig, Trainer};
-use mfaplace::core::{compile_for_serving, is_artifact, read_artifact, Precision};
+use mfaplace::core::{compile_for_serving, is_artifact, read_artifact};
 use mfaplace::fpga::design::{Design, DesignPreset};
 use mfaplace::fpga::features::FeatureStack;
 use mfaplace::fpga::gridmap::GridMap;
@@ -84,7 +84,7 @@ const USAGE: &str = "usage:
   mfaplace kernels    (report detected/active SIMD kernel backend)
   mfaplace compile    --model <file.mfaw> --calib <file.nl> [--calib <file.nl> ...] \\
                       [--placements N] [--iterations N] [--seed N] \\
-                      [--precision int8|f16] [--fold-bn] --out <file.mfaq>
+                      [--fold-bn] --out <file.mfaq>
   mfaplace serve      --model [name=]<file.mfaw|file.mfaq> [--model name=<path> ...] \\
                       [--addr host:port] [--engine tape|plan|quant] \\
                       [--arch ...] [--grid N] [--channels N]   (v1 checkpoints)
@@ -213,8 +213,7 @@ fn apply_kernels_flag(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// `mfaplace kernels`: reports the runtime kernel-backend dispatch state
-/// and the plan-scheduler worker resolution.
+/// `mfaplace kernels`: reports the runtime kernel-backend dispatch state.
 fn cmd_kernels() -> Result<(), String> {
     let names: Vec<&str> = simd::supported().iter().map(|b| b.name()).collect();
     println!("active backend: {}", simd::active().name());
@@ -224,14 +223,6 @@ fn cmd_kernels() -> Result<(), String> {
         "int8 GEMM:      exact i32 accumulation, bitwise across backends \
          (max contraction {})",
         simd::I8_GEMM_MAX_K,
-    );
-    println!(
-        "plan workers:   {} (MFAPLACE_PLAN_WORKERS{}, pool budget {})",
-        mfaplace_infer::plan_workers_from_env(),
-        std::env::var("MFAPLACE_PLAN_WORKERS")
-            .map(|v| format!("={v}"))
-            .unwrap_or_else(|_| " unset".to_string()),
-        mfaplace_rt::pool::max_threads(),
     );
     Ok(())
 }
@@ -549,11 +540,6 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
 fn cmd_compile(flags: &Flags) -> Result<(), String> {
     let model_path = get(flags, "model")?;
     let out = get(flags, "out")?;
-    let precision = match flags.get("precision") {
-        None => Precision::Int8,
-        Some(v) => Precision::parse(v)
-            .ok_or_else(|| format!("invalid value for --precision: {v:?} (use int8 or f16)"))?,
-    };
     let fold_bn = flags.contains_key("fold-bn");
     let calib_paths = flags.all("calib");
     if calib_paths.is_empty() {
@@ -587,13 +573,16 @@ fn cmd_compile(flags: &Flags) -> Result<(), String> {
         inputs.extend(ds.samples.into_iter().map(|s| s.features));
     }
 
-    let report = compile_for_serving(model_path, opts, &inputs, precision, fold_bn, out)?;
-    let q = &report.qstats;
+    let report = compile_for_serving(model_path, opts, &inputs, fold_bn, out)?;
+    let q = report
+        .stats
+        .quant
+        .as_ref()
+        .expect("compile_for_serving returns the quantized plan's stats");
     println!(
-        "compiled {} (grid {}) for {} serving{}: {} calibration inputs",
+        "compiled {} (grid {}) for int8 serving{}: {} calibration inputs",
         report.spec.arch.model_name(),
         report.spec.grid,
-        precision.name(),
         if fold_bn { ", bn folded" } else { "" },
         report.calib_inputs,
     );
@@ -623,8 +612,7 @@ fn cmd_model_info(flags: &Flags) -> Result<(), String> {
     if is_artifact(path) {
         let art = read_artifact(path)?;
         println!(
-            "{path}: quantized serving artifact ({}, bn {})",
-            art.precision.name(),
+            "{path}: quantized serving artifact (int8, bn {})",
             if art.fold_bn { "folded" } else { "unfolded" },
         );
         println!(
@@ -637,9 +625,11 @@ fn cmd_model_info(flags: &Flags) -> Result<(), String> {
         match load_predictor(path, load_options(flags)?) {
             Err(e) => println!("  quant plan: unavailable ({e})"),
             Ok((spec, mut predictor)) => {
-                match predictor.compile_quant_plan(1, 6, spec.grid, spec.grid) {
+                predictor.set_engine(Engine::Quant);
+                match predictor.compile_plan(1, 6, spec.grid, spec.grid) {
                     Err(e) => println!("  quant plan: unavailable ({e})"),
-                    Ok((s, q)) => {
+                    Ok(s) => {
+                        let q = s.quant.as_ref().expect("the quant engine compiles int8");
                         println!(
                             "  quant plan (batch 1, grid {}): {} ops, arena {} bytes \
                              ({:.2}x of f32 {} bytes), {} levels",
@@ -655,10 +645,7 @@ fn cmd_model_info(flags: &Flags) -> Result<(), String> {
                              {} int8-GEMM steps, {} generic",
                             q.i8_values, q.f16_values, q.f32_values, q.i8_steps, q.generic_steps,
                         );
-                        println!(
-                            "  quant weights: {} bytes quantized, scratch {} bytes",
-                            q.qweight_bytes, q.scratch_bytes,
-                        );
+                        println!("  quant weights: {} bytes quantized", q.qweight_bytes);
                     }
                 }
             }
@@ -713,12 +700,8 @@ fn cmd_model_info(flags: &Flags) -> Result<(), String> {
                 );
                 println!(
                     "  plan scheduler: {} levels, critical-path depth {} ops, \
-                         widest level {} ops, {} copies elided, {} workers",
-                    s.levels,
-                    s.levels,
-                    s.max_level_width,
-                    s.copies_elided,
-                    predictor.plan_workers(),
+                         widest level {} ops, {} copies elided",
+                    s.levels, s.levels, s.max_level_width, s.copies_elided,
                 );
             }
         },
