@@ -44,6 +44,11 @@ echo "==> fused-attention equivalence + buffer-pool suite"
 cargo test -q -p mfaplace-autograd --offline --test attention_equivalence
 cargo test -q -p mfaplace-nn --offline --test fused_attention
 cargo test -q -p mfaplace-models --offline --test fused_mfa
+# The attention kernels' other two contracts, by name, so a regression is
+# attributed: any thread count gives the same bits, and a serial plan
+# forward allocates nothing.
+cargo test -q -p mfaplace-tensor --offline --test parallel_equivalence
+cargo test -q -p mfaplace-infer --offline --test no_alloc
 
 echo "==> training determinism + checkpoint/resume suite"
 cargo test -q -p mfaplace-core --offline --test train_determinism
@@ -125,6 +130,18 @@ if [ -z "$ACTIVE" ] || [ "$ACTIVE" != "$REPORTED" ]; then
     exit 1
 fi
 echo "    active backend: $ACTIVE (consistent)"
+
+# ROADMAP item 1's "stages sum to the end-to-end figure", applied to the
+# forward: the per-step profile must account for the replay it timed.
+echo "==> plan profile coverage (steps sum to >= 95% of the forward)"
+./target/release/mfaplace profile --model "$TMP/m.mfaw" >"$TMP/profile.txt"
+sed -n '1,3p;$p' "$TMP/profile.txt"
+awk '/^steps sum/ { found = 1; ok = ($NF + 0 >= 0.95) }
+     END { exit !(found && ok) }' "$TMP/profile.txt" || {
+    echo "profile steps do not sum to >= 95% of the replay wall time" >&2
+    cat "$TMP/profile.txt" >&2
+    exit 1
+}
 
 echo "==> serve smoke test"
 cargo run -q --release --offline -p mfaplace-serve --example smoke

@@ -29,8 +29,8 @@ use mfaplace_fpga::features::FeatureStack;
 use mfaplace_fpga::gridmap::GridMap;
 use mfaplace_fpga::placement::Placement;
 use mfaplace_infer::{
-    run_plan, Calibration, Plan, PlanCache, PlanKey, PlanOptions, PlanPrecision, PlanSource,
-    PlanStats, QuantOptions, QuantStats,
+    profile_plan, run_plan, Calibration, Plan, PlanCache, PlanKey, PlanOptions, PlanPrecision,
+    PlanProfile, PlanSource, PlanStats, QuantOptions, QuantStats,
 };
 use mfaplace_models::{expected_levels, CongestionModel};
 use mfaplace_placer::CongestionPredictor;
@@ -410,6 +410,18 @@ impl<M: CongestionModel> ModelPredictor<M> {
         let shape = vec![Self::bucketed_batch(n), c, h, w];
         let plan = self.resolve_plan(&shape, self.precision())?;
         Ok(plan.stats().clone())
+    }
+
+    /// Per-step timing of one warm serial forward over `input`
+    /// (`[C, H, W]`) through the plan the next single-sample forward would
+    /// run (see [`ModelPredictor::compile_plan`]) — the `mfaplace profile`
+    /// hook. Errors when that plan cannot be built; there is nothing to
+    /// profile on the tape.
+    pub fn profile_plan(&mut self, input: &Tensor) -> Result<PlanProfile, String> {
+        let mut shape = vec![1];
+        shape.extend_from_slice(input.shape());
+        let plan = self.resolve_plan(&shape, self.precision())?;
+        Ok(profile_plan(&plan, &mut self.arena, input.data()))
     }
 
     /// Fetches the plan for `shape` at `precision` from the shared cache,

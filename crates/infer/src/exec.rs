@@ -48,6 +48,7 @@
 //! op in debug builds.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use mfaplace_autograd::gelu_fwd;
 use mfaplace_rt::pool;
@@ -149,12 +150,14 @@ pub fn run_plan<'a>(
     replay(plan, arena, input, workers, None)
 }
 
-/// Called as `observe(step_index, out_slice)` after a step output is written.
-pub(crate) type Observer<'o> = &'o mut dyn FnMut(usize, &[f32]);
+/// Called as `observe(step_index, out)` after each step has run; `out` is
+/// the step's finished output when it is stored as f32.
+pub(crate) type Observer<'o> = &'o mut dyn FnMut(usize, Option<&[f32]>);
 
-/// [`run_plan`] with an optional observer of each f32-stored step output —
-/// the quantization calibrator's hook for collecting per-value activation
-/// ranges. Observed replays are serial; the observer only reads.
+/// [`run_plan`] with an optional per-step observer — the quantization
+/// calibrator's hook for collecting per-value activation ranges and
+/// [`profile_plan`]'s for step boundaries, so the unobserved run loop
+/// carries neither. Observed replays are serial; the observer only reads.
 pub(crate) fn replay<'a>(
     plan: &Plan,
     arena: &'a mut Vec<u64>,
@@ -190,8 +193,8 @@ pub(crate) fn replay<'a>(
         if workers <= 1 || steps.len() == 1 || observe.is_some() {
             for (i, step) in range.clone().zip(steps) {
                 exec_step(plan, input, base, step);
-                if let (Some(observe), Some(out)) = (observe.as_deref_mut(), f32_span(step.out)) {
-                    observe(i, out);
+                if let Some(observe) = observe.as_deref_mut() {
+                    observe(i, f32_span(step.out));
                 }
             }
             continue;
@@ -217,6 +220,86 @@ pub(crate) fn replay<'a>(
     }
     mfaplace_rt::timer::count("infer/plan_forwards", 1);
     f32_span(plan.output).expect("plan output is always an f32 arena span")
+}
+
+/// One step of a [`profile_plan`] replay.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StepProfile {
+    /// Position in the plan's (level-major) step list.
+    pub index: usize,
+    /// Op variant name, suffixed `[i8]` when the step runs on the int8 GEMM.
+    pub kind: String,
+    /// Elements in the step's output value.
+    pub out_numel: usize,
+    /// Wall time from the previous step's end to this step's end.
+    pub ns: u64,
+}
+
+/// Per-step timing of one forward — see [`profile_plan`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PlanProfile {
+    /// Every plan step, in execution order.
+    pub steps: Vec<StepProfile>,
+    /// Wall time of the whole replay call, prologue and epilogue included:
+    /// what the step times must add up to.
+    pub wall_ns: u64,
+}
+
+/// Times every step of one warm serial forward of `plan` over `input`.
+///
+/// Runs the plan once untimed (arena sized, kernel scratch grown, timer
+/// labels registered), then replays it with an observer that reads the
+/// clock at each step boundary. Step `i` is charged the time since step
+/// `i − 1` ended, so the steps tile the replay and their sum falls short
+/// of [`PlanProfile::wall_ns`] only by the loop's own prologue and
+/// epilogue.
+pub fn profile_plan(plan: &Plan, arena: &mut Vec<u64>, input: &[f32]) -> PlanProfile {
+    run_plan(plan, arena, input, 1);
+    // The observer only reads the clock; everything else happens outside
+    // the timed replay. Observed replays are serial, so boundaries arrive
+    // in step order.
+    let mut ends = Vec::with_capacity(plan.steps.len());
+    let start = Instant::now();
+    replay(
+        plan,
+        arena,
+        input,
+        1,
+        Some(&mut |_index, _out| ends.push(Instant::now())),
+    );
+    let wall_ns = start.elapsed().as_nanos() as u64;
+    let mut last = start;
+    let steps = plan
+        .steps
+        .iter()
+        .zip(ends)
+        .enumerate()
+        .map(|(index, (step, end))| {
+            let ns = (end - last).as_nanos() as u64;
+            last = end;
+            StepProfile {
+                index,
+                kind: step_kind(step),
+                out_numel: plan.values[step.out].numel,
+                ns,
+            }
+        })
+        .collect();
+    PlanProfile { steps, wall_ns }
+}
+
+/// The op's variant name, read off its `Debug` form so the op vocabulary
+/// is not spelled out a second time.
+fn step_kind(step: &Step) -> String {
+    let op = format!("{:?}", step.op);
+    let name = op
+        .split(|c: char| !c.is_alphanumeric())
+        .next()
+        .unwrap_or("");
+    match step.kernel {
+        Kernel::Generic => name.to_owned(),
+        Kernel::ConvI8 { .. } | Kernel::MatmulI8 { .. } => format!("{name}[i8]"),
+    }
 }
 
 /// The arena base pointer, shared across a level's workers.

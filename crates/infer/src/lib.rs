@@ -48,6 +48,6 @@ mod quant;
 pub use cache::{
     PlanCache, PlanCacheStats, PlanKey, PlanPrecision, PlanSource, DEFAULT_PLAN_CACHE_BYTES,
 };
-pub use exec::{run_plan, PlanExecutor};
+pub use exec::{profile_plan, run_plan, PlanExecutor, PlanProfile, StepProfile};
 pub use plan::{Plan, PlanOptions, PlanStats};
 pub use quant::{Calibration, QuantOptions, QuantStats};

@@ -96,7 +96,10 @@ impl Calibration {
                 &mut arena,
                 input,
                 1,
-                Some(&mut |i, out| step_absmax[i] = fold_absmax(step_absmax[i], out)),
+                Some(&mut |i, out| {
+                    let out = out.expect("an f32 plan stores every step output as f32");
+                    step_absmax[i] = fold_absmax(step_absmax[i], out);
+                }),
             );
         }
         if n == 0 {

@@ -12,7 +12,9 @@
 use std::collections::HashMap;
 
 use mfaplace_autograd::Graph;
-use mfaplace_infer::{run_plan, Calibration, Plan, PlanExecutor, PlanOptions, QuantOptions};
+use mfaplace_infer::{
+    profile_plan, run_plan, Calibration, Plan, PlanExecutor, PlanOptions, QuantOptions,
+};
 use mfaplace_models::{AnyModel, Arch, ArchSpec, CongestionModel};
 use mfaplace_rt::rng::{SeedableRng, StdRng};
 use mfaplace_tensor::Tensor;
@@ -109,6 +111,46 @@ fn parallel_execution_is_bitwise_identical_to_serial_across_zoo() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn profile_lists_every_step_once_and_accounts_for_the_replay() {
+    let (mut g, mut model) = build(Arch::Ours, 16);
+    let x = input_for(1, 16);
+    let (_, plan) = record(&mut g, &mut model, &x);
+    let calib = Calibration::collect(&plan, [x.data()]).expect("calibration");
+    let int8 = plan
+        .quantize(&calib, QuantOptions::default())
+        .expect("quantize");
+    let mut arena = Vec::new();
+    for (flavour, plan) in [("f32", &plan), ("int8", &int8)] {
+        let want = run_plan(plan, &mut arena, x.data(), 1).to_vec();
+        let profile = profile_plan(plan, &mut arena, x.data());
+        // Profiling is a replay: the arena holds the same output after it.
+        assert_bitwise(flavour, &want, run_plan(plan, &mut arena, x.data(), 1));
+        let indices: Vec<usize> = profile.steps.iter().map(|s| s.index).collect();
+        assert_eq!(
+            indices,
+            (0..plan.stats().ops).collect::<Vec<_>>(),
+            "{flavour}"
+        );
+        let kinds: Vec<&str> = profile.steps.iter().map(|s| s.kind.as_str()).collect();
+        assert!(kinds.contains(&"AttentionFm"), "{flavour}: {kinds:?}");
+        assert_eq!(
+            kinds.contains(&"Conv2d[i8]"),
+            flavour == "int8",
+            "{flavour}: {kinds:?}"
+        );
+        assert!(profile.steps.iter().all(|s| s.out_numel > 0));
+        // Steps tile the replay: they can only fall short of its wall
+        // time, by the run loop's prologue and epilogue.
+        let sum: u64 = profile.steps.iter().map(|s| s.ns).sum();
+        assert!(
+            sum <= profile.wall_ns,
+            "{flavour}: {sum} > {}",
+            profile.wall_ns
+        );
     }
 }
 

@@ -35,6 +35,31 @@
 //! multi-head self-attention and the channel-attention CAM) and
 //! **feature-major** (`[B, D, L]`, the position-attention PAM, which keeps
 //! channels outermost and attends over spatial positions).
+//!
+//! # Tiling, passes and threads
+//!
+//! Both forwards work on tiles of [`ATTN_TILE`] queries, and above one
+//! shared threshold (`L²·(D + Dv) ≥ PAR_GEMM_FLOPS` and more than one
+//! tile) the tiles fan out over the `rt` pool. A tile's outputs depend on
+//! nothing another tile writes and every output element is one FMA chain
+//! in contraction order, so the result is bitwise identical at any thread
+//! count. Token-major tiles are output rows and are written in place;
+//! feature-major tiles are output *columns*, so each is computed into a
+//! tile-local `[Dv, t]` block and scattered (see `fm_forward_vec`). The
+//! serial paths take every buffer from the caller or from this thread's
+//! kernel scratch and allocate nothing; the parallel paths allocate their
+//! per-worker tile buffers.
+//!
+//! On the vector backends a tile is four passes — score GEMM, softmax
+//! numerators, divide, value GEMM — fused wherever fusing leaves each
+//! element's arithmetic untouched: the microkernel overwrites its output,
+//! so reused tile buffers are resized but never zero-filled; the composed
+//! chain's `Scale` node rides the softmax's max and exp sweeps
+//! (`simd::softmax_row_scaled`, an exact IEEE multiply wherever it
+//! happens); and the feature-major forward, whose value product wants the
+//! softmax tile transposed, lets the softmax's exact IEEE divide write
+//! straight into the packed panels (`simd::pack_bt_div`) instead of
+//! normalizing the tile in place and re-reading it to pack.
 
 use mfaplace_rt::pool;
 
@@ -252,7 +277,6 @@ fn tm_forward_vec(
             let mut i0 = 0;
             while i0 < lq {
                 let rows = ATTN_TILE.min(lq - i0);
-                s_buf.clear();
                 s_buf.resize(rows * lk, 0.0);
                 let chunk = &mut ob[i0 * dv..(i0 + rows) * dv];
                 tm_tile_vec(bk, qb, pk, pv, scale, lk, d, dv, i0, rows, chunk, s_buf);
@@ -280,11 +304,8 @@ fn tm_tile_vec(
 ) {
     let s = &mut s[..rows * lk];
     simd::kernel(bk, AView::rows(qb, i0 * d, d), pk, s, rows, d, lk, false);
-    for x in s.iter_mut() {
-        *x *= scale;
-    }
     for r in 0..rows {
-        simd::softmax_row_with(bk, &mut s[r * lk..(r + 1) * lk]);
+        simd::softmax_row_scaled(bk, &mut s[r * lk..(r + 1) * lk], scale);
     }
     simd::kernel(bk, AView::rows(s, 0, lk), pv, chunk, rows, lk, dv, false);
 }
@@ -524,7 +545,6 @@ fn tm_backward_vec(
         while i0 < lq {
             let rows = ATTN_TILE.min(lq - i0);
             // Recompute the softmax tile exactly as the forward did.
-            s_buf.clear();
             s_buf.resize(rows * lk, 0.0);
             simd::kernel(
                 bk,
@@ -536,14 +556,10 @@ fn tm_backward_vec(
                 lk,
                 false,
             );
-            for x in s_buf.iter_mut() {
-                *x *= scale;
-            }
             for r in 0..rows {
-                simd::softmax_row_with(bk, &mut s_buf[r * lk..(r + 1) * lk]);
+                simd::softmax_row_scaled(bk, &mut s_buf[r * lk..(r + 1) * lk], scale);
             }
             // g[t,j] = Σ_c dy[i0+t,c]·v[j,c] (the composed dy·vᵀ tile).
-            g_buf.clear();
             g_buf.resize(rows * lk, 0.0);
             simd::kernel(
                 bk,
@@ -657,8 +673,10 @@ pub fn attention_fm_into(q: &Tensor, k: &Tensor, v: &Tensor, scale: f32, out: &m
 
 /// Slice-level [`attention_fm_into`] with a caller-provided score-row
 /// scratch of at least `l` elements (contents ignored; used by the plan
-/// executor so the forward allocates nothing). `out` may hold any contents;
-/// every element is overwritten.
+/// executor so the serial path allocates nothing per forward). The
+/// parallel tile path allocates its per-worker tile buffers, exactly like
+/// [`attention_tm_slices`]. `out` may hold any contents; every element is
+/// overwritten.
 ///
 /// # Panics
 ///
@@ -680,11 +698,11 @@ pub fn attention_fm_slices(
 }
 
 /// Explicit-backend [`attention_fm_slices`] — the differential suite's
-/// entry point. The vector arm gathers query-column tiles into contiguous
-/// buffers and runs the same score → scale → softmax → weighted-value
-/// sequence through the microkernel, matching the composed
-/// `bmm`/`scale`/`permute`/`softmax`/`bmm` chain bitwise under the same
-/// backend.
+/// entry point. The scalar arm is the verbatim reference loop, one query
+/// column at a time; the vector arm runs query-column tiles through the
+/// microkernel (tile-parallel above the shared threshold, see the module
+/// docs), matching the composed `bmm`/`scale`/`permute`/`softmax`/`bmm`
+/// chain bitwise under the same backend.
 ///
 /// # Panics
 ///
@@ -708,9 +726,6 @@ pub fn attention_fm_slices_with(
     assert_eq!(vd.len(), b * nv * l, "attention_fm v length mismatch");
     assert_eq!(out.len(), b * nv * l, "attention_fm output length mismatch");
     assert!(scratch.len() >= l, "attention_fm scratch too small");
-    // Output columns interleave across queries, so the feature-major
-    // forward stays serial within a batch (attention cost here scales with
-    // L², far above the L·N channel form, and L-sized rows still stream).
     let s = &mut scratch[..l];
     for bi in 0..b {
         let qb = &qd[bi * n * l..(bi + 1) * n * l];
@@ -721,6 +736,9 @@ pub fn attention_fm_slices_with(
             fm_forward_vec(bk, qb, kb, vb, scale, n, nv, l, ob);
             continue;
         }
+        // Scalar reference: one query column at a time, serial — output
+        // columns interleave across queries, so there is no contiguous
+        // per-query chunk to hand a worker.
         for y in 0..l {
             score_row_fm(qb, kb, scale, n, l, y, &mut *s);
             softmax_row(&mut *s);
@@ -741,12 +759,19 @@ pub fn attention_fm_slices_with(
     }
 }
 
-/// Vector-backend feature-major forward for one batch: `k` is packed once;
-/// each query-column tile gathers `q[:, y0..y0+t]` into a contiguous
-/// `[n, t]` buffer, computes the `[t, l]` score tile (TN microkernel),
-/// scales, softmaxes rows, then produces the `[nv, t]` output tile from a
-/// transposed pack of the softmax tile (NT microkernel) and scatters it
-/// back into the interleaved output columns.
+/// Vector-backend feature-major forward for one batch. `k` is packed once;
+/// query-column tiles then run through [`fm_tile_vec`], each producing a
+/// tile-local `[nv, t]` block that is scattered into its output columns.
+///
+/// Tiles are independent (every output element is one thread-independent
+/// FMA chain), so under the token-major path's threshold policy they fan
+/// out over the pool in contiguous blocks, one per worker. A worker's
+/// columns interleave with every other worker's in `ob`, so workers fill a
+/// tile-major staging buffer (disjoint `&mut` blocks) that is scattered
+/// after the join — bitwise identical at any thread count. Like the
+/// token-major path, the parallel arm allocates its per-worker tile
+/// buffers; the serial arm takes them from this thread's [`simd::Scratch`]
+/// and allocates nothing.
 #[allow(clippy::too_many_arguments)]
 fn fm_forward_vec(
     bk: Backend,
@@ -769,44 +794,128 @@ fn fm_forward_vec(
             ..
         } = sc;
         simd::pack_b(kb, n, l, false, pk_buf); // k panels: score contraction over n
-        let mut y0 = 0;
-        while y0 < l {
-            let t = ATTN_TILE.min(l - y0);
-            q_buf.clear();
-            q_buf.resize(n * t, 0.0);
-            for p in 0..n {
-                q_buf[p * t..(p + 1) * t].copy_from_slice(&qb[p * l + y0..p * l + y0 + t]);
+        let pk: &[f32] = pk_buf;
+        let n_tiles = l.div_ceil(ATTN_TILE);
+        let nt = if l * l * (n + nv) >= PAR_GEMM_FLOPS && l > ATTN_TILE && nv > 0 {
+            pool::max_threads().min(n_tiles)
+        } else {
+            1
+        };
+        if nt <= 1 {
+            let mut y0 = 0;
+            while y0 < l {
+                let t = ATTN_TILE.min(l - y0);
+                o_buf.resize(nv * t, 0.0);
+                fm_tile_vec(
+                    bk, qb, pk, vb, scale, n, nv, l, y0, t, q_buf, e_buf, pt_buf, o_buf,
+                );
+                scatter_columns(o_buf, nv, l, y0, t, ob);
+                y0 += t;
             }
-            // e[r,x] = Σ_p q[p,y0+r]·k[p,x], then scale and softmax rows.
-            e_buf.clear();
-            e_buf.resize(t * l, 0.0);
-            let qview = AView {
-                data: q_buf,
-                base: 0,
-                row_stride: 1,
-                p_stride: t,
-            };
-            simd::kernel(bk, qview, pk_buf, e_buf, t, n, l, false);
-            for x in e_buf.iter_mut() {
-                *x *= scale;
+            return;
+        }
+        // Tile `i` owns `staged[i * ATTN_TILE * nv..]`: every tile but the
+        // last is full, so a worker's block of whole tiles is contiguous.
+        let tiles_per = n_tiles.div_ceil(nt);
+        let mut staged = vec![0.0f32; nv * l];
+        pool::parallel_chunks_mut(&mut staged, tiles_per * ATTN_TILE * nv, |wi, mut block| {
+            let (mut q_buf, mut e_buf, mut pt_buf) = (Vec::new(), Vec::new(), Vec::new());
+            let mut y0 = wi * tiles_per * ATTN_TILE;
+            while !block.is_empty() {
+                let t = ATTN_TILE.min(l - y0);
+                let (o_tile, rest) = block.split_at_mut(nv * t);
+                fm_tile_vec(
+                    bk,
+                    qb,
+                    pk,
+                    vb,
+                    scale,
+                    n,
+                    nv,
+                    l,
+                    y0,
+                    t,
+                    &mut q_buf,
+                    &mut e_buf,
+                    &mut pt_buf,
+                    o_tile,
+                );
+                block = rest;
+                y0 += t;
             }
-            for r in 0..t {
-                simd::softmax_row_with(bk, &mut e_buf[r * l..(r + 1) * l]);
-            }
-            // out[c,y0+r] = Σ_x v[c,x]·w[r,x] via a transposed pack of the
-            // softmax tile.
-            simd::pack_b(e_buf, l, t, true, pt_buf);
-            o_buf.clear();
-            o_buf.resize(nv * t, 0.0);
-            simd::kernel(bk, AView::rows(vb, 0, l), pt_buf, o_buf, nv, l, t, false);
-            for c in 0..nv {
-                for r in 0..t {
-                    ob[c * l + y0 + r] = o_buf[c * t + r];
-                }
-            }
-            y0 += t;
+        });
+        for (ti, o_tile) in staged.chunks(ATTN_TILE * nv).enumerate() {
+            scatter_columns(o_tile, nv, l, ti * ATTN_TILE, o_tile.len() / nv, ob);
         }
     });
+}
+
+/// One vector feature-major forward tile: output columns `[y0, y0 + t)` as
+/// a contiguous `[nv, t]` block in `o_tile`. Four passes over the
+/// `[t, l]` tile, each leaving every element's arithmetic exactly that of
+/// the composed `bmm`/`scale`/`permute`/`softmax`/`bmm` chain:
+///
+/// 1. score `e[r,x] = Σ_p q[p,y0+r]·k[p,x]` (TN microkernel; it overwrites
+///    every element, so the reused buffer is never zero-filled);
+/// 2. `e[r,·] ← exp(e[r,·]·scale − max)` with the row sum kept aside — the
+///    scale multiply rides the max and exp sweeps instead of a pass of its
+///    own ([`simd::exp_row_scaled`]);
+/// 3. the softmax's divide, written straight into the transposed panels
+///    the value product reads ([`simd::pack_bt_div`]) rather than back into
+///    the tile to be re-read by a separate pack;
+/// 4. value `o[c,r] = Σ_x v[c,x]·w[r,x]` (NT product as the NN microkernel).
+///
+/// The three `Vec`s are reusable scratch (contents ignored, grown on
+/// demand).
+#[allow(clippy::too_many_arguments)]
+fn fm_tile_vec(
+    bk: Backend,
+    qb: &[f32],
+    pk: &[f32],
+    vb: &[f32],
+    scale: f32,
+    n: usize,
+    nv: usize,
+    l: usize,
+    y0: usize,
+    t: usize,
+    q_buf: &mut Vec<f32>,
+    e_buf: &mut Vec<f32>,
+    pt_buf: &mut Vec<f32>,
+    o_tile: &mut [f32],
+) {
+    gather_columns(qb, n, l, y0, t, q_buf);
+    e_buf.resize(t * l, 0.0);
+    let qview = AView {
+        data: q_buf,
+        base: 0,
+        row_stride: 1,
+        p_stride: t,
+    };
+    simd::kernel(bk, qview, pk, e_buf, t, n, l, false);
+    let mut z = [0.0f32; ATTN_TILE];
+    for (row, zr) in e_buf.chunks_mut(l).zip(&mut z) {
+        *zr = simd::exp_row_scaled(bk, row, scale);
+    }
+    simd::pack_bt_div(e_buf, l, t, &z[..t], pt_buf);
+    simd::kernel(bk, AView::rows(vb, 0, l), pt_buf, o_tile, nv, l, t, false);
+}
+
+/// Gathers columns `[y0, y0 + t)` of the row-major `[rows, l]` matrix `src`
+/// into `buf` as a contiguous `[rows, t]` tile.
+fn gather_columns(src: &[f32], rows: usize, l: usize, y0: usize, t: usize, buf: &mut Vec<f32>) {
+    buf.clear();
+    for r in 0..rows {
+        buf.extend_from_slice(&src[r * l + y0..r * l + y0 + t]);
+    }
+}
+
+/// Inverse of [`gather_columns`]: writes the `[rows, t]` tile into columns
+/// `[y0, y0 + t)` of the row-major `[rows, l]` matrix `dst`.
+fn scatter_columns(tile: &[f32], rows: usize, l: usize, y0: usize, t: usize, dst: &mut [f32]) {
+    for r in 0..rows {
+        dst[r * l + y0..r * l + y0 + t].copy_from_slice(&tile[r * t..(r + 1) * t]);
+    }
 }
 
 /// One scaled feature-major score row
@@ -986,12 +1095,7 @@ fn fm_backward_vec(
         while y0 < l {
             let t = ATTN_TILE.min(l - y0);
             // Recompute the softmax tile exactly as the forward did.
-            q_buf.clear();
-            q_buf.resize(n * t, 0.0);
-            for p in 0..n {
-                q_buf[p * t..(p + 1) * t].copy_from_slice(&qb[p * l + y0..p * l + y0 + t]);
-            }
-            e_buf.clear();
+            gather_columns(qb, n, l, y0, t, q_buf);
             e_buf.resize(t * l, 0.0);
             let qview = AView {
                 data: q_buf,
@@ -1000,20 +1104,11 @@ fn fm_backward_vec(
                 p_stride: t,
             };
             simd::kernel(bk, qview, pk_buf, e_buf, t, n, l, false);
-            for x in e_buf.iter_mut() {
-                *x *= scale;
+            for row in e_buf.chunks_mut(l) {
+                simd::softmax_row_scaled(bk, row, scale);
             }
-            for r in 0..t {
-                simd::softmax_row_with(bk, &mut e_buf[r * l..(r + 1) * l]);
-            }
-            // Gather dy[:, y0..y0+t] into a contiguous [nv, t] tile.
-            dy_buf.clear();
-            dy_buf.resize(nv * t, 0.0);
-            for c in 0..nv {
-                dy_buf[c * t..(c + 1) * t].copy_from_slice(&dyb[c * l + y0..c * l + y0 + t]);
-            }
+            gather_columns(dyb, nv, l, y0, t, dy_buf);
             // g[r,x] = Σ_c dy[c,y0+r]·v[c,x].
-            g_buf.clear();
             g_buf.resize(t * l, 0.0);
             let dyview = AView {
                 data: dy_buf,
@@ -1038,14 +1133,9 @@ fn fm_backward_vec(
             // dq[p,y0+r] = Σ_x k[p,x]·gs[r,x] via a transposed pack of gs;
             // the [n, t] tile reuses the dy buffer, then scatters back.
             simd::pack_b(g_buf, l, t, true, pt_buf);
-            dy_buf.clear();
             dy_buf.resize(n * t, 0.0);
             simd::kernel(bk, AView::rows(kb, 0, l), pt_buf, dy_buf, n, l, t, false);
-            for p in 0..n {
-                for r in 0..t {
-                    dqb[p * l + y0 + r] = dy_buf[p * t + r];
-                }
-            }
+            scatter_columns(dy_buf, n, l, y0, t, dqb);
             // dk[p,x] += Σ_r q[p,y0+r]·gs[r,x]: same accumulate chaining.
             simd::pack_b(g_buf, t, l, false, pt_buf);
             simd::kernel(bk, AView::rows(q_buf, 0, t), pt_buf, dkb, n, t, l, true);

@@ -159,27 +159,31 @@ unsafe fn exp8(x: __m256) -> __m256 {
     _mm256_mul_ps(y, _mm256_castsi256_ps(emm0))
 }
 
-/// In-place softmax of one row: exact max, polynomial exp (vector body +
-/// scalar-twin tail), fixed-tree lane sum + in-order tail sum, exact
-/// divide. Deterministic for a given row regardless of surrounding shape.
+/// Softmax numerators of one scaled row, in place:
+/// `row[i] = exp(row[i]·scale − max_j(row[j]·scale))`; returns their sum.
+/// Exact max of the scaled values, polynomial exp (vector body +
+/// scalar-twin tail), fixed-tree lane sum + in-order tail sum — see
+/// [`super::exp_row_scaled`]. Deterministic for a given row regardless of
+/// surrounding shape.
 ///
 /// # Safety
 ///
 /// Requires AVX2 + FMA.
 #[target_feature(enable = "avx2", enable = "fma")]
-pub(crate) unsafe fn softmax_row(row: &mut [f32]) {
+pub(crate) unsafe fn exp_row_scaled(row: &mut [f32], scale: f32) -> f32 {
     if row.is_empty() {
-        return;
+        return 0.0;
     }
     let n = row.len();
     let body = n / 8 * 8;
     let ptr = row.as_mut_ptr();
+    let sv = _mm256_set1_ps(scale);
     // Row max (exact, so reduction shape is irrelevant for finite data).
     let mut m = f32::NEG_INFINITY;
     if body > 0 {
-        let mut mv = _mm256_loadu_ps(ptr);
+        let mut mv = _mm256_mul_ps(_mm256_loadu_ps(ptr), sv);
         for i in (8..body).step_by(8) {
-            mv = _mm256_max_ps(mv, _mm256_loadu_ps(ptr.add(i)));
+            mv = _mm256_max_ps(mv, _mm256_mul_ps(_mm256_loadu_ps(ptr.add(i)), sv));
         }
         let mut lanes = [0.0f32; 8];
         _mm256_storeu_ps(lanes.as_mut_ptr(), mv);
@@ -188,14 +192,15 @@ pub(crate) unsafe fn softmax_row(row: &mut [f32]) {
         }
     }
     for i in body..n {
-        m = m.max(*ptr.add(i));
+        m = m.max(*ptr.add(i) * scale);
     }
-    // exp(x - m) and the sum: lane partials in a fixed tree, then the tail
-    // in index order.
+    // exp(x·scale - m) and the sum: lane partials in a fixed tree, then the
+    // tail in index order.
     let mv = _mm256_set1_ps(m);
     let mut zv = _mm256_setzero_ps();
     for i in (0..body).step_by(8) {
-        let e = exp8(_mm256_sub_ps(_mm256_loadu_ps(ptr.add(i)), mv));
+        let x = _mm256_mul_ps(_mm256_loadu_ps(ptr.add(i)), sv);
+        let e = exp8(_mm256_sub_ps(x, mv));
         _mm256_storeu_ps(ptr.add(i), e);
         zv = _mm256_add_ps(zv, e);
     }
@@ -204,17 +209,11 @@ pub(crate) unsafe fn softmax_row(row: &mut [f32]) {
     let mut z = ((lanes[0] + lanes[4]) + (lanes[1] + lanes[5]))
         + ((lanes[2] + lanes[6]) + (lanes[3] + lanes[7]));
     for i in body..n {
-        let e = exp_scalar(*ptr.add(i) - m);
+        let e = exp_scalar(*ptr.add(i) * scale - m);
         *ptr.add(i) = e;
         z += e;
     }
-    let zvec = _mm256_set1_ps(z);
-    for i in (0..body).step_by(8) {
-        _mm256_storeu_ps(ptr.add(i), _mm256_div_ps(_mm256_loadu_ps(ptr.add(i)), zvec));
-    }
-    for i in body..n {
-        *ptr.add(i) /= z;
-    }
+    z
 }
 
 // ------------------------------------------------------------ layer norm

@@ -256,25 +256,93 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
 /// `b[jb*NR + lane, p]` — the packed result is the transpose, which turns
 /// an NT product into the NN microkernel without changing any output
 /// element's contraction order.
+///
+/// Every element of the packed length is written (pad lanes included), so
+/// `buf` is only resized, never cleared first: a reused buffer costs no
+/// zero-fill pass and its stale contents are never observable.
 pub(crate) fn pack_b(src: &[f32], k: usize, n: usize, trans: bool, buf: &mut Vec<f32>) {
+    if trans {
+        return pack_bt(src, k, n, None, buf);
+    }
     let nb = n.div_ceil(NR);
-    buf.clear();
     buf.resize(nb * k * NR, 0.0);
     for jb in 0..nb {
         let j0 = jb * NR;
         let width = NR.min(n - j0);
         let panel = &mut buf[jb * k * NR..(jb + 1) * k * NR];
-        if trans {
-            for lane in 0..width {
-                let col = &src[(j0 + lane) * k..(j0 + lane + 1) * k];
-                for (p, &v) in col.iter().enumerate() {
-                    panel[p * NR + lane] = v;
+        for (p, prow) in panel.chunks_mut(NR).enumerate() {
+            prow[..width].copy_from_slice(&src[p * n + j0..p * n + j0 + width]);
+            prow[width..].fill(0.0);
+        }
+    }
+}
+
+/// Transposed [`pack_b`] of `src: [n, k]` that divides source row `j` by
+/// `div[j]` on the way into the panel:
+/// `panel[jb][p][lane] = src[jb*NR + lane, p] / div[jb*NR + lane]`.
+///
+/// The feature-major attention forward hands its unnormalized softmax tile
+/// and the row sums here, so the softmax's final divide lands directly in
+/// the value GEMM's operand. The divide is the exact IEEE operation the
+/// row softmax performs, so the panel holds the same bits a
+/// normalize-then-pack sequence would.
+pub(crate) fn pack_bt_div(src: &[f32], k: usize, n: usize, div: &[f32], buf: &mut Vec<f32>) {
+    assert_eq!(div.len(), n, "pack_bt_div divisor length mismatch");
+    pack_bt(src, k, n, Some(div), buf);
+}
+
+/// Panel rows staged per block of the transposed pack: the `NR`-wide block
+/// being filled (8 KiB) and the source-row stage stay L1-resident.
+const PACK_BLOCK: usize = 128;
+
+/// Source rows interleaved per store of the transposed pack.
+const PACK_LANES: usize = 4;
+
+/// Transposed pack core. A source row is contiguous along `p` while a
+/// panel wants it at stride `NR`, so writing one source row at a time
+/// sweeps the whole `k * NR` panel once per lane. Instead the panel is
+/// filled in blocks of [`PACK_BLOCK`] rows: `PACK_LANES` source-row
+/// segments are staged (divided, when asked) into a small contiguous
+/// buffer and interleaved into the block `PACK_LANES` lanes per store, so
+/// every panel row is completed while its block is in L1. Pure data
+/// movement plus an optional exact divide — the packed bytes are those of
+/// the one-line definition in [`pack_b`].
+fn pack_bt(src: &[f32], k: usize, n: usize, div: Option<&[f32]>, buf: &mut Vec<f32>) {
+    let nb = n.div_ceil(NR);
+    buf.resize(nb * k * NR, 0.0);
+    let mut stage = [[0.0f32; PACK_BLOCK]; PACK_LANES];
+    for jb in 0..nb {
+        let j0 = jb * NR;
+        let width = NR.min(n - j0);
+        let panel = &mut buf[jb * k * NR..(jb + 1) * k * NR];
+        for (bi, block) in panel.chunks_mut(PACK_BLOCK * NR).enumerate() {
+            let p0 = bi * PACK_BLOCK;
+            let pb = block.len() / NR;
+            for g in (0..NR).step_by(PACK_LANES) {
+                for (lane, st) in (g..).zip(stage.iter_mut()) {
+                    let st = &mut st[..pb];
+                    if lane >= width {
+                        st.fill(0.0);
+                        continue;
+                    }
+                    let row = j0 + lane;
+                    let seg = &src[row * k + p0..row * k + p0 + pb];
+                    match div {
+                        None => st.copy_from_slice(seg),
+                        Some(div) => {
+                            let z = div[row];
+                            for (o, &v) in st.iter_mut().zip(seg) {
+                                *o = v / z;
+                            }
+                        }
+                    }
                 }
-            }
-        } else {
-            for (p, prow) in panel.chunks_mut(NR).enumerate() {
-                let brow = &src[p * n + j0..p * n + j0 + width];
-                prow[..width].copy_from_slice(brow);
+                let [s0, s1, s2, s3] = &stage;
+                for ((((prow, &a), &b), &c), &d) in
+                    block.chunks_exact_mut(NR).zip(s0).zip(s1).zip(s2).zip(s3)
+                {
+                    prow[g..g + PACK_LANES].copy_from_slice(&[a, b, c, d]);
+                }
             }
         }
     }
@@ -487,19 +555,53 @@ pub fn gemm_tn_with(
 
 /// Explicit-backend in-place softmax of one row. The scalar backend is the
 /// verbatim reference loop (max fold, `f32::exp` + sum pass, divide); the
-/// vector backends use an exact max, a polynomial `exp` (Cephes
-/// coefficients, FMA evaluation, identical per element between the vector
-/// body and the scalar-code tail), a fixed-tree lane sum plus in-order
-/// tail sum, and an exact IEEE divide. Deterministic per backend.
+/// vector backends are `softmax_row_scaled` at scale `1.0` (`x * 1.0` is
+/// the bitwise identity). Deterministic per backend.
 pub fn softmax_row_with(bk: Backend, row: &mut [f32]) {
     match bk {
         Backend::Scalar => crate::attention::softmax_row_scalar(row),
+        bk => softmax_row_scaled(bk, row, 1.0),
+    }
+}
+
+/// Vector-backend in-place softmax of `row * scale`: the numerators of
+/// [`exp_row_scaled`], then one exact IEEE divide per element (the same
+/// bits at any vector width, so it needs no per-backend code). Bitwise
+/// identical to an elementwise scale pass followed by [`softmax_row_with`].
+///
+/// # Panics
+///
+/// Panics if `bk == Backend::Scalar`.
+pub(crate) fn softmax_row_scaled(bk: Backend, row: &mut [f32], scale: f32) {
+    let z = exp_row_scaled(bk, row, scale);
+    for x in row.iter_mut() {
+        *x /= z;
+    }
+}
+
+/// Vector-backend softmax numerators of one scaled row, in place:
+/// `row[i] = exp(row[i]·scale − max_j(row[j]·scale))`; returns their sum.
+///
+/// The scale multiply is folded into the max sweep and repeated in the exp
+/// sweep (an exact IEEE multiply either way), the max is exact, `exp` is
+/// the polynomial (Cephes coefficients, FMA evaluation, identical per
+/// element between the vector body and the scalar-code tail) and the sum
+/// is a fixed-tree lane sum plus in-order tail — per element exactly what
+/// a separate scale pass followed by the row softmax computes.
+///
+/// # Panics
+///
+/// Panics if `bk == Backend::Scalar` (the scalar reference softmax is
+/// [`softmax_row_with`]).
+pub(crate) fn exp_row_scaled(bk: Backend, row: &mut [f32], scale: f32) -> f32 {
+    match bk {
+        Backend::Scalar => panic!("exp_row_scaled called with scalar backend"),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2 is only active when detection confirmed avx2+fma.
-        Backend::Avx2 => unsafe { avx2::softmax_row(row) },
+        Backend::Avx2 => unsafe { avx2::exp_row_scaled(row, scale) },
         #[cfg(target_arch = "aarch64")]
         // SAFETY: NEON is baseline on aarch64.
-        Backend::Neon => unsafe { neon::softmax_row(row) },
+        Backend::Neon => unsafe { neon::exp_row_scaled(row, scale) },
         #[allow(unreachable_patterns)]
         other => panic!(
             "kernel backend {} not compiled on this target",
@@ -786,6 +888,72 @@ mod tests {
         assert_eq!(buf[0], 1.0); // b[0*k+0]
         assert_eq!(buf[1], 4.0); // b[1*k+0]
         assert_eq!(buf[NR], 2.0); // p=1 lane 0
+    }
+
+    /// The one-line definition of the packed layout:
+    /// `panel[jb][p][lane] = b[p, jb*NR + lane]`, zero past `n`, where
+    /// `b[p, j]` is `src[p*n + j]` or, transposed, `src[j*k + p] / div[j]`.
+    fn pack_reference(src: &[f32], k: usize, n: usize, trans: bool, div: &[f32]) -> Vec<f32> {
+        let mut out = vec![0.0f32; n.div_ceil(NR) * k * NR];
+        for j in 0..n {
+            for p in 0..k {
+                out[(j / NR * k + p) * NR + j % NR] = if trans {
+                    src[j * k + p] / div[j]
+                } else {
+                    src[p * n + j]
+                };
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn packs_match_the_reference_definition_bytewise() {
+        use mfaplace_rt::rng::{Rng, SeedableRng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0xB0_0C);
+        // One buffer across every case, refilled with NaN (longer than any
+        // packed result) before each pack: pad lanes must be rewritten, not
+        // inherited. Shapes cover k around PACK_BLOCK, n % NR != 0 tails,
+        // single rows/columns and empty dims.
+        let mut buf = Vec::new();
+        let dirty = |buf: &mut Vec<f32>| {
+            buf.clear();
+            buf.resize(1 << 15, f32::NAN);
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut shapes = vec![
+            (1, 1),
+            (3, 16),
+            (PACK_BLOCK, 32),
+            (PACK_BLOCK + 1, 5),
+            (2 * PACK_BLOCK + 37, 33),
+            (0, 4),
+            (4, 0),
+        ];
+        for _ in 0..24 {
+            shapes.push((rng.gen_range(1usize..300), rng.gen_range(1usize..70)));
+        }
+        for (k, n) in shapes {
+            let src: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+            let div: Vec<f32> = (0..n).map(|_| rng.gen_range(0.5f32..3.0)).collect();
+            let ones = vec![1.0f32; n];
+            for trans in [false, true] {
+                dirty(&mut buf);
+                pack_b(&src, k, n, trans, &mut buf);
+                assert_eq!(
+                    bits(&buf),
+                    bits(&pack_reference(&src, k, n, trans, &ones)),
+                    "pack_b k={k} n={n} trans={trans}"
+                );
+            }
+            dirty(&mut buf);
+            pack_bt_div(&src, k, n, &div, &mut buf);
+            assert_eq!(
+                bits(&buf),
+                bits(&pack_reference(&src, k, n, true, &div)),
+                "pack_bt_div k={k} n={n}"
+            );
+        }
     }
 
     #[test]

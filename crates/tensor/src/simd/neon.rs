@@ -155,35 +155,39 @@ unsafe fn exp4(x: float32x4_t) -> float32x4_t {
     vmulq_f32(y, vreinterpretq_f32_s32(emm0))
 }
 
-/// In-place softmax of one row: exact max, polynomial exp (vector body +
-/// scalar-twin tail), fixed 4-lane sum tree plus in-order tail sum, exact
-/// divide.
+/// Softmax numerators of one scaled row, in place:
+/// `row[i] = exp(row[i]·scale − max_j(row[j]·scale))`; returns their sum.
+/// Exact max of the scaled values, polynomial exp (vector body +
+/// scalar-twin tail), fixed 4-lane sum tree plus in-order tail sum — see
+/// [`super::exp_row_scaled`].
 ///
 /// # Safety
 ///
 /// NEON baseline; no extra requirements.
-pub(crate) unsafe fn softmax_row(row: &mut [f32]) {
+pub(crate) unsafe fn exp_row_scaled(row: &mut [f32], scale: f32) -> f32 {
     if row.is_empty() {
-        return;
+        return 0.0;
     }
     let n = row.len();
     let body = n / 4 * 4;
     let ptr = row.as_mut_ptr();
+    let sv = vdupq_n_f32(scale);
     let mut m = f32::NEG_INFINITY;
     if body > 0 {
-        let mut mv = vld1q_f32(ptr);
+        let mut mv = vmulq_f32(vld1q_f32(ptr), sv);
         for i in (4..body).step_by(4) {
-            mv = vmaxq_f32(mv, vld1q_f32(ptr.add(i)));
+            mv = vmaxq_f32(mv, vmulq_f32(vld1q_f32(ptr.add(i)), sv));
         }
         m = m.max(vmaxvq_f32(mv));
     }
     for i in body..n {
-        m = m.max(*ptr.add(i));
+        m = m.max(*ptr.add(i) * scale);
     }
     let mv = vdupq_n_f32(m);
     let mut zv = vdupq_n_f32(0.0);
     for i in (0..body).step_by(4) {
-        let e = exp4(vsubq_f32(vld1q_f32(ptr.add(i)), mv));
+        let x = vmulq_f32(vld1q_f32(ptr.add(i)), sv);
+        let e = exp4(vsubq_f32(x, mv));
         vst1q_f32(ptr.add(i), e);
         zv = vaddq_f32(zv, e);
     }
@@ -191,17 +195,11 @@ pub(crate) unsafe fn softmax_row(row: &mut [f32]) {
     vst1q_f32(lanes.as_mut_ptr(), zv);
     let mut z = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
     for i in body..n {
-        let e = exp_scalar(*ptr.add(i) - m);
+        let e = exp_scalar(*ptr.add(i) * scale - m);
         *ptr.add(i) = e;
         z += e;
     }
-    let zvec = vdupq_n_f32(z);
-    for i in (0..body).step_by(4) {
-        vst1q_f32(ptr.add(i), vdivq_f32(vld1q_f32(ptr.add(i)), zvec));
-    }
-    for i in body..n {
-        *ptr.add(i) /= z;
-    }
+    z
 }
 
 // ------------------------------------------------------------ layer norm

@@ -6,7 +6,9 @@
 
 use mfaplace_rt::check::run_cases;
 use mfaplace_rt::pool;
-use mfaplace_tensor::Tensor;
+use mfaplace_tensor::{
+    attention_fm, attention_fm_backward, attention_tm, attention_tm_backward, Tensor, ATTN_TILE,
+};
 
 /// Runs `f` serially and at several forced worker counts; all results
 /// must agree exactly, element for element (no tolerance).
@@ -111,6 +113,48 @@ fn pooling_and_upsample_parallel_match_serial_bitwise() {
             let serial = pool::with_threads(1, || x.maxpool2x2().1);
             let parallel = pool::with_threads(4, || x.maxpool2x2().1);
             assert_eq!(serial, parallel, "maxpool argmax indices");
+        },
+    );
+}
+
+/// Flattens a gradient triple into one tensor so the thread-count helper
+/// compares all three at once.
+fn cat3((a, b, c): (Tensor, Tensor, Tensor)) -> Tensor {
+    let data = [a.data(), b.data(), c.data()].concat();
+    Tensor::from_vec(vec![data.len()], data).expect("cat3 shape")
+}
+
+#[test]
+fn attention_parallel_matches_serial_bitwise() {
+    run_cases(
+        "attention_parallel_matches_serial",
+        2,
+        0xE9_08,
+        |_case, rng| {
+            // Both layouts above the tile fan-out threshold (L²·(D+Dv) ≥
+            // 2¹⁹, more than one tile), with a ragged last tile, Dv != D
+            // and two batches — under whichever kernel backend is active.
+            let (b, lq, lk, d, dv) = (2, 150, 130, 24, 16);
+            assert!(lq % ATTN_TILE != 0 && lq * lk * (d + dv) >= 1 << 19);
+            let q = Tensor::randn(vec![b, lq, d], 1.0, rng);
+            let k = Tensor::randn(vec![b, lk, d], 1.0, rng);
+            let v = Tensor::randn(vec![b, lk, dv], 1.0, rng);
+            let dy = Tensor::randn(vec![b, lq, dv], 1.0, rng);
+            assert_bitwise_equal_across_threads("attention_tm", || attention_tm(&q, &k, &v, 0.2));
+            assert_bitwise_equal_across_threads("attention_tm_backward", || {
+                cat3(attention_tm_backward(&q, &k, &v, 0.2, &dy))
+            });
+
+            let (b, n, nv, l) = (2, 3, 5, 300);
+            assert!(l % ATTN_TILE != 0 && l * l * (n + nv) >= 1 << 19);
+            let q = Tensor::randn(vec![b, n, l], 1.0, rng);
+            let k = Tensor::randn(vec![b, n, l], 1.0, rng);
+            let v = Tensor::randn(vec![b, nv, l], 1.0, rng);
+            let dy = Tensor::randn(vec![b, nv, l], 1.0, rng);
+            assert_bitwise_equal_across_threads("attention_fm", || attention_fm(&q, &k, &v, 0.6));
+            assert_bitwise_equal_across_threads("attention_fm_backward", || {
+                cat3(attention_fm_backward(&q, &k, &v, 0.6, &dy))
+            });
         },
     );
 }

@@ -42,7 +42,7 @@ use mfaplace::router::score::{RoutabilityScore, ScoreInputs};
 use mfaplace::serve::{
     client, serve_fleet_with, Metrics, ModelFleet, ServeConfig, SlotLimits, DEFAULT_SLOT,
 };
-use mfaplace::tensor::simd;
+use mfaplace::tensor::{simd, Tensor};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -81,6 +81,7 @@ const USAGE: &str = "usage:
                       [--save-every N] [--stop-after N] [--log <file.jsonl>] \\
                       [--placements N] [--iterations N]
   mfaplace model-info --model <file.mfaw|file.mfaq> [--grid N]
+  mfaplace profile    --model <file.mfaw|file.mfaq> [--grid N] [--engine plan|quant]
   mfaplace kernels    (report detected/active SIMD kernel backend)
   mfaplace compile    --model <file.mfaw> --calib <file.nl> [--calib <file.nl> ...] \\
                       [--placements N] [--iterations N] [--seed N] \\
@@ -123,6 +124,9 @@ generate --preset large builds ~1/16-scale designs (default small is
 ~1/64); an explicit --scale overrides the preset.
 train honors MFAPLACE_TRAIN_WORKERS when --workers is not given; --resume
 continues bitwise-exactly from the checkpoint at --out if it exists.
+profile times every step of one warm serial forward of the compiled plan
+(batch 1, synthetic input at the model's grid) and prints the steps sorted
+by time, a per-op-kind roll-up and how much of the forward they cover.
 every subcommand accepts --kernels auto|scalar|avx2|neon to pin the SIMD
 kernel backend (strict; the MFAPLACE_KERNELS env var is the forgiving
 equivalent, falling back to auto-detection with a warning). scalar is the
@@ -148,6 +152,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "init-model" => cmd_init_model(&flags),
         "train" => cmd_train(&flags),
         "model-info" => cmd_model_info(&flags),
+        "profile" => cmd_profile(&flags),
         "compile" => cmd_compile(&flags),
         "serve" => cmd_serve(&flags),
         "predict" => cmd_predict(&flags),
@@ -706,6 +711,90 @@ fn cmd_model_info(flags: &Flags) -> Result<(), String> {
             }
         },
     }
+    Ok(())
+}
+
+/// `mfaplace profile`: where one forward of the compiled plan spends its
+/// time, step by step.
+fn cmd_profile(flags: &Flags) -> Result<(), String> {
+    let path = get(flags, "model")?;
+    let opts = load_options(flags)?;
+    let (spec, mut predictor) = load_predictor(path, opts)?;
+    if let Some(grid) = opts.grid {
+        if grid != spec.grid {
+            return Err(format!(
+                "{path} is a grid-{} model; profile runs at the model's own grid",
+                spec.grid
+            ));
+        }
+    }
+    match parse_engine(flags)? {
+        Some(Engine::Tape) => return Err("profile needs a compiled plan (plan or quant)".into()),
+        Some(engine) => predictor.set_engine(engine),
+        None => {}
+    }
+    // Feature maps are non-negative and O(1); any such input exercises the
+    // same kernels (no vector kernel branches on data).
+    let input = Tensor::from_fn(vec![6, spec.grid, spec.grid], |i| {
+        0.5 + 0.5 * (i as f32 * 0.37).sin()
+    });
+    let profile = predictor.profile_plan(&input)?;
+    let status = predictor.status();
+    println!(
+        "{path}: {} grid {}, engine {} ({}), kernels {}, {} pool threads",
+        spec.arch.model_name(),
+        spec.grid,
+        status.served.name(),
+        status.precision.name(),
+        simd::active().name(),
+        mfaplace_rt::pool::max_threads(),
+    );
+    if let Some(why) = &status.fallback {
+        println!("  fallback from {}: {why}", status.requested.name());
+    }
+    let ms = |ns: u64| ns as f64 / 1e6;
+    let total: u64 = profile.steps.iter().map(|s| s.ns).sum();
+    let share = |ns: u64| 100.0 * ns as f64 / total.max(1) as f64;
+    let mut steps: Vec<_> = profile.steps.iter().collect();
+    steps.sort_by_key(|s| std::cmp::Reverse(s.ns));
+    println!(
+        "{:>5}  {:<16} {:>10} {:>10} {:>7}",
+        "step", "op", "out numel", "ms", "share"
+    );
+    for s in steps {
+        println!(
+            "{:>5}  {:<16} {:>10} {:>10.3} {:>6.1}%",
+            s.index,
+            s.kind,
+            s.out_numel,
+            ms(s.ns),
+            share(s.ns)
+        );
+    }
+    let mut kinds: Vec<(&str, usize, u64)> = Vec::new();
+    for s in &profile.steps {
+        match kinds.iter_mut().find(|k| k.0 == s.kind) {
+            Some(k) => {
+                k.1 += 1;
+                k.2 += s.ns;
+            }
+            None => kinds.push((&s.kind, 1, s.ns)),
+        }
+    }
+    kinds.sort_by_key(|k| std::cmp::Reverse(k.2));
+    println!(
+        "{:<16} {:>6} {:>10} {:>7}",
+        "op kind", "steps", "ms", "share"
+    );
+    for (kind, count, ns) in kinds {
+        println!("{kind:<16} {count:>6} {:>10.3} {:>6.1}%", ms(ns), share(ns));
+    }
+    println!(
+        "steps sum {:.3} ms of {:.3} ms replay wall: coverage {:.4}",
+        ms(total),
+        ms(profile.wall_ns),
+        total as f64 / profile.wall_ns.max(1) as f64
+    );
     Ok(())
 }
 
