@@ -29,6 +29,13 @@ cargo check --offline --manifest-path benchmark/Cargo.toml --target-dir target
 echo "==> cargo build --release --offline"
 cargo build --workspace --release --offline
 
+# The placer's two contracts, by name and ahead of the workspace pass, so a
+# moved bit or a new per-iteration allocation is attributed to global
+# placement before flow_determinism or jobs_e2e trip over it.
+echo "==> global placement: recorded bits + allocation-free iterations"
+cargo test -q -p mfaplace-placer --offline --test gp_fingerprint
+cargo test -q -p mfaplace-placer --offline --test gp_no_alloc
+
 echo "==> cargo test --offline (auto-detected kernel backend)"
 cargo test -q --workspace --offline
 
@@ -140,6 +147,17 @@ awk '/^steps sum/ { found = 1; ok = ($NF + 0 >= 0.95) }
      END { exit !(found && ok) }' "$TMP/profile.txt" || {
     echo "profile steps do not sum to >= 95% of the replay wall time" >&2
     cat "$TMP/profile.txt" >&2
+    exit 1
+}
+
+# The same rule one level up the flow: the five pass timers inside
+# GlobalPlacer::run_stage_observed must account for the GP stages.
+echo "==> flow profile coverage (passes sum to >= 95% of the GP stages)"
+./target/release/mfaplace profile --flow ours --design "$TMP/d.nl" >"$TMP/flow-profile.txt"
+cat "$TMP/flow-profile.txt"
+awk '/^passes sum/ { found = 1; ok = ($NF + 0 >= 0.95) }
+     END { exit !(found && ok) }' "$TMP/flow-profile.txt" || {
+    echo "flow profile passes do not sum to >= 95% of placer/gp_stage" >&2
     exit 1
 }
 

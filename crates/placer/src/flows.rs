@@ -350,7 +350,7 @@ impl PlacementFlow {
             }
         }
         let (stage1_iterations, mut overflow) =
-            run_stage_maybe_observed(&mut gp, &stage1, design, 1, observer.as_deref_mut())?;
+            run_stage_maybe_observed(&mut gp, &stage1, 1, observer.as_deref_mut())?;
 
         let mut inflation = Vec::new();
         for round in 0..cfg.inflation_rounds {
@@ -373,14 +373,13 @@ impl PlacementFlow {
                     return Err(FlowAborted);
                 }
             }
-            let stats = {
-                let areas_ptr = gp.areas().to_vec();
-                let mut areas = areas_ptr;
-                let stats =
-                    inflate_areas(design, &snapshot, &congestion, &mut areas, &cfg.inflation);
-                gp.areas_mut().copy_from_slice(&areas);
-                stats
-            };
+            let stats = inflate_areas(
+                design,
+                &snapshot,
+                &congestion,
+                gp.areas_mut(),
+                &cfg.inflation,
+            );
             if let Some(obs) = observer.as_deref_mut() {
                 if !obs(&FlowEvent::Inflated { round, stats }) {
                     return Err(FlowAborted);
@@ -397,8 +396,7 @@ impl PlacementFlow {
                     return Err(FlowAborted);
                 }
             }
-            let (_, of) =
-                run_stage_maybe_observed(&mut gp, &stage2, design, 2, observer.as_deref_mut())?;
+            let (_, of) = run_stage_maybe_observed(&mut gp, &stage2, 2, observer.as_deref_mut())?;
             overflow = of;
         }
 
@@ -432,7 +430,6 @@ impl PlacementFlow {
 fn run_stage_maybe_observed<'o>(
     gp: &mut GlobalPlacer,
     cfg: &GpConfig,
-    design: &Design,
     stage: usize,
     observer: Option<&mut (dyn FnMut(&FlowEvent) -> bool + 'o)>,
 ) -> Result<(usize, Overflow), FlowAborted> {
@@ -443,7 +440,7 @@ fn run_stage_maybe_observed<'o>(
                 observe(&FlowEvent::GpIteration {
                     stage,
                     iteration,
-                    hpwl: gp.placement().hpwl(&design.netlist),
+                    hpwl: gp.hpwl(),
                     overflow: *overflow,
                 })
             })
@@ -562,6 +559,23 @@ mod tests {
             .filter(|e| matches!(e, FlowEvent::GpIteration { .. }))
             .count();
         assert!(gp_iters > 0);
+        // A second observed run samples the same HPWL at every iteration.
+        let hpwls = |events: &[FlowEvent]| -> Vec<u64> {
+            events
+                .iter()
+                .filter_map(|e| match e {
+                    FlowEvent::GpIteration { hpwl, .. } => Some(hpwl.to_bits()),
+                    _ => None,
+                })
+                .collect()
+        };
+        let mut again = Vec::new();
+        flow.run_observed(&d, &mut RudyPredictor::default(), 9, &mut |e| {
+            again.push(e.clone());
+            true
+        })
+        .unwrap();
+        assert_eq!(hpwls(&events), hpwls(&again));
     }
 
     #[test]

@@ -51,15 +51,13 @@ fn main() {
         "stage 2: predicted congestion peak level {:.2}",
         congestion.max()
     );
-    let mut areas = gp.areas().to_vec();
     let stats = inflate_areas(
         &design,
         &snapshot,
         &congestion,
-        &mut areas,
+        gp.areas_mut(),
         &InflationConfig::default(),
     );
-    gp.areas_mut().copy_from_slice(&areas);
     println!(
         "         inflated {} instances by {:.1} site units (tau_cell {:.2})",
         stats.inflated_instances, stats.added_area, stats.tau_cell

@@ -18,6 +18,7 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Duration;
 
 use mfaplace::core::dataset::{build_design_dataset, DatasetConfig};
 use mfaplace::core::flow::{calibrated_router_for, simulated_pnr_hours};
@@ -34,7 +35,10 @@ use mfaplace::fpga::io;
 use mfaplace::fpga::viz::{render_heatmap, render_placement};
 use mfaplace::jobs::{JobEngine, JobsConfig, JobsExtension};
 use mfaplace::models::{Arch, ArchSpec};
-use mfaplace::placer::flows::{FlowConfig, PlacementFlow, RudyPredictor};
+use mfaplace::placer::flows::{
+    CongestionPredictor, FlowConfig, FlowEvent, PlacementFlow, RudyPredictor,
+};
+use mfaplace::placer::gp::{PASS_TIMERS, STAGE_TIMER};
 use mfaplace::router::congestion::CongestionAnalysis;
 use mfaplace::router::detailed::detailed_route_iterations;
 use mfaplace::router::global::GlobalRouter;
@@ -43,6 +47,7 @@ use mfaplace::serve::{
     client, serve_fleet_with, Metrics, ModelFleet, ServeConfig, SlotLimits, DEFAULT_SLOT,
 };
 use mfaplace::tensor::{simd, Tensor};
+use mfaplace_rt::timer;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -58,7 +63,7 @@ fn main() -> ExitCode {
     // Per-run timing report, opt-in: timers always record, but the report
     // only prints when MFAPLACE_TIMERS is explicitly set (and not "0").
     if std::env::var("MFAPLACE_TIMERS").is_ok_and(|v| v != "0") {
-        eprint!("{}", mfaplace_rt::timer::report());
+        eprint!("{}", timer::report());
     }
     code
 }
@@ -82,6 +87,8 @@ const USAGE: &str = "usage:
                       [--placements N] [--iterations N]
   mfaplace model-info --model <file.mfaw|file.mfaq> [--grid N]
   mfaplace profile    --model <file.mfaw|file.mfaq> [--grid N] [--engine plan|quant]
+  mfaplace profile    --flow ours|utda|seu|mpku --design <file.nl> [--seed N] \\
+                      [--iterations N] [--model <file.mfaw>]
   mfaplace kernels    (report detected/active SIMD kernel backend)
   mfaplace compile    --model <file.mfaw> --calib <file.nl> [--calib <file.nl> ...] \\
                       [--placements N] [--iterations N] [--seed N] \\
@@ -127,6 +134,10 @@ continues bitwise-exactly from the checkpoint at --out if it exists.
 profile times every step of one warm serial forward of the compiled plan
 (batch 1, synthetic input at the model's grid) and prints the steps sorted
 by time, a per-op-kind roll-up and how much of the forward they cover.
+profile --flow runs the placement flow place would run with the same flags
+and prints, per global-placement stage, the calls, time and share of each
+pass (wirelength, spreading, region, overflow, observer) and how much of
+the stages they cover.
 every subcommand accepts --kernels auto|scalar|avx2|neon to pin the SIMD
 kernel backend (strict; the MFAPLACE_KERNELS env var is the forgiving
 equivalent, falling back to auto-detection with a warning). scalar is the
@@ -366,9 +377,9 @@ fn cmd_generate(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_place(flags: &Flags) -> Result<(), String> {
-    let design = load_design(flags)?;
-    let seed: u64 = get_num(flags, "seed", 1)?;
+/// The flow `place` and `profile --flow` run: the `--flow` preset capped by
+/// `--iterations`, and its congestion predictor.
+fn flow_from_flags(flags: &Flags) -> Result<(PlacementFlow, Box<dyn CongestionPredictor>), String> {
     let iterations: usize = get_num(flags, "iterations", 30)?;
     let mut cfg = match flags.get("flow").map(String::as_str) {
         None | Some("ours") => FlowConfig::model_driven(),
@@ -383,8 +394,8 @@ fn cmd_place(flags: &Flags) -> Result<(), String> {
     // With --model, the learned predictor from the checkpoint drives the
     // inflation rounds instead of RUDY; the congestion grid follows the
     // model's training grid.
-    let model = match flags.get("model") {
-        None => None,
+    let predictor: Box<dyn CongestionPredictor> = match flags.get("model") {
+        None => Box::new(RudyPredictor::default()),
         Some(path) => {
             let (spec, predictor) = load_predictor(path, load_options(flags)?)?;
             cfg.grid_w = spec.grid;
@@ -394,14 +405,17 @@ fn cmd_place(flags: &Flags) -> Result<(), String> {
                 spec.arch.model_name(),
                 spec.grid
             );
-            Some(predictor)
+            Box::new(predictor)
         }
     };
-    let flow = PlacementFlow::new(cfg);
-    let result = match model {
-        Some(mut predictor) => flow.run(&design, &mut predictor, seed),
-        None => flow.run(&design, &mut RudyPredictor::default(), seed),
-    };
+    Ok((PlacementFlow::new(cfg), predictor))
+}
+
+fn cmd_place(flags: &Flags) -> Result<(), String> {
+    let design = load_design(flags)?;
+    let seed: u64 = get_num(flags, "seed", 1)?;
+    let (flow, mut predictor) = flow_from_flags(flags)?;
+    let result = flow.run(&design, predictor.as_mut(), seed);
     let out = get(flags, "out")?;
     std::fs::write(out, io::write_placement(&result.placement)).map_err(|e| e.to_string())?;
     println!(
@@ -714,9 +728,103 @@ fn cmd_model_info(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// `mfaplace profile --flow`: where the global-placement stages of one flow
+/// spend their time, pass by pass, read from the scope timers inside
+/// `GlobalPlacer::run_stage_observed`.
+fn cmd_profile_flow(flags: &Flags) -> Result<(), String> {
+    let design = load_design(flags)?;
+    let seed: u64 = get_num(flags, "seed", 1)?;
+    let (flow, mut predictor) = flow_from_flags(flags)?;
+
+    // What a GP stage recorded is the difference of two timer snapshots:
+    // one at its StageStart, one at the first event after its iterations.
+    #[derive(Default)]
+    struct Stage {
+        runs: usize,
+        iterations: usize,
+        /// Calls and time per pass of `PASS_TIMERS`, then of the stage.
+        timers: [(u64, Duration); 6],
+    }
+    let labels = || PASS_TIMERS.into_iter().chain([STAGE_TIMER]);
+    let mut stages = [Stage::default(), Stage::default()];
+    let mut open: Option<(usize, timer::Snapshot)> = None;
+    flow.run_observed(&design, predictor.as_mut(), seed, &mut |event| {
+        match event {
+            FlowEvent::StageStart { stage, .. } => open = Some((*stage, timer::snapshot())),
+            FlowEvent::GpIteration { stage, .. } => stages[stage - 1].iterations += 1,
+            _ => {
+                if let Some((stage, before)) = open.take() {
+                    let after = timer::snapshot();
+                    let stage = &mut stages[stage - 1];
+                    stage.runs += 1;
+                    for (sum, label) in stage.timers.iter_mut().zip(labels()) {
+                        let was = before.timers.get(label).copied().unwrap_or_default();
+                        let now = after.timers.get(label).copied().unwrap_or_default();
+                        sum.0 += now.calls - was.calls;
+                        sum.1 += now.total - was.total;
+                    }
+                }
+            }
+        }
+        true
+    })
+    .map_err(|e| e.to_string())?;
+
+    println!(
+        "{}: {} instances, {} nets, flow {}, seed {seed}, predictor {}",
+        design.name,
+        design.netlist.num_instances(),
+        design.netlist.num_nets(),
+        flow.config().name,
+        predictor.name(),
+    );
+    let ms = |d: Duration| d.as_secs_f64() * 1e3;
+    let (mut passes_total, mut stages_total) = (Duration::ZERO, Duration::ZERO);
+    for (k, stage) in stages.iter().enumerate() {
+        let stage_total = stage.timers[PASS_TIMERS.len()].1;
+        if stage_total.is_zero() {
+            continue;
+        }
+        println!(
+            "stage {}: {} iterations in {} run(s), {:.3} ms",
+            k + 1,
+            stage.iterations,
+            stage.runs,
+            ms(stage_total)
+        );
+        println!(
+            "  {:<16} {:>7} {:>10} {:>7}",
+            "pass", "calls", "ms", "share"
+        );
+        for (label, &(calls, total)) in PASS_TIMERS.iter().zip(&stage.timers) {
+            println!(
+                "  {label:<16} {calls:>7} {:>10.3} {:>6.1}%",
+                ms(total),
+                100.0 * total.as_secs_f64() / stage_total.as_secs_f64()
+            );
+            passes_total += total;
+        }
+        stages_total += stage_total;
+    }
+    if stages_total.is_zero() {
+        return Err("no placer timers were recorded (is MFAPLACE_TIMERS=0 set?)".into());
+    }
+    println!(
+        "passes sum {:.3} ms of {:.3} ms {STAGE_TIMER}: coverage {:.4}",
+        ms(passes_total),
+        ms(stages_total),
+        passes_total.as_secs_f64() / stages_total.as_secs_f64()
+    );
+    Ok(())
+}
+
 /// `mfaplace profile`: where one forward of the compiled plan spends its
-/// time, step by step.
+/// time, step by step — or, with `--flow`, where a placement flow's GP
+/// stages spend theirs.
 fn cmd_profile(flags: &Flags) -> Result<(), String> {
+    if flags.contains_key("flow") {
+        return cmd_profile_flow(flags);
+    }
     let path = get(flags, "model")?;
     let opts = load_options(flags)?;
     let (spec, mut predictor) = load_predictor(path, opts)?;
