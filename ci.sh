@@ -29,6 +29,12 @@ cargo check --offline --manifest-path benchmark/Cargo.toml --target-dir target
 echo "==> cargo build --release --offline"
 cargo build --workspace --release --offline
 
+# The feature rasterizer's contract first of all: flow hashes, serve replies
+# and datasets all sit downstream of `fpga` feature bits, so a moved bit is
+# attributed here before gp_fingerprint or a serve suite trips over it.
+echo "==> feature rasterizer: f64 differential + net-order independence"
+cargo test -q -p mfaplace-fpga --offline --test raster_exact
+
 # The placer's two contracts, by name and ahead of the workspace pass, so a
 # moved bit or a new per-iteration allocation is attributed to global
 # placement before flow_determinism or jobs_e2e trip over it.

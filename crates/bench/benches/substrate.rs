@@ -32,6 +32,13 @@ fn substrate_benches(suite: &mut Suite) {
         b.iter(|| std::hint::black_box(FeatureStack::extract(&design, &placement, 64, 64)))
     });
 
+    // The paper's resolution on the design the `map_hires` workload uses.
+    let hires = DesignPreset::design_237().with_scale(16, 4, 2).generate(1);
+    let hires_placement = hires.random_placement(2);
+    suite.run("substrate/feature_extraction_256", |b| {
+        b.iter(|| std::hint::black_box(FeatureStack::extract(&hires, &hires_placement, 256, 256)))
+    });
+
     let cfg = RouterConfig::default();
     let router = GlobalRouter::new(cfg.clone());
     suite.run("substrate/global_route_64", |b| {

@@ -11,6 +11,7 @@
 //! Each map is max-normalized to `[0, 1]`; the stack converts to the model
 //! input tensor `X in R^{6 x H x W}`.
 
+use mfaplace_rt::timer::ScopeTimer;
 use mfaplace_tensor::Tensor;
 
 use crate::design::Design;
@@ -39,7 +40,12 @@ pub struct FeatureStack {
 
 impl FeatureStack {
     /// Extracts the six features on a `grid_w x grid_h` grid.
+    ///
+    /// The maps depend only on the set of instances and the multiset of
+    /// nets, not on their order: the two count maps add ones and the four
+    /// net maps are summed exactly in fixed point (`net_maps` below).
     pub fn extract(design: &Design, placement: &Placement, grid_w: usize, grid_h: usize) -> Self {
+        let _t = ScopeTimer::new("fpga/features");
         let sx = grid_w as f32 / design.arch.width();
         let sy = grid_h as f32 / design.arch.height();
         let cell = |x: f32, y: f32| -> (usize, usize) {
@@ -61,25 +67,8 @@ impl FeatureStack {
             }
         }
 
-        let mut hnet = GridMap::new(grid_w, grid_h);
-        let mut vnet = GridMap::new(grid_w, grid_h);
-        let mut pin_rudy = GridMap::new(grid_w, grid_h);
-        for (_, net) in design.netlist.nets() {
-            let (x0, y0, x1, y1) = placement.net_bbox(net);
-            let (gx0, gy0) = cell(x0, y0);
-            let (gx1, gy1) = cell(x1, y1);
-            let (gx1, gy1) = (gx1 + 1, gy1 + 1); // half-open
-            let w = (gx1 - gx0) as f32;
-            let h = (gy1 - gy0) as f32;
-            // RUDY: horizontal demand w/(w*h) = 1/h per cell, vertical 1/w.
-            hnet.add_rect(gx0, gy0, gx1, gy1, 1.0 / h);
-            vnet.add_rect(gx0, gy0, gx1, gy1, 1.0 / w);
-            pin_rudy.add_rect(gx0, gy0, gx1, gy1, net.degree() as f32 / (w * h));
-        }
-        let mut rudy = GridMap::new(grid_w, grid_h);
-        for i in 0..grid_w * grid_h {
-            rudy.data_mut()[i] = hnet.data()[i] + vnet.data()[i];
-        }
+        let [mut hnet, mut vnet, mut rudy, mut pin_rudy] =
+            net_maps(design, placement, grid_w, grid_h, cell);
 
         for m in [
             &mut macro_map,
@@ -147,6 +136,97 @@ impl FeatureStack {
     }
 }
 
+/// Fractional bits of the fixed-point net-channel sums. On a grid of up to
+/// 512 x 512 no addend is smaller than `2 / (512 * 512) = 2^-17` (a net has
+/// at least two pins), so the last mantissa bit of every f32 addend is worth
+/// at least `2^-40` and widening it to this scale loses nothing; the paper's
+/// 256 x 256 leaves two bits spare.
+const FRAC_BITS: u32 = 40;
+
+/// The fractional bits `net_maps` works at for a netlist of `pins` pins
+/// (`sum of degree`): [`FRAC_BITS`] below `2^22` pins, fewer above.
+///
+/// No addend exceeds its net's degree (`w * h >= 1`) and `hnet + vnet` adds
+/// at most 2 per net, so at `b` fractional bits every corner delta, every
+/// running sum of the prefix pass and every cell sum is bounded in magnitude
+/// by `2^b * pins`. Choosing `b <= 62 - bit_length(pins)` keeps that below
+/// `2^62`: this one check per extract is the whole overflow guard, none is
+/// needed per add. A netlist too large for the full scale still rasterizes
+/// order-independently; its addends are truncated to the coarser scale.
+fn frac_bits(pins: usize) -> u32 {
+    FRAC_BITS.min(62 - (usize::BITS - pins.leading_zeros()))
+}
+
+/// `hnet`, `vnet`, `rudy` and `pin_rudy` before normalization, as a
+/// summed-area rasterization: each net adds its three addends at the four
+/// corners of its grid box in one `(W + 1) x (H + 1)` delta array, and one
+/// 2-D prefix pass turns the deltas into per-cell sums.
+///
+/// The addends are the f32 values `1 / h`, `1 / w` and `degree / (w * h)`
+/// (RUDY: horizontal demand `w / (w * h)` per cell, vertical `h / (w * h)`),
+/// widened exactly to fixed-point `i64` ([`frac_bits`]). Integer addition
+/// commutes, so the maps are a pure function of the multiset of
+/// (box, addend) — the same bits for any net order — and each cell is
+/// rounded once here and once by `normalize_max`, not once per covering net.
+fn net_maps(
+    design: &Design,
+    placement: &Placement,
+    grid_w: usize,
+    grid_h: usize,
+    cell: impl Fn(f32, f32) -> (usize, usize),
+) -> [GridMap; 4] {
+    let bits = frac_bits(design.netlist.pin_count());
+    let scale = (1u64 << bits) as f64;
+    // The extra row and column take the corners of boxes that end on the
+    // last cell; the prefix pass never reads them.
+    let stride = grid_w + 1;
+    let mut sums = vec![[0i64; 3]; stride * (grid_h + 1)];
+    for (_, net) in design.netlist.nets() {
+        let (x0, y0, x1, y1) = placement.net_bbox(net);
+        let (gx0, gy0) = cell(x0, y0);
+        let (gx1, gy1) = cell(x1, y1);
+        let (gx1, gy1) = (gx1 + 1, gy1 + 1); // half-open
+        if gx0 >= gx1 || gy0 >= gy1 {
+            // Only non-finite pins invert a box; corner deltas would paint
+            // it negative.
+            continue;
+        }
+        let w = (gx1 - gx0) as f32;
+        let h = (gy1 - gy0) as f32;
+        let q = [1.0 / h, 1.0 / w, net.degree() as f32 / (w * h)]
+            .map(|v| (f64::from(v) * scale) as i64);
+        for (corner, sign) in [
+            (gy0 * stride + gx0, 1),
+            (gy0 * stride + gx1, -1),
+            (gy1 * stride + gx0, -1),
+            (gy1 * stride + gx1, 1),
+        ] {
+            for (s, q) in sums[corner].iter_mut().zip(q) {
+                *s += sign * q;
+            }
+        }
+    }
+
+    let unscale = 1.0 / scale as f32;
+    let mut maps = [(); 4].map(|()| GridMap::new(grid_w, grid_h));
+    for y in 0..grid_h {
+        let mut row = [0i64; 3];
+        for x in 0..grid_w {
+            let i = y * stride + x;
+            let above = if y == 0 { [0; 3] } else { sums[i - stride] };
+            for c in 0..3 {
+                row[c] += sums[i][c];
+                sums[i][c] = above[c] + row[c];
+            }
+            let [h, v, pin] = sums[i];
+            for (map, sum) in maps.iter_mut().zip([h, v, h + v, pin]) {
+                map.data_mut()[y * grid_w + x] = sum as f32 * unscale;
+            }
+        }
+    }
+    maps
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,6 +236,19 @@ mod tests {
         DesignPreset::design_116()
             .with_scale(512, 64, 32)
             .generate(1)
+    }
+
+    #[test]
+    fn frac_bits_leaves_headroom_for_the_pin_count() {
+        assert_eq!(frac_bits(0), FRAC_BITS);
+        assert_eq!(frac_bits(220_445), FRAC_BITS); // the `map_hires` design
+        assert_eq!(frac_bits((1 << 22) - 1), FRAC_BITS);
+        assert_eq!(frac_bits(1 << 22), FRAC_BITS - 1);
+        assert_eq!(frac_bits(1 << 30), 31);
+        for pins in [1usize, 3, 1 << 22, (1 << 30) + 7, usize::MAX >> 3] {
+            // 2^bits * pins stays below 2^62.
+            assert!((pins as u128) << frac_bits(pins) < 1 << 62, "{pins}");
+        }
     }
 
     #[test]

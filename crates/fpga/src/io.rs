@@ -333,11 +333,15 @@ pub fn read_placement(text: &str) -> Result<Placement, ParseDesignError> {
         if parts.len() != 4 || parts[0] != "pl" {
             return Err(err(ln, "expected `pl id x y`"));
         }
-        coords.push((
-            parse_num(parts[1], ln, "instance id")?,
-            parse_num(parts[2], ln, "x")?,
-            parse_num(parts[3], ln, "y")?,
-        ));
+        let id = parse_num(parts[1], ln, "instance id")?;
+        let x: f32 = parse_num(parts[2], ln, "x")?;
+        let y: f32 = parse_num(parts[3], ln, "y")?;
+        // `f32::from_str` accepts `nan` and `inf`; a net whose pins are all
+        // non-finite has no bounding box.
+        if !(x.is_finite() && y.is_finite()) {
+            return Err(err(ln, "non-finite coordinate"));
+        }
+        coords.push((id, x, y));
     }
     let n = coords.iter().map(|&(i, _, _)| i + 1).max().unwrap_or(0);
     let mut p = Placement::new(n);
@@ -385,6 +389,21 @@ mod tests {
         for i in 0..p.len() {
             assert_eq!(back.pos(i), p.pos(i));
         }
+    }
+
+    #[test]
+    fn rejects_non_finite_coordinates() {
+        for bad in ["nan", "NaN", "inf", "-inf", "infinity"] {
+            for text in [
+                format!("placement v1\npl 0 1.5 2\npl 1 {bad} 2\n"),
+                format!("placement v1\npl 0 1.5 2\npl 1 2 {bad}\n"),
+            ] {
+                let e = read_placement(&text).unwrap_err();
+                assert!(e.message.contains("non-finite"), "{bad}: {e}");
+                assert_eq!(e.line, 3, "{bad}");
+            }
+        }
+        assert!(read_placement("placement v1\npl 0 -0.0 1e30\n").is_ok());
     }
 
     #[test]

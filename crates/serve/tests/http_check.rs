@@ -1,12 +1,19 @@
 //! Randomized robustness tests for the HTTP parser and the binary wire
 //! codecs, driven by `mfaplace_rt::check`: whatever bytes arrive, the
 //! parser must return a typed error or a valid request — never panic,
-//! never allocate unboundedly.
+//! never allocate unboundedly. The last test holds the text side of
+//! `/predict/design` to the same rule over a real socket.
 
+use std::sync::Arc;
+
+use mfaplace_core::loader::{init_checkpoint, LoadOptions};
+use mfaplace_fpga::design::DesignPreset;
+use mfaplace_fpga::io;
+use mfaplace_models::{Arch, ArchSpec};
 use mfaplace_rt::check::{run_cases, vec_u8};
 use mfaplace_rt::rng::Rng;
 use mfaplace_serve::http::{HttpError, Request};
-use mfaplace_serve::protocol;
+use mfaplace_serve::{client, protocol, serve, Metrics, ModelSlot, ServeConfig};
 
 const MAX_BODY: usize = 1 << 20;
 
@@ -105,4 +112,57 @@ fn feature_codec_rejects_any_truncation() {
             "prefix of {cut} bytes must be rejected"
         );
     });
+}
+
+/// `f32::from_str` reads `nan` and `inf`, and a net whose pins are all
+/// non-finite has no bounding box to rasterize: the placement reader must
+/// turn such a body into a 400 that names the line, over a real socket.
+#[test]
+fn non_finite_placement_coordinates_get_400() {
+    let dir = std::env::temp_dir().join("mfaplace_http_check");
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt = dir.join("non_finite.mfaw").to_string_lossy().into_owned();
+    let mut spec = ArchSpec::new(Arch::UNet, 16);
+    spec.base_channels = 2;
+    init_checkpoint(&spec, 5, &ckpt).unwrap();
+    let metrics = Arc::new(Metrics::new());
+    let slot = ModelSlot::load(&ckpt, LoadOptions::default(), metrics.clone()).unwrap();
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        ..ServeConfig::default()
+    };
+    let server = serve(slot, metrics, config).unwrap();
+    let addr = server.addr().to_string();
+
+    let design = DesignPreset::design_116()
+        .with_scale(512, 64, 32)
+        .generate(3);
+    let design_text = io::write_design(&design);
+    let good = io::write_placement(&design.random_placement(4));
+    assert!(client::predict_design(&addr, &design_text, &good).is_ok());
+
+    for bad in ["nan", "inf", "-inf"] {
+        // Every instance non-finite: every net's box would be inverted.
+        let poisoned: String = good
+            .lines()
+            .map(
+                |line| match line.split_whitespace().collect::<Vec<_>>()[..] {
+                    ["pl", id, _, _] => format!("pl {id} {bad} {bad}\n"),
+                    _ => format!("{line}\n"),
+                },
+            )
+            .collect();
+        let body = protocol::encode_design_request(&design_text, &poisoned);
+        let r = client::request(&addr, "POST", "/predict/design", &[], body.as_bytes()).unwrap();
+        assert_eq!(r.status, 400, "{bad}: {}", r.text());
+        assert!(
+            r.text().contains("line 2") && r.text().contains("non-finite"),
+            "{bad}: {}",
+            r.text()
+        );
+    }
+
+    let r = client::request(&addr, "GET", "/healthz", &[], b"").unwrap();
+    assert_eq!(r.status, 200);
+    server.join();
 }
