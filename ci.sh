@@ -61,6 +61,9 @@ cargo test -q -p mfaplace-models --offline --test fused_mfa
 # attributed: any thread count gives the same bits, and a serial plan
 # forward allocates nothing.
 cargo test -q -p mfaplace-tensor --offline --test parallel_equivalence
+# The feature-major forward's query-lane kernel against the composed chain,
+# bit for bit, over ragged blocks, key tails, channel groups and threads.
+cargo test -q -p mfaplace-tensor --offline --test fm_query_lane
 cargo test -q -p mfaplace-infer --offline --test no_alloc
 
 echo "==> training determinism + checkpoint/resume suite"

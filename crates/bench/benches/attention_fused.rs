@@ -9,6 +9,14 @@
 //! result: only the tiled fused kernel reaches paper-fidelity
 //! resolution at all). Writes `results/attention_fused.json`.
 //!
+//! A second block times the paper-resolution position attention alone —
+//! `attention_fm` at L = 16384, n = nv = 2, the `mfa1` step that is most of
+//! a grid-256 forward — on Gaussian q / k scaled to a logit standard
+//! deviation of 1, 6 and 12. The arithmetic is identical; what changes is
+//! how many softmax terms land in the subnormals on their way to zero,
+//! which the hardware handles with microcode assists (EXPERIMENTS.md,
+//! "Subnormal sensitivity").
+//!
 //! Every (grid, variant) combination runs in its **own child process**:
 //! peak RSS is sampled from the kernel's `VmHWM` watermark, and a
 //! watermark observed after another variant already ran in the same
@@ -21,9 +29,13 @@ use mfaplace_models::{CongestionModel, OursConfig, OursModel};
 use mfaplace_nn::set_composed_attention;
 use mfaplace_rt::bench::Suite;
 use mfaplace_rt::rng::{SeedableRng, StdRng};
-use mfaplace_tensor::Tensor;
+use mfaplace_tensor::{attention_fm, Tensor};
 
 const CHILD_ENV: &str = "MFA_ATTN_CHILD";
+/// Logit standard deviations of the position-attention rows.
+const PAM_AMPLITUDES: [u32; 3] = [1, 6, 12];
+const PAM_L: usize = 16384;
+const PAM_N: usize = 2;
 const GRIDS: [usize; 3] = [32, 64, 256];
 const VARIANTS: [&str; 2] = ["composed", "fused"];
 /// Largest grid benchmarked beyond a fused-only forward: the composed
@@ -47,12 +59,35 @@ fn model(g: &mut Graph, grid: usize) -> OursModel {
     )
 }
 
-/// Child mode: benchmark one (grid, variant) and print the suite JSON on
-/// stdout (the table goes to stderr).
+fn pam_name(amp: u32) -> String {
+    format!("attention/pam_l{PAM_L}_n{PAM_N}/amp{amp}/forward")
+}
+
+/// Child mode for one position-attention row: q, k ~ N(0, σ²) with
+/// `σ² · √n = amp`, so a logit `Σ_p q_p·k_p` has standard deviation `amp`.
+fn run_pam_child(amp: u32) {
+    let mut rng = StdRng::seed_from_u64(5);
+    let sigma = (amp as f32 / (PAM_N as f32).sqrt()).sqrt();
+    let q = Tensor::randn(vec![1, PAM_N, PAM_L], sigma, &mut rng);
+    let k = Tensor::randn(vec![1, PAM_N, PAM_L], sigma, &mut rng);
+    let v = Tensor::randn(vec![1, PAM_N, PAM_L], 1.0, &mut rng);
+    let mut suite = Suite::new("attention_fused").with_config(2, 7);
+    suite.run(&pam_name(amp), |b| {
+        b.iter(|| std::hint::black_box(attention_fm(&q, &k, &v, 1.0).sum()))
+    });
+    print!("{}", suite.to_json());
+}
+
+/// Child mode: benchmark one (grid, variant) — or, for `pam:<amp>`, one
+/// position-attention row — and print the suite JSON on stdout (the table
+/// goes to stderr).
 fn run_child(spec: &str) {
     let (grid, variant) = spec
         .split_once(':')
         .expect("MFA_ATTN_CHILD=<grid>:<variant>");
+    if grid == "pam" {
+        return run_pam_child(variant.parse().expect("amplitude"));
+    }
     let grid: usize = grid.parse().expect("grid");
     set_composed_attention(variant == "composed");
 
@@ -133,21 +168,25 @@ fn main() {
     }
 
     let exe = std::env::current_exe().expect("current exe");
-    let mut fragments = Vec::new();
+    let mut specs = Vec::new();
     for grid in GRIDS {
         for variant in VARIANTS {
-            if grid > MAX_FULL_GRID && variant == "composed" {
-                continue;
+            if grid <= MAX_FULL_GRID || variant != "composed" {
+                specs.push(format!("{grid}:{variant}"));
             }
-            let out = std::process::Command::new(&exe)
-                .env(CHILD_ENV, format!("{grid}:{variant}"))
-                .stderr(std::process::Stdio::inherit())
-                .output()
-                .expect("spawn bench child");
-            assert!(out.status.success(), "child {grid}:{variant} failed");
-            let json = String::from_utf8(out.stdout).expect("child json");
-            fragments.push(benchmarks_fragment(&json).to_owned());
         }
+    }
+    specs.extend(PAM_AMPLITUDES.map(|amp| format!("pam:{amp}")));
+    let mut fragments = Vec::new();
+    for spec in specs {
+        let out = std::process::Command::new(&exe)
+            .env(CHILD_ENV, &spec)
+            .stderr(std::process::Stdio::inherit())
+            .output()
+            .expect("spawn bench child");
+        assert!(out.status.success(), "child {spec} failed");
+        let json = String::from_utf8(out.stdout).expect("child json");
+        fragments.push(benchmarks_fragment(&json).to_owned());
     }
     let merged = format!(
         "{{\"suite\":\"attention_fused\",\"benchmarks\":[{}]}}",
@@ -184,6 +223,18 @@ fn main() {
                     "grid {grid} {stage:<10} composed   (not measurable)  fused {f:>12.1} ns  {rss}"
                 );
             }
+        }
+    }
+
+    let base = median_of(&merged, &pam_name(PAM_AMPLITUDES[0]));
+    for amp in PAM_AMPLITUDES {
+        if let (Some(t), Some(base)) = (median_of(&merged, &pam_name(amp)), base) {
+            println!(
+                "pam L={PAM_L} n=nv={PAM_N} logit std {amp:<2} {:>8.1} ms  {:.2}x of std {}",
+                t / 1e6,
+                t / base,
+                PAM_AMPLITUDES[0]
+            );
         }
     }
 

@@ -57,7 +57,7 @@ use mfaplace_tensor::{layer_norm_rows, lowlevel, softmax_row};
 
 #[cfg(debug_assertions)]
 use crate::plan::{for_each_operand, spans_overlap, write_spans};
-use crate::plan::{ArenaRange, BmmKind, IrOp, Kernel, Loc, Plan, Step, Store, ValId};
+use crate::plan::{ArenaRange, BmmKind, IrOp, Kernel, Loc, Plan, Step, StepCost, Store, ValId};
 use crate::quant;
 
 /// Owns the mutable state (activation arena) needed to run a [`Plan`].
@@ -233,6 +233,8 @@ pub struct StepProfile {
     pub out_numel: usize,
     /// Wall time from the previous step's end to this step's end.
     pub ns: u64,
+    /// FLOPs, `exp` evaluations and bytes the op must do, from its shapes.
+    pub cost: StepCost,
 }
 
 /// Per-step timing of one forward — see [`profile_plan`].
@@ -282,6 +284,7 @@ pub fn profile_plan(plan: &Plan, arena: &mut Vec<u64>, input: &[f32]) -> PlanPro
                 kind: step_kind(step),
                 out_numel: plan.values[step.out].numel,
                 ns,
+                cost: plan.step_cost(step),
             }
         })
         .collect();

@@ -49,5 +49,5 @@ pub use cache::{
     PlanCache, PlanCacheStats, PlanKey, PlanPrecision, PlanSource, DEFAULT_PLAN_CACHE_BYTES,
 };
 pub use exec::{profile_plan, run_plan, PlanExecutor, PlanProfile, StepProfile};
-pub use plan::{Plan, PlanOptions, PlanStats};
+pub use plan::{Plan, PlanOptions, PlanStats, StepCost};
 pub use quant::{Calibration, QuantOptions, QuantStats};

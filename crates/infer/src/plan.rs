@@ -1048,6 +1048,87 @@ pub(crate) fn for_each_operand(op: &IrOp, f: &mut dyn FnMut(ValId)) {
     }
 }
 
+/// The work one step must do, read off the plan's value shapes: the
+/// roofline inputs of `mfaplace profile`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct StepCost {
+    /// Floating-point operations: `2·m·k·n` per contraction (conv, matmul,
+    /// bmm, both attention products), one per output element for
+    /// elementwise and normalization ops, none for pure data movement.
+    pub flops: u64,
+    /// `exp`-class evaluations (softmax numerators, sigmoid, GELU).
+    pub exps: u64,
+    /// Bytes of every operand read once plus the output written once — the
+    /// least the op can move, whatever its kernel re-reads from cache.
+    pub bytes: u64,
+    /// The dims that set the cost, for ops whose output shape hides them
+    /// (`L=16384 n=2 nv=2` for a position attention); empty otherwise.
+    pub dims: String,
+}
+
+impl Plan {
+    /// The [`StepCost`] of `step` (one of this plan's steps).
+    pub(crate) fn step_cost(&self, step: &Step) -> StepCost {
+        let value_bytes = |v: ValId| {
+            let info = &self.values[v];
+            (info.numel * info.store.elem_bytes()) as u64
+        };
+        let mut bytes = value_bytes(step.out);
+        for_each_operand(&step.op, &mut |v| bytes += value_bytes(v));
+        let out = self.values[step.out].numel as u64;
+        let (flops, exps, dims) = match &step.op {
+            IrOp::Conv2d {
+                b,
+                c,
+                kh,
+                kw,
+                oc,
+                oh,
+                ow,
+                ..
+            } => (
+                2 * (b * oc * oh * ow * c * kh * kw) as u64,
+                0,
+                format!("c={c} oc={oc} k={kh}x{kw} out={oh}x{ow}"),
+            ),
+            IrOp::Matmul { m, k, n, .. } => {
+                (2 * (m * k * n) as u64, 0, format!("m={m} k={k} n={n}"))
+            }
+            IrOp::Bmm { bt, m, k, n, .. } => (
+                2 * (bt * m * k * n) as u64,
+                0,
+                format!("b={bt} m={m} k={k} n={n}"),
+            ),
+            IrOp::AttentionTm {
+                b, lq, lk, d, dv, ..
+            } => (
+                (b * lq * lk * (2 * d + 2 * dv)) as u64,
+                (b * lq * lk) as u64,
+                format!("b={b} Lq={lq} Lk={lk} d={d} dv={dv}"),
+            ),
+            IrOp::AttentionFm { b, n, nv, l, .. } => (
+                (b * l * l * (2 * n + 2 * nv)) as u64,
+                (b * l * l) as u64,
+                format!("b={b} L={l} n={n} nv={nv}"),
+            ),
+            IrOp::SoftmaxLast { d, .. } => (out, out, format!("d={d}")),
+            IrOp::Sigmoid { .. } | IrOp::Gelu { .. } => (out, out, String::new()),
+            IrOp::Copy { .. }
+            | IrOp::Permute { .. }
+            | IrOp::ConcatChannels { .. }
+            | IrOp::SliceChannels { .. }
+            | IrOp::Upsample2x { .. } => (0, 0, String::new()),
+            _ => (out, 0, String::new()),
+        };
+        StepCost {
+            flops,
+            exps,
+            bytes,
+            dims,
+        }
+    }
+}
+
 /// What a conv (or add) chain step absorbs during fusion.
 enum Absorb {
     Bias(ValId),

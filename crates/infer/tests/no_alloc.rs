@@ -6,14 +6,16 @@
 //! test thread only (the harness and other threads allocate freely), and
 //! only while the forward under test runs. Kernels are pinned to one pool
 //! thread: fanning a large kernel out across the `mfaplace-rt` pool spawns
-//! threads, which is the pool's cost, not the executor's.
+//! threads, which is the pool's cost, not the executor's. The plan's
+//! position attentions run the feature-major forward's serial arm — under
+//! AVX2 the query-lane kernel, whose scratch is thread-local and warm.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
 
 use mfaplace_autograd::Graph;
-use mfaplace_infer::{run_plan, Calibration, Plan, PlanOptions, QuantOptions};
+use mfaplace_infer::{profile_plan, run_plan, Calibration, Plan, PlanOptions, QuantOptions};
 use mfaplace_models::{Arch, ArchSpec, CongestionModel};
 use mfaplace_rt::pool;
 use mfaplace_rt::rng::{SeedableRng, StdRng};
@@ -98,6 +100,15 @@ fn warm_forwards_of_f32_and_int8_plans_allocate_nothing() {
     pool::with_threads(1, || {
         for (flavour, plan) in [("f32", &plan), ("int8", &int8)] {
             let mut arena = Vec::new();
+            // Both plans carry position attentions: under AVX2 at one pool
+            // thread these run the query-lane forward's serial arm, whose
+            // only buffer is the thread's kernel scratch.
+            let pams = profile_plan(plan, &mut arena, x.data())
+                .steps
+                .iter()
+                .filter(|s| s.kind == "AttentionFm")
+                .count();
+            assert!(pams > 0, "{flavour}: plan has no position attention");
             // Warm-up: sizes the arena and registers the timer labels.
             let warm = run_plan(plan, &mut arena, x.data(), 1).to_vec();
             let mut same = true;

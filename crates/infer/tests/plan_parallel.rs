@@ -143,6 +143,19 @@ fn profile_lists_every_step_once_and_accounts_for_the_replay() {
             "{flavour}: {kinds:?}"
         );
         assert!(profile.steps.iter().all(|s| s.out_numel > 0));
+        // Every step carries its roofline inputs: writing the output alone
+        // is bytes it must move (one per element at the narrowest store),
+        // and a position attention does `2·(n + nv)` FLOPs per `exp`.
+        for s in &profile.steps {
+            assert!(s.cost.bytes >= s.out_numel as u64, "{flavour}: {s:?}");
+            if s.kind == "AttentionFm" {
+                assert!(s.cost.dims.contains("L="), "{flavour}: {s:?}");
+                assert!(
+                    s.cost.exps > 0 && s.cost.flops % (2 * s.cost.exps) == 0,
+                    "{flavour}: {s:?}"
+                );
+            }
+        }
         // Steps tile the replay: they can only fall short of its wall
         // time, by the run loop's prologue and epilogue.
         let sum: u64 = profile.steps.iter().map(|s| s.ns).sum();

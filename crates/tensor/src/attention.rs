@@ -36,35 +36,74 @@
 //! **feature-major** (`[B, D, L]`, the position-attention PAM, which keeps
 //! channels outermost and attends over spatial positions).
 //!
-//! # Tiling, passes and threads
+//! # Tiles, lanes and threads
 //!
-//! Both forwards work on tiles of [`ATTN_TILE`] queries, and above one
-//! shared threshold (`L²·(D + Dv) ≥ PAR_GEMM_FLOPS` and more than one
-//! tile) the tiles fan out over the `rt` pool. A tile's outputs depend on
-//! nothing another tile writes and every output element is one FMA chain
-//! in contraction order, so the result is bitwise identical at any thread
+//! Both forwards work on independent blocks of queries — [`ATTN_TILE`]
+//! query rows, or `QUERY_LANES` (8) query columns on the query-lane path —
+//! and above one shared threshold (`L²·(D + Dv) ≥ PAR_GEMM_FLOPS`) the
+//! blocks fan out over the `rt` pool. A block's outputs depend on nothing
+//! another block writes and every output element is one FMA chain in
+//! contraction order, so the result is bitwise identical at any thread
 //! count. Token-major tiles are output rows and are written in place;
-//! feature-major tiles are output *columns*, so each is computed into a
-//! tile-local `[Dv, t]` block and scattered (see `fm_forward_vec`). The
-//! serial paths take every buffer from the caller or from this thread's
-//! kernel scratch and allocate nothing; the parallel paths allocate their
-//! per-worker tile buffers.
+//! feature-major blocks are output *columns*, so in parallel each is
+//! computed into a block-local `[Dv, t]` tile of a staging buffer and
+//! scattered after the join. The serial paths take every buffer from the
+//! caller or from this thread's kernel scratch and allocate nothing; the
+//! parallel paths allocate per worker.
 //!
-//! On the vector backends a tile is four passes — score GEMM, softmax
-//! numerators, divide, value GEMM — fused wherever fusing leaves each
-//! element's arithmetic untouched: the microkernel overwrites its output,
-//! so reused tile buffers are resized but never zero-filled; the composed
-//! chain's `Scale` node rides the softmax's max and exp sweeps
-//! (`simd::softmax_row_scaled`, an exact IEEE multiply wherever it
-//! happens); and the feature-major forward, whose value product wants the
-//! softmax tile transposed, lets the softmax's exact IEEE divide write
-//! straight into the packed panels (`simd::pack_bt_div`) instead of
-//! normalizing the tile in place and re-reading it to pack.
+//! ## Four passes per tile
+//!
+//! The token-major forward, and the feature-major forward wherever the
+//! query-lane kernel below is not taken. A tile is score GEMM, softmax numerators, divide, value GEMM — fused
+//! wherever fusing leaves each element's arithmetic untouched: the
+//! microkernel overwrites its output, so reused tile buffers are resized but
+//! never zero-filled; the composed chain's `Scale` node rides the softmax's
+//! max and exp sweeps (`simd::softmax_row_scaled`, an exact IEEE multiply
+//! wherever it happens); and the feature-major tile, whose value product
+//! wants the softmax tile transposed, lets the softmax's exact IEEE divide
+//! write straight into the packed panels (`simd::pack_bt_div`).
+//!
+//! ## Queries in the lanes
+//!
+//! Feature-major under AVX2. The four-pass feature-major tile spends most of its time rearranging: a
+//! K = 2 "GEMM" through packed panels is an outer product paying GEMM
+//! overheads, the exp sweep wants lanes along keys while the value product
+//! wants lanes along queries (hence the transposed pack, and a divide that
+//! runs at scalar-code width inside it). In `[D, L]` layout the query
+//! columns `q[p, y0..y0 + 8]` are already contiguous, so putting the
+//! *queries* in the vector lanes and looping over the key index removes the
+//! gather, both packs, the transpose and the second GEMM: three sweeps over
+//! an `[L, 8]` scratch (`simd::fm_query_block`), each element seeing exactly
+//! the composed chain's operations:
+//!
+//! 1. **score** — `s = fma(q_{n−1}, k_{n−1}[x], … fma(q_0, k_0[x], +0)) ·
+//!    scale`: the score microkernel's accumulator, started at `+0` and
+//!    walked over the channel index in increasing order (`fma` is
+//!    commutative in its factors, so which one is broadcast is immaterial),
+//!    then the `Scale` node's IEEE multiply; the running max is exact in
+//!    any order;
+//! 2. **exp** — `e = exp8(s − m)`, added into *eight* sum vectors keyed by
+//!    `x mod 8`, combined `((z0+z4)+(z1+z5))+((z2+z6)+(z3+z7))`, then the
+//!    `L mod 8` tail through `exp_scalar` in index order. The row softmax
+//!    (`exp_row_scaled`) keeps one 8-lane running sum whose lane `j` adds
+//!    keys `j, j + 8, …` in order; with queries in the lanes that lane is
+//!    the query's entry of vector `z_j`, so eight vectors and the same tree
+//!    reproduce its lane partials, its fixed tree and its tail, transposed;
+//! 3. **divide + value** — `w = e / z` (one IEEE divide, the same bits at
+//!    any width) and `o_c = fma(v[c,x], w, o_c)` for `x` increasing: the
+//!    value microkernel's one chain per output in contraction order.
+//!
+//! Signed zeros need no argument beyond the four-pass path's: no vector
+//! backend zero-skips, chains start at `+0` exactly as the microkernel's
+//! do, and `exp` maps `±0` to the same `1.0`, so a max of `+0` or `−0` is
+//! invisible. The dispatch rule (`fm_forward_vec`) is a property of the
+//! call — backend and channel counts — and both paths give the composed
+//! chain's bits, so it can never be observed in an output.
 
 use mfaplace_rt::pool;
 
 use crate::kernels::PAR_GEMM_FLOPS;
-use crate::simd::{self, AView, Backend};
+use crate::simd::{self, AView, Backend, QUERY_LANES};
 use crate::Tensor;
 
 /// Query rows processed per tile: the parallel-dispatch granularity of the
@@ -699,10 +738,11 @@ pub fn attention_fm_slices(
 
 /// Explicit-backend [`attention_fm_slices`] — the differential suite's
 /// entry point. The scalar arm is the verbatim reference loop, one query
-/// column at a time; the vector arm runs query-column tiles through the
-/// microkernel (tile-parallel above the shared threshold, see the module
-/// docs), matching the composed `bmm`/`scale`/`permute`/`softmax`/`bmm`
-/// chain bitwise under the same backend.
+/// column at a time; the vector arm runs blocks of query columns — the
+/// query-lane kernel where the backend has one, four-pass microkernel tiles
+/// otherwise, fanned out above the shared threshold (see the module docs) —
+/// matching the composed `bmm`/`scale`/`permute`/`softmax`/`bmm` chain
+/// bitwise under the same backend.
 ///
 /// # Panics
 ///
@@ -759,7 +799,122 @@ pub fn attention_fm_slices_with(
     }
 }
 
-/// Vector-backend feature-major forward for one batch. `k` is packed once;
+/// Vector-backend feature-major forward for one batch: the query-lane
+/// kernel ([`fm_forward_query_lanes`]) where the backend has one, the
+/// four-pass tile ([`fm_forward_tiled`]) otherwise. The rule is the
+/// backend alone because the lane kernel measured no slower at any shape:
+/// 0.42–0.51× of the tile's time at 2 channels, 0.8× at 32, 0.85–1.02× from
+/// 64 to 256, flat in `L` (EXPERIMENTS.md has the sweep). Both produce the
+/// bits of the composed chain under `bk`, so the choice is invisible in the
+/// output.
+#[allow(clippy::too_many_arguments)]
+fn fm_forward_vec(
+    bk: Backend,
+    qb: &[f32],
+    kb: &[f32],
+    vb: &[f32],
+    scale: f32,
+    n: usize,
+    nv: usize,
+    l: usize,
+    ob: &mut [f32],
+) {
+    if simd::has_query_lanes(bk) && n > 0 && nv > 0 {
+        fm_forward_query_lanes(bk, qb, kb, vb, scale, n, nv, l, ob);
+    } else {
+        fm_forward_tiled(bk, qb, kb, vb, scale, n, nv, l, ob);
+    }
+}
+
+/// Feature-major forward for one batch with the queries in the vector
+/// lanes: blocks of [`QUERY_LANES`] query columns, each three sweeps over an
+/// `[l, QUERY_LANES]` scratch ([`simd::fm_query_block`]) — no gather, no
+/// pack, no transposed copy of the probabilities.
+///
+/// Blocks are independent, so under the shared threshold they fan out over
+/// the pool in contiguous runs, one per worker, each worker filling its run
+/// of a block-major staging buffer that is scattered into the interleaved
+/// output columns after the join. Serially a block's outputs are contiguous
+/// per channel in `ob` and are stored in place.
+#[allow(clippy::too_many_arguments)]
+fn fm_forward_query_lanes(
+    bk: Backend,
+    qb: &[f32],
+    kb: &[f32],
+    vb: &[f32],
+    scale: f32,
+    n: usize,
+    nv: usize,
+    l: usize,
+    ob: &mut [f32],
+) {
+    let n_blocks = l.div_ceil(QUERY_LANES);
+    let nt = if l * l * (n + nv) >= PAR_GEMM_FLOPS {
+        pool::max_threads().min(n_blocks)
+    } else {
+        1
+    };
+    if nt <= 1 {
+        return fm_query_blocks(bk, qb, kb, vb, scale, n, nv, l, 0, ob, false);
+    }
+    // Block `i` owns `staged[i * QUERY_LANES * nv..]`: every block but the
+    // last is full, so a worker's run of whole blocks is contiguous.
+    let per = n_blocks.div_ceil(nt) * QUERY_LANES;
+    let mut staged = vec![0.0f32; nv * l];
+    pool::parallel_chunks_mut(&mut staged, per * nv, |wi, run| {
+        fm_query_blocks(bk, qb, kb, vb, scale, n, nv, l, wi * per, run, true);
+    });
+    for (bi, o_block) in staged.chunks(QUERY_LANES * nv).enumerate() {
+        scatter_columns(o_block, nv, l, bi * QUERY_LANES, o_block.len() / nv, ob);
+    }
+}
+
+/// The query-lane blocks of columns `[y0, y0 + cols)`, `y0` a multiple of
+/// [`QUERY_LANES`]. In place (`staged == false`), `out` is the `[nv, l]`
+/// output from column `y0` on and `cols = l - y0`; staged, `out` holds
+/// `cols = out.len() / nv` columns block after block, each a contiguous
+/// `[nv, t]` tile. The `[l, QUERY_LANES]` scratch is the executing thread's
+/// [`simd::Scratch`], so a warm serial call allocates nothing.
+#[allow(clippy::too_many_arguments)]
+fn fm_query_blocks(
+    bk: Backend,
+    qb: &[f32],
+    kb: &[f32],
+    vb: &[f32],
+    scale: f32,
+    n: usize,
+    nv: usize,
+    l: usize,
+    y0: usize,
+    out: &mut [f32],
+    staged: bool,
+) {
+    let cols = if staged { out.len() / nv } else { l - y0 };
+    simd::with_scratch(|sc| {
+        sc.tile_a.resize(QUERY_LANES * l, 0.0);
+        for dy in (0..cols).step_by(QUERY_LANES) {
+            let t = QUERY_LANES.min(cols - dy);
+            let (at, o_stride) = if staged { (dy * nv, t) } else { (dy, l) };
+            simd::fm_query_block(
+                bk,
+                qb,
+                kb,
+                vb,
+                scale,
+                n,
+                nv,
+                l,
+                y0 + dy,
+                t,
+                &mut sc.tile_a,
+                &mut out[at..],
+                o_stride,
+            );
+        }
+    });
+}
+
+/// Four-pass feature-major forward for one batch. `k` is packed once;
 /// query-column tiles then run through [`fm_tile_vec`], each producing a
 /// tile-local `[nv, t]` block that is scattered into its output columns.
 ///
@@ -773,7 +928,7 @@ pub fn attention_fm_slices_with(
 /// buffers; the serial arm takes them from this thread's [`simd::Scratch`]
 /// and allocates nothing.
 #[allow(clippy::too_many_arguments)]
-fn fm_forward_vec(
+fn fm_forward_tiled(
     bk: Backend,
     qb: &[f32],
     kb: &[f32],
@@ -1208,6 +1363,72 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn fm_query_lanes_match_the_four_pass_tile_bitwise() {
+        // Both private forwards under the active backend (when it has a
+        // query-lane kernel): ragged query blocks and key tails, one and
+        // several channel groups, the tile path's ragged last tile.
+        let bk = simd::active();
+        if !simd::has_query_lanes(bk) {
+            return;
+        }
+        let channels = [
+            (1, 1),
+            (2, 2),
+            (3, 9),
+            (4, 4),
+            (8, 8),
+            (9, 3),
+            (16, 16),
+            (32, 32),
+        ];
+        for (n, nv) in channels {
+            for l in [1, 7, 8, 9, 15, 16, 17, 31, 33, 100, 1030] {
+                let q = tensor(vec![1, n, l], 20);
+                let k = tensor(vec![1, n, l], 21);
+                let v = tensor(vec![1, nv, l], 22);
+                for scale in [1.0, 0.37] {
+                    for nt in [1, 3] {
+                        let mut lanes = vec![f32::NAN; nv * l];
+                        let mut tiled = vec![f32::NAN; nv * l];
+                        pool::with_threads(nt, || {
+                            let (q, k, v) = (q.data(), k.data(), v.data());
+                            fm_forward_query_lanes(bk, q, k, v, scale, n, nv, l, &mut lanes);
+                            fm_forward_tiled(bk, q, k, v, scale, n, nv, l, &mut tiled);
+                        });
+                        for (x, y) in lanes.iter().zip(&tiled) {
+                            assert_eq!(
+                                x.to_bits(),
+                                y.to_bits(),
+                                "n={n} nv={nv} l={l} scale={scale} threads={nt}: {x} vs {y}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fm_query_lane_scratch_stays_within_sixteen_l_floats() {
+        // The grid-256 `mfa1` shape on a fresh thread, serial arm: the
+        // thread's kernel scratch afterwards is this op's whole footprint
+        // (the four-pass tile held a 2 MiB tile plus a 2 MiB packed copy).
+        let bk = simd::active();
+        if !simd::has_query_lanes(bk) {
+            return;
+        }
+        let (n, l) = (2, 16384);
+        let q = tensor(vec![1, n, l], 23);
+        let held = std::thread::spawn(move || {
+            pool::with_threads(1, || attention_fm(&q, &q, &q, 1.0));
+            simd::with_scratch(|sc| sc.floats())
+        })
+        .join()
+        .expect("attention thread");
+        assert!(held > 0 && held <= 16 * l, "scratch holds {held} floats");
     }
 
     #[test]

@@ -216,6 +216,228 @@ pub(crate) unsafe fn exp_row_scaled(row: &mut [f32], scale: f32) -> f32 {
     z
 }
 
+// ------------------------------------- feature-major attention, query lanes
+
+use super::QUERY_LANES;
+
+/// Largest channel group a sweep keeps in registers: one accumulator (or
+/// query vector) per channel, leaving room for the operands around them.
+const LANE_GROUP: usize = 8;
+
+/// One block of the feature-major attention forward with the **queries in
+/// the vector lanes**: output columns `[y0, y0 + t)`, `t ≤ QUERY_LANES`, of
+/// `out[c, y] = Σ_x softmax_x(Σ_p q[p,y]·k[p,x] · scale) · v[c,x]`, written
+/// to `out[c * o_stride + r]` for `r < t`.
+///
+/// In `[D, L]` layout the query columns `q[p, y0..y0 + 8]` are contiguous,
+/// so with lane = query and the key index `x` as the loop nothing has to be
+/// gathered, packed or transposed. Three sweeps over the `[l, 8]` scratch
+/// `scr` (row `x` holds the eight queries' values for key `x`), each
+/// performing per element exactly the operations of the composed
+/// `bmm → scale → softmax → bmm` chain under this backend:
+///
+/// 1. `s[x] = fma(q_{n-1}, k_{n-1}[x], … fma(q_0, k_0[x], +0)) · scale` —
+///    the score microkernel's one FMA chain per element over the channel
+///    index, then the `Scale` node's multiply — with the exact running max;
+/// 2. `e[x] = exp8(s[x] − m)`, summed into eight vectors keyed by `x mod 8`
+///    and combined `((z0+z4)+(z1+z5))+((z2+z6)+(z3+z7))`, then the `l mod 8`
+///    tail through `exp_scalar` in index order: a query's lane of `z_j` is
+///    lane `j` of [`exp_row_scaled`]'s running sum, so this is that row
+///    sum's fixed tree, transposed;
+/// 3. `w[x] = e[x] / z` (the softmax's IEEE divide) and
+///    `o_c = fma(v[c,x], w[x], o_c)` for `x` increasing — the value
+///    microkernel's chain.
+///
+/// Channels are taken [`LANE_GROUP`] at a time: a score chain is carried
+/// from one group to the next through the scratch (an exact f32 store and
+/// reload), and with more than one value group the first stores `w` back
+/// for the rest. Lanes `t..8` of a ragged block compute on zero queries
+/// (finite throughout) and are dropped at the store.
+///
+/// # Safety
+///
+/// Requires AVX2 + FMA. `n ≥ 1`, `nv ≥ 1`, `1 ≤ t ≤ QUERY_LANES`,
+/// `y0 + t ≤ l`; `q` and `k` hold `n * l` elements, `v` holds `nv * l`,
+/// `scr` at least `QUERY_LANES * l`, and `out` at least
+/// `(nv - 1) * o_stride + t` (all asserted by [`super::fm_query_block`]).
+#[target_feature(enable = "avx2", enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn fm_query_block(
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    scale: f32,
+    n: usize,
+    nv: usize,
+    l: usize,
+    y0: usize,
+    t: usize,
+    scr: &mut [f32],
+    out: &mut [f32],
+    o_stride: usize,
+) {
+    let scr = scr.as_mut_ptr();
+
+    // (1) Scaled scores and their max.
+    let mut m = _mm256_setzero_ps();
+    for p0 in (0..n).step_by(LANE_GROUP) {
+        let qp = q.as_ptr().add(p0 * l + y0);
+        let kp = k.as_ptr().add(p0 * l);
+        let scale = (p0 + LANE_GROUP >= n).then_some(scale);
+        m = match n - p0 {
+            1 => score_sweep::<1>(qp, kp, l, t, scr, p0 == 0, scale),
+            2 => score_sweep::<2>(qp, kp, l, t, scr, p0 == 0, scale),
+            3 => score_sweep::<3>(qp, kp, l, t, scr, p0 == 0, scale),
+            4 => score_sweep::<4>(qp, kp, l, t, scr, p0 == 0, scale),
+            5 => score_sweep::<5>(qp, kp, l, t, scr, p0 == 0, scale),
+            6 => score_sweep::<6>(qp, kp, l, t, scr, p0 == 0, scale),
+            7 => score_sweep::<7>(qp, kp, l, t, scr, p0 == 0, scale),
+            _ => score_sweep::<LANE_GROUP>(qp, kp, l, t, scr, p0 == 0, scale),
+        };
+    }
+
+    // (2) Softmax numerators and their sum. The eights here are the row
+    // softmax's lane count (the key-index modulus), not `QUERY_LANES`.
+    let body = l / 8 * 8;
+    let mut zs = [_mm256_setzero_ps(); 8];
+    for x in (0..body).step_by(8) {
+        for (j, zj) in zs.iter_mut().enumerate() {
+            let s = scr.add((x + j) * QUERY_LANES);
+            let e = exp8(_mm256_sub_ps(_mm256_loadu_ps(s), m));
+            _mm256_storeu_ps(s, e);
+            *zj = _mm256_add_ps(*zj, e);
+        }
+    }
+    let mut z = _mm256_add_ps(
+        _mm256_add_ps(_mm256_add_ps(zs[0], zs[4]), _mm256_add_ps(zs[1], zs[5])),
+        _mm256_add_ps(_mm256_add_ps(zs[2], zs[6]), _mm256_add_ps(zs[3], zs[7])),
+    );
+    for x in body..l {
+        let s = scr.add(x * QUERY_LANES);
+        let mut lanes = [0.0f32; QUERY_LANES];
+        _mm256_storeu_ps(lanes.as_mut_ptr(), _mm256_sub_ps(_mm256_loadu_ps(s), m));
+        for lane in &mut lanes {
+            *lane = exp_scalar(*lane);
+        }
+        let e = _mm256_loadu_ps(lanes.as_ptr());
+        _mm256_storeu_ps(s, e);
+        z = _mm256_add_ps(z, e);
+    }
+
+    // (3) Divide and weighted values.
+    for c0 in (0..nv).step_by(LANE_GROUP) {
+        let vp = v.as_ptr().add(c0 * l);
+        let op = out.as_mut_ptr().add(c0 * o_stride);
+        // The first group divides; it stores `w` only if another follows.
+        let divide = (c0 == 0).then_some((z, nv > LANE_GROUP));
+        match nv - c0 {
+            1 => value_sweep::<1>(vp, l, t, scr, divide, op, o_stride),
+            2 => value_sweep::<2>(vp, l, t, scr, divide, op, o_stride),
+            3 => value_sweep::<3>(vp, l, t, scr, divide, op, o_stride),
+            4 => value_sweep::<4>(vp, l, t, scr, divide, op, o_stride),
+            5 => value_sweep::<5>(vp, l, t, scr, divide, op, o_stride),
+            6 => value_sweep::<6>(vp, l, t, scr, divide, op, o_stride),
+            7 => value_sweep::<7>(vp, l, t, scr, divide, op, o_stride),
+            _ => value_sweep::<LANE_GROUP>(vp, l, t, scr, divide, op, o_stride),
+        }
+    }
+}
+
+/// Score sweep of [`fm_query_block`] for channels `p0..p0 + P`: continues
+/// each element's FMA chain (from `+0` when `first`, else from the scratch)
+/// and stores it back; the last group passes `scale`, multiplies by it and
+/// returns the per-query max of the scaled scores (other groups return an
+/// unused value). `qp` points at `q[p0, y0]`, `kp` at `k[p0, 0]`.
+///
+/// # Safety
+///
+/// As [`fm_query_block`], with `p0 + P ≤ n`.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn score_sweep<const P: usize>(
+    qp: *const f32,
+    kp: *const f32,
+    l: usize,
+    t: usize,
+    scr: *mut f32,
+    first: bool,
+    scale: Option<f32>,
+) -> __m256 {
+    let mut qv = [_mm256_setzero_ps(); P];
+    for (i, qv) in qv.iter_mut().enumerate() {
+        // Lanes past a ragged block's last query stay zero.
+        let mut lanes = [0.0f32; QUERY_LANES];
+        std::ptr::copy_nonoverlapping(qp.add(i * l), lanes.as_mut_ptr(), t);
+        *qv = _mm256_loadu_ps(lanes.as_ptr());
+    }
+    let sv = _mm256_set1_ps(scale.unwrap_or(1.0));
+    // The max is the one loop-carried dependency; even and odd keys keep
+    // separate chains (the max of finite values is exact in any order).
+    let mut m = [_mm256_set1_ps(f32::NEG_INFINITY); 2];
+    for x in 0..l {
+        let s = scr.add(x * QUERY_LANES);
+        let mut acc = if first {
+            _mm256_setzero_ps()
+        } else {
+            _mm256_loadu_ps(s)
+        };
+        for (i, &qi) in qv.iter().enumerate() {
+            acc = _mm256_fmadd_ps(qi, _mm256_set1_ps(*kp.add(i * l + x)), acc);
+        }
+        if scale.is_some() {
+            acc = _mm256_mul_ps(acc, sv);
+            m = [m[1], _mm256_max_ps(m[0], acc)];
+        }
+        _mm256_storeu_ps(s, acc);
+    }
+    _mm256_max_ps(m[0], m[1])
+}
+
+/// Value sweep of [`fm_query_block`] for channels `c0..c0 + C`: one
+/// accumulator per channel walking the keys in increasing order, stored to
+/// `op[i * o_stride..][..t]`. With `divide = Some((z, keep))` the weights
+/// are formed here as `e / z` (and written back over `e` when `keep`);
+/// with `None` the scratch already holds them. `vp` points at `v[c0, 0]`.
+///
+/// # Safety
+///
+/// As [`fm_query_block`], with `c0 + C ≤ nv` and `op` at `out[c0 * o_stride]`.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn value_sweep<const C: usize>(
+    vp: *const f32,
+    l: usize,
+    t: usize,
+    scr: *mut f32,
+    divide: Option<(__m256, bool)>,
+    op: *mut f32,
+    o_stride: usize,
+) {
+    let mut acc = [_mm256_setzero_ps(); C];
+    for x in 0..l {
+        let s = scr.add(x * QUERY_LANES);
+        let mut w = _mm256_loadu_ps(s);
+        if let Some((z, keep)) = divide {
+            w = _mm256_div_ps(w, z);
+            if keep {
+                _mm256_storeu_ps(s, w);
+            }
+        }
+        for (i, a) in acc.iter_mut().enumerate() {
+            *a = _mm256_fmadd_ps(_mm256_set1_ps(*vp.add(i * l + x)), w, *a);
+        }
+    }
+    for (i, &a) in acc.iter().enumerate() {
+        if t == QUERY_LANES {
+            _mm256_storeu_ps(op.add(i * o_stride), a);
+        } else {
+            let mut lanes = [0.0f32; QUERY_LANES];
+            _mm256_storeu_ps(lanes.as_mut_ptr(), a);
+            std::ptr::copy_nonoverlapping(lanes.as_ptr(), op.add(i * o_stride), t);
+        }
+    }
+}
+
 // ------------------------------------------------------------ layer norm
 
 /// Layer norm over rows of width `d` with optional `xhat`/`inv_std`

@@ -239,6 +239,26 @@ pub(crate) struct Scratch {
     pub tile_d: Vec<f32>,
 }
 
+#[cfg(test)]
+impl Scratch {
+    /// Floats this thread's scratch currently holds allocated.
+    pub(crate) fn floats(&self) -> usize {
+        let Scratch {
+            pack_a,
+            pack_b,
+            pack_c,
+            tile_a,
+            tile_b,
+            tile_c,
+            tile_d,
+        } = self;
+        [pack_a, pack_b, pack_c, tile_a, tile_b, tile_c, tile_d]
+            .iter()
+            .map(|v| v.capacity())
+            .sum()
+    }
+}
+
 thread_local! {
     static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::new(Scratch::default());
 }
@@ -607,6 +627,71 @@ pub(crate) fn exp_row_scaled(bk: Backend, row: &mut [f32], scale: f32) -> f32 {
             "kernel backend {} not compiled on this target",
             other.name()
         ),
+    }
+}
+
+// ------------------------------------- feature-major attention, query lanes
+
+/// Query columns per [`fm_query_block`]: the lanes of one vector.
+pub(crate) const QUERY_LANES: usize = 8;
+
+/// Whether `bk` has a query-lane kernel ([`fm_query_block`]). AVX2 only:
+/// the NEON twin is unwritten and unmeasured, and the scalar reference has
+/// no lanes.
+pub(crate) fn has_query_lanes(bk: Backend) -> bool {
+    bk == Backend::Avx2
+}
+
+/// One block of the feature-major attention forward with the queries in the
+/// vector lanes: output columns `[y0, y0 + t)` of one batch (`q`, `k`:
+/// `[n, l]`, `v`: `[nv, l]`), channel `c` written to
+/// `out[c * o_stride..][..t]`. `scr` is `QUERY_LANES * l` floats of scratch
+/// (contents ignored). Per element the arithmetic is that of the composed
+/// `bmm → scale → softmax → bmm` chain under `bk` — see the kernel's docs
+/// for the sweep-by-sweep argument.
+///
+/// # Panics
+///
+/// Panics unless [`has_query_lanes`]`(bk)`, or on a shape the kernel's
+/// contract excludes.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn fm_query_block(
+    bk: Backend,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    scale: f32,
+    n: usize,
+    nv: usize,
+    l: usize,
+    y0: usize,
+    t: usize,
+    scr: &mut [f32],
+    out: &mut [f32],
+    o_stride: usize,
+) {
+    assert!(n >= 1 && nv >= 1, "query-lane block needs channels");
+    assert!(
+        (1..=QUERY_LANES).contains(&t) && y0 + t <= l,
+        "query-lane block out of range"
+    );
+    assert!(
+        q.len() == n * l && k.len() == n * l && v.len() == nv * l,
+        "query-lane operand length mismatch"
+    );
+    assert!(scr.len() >= QUERY_LANES * l, "query-lane scratch too small");
+    assert!(
+        out.len() >= (nv - 1) * o_stride + t,
+        "query-lane output too small"
+    );
+    match bk {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx2 is only active when detection confirmed avx2+fma;
+        // the kernel's shape contract is asserted above.
+        Backend::Avx2 => unsafe {
+            avx2::fm_query_block(q, k, v, scale, n, nv, l, y0, t, scr, out, o_stride)
+        },
+        other => panic!("kernel backend {} has no query-lane kernel", other.name()),
     }
 }
 

@@ -155,6 +155,19 @@ fn attention_parallel_matches_serial_bitwise() {
             assert_bitwise_equal_across_threads("attention_fm_backward", || {
                 cat3(attention_fm_backward(&q, &k, &v, 0.6, &dy))
             });
+
+            // The paper-resolution PAM's channel count (n = nv = 2), long
+            // enough to fan out with so few channels and ragged in both the
+            // query blocks and the key tail: where a backend has the
+            // query-lane forward, this is its parallel arm.
+            let (b, n, l) = (2, 2, 373);
+            assert!(l % 8 != 0 && l * l * (n + n) >= 1 << 19);
+            let q = Tensor::randn(vec![b, n, l], 1.0, rng);
+            let k = Tensor::randn(vec![b, n, l], 1.0, rng);
+            let v = Tensor::randn(vec![b, n, l], 1.0, rng);
+            assert_bitwise_equal_across_threads("attention_fm n=nv=2", || {
+                attention_fm(&q, &k, &v, 1.0)
+            });
         },
     );
 }

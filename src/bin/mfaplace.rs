@@ -46,7 +46,7 @@ use mfaplace::router::score::{RoutabilityScore, ScoreInputs};
 use mfaplace::serve::{
     client, serve_fleet_with, Metrics, ModelFleet, ServeConfig, SlotLimits, DEFAULT_SLOT,
 };
-use mfaplace::tensor::{simd, Tensor};
+use mfaplace::tensor::{simd, softmax_row, Tensor};
 use mfaplace_rt::timer;
 
 fn main() -> ExitCode {
@@ -863,20 +863,44 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
     let ms = |ns: u64| ns as f64 / 1e6;
     let total: u64 = profile.steps.iter().map(|s| s.ns).sum();
     let share = |ns: u64| 100.0 * ns as f64 / total.max(1) as f64;
+    // Work per nanosecond is G-units per second.
+    let rate = |work: u64, ns: u64| work as f64 / ns.max(1) as f64;
+    let (gemm_gflops, softmax_gexps) = reference_rates();
+    println!(
+        "reference rates, timed now: gemm 256^3 over the pool {gemm_gflops:.1} GFLOP/s, \
+         softmax rows of 256 on one thread {softmax_gexps:.2} Gexp/s"
+    );
     let mut steps: Vec<_> = profile.steps.iter().collect();
     steps.sort_by_key(|s| std::cmp::Reverse(s.ns));
     println!(
-        "{:>5}  {:<16} {:>10} {:>10} {:>7}",
-        "step", "op", "out numel", "ms", "share"
+        "{:>5}  {:<16} {:>10} {:>10} {:>7} {:>10} {:>9} {:>8} {:>8} {:>7} {:>6}  dims",
+        "step",
+        "op",
+        "out numel",
+        "ms",
+        "share",
+        "MFLOP",
+        "Mexp",
+        "MB",
+        "GFLOP/s",
+        "Gexp/s",
+        "GB/s"
     );
     for s in steps {
         println!(
-            "{:>5}  {:<16} {:>10} {:>10.3} {:>6.1}%",
+            "{:>5}  {:<16} {:>10} {:>10.3} {:>6.1}% {:>10.2} {:>9.2} {:>8.2} {:>8.2} {:>7.3} {:>6.2}  {}",
             s.index,
             s.kind,
             s.out_numel,
             ms(s.ns),
-            share(s.ns)
+            share(s.ns),
+            s.cost.flops as f64 / 1e6,
+            s.cost.exps as f64 / 1e6,
+            s.cost.bytes as f64 / 1e6,
+            rate(s.cost.flops, s.ns),
+            rate(s.cost.exps, s.ns),
+            rate(s.cost.bytes, s.ns),
+            s.cost.dims,
         );
     }
     let mut kinds: Vec<(&str, usize, u64)> = Vec::new();
@@ -904,6 +928,41 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
         total as f64 / profile.wall_ns.max(1) as f64
     );
     Ok(())
+}
+
+/// The two reference rates `profile` prints beside each step's achieved
+/// GFLOP/s and Gexp/s, timed here (best of five, a few ms) so they carry
+/// this process's backend, thread count and host phase: the `simd_kernels`
+/// bench's 256³ GEMM over the pool, and one thread softmaxing rows of that
+/// bench's width — 64 rows (64 KiB) swept 64 times, so the rate is the
+/// kernel's and not the memory system's. A row softmax is a max, an exp and
+/// a divide sweep, so an op whose `exp` share is leaner can read above it.
+fn reference_rates() -> (f64, f64) {
+    let best_ns = |f: &mut dyn FnMut()| {
+        (0..5)
+            .map(|_| {
+                let t0 = std::time::Instant::now();
+                f();
+                t0.elapsed().as_nanos().max(1) as f64
+            })
+            .fold(f64::MAX, f64::min)
+    };
+    let dim = 256;
+    let a = Tensor::from_fn(vec![dim, dim], |i| (i as f32 * 0.37).sin());
+    let mut out = vec![0.0f32; dim * dim];
+    let gemm_ns = best_ns(&mut || a.matmul2d_into(&a, &mut out));
+    let (rows, width, sweeps) = (64, 256, 64);
+    let mut logits: Vec<f32> = (0..rows * width).map(|i| (i as f32 * 0.11).cos()).collect();
+    // Softmaxed in place: one sweep's output is a valid input to the next.
+    let softmax_ns = best_ns(&mut || {
+        for _ in 0..sweeps {
+            logits.chunks_mut(width).for_each(softmax_row);
+        }
+    });
+    (
+        2.0 * (dim * dim * dim) as f64 / gemm_ns,
+        (rows * width * sweeps) as f64 / softmax_ns,
+    )
 }
 
 /// Splits the repeated `--model` values into `(slot, path)` pairs.
