@@ -17,6 +17,15 @@ fi
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+# Every tier builds x86_64 only, so code behind a cfg for another
+# target_arch is code no tier compiles or tests.
+echo "==> lint: no target_arch but x86_64 in crates/*/src or src/"
+if grep -rnoE 'target_arch *= *"[^"]*"' crates/*/src src | grep -v '"x86_64"$'; then
+    echo "a cfg above names a target_arch no CI tier builds; add" \
+        "\`cargo check --target …\` for it to ci.sh first (ROADMAP item 8(b))" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -28,6 +37,31 @@ cargo check --offline --manifest-path benchmark/Cargo.toml --target-dir target
 
 echo "==> cargo build --release --offline"
 cargo build --workspace --release --offline
+
+# The kernel knob accepts exactly auto|scalar|avx2: the strict flag rejects
+# anything else, the forgiving variable warns once and runs the detected
+# backend.
+echo "==> kernel knob: --kernels neon fails, MFAPLACE_KERNELS=neon falls back"
+if ./target/release/mfaplace kernels --kernels neon >/dev/null 2>&1; then
+    echo "mfaplace kernels --kernels neon exited 0" >&2
+    exit 1
+fi
+KNOB=$(mktemp -d)
+KNOB_EXIT=0
+MFAPLACE_KERNELS=neon ./target/release/mfaplace kernels >"$KNOB/out" 2>"$KNOB/err" ||
+    KNOB_EXIT=$?
+KNOB_ACTIVE=$(sed -n 's/^active backend: //p' "$KNOB/out")
+KNOB_DETECTED=$(sed -n 's/^detected best: *//p' "$KNOB/out")
+if [ "$KNOB_EXIT" -ne 0 ] || [ "$(wc -l <"$KNOB/err")" -ne 1 ] ||
+    ! grep -q '^warning: ' "$KNOB/err" ||
+    [ -z "$KNOB_ACTIVE" ] || [ "$KNOB_ACTIVE" != "$KNOB_DETECTED" ]; then
+    echo "MFAPLACE_KERNELS=neon: want exit 0, one warning and the detected" \
+        "backend (exit $KNOB_EXIT)" >&2
+    cat "$KNOB/out" "$KNOB/err" >&2
+    rm -rf "$KNOB"
+    exit 1
+fi
+rm -rf "$KNOB"
 
 # The feature rasterizer's contract first of all: flow hashes, serve replies
 # and datasets all sit downstream of `fpga` feature bits, so a moved bit is
@@ -64,9 +98,10 @@ cargo test -q -p mfaplace-tensor --offline --test parallel_equivalence
 # The feature-major forward's query-lane kernel against the composed chain,
 # bit for bit, over ragged blocks, key tails, channel groups and threads.
 cargo test -q -p mfaplace-tensor --offline --test fm_query_lane
-# Both query-lane kernels against the four-pass tile they replace (forward
-# and backward, bit for bit), and the conv lowering against its element
-# loops (im2col writes every element; col2im keeps each pixel's term order).
+# Both query-lane kernels against the four-pass tile, kept in the unit tests
+# as their reference (forward and backward, bit for bit), and the conv
+# lowering against its element loops (im2col writes every element; col2im
+# keeps each pixel's term order).
 cargo test -q -p mfaplace-tensor --offline --lib attention::tests
 cargo test -q -p mfaplace-tensor --offline --test conv_lowering
 cargo test -q -p mfaplace-infer --offline --test no_alloc

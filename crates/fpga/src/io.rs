@@ -166,6 +166,10 @@ pub fn read_design(text: &str) -> Result<Design, ParseDesignError> {
     let mut cascades = Vec::new();
     let mut regions = Vec::new();
     let mut io_anchors = Vec::new();
+    // (line, what, id) of every cascade / region member and anchor id,
+    // range-checked once the instance count is final, so directives may
+    // come in any order.
+    let mut ids: Vec<(usize, &str, InstId)> = Vec::new();
     let mut name = String::from("unnamed");
     let mut paper_stats = (0usize, 0usize, 0usize, 0usize);
 
@@ -232,6 +236,7 @@ pub fn read_design(text: &str) -> Result<Design, ParseDesignError> {
                     .iter()
                     .map(|p| parse_num::<u32>(p, ln, "cascade member").map(InstId))
                     .collect::<Result<Vec<_>, _>>()?;
+                ids.extend(members.iter().map(|&id| (ln, "cascade member", id)));
                 cascades.push(CascadeShape { members, site_kind });
             }
             "region" => {
@@ -248,14 +253,17 @@ pub fn read_design(text: &str) -> Result<Design, ParseDesignError> {
                     .iter()
                     .map(|p| parse_num::<u32>(p, ln, "region member").map(InstId))
                     .collect::<Result<Vec<_>, _>>()?;
+                ids.extend(members.iter().map(|&id| (ln, "region member", id)));
                 regions.push(RegionConstraint { rect, members });
             }
             "anchor" => {
                 if rest.len() != 3 {
                     return Err(err(ln, "anchor needs `id x y`"));
                 }
+                let id = InstId(parse_num(rest[0], ln, "anchor id")?);
+                ids.push((ln, "anchor id", id));
                 io_anchors.push((
-                    InstId(parse_num(rest[0], ln, "anchor id")?),
+                    id,
                     parse_num(rest[1], ln, "anchor x")?,
                     parse_num(rest[2], ln, "anchor y")?,
                 ));
@@ -278,6 +286,10 @@ pub fn read_design(text: &str) -> Result<Design, ParseDesignError> {
         }
     }
 
+    let n = netlist.num_instances();
+    if let Some(&(ln, what, id)) = ids.iter().find(|&&(_, _, id)| id.0 as usize >= n) {
+        return Err(err(ln, format!("{what} {} out of range", id.0)));
+    }
     let (columns, rows, cap) = arch.ok_or_else(|| err(1, "missing arch line"))?;
     let mut cols = vec![SiteKind::Clb; columns];
     for (x, kind) in col_overrides {
@@ -288,7 +300,7 @@ pub fn read_design(text: &str) -> Result<Design, ParseDesignError> {
     }
     let arch = FpgaArch::new(cols, rows, cap);
     // The interchange format does not carry cluster assignments.
-    let cluster_of = vec![0u32; netlist.num_instances()];
+    let cluster_of = vec![0u32; n];
     Ok(Design {
         name,
         arch,
@@ -315,14 +327,17 @@ pub fn write_placement(placement: &Placement) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`ParseDesignError`] on malformed input.
+/// Returns [`ParseDesignError`] on malformed input, including an id at or
+/// past the number of `pl` lines: such a placement leaves an instance
+/// without a position, and sizing it by the id would let one line ask for
+/// any amount of memory.
 pub fn read_placement(text: &str) -> Result<Placement, ParseDesignError> {
     let mut lines = text.lines().enumerate();
     let (_, header) = lines.next().ok_or_else(|| err(1, "empty file"))?;
     if header.trim() != "placement v1" {
         return Err(err(1, "missing `placement v1` header"));
     }
-    let mut coords: Vec<(usize, f32, f32)> = Vec::new();
+    let mut coords: Vec<(usize, usize, f32, f32)> = Vec::new();
     for (i, raw) in lines {
         let ln = i + 1;
         let line = raw.trim();
@@ -333,7 +348,7 @@ pub fn read_placement(text: &str) -> Result<Placement, ParseDesignError> {
         if parts.len() != 4 || parts[0] != "pl" {
             return Err(err(ln, "expected `pl id x y`"));
         }
-        let id = parse_num(parts[1], ln, "instance id")?;
+        let id: usize = parse_num(parts[1], ln, "instance id")?;
         let x: f32 = parse_num(parts[2], ln, "x")?;
         let y: f32 = parse_num(parts[3], ln, "y")?;
         // `f32::from_str` accepts `nan` and `inf`; a net whose pins are all
@@ -341,11 +356,19 @@ pub fn read_placement(text: &str) -> Result<Placement, ParseDesignError> {
         if !(x.is_finite() && y.is_finite()) {
             return Err(err(ln, "non-finite coordinate"));
         }
-        coords.push((id, x, y));
+        coords.push((ln, id, x, y));
     }
-    let n = coords.iter().map(|&(i, _, _)| i + 1).max().unwrap_or(0);
+    let count = coords.len();
+    if let Some(&(ln, id, ..)) = coords.iter().find(|c| c.1 >= count) {
+        return Err(err(
+            ln,
+            format!("instance id {id} out of range for {count} `pl` lines"),
+        ));
+    }
+    // Every id is below `count`, so `id + 1` cannot overflow.
+    let n = coords.iter().map(|&(_, i, ..)| i + 1).max().unwrap_or(0);
     let mut p = Placement::new(n);
-    for (i, x, y) in coords {
+    for (_, i, x, y) in coords {
         p.set_pos(i, x, y);
     }
     Ok(p)
@@ -418,6 +441,42 @@ mod tests {
         let e = read_design(text).unwrap_err();
         assert!(e.message.contains("out of range"), "{e}");
         assert_eq!(e.line, 5);
+
+        // Cascade / region members and anchor ids are checked against the
+        // final instance count, so they may precede the `inst` lines.
+        let head = "mfaplace-netlist v1\narch 4 4 8 16\n";
+        let insts = "inst DSP 1\ninst DSP 1\ninst LUT 0\n";
+        for (directive, what) in [
+            ("cascade DSP 0 1", None),
+            ("cascade DSP 1 3", Some("cascade member 3")),
+            ("region 0 0 2 2 0 1", None),
+            ("region 0 0 2 2 7 1", Some("region member 7")),
+            ("anchor 2 0 1", None),
+            ("anchor 4294967295 0 1", Some("anchor id 4294967295")),
+        ] {
+            for text in [
+                format!("{head}{directive}\n{insts}"),
+                format!("{head}{insts}{directive}\n"),
+            ] {
+                match (read_design(&text), what) {
+                    (Ok(_), None) => {}
+                    (Err(e), Some(what)) => {
+                        assert!(e.message.contains(&format!("{what} out of range")), "{e}");
+                        let line = text.lines().position(|l| l == directive).unwrap() + 1;
+                        assert_eq!(e.line, line, "{directive}");
+                    }
+                    (got, _) => panic!("{directive:?}: {got:?}"),
+                }
+            }
+        }
+
+        // A placement is sized `max id + 1`: an id at or past the number of
+        // `pl` lines is an error, not an overflow or a huge allocation.
+        for id in ["2", "4294967296", "18446744073709551615"] {
+            let e = read_placement(&format!("placement v1\npl 0 1 1\npl {id} 0 0\n")).unwrap_err();
+            assert!(e.message.contains("out of range"), "{id}: {e}");
+            assert_eq!(e.line, 3, "{id}");
+        }
     }
 
     #[test]

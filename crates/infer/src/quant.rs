@@ -19,7 +19,7 @@
 //!   i8×i8→i32 GEMM with a per-row dequant epilogue replaces the f32 GEMM
 //!   — the epilogue fuses bias/affine/ReLU exactly like the f32 conv
 //!   epilogue — and run dequant-free on the exact int8 kernels in
-//!   `mfaplace_tensor::simd` (bitwise identical across scalar/AVX2/NEON —
+//!   `mfaplace_tensor::simd` (bitwise identical across scalar/AVX2 —
 //!   integer accumulation has no rounding); everything else stays
 //!   `Generic`: operands are dequantized into the step's declared scratch
 //!   and the op executes the *same* f32 arithmetic as the f32 plan

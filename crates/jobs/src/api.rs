@@ -310,6 +310,24 @@ mod tests {
             .status,
             400
         );
+        // An id past the last instance in a cascade, region or anchor is a
+        // synchronous 400 too, not a job that fails later in the placer.
+        let design = DesignPreset::design_116()
+            .with_scale(1024, 128, 64)
+            .generate(1);
+        let n = design.netlist.num_instances();
+        let text = write_design(&design);
+        for bad in [
+            format!("cascade DSP 0 {n}"),
+            format!("region 0 0 2 2 {n}"),
+            format!("anchor {n} 0 0"),
+        ] {
+            let body = format!("predictor=rudy grid=16\n---DESIGN---\n{text}{bad}\n");
+            let resp = respond(&ext, &request("POST", "/jobs", &body));
+            assert_eq!(resp.status, 400, "{bad}");
+            let reply = String::from_utf8_lossy(&resp.body);
+            assert!(reply.contains("out of range"), "{bad}: {reply}");
+        }
         assert_eq!(
             respond(&ext, &request("GET", "/jobs/job-99", "")).status,
             404

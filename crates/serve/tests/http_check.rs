@@ -162,6 +162,14 @@ fn non_finite_placement_coordinates_get_400() {
         );
     }
 
+    // An id whose `id + 1` overflows the placement's sizing is a 400 too,
+    // not a panic that drops the connection.
+    let overflow = format!("{good}pl {} 0 0\n", usize::MAX);
+    let body = protocol::encode_design_request(&design_text, &overflow);
+    let r = client::request(&addr, "POST", "/predict/design", &[], body.as_bytes()).unwrap();
+    assert_eq!(r.status, 400, "{}", r.text());
+    assert!(r.text().contains("out of range"), "{}", r.text());
+
     let r = client::request(&addr, "GET", "/healthz", &[], b"").unwrap();
     assert_eq!(r.status, 200);
     server.join();

@@ -53,23 +53,23 @@
 //!
 //! ## Four passes per tile
 //!
-//! The token-major forward, and the feature-major forward wherever the
-//! query-lane kernel below is not taken. A tile is score GEMM, softmax numerators, divide, value GEMM — fused
-//! wherever fusing leaves each element's arithmetic untouched: the
-//! microkernel overwrites its output, so reused tile buffers are resized but
-//! never zero-filled; the composed chain's `Scale` node rides the softmax's
-//! max and exp sweeps (`simd::softmax_row_scaled`, an exact IEEE multiply
-//! wherever it happens); and the feature-major tile, whose value product
-//! wants the softmax tile transposed, lets the softmax's exact IEEE divide
-//! write straight into the packed panels (`simd::pack_bt_div`).
+//! The token-major forward. A tile is score GEMM, softmax numerators,
+//! divide, value GEMM — fused wherever fusing leaves each element's
+//! arithmetic untouched: the microkernel overwrites its output, so reused
+//! tile buffers are resized but never zero-filled, and the composed chain's
+//! `Scale` node rides the softmax's max and exp sweeps
+//! (`simd::softmax_row_scaled`, an exact IEEE multiply wherever it happens).
+//! The feature-major form of the same four passes, whose value product
+//! wants the softmax tile transposed, lives only in the unit tests: it is
+//! the reference the query-lane kernels below are held to, bit for bit.
 //!
 //! ## Queries in the lanes
 //!
-//! Feature-major under AVX2. The four-pass feature-major tile spends most of its time rearranging: a
-//! K = 2 "GEMM" through packed panels is an outer product paying GEMM
-//! overheads, the exp sweep wants lanes along keys while the value product
-//! wants lanes along queries (hence the transposed pack, and a divide that
-//! runs at scalar-code width inside it). In `[D, L]` layout the query
+//! The feature-major vector path. The four-pass tile spends most of its
+//! time rearranging: a K = 2 "GEMM" through packed panels is an outer
+//! product paying GEMM overheads, the exp sweep wants lanes along keys
+//! while the value product wants lanes along queries (hence the transposed
+//! pack, and a divide that runs at scalar-code width). In `[D, L]` layout the query
 //! columns `q[p, y0..y0 + 8]` are already contiguous, so putting the
 //! *queries* in the vector lanes and looping over the key index removes the
 //! gather, both packs, the transpose and the second GEMM: three sweeps over
@@ -96,19 +96,18 @@
 //! Signed zeros need no argument beyond the four-pass path's: no vector
 //! backend zero-skips, chains start at `+0` exactly as the microkernel's
 //! do, and `exp` maps `±0` to the same `1.0`, so a max of `+0` or `−0` is
-//! invisible. The dispatch rule (`fm_forward_vec`) is a property of the
-//! call — backend and channel counts — and both paths give the composed
-//! chain's bits, so it can never be observed in an output.
+//! invisible. Calls without channels (`n = 0` or `nv = 0`, which no model
+//! builds) are outside the kernel's contract and take the scalar loop.
 //!
-//! The feature-major backward keeps the queries in the lanes too, under the
-//! same rule (`fm_backward_vec`, `simd::fm_query_block_backward`): the
+//! The feature-major backward keeps the queries in the lanes too
+//! (`simd::fm_query_block_backward`): the
 //! forward's score and exp sweeps recompute `e` and `z`; a third sweep forms
 //! `w`, the upstream products `g` and their `dot`; a fourth the score
 //! gradients and `dq`; and a fifth transposes eight keys at a time into the
 //! lanes so `dv` and `dk` continue their chains over the query index. Per
 //! element these are the four-pass tile backward's operations in its order
 //! — the kernel's docs argue it sweep by sweep — so the tile stays only as
-//! the other backends' path and the unit tests' reference.
+//! the unit tests' reference.
 
 use mfaplace_rt::pool;
 
@@ -748,11 +747,11 @@ pub fn attention_fm_slices(
 
 /// Explicit-backend [`attention_fm_slices`] — the differential suite's
 /// entry point. The scalar arm is the verbatim reference loop, one query
-/// column at a time; the vector arm runs blocks of query columns — the
-/// query-lane kernel where the backend has one, four-pass microkernel tiles
-/// otherwise, fanned out above the shared threshold (see the module docs) —
-/// matching the composed `bmm`/`scale`/`permute`/`softmax`/`bmm` chain
-/// bitwise under the same backend.
+/// column at a time; the vector arm runs blocks of query columns through
+/// the query-lane kernel, fanned out above the shared threshold (see the
+/// module docs), matching the composed
+/// `bmm`/`scale`/`permute`/`softmax`/`bmm` chain bitwise under the same
+/// backend. Calls without channels take the scalar arm.
 ///
 /// # Panics
 ///
@@ -782,8 +781,8 @@ pub fn attention_fm_slices_with(
         let kb = &kd[bi * n * l..(bi + 1) * n * l];
         let vb = &vd[bi * nv * l..(bi + 1) * nv * l];
         let ob = &mut out[bi * nv * l..(bi + 1) * nv * l];
-        if bk != Backend::Scalar {
-            fm_forward_vec(bk, qb, kb, vb, scale, n, nv, l, ob);
+        if bk != Backend::Scalar && n > 0 && nv > 0 {
+            fm_forward_query_lanes(bk, qb, kb, vb, scale, n, nv, l, ob);
             continue;
         }
         // Scalar reference: one query column at a time, serial — output
@@ -806,33 +805,6 @@ pub fn attention_fm_slices_with(
                 ob[c * l + y] = acc;
             }
         }
-    }
-}
-
-/// Vector-backend feature-major forward for one batch: the query-lane
-/// kernel ([`fm_forward_query_lanes`]) where the backend has one, the
-/// four-pass tile ([`fm_forward_tiled`]) otherwise. The rule is the
-/// backend alone because the lane kernel measured no slower at any shape:
-/// 0.42–0.51× of the tile's time at 2 channels, 0.8× at 32, 0.85–1.02× from
-/// 64 to 256, flat in `L` (EXPERIMENTS.md has the sweep). Both produce the
-/// bits of the composed chain under `bk`, so the choice is invisible in the
-/// output.
-#[allow(clippy::too_many_arguments)]
-fn fm_forward_vec(
-    bk: Backend,
-    qb: &[f32],
-    kb: &[f32],
-    vb: &[f32],
-    scale: f32,
-    n: usize,
-    nv: usize,
-    l: usize,
-    ob: &mut [f32],
-) {
-    if simd::has_query_lanes(bk) && n > 0 && nv > 0 {
-        fm_forward_query_lanes(bk, qb, kb, vb, scale, n, nv, l, ob);
-    } else {
-        fm_forward_tiled(bk, qb, kb, vb, scale, n, nv, l, ob);
     }
 }
 
@@ -924,159 +896,8 @@ fn fm_query_blocks(
     });
 }
 
-/// Four-pass feature-major forward for one batch. `k` is packed once;
-/// query-column tiles then run through [`fm_tile_vec`], each producing a
-/// tile-local `[nv, t]` block that is scattered into its output columns.
-///
-/// Tiles are independent (every output element is one thread-independent
-/// FMA chain), so under the token-major path's threshold policy they fan
-/// out over the pool in contiguous blocks, one per worker. A worker's
-/// columns interleave with every other worker's in `ob`, so workers fill a
-/// tile-major staging buffer (disjoint `&mut` blocks) that is scattered
-/// after the join — bitwise identical at any thread count. Like the
-/// token-major path, the parallel arm allocates its per-worker tile
-/// buffers; the serial arm takes them from this thread's [`simd::Scratch`]
-/// and allocates nothing.
-#[allow(clippy::too_many_arguments)]
-fn fm_forward_tiled(
-    bk: Backend,
-    qb: &[f32],
-    kb: &[f32],
-    vb: &[f32],
-    scale: f32,
-    n: usize,
-    nv: usize,
-    l: usize,
-    ob: &mut [f32],
-) {
-    simd::with_scratch(|sc| {
-        let simd::Scratch {
-            pack_a: pk_buf,
-            pack_b: pt_buf,
-            tile_a: e_buf,
-            tile_b: o_buf,
-            tile_c: q_buf,
-            ..
-        } = sc;
-        simd::pack_b(kb, n, l, false, pk_buf); // k panels: score contraction over n
-        let pk: &[f32] = pk_buf;
-        let n_tiles = l.div_ceil(ATTN_TILE);
-        let nt = if l * l * (n + nv) >= PAR_GEMM_FLOPS && l > ATTN_TILE && nv > 0 {
-            pool::max_threads().min(n_tiles)
-        } else {
-            1
-        };
-        if nt <= 1 {
-            let mut y0 = 0;
-            while y0 < l {
-                let t = ATTN_TILE.min(l - y0);
-                o_buf.resize(nv * t, 0.0);
-                fm_tile_vec(
-                    bk, qb, pk, vb, scale, n, nv, l, y0, t, q_buf, e_buf, pt_buf, o_buf,
-                );
-                scatter_columns(o_buf, nv, l, y0, t, ob);
-                y0 += t;
-            }
-            return;
-        }
-        // Tile `i` owns `staged[i * ATTN_TILE * nv..]`: every tile but the
-        // last is full, so a worker's block of whole tiles is contiguous.
-        let tiles_per = n_tiles.div_ceil(nt);
-        let mut staged = vec![0.0f32; nv * l];
-        pool::parallel_chunks_mut(&mut staged, tiles_per * ATTN_TILE * nv, |wi, mut block| {
-            let (mut q_buf, mut e_buf, mut pt_buf) = (Vec::new(), Vec::new(), Vec::new());
-            let mut y0 = wi * tiles_per * ATTN_TILE;
-            while !block.is_empty() {
-                let t = ATTN_TILE.min(l - y0);
-                let (o_tile, rest) = block.split_at_mut(nv * t);
-                fm_tile_vec(
-                    bk,
-                    qb,
-                    pk,
-                    vb,
-                    scale,
-                    n,
-                    nv,
-                    l,
-                    y0,
-                    t,
-                    &mut q_buf,
-                    &mut e_buf,
-                    &mut pt_buf,
-                    o_tile,
-                );
-                block = rest;
-                y0 += t;
-            }
-        });
-        for (ti, o_tile) in staged.chunks(ATTN_TILE * nv).enumerate() {
-            scatter_columns(o_tile, nv, l, ti * ATTN_TILE, o_tile.len() / nv, ob);
-        }
-    });
-}
-
-/// One vector feature-major forward tile: output columns `[y0, y0 + t)` as
-/// a contiguous `[nv, t]` block in `o_tile`. Four passes over the
-/// `[t, l]` tile, each leaving every element's arithmetic exactly that of
-/// the composed `bmm`/`scale`/`permute`/`softmax`/`bmm` chain:
-///
-/// 1. score `e[r,x] = Σ_p q[p,y0+r]·k[p,x]` (TN microkernel; it overwrites
-///    every element, so the reused buffer is never zero-filled);
-/// 2. `e[r,·] ← exp(e[r,·]·scale − max)` with the row sum kept aside — the
-///    scale multiply rides the max and exp sweeps instead of a pass of its
-///    own ([`simd::exp_row_scaled`]);
-/// 3. the softmax's divide, written straight into the transposed panels
-///    the value product reads ([`simd::pack_bt_div`]) rather than back into
-///    the tile to be re-read by a separate pack;
-/// 4. value `o[c,r] = Σ_x v[c,x]·w[r,x]` (NT product as the NN microkernel).
-///
-/// The three `Vec`s are reusable scratch (contents ignored, grown on
-/// demand).
-#[allow(clippy::too_many_arguments)]
-fn fm_tile_vec(
-    bk: Backend,
-    qb: &[f32],
-    pk: &[f32],
-    vb: &[f32],
-    scale: f32,
-    n: usize,
-    nv: usize,
-    l: usize,
-    y0: usize,
-    t: usize,
-    q_buf: &mut Vec<f32>,
-    e_buf: &mut Vec<f32>,
-    pt_buf: &mut Vec<f32>,
-    o_tile: &mut [f32],
-) {
-    gather_columns(qb, n, l, y0, t, q_buf);
-    e_buf.resize(t * l, 0.0);
-    let qview = AView {
-        data: q_buf,
-        base: 0,
-        row_stride: 1,
-        p_stride: t,
-    };
-    simd::kernel(bk, qview, pk, e_buf, t, n, l, false);
-    let mut z = [0.0f32; ATTN_TILE];
-    for (row, zr) in e_buf.chunks_mut(l).zip(&mut z) {
-        *zr = simd::exp_row_scaled(bk, row, scale);
-    }
-    simd::pack_bt_div(e_buf, l, t, &z[..t], pt_buf);
-    simd::kernel(bk, AView::rows(vb, 0, l), pt_buf, o_tile, nv, l, t, false);
-}
-
-/// Gathers columns `[y0, y0 + t)` of the row-major `[rows, l]` matrix `src`
-/// into `buf` as a contiguous `[rows, t]` tile.
-fn gather_columns(src: &[f32], rows: usize, l: usize, y0: usize, t: usize, buf: &mut Vec<f32>) {
-    buf.clear();
-    for r in 0..rows {
-        buf.extend_from_slice(&src[r * l + y0..r * l + y0 + t]);
-    }
-}
-
-/// Inverse of [`gather_columns`]: writes the `[rows, t]` tile into columns
-/// `[y0, y0 + t)` of the row-major `[rows, l]` matrix `dst`.
+/// Writes the `[rows, t]` tile into columns `[y0, y0 + t)` of the
+/// row-major `[rows, l]` matrix `dst`.
 fn scatter_columns(tile: &[f32], rows: usize, l: usize, y0: usize, t: usize, dst: &mut [f32]) {
     for r in 0..rows {
         dst[r * l + y0..r * l + y0 + t].copy_from_slice(&tile[r * t..(r + 1) * t]);
@@ -1122,8 +943,9 @@ pub fn attention_fm_backward(
 
 /// Explicit-backend [`attention_fm_backward`] — the differential suite's
 /// entry point. `dk`/`dv` accumulate over the query index in increasing
-/// order on every backend; the vector arm recomputes the softmax tile with
-/// exactly the forward's kernel sequence.
+/// order on every backend; the vector arm recomputes the softmax with
+/// exactly the forward's sweeps. Calls without channels take the scalar
+/// arm.
 ///
 /// # Panics
 ///
@@ -1157,8 +979,8 @@ pub fn attention_fm_backward_with(
         let dqb = &mut dq[bi * n * l..(bi + 1) * n * l];
         let dkb = &mut dk[bi * n * l..(bi + 1) * n * l];
         let dvb = &mut dv_all[bi * nv * l..(bi + 1) * nv * l];
-        if bk != Backend::Scalar {
-            fm_backward_vec(bk, qb, kb, vb, dyb, scale, n, nv, l, dqb, dkb, dvb);
+        if bk != Backend::Scalar && n > 0 && nv > 0 {
+            fm_backward_query_lanes(bk, qb, kb, vb, dyb, scale, n, nv, l, dqb, dkb, dvb);
             continue;
         }
         for y in 0..l {
@@ -1225,32 +1047,6 @@ pub fn attention_fm_backward_with(
     )
 }
 
-/// Vector-backend feature-major backward for one batch: the query-lane
-/// kernel ([`fm_backward_query_lanes`]) under the forward's rule — the
-/// backend alone — and the four-pass tile ([`fm_backward_tiled`]) otherwise.
-/// Both produce the tile's bits, so the choice is invisible in the output.
-#[allow(clippy::too_many_arguments)]
-fn fm_backward_vec(
-    bk: Backend,
-    qb: &[f32],
-    kb: &[f32],
-    vb: &[f32],
-    dyb: &[f32],
-    scale: f32,
-    n: usize,
-    nv: usize,
-    l: usize,
-    dqb: &mut [f32],
-    dkb: &mut [f32],
-    dvb: &mut [f32],
-) {
-    if simd::has_query_lanes(bk) && n > 0 && nv > 0 {
-        fm_backward_query_lanes(bk, qb, kb, vb, dyb, scale, n, nv, l, dqb, dkb, dvb);
-    } else {
-        fm_backward_tiled(bk, qb, kb, vb, dyb, scale, n, nv, l, dqb, dkb, dvb);
-    }
-}
-
 /// Feature-major backward for one batch with the queries in the vector
 /// lanes: blocks of [`QUERY_LANES`] query columns in increasing order, each
 /// five sweeps over two `[l, QUERY_LANES]` scratches
@@ -1300,90 +1096,6 @@ fn fm_backward_query_lanes(
     });
 }
 
-/// Four-pass feature-major backward for one batch. Query-column tiles
-/// run serially in increasing order; `dk`/`dv` chains resume across tiles
-/// via accumulate reloads, and the softmax+scale backward rows use the
-/// tape's exact scalar expressions.
-#[allow(clippy::too_many_arguments)]
-fn fm_backward_tiled(
-    bk: Backend,
-    qb: &[f32],
-    kb: &[f32],
-    vb: &[f32],
-    dyb: &[f32],
-    scale: f32,
-    n: usize,
-    nv: usize,
-    l: usize,
-    dqb: &mut [f32],
-    dkb: &mut [f32],
-    dvb: &mut [f32],
-) {
-    simd::with_scratch(|sc| {
-        let simd::Scratch {
-            pack_a: pk_buf,
-            pack_b: pv_buf,
-            pack_c: pt_buf,
-            tile_a: e_buf,
-            tile_b: g_buf,
-            tile_c: q_buf,
-            tile_d: dy_buf,
-        } = sc;
-        simd::pack_b(kb, n, l, false, pk_buf); // k panels: score recompute
-        simd::pack_b(vb, nv, l, false, pv_buf); // v panels: g = vᵀ·dy
-        let mut y0 = 0;
-        while y0 < l {
-            let t = ATTN_TILE.min(l - y0);
-            // Recompute the softmax tile exactly as the forward did.
-            gather_columns(qb, n, l, y0, t, q_buf);
-            e_buf.resize(t * l, 0.0);
-            let qview = AView {
-                data: q_buf,
-                base: 0,
-                row_stride: 1,
-                p_stride: t,
-            };
-            simd::kernel(bk, qview, pk_buf, e_buf, t, n, l, false);
-            for row in e_buf.chunks_mut(l) {
-                simd::softmax_row_scaled(bk, row, scale);
-            }
-            gather_columns(dyb, nv, l, y0, t, dy_buf);
-            // g[r,x] = Σ_c dy[c,y0+r]·v[c,x].
-            g_buf.resize(t * l, 0.0);
-            let dyview = AView {
-                data: dy_buf,
-                base: 0,
-                row_stride: 1,
-                p_stride: t,
-            };
-            simd::kernel(bk, dyview, pv_buf, g_buf, t, nv, l, false);
-            // dv[c,x] += Σ_r dy[c,y0+r]·w[r,x]: accumulate chaining over
-            // tiles keeps the query index globally increasing.
-            simd::pack_b(e_buf, t, l, false, pt_buf);
-            simd::kernel(bk, AView::rows(dy_buf, 0, t), pt_buf, dvb, nv, t, l, true);
-            // gs[r,x] = (w[r,x]·(g[r,x] − dot))·scale, tape expressions.
-            for r in 0..t {
-                let srow = &e_buf[r * l..(r + 1) * l];
-                let grow = &mut g_buf[r * l..(r + 1) * l];
-                let dot: f32 = srow.iter().zip(grow.iter()).map(|(&a, &b)| a * b).sum();
-                for (gx, &wx) in grow.iter_mut().zip(srow) {
-                    *gx = (wx * (*gx - dot)) * scale;
-                }
-            }
-            // dq[p,y0+r] = Σ_x k[p,x]·gs[r,x] via a transposed pack of gs;
-            // the [n, t] tile reuses the dy buffer, then scatters back.
-            simd::pack_b(g_buf, l, t, true, pt_buf);
-            dy_buf.resize(n * t, 0.0);
-            simd::kernel(bk, AView::rows(kb, 0, l), pt_buf, dy_buf, n, l, t, false);
-            scatter_columns(dy_buf, n, l, y0, t, dqb);
-            // dk[p,x] += Σ_r q[p,y0+r]·gs[r,x]: same accumulate chaining.
-            simd::pack_b(g_buf, t, l, false, pt_buf);
-            simd::kernel(bk, AView::rows(q_buf, 0, t), pt_buf, dkb, n, t, l, true);
-            y0 += t;
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1415,6 +1127,142 @@ mod tests {
         assert_eq!(a.shape(), b.shape());
         for (x, y) in a.data().iter().zip(b.data()) {
             assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
+        }
+    }
+
+    /// Gathers columns `[y0, y0 + t)` of the row-major `[rows, l]` matrix
+    /// `src` into `buf` as a contiguous `[rows, t]` tile.
+    fn gather_columns(src: &[f32], rows: usize, l: usize, y0: usize, t: usize, buf: &mut Vec<f32>) {
+        buf.clear();
+        for r in 0..rows {
+            buf.extend_from_slice(&src[r * l + y0..r * l + y0 + t]);
+        }
+    }
+
+    /// The four-pass feature-major forward of one batch, the reference the
+    /// query-lane forward is held to. Per tile of [`ATTN_TILE`] query
+    /// columns, each pass leaves every element's arithmetic that of the
+    /// composed chain under `bk`:
+    ///
+    /// 1. score `e[r,x] = Σ_p q[p,y0+r]·k[p,x]` (TN microkernel);
+    /// 2. the scaled softmax of each row ([`simd::softmax_row_scaled`]);
+    /// 3. the transposed pack the value product reads;
+    /// 4. value `o[c,r] = Σ_x v[c,x]·w[r,x]` (NT product as the NN
+    ///    microkernel), scattered into the output columns.
+    #[allow(clippy::too_many_arguments)]
+    fn fm_forward_tiled(
+        bk: Backend,
+        qb: &[f32],
+        kb: &[f32],
+        vb: &[f32],
+        scale: f32,
+        n: usize,
+        nv: usize,
+        l: usize,
+        ob: &mut [f32],
+    ) {
+        let [mut pk, mut q_buf, mut e_buf, mut pt_buf, mut o_buf]: [Vec<f32>; 5] =
+            Default::default();
+        simd::pack_b(kb, n, l, false, &mut pk);
+        for y0 in (0..l).step_by(ATTN_TILE) {
+            let t = ATTN_TILE.min(l - y0);
+            gather_columns(qb, n, l, y0, t, &mut q_buf);
+            e_buf.resize(t * l, 0.0);
+            let qview = AView {
+                data: &q_buf,
+                base: 0,
+                row_stride: 1,
+                p_stride: t,
+            };
+            simd::kernel(bk, qview, &pk, &mut e_buf, t, n, l, false);
+            for row in e_buf.chunks_mut(l) {
+                simd::softmax_row_scaled(bk, row, scale);
+            }
+            simd::pack_b(&e_buf, l, t, true, &mut pt_buf);
+            o_buf.resize(nv * t, 0.0);
+            simd::kernel(
+                bk,
+                AView::rows(vb, 0, l),
+                &pt_buf,
+                &mut o_buf,
+                nv,
+                l,
+                t,
+                false,
+            );
+            scatter_columns(&o_buf, nv, l, y0, t, ob);
+        }
+    }
+
+    /// The four-pass feature-major backward of one batch, the reference the
+    /// query-lane backward is held to. Query-column tiles run serially in
+    /// increasing order; `dk`/`dv` chains resume across tiles via accumulate
+    /// reloads, and the softmax+scale backward rows use the tape's exact
+    /// scalar expressions.
+    #[allow(clippy::too_many_arguments)]
+    fn fm_backward_tiled(
+        bk: Backend,
+        qb: &[f32],
+        kb: &[f32],
+        vb: &[f32],
+        dyb: &[f32],
+        scale: f32,
+        n: usize,
+        nv: usize,
+        l: usize,
+        dqb: &mut [f32],
+        dkb: &mut [f32],
+        dvb: &mut [f32],
+    ) {
+        let [mut pk, mut pv, mut pt, mut e_buf, mut g_buf, mut q_buf, mut dy_buf]: [Vec<f32>; 7] =
+            Default::default();
+        simd::pack_b(kb, n, l, false, &mut pk); // k panels: score recompute
+        simd::pack_b(vb, nv, l, false, &mut pv); // v panels: g = vᵀ·dy
+        for y0 in (0..l).step_by(ATTN_TILE) {
+            let t = ATTN_TILE.min(l - y0);
+            // Recompute the softmax tile exactly as the forward did.
+            gather_columns(qb, n, l, y0, t, &mut q_buf);
+            e_buf.resize(t * l, 0.0);
+            let qview = AView {
+                data: &q_buf,
+                base: 0,
+                row_stride: 1,
+                p_stride: t,
+            };
+            simd::kernel(bk, qview, &pk, &mut e_buf, t, n, l, false);
+            for row in e_buf.chunks_mut(l) {
+                simd::softmax_row_scaled(bk, row, scale);
+            }
+            gather_columns(dyb, nv, l, y0, t, &mut dy_buf);
+            // g[r,x] = Σ_c dy[c,y0+r]·v[c,x].
+            g_buf.resize(t * l, 0.0);
+            let dyview = AView {
+                data: &dy_buf,
+                base: 0,
+                row_stride: 1,
+                p_stride: t,
+            };
+            simd::kernel(bk, dyview, &pv, &mut g_buf, t, nv, l, false);
+            // dv[c,x] += Σ_r dy[c,y0+r]·w[r,x]: accumulate chaining over
+            // tiles keeps the query index globally increasing.
+            simd::pack_b(&e_buf, t, l, false, &mut pt);
+            simd::kernel(bk, AView::rows(&dy_buf, 0, t), &pt, dvb, nv, t, l, true);
+            // gs[r,x] = (w[r,x]·(g[r,x] − dot))·scale, tape expressions.
+            for (srow, grow) in e_buf.chunks(l).zip(g_buf.chunks_mut(l)) {
+                let dot: f32 = srow.iter().zip(grow.iter()).map(|(&a, &b)| a * b).sum();
+                for (gx, &wx) in grow.iter_mut().zip(srow) {
+                    *gx = (wx * (*gx - dot)) * scale;
+                }
+            }
+            // dq[p,y0+r] = Σ_x k[p,x]·gs[r,x] via a transposed pack of gs;
+            // the [n, t] tile reuses the dy buffer, then scatters back.
+            simd::pack_b(&g_buf, l, t, true, &mut pt);
+            dy_buf.resize(n * t, 0.0);
+            simd::kernel(bk, AView::rows(kb, 0, l), &pt, &mut dy_buf, n, l, t, false);
+            scatter_columns(&dy_buf, n, l, y0, t, dqb);
+            // dk[p,x] += Σ_r q[p,y0+r]·gs[r,x]: same accumulate chaining.
+            simd::pack_b(&g_buf, t, l, false, &mut pt);
+            simd::kernel(bk, AView::rows(&q_buf, 0, t), &pt, dkb, n, t, l, true);
         }
     }
 
@@ -1452,11 +1300,11 @@ mod tests {
 
     #[test]
     fn fm_query_lanes_match_the_four_pass_tile_bitwise() {
-        // Both private forwards under the active backend (when it has a
-        // query-lane kernel): ragged query blocks and key tails, one and
-        // several channel groups, the tile path's ragged last tile.
+        // The query-lane forward against the four-pass reference under the
+        // active vector backend: ragged query blocks and key tails, one and
+        // several channel groups, the tile's ragged last tile.
         let bk = simd::active();
-        if !simd::has_query_lanes(bk) {
+        if bk == Backend::Scalar {
             return;
         }
         let channels = [
@@ -1526,6 +1374,7 @@ mod tests {
     }
 
     fn assert_same_bits(label: &str, got: &[f32], want: &[f32]) {
+        assert_eq!(got.len(), want.len(), "{label}: length");
         for (i, (x, y)) in got.iter().zip(want).enumerate() {
             assert_eq!(x.to_bits(), y.to_bits(), "{label}: element {i}: {x} vs {y}");
         }
@@ -1538,7 +1387,7 @@ mod tests {
         // and logits from moderate to wide enough that most weights are
         // subnormal or flushed; a zero `dy` column must not move a bit.
         let bk = simd::active();
-        if !simd::has_query_lanes(bk) {
+        if bk == Backend::Scalar {
             return;
         }
         let channels = [
@@ -1596,7 +1445,7 @@ mod tests {
     fn fm_query_lane_backward_of_aliased_operands_matches_the_tile() {
         // q = k = v = one buffer, as a self-attending PAM would pass it.
         let bk = simd::active();
-        if !simd::has_query_lanes(bk) {
+        if bk == Backend::Scalar {
             return;
         }
         for (n, l) in [(2, 33), (4, 100), (9, 17), (16, 64)] {
@@ -1617,7 +1466,7 @@ mod tests {
         // thread's kernel scratch afterwards is this op's whole footprint
         // (the four-pass tile held a 2 MiB tile plus a 2 MiB packed copy).
         let bk = simd::active();
-        if !simd::has_query_lanes(bk) {
+        if bk == Backend::Scalar {
             return;
         }
         let (n, l) = (2, 16384);
@@ -1629,6 +1478,39 @@ mod tests {
         .join()
         .expect("attention thread");
         assert!(held > 0 && held <= 16 * l, "scratch holds {held} floats");
+    }
+
+    #[test]
+    fn fm_calls_without_channels_take_the_scalar_loop() {
+        // `n = 0` or `nv = 0` is outside the query-lane kernel's contract:
+        // every backend answers it, forward and backward, with the scalar
+        // backend's bits instead of a panic.
+        let l = 9;
+        for (n, nv) in [(0, 3), (2, 0), (0, 0)] {
+            let q = tensor(vec![2, n, l], 40);
+            let k = tensor(vec![2, n, l], 41);
+            let v = tensor(vec![2, nv, l], 42);
+            let dy = tensor(vec![2, nv, l], 43);
+            let run = |bk| {
+                let mut out = vec![f32::NAN; 2 * nv * l];
+                let (qd, kd, vd) = (q.data(), k.data(), v.data());
+                let mut s = vec![0.0f32; l];
+                attention_fm_slices_with(bk, qd, kd, vd, 2, n, nv, l, 0.37, &mut out, &mut s);
+                let (dq, dk, dv) = attention_fm_backward_with(bk, &q, &k, &v, 0.37, &dy);
+                [
+                    out,
+                    dq.data().to_vec(),
+                    dk.data().to_vec(),
+                    dv.data().to_vec(),
+                ]
+            };
+            let want = run(Backend::Scalar);
+            for bk in simd::supported() {
+                for (got, want) in run(bk).iter().zip(&want) {
+                    assert_same_bits(&format!("{bk:?} n={n} nv={nv}"), got, want);
+                }
+            }
+        }
     }
 
     #[test]

@@ -504,8 +504,8 @@ unsafe fn store_lanes(p: *mut f32, t: usize, a: __m256) {
 /// given the upstream `dy: [nv, l]`.
 ///
 /// Per element these are the operations of the four-pass tile backward —
-/// itself the composed chain's backward under this backend — in the same
-/// order:
+/// the unit tests' reference, itself the composed chain's backward under
+/// this backend — in the same order:
 ///
 /// 1. the forward's score sweep ([`score_sweeps`]), reused unchanged;
 /// 2. its exp sweep ([`exp_sweep`]), likewise, so `e` and `z` are the
@@ -939,8 +939,8 @@ pub(crate) unsafe fn conv_epilogue(
 /// `maddubs`-style pair-accumulate shape, but on i16 inputs so nothing can
 /// saturate (|q| ≤ 127 keeps each pair sum ≤ 2·127², far below the i32
 /// madd result range). Every output element is an exact integer sum, so
-/// this kernel is **bitwise identical** to the scalar reference and the
-/// NEON twin — a stronger contract than the f32 kernels carry.
+/// this kernel is **bitwise identical** to the scalar reference — a
+/// stronger contract than the f32 kernels carry.
 ///
 /// # Safety
 ///

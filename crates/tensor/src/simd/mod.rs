@@ -3,19 +3,19 @@
 //! The hot inner loops of the tensor crate — the GEMM family
 //! (`matmul2d`/`bmm`/`bmm_nt`/`bmm_tn` and the plan executor's slice entry
 //! points), softmax rows, the fused conv epilogue and the fused attention
-//! tiles — route through one of three backends selected **once per
+//! tiles — route through one of two backends selected **once per
 //! process**:
 //!
 //! - [`Backend::Scalar`] — the original scalar loops, kept verbatim in
 //!   `kernels.rs`/`attention.rs`/`lowlevel.rs`. This is the **bitwise
 //!   reference**: every golden file and every pre-existing equivalence
-//!   suite pins its results to this backend.
+//!   suite pins its results to this backend. Every target without AVX2
+//!   runs it.
 //! - [`Backend::Avx2`] — AVX2 + FMA packed-panel microkernels (x86_64),
 //!   detected via `is_x86_feature_detected!`.
-//! - [`Backend::Neon`] — NEON microkernels (aarch64, always available).
 //!
 //! The backend is chosen from the `MFAPLACE_KERNELS` environment variable
-//! (`auto` | `scalar` | `avx2` | `neon`, default `auto`) on first kernel
+//! (`auto` | `scalar` | `avx2`, default `auto`) on first kernel
 //! use, or forced programmatically via [`force`] (the CLI `--kernels`
 //! flag). Forcing an unsupported backend through the environment falls
 //! back to auto-detection with a warning; forcing through [`force`]
@@ -57,10 +57,8 @@ use crate::kernels;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+#[cfg(target_arch = "x86_64")]
 mod exp;
-#[cfg(target_arch = "aarch64")]
-mod neon;
 
 /// Kernel backend identifier. See the module docs for the numeric
 /// contract each backend carries.
@@ -70,19 +68,16 @@ pub enum Backend {
     Scalar,
     /// AVX2 + FMA microkernels (x86_64).
     Avx2,
-    /// NEON microkernels (aarch64).
-    Neon,
 }
 
 impl Backend {
-    /// Stable lowercase name (`scalar` / `avx2` / `neon`) used by the CLI,
+    /// Stable lowercase name (`scalar` / `avx2`) used by the CLI,
     /// `model-info`, the `mfaplace_kernel_backend` metrics gauge and bench
     /// labels.
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
             Backend::Avx2 => "avx2",
-            Backend::Neon => "neon",
         }
     }
 
@@ -93,9 +88,8 @@ impl Backend {
             "" | "auto" => Ok(None),
             "scalar" => Ok(Some(Backend::Scalar)),
             "avx2" => Ok(Some(Backend::Avx2)),
-            "neon" => Ok(Some(Backend::Neon)),
             other => Err(format!(
-                "unknown kernel backend '{other}' (expected auto|scalar|avx2|neon)"
+                "unknown kernel backend '{other}' (expected auto|scalar|avx2)"
             )),
         }
     }
@@ -111,10 +105,6 @@ impl Backend {
             }
             #[cfg(not(target_arch = "x86_64"))]
             Backend::Avx2 => false,
-            #[cfg(target_arch = "aarch64")]
-            Backend::Neon => true,
-            #[cfg(not(target_arch = "aarch64"))]
-            Backend::Neon => false,
         }
     }
 }
@@ -123,8 +113,6 @@ impl Backend {
 pub fn detect() -> Backend {
     if Backend::Avx2.is_supported() {
         Backend::Avx2
-    } else if Backend::Neon.is_supported() {
-        Backend::Neon
     } else {
         Backend::Scalar
     }
@@ -135,9 +123,6 @@ pub fn supported() -> Vec<Backend> {
     let mut v = vec![Backend::Scalar];
     if Backend::Avx2.is_supported() {
         v.push(Backend::Avx2);
-    }
-    if Backend::Neon.is_supported() {
-        v.push(Backend::Neon);
     }
     v
 }
@@ -150,7 +135,6 @@ fn encode(b: Backend) -> u8 {
     match b {
         Backend::Scalar => 1,
         Backend::Avx2 => 2,
-        Backend::Neon => 3,
     }
 }
 
@@ -158,7 +142,6 @@ fn decode(v: u8) -> Option<Backend> {
     match v {
         1 => Some(Backend::Scalar),
         2 => Some(Backend::Avx2),
-        3 => Some(Backend::Neon),
         _ => None,
     }
 }
@@ -216,10 +199,8 @@ pub fn force(choice: Option<Backend>) -> Result<Backend, String> {
 
 // --------------------------------------------------------------- scratch
 
-/// Vector-lane panel width of the packed-B microkernels. Both ISAs pack
-/// `NR`-column panels (AVX2 consumes them as two 8-lane registers, NEON as
-/// four 4-lane registers); the per-element FMA chain is identical either
-/// way, so the two vector backends produce bitwise-identical GEMM results.
+/// Vector-lane panel width of the packed-B microkernels: AVX2 consumes a
+/// panel row as two 8-lane registers.
 pub(crate) const NR: usize = 16;
 
 /// Output rows per microkernel step.
@@ -236,7 +217,6 @@ pub(crate) struct Scratch {
     pub tile_a: Vec<f32>,
     pub tile_b: Vec<f32>,
     pub tile_c: Vec<f32>,
-    pub tile_d: Vec<f32>,
 }
 
 #[cfg(test)]
@@ -250,9 +230,8 @@ impl Scratch {
             tile_a,
             tile_b,
             tile_c,
-            tile_d,
         } = self;
-        [pack_a, pack_b, pack_c, tile_a, tile_b, tile_c, tile_d]
+        [pack_a, pack_b, pack_c, tile_a, tile_b, tile_c]
             .iter()
             .map(|v| v.capacity())
             .sum()
@@ -282,7 +261,7 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
 /// zero-fill pass and its stale contents are never observable.
 pub(crate) fn pack_b(src: &[f32], k: usize, n: usize, trans: bool, buf: &mut Vec<f32>) {
     if trans {
-        return pack_bt(src, k, n, None, buf);
+        return pack_bt(src, k, n, buf);
     }
     let nb = n.div_ceil(NR);
     buf.resize(nb * k * NR, 0.0);
@@ -297,20 +276,6 @@ pub(crate) fn pack_b(src: &[f32], k: usize, n: usize, trans: bool, buf: &mut Vec
     }
 }
 
-/// Transposed [`pack_b`] of `src: [n, k]` that divides source row `j` by
-/// `div[j]` on the way into the panel:
-/// `panel[jb][p][lane] = src[jb*NR + lane, p] / div[jb*NR + lane]`.
-///
-/// The feature-major attention forward hands its unnormalized softmax tile
-/// and the row sums here, so the softmax's final divide lands directly in
-/// the value GEMM's operand. The divide is the exact IEEE operation the
-/// row softmax performs, so the panel holds the same bits a
-/// normalize-then-pack sequence would.
-pub(crate) fn pack_bt_div(src: &[f32], k: usize, n: usize, div: &[f32], buf: &mut Vec<f32>) {
-    assert_eq!(div.len(), n, "pack_bt_div divisor length mismatch");
-    pack_bt(src, k, n, Some(div), buf);
-}
-
 /// Panel rows staged per block of the transposed pack: the `NR`-wide block
 /// being filled (8 KiB) and the source-row stage stay L1-resident.
 const PACK_BLOCK: usize = 128;
@@ -322,12 +287,11 @@ const PACK_LANES: usize = 4;
 /// panel wants it at stride `NR`, so writing one source row at a time
 /// sweeps the whole `k * NR` panel once per lane. Instead the panel is
 /// filled in blocks of [`PACK_BLOCK`] rows: `PACK_LANES` source-row
-/// segments are staged (divided, when asked) into a small contiguous
-/// buffer and interleaved into the block `PACK_LANES` lanes per store, so
-/// every panel row is completed while its block is in L1. Pure data
-/// movement plus an optional exact divide — the packed bytes are those of
-/// the one-line definition in [`pack_b`].
-fn pack_bt(src: &[f32], k: usize, n: usize, div: Option<&[f32]>, buf: &mut Vec<f32>) {
+/// segments are staged into a small contiguous buffer and interleaved into
+/// the block `PACK_LANES` lanes per store, so every panel row is completed
+/// while its block is in L1. Pure data movement — the packed bytes are
+/// those of the one-line definition in [`pack_b`].
+fn pack_bt(src: &[f32], k: usize, n: usize, buf: &mut Vec<f32>) {
     let nb = n.div_ceil(NR);
     buf.resize(nb * k * NR, 0.0);
     let mut stage = [[0.0f32; PACK_BLOCK]; PACK_LANES];
@@ -346,16 +310,7 @@ fn pack_bt(src: &[f32], k: usize, n: usize, div: Option<&[f32]>, buf: &mut Vec<f
                         continue;
                     }
                     let row = j0 + lane;
-                    let seg = &src[row * k + p0..row * k + p0 + pb];
-                    match div {
-                        None => st.copy_from_slice(seg),
-                        Some(div) => {
-                            let z = div[row];
-                            for (o, &v) in st.iter_mut().zip(seg) {
-                                *o = v / z;
-                            }
-                        }
-                    }
+                    st.copy_from_slice(&src[row * k + p0..row * k + p0 + pb]);
                 }
                 let [s0, s1, s2, s3] = &stage;
                 for ((((prow, &a), &b), &c), &d) in
@@ -437,9 +392,6 @@ pub(crate) fn kernel(
         // `is_x86_feature_detected!` confirmed avx2+fma; bounds asserted
         // above.
         Backend::Avx2 => unsafe { avx2::gemm_packed(a, packed, out, rows, k, n, accumulate) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64; bounds asserted above.
-        Backend::Neon => unsafe { neon::gemm_packed(a, packed, out, rows, k, n, accumulate) },
         #[allow(unreachable_patterns)]
         other => panic!(
             "kernel backend {} not compiled on this target",
@@ -619,9 +571,6 @@ pub(crate) fn exp_row_scaled(bk: Backend, row: &mut [f32], scale: f32) -> f32 {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2 is only active when detection confirmed avx2+fma.
         Backend::Avx2 => unsafe { avx2::exp_row_scaled(row, scale) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64.
-        Backend::Neon => unsafe { neon::exp_row_scaled(row, scale) },
         #[allow(unreachable_patterns)]
         other => panic!(
             "kernel backend {} not compiled on this target",
@@ -635,14 +584,6 @@ pub(crate) fn exp_row_scaled(bk: Backend, row: &mut [f32], scale: f32) -> f32 {
 /// Query columns per [`fm_query_block`]: the lanes of one vector.
 pub(crate) const QUERY_LANES: usize = 8;
 
-/// Whether `bk` has the query-lane kernels ([`fm_query_block`] and
-/// [`fm_query_block_backward`]). AVX2 only:
-/// the NEON twin is unwritten and unmeasured, and the scalar reference has
-/// no lanes.
-pub(crate) fn has_query_lanes(bk: Backend) -> bool {
-    bk == Backend::Avx2
-}
-
 /// One block of the feature-major attention forward with the queries in the
 /// vector lanes: output columns `[y0, y0 + t)` of one batch (`q`, `k`:
 /// `[n, l]`, `v`: `[nv, l]`), channel `c` written to
@@ -653,8 +594,8 @@ pub(crate) fn has_query_lanes(bk: Backend) -> bool {
 ///
 /// # Panics
 ///
-/// Panics unless [`has_query_lanes`]`(bk)`, or on a shape the kernel's
-/// contract excludes.
+/// Panics if `bk == Backend::Scalar`, or on a shape the kernel's contract
+/// excludes.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fm_query_block(
     bk: Backend,
@@ -707,8 +648,8 @@ pub(crate) fn fm_query_block(
 ///
 /// # Panics
 ///
-/// Panics unless [`has_query_lanes`]`(bk)`, or on a shape the kernel's
-/// contract excludes.
+/// Panics if `bk == Backend::Scalar`, or on a shape the kernel's contract
+/// excludes.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fm_query_block_backward(
     bk: Backend,
@@ -803,11 +744,6 @@ pub fn layer_norm_rows_with(
         Backend::Avx2 => unsafe {
             avx2::layer_norm_rows(src, gamma, beta, eps, d, out, xhat, inv_std)
         },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64; lengths asserted above.
-        Backend::Neon => unsafe {
-            neon::layer_norm_rows(src, gamma, beta, eps, d, out, xhat, inv_std)
-        },
         #[allow(unreachable_patterns)]
         other => panic!(
             "kernel backend {} not compiled on this target",
@@ -869,9 +805,6 @@ pub fn conv_epilogue_with(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2 is only active when detection confirmed avx2+fma.
         Backend::Avx2 => unsafe { avx2::conv_epilogue(src, dst, bias, affine, relu) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64.
-        Backend::Neon => unsafe { neon::conv_epilogue(src, dst, bias, affine, relu) },
         #[allow(unreachable_patterns)]
         other => panic!(
             "kernel backend {} not compiled on this target",
@@ -958,9 +891,6 @@ pub fn i8_gemm_with(
         // SAFETY: `Avx2` is only ever active()/forced when
         // `is_x86_feature_detected!` confirmed avx2; lengths asserted.
         Backend::Avx2 => unsafe { avx2::i8_gemm(a, b, out, m, k, n) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is baseline on aarch64; lengths asserted.
-        Backend::Neon => unsafe { neon::i8_gemm(a, b, out, m, k, n) },
         #[allow(unreachable_patterns)]
         other => panic!(
             "kernel backend {} not compiled on this target",
@@ -1001,8 +931,9 @@ mod tests {
         assert_eq!(Backend::parse("").unwrap(), None);
         assert_eq!(Backend::parse("Scalar").unwrap(), Some(Backend::Scalar));
         assert_eq!(Backend::parse("AVX2").unwrap(), Some(Backend::Avx2));
-        assert_eq!(Backend::parse("neon").unwrap(), Some(Backend::Neon));
         assert!(Backend::parse("sse9").is_err());
+        let e = Backend::parse("neon").unwrap_err();
+        assert!(e.contains("expected auto|scalar|avx2)"), "{e}");
         for b in supported() {
             assert_eq!(Backend::parse(b.name()).unwrap(), Some(b));
             assert!(b.is_supported());
@@ -1037,13 +968,13 @@ mod tests {
 
     /// The one-line definition of the packed layout:
     /// `panel[jb][p][lane] = b[p, jb*NR + lane]`, zero past `n`, where
-    /// `b[p, j]` is `src[p*n + j]` or, transposed, `src[j*k + p] / div[j]`.
-    fn pack_reference(src: &[f32], k: usize, n: usize, trans: bool, div: &[f32]) -> Vec<f32> {
+    /// `b[p, j]` is `src[p*n + j]` or, transposed, `src[j*k + p]`.
+    fn pack_reference(src: &[f32], k: usize, n: usize, trans: bool) -> Vec<f32> {
         let mut out = vec![0.0f32; n.div_ceil(NR) * k * NR];
         for j in 0..n {
             for p in 0..k {
                 out[(j / NR * k + p) * NR + j % NR] = if trans {
-                    src[j * k + p] / div[j]
+                    src[j * k + p]
                 } else {
                     src[p * n + j]
                 };
@@ -1080,24 +1011,15 @@ mod tests {
         }
         for (k, n) in shapes {
             let src: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
-            let div: Vec<f32> = (0..n).map(|_| rng.gen_range(0.5f32..3.0)).collect();
-            let ones = vec![1.0f32; n];
             for trans in [false, true] {
                 dirty(&mut buf);
                 pack_b(&src, k, n, trans, &mut buf);
                 assert_eq!(
                     bits(&buf),
-                    bits(&pack_reference(&src, k, n, trans, &ones)),
+                    bits(&pack_reference(&src, k, n, trans)),
                     "pack_b k={k} n={n} trans={trans}"
                 );
             }
-            dirty(&mut buf);
-            pack_bt_div(&src, k, n, &div, &mut buf);
-            assert_eq!(
-                bits(&buf),
-                bits(&pack_reference(&src, k, n, true, &div)),
-                "pack_bt_div k={k} n={n}"
-            );
         }
     }
 

@@ -7,11 +7,11 @@
 //! The shapes walk the kernel's seams: a ragged last query block
 //! (`L mod 8 ≠ 0`, including `L < 8`), a ragged key tail (the `exp_scalar`
 //! lanes), one and several channel groups on either side (`n`, `nv` around
-//! 8), batches, and `L` large enough for the pool fan-out. Under a backend
-//! without the kernel (scalar, NEON) the same assertions hold for the path
-//! that backend takes. The comparison against the retained four-pass tile
-//! lives next to the kernels in `attention.rs`'s unit tests, which can name
-//! the two private forwards.
+//! 8), batches, and `L` large enough for the pool fan-out. Under the scalar
+//! backend the same assertions hold for its reference loop. The comparison
+//! against the four-pass tile, now a test reference, lives next to the
+//! kernels in `attention.rs`'s unit tests, which can name the private
+//! forwards.
 
 use mfaplace_rt::pool;
 use mfaplace_tensor::{attention_fm, Tensor};

@@ -184,7 +184,7 @@ fn conv_epilogue_is_bitwise_on_every_backend() {
 fn layer_norm_rows_match_scalar_within_tolerance() {
     let backends = vector_backends();
     run_cases("layer_norm", 48, 0x1A7E, |case, rng| {
-        // Cross the 8-lane AVX2 / 4-lane NEON body-tail split, including
+        // Cross the 8-lane AVX2 body-tail split, including
         // d = 1 (zero variance, the eps path carries the normalization).
         let d = match case % 6 {
             0 => 1,

@@ -203,7 +203,7 @@ model (forward with batch statistics, loss sum, backward) on one kernel
 thread, as a trainer worker runs it: per op kind and output size, the
 forward and backward ms and share, im2col / col2im, the shard's heap
 allocations, and how much of the shard the ops cover.
-every subcommand accepts --kernels auto|scalar|avx2|neon to pin the SIMD
+every subcommand accepts --kernels auto|scalar|avx2 to pin the SIMD
 kernel backend (strict; the MFAPLACE_KERNELS env var is the forgiving
 equivalent, falling back to auto-detection with a warning). scalar is the
 bitwise-golden reference; vector backends carry a documented 1e-5-of-scale
@@ -281,7 +281,7 @@ fn load_options(flags: &Flags) -> Result<LoadOptions, String> {
     })
 }
 
-/// `--kernels auto|scalar|avx2|neon` — strict: an unsupported backend is a
+/// `--kernels auto|scalar|avx2` — strict: an unsupported backend is a
 /// CLI error here, unlike the forgiving `MFAPLACE_KERNELS` environment
 /// fallback. Applied before every subcommand so `serve`, `predict`,
 /// `train` and `model-info` all honor it.
