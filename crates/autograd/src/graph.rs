@@ -1,8 +1,8 @@
 use std::time::{Duration, Instant};
 
 use mfaplace_tensor::{
-    attention_fm_backward, attention_fm_into, attention_tm_backward, attention_tm_into, numel,
-    Tensor,
+    attention_fm_backward, attention_fm_into, attention_tm_backward, attention_tm_into,
+    conv_out_size, lowlevel, numel, Tensor,
 };
 
 use crate::recycle::BufferPool;
@@ -21,19 +21,34 @@ impl Var {
     }
 }
 
-#[derive(Clone)]
-enum Op {
+/// One recorded tape op: its operands and op parameters, as the backward
+/// replays it and as the compiled inference plan (`mfaplace-infer`) lowers
+/// it — see [`Graph::segment`]. Backward-only state (the conv lowering,
+/// normalization statistics, loss targets, pool argmaxes) is kept beside
+/// the op in its node, not here.
+#[derive(Clone, Debug)]
+pub enum TapeOp {
+    /// A parameter, input or constant.
     Leaf,
+    /// Elementwise `a + b`.
     Add(Var, Var),
+    /// Elementwise `a - b`.
     Sub(Var, Var),
+    /// Elementwise `a * b`.
     Mul(Var, Var),
+    /// Elementwise negation.
     Neg(Var),
+    /// Elementwise `x * c` for a recorded scalar.
     Scale(Var, f32),
-    AddScalar(Var),
+    /// `[m,k] x [k,n]` matrix product.
     Matmul(Var, Var),
+    /// Batched `[b,m,k] x [b,k,n]`.
     Bmm(Var, Var),
+    /// Batched `a · bᵀ`.
     BmmNT(Var, Var),
+    /// Batched `aᵀ · b`.
     BmmTN(Var, Var),
+    /// Fused attention (token-major when `feature_major` is false).
     Attention {
         q: Var,
         k: Var,
@@ -41,123 +56,140 @@ enum Op {
         scale: f32,
         feature_major: bool,
     },
+    /// 2-D convolution of `x` with weight `w`.
     Conv2d {
         x: Var,
         w: Var,
         stride: usize,
         pad: usize,
-        /// im2col lowering, retained only when the op requires grad — the
-        /// inference path drops it (recycled into the buffer pool) instead
-        /// of keeping `C·KH·KW × B·OH·OW` floats alive per conv.
-        cols: Option<Tensor>,
     },
+    /// Per-channel bias add on a rank-4 tensor.
     AddBiasChannel(Var, Var),
+    /// Last-axis bias add.
     AddBiasRow(Var, Var),
+    /// Rectified linear unit.
     Relu(Var),
+    /// Leaky ReLU with the given negative slope.
     LeakyRelu(Var, f32),
+    /// Logistic sigmoid.
     Sigmoid(Var),
+    /// GELU (tanh approximation).
     Gelu(Var),
-    BatchNorm2d {
-        x: Var,
-        gamma: Var,
-        beta: Var,
-        xhat: Tensor,
-        inv_std: Vec<f32>,
-    },
+    /// Batch normalization with batch statistics (training only).
+    BatchNorm2d { x: Var, gamma: Var, beta: Var },
+    /// Constant per-channel affine (inference-mode batch norm).
     ChannelAffine {
         x: Var,
         scale: Vec<f32>,
-        /// Backward only needs `scale`; `shift` rides the node so the plan
-        /// capture can reconstruct the full affine.
         shift: Vec<f32>,
     },
+    /// Last-axis layer normalization.
     LayerNorm {
         x: Var,
         gamma: Var,
         beta: Var,
-        xhat: Tensor,
-        inv_std: Vec<f32>,
-        /// Backward reads `inv_std`; `eps` rides the node for plan capture.
         eps: f32,
     },
+    /// Softmax over the last axis.
     SoftmaxLast(Var),
+    /// Pixel-wise cross entropy, optionally class-weighted (training only).
     CrossEntropy2d {
         logits: Var,
-        labels: Vec<u8>,
         class_weights: Option<Vec<f32>>,
-        probs: Tensor,
-        weight_sum: f32,
     },
-    MseLoss {
-        pred: Var,
-        target: Tensor,
-    },
+    /// Mean squared error against a constant target (training only).
+    MseLoss(Var),
+    /// Reshape (tape semantics: a copy).
     Reshape(Var),
-    Permute {
-        x: Var,
-        axes: Vec<usize>,
-    },
+    /// General axis permutation.
+    Permute { x: Var, axes: Vec<usize> },
+    /// Channel-axis concatenation.
     ConcatChannels(Vec<Var>),
-    SliceChannels {
-        x: Var,
-        c0: usize,
-        c1: usize,
-    },
+    /// Channel slice `[c0, c1)`.
+    SliceChannels { x: Var, c0: usize, c1: usize },
+    /// Nearest-neighbour 2× upsampling.
     Upsample2x(Var),
-    MaxPool2x2 {
-        x: Var,
-        arg: Vec<usize>,
-    },
+    /// 2×2 max pooling with stride 2.
+    MaxPool2x2(Var),
+    /// Mean of all elements (training only).
     Mean(Var),
+    /// Sum of all elements (training only).
     Sum(Var),
+    /// Broadcast product with a single-element node.
     MulScalarVar(Var, Var),
 }
 
-impl Op {
+impl TapeOp {
     /// The variant's name, as [`OpTime::kind`] reports it; feature-major
     /// attention is `AttentionFm`, as in the compiled plan.
     fn kind(&self) -> &'static str {
         match self {
-            Op::Leaf => "Leaf",
-            Op::Add(..) => "Add",
-            Op::Sub(..) => "Sub",
-            Op::Mul(..) => "Mul",
-            Op::Neg(_) => "Neg",
-            Op::Scale(..) => "Scale",
-            Op::AddScalar(_) => "AddScalar",
-            Op::Matmul(..) => "Matmul",
-            Op::Bmm(..) => "Bmm",
-            Op::BmmNT(..) => "BmmNT",
-            Op::BmmTN(..) => "BmmTN",
-            Op::Attention {
+            TapeOp::Leaf => "Leaf",
+            TapeOp::Add(..) => "Add",
+            TapeOp::Sub(..) => "Sub",
+            TapeOp::Mul(..) => "Mul",
+            TapeOp::Neg(_) => "Neg",
+            TapeOp::Scale(..) => "Scale",
+            TapeOp::Matmul(..) => "Matmul",
+            TapeOp::Bmm(..) => "Bmm",
+            TapeOp::BmmNT(..) => "BmmNT",
+            TapeOp::BmmTN(..) => "BmmTN",
+            TapeOp::Attention {
                 feature_major: true,
                 ..
             } => "AttentionFm",
-            Op::Attention { .. } => "Attention",
-            Op::Conv2d { .. } => "Conv2d",
-            Op::AddBiasChannel(..) => "AddBiasChannel",
-            Op::AddBiasRow(..) => "AddBiasRow",
-            Op::Relu(_) => "Relu",
-            Op::LeakyRelu(..) => "LeakyRelu",
-            Op::Sigmoid(_) => "Sigmoid",
-            Op::Gelu(_) => "Gelu",
-            Op::BatchNorm2d { .. } => "BatchNorm2d",
-            Op::ChannelAffine { .. } => "ChannelAffine",
-            Op::LayerNorm { .. } => "LayerNorm",
-            Op::SoftmaxLast(_) => "SoftmaxLast",
-            Op::CrossEntropy2d { .. } => "CrossEntropy2d",
-            Op::MseLoss { .. } => "MseLoss",
-            Op::Reshape(_) => "Reshape",
-            Op::Permute { .. } => "Permute",
-            Op::ConcatChannels(_) => "ConcatChannels",
-            Op::SliceChannels { .. } => "SliceChannels",
-            Op::Upsample2x(_) => "Upsample2x",
-            Op::MaxPool2x2 { .. } => "MaxPool2x2",
-            Op::Mean(_) => "Mean",
-            Op::Sum(_) => "Sum",
-            Op::MulScalarVar(..) => "MulScalarVar",
+            TapeOp::Attention { .. } => "Attention",
+            TapeOp::Conv2d { .. } => "Conv2d",
+            TapeOp::AddBiasChannel(..) => "AddBiasChannel",
+            TapeOp::AddBiasRow(..) => "AddBiasRow",
+            TapeOp::Relu(_) => "Relu",
+            TapeOp::LeakyRelu(..) => "LeakyRelu",
+            TapeOp::Sigmoid(_) => "Sigmoid",
+            TapeOp::Gelu(_) => "Gelu",
+            TapeOp::BatchNorm2d { .. } => "BatchNorm2d",
+            TapeOp::ChannelAffine { .. } => "ChannelAffine",
+            TapeOp::LayerNorm { .. } => "LayerNorm",
+            TapeOp::SoftmaxLast(_) => "SoftmaxLast",
+            TapeOp::CrossEntropy2d { .. } => "CrossEntropy2d",
+            TapeOp::MseLoss(_) => "MseLoss",
+            TapeOp::Reshape(_) => "Reshape",
+            TapeOp::Permute { .. } => "Permute",
+            TapeOp::ConcatChannels(_) => "ConcatChannels",
+            TapeOp::SliceChannels { .. } => "SliceChannels",
+            TapeOp::Upsample2x(_) => "Upsample2x",
+            TapeOp::MaxPool2x2(_) => "MaxPool2x2",
+            TapeOp::Mean(_) => "Mean",
+            TapeOp::Sum(_) => "Sum",
+            TapeOp::MulScalarVar(..) => "MulScalarVar",
         }
     }
+}
+
+/// What a node keeps for its backward beyond its op and value (the conv
+/// lowering and the pool argmax only when the node requires grad);
+/// recycled by [`Graph::truncate`].
+#[derive(Clone)]
+enum Saved {
+    None,
+    /// A convolution's im2col lowering (`C·KH·KW × B·OH·OW` floats).
+    Cols(Tensor),
+    /// Batch / layer norm: the normalized input and the inverse std per
+    /// channel or row.
+    Norm {
+        xhat: Tensor,
+        inv_std: Vec<f32>,
+    },
+    /// Cross entropy: the softmax probabilities, the labels and the loss
+    /// denominator (1 for the un-normalized sum).
+    CrossEntropy {
+        probs: Tensor,
+        labels: Vec<u8>,
+        weight_sum: f32,
+    },
+    /// The MSE target.
+    Target(Tensor),
+    /// Max pooling: each output's flat input index.
+    Argmax(Vec<usize>),
 }
 
 /// Wall time one tape node took while op timing was on — see
@@ -204,7 +236,8 @@ impl OpClock {
 struct Node {
     value: Tensor,
     grad: Option<Tensor>,
-    op: Op,
+    op: TapeOp,
+    saved: Saved,
     requires_grad: bool,
 }
 
@@ -290,11 +323,17 @@ impl Graph {
         self.nodes.is_empty()
     }
 
-    fn push(&mut self, value: Tensor, op: Op, requires_grad: bool) -> Var {
+    fn push(&mut self, value: Tensor, op: TapeOp, requires_grad: bool) -> Var {
+        self.push_saved(value, op, Saved::None, requires_grad)
+    }
+
+    /// [`Graph::push`] for an op with backward-only state.
+    fn push_saved(&mut self, value: Tensor, op: TapeOp, saved: Saved, requires_grad: bool) -> Var {
         self.nodes.push(Node {
             value,
             grad: None,
             op,
+            saved,
             requires_grad: requires_grad && self.grad_enabled,
         });
         let index = self.nodes.len() - 1;
@@ -347,29 +386,29 @@ impl Graph {
             .collect()
     }
 
-    /// Pooled elementwise map: same results as `Tensor::map`, storage from
-    /// the free list.
-    fn pooled_map(&mut self, x: Var, f: impl Fn(f32) -> f32) -> Tensor {
-        let n = self.nodes[x.0].value.numel();
-        let mut buf = self.pool.take_any(n);
-        let xv = &self.nodes[x.0].value;
-        for (o, &s) in buf.iter_mut().zip(xv.data()) {
-            *o = f(s);
-        }
-        Tensor::from_vec(xv.shape().to_vec(), buf).expect("pooled map")
+    /// A value of `shape` in storage from the free list, which `fill`
+    /// (any prior contents; it must write every element) computes from the
+    /// tape's nodes.
+    fn pooled(&mut self, shape: Vec<usize>, fill: impl FnOnce(&[Node], &mut [f32])) -> Tensor {
+        let mut buf = self.pool.take_any(numel(&shape));
+        fill(&self.nodes, &mut buf);
+        Tensor::from_vec(shape, buf).expect("pooled value")
     }
 
-    /// Pooled elementwise zip of two same-shape nodes.
+    /// Pooled elementwise map through [`lowlevel::map_into`].
+    fn pooled_map(&mut self, x: Var, f: impl Fn(f32) -> f32) -> Tensor {
+        let shape = self.value(x).shape().to_vec();
+        self.pooled(shape, |n, o| lowlevel::map_into(n[x.0].value.data(), o, f))
+    }
+
+    /// Pooled elementwise zip of two same-shape nodes through
+    /// [`lowlevel::zip_into`].
     fn pooled_zip(&mut self, a: Var, b: Var, f: impl Fn(f32, f32) -> f32) -> Tensor {
-        let n = self.nodes[a.0].value.numel();
-        let mut buf = self.pool.take_any(n);
-        let av = &self.nodes[a.0].value;
-        let bv = &self.nodes[b.0].value;
-        assert_eq!(av.shape(), bv.shape(), "elementwise shape mismatch");
-        for ((o, &x), &y) in buf.iter_mut().zip(av.data()).zip(bv.data()) {
-            *o = f(x, y);
-        }
-        Tensor::from_vec(av.shape().to_vec(), buf).expect("pooled zip")
+        let shape = self.value(a).shape().to_vec();
+        assert_eq!(shape, self.value(b).shape(), "elementwise shape mismatch");
+        self.pooled(shape, |n, o| {
+            lowlevel::zip_into(n[a.0].value.data(), n[b.0].value.data(), o, f);
+        })
     }
 
     fn rg(&self, v: Var) -> bool {
@@ -379,12 +418,12 @@ impl Graph {
     /// Inserts a trainable leaf (a parameter). Persistent across truncation
     /// as long as it was created before the mark.
     pub fn param(&mut self, t: Tensor) -> Var {
-        self.push(t, Op::Leaf, true)
+        self.push(t, TapeOp::Leaf, true)
     }
 
     /// Inserts a non-trainable leaf (an input or constant).
     pub fn constant(&mut self, t: Tensor) -> Var {
-        self.push(t, Op::Leaf, false)
+        self.push(t, TapeOp::Leaf, false)
     }
 
     /// The current value of a node.
@@ -447,16 +486,12 @@ impl Graph {
     pub fn truncate(&mut self, mark: usize) {
         assert!(mark <= self.nodes.len(), "truncate beyond tape length");
         for node in self.nodes.drain(mark..) {
-            match node.op {
-                Op::Conv2d {
-                    cols: Some(cols), ..
-                } => self.pool.give(cols.into_vec()),
-                Op::BatchNorm2d { xhat, .. } | Op::LayerNorm { xhat, .. } => {
-                    self.pool.give(xhat.into_vec());
-                }
-                Op::CrossEntropy2d { probs, .. } => self.pool.give(probs.into_vec()),
-                Op::MseLoss { target, .. } => self.pool.give(target.into_vec()),
-                _ => {}
+            match node.saved {
+                Saved::Cols(t)
+                | Saved::Norm { xhat: t, .. }
+                | Saved::CrossEntropy { probs: t, .. }
+                | Saved::Target(t) => self.pool.give(t.into_vec()),
+                Saved::None | Saved::Argmax(_) => {}
             }
             if let Some(g) = node.grad {
                 self.pool.give(g.into_vec());
@@ -473,63 +508,54 @@ impl Graph {
 
     /// Element-wise sum of two same-shape nodes.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let v = self.pooled_zip(a, b, |x, y| x + y);
+        let v = self.pooled_zip(a, b, lowlevel::add);
         let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::Add(a, b), rg)
+        self.push(v, TapeOp::Add(a, b), rg)
     }
 
     /// Element-wise difference `a - b`.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let v = self.pooled_zip(a, b, |x, y| x - y);
+        let v = self.pooled_zip(a, b, lowlevel::sub);
         let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::Sub(a, b), rg)
+        self.push(v, TapeOp::Sub(a, b), rg)
     }
 
     /// Element-wise product of two same-shape nodes.
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.pooled_zip(a, b, |x, y| x * y);
+        let v = self.pooled_zip(a, b, lowlevel::mul);
         let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::Mul(a, b), rg)
+        self.push(v, TapeOp::Mul(a, b), rg)
     }
 
     /// Negation.
     pub fn neg(&mut self, a: Var) -> Var {
-        let v = self.pooled_map(a, |x| -x);
+        let v = self.pooled_map(a, lowlevel::neg);
         let rg = self.rg(a);
-        self.push(v, Op::Neg(a), rg)
+        self.push(v, TapeOp::Neg(a), rg)
     }
 
     /// Multiplication by a compile-time scalar.
     pub fn scale(&mut self, a: Var, c: f32) -> Var {
-        let v = self.pooled_map(a, |x| x * c);
+        let v = self.pooled_map(a, |x| lowlevel::mul(x, c));
         let rg = self.rg(a);
-        self.push(v, Op::Scale(a, c), rg)
-    }
-
-    /// Addition of a compile-time scalar.
-    pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        let v = self.pooled_map(a, |x| x + c);
-        let rg = self.rg(a);
-        self.push(v, Op::AddScalar(a), rg)
+        self.push(v, TapeOp::Scale(a, c), rg)
     }
 
     /// 2-D matrix product `[m,k] x [k,n]`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let (m, n) = (self.value(a).shape()[0], self.value(b).shape()[1]);
-        let mut out = self.pool.take_any(m * n);
-        self.nodes[a.0]
-            .value
-            .matmul2d_into(&self.nodes[b.0].value, &mut out);
-        let v = Tensor::from_vec(vec![m, n], out).expect("matmul out");
+        let v = self.pooled(vec![m, n], |nd, o| {
+            nd[a.0].value.matmul2d_into(&nd[b.0].value, o)
+        });
         let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::Matmul(a, b), rg)
+        self.push(v, TapeOp::Matmul(a, b), rg)
     }
 
     /// Batched matrix product `[b,m,k] x [b,k,n]`.
     pub fn bmm(&mut self, a: Var, b: Var) -> Var {
         let v = self.value(a).bmm(self.value(b));
         let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::Bmm(a, b), rg)
+        self.push(v, TapeOp::Bmm(a, b), rg)
     }
 
     /// Batched transpose-aware product `a · bᵀ`:
@@ -539,13 +565,11 @@ impl Graph {
     pub fn bmm_nt(&mut self, a: Var, b: Var) -> Var {
         let (ba, m) = (self.value(a).shape()[0], self.value(a).shape()[1]);
         let n = self.value(b).shape()[1];
-        let mut out = self.pool.take_any(ba * m * n);
-        self.nodes[a.0]
-            .value
-            .bmm_nt_into(&self.nodes[b.0].value, &mut out);
-        let v = Tensor::from_vec(vec![ba, m, n], out).expect("bmm_nt out");
+        let v = self.pooled(vec![ba, m, n], |nd, o| {
+            nd[a.0].value.bmm_nt_into(&nd[b.0].value, o)
+        });
         let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::BmmNT(a, b), rg)
+        self.push(v, TapeOp::BmmNT(a, b), rg)
     }
 
     /// Batched transpose-aware product `aᵀ · b`:
@@ -555,13 +579,11 @@ impl Graph {
     pub fn bmm_tn(&mut self, a: Var, b: Var) -> Var {
         let (ba, m) = (self.value(a).shape()[0], self.value(a).shape()[2]);
         let n = self.value(b).shape()[2];
-        let mut out = self.pool.take_any(ba * m * n);
-        self.nodes[a.0]
-            .value
-            .bmm_tn_into(&self.nodes[b.0].value, &mut out);
-        let v = Tensor::from_vec(vec![ba, m, n], out).expect("bmm_tn out");
+        let v = self.pooled(vec![ba, m, n], |nd, o| {
+            nd[a.0].value.bmm_tn_into(&nd[b.0].value, o)
+        });
         let rg = self.rg(a) || self.rg(b);
-        self.push(v, Op::BmmTN(a, b), rg)
+        self.push(v, TapeOp::BmmTN(a, b), rg)
     }
 
     /// Fused token-major attention `softmax(q·kᵀ·scale)·v` for
@@ -578,20 +600,15 @@ impl Graph {
     pub fn attention(&mut self, q: Var, k: Var, v: Var, scale: f32) -> Var {
         let (b, lq) = (self.value(q).shape()[0], self.value(q).shape()[1]);
         let dv = self.value(v).shape()[2];
-        // Zero-filled: the fused kernel accumulates output rows in place.
-        let mut out = self.pool.take(b * lq * dv);
-        attention_tm_into(
-            &self.nodes[q.0].value,
-            &self.nodes[k.0].value,
-            &self.nodes[v.0].value,
-            scale,
-            &mut out,
-        );
-        let val = Tensor::from_vec(vec![b, lq, dv], out).expect("attention out");
+        let val = self.pooled(vec![b, lq, dv], |n, o| {
+            // The fused kernel accumulates output rows in place.
+            o.fill(0.0);
+            attention_tm_into(&n[q.0].value, &n[k.0].value, &n[v.0].value, scale, o);
+        });
         let rg = self.rg(q) || self.rg(k) || self.rg(v);
         self.push(
             val,
-            Op::Attention {
+            TapeOp::Attention {
                 q,
                 k,
                 v,
@@ -612,19 +629,13 @@ impl Graph {
     pub fn attention_fm(&mut self, q: Var, k: Var, v: Var, scale: f32) -> Var {
         let (b, l) = (self.value(q).shape()[0], self.value(q).shape()[2]);
         let nv = self.value(v).shape()[1];
-        let mut out = self.pool.take_any(b * nv * l);
-        attention_fm_into(
-            &self.nodes[q.0].value,
-            &self.nodes[k.0].value,
-            &self.nodes[v.0].value,
-            scale,
-            &mut out,
-        );
-        let val = Tensor::from_vec(vec![b, nv, l], out).expect("attention_fm out");
+        let val = self.pooled(vec![b, nv, l], |n, o| {
+            attention_fm_into(&n[q.0].value, &n[k.0].value, &n[v.0].value, scale, o);
+        });
         let rg = self.rg(q) || self.rg(k) || self.rg(v);
         self.push(
             val,
-            Op::Attention {
+            TapeOp::Attention {
                 q,
                 k,
                 v,
@@ -643,55 +654,33 @@ impl Graph {
             (ws[2], ws[3])
         };
         let (b, c, h, wd) = self.value(x).dims4();
-        let (oh, ow) = mfaplace_tensor_conv_out(h, wd, kh, kw, stride, pad);
+        let (oh, ow) = conv_out_size(h, wd, kh, kw, stride, pad);
         let ohow = oh * ow;
         let oc = self.value(w).shape()[0];
         let ckk = self.value(w).numel() / oc;
         // im2col writes every element, padding zeros included.
-        let mut cols_buf = self.pool.take_any(c * kh * kw * b * ohow);
+        let mut cols = self.pool.take_any(c * kh * kw * b * ohow);
         let t0 = self.clock.is_some().then(Instant::now);
         self.nodes[x.0]
             .value
-            .im2col_into(kh, kw, stride, pad, &mut cols_buf);
+            .im2col_into(kh, kw, stride, pad, &mut cols);
         let im2col = t0.map(|t0| t0.elapsed());
-        let cols =
-            Tensor::from_vec(vec![c * kh * kw, b * ohow], cols_buf).expect("conv2d cols shape");
-        let wm = self
-            .value(w)
-            .reshape(vec![oc, ckk])
-            .expect("conv2d weight reshape");
-        let mut y_mat = self.pool.take_any(oc * b * ohow);
-        wm.matmul2d_into(&cols, &mut y_mat); // [OC, B*OH*OW]
-                                             // reorder [OC, B, OH*OW] -> [B, OC, OH*OW]
-        let mut out = self.pool.take_any(oc * b * ohow);
-        for ocx in 0..oc {
-            for bi in 0..b {
-                let src = &y_mat[(ocx * b + bi) * ohow..(ocx * b + bi + 1) * ohow];
-                out[(bi * oc + ocx) * ohow..(bi * oc + ocx + 1) * ohow].copy_from_slice(src);
-            }
-        }
+        let mut y_mat = self.pool.take_any(oc * b * ohow); // [OC, B*OH*OW]
+        lowlevel::gemm_into(self.value(w).data(), &cols, &mut y_mat, oc, ckk, b * ohow);
+        let v = self.pooled(vec![b, oc, oh, ow], |_, o| {
+            lowlevel::conv_reorder_epilogue(&y_mat, o, b, oc, ohow, None, None, false);
+        });
         self.pool.give(y_mat);
-        let v = Tensor::from_vec(vec![b, oc, oh, ow], out).expect("conv2d output");
         let rg = (self.rg(x) || self.rg(w)) && self.grad_enabled;
         // The lowering is backward-only state: on the inference path it is
         // recycled immediately instead of riding the tape node.
-        let cols = if rg {
-            Some(cols)
+        let saved = if rg {
+            Saved::Cols(Tensor::from_vec(vec![c * kh * kw, b * ohow], cols).expect("conv cols"))
         } else {
-            self.pool.give(cols.into_vec());
-            None
+            self.pool.give(cols);
+            Saved::None
         };
-        let node = self.push(
-            v,
-            Op::Conv2d {
-                x,
-                w,
-                stride,
-                pad,
-                cols,
-            },
-            rg,
-        );
+        let node = self.push_saved(v, TapeOp::Conv2d { x, w, stride, pad }, saved, rg);
         if let (Some(clock), Some(d)) = (&mut self.clock, im2col) {
             clock.span(node.0)[2] = d;
         }
@@ -702,64 +691,52 @@ impl Graph {
     pub fn add_bias_channel(&mut self, x: Var, b: Var) -> Var {
         let (bs, c, h, w) = self.value(x).dims4();
         assert_eq!(self.value(b).shape(), &[c], "bias shape mismatch");
-        let mut out = self.pool.take_any(self.value(x).numel());
-        out.copy_from_slice(self.value(x).data());
-        let bias = self.value(b).data().to_vec();
-        for bi in 0..bs {
-            for ci in 0..c {
-                for o in &mut out[(bi * c + ci) * h * w..(bi * c + ci + 1) * h * w] {
-                    *o += bias[ci];
-                }
-            }
-        }
-        let v = Tensor::from_vec(vec![bs, c, h, w], out).expect("bias output");
+        let v = self.pooled(vec![bs, c, h, w], |n, o| {
+            let bias = Some(n[b.0].value.data());
+            lowlevel::channel_epilogue(n[x.0].value.data(), o, bs, c, h * w, bias, None);
+        });
         let rg = self.rg(x) || self.rg(b);
-        self.push(v, Op::AddBiasChannel(x, b), rg)
+        self.push(v, TapeOp::AddBiasChannel(x, b), rg)
     }
 
     /// Adds a bias `b: [D]` to the last axis of `x: [..., D]`.
     pub fn add_bias_row(&mut self, x: Var, b: Var) -> Var {
-        let d = *self.value(x).shape().last().expect("rank >= 1");
+        let shape = self.value(x).shape().to_vec();
+        let d = *shape.last().expect("rank >= 1");
         assert_eq!(self.value(b).shape(), &[d], "row bias shape mismatch");
-        let bias = self.value(b).data().to_vec();
-        let mut out = self.pool.take_any(self.value(x).numel());
-        out.copy_from_slice(self.value(x).data());
-        for row in out.chunks_mut(d) {
-            for (o, &bv) in row.iter_mut().zip(&bias) {
-                *o += bv;
-            }
-        }
-        let v = Tensor::from_vec(self.value(x).shape().to_vec(), out).expect("row bias output");
+        let v = self.pooled(shape, |n, o| {
+            lowlevel::add_bias_row(n[x.0].value.data(), n[b.0].value.data(), o);
+        });
         let rg = self.rg(x) || self.rg(b);
-        self.push(v, Op::AddBiasRow(x, b), rg)
+        self.push(v, TapeOp::AddBiasRow(x, b), rg)
     }
 
     /// Rectified linear unit.
     pub fn relu(&mut self, x: Var) -> Var {
-        let v = self.pooled_map(x, |a| a.max(0.0));
+        let v = self.pooled_map(x, lowlevel::relu);
         let rg = self.rg(x);
-        self.push(v, Op::Relu(x), rg)
+        self.push(v, TapeOp::Relu(x), rg)
     }
 
     /// Leaky ReLU with the given negative slope.
     pub fn leaky_relu(&mut self, x: Var, slope: f32) -> Var {
-        let v = self.pooled_map(x, |a| if a > 0.0 { a } else { slope * a });
+        let v = self.pooled_map(x, |a| lowlevel::leaky_relu(a, slope));
         let rg = self.rg(x);
-        self.push(v, Op::LeakyRelu(x, slope), rg)
+        self.push(v, TapeOp::LeakyRelu(x, slope), rg)
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, x: Var) -> Var {
-        let v = self.pooled_map(x, |a| 1.0 / (1.0 + (-a).exp()));
+        let v = self.pooled_map(x, lowlevel::sigmoid);
         let rg = self.rg(x);
-        self.push(v, Op::Sigmoid(x), rg)
+        self.push(v, TapeOp::Sigmoid(x), rg)
     }
 
     /// GELU activation (tanh approximation), used in transformer MLPs.
     pub fn gelu(&mut self, x: Var) -> Var {
-        let v = self.pooled_map(x, gelu_fwd);
+        let v = self.pooled_map(x, lowlevel::gelu);
         let rg = self.rg(x);
-        self.push(v, Op::Gelu(x), rg)
+        self.push(v, TapeOp::Gelu(x), rg)
     }
 
     /// Batch normalization over `(B, H, W)` per channel using batch
@@ -819,15 +796,10 @@ impl Graph {
         let v = Tensor::from_vec(vec![b, c, h, w], out).expect("bn out");
         let rg = self.rg(x) || self.rg(gamma) || self.rg(beta);
         let var_out = var.clone();
-        let node = self.push(
+        let node = self.push_saved(
             v,
-            Op::BatchNorm2d {
-                x,
-                gamma,
-                beta,
-                xhat,
-                inv_std,
-            },
+            TapeOp::BatchNorm2d { x, gamma, beta },
+            Saved::Norm { xhat, inv_std },
             rg,
         );
         (node, mean, var_out)
@@ -840,19 +812,12 @@ impl Graph {
         let (b, c, h, w) = self.value(x).dims4();
         assert_eq!(scale.len(), c, "channel_affine scale length");
         assert_eq!(shift.len(), c, "channel_affine shift length");
-        let src = self.nodes[x.0].value.data();
-        let mut out = self.pool.take_any(src.len());
-        for bi in 0..b {
-            for ci in 0..c {
-                let base = (bi * c + ci) * h * w;
-                for k in 0..h * w {
-                    out[base + k] = scale[ci] * src[base + k] + shift[ci];
-                }
-            }
-        }
-        let v = Tensor::from_vec(vec![b, c, h, w], out).expect("affine out");
+        let v = self.pooled(vec![b, c, h, w], |n, o| {
+            let affine = Some((&scale[..], &shift[..]));
+            lowlevel::channel_epilogue(n[x.0].value.data(), o, b, c, h * w, None, affine);
+        });
         let rg = self.rg(x);
-        self.push(v, Op::ChannelAffine { x, scale, shift }, rg)
+        self.push(v, TapeOp::ChannelAffine { x, scale, shift }, rg)
     }
 
     /// Layer normalization over the last axis with affine `gamma, beta: [D]`.
@@ -881,25 +846,28 @@ impl Graph {
         let xhat = Tensor::from_vec(self.value(x).shape().to_vec(), xhat).expect("ln xhat");
         let v = Tensor::from_vec(self.value(x).shape().to_vec(), out).expect("ln out");
         let rg = self.rg(x) || self.rg(gamma) || self.rg(beta);
-        self.push(
+        self.push_saved(
             v,
-            Op::LayerNorm {
+            TapeOp::LayerNorm {
                 x,
                 gamma,
                 beta,
-                xhat,
-                inv_std,
                 eps,
             },
+            Saved::Norm { xhat, inv_std },
             rg,
         )
     }
 
     /// Softmax over the last axis.
     pub fn softmax_last(&mut self, x: Var) -> Var {
-        let v = self.value(x).softmax_lastdim();
+        let shape = self.value(x).shape().to_vec();
+        let d = *shape.last().expect("softmax needs rank >= 1");
+        let v = self.pooled(shape, |n, o| {
+            lowlevel::softmax_last_into(n[x.0].value.data(), d, o);
+        });
         let rg = self.rg(x);
-        self.push(v, Op::SoftmaxLast(x), rg)
+        self.push(v, TapeOp::SoftmaxLast(x), rg)
     }
 
     /// Pixel-wise multi-class cross entropy between `logits: [B,K,H,W]` and
@@ -989,13 +957,15 @@ impl Graph {
         let v = Tensor::scalar((loss / weight_sum as f64) as f32);
         let probs = Tensor::from_vec(vec![b, k, h, w], probs).expect("ce probs");
         let rg = self.rg(logits);
-        self.push(
+        self.push_saved(
             v,
-            Op::CrossEntropy2d {
+            TapeOp::CrossEntropy2d {
                 logits,
-                labels: labels.to_vec(),
                 class_weights: class_weights.map(<[f32]>::to_vec),
+            },
+            Saved::CrossEntropy {
                 probs,
+                labels: labels.to_vec(),
                 weight_sum,
             },
             rg,
@@ -1012,14 +982,7 @@ impl Graph {
         let diff = self.value(pred).sub(target);
         let v = Tensor::scalar(diff.sq_norm() / diff.numel().max(1) as f32);
         let rg = self.rg(pred);
-        self.push(
-            v,
-            Op::MseLoss {
-                pred,
-                target: target.clone(),
-            },
-            rg,
-        )
+        self.push_saved(v, TapeOp::MseLoss(pred), Saved::Target(target.clone()), rg)
     }
 
     /// Reshape (element count preserved).
@@ -1033,25 +996,21 @@ impl Graph {
             self.value(x).numel(),
             "reshape element mismatch"
         );
-        let mut buf = self.pool.take_any(self.nodes[x.0].value.numel());
-        buf.copy_from_slice(self.nodes[x.0].value.data());
-        let v = Tensor::from_vec(shape, buf).expect("reshape");
+        let v = self.pooled(shape, |n, o| o.copy_from_slice(n[x.0].value.data()));
         let rg = self.rg(x);
-        self.push(v, Op::Reshape(x), rg)
+        self.push(v, TapeOp::Reshape(x), rg)
     }
 
     /// General axis permutation.
     pub fn permute(&mut self, x: Var, axes: &[usize]) -> Var {
-        let v = self.value(x).permute(axes);
+        let in_shape = self.value(x).shape().to_vec();
+        let shape = axes.iter().map(|&a| in_shape[a]).collect();
+        let v = self.pooled(shape, |n, o| {
+            lowlevel::permute_into(n[x.0].value.data(), &in_shape, axes, o);
+        });
         let rg = self.rg(x);
-        self.push(
-            v,
-            Op::Permute {
-                x,
-                axes: axes.to_vec(),
-            },
-            rg,
-        )
+        let axes = axes.to_vec();
+        self.push(v, TapeOp::Permute { x, axes }, rg)
     }
 
     /// Channel-axis concatenation of rank-4 nodes.
@@ -1059,42 +1018,55 @@ impl Graph {
         let tensors: Vec<&Tensor> = parts.iter().map(|&p| self.value(p)).collect();
         let v = Tensor::concat_channels(&tensors);
         let rg = parts.iter().any(|&p| self.rg(p));
-        self.push(v, Op::ConcatChannels(parts.to_vec()), rg)
+        self.push(v, TapeOp::ConcatChannels(parts.to_vec()), rg)
     }
 
     /// Extracts channels `[c0, c1)` of a rank-4 node.
     pub fn slice_channels(&mut self, x: Var, c0: usize, c1: usize) -> Var {
-        let v = self.value(x).slice_channels(c0, c1);
+        let (b, c, h, w) = self.value(x).dims4();
+        let v = self.pooled(vec![b, c1.saturating_sub(c0), h, w], |n, o| {
+            lowlevel::slice_channels_into(n[x.0].value.data(), b, c, c0, c1, h * w, o);
+        });
         let rg = self.rg(x);
-        self.push(v, Op::SliceChannels { x, c0, c1 }, rg)
+        self.push(v, TapeOp::SliceChannels { x, c0, c1 }, rg)
     }
 
     /// Nearest-neighbour 2× upsampling.
     pub fn upsample2x(&mut self, x: Var) -> Var {
-        let v = self.value(x).upsample2x();
+        let (b, c, h, w) = self.value(x).dims4();
+        let v = self.pooled(vec![b, c, 2 * h, 2 * w], |n, o| {
+            lowlevel::upsample2x_into(n[x.0].value.data(), b * c, h, w, o);
+        });
         let rg = self.rg(x);
-        self.push(v, Op::Upsample2x(x), rg)
+        self.push(v, TapeOp::Upsample2x(x), rg)
     }
 
     /// 2×2 max pooling with stride 2.
     pub fn maxpool2x2(&mut self, x: Var) -> Var {
-        let (v, arg) = self.value(x).maxpool2x2();
-        let rg = self.rg(x);
-        self.push(v, Op::MaxPool2x2 { x, arg }, rg)
+        let (b, c, h, w) = self.value(x).dims4();
+        let rg = self.rg(x) && self.grad_enabled;
+        // The argmax is backward-only state, kept only when it is needed.
+        let mut arg = vec![0usize; if rg { b * c * (h / 2) * (w / 2) } else { 0 }];
+        let v = self.pooled(vec![b, c, h / 2, w / 2], |n, o| {
+            let arg = rg.then_some(&mut arg[..]);
+            lowlevel::maxpool2x2_into(n[x.0].value.data(), b * c, h, w, o, arg);
+        });
+        let saved = if rg { Saved::Argmax(arg) } else { Saved::None };
+        self.push_saved(v, TapeOp::MaxPool2x2(x), saved, rg)
     }
 
     /// Mean of all elements (scalar output).
     pub fn mean(&mut self, x: Var) -> Var {
         let v = Tensor::scalar(self.value(x).mean());
         let rg = self.rg(x);
-        self.push(v, Op::Mean(x), rg)
+        self.push(v, TapeOp::Mean(x), rg)
     }
 
     /// Sum of all elements (scalar output).
     pub fn sum(&mut self, x: Var) -> Var {
         let v = Tensor::scalar(self.value(x).sum());
         let rg = self.rg(x);
-        self.push(v, Op::Sum(x), rg)
+        self.push(v, TapeOp::Sum(x), rg)
     }
 
     /// Broadcast product with a single-element node (e.g. the learnable
@@ -1102,9 +1074,9 @@ impl Graph {
     pub fn mul_scalar_var(&mut self, x: Var, s: Var) -> Var {
         assert_eq!(self.value(s).numel(), 1, "scalar var must hold one element");
         let sv = self.value(s).item();
-        let v = self.pooled_map(x, |a| a * sv);
+        let v = self.pooled_map(x, |a| lowlevel::mul(a, sv));
         let rg = self.rg(x) || self.rg(s);
-        self.push(v, Op::MulScalarVar(x, s), rg)
+        self.push(v, TapeOp::MulScalarVar(x, s), rg)
     }
 
     // ------------------------------------------------------------ backward
@@ -1119,128 +1091,14 @@ impl Graph {
         self.backward_seeded(loss, 1.0);
     }
 
-    /// Read-only access to a node value by raw tape index (the plan
-    /// capture walks exported [`TapeOp`] operand indices, which are raw
-    /// `usize`s rather than `Var` handles).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn value_at(&self, index: usize) -> &Tensor {
-        &self.nodes[index].value
-    }
-
-    /// Exports the tape segment `[from, len)` as a list of [`TapeNode`]s —
-    /// the capture hook of the compiled inference plan (`mfaplace-infer`).
-    ///
-    /// Operand indices are raw tape indices; indices `< from` refer to
-    /// pre-existing leaves (parameters), indices `>= from` to nodes inside
-    /// the segment (including constants materialized mid-forward, e.g. the
-    /// PGNN aggregation kernels). Returns `Err` naming the offending op if
-    /// the segment contains a training-only op that has no inference-plan
-    /// equivalent (batch-stats BatchNorm, losses, reductions, `add_scalar`
-    /// whose scalar is not recorded on the tape).
-    pub fn export_segment(&self, from: usize) -> Result<Vec<TapeNode>, String> {
-        assert!(from <= self.nodes.len(), "export beyond tape length");
-        let mut out = Vec::with_capacity(self.nodes.len() - from);
-        for (i, node) in self.nodes.iter().enumerate().skip(from) {
-            let op = match &node.op {
-                Op::Leaf => TapeOp::Leaf,
-                Op::Add(a, b) => TapeOp::Add(a.0, b.0),
-                Op::Sub(a, b) => TapeOp::Sub(a.0, b.0),
-                Op::Mul(a, b) => TapeOp::Mul(a.0, b.0),
-                Op::Neg(a) => TapeOp::Neg(a.0),
-                Op::Scale(a, c) => TapeOp::Scale(a.0, *c),
-                Op::Matmul(a, b) => TapeOp::Matmul(a.0, b.0),
-                Op::Bmm(a, b) => TapeOp::Bmm(a.0, b.0),
-                Op::BmmNT(a, b) => TapeOp::BmmNT(a.0, b.0),
-                Op::BmmTN(a, b) => TapeOp::BmmTN(a.0, b.0),
-                Op::Attention {
-                    q,
-                    k,
-                    v,
-                    scale,
-                    feature_major,
-                } => TapeOp::Attention {
-                    q: q.0,
-                    k: k.0,
-                    v: v.0,
-                    scale: *scale,
-                    feature_major: *feature_major,
-                },
-                Op::Conv2d {
-                    x, w, stride, pad, ..
-                } => TapeOp::Conv2d {
-                    x: x.0,
-                    w: w.0,
-                    stride: *stride,
-                    pad: *pad,
-                },
-                Op::AddBiasChannel(x, b) => TapeOp::AddBiasChannel(x.0, b.0),
-                Op::AddBiasRow(x, b) => TapeOp::AddBiasRow(x.0, b.0),
-                Op::Relu(x) => TapeOp::Relu(x.0),
-                Op::LeakyRelu(x, s) => TapeOp::LeakyRelu(x.0, *s),
-                Op::Sigmoid(x) => TapeOp::Sigmoid(x.0),
-                Op::Gelu(x) => TapeOp::Gelu(x.0),
-                Op::ChannelAffine { x, scale, shift } => TapeOp::ChannelAffine {
-                    x: x.0,
-                    scale: scale.clone(),
-                    shift: shift.clone(),
-                },
-                Op::LayerNorm {
-                    x,
-                    gamma,
-                    beta,
-                    eps,
-                    ..
-                } => TapeOp::LayerNorm {
-                    x: x.0,
-                    gamma: gamma.0,
-                    beta: beta.0,
-                    eps: *eps,
-                },
-                Op::SoftmaxLast(x) => TapeOp::SoftmaxLast(x.0),
-                Op::Reshape(x) => TapeOp::Reshape(x.0),
-                Op::Permute { x, axes } => TapeOp::Permute {
-                    x: x.0,
-                    axes: axes.clone(),
-                },
-                Op::ConcatChannels(parts) => {
-                    TapeOp::ConcatChannels(parts.iter().map(|p| p.0).collect())
-                }
-                Op::SliceChannels { x, c0, c1 } => TapeOp::SliceChannels {
-                    x: x.0,
-                    c0: *c0,
-                    c1: *c1,
-                },
-                Op::Upsample2x(x) => TapeOp::Upsample2x(x.0),
-                Op::MaxPool2x2 { x, .. } => TapeOp::MaxPool2x2(x.0),
-                Op::MulScalarVar(x, s) => TapeOp::MulScalarVar(x.0, s.0),
-                Op::AddScalar(_) => {
-                    return Err(format!(
-                        "node {i}: add_scalar is not plan-exportable (scalar not on the tape)"
-                    ))
-                }
-                Op::BatchNorm2d { .. } => {
-                    return Err(format!(
-                        "node {i}: batch-stats batch_norm2d is training-only; \
-                         inference forwards record channel_affine instead"
-                    ))
-                }
-                Op::CrossEntropy2d { .. } => {
-                    return Err(format!("node {i}: cross_entropy2d is training-only"))
-                }
-                Op::MseLoss { .. } => return Err(format!("node {i}: mse_loss is training-only")),
-                Op::Mean(_) => return Err(format!("node {i}: mean reduction is training-only")),
-                Op::Sum(_) => return Err(format!("node {i}: sum reduction is training-only")),
-            };
-            out.push(TapeNode {
-                index: i,
-                shape: node.value.shape().to_vec(),
-                op,
-            });
-        }
-        Ok(out)
+    /// The tape segment `[from, len)` as `(node, value shape, recorded op)`
+    /// in tape order — what the compiled inference plan (`mfaplace-infer`)
+    /// lowers. Operands before `from` are pre-existing leaves (parameters);
+    /// operands inside the segment include constants materialized
+    /// mid-forward (e.g. the PGNN aggregation kernels).
+    pub fn segment(&self, from: usize) -> impl Iterator<Item = (Var, &[usize], &TapeOp)> {
+        let nodes = self.nodes.iter().enumerate().skip(from);
+        nodes.map(|(i, n)| (Var(i), n.value.shape(), &n.op))
     }
 
     /// [`Graph::backward`] with an explicit seed gradient `d(out)/d(loss)`
@@ -1301,15 +1159,6 @@ fn accum_into(node: &mut Node, g: Tensor) {
     }
 }
 
-/// Forward GELU nonlinearity (tanh approximation), public so the plan
-/// executor applies the exact same per-element arithmetic as the tape's
-/// `Gelu` node — sharing the function is what keeps the compiled plan
-/// bitwise identical to the recorded forward.
-pub fn gelu_fwd(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044_715 * x * x * x)).tanh())
-}
-
 fn gelu_bwd(x: f32) -> f32 {
     const C: f32 = 0.797_884_6;
     let u = C * (x + 0.044_715 * x * x * x);
@@ -1318,45 +1167,30 @@ fn gelu_bwd(x: f32) -> f32 {
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 }
 
-fn mfaplace_tensor_conv_out(
-    h: usize,
-    w: usize,
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-) -> (usize, usize) {
-    (
-        (h + 2 * pad - kh) / stride + 1,
-        (w + 2 * pad - kw) / stride + 1,
-    )
-}
-
 /// Accumulates `node`'s input gradients into `parents` given its upstream
 /// gradient `dy`; a convolution adds its col2im time to `col2im` when
 /// asked.
 #[allow(clippy::too_many_lines)]
 fn backward_op(node: &Node, dy: &Tensor, parents: &mut [Node], col2im: Option<&mut Duration>) {
     match &node.op {
-        Op::Leaf => {}
-        Op::Add(a, b) => {
+        TapeOp::Leaf => {}
+        TapeOp::Add(a, b) => {
             accum(parents, *a, dy.clone());
             accum(parents, *b, dy.clone());
         }
-        Op::Sub(a, b) => {
+        TapeOp::Sub(a, b) => {
             accum(parents, *a, dy.clone());
             accum(parents, *b, dy.scale(-1.0));
         }
-        Op::Mul(a, b) => {
+        TapeOp::Mul(a, b) => {
             let ga = dy.mul(&parents[b.0].value);
             let gb = dy.mul(&parents[a.0].value);
             accum(parents, *a, ga);
             accum(parents, *b, gb);
         }
-        Op::Neg(a) => accum(parents, *a, dy.scale(-1.0)),
-        Op::Scale(a, c) => accum(parents, *a, dy.scale(*c)),
-        Op::AddScalar(a) => accum(parents, *a, dy.clone()),
-        Op::Matmul(a, b) => {
+        TapeOp::Neg(a) => accum(parents, *a, dy.scale(-1.0)),
+        TapeOp::Scale(a, c) => accum(parents, *a, dy.scale(*c)),
+        TapeOp::Matmul(a, b) => {
             let av = &parents[a.0].value;
             let bv = &parents[b.0].value;
             // Transpose-aware kernels: bitwise identical to
@@ -1366,7 +1200,7 @@ fn backward_op(node: &Node, dy: &Tensor, parents: &mut [Node], col2im: Option<&m
             accum(parents, *a, ga);
             accum(parents, *b, gb);
         }
-        Op::Bmm(a, b) => {
+        TapeOp::Bmm(a, b) => {
             let av = &parents[a.0].value;
             let bv = &parents[b.0].value;
             let ga = dy.bmm_nt(bv);
@@ -1374,7 +1208,7 @@ fn backward_op(node: &Node, dy: &Tensor, parents: &mut [Node], col2im: Option<&m
             accum(parents, *a, ga);
             accum(parents, *b, gb);
         }
-        Op::BmmNT(a, b) => {
+        TapeOp::BmmNT(a, b) => {
             // y = a·bᵀ ⇒ da = dy·b, db = dyᵀ·a.
             let av = &parents[a.0].value;
             let bv = &parents[b.0].value;
@@ -1383,7 +1217,7 @@ fn backward_op(node: &Node, dy: &Tensor, parents: &mut [Node], col2im: Option<&m
             accum(parents, *a, ga);
             accum(parents, *b, gb);
         }
-        Op::BmmTN(a, b) => {
+        TapeOp::BmmTN(a, b) => {
             // y = aᵀ·b ⇒ da = b·dyᵀ, db = a·dy.
             let av = &parents[a.0].value;
             let bv = &parents[b.0].value;
@@ -1392,7 +1226,7 @@ fn backward_op(node: &Node, dy: &Tensor, parents: &mut [Node], col2im: Option<&m
             accum(parents, *a, ga);
             accum(parents, *b, gb);
         }
-        Op::Attention {
+        TapeOp::Attention {
             q,
             k,
             v,
@@ -1424,13 +1258,7 @@ fn backward_op(node: &Node, dy: &Tensor, parents: &mut [Node], col2im: Option<&m
             accum(parents, *k, dk);
             accum(parents, *q, dq);
         }
-        Op::Conv2d {
-            x,
-            w,
-            stride,
-            pad,
-            cols,
-        } => {
+        TapeOp::Conv2d { x, w, stride, pad } => {
             let (b, oc, oh, ow) = node.value.dims4();
             let (xb, c, h, wd) = parents[x.0].value.dims4();
             debug_assert_eq!(b, xb);
@@ -1448,9 +1276,9 @@ fn backward_op(node: &Node, dy: &Tensor, parents: &mut [Node], col2im: Option<&m
                 }
             }
             let dym = Tensor::from_vec(vec![oc, b * ohow], dym).expect("conv dym");
-            let cols = cols
-                .as_ref()
-                .expect("conv2d cols retained for grad-requiring ops");
+            let Saved::Cols(cols) = &node.saved else {
+                unreachable!("conv2d keeps its lowering when it requires grad");
+            };
             if parents[w.0].requires_grad {
                 let dwm = dym.matmul2d_nt(cols);
                 let dw = dwm.reshaped(vec![oc, c, kh, kw]);
@@ -1468,7 +1296,7 @@ fn backward_op(node: &Node, dy: &Tensor, parents: &mut [Node], col2im: Option<&m
                 accum(parents, *x, dx);
             }
         }
-        Op::AddBiasChannel(x, bias) => {
+        TapeOp::AddBiasChannel(x, bias) => {
             let (b, c, h, w) = node.value.dims4();
             if parents[bias.0].requires_grad {
                 let mut db = vec![0.0f32; c];
@@ -1487,7 +1315,7 @@ fn backward_op(node: &Node, dy: &Tensor, parents: &mut [Node], col2im: Option<&m
             }
             accum(parents, *x, dy.clone());
         }
-        Op::AddBiasRow(x, bias) => {
+        TapeOp::AddBiasRow(x, bias) => {
             let d = *node.value.shape().last().expect("rank >= 1");
             if parents[bias.0].requires_grad {
                 let mut db = vec![0.0f32; d];
@@ -1504,33 +1332,30 @@ fn backward_op(node: &Node, dy: &Tensor, parents: &mut [Node], col2im: Option<&m
             }
             accum(parents, *x, dy.clone());
         }
-        Op::Relu(x) => {
+        TapeOp::Relu(x) => {
             let xv = &parents[x.0].value;
             let g = dy.zip_map(xv, |g, x| if x > 0.0 { g } else { 0.0 });
             accum(parents, *x, g);
         }
-        Op::LeakyRelu(x, slope) => {
+        TapeOp::LeakyRelu(x, slope) => {
             let xv = &parents[x.0].value;
             let s = *slope;
             let g = dy.zip_map(xv, |g, x| if x > 0.0 { g } else { s * g });
             accum(parents, *x, g);
         }
-        Op::Sigmoid(x) => {
+        TapeOp::Sigmoid(x) => {
             let g = dy.zip_map(&node.value, |g, s| g * s * (1.0 - s));
             accum(parents, *x, g);
         }
-        Op::Gelu(x) => {
+        TapeOp::Gelu(x) => {
             let xv = &parents[x.0].value;
             let g = dy.zip_map(xv, |g, x| g * gelu_bwd(x));
             accum(parents, *x, g);
         }
-        Op::BatchNorm2d {
-            x,
-            gamma,
-            beta,
-            xhat,
-            inv_std,
-        } => {
+        TapeOp::BatchNorm2d { x, gamma, beta } => {
+            let Saved::Norm { xhat, inv_std } = &node.saved else {
+                unreachable!("batch_norm2d keeps its statistics");
+            };
             let (b, c, h, w) = node.value.dims4();
             let n = (b * h * w) as f32;
             let gval = parents[gamma.0].value.data().to_vec();
@@ -1583,7 +1408,7 @@ fn backward_op(node: &Node, dy: &Tensor, parents: &mut [Node], col2im: Option<&m
                 Tensor::from_vec(vec![c], dbeta).expect("bn dbeta"),
             );
         }
-        Op::ChannelAffine { x, scale, .. } => {
+        TapeOp::ChannelAffine { x, scale, .. } => {
             let (b, c, h, w) = node.value.dims4();
             let mut dx = vec![0.0f32; dy.numel()];
             for bi in 0..b {
@@ -1600,14 +1425,10 @@ fn backward_op(node: &Node, dy: &Tensor, parents: &mut [Node], col2im: Option<&m
                 Tensor::from_vec(vec![b, c, h, w], dx).expect("affine dx"),
             );
         }
-        Op::LayerNorm {
-            x,
-            gamma,
-            beta,
-            xhat,
-            inv_std,
-            ..
-        } => {
+        TapeOp::LayerNorm { x, gamma, beta, .. } => {
+            let Saved::Norm { xhat, inv_std } = &node.saved else {
+                unreachable!("layer_norm keeps its statistics");
+            };
             let d = *node.value.shape().last().expect("rank >= 1");
             let rows = node.value.numel() / d;
             let gval = parents[gamma.0].value.data().to_vec();
@@ -1652,7 +1473,7 @@ fn backward_op(node: &Node, dy: &Tensor, parents: &mut [Node], col2im: Option<&m
                 Tensor::from_vec(vec![d], dbeta).expect("ln dbeta"),
             );
         }
-        Op::SoftmaxLast(x) => {
+        TapeOp::SoftmaxLast(x) => {
             let s = &node.value;
             let d = *s.shape().last().expect("rank >= 1");
             let mut dx = vec![0.0f32; s.numel()];
@@ -1668,13 +1489,18 @@ fn backward_op(node: &Node, dy: &Tensor, parents: &mut [Node], col2im: Option<&m
                 Tensor::from_vec(s.shape().to_vec(), dx).expect("softmax dx"),
             );
         }
-        Op::CrossEntropy2d {
+        TapeOp::CrossEntropy2d {
             logits,
-            labels,
             class_weights,
-            probs,
-            weight_sum,
         } => {
+            let Saved::CrossEntropy {
+                probs,
+                labels,
+                weight_sum,
+            } = &node.saved
+            else {
+                unreachable!("cross_entropy2d keeps its probabilities");
+            };
             let (b, k, h, w) = probs.dims4();
             let hw = h * w;
             let gy = dy.item();
@@ -1697,7 +1523,10 @@ fn backward_op(node: &Node, dy: &Tensor, parents: &mut [Node], col2im: Option<&m
                 Tensor::from_vec(vec![b, k, h, w], dx).expect("ce dx"),
             );
         }
-        Op::MseLoss { pred, target } => {
+        TapeOp::MseLoss(pred) => {
+            let Saved::Target(target) = &node.saved else {
+                unreachable!("mse_loss keeps its target");
+            };
             let n = target.numel().max(1) as f32;
             let gy = dy.item();
             let g = parents[pred.0]
@@ -1705,18 +1534,18 @@ fn backward_op(node: &Node, dy: &Tensor, parents: &mut [Node], col2im: Option<&m
                 .zip_map(target, |p, t| gy * 2.0 * (p - t) / n);
             accum(parents, *pred, g);
         }
-        Op::Reshape(x) => {
+        TapeOp::Reshape(x) => {
             let shape = parents[x.0].value.shape().to_vec();
             accum(parents, *x, dy.clone().reshaped(shape));
         }
-        Op::Permute { x, axes } => {
+        TapeOp::Permute { x, axes } => {
             let mut inv = vec![0usize; axes.len()];
             for (i, &a) in axes.iter().enumerate() {
                 inv[a] = i;
             }
             accum(parents, *x, dy.permute(&inv));
         }
-        Op::ConcatChannels(parts) => {
+        TapeOp::ConcatChannels(parts) => {
             let mut c0 = 0usize;
             for &p in parts {
                 let pc = parents[p.0].value.shape()[1];
@@ -1725,7 +1554,7 @@ fn backward_op(node: &Node, dy: &Tensor, parents: &mut [Node], col2im: Option<&m
                 c0 += pc;
             }
         }
-        Op::SliceChannels { x, c0, c1 } => {
+        TapeOp::SliceChannels { x, c0, c1 } => {
             let (b, c, h, w) = parents[x.0].value.dims4();
             let hw = h * w;
             let nc = c1 - c0;
@@ -1740,10 +1569,13 @@ fn backward_op(node: &Node, dy: &Tensor, parents: &mut [Node], col2im: Option<&m
                 Tensor::from_vec(vec![b, c, h, w], dx).expect("slice dx"),
             );
         }
-        Op::Upsample2x(x) => {
+        TapeOp::Upsample2x(x) => {
             accum(parents, *x, dy.downsample2x_sum());
         }
-        Op::MaxPool2x2 { x, arg } => {
+        TapeOp::MaxPool2x2(x) => {
+            let Saved::Argmax(arg) = &node.saved else {
+                unreachable!("maxpool2x2 keeps its argmax when it requires grad");
+            };
             let shape = parents[x.0].value.shape().to_vec();
             let mut dx = vec![0.0f32; parents[x.0].value.numel()];
             for (o, &src_idx) in arg.iter().enumerate() {
@@ -1755,16 +1587,16 @@ fn backward_op(node: &Node, dy: &Tensor, parents: &mut [Node], col2im: Option<&m
                 Tensor::from_vec(shape, dx).expect("maxpool dx"),
             );
         }
-        Op::Mean(x) => {
+        TapeOp::Mean(x) => {
             let n = parents[x.0].value.numel().max(1) as f32;
             let g = Tensor::full(parents[x.0].value.shape().to_vec(), dy.item() / n);
             accum(parents, *x, g);
         }
-        Op::Sum(x) => {
+        TapeOp::Sum(x) => {
             let g = Tensor::full(parents[x.0].value.shape().to_vec(), dy.item());
             accum(parents, *x, g);
         }
-        Op::MulScalarVar(x, s) => {
+        TapeOp::MulScalarVar(x, s) => {
             let sv = parents[s.0].value.item();
             if parents[s.0].requires_grad {
                 let ds: f32 = dy
@@ -1783,105 +1615,6 @@ fn backward_op(node: &Node, dy: &Tensor, parents: &mut [Node], col2im: Option<&m
             accum(parents, *x, dy.scale(sv));
         }
     }
-}
-
-// ------------------------------------------------------------- plan export
-
-/// Exported view of one tape node's operation, with operands as raw tape
-/// indices. Produced by [`Graph::export_segment`] and consumed by the plan
-/// compiler in `mfaplace-infer`; tape-internal backward state (conv `cols`,
-/// normalization `xhat`, pool argmaxes) is deliberately not exported — the
-/// plan re-derives what it needs from shapes.
-#[derive(Clone, Debug)]
-pub enum TapeOp {
-    /// A leaf created inside the segment (an input or a constant
-    /// materialized mid-forward, e.g. PGNN's aggregation kernels).
-    Leaf,
-    /// Elementwise `a + b`.
-    Add(usize, usize),
-    /// Elementwise `a - b`.
-    Sub(usize, usize),
-    /// Elementwise `a * b`.
-    Mul(usize, usize),
-    /// Elementwise negation.
-    Neg(usize),
-    /// Elementwise `x * c` for a compile-time scalar.
-    Scale(usize, f32),
-    /// `[m,k] x [k,n]` matrix product.
-    Matmul(usize, usize),
-    /// Batched `[b,m,k] x [b,k,n]`.
-    Bmm(usize, usize),
-    /// Batched `a · bᵀ`.
-    BmmNT(usize, usize),
-    /// Batched `aᵀ · b`.
-    BmmTN(usize, usize),
-    /// Fused attention (token-major when `feature_major` is false).
-    Attention {
-        q: usize,
-        k: usize,
-        v: usize,
-        scale: f32,
-        feature_major: bool,
-    },
-    /// 2-D convolution of `x` with weight `w`.
-    Conv2d {
-        x: usize,
-        w: usize,
-        stride: usize,
-        pad: usize,
-    },
-    /// Per-channel bias add on a rank-4 tensor.
-    AddBiasChannel(usize, usize),
-    /// Last-axis bias add.
-    AddBiasRow(usize, usize),
-    /// Rectified linear unit.
-    Relu(usize),
-    /// Leaky ReLU with the given negative slope.
-    LeakyRelu(usize, f32),
-    /// Logistic sigmoid.
-    Sigmoid(usize),
-    /// GELU (tanh approximation, [`gelu_fwd`]).
-    Gelu(usize),
-    /// Constant per-channel affine (inference-mode batch norm).
-    ChannelAffine {
-        x: usize,
-        scale: Vec<f32>,
-        shift: Vec<f32>,
-    },
-    /// Last-axis layer normalization.
-    LayerNorm {
-        x: usize,
-        gamma: usize,
-        beta: usize,
-        eps: f32,
-    },
-    /// Softmax over the last axis.
-    SoftmaxLast(usize),
-    /// Reshape (tape semantics: a copy).
-    Reshape(usize),
-    /// General axis permutation.
-    Permute { x: usize, axes: Vec<usize> },
-    /// Channel-axis concatenation.
-    ConcatChannels(Vec<usize>),
-    /// Channel slice `[c0, c1)`.
-    SliceChannels { x: usize, c0: usize, c1: usize },
-    /// Nearest-neighbour 2× upsampling.
-    Upsample2x(usize),
-    /// 2×2 max pooling with stride 2.
-    MaxPool2x2(usize),
-    /// Broadcast product with a single-element node.
-    MulScalarVar(usize, usize),
-}
-
-/// One exported tape node: its raw index, output shape, and operation.
-#[derive(Clone, Debug)]
-pub struct TapeNode {
-    /// Raw tape index of this node.
-    pub index: usize,
-    /// Output shape of the node value.
-    pub shape: Vec<usize>,
-    /// The recorded operation.
-    pub op: TapeOp,
 }
 
 #[cfg(test)]

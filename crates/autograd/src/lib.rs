@@ -36,5 +36,5 @@ pub mod gradcheck;
 mod graph;
 mod recycle;
 
-pub use graph::{gelu_fwd, Graph, OpTime, TapeNode, TapeOp, Var};
+pub use graph::{Graph, OpTime, TapeOp, Var};
 pub use recycle::BufferPool;

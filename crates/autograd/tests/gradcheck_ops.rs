@@ -34,13 +34,12 @@ fn grad_add_sub_mul() {
 }
 
 #[test]
-fn grad_neg_scale_add_scalar() {
+fn grad_neg_scale() {
     let a = rt(&[4], 3);
     assert_grads_close(&[a], EPS, TOL, |g, v| {
         let n = g.neg(v[0]);
         let s = g.scale(n, 2.5);
-        let t = g.add_scalar(s, 1.0);
-        let sq = g.mul(t, t);
+        let sq = g.mul(s, s);
         g.mean(sq)
     });
 }

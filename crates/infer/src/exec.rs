@@ -4,14 +4,13 @@
 //!
 //! # Bitwise contract
 //!
-//! Every op either calls the *same* kernel code the tape forward calls
-//! (GEMM family, fused attention, im2col — via `mfaplace_tensor::lowlevel`
-//! and the `*_slices` attention entry points) or replicates the tape's
-//! per-element arithmetic expression exactly (activations, normalization,
-//! bias adds — pure per-element ops are bitwise-safe under any loop
-//! partitioning as long as the arithmetic sequence per element is
-//! identical). The equivalence suite asserts bit equality against the tape
-//! for every zoo architecture. Quantized plans trade that contract for the
+//! Every op calls the *same* kernel the tape forward calls — the slice
+//! kernels of `mfaplace_tensor::lowlevel` (GEMM family, conv lowering and
+//! epilogue, element-wise and shape ops, softmax), layer norm and the
+//! `*_slices` attention entry points — so the plan and the tape compute
+//! every element with one piece of code and one parallel dispatch. The
+//! equivalence suite asserts bit equality against the tape for every zoo
+//! architecture. Quantized plans trade that contract for the
 //! level-map tolerance contract (see `quant.rs`) but stay bitwise
 //! run-to-run and across worker counts.
 //!
@@ -50,10 +49,10 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use mfaplace_autograd::gelu_fwd;
 use mfaplace_rt::pool;
 use mfaplace_rt::timer::ScopeTimer;
-use mfaplace_tensor::{layer_norm_rows, lowlevel, softmax_row};
+use mfaplace_tensor::layer_norm_rows;
+use mfaplace_tensor::lowlevel::{self, map_into, zip_into};
 
 #[cfg(debug_assertions)]
 use crate::plan::{for_each_operand, spans_overlap, write_spans};
@@ -499,82 +498,7 @@ pub(crate) fn exec_op<'a>(
             lowlevel::conv_reorder_epilogue(&*ymat_m, dst, *b, *oc, *oh * *ow, bias_s, aff, *relu);
         }
         IrOp::AddBiasChannel { x, bias, b, c, hw } => {
-            let xs = s(*x);
-            let bv = s(*bias);
-            for bi in 0..*b {
-                for (ci, &add) in bv.iter().enumerate().take(*c) {
-                    let base_i = (bi * c + ci) * hw;
-                    for (o, &xv) in dst[base_i..base_i + hw]
-                        .iter_mut()
-                        .zip(&xs[base_i..base_i + hw])
-                    {
-                        *o = xv + add;
-                    }
-                }
-            }
-        }
-        IrOp::AddBiasRow { x, bias, d } => {
-            let xs = s(*x);
-            let bv = s(*bias);
-            for (row_o, row_x) in dst.chunks_mut(*d).zip(xs.chunks(*d)) {
-                for ((o, &xv), &b) in row_o.iter_mut().zip(row_x).zip(bv) {
-                    *o = xv + b;
-                }
-            }
-        }
-        IrOp::Add { a, b, relu } => {
-            let (av, bv) = (s(*a), s(*b));
-            if *relu {
-                for ((o, &x), &y) in dst.iter_mut().zip(av).zip(bv) {
-                    *o = (x + y).max(0.0);
-                }
-            } else {
-                for ((o, &x), &y) in dst.iter_mut().zip(av).zip(bv) {
-                    *o = x + y;
-                }
-            }
-        }
-        IrOp::Sub { a, b } => {
-            let (av, bv) = (s(*a), s(*b));
-            for ((o, &x), &y) in dst.iter_mut().zip(av).zip(bv) {
-                *o = x - y;
-            }
-        }
-        IrOp::Mul { a, b } => {
-            let (av, bv) = (s(*a), s(*b));
-            for ((o, &x), &y) in dst.iter_mut().zip(av).zip(bv) {
-                *o = x * y;
-            }
-        }
-        IrOp::Neg { x } => {
-            for (o, &v) in dst.iter_mut().zip(s(*x)) {
-                *o = -v;
-            }
-        }
-        IrOp::Scale { x, c } => {
-            for (o, &v) in dst.iter_mut().zip(s(*x)) {
-                *o = v * c;
-            }
-        }
-        IrOp::Relu { x } => {
-            for (o, &v) in dst.iter_mut().zip(s(*x)) {
-                *o = v.max(0.0);
-            }
-        }
-        IrOp::LeakyRelu { x, slope } => {
-            for (o, &v) in dst.iter_mut().zip(s(*x)) {
-                *o = if v > 0.0 { v } else { slope * v };
-            }
-        }
-        IrOp::Sigmoid { x } => {
-            for (o, &v) in dst.iter_mut().zip(s(*x)) {
-                *o = 1.0 / (1.0 + (-v).exp());
-            }
-        }
-        IrOp::Gelu { x } => {
-            for (o, &v) in dst.iter_mut().zip(s(*x)) {
-                *o = gelu_fwd(v);
-            }
+            lowlevel::channel_epilogue(s(*x), dst, *b, *c, *hw, Some(s(*bias)), None);
         }
         IrOp::ChannelAffine {
             x,
@@ -583,21 +507,20 @@ pub(crate) fn exec_op<'a>(
             b,
             c,
             hw,
-        } => {
-            let xs = s(*x);
-            for bi in 0..*b {
-                for ci in 0..*c {
-                    let base_i = (bi * c + ci) * hw;
-                    let (sc, sh) = (scale[ci], shift[ci]);
-                    for (o, &xv) in dst[base_i..base_i + hw]
-                        .iter_mut()
-                        .zip(&xs[base_i..base_i + hw])
-                    {
-                        *o = sc * xv + sh;
-                    }
-                }
-            }
-        }
+        } => lowlevel::channel_epilogue(s(*x), dst, *b, *c, *hw, None, Some((scale, shift))),
+        IrOp::AddBiasRow { x, bias } => lowlevel::add_bias_row(s(*x), s(*bias), dst),
+        IrOp::Add { a, b, relu: false } => zip_into(s(*a), s(*b), dst, lowlevel::add),
+        IrOp::Add { a, b, relu: true } => zip_into(s(*a), s(*b), dst, |x, y| {
+            lowlevel::relu(lowlevel::add(x, y))
+        }),
+        IrOp::Sub { a, b } => zip_into(s(*a), s(*b), dst, lowlevel::sub),
+        IrOp::Mul { a, b } => zip_into(s(*a), s(*b), dst, lowlevel::mul),
+        IrOp::Neg { x } => map_into(s(*x), dst, lowlevel::neg),
+        IrOp::Scale { x, c } => map_into(s(*x), dst, |v| lowlevel::mul(v, *c)),
+        IrOp::Relu { x } => map_into(s(*x), dst, lowlevel::relu),
+        IrOp::LeakyRelu { x, slope } => map_into(s(*x), dst, |v| lowlevel::leaky_relu(v, *slope)),
+        IrOp::Sigmoid { x } => map_into(s(*x), dst, lowlevel::sigmoid),
+        IrOp::Gelu { x } => map_into(s(*x), dst, lowlevel::gelu),
         IrOp::LayerNorm {
             x,
             gamma,
@@ -609,12 +532,7 @@ pub(crate) fn exec_op<'a>(
             // plan stays bitwise under every kernel backend.
             layer_norm_rows(s(*x), s(*gamma), s(*beta), *eps, *d, dst, None, None);
         }
-        IrOp::SoftmaxLast { x, d } => {
-            dst.copy_from_slice(s(*x));
-            for row in dst.chunks_mut(*d) {
-                softmax_row(row);
-            }
-        }
+        IrOp::SoftmaxLast { x, d } => lowlevel::softmax_last_into(s(*x), *d, dst),
         IrOp::Matmul { a, b, m, k, n } => {
             lowlevel::gemm_into(s(*a), s(*b), dst, *m, *k, *n);
         }
@@ -692,31 +610,7 @@ pub(crate) fn exec_op<'a>(
         IrOp::Copy { x } => {
             dst.copy_from_slice(s(*x));
         }
-        IrOp::Permute {
-            x,
-            stride_axes,
-            out_dims,
-        } => {
-            let xs = s(*x);
-            let rank = out_dims.len();
-            let mut idx = [0usize; 8];
-            // Same output-order walk as `Tensor::permute`, with the input
-            // strides pre-gathered per output axis at compile time.
-            for o in dst.iter_mut() {
-                let mut off = 0usize;
-                for d in 0..rank {
-                    off += idx[d] * stride_axes[d];
-                }
-                *o = xs[off];
-                for d in (0..rank).rev() {
-                    idx[d] += 1;
-                    if idx[d] < out_dims[d] {
-                        break;
-                    }
-                    idx[d] = 0;
-                }
-            }
-        }
+        IrOp::Permute { x, in_dims, axes } => lowlevel::permute_into(s(*x), in_dims, axes, dst),
         IrOp::ConcatChannels {
             parts,
             part_c,
@@ -724,15 +618,8 @@ pub(crate) fn exec_op<'a>(
             hw,
             total_c,
         } => {
-            for bi in 0..*b {
-                let mut c_off = 0usize;
-                for (&p, &pc) in parts.iter().zip(part_c) {
-                    let ps = s(p);
-                    dst[(bi * total_c + c_off) * hw..(bi * total_c + c_off + pc) * hw]
-                        .copy_from_slice(&ps[bi * pc * hw..(bi + 1) * pc * hw]);
-                    c_off += pc;
-                }
-            }
+            let parts = parts.iter().zip(part_c).map(|(&p, &pc)| (s(p), pc));
+            lowlevel::concat_channels_into(parts, *b, *hw, *total_c, dst);
         }
         IrOp::SliceChannels {
             x,
@@ -741,57 +628,16 @@ pub(crate) fn exec_op<'a>(
             b,
             c,
             hw,
-        } => {
-            let xs = s(*x);
-            let nc = c1 - c0;
-            for bi in 0..*b {
-                dst[bi * nc * hw..(bi + 1) * nc * hw]
-                    .copy_from_slice(&xs[(bi * c + c0) * hw..(bi * c + c1) * hw]);
-            }
-        }
+        } => lowlevel::slice_channels_into(s(*x), *b, *c, *c0, *c1, *hw, dst),
         IrOp::Upsample2x { x, planes, h, w } => {
-            let xs = s(*x);
-            for bc in 0..*planes {
-                let plane = &mut dst[bc * 4 * h * w..(bc + 1) * 4 * h * w];
-                for i in 0..*h {
-                    for j in 0..*w {
-                        let v = xs[bc * h * w + i * w + j];
-                        for di in 0..2 {
-                            for dj in 0..2 {
-                                plane[(i * 2 + di) * 2 * w + (j * 2 + dj)] = v;
-                            }
-                        }
-                    }
-                }
-            }
+            lowlevel::upsample2x_into(s(*x), *planes, *h, *w, dst);
         }
         IrOp::MaxPool2x2 { x, planes, h, w } => {
-            let xs = s(*x);
-            let (oh, ow) = (h / 2, w / 2);
-            for bc in 0..*planes {
-                let in_base = bc * h * w;
-                let plane = &mut dst[bc * oh * ow..(bc + 1) * oh * ow];
-                for oi in 0..oh {
-                    for oj in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        for di in 0..2 {
-                            for dj in 0..2 {
-                                let v = xs[in_base + (oi * 2 + di) * w + (oj * 2 + dj)];
-                                if v > best {
-                                    best = v;
-                                }
-                            }
-                        }
-                        plane[oi * ow + oj] = best;
-                    }
-                }
-            }
+            lowlevel::maxpool2x2_into(s(*x), *planes, *h, *w, dst, None);
         }
         IrOp::MulScalarVar { x, s: sv } => {
-            let scalar = s(*sv)[0];
-            for (o, &v) in dst.iter_mut().zip(s(*x)) {
-                *o = v * scalar;
-            }
+            let c = s(*sv)[0];
+            map_into(s(*x), dst, |v| lowlevel::mul(v, c));
         }
     }
 }

@@ -2,14 +2,15 @@
 //! liveness-packed activation arena.
 //!
 //! A [`Plan`] is compiled from **one** recording of a model forward on the
-//! dynamic autograd tape ([`Graph::export_segment`]). Because every zoo
-//! model's control flow depends only on input *shape* (never on input
-//! *values*), a single recording at a given `[B, C, H, W]` is a faithful
-//! static program for every batch of that shape.
+//! dynamic autograd tape: [`Graph::segment`] yields the recorded
+//! [`TapeOp`]s themselves. Because every zoo model's control flow depends
+//! only on input *shape* (never on input *values*), a single recording at
+//! a given `[B, C, H, W]` is a faithful static program for every batch of
+//! that shape.
 //!
-//! Compilation runs these passes over the exported segment:
+//! Compilation runs these passes over the recorded segment:
 //!
-//! 1. **Lowering** — tape nodes become [`IrOp`]s with all shapes baked in;
+//! 1. **Lowering** — tape ops become [`IrOp`]s with all shapes baked in;
 //!    pre-mark operands (parameters) and mid-segment constants (e.g. the
 //!    PGNN aggregation kernels) are snapshotted into a weight table of
 //!    `Arc<Tensor>` (shared across per-batch-size plans via a caller cache).
@@ -55,7 +56,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use mfaplace_autograd::{Graph, TapeOp, Var};
-use mfaplace_tensor::{conv_out_size, strides_for, Tensor};
+use mfaplace_tensor::{conv_out_size, Tensor};
 
 /// Compile-time options for [`Plan::capture`].
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -191,9 +192,9 @@ pub(crate) enum BmmKind {
 
 /// One executable plan op, with all dims resolved at compile time.
 ///
-/// Field-for-field these mirror the tape forwards in
-/// `mfaplace_autograd::Graph`; the executor replicates the recorded
-/// per-element arithmetic exactly (see `exec.rs`).
+/// Each lowers one [`TapeOp`] (or a fused chain of them); the executor runs
+/// it on the `mfaplace_tensor::lowlevel` kernel the tape op calls (see
+/// `exec.rs`).
 #[derive(Clone, Debug)]
 pub(crate) enum IrOp {
     Conv2d {
@@ -227,7 +228,6 @@ pub(crate) enum IrOp {
     AddBiasRow {
         x: ValId,
         bias: ValId,
-        d: usize,
     },
     Add {
         a: ValId,
@@ -325,10 +325,9 @@ pub(crate) enum IrOp {
     },
     Permute {
         x: ValId,
-        /// Input stride for each *output* axis (`in_strides[axes[d]]`),
-        /// precomputed so the runtime walk allocates nothing.
-        stride_axes: Vec<usize>,
-        out_dims: Vec<usize>,
+        /// Input shape (rank ≤ 8, checked at capture).
+        in_dims: Vec<usize>,
+        axes: Vec<usize>,
     },
     ConcatChannels {
         parts: Vec<ValId>,
@@ -435,47 +434,45 @@ impl Plan {
         opts: PlanOptions,
         weight_cache: &mut HashMap<usize, Arc<Tensor>>,
     ) -> Result<Plan, String> {
-        let nodes = g.export_segment(mark)?;
         let mut values: Vec<ValueInfo> = Vec::new();
         let mut weights: Vec<Arc<Tensor>> = Vec::new();
         let mut steps: Vec<Step> = Vec::new();
         let mut tape2val: HashMap<usize, ValId> = HashMap::new();
         let mut input_val: Option<ValId> = None;
 
-        for node in &nodes {
-            if matches!(node.op, TapeOp::Leaf) {
-                if node.index == input.index() {
+        for (node, shape, op) in g.segment(mark) {
+            if matches!(op, TapeOp::Leaf) {
+                if node == input {
                     let id = values.len();
                     values.push(ValueInfo {
-                        shape: node.shape.clone(),
-                        numel: node.shape.iter().product(),
+                        shape: shape.to_vec(),
+                        numel: shape.iter().product(),
                         loc: Loc::Input,
                         store: Store::F32,
                     });
-                    tape2val.insert(node.index, id);
+                    tape2val.insert(node.index(), id);
                     input_val = Some(id);
                 } else {
                     // A constant materialized mid-forward (PGNN kernels).
                     // Not shared through the cache: post-mark tape indices
                     // are not stable across captures.
-                    let t = Arc::new(g.value_at(node.index).clone());
+                    let t = Arc::new(g.value(node).clone());
                     let id = push_weight(&mut values, &mut weights, t);
-                    tape2val.insert(node.index, id);
+                    tape2val.insert(node.index(), id);
                 }
                 continue;
             }
             let out = values.len();
             values.push(ValueInfo {
-                shape: node.shape.clone(),
-                numel: node.shape.iter().product(),
+                shape: shape.to_vec(),
+                numel: shape.iter().product(),
                 loc: Loc::Unassigned,
                 store: Store::F32,
             });
-            tape2val.insert(node.index, out);
+            tape2val.insert(node.index(), out);
             let op = lower_op(
-                node.index,
-                &node.op,
-                &node.shape,
+                node.index(),
+                op,
                 LowerCtx {
                     g,
                     mark,
@@ -604,11 +601,9 @@ impl Plan {
                 IrOp::ChannelAffine { scale, shift, .. } => {
                     (scale.len() + shift.len()) * size_of::<f32>()
                 }
-                IrOp::Permute {
-                    stride_axes,
-                    out_dims,
-                    ..
-                } => (stride_axes.len() + out_dims.len()) * size_of::<usize>(),
+                IrOp::Permute { in_dims, axes, .. } => {
+                    (in_dims.len() + axes.len()) * size_of::<usize>()
+                }
                 IrOp::ConcatChannels { parts, part_c, .. } => {
                     (parts.len() + part_c.len()) * size_of::<usize>()
                 }
@@ -699,9 +694,10 @@ struct LowerCtx<'a> {
 }
 
 impl LowerCtx<'_> {
-    /// Resolves a tape operand index to a plan value, snapshotting pre-mark
+    /// Resolves a tape operand to a plan value, snapshotting pre-mark
     /// nodes (parameters) into the weight table on first sight.
-    fn resolve(&mut self, ti: usize) -> Result<ValId, String> {
+    fn resolve(&mut self, var: Var) -> Result<ValId, String> {
+        let ti = var.index();
         if let Some(&v) = self.tape2val.get(&ti) {
             return Ok(v);
         }
@@ -713,7 +709,7 @@ impl LowerCtx<'_> {
         let t = self
             .weight_cache
             .entry(ti)
-            .or_insert_with(|| Arc::new(self.g.value_at(ti).clone()))
+            .or_insert_with(|| Arc::new(self.g.value(var).clone()))
             .clone();
         let id = push_weight(self.values, self.weights, t);
         self.tape2val.insert(ti, id);
@@ -733,13 +729,9 @@ impl LowerCtx<'_> {
     }
 }
 
-/// Lowers one exported tape op to an [`IrOp`] with baked dims.
-fn lower_op(
-    index: usize,
-    op: &TapeOp,
-    out_shape: &[usize],
-    mut cx: LowerCtx<'_>,
-) -> Result<IrOp, String> {
+/// Lowers one recorded tape op to an [`IrOp`] with baked dims, or names the
+/// training-only op that has no inference-plan equivalent.
+fn lower_op(index: usize, op: &TapeOp, mut cx: LowerCtx<'_>) -> Result<IrOp, String> {
     let ir = match op {
         TapeOp::Leaf => unreachable!("leaves are handled by the capture loop"),
         TapeOp::Add(a, b) => IrOp::Add {
@@ -877,11 +869,10 @@ fn lower_op(
                 hw: h * w,
             }
         }
-        TapeOp::AddBiasRow(x, bias) => {
-            let (x, bias) = (cx.resolve(*x)?, cx.resolve(*bias)?);
-            let d = *cx.shape(x).last().expect("rank >= 1");
-            IrOp::AddBiasRow { x, bias, d }
-        }
+        TapeOp::AddBiasRow(x, bias) => IrOp::AddBiasRow {
+            x: cx.resolve(*x)?,
+            bias: cx.resolve(*bias)?,
+        },
         TapeOp::Relu(x) => IrOp::Relu { x: cx.resolve(*x)? },
         TapeOp::LeakyRelu(x, slope) => IrOp::LeakyRelu {
             x: cx.resolve(*x)?,
@@ -925,14 +916,13 @@ fn lower_op(
         TapeOp::Reshape(x) => IrOp::Copy { x: cx.resolve(*x)? },
         TapeOp::Permute { x, axes } => {
             let x = cx.resolve(*x)?;
-            let in_strides = strides_for(cx.shape(x));
             if axes.len() > 8 {
                 return Err(format!("node {index}: permute rank > 8 unsupported"));
             }
             IrOp::Permute {
                 x,
-                stride_axes: axes.iter().map(|&a| in_strides[a]).collect(),
-                out_dims: out_shape.to_vec(),
+                in_dims: cx.shape(x).to_vec(),
+                axes: axes.clone(),
             }
         }
         TapeOp::ConcatChannels(parts) => {
@@ -987,6 +977,18 @@ fn lower_op(
             x: cx.resolve(*x)?,
             s: cx.resolve(*s)?,
         },
+        TapeOp::BatchNorm2d { .. } => {
+            return Err(format!(
+                "node {index}: batch-stats batch_norm2d is training-only; \
+                 inference forwards record channel_affine instead"
+            ))
+        }
+        TapeOp::CrossEntropy2d { .. } => {
+            return Err(format!("node {index}: cross_entropy2d is training-only"))
+        }
+        TapeOp::MseLoss(_) => return Err(format!("node {index}: mse_loss is training-only")),
+        TapeOp::Mean(_) => return Err(format!("node {index}: mean reduction is training-only")),
+        TapeOp::Sum(_) => return Err(format!("node {index}: sum reduction is training-only")),
     };
     Ok(ir)
 }

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use mfaplace_autograd::Graph;
+use mfaplace_autograd::{Graph, Var};
 use mfaplace_infer::{Plan, PlanExecutor, PlanOptions};
 use mfaplace_models::{AnyModel, Arch, ArchSpec, CongestionModel};
 use mfaplace_rt::rng::{SeedableRng, StdRng};
@@ -182,14 +182,40 @@ fn fold_bn_rewrites_weights_and_stays_within_1e6() {
     }
 }
 
+/// Every training-only op is a capture error that names it; the sum form
+/// of the cross entropy records the same op as the mean form.
 #[test]
 fn capture_rejects_training_only_tapes() {
-    let mut g = Graph::new();
-    let w = g.param(Tensor::from_vec(vec![2], vec![1.0, 2.0]).unwrap());
-    let mark = g.mark();
-    let x = g.constant(Tensor::from_vec(vec![2], vec![3.0, 4.0]).unwrap());
-    let y = g.mul(w, x);
-    let loss = g.mean(y);
-    let err = Plan::capture(&g, mark, x, loss, PlanOptions::default()).unwrap_err();
-    assert!(err.contains("training-only"), "unexpected error: {err}");
+    type Head = fn(&mut Graph, Var) -> Var;
+    let cases: [(&str, Head); 6] = [
+        ("batch_norm2d", |g, y| {
+            let gamma = g.param(Tensor::ones(vec![2]));
+            let beta = g.param(Tensor::zeros(vec![2]));
+            g.batch_norm2d(y, gamma, beta, 1e-5).0
+        }),
+        ("cross_entropy2d", |g, y| {
+            g.cross_entropy2d(y, &[0, 1, 1, 0], None)
+        }),
+        ("cross_entropy2d", |g, y| {
+            g.cross_entropy2d_sum(y, &[0, 1, 1, 0], Some(&[1.0, 2.0]))
+        }),
+        ("mse_loss", |g, y| {
+            g.mse_loss(y, &Tensor::zeros(vec![1, 2, 2, 2]))
+        }),
+        ("mean", |g, y| g.mean(y)),
+        ("sum", |g, y| g.sum(y)),
+    ];
+    for (name, head) in cases {
+        let mut g = Graph::new();
+        let w = g.param(Tensor::full(vec![1, 2, 2, 2], 0.5));
+        let mark = g.mark();
+        let x = g.constant(Tensor::from_fn(vec![1, 2, 2, 2], |i| i as f32));
+        let y = g.mul(w, x);
+        let out = head(&mut g, y);
+        let err = Plan::capture(&g, mark, x, out, PlanOptions::default()).unwrap_err();
+        assert!(
+            err.contains("training-only") && err.contains(name),
+            "{name}: unexpected error: {err}"
+        );
+    }
 }

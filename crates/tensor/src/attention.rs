@@ -409,10 +409,11 @@ fn score_row_tm(qrow: &[f32], kb: &[f32], scale: f32, lk: usize, d: usize, s: &m
 }
 
 /// In-place softmax of one score row, routed through the active kernel
-/// backend. Public so the plan executor's `SoftmaxLast` op,
-/// [`Tensor::softmax_lastdim`] and the fused attention paths all share the
-/// exact same row loop — whichever backend is active, every softmax in the
-/// process computes identical bits for identical input rows.
+/// backend. The softmax op ([`crate::lowlevel::softmax_last_into`], behind
+/// the tape, the plan and [`Tensor::softmax_lastdim`]) and the fused
+/// attention paths all share this row loop — whichever backend is active,
+/// every softmax in the process computes identical bits for identical
+/// input rows.
 pub fn softmax_row(s: &mut [f32]) {
     simd::softmax_row_with(simd::active(), s)
 }

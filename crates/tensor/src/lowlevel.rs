@@ -1,27 +1,32 @@
-//! Slice-level kernel entry points for the compiled inference plan.
+//! Slice-level forward kernels: the one implementation of every forward op
+//! the autograd tape records and the compiled inference plan replays.
 //!
-//! The plan executor (`mfaplace-infer`) holds every activation in one
-//! pre-sized arena and therefore cannot call the [`Tensor`]-typed kernel
-//! methods without materializing tensors. The functions here operate on
-//! raw `&[f32]` slices plus explicit dimensions and **delegate to the
-//! exact same internal kernels** as the `Tensor` methods (`gemm`,
-//! `gemm_nt`, `gemm_tn`, the im2col gather, the batched-GEMM dispatch),
-//! so results are bitwise identical to the dynamic tape path by
-//! construction — including the parallel/serial dispatch thresholds.
+//! Each function works on raw `&[f32]` slices plus explicit dimensions and
+//! writes a caller-provided output without allocating, so the plan executor
+//! (`mfaplace-infer`) can run it on arena spans, the tape (`Graph` in
+//! `mfaplace-autograd`) on its pooled buffers and the [`Tensor`] methods on
+//! fresh vectors. All three call the functions here — GEMM family, conv
+//! lowering and epilogue, element-wise ops, shape ops, softmax — with the
+//! same parallel-dispatch thresholds, so plan ≡ tape bit for bit holds by
+//! construction rather than by keeping copies in step.
 //!
-//! [`conv_reorder_epilogue`] is the one genuinely new kernel: it folds the
-//! conv output reorder (`[OC, B·OH·OW] → [B, OC, OH·OW]`) together with the
-//! optional bias / channel-affine / ReLU epilogue into a single pass. The
-//! per-element arithmetic sequence (`v = y; v += bias[c]; v = scale[c]*v +
-//! shift[c]; v = v.max(0.0)`) is exactly the sequence the tape's separate
-//! `AddBiasChannel` → `ChannelAffine` → `Relu` nodes apply, so fusing the
-//! loop changes memory traffic, not bits.
+//! [`conv_reorder_epilogue`] folds the conv output reorder
+//! (`[OC, B·OH·OW] → [B, OC, OH·OW]`) together with the optional bias /
+//! channel-affine / ReLU epilogue into a single pass. The per-element
+//! arithmetic (`v = y; v += bias[c]; v = scale[c]*v + shift[c]; v =
+//! v.max(0.0)`) is the sequence the tape's separate `add_bias_channel`,
+//! `channel_affine` and `relu` ops apply — they run the same epilogue one
+//! stage at a time through [`channel_epilogue`] — so fusing the loop in the
+//! plan changes memory traffic, not bits.
+//!
+//! [`Tensor`]: crate::Tensor
 
 use mfaplace_rt::pool;
 
-use crate::kernels::{self, PAR_GEMM_FLOPS};
+use crate::attention::softmax_row;
+use crate::kernels::{self, conv_out_size, valid_range, PAR_ELEMS, PAR_GEMM_FLOPS};
 
-/// `out = a[m,k] x b[k,n]`, overwriting `out`. Same kernel as
+/// `out = a[m,k] x b[k,n]`, overwriting `out`. The kernel behind
 /// [`crate::Tensor::matmul2d_into`].
 ///
 /// # Panics
@@ -34,9 +39,42 @@ pub fn gemm_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: u
     kernels::gemm(a, b, out, m, k, n, false);
 }
 
-/// Batched `[bt, m, k] x [bt, k, n] -> [bt, m, n]`, replicating the
-/// [`crate::Tensor::bmm`] dispatch (batch-parallel fan-out above the same
-/// thresholds, serial per-batch GEMM below them) bitwise.
+/// The batched-GEMM dispatch every batched product runs: with at least one
+/// batch per worker and enough work, fan out across batches (each inner
+/// GEMM pinned serial to avoid nested spawning); otherwise let each
+/// per-batch GEMM decide its own row-level parallelism. `gemm(a_i, b_i,
+/// out_i)` computes batch `i` from `a`'s and `b`'s `i`-th blocks.
+#[allow(clippy::too_many_arguments)]
+fn batched(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    bt: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    gemm: impl Fn(&[f32], &[f32], &mut [f32]) + Sync,
+) {
+    let (sa, sb) = (a.len() / bt.max(1), b.len() / bt.max(1));
+    if bt >= pool::max_threads() && bt * m * k * n >= PAR_GEMM_FLOPS {
+        pool::parallel_chunks_mut(out, m * n, |i, chunk| {
+            pool::with_threads(1, || {
+                gemm(&a[i * sa..(i + 1) * sa], &b[i * sb..(i + 1) * sb], chunk);
+            });
+        });
+    } else {
+        for i in 0..bt {
+            gemm(
+                &a[i * sa..(i + 1) * sa],
+                &b[i * sb..(i + 1) * sb],
+                &mut out[i * m * n..(i + 1) * m * n],
+            );
+        }
+    }
+}
+
+/// Batched `[bt, m, k] x [bt, k, n] -> [bt, m, n]`, the kernel behind
+/// [`crate::Tensor::bmm`].
 ///
 /// # Panics
 ///
@@ -45,37 +83,13 @@ pub fn bmm_into(a: &[f32], b: &[f32], out: &mut [f32], bt: usize, m: usize, k: u
     assert_eq!(a.len(), bt * m * k, "bmm_into lhs length mismatch");
     assert_eq!(b.len(), bt * k * n, "bmm_into rhs length mismatch");
     assert_eq!(out.len(), bt * m * n, "bmm_into output length mismatch");
-    if bt >= pool::max_threads() && bt * m * k * n >= PAR_GEMM_FLOPS {
-        pool::parallel_chunks_mut(out, m * n, |i, chunk| {
-            pool::with_threads(1, || {
-                kernels::gemm(
-                    &a[i * m * k..(i + 1) * m * k],
-                    &b[i * k * n..(i + 1) * k * n],
-                    chunk,
-                    m,
-                    k,
-                    n,
-                    false,
-                );
-            });
-        });
-    } else {
-        for i in 0..bt {
-            kernels::gemm(
-                &a[i * m * k..(i + 1) * m * k],
-                &b[i * k * n..(i + 1) * k * n],
-                &mut out[i * m * n..(i + 1) * m * n],
-                m,
-                k,
-                n,
-                false,
-            );
-        }
-    }
+    batched(a, b, out, bt, m, k, n, |a, b, o| {
+        kernels::gemm(a, b, o, m, k, n, false);
+    });
 }
 
-/// Batched `a x b^T`: `[bt, m, k] x [bt, n, k] -> [bt, m, n]`, replicating
-/// the [`crate::Tensor::bmm_nt_into`] dispatch bitwise.
+/// Batched `a x b^T`: `[bt, m, k] x [bt, n, k] -> [bt, m, n]`, the kernel
+/// behind [`crate::Tensor::bmm_nt_into`].
 ///
 /// # Panics
 ///
@@ -84,35 +98,13 @@ pub fn bmm_nt_into(a: &[f32], b: &[f32], out: &mut [f32], bt: usize, m: usize, k
     assert_eq!(a.len(), bt * m * k, "bmm_nt_into lhs length mismatch");
     assert_eq!(b.len(), bt * n * k, "bmm_nt_into rhs length mismatch");
     assert_eq!(out.len(), bt * m * n, "bmm_nt_into output length mismatch");
-    if bt >= pool::max_threads() && bt * m * k * n >= PAR_GEMM_FLOPS {
-        pool::parallel_chunks_mut(out, m * n, |i, chunk| {
-            pool::with_threads(1, || {
-                kernels::gemm_nt(
-                    &a[i * m * k..(i + 1) * m * k],
-                    &b[i * n * k..(i + 1) * n * k],
-                    chunk,
-                    m,
-                    k,
-                    n,
-                );
-            });
-        });
-    } else {
-        for i in 0..bt {
-            kernels::gemm_nt(
-                &a[i * m * k..(i + 1) * m * k],
-                &b[i * n * k..(i + 1) * n * k],
-                &mut out[i * m * n..(i + 1) * m * n],
-                m,
-                k,
-                n,
-            );
-        }
-    }
+    batched(a, b, out, bt, m, k, n, |a, b, o| {
+        kernels::gemm_nt(a, b, o, m, k, n)
+    });
 }
 
-/// Batched `a^T x b`: `[bt, k, m] x [bt, k, n] -> [bt, m, n]`, replicating
-/// the [`crate::Tensor::bmm_tn_into`] dispatch bitwise.
+/// Batched `a^T x b`: `[bt, k, m] x [bt, k, n] -> [bt, m, n]`, the kernel
+/// behind [`crate::Tensor::bmm_tn_into`].
 ///
 /// # Panics
 ///
@@ -121,37 +113,15 @@ pub fn bmm_tn_into(a: &[f32], b: &[f32], out: &mut [f32], bt: usize, m: usize, k
     assert_eq!(a.len(), bt * k * m, "bmm_tn_into lhs length mismatch");
     assert_eq!(b.len(), bt * k * n, "bmm_tn_into rhs length mismatch");
     assert_eq!(out.len(), bt * m * n, "bmm_tn_into output length mismatch");
-    if bt >= pool::max_threads() && bt * m * k * n >= PAR_GEMM_FLOPS {
-        pool::parallel_chunks_mut(out, m * n, |i, chunk| {
-            pool::with_threads(1, || {
-                kernels::gemm_tn(
-                    &a[i * k * m..(i + 1) * k * m],
-                    &b[i * k * n..(i + 1) * k * n],
-                    chunk,
-                    m,
-                    k,
-                    n,
-                );
-            });
-        });
-    } else {
-        for i in 0..bt {
-            kernels::gemm_tn(
-                &a[i * k * m..(i + 1) * k * m],
-                &b[i * k * n..(i + 1) * k * n],
-                &mut out[i * m * n..(i + 1) * m * n],
-                m,
-                k,
-                n,
-            );
-        }
-    }
+    batched(a, b, out, bt, m, k, n, |a, b, o| {
+        kernels::gemm_tn(a, b, o, m, k, n)
+    });
 }
 
-/// Slice-level im2col: lowers a `[b, c, h, w]` input slice to the
-/// `[c*kh*kw, b*oh*ow]` matrix, writing every element of `out` (padding
-/// positions get `T::default()`: `0.0` for the f32 plan, `0` for its int8
-/// twin, where symmetric quantization keeps that exact). Same gather as
+/// Lowers a `[b, c, h, w]` slice to the `[c*kh*kw, b*oh*ow]` im2col matrix,
+/// writing every element of `out` (any prior contents; padding positions
+/// get `T::default()`: `0.0` for the f32 tape and plan, `0` for the int8
+/// plan, where symmetric quantization keeps that exact). The kernel behind
 /// [`crate::Tensor::im2col_into`].
 ///
 /// # Panics
@@ -170,7 +140,52 @@ pub fn im2col_into<T: Copy + Default + Send + Sync>(
     pad: usize,
     out: &mut [T],
 ) {
-    kernels::im2col_slices(src, b, c, h, w, kh, kw, stride, pad, out);
+    let (oh, ow) = conv_out_size(h, w, kh, kw, stride, pad);
+    let rows = c * kh * kw;
+    let cols = b * oh * ow;
+    assert_eq!(src.len(), b * c * h * w, "im2col input length mismatch");
+    assert_eq!(out.len(), rows * cols, "im2col_into output length mismatch");
+    // Each output row (ci, ki, kj) gathers independently; rows fan out
+    // to the pool when the matrix is large. Every element is written
+    // exactly once, so parallel and serial results are bitwise identical.
+    // Per output line the valid columns are one run — a `copy_from_slice`
+    // at unit stride, else a strided walk — between runs of padding.
+    let fill_row = |row: usize, out_row: &mut [T]| {
+        let ci = row / (kh * kw);
+        let ki = (row / kw) % kh;
+        let kj = row % kw;
+        let (oi_lo, oi_hi) = valid_range(oh, h, ki, stride, pad);
+        let (oj_lo, oj_hi) = valid_range(ow, w, kj, stride, pad);
+        for (bi, out_b) in out_row.chunks_exact_mut(oh * ow).enumerate() {
+            let plane = &src[(bi * c + ci) * h * w..][..h * w];
+            for (oi, out_line) in out_b.chunks_exact_mut(ow).enumerate() {
+                if oi < oi_lo || oi >= oi_hi || oj_lo == oj_hi {
+                    out_line.fill(T::default());
+                    continue;
+                }
+                let (head, rest) = out_line.split_at_mut(oj_lo);
+                let (run, tail) = rest.split_at_mut(oj_hi - oj_lo);
+                head.fill(T::default());
+                tail.fill(T::default());
+                let iy = oi * stride + ki - pad;
+                let line = &plane[iy * w + oj_lo * stride + kj - pad..(iy + 1) * w];
+                if stride == 1 {
+                    run.copy_from_slice(&line[..run.len()]);
+                } else {
+                    for (o, &s) in run.iter_mut().zip(line.iter().step_by(stride)) {
+                        *o = s;
+                    }
+                }
+            }
+        }
+    };
+    if rows * cols >= PAR_ELEMS {
+        pool::parallel_chunks_mut(out, cols, fill_row);
+    } else {
+        for (row, out_row) in out.chunks_mut(cols).enumerate() {
+            fill_row(row, out_row);
+        }
+    }
 }
 
 /// Reorders a conv GEMM result `y_mat: [oc, b*ohow]` into the `[b, oc,
@@ -218,6 +233,332 @@ pub fn conv_reorder_epilogue(
     }
 }
 
+/// The per-channel epilogue of [`conv_reorder_epilogue`] without the
+/// reorder: `x: [b, c, hw]` to `dst` in the same layout, `v = x; v +=
+/// bias[c]; v = scale[c]*v + shift[c]` — the tape's `add_bias_channel` and
+/// `channel_affine` ops and their unfused plan steps.
+///
+/// # Panics
+///
+/// Panics on slice-length mismatches.
+pub fn channel_epilogue(
+    x: &[f32],
+    dst: &mut [f32],
+    b: usize,
+    c: usize,
+    hw: usize,
+    bias: Option<&[f32]>,
+    affine: Option<(&[f32], &[f32])>,
+) {
+    assert_eq!(x.len(), b * c * hw, "channel epilogue input mismatch");
+    assert_eq!(dst.len(), x.len(), "channel epilogue output mismatch");
+    let batch = (c * hw).max(1);
+    for (xb, db) in x.chunks(batch).zip(dst.chunks_mut(batch)) {
+        conv_reorder_epilogue(xb, db, 1, c, hw, bias, affine, false);
+    }
+}
+
+// ------------------------------------------------------------ element-wise
+
+/// `dst[i] = f(src[i])`. The tape's and the plan's unary ops pass the
+/// definitions below as `f`.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn map_into(src: &[f32], dst: &mut [f32], f: impl Fn(f32) -> f32) {
+    assert_eq!(src.len(), dst.len(), "elementwise length mismatch");
+    for (o, &x) in dst.iter_mut().zip(src) {
+        *o = f(x);
+    }
+}
+
+/// `dst[i] = f(a[i], b[i])`. The tape's and the plan's binary ops pass the
+/// definitions below as `f`.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn zip_into(a: &[f32], b: &[f32], dst: &mut [f32], f: impl Fn(f32, f32) -> f32) {
+    assert_eq!(a.len(), b.len(), "elementwise length mismatch");
+    assert_eq!(a.len(), dst.len(), "elementwise length mismatch");
+    for ((o, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+        *o = f(x, y);
+    }
+}
+
+/// Element-wise sum.
+#[inline]
+pub fn add(a: f32, b: f32) -> f32 {
+    a + b
+}
+
+/// Element-wise difference.
+#[inline]
+pub fn sub(a: f32, b: f32) -> f32 {
+    a - b
+}
+
+/// Element-wise product; also scaling by a recorded constant (`scale`)
+/// and by the value of a one-element node (`mul_scalar_var`).
+#[inline]
+pub fn mul(a: f32, b: f32) -> f32 {
+    a * b
+}
+
+/// Negation.
+#[inline]
+pub fn neg(x: f32) -> f32 {
+    -x
+}
+
+/// Rectified linear unit.
+#[inline]
+pub fn relu(x: f32) -> f32 {
+    x.max(0.0)
+}
+
+/// Leaky ReLU with negative slope `slope`.
+#[inline]
+pub fn leaky_relu(x: f32, slope: f32) -> f32 {
+    if x > 0.0 {
+        x
+    } else {
+        slope * x
+    }
+}
+
+/// Logistic sigmoid.
+#[inline]
+pub fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
+}
+
+/// GELU, tanh approximation.
+#[inline]
+pub fn gelu(x: f32) -> f32 {
+    const C: f32 = 0.797_884_6; // sqrt(2/pi)
+    0.5 * x * (1.0 + (C * (x + 0.044_715 * x * x * x)).tanh())
+}
+
+/// Adds `bias: [d]` to every length-`d` row of `x`.
+///
+/// # Panics
+///
+/// Panics on slice-length mismatches.
+pub fn add_bias_row(x: &[f32], bias: &[f32], dst: &mut [f32]) {
+    assert_eq!(x.len(), dst.len(), "row bias length mismatch");
+    for (row_o, row_x) in dst.chunks_mut(bias.len()).zip(x.chunks(bias.len())) {
+        zip_into(row_x, bias, row_o, add);
+    }
+}
+
+// -------------------------------------------------------------- shape ops
+
+/// General axis permutation (like `np.transpose`) of `src` with shape
+/// `shape` into `dst`: output axis `d` is input axis `axes[d]`. Walks the
+/// output in order with the multi-index on the stack, so rank is at most 8,
+/// and carries the input offset along with it: a per-element dot product
+/// over the stack index measured ≈ 3× slower at rank 4.
+///
+/// # Panics
+///
+/// Panics if `axes` is not a permutation of `0..rank`, if rank exceeds 8,
+/// or on slice-length mismatches.
+pub fn permute_into(src: &[f32], shape: &[usize], axes: &[usize], dst: &mut [f32]) {
+    let rank = shape.len();
+    assert!(rank <= 8, "permute supports rank <= 8, got {rank}");
+    assert_eq!(axes.len(), rank, "permute axes rank mismatch");
+    assert_eq!(
+        src.len(),
+        crate::numel(shape),
+        "permute input length mismatch"
+    );
+    assert_eq!(dst.len(), src.len(), "permute output length mismatch");
+    let mut seen = [false; 8];
+    for &a in axes {
+        assert!(a < rank && !seen[a], "permute axes must be a permutation");
+        seen[a] = true;
+    }
+    // Input stride and extent of each output axis.
+    let (mut stride, mut dims) = ([0usize; 8], [0usize; 8]);
+    for (d, &a) in axes.iter().enumerate() {
+        stride[d] = shape[a + 1..].iter().product();
+        dims[d] = shape[a];
+    }
+    let (mut idx, mut off) = ([0usize; 8], 0usize);
+    for o in dst.iter_mut() {
+        *o = src[off];
+        for d in (0..rank).rev() {
+            idx[d] += 1;
+            off += stride[d];
+            if idx[d] < dims[d] {
+                break;
+            }
+            off -= dims[d] * stride[d];
+            idx[d] = 0;
+        }
+    }
+}
+
+/// Concatenates `[b, pc, hw]` parts, given as `(data, pc)`, along the
+/// channel axis into `dst: [b, total_c, hw]`.
+///
+/// # Panics
+///
+/// Panics if a part or `dst` is too short.
+pub fn concat_channels_into<'a>(
+    parts: impl Iterator<Item = (&'a [f32], usize)> + Clone,
+    b: usize,
+    hw: usize,
+    total_c: usize,
+    dst: &mut [f32],
+) {
+    for bi in 0..b {
+        let mut c_off = 0usize;
+        for (src, pc) in parts.clone() {
+            dst[(bi * total_c + c_off) * hw..(bi * total_c + c_off + pc) * hw]
+                .copy_from_slice(&src[bi * pc * hw..(bi + 1) * pc * hw]);
+            c_off += pc;
+        }
+    }
+}
+
+/// Extracts channels `[c0, c1)` of `x: [b, c, hw]` into `dst: [b, c1 - c0,
+/// hw]`.
+///
+/// # Panics
+///
+/// Panics unless `c0 <= c1 <= c`, or on slice-length mismatches.
+pub fn slice_channels_into(
+    x: &[f32],
+    b: usize,
+    c: usize,
+    c0: usize,
+    c1: usize,
+    hw: usize,
+    dst: &mut [f32],
+) {
+    assert!(c0 <= c1 && c1 <= c, "slice_channels out of range");
+    let nc = c1 - c0;
+    for bi in 0..b {
+        dst[bi * nc * hw..(bi + 1) * nc * hw]
+            .copy_from_slice(&x[(bi * c + c0) * hw..(bi * c + c1) * hw]);
+    }
+}
+
+/// Nearest-neighbour 2× upsampling of `planes` planes of `h × w` into
+/// `dst: [planes, 2h, 2w]`. Planes fan out to the pool when the output is
+/// large; every element is written once, so any thread count gives the
+/// same bits.
+///
+/// # Panics
+///
+/// Panics on slice-length mismatches.
+pub fn upsample2x_into(src: &[f32], planes: usize, h: usize, w: usize, dst: &mut [f32]) {
+    assert_eq!(src.len(), planes * h * w, "upsample input length mismatch");
+    assert_eq!(dst.len(), 4 * src.len(), "upsample output length mismatch");
+    let fill_plane = |bc: usize, plane: &mut [f32]| {
+        for i in 0..h {
+            for j in 0..w {
+                let v = src[bc * h * w + i * w + j];
+                for di in 0..2 {
+                    for dj in 0..2 {
+                        plane[(i * 2 + di) * 2 * w + (j * 2 + dj)] = v;
+                    }
+                }
+            }
+        }
+    };
+    if dst.len() >= PAR_ELEMS {
+        pool::parallel_chunks_mut(dst, 4 * h * w, fill_plane);
+    } else {
+        for (bc, plane) in dst.chunks_mut(4 * h * w).enumerate() {
+            fill_plane(bc, plane);
+        }
+    }
+}
+
+/// 2×2 max pooling with stride 2 over `planes` planes of `h × w` (both
+/// even) into `dst: [planes, h/2, w/2]`. With `arg`, also writes each
+/// output's flat index into `src` — always inside its own window, even when
+/// no element beats `-inf` — for the tape's backward. Planes fan out to
+/// the pool when the input is large; bitwise identical at any thread count.
+///
+/// # Panics
+///
+/// Panics on odd `h` or `w`, or on slice-length mismatches.
+pub fn maxpool2x2_into(
+    src: &[f32],
+    planes: usize,
+    h: usize,
+    w: usize,
+    dst: &mut [f32],
+    arg: Option<&mut [usize]>,
+) {
+    assert!(
+        h.is_multiple_of(2) && w.is_multiple_of(2),
+        "maxpool2x2 needs even H, W"
+    );
+    let (oh, ow) = (h / 2, w / 2);
+    assert_eq!(src.len(), planes * h * w, "maxpool input length mismatch");
+    assert_eq!(
+        dst.len(),
+        planes * oh * ow,
+        "maxpool output length mismatch"
+    );
+    let pool_plane = |bc: usize, out_plane: &mut [f32], mut arg_plane: Option<&mut [usize]>| {
+        let base = bc * h * w;
+        for oi in 0..oh {
+            for oj in 0..ow {
+                let mut best = f32::NEG_INFINITY;
+                let mut best_idx = base + oi * 2 * w + oj * 2;
+                for di in 0..2 {
+                    for dj in 0..2 {
+                        let idx = base + (oi * 2 + di) * w + (oj * 2 + dj);
+                        if src[idx] > best {
+                            best = src[idx];
+                            best_idx = idx;
+                        }
+                    }
+                }
+                out_plane[oi * ow + oj] = best;
+                if let Some(a) = arg_plane.as_deref_mut() {
+                    a[oi * ow + oj] = best_idx;
+                }
+            }
+        }
+    };
+    // Below the threshold the same plane walk runs on the calling thread.
+    let threads = if src.len() >= PAR_ELEMS {
+        pool::max_threads()
+    } else {
+        1
+    };
+    pool::with_threads(threads, || match arg {
+        Some(arg) => pool::parallel_chunks2_mut(dst, arg, oh * ow, oh * ow, |bc, o, a| {
+            pool_plane(bc, o, Some(a));
+        }),
+        None => pool::parallel_chunks_mut(dst, oh * ow, |bc, o| pool_plane(bc, o, None)),
+    });
+}
+
+/// Softmax over rows of length `d`: `dst` is `x` with every row run
+/// through the shared dispatched [`crate::softmax_row`], the row loop the
+/// fused attention kernels use too.
+///
+/// # Panics
+///
+/// Panics if the lengths differ.
+pub fn softmax_last_into(x: &[f32], d: usize, dst: &mut [f32]) {
+    dst.copy_from_slice(x);
+    if d > 0 {
+        for row in dst.chunks_mut(d) {
+            softmax_row(row);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,44 +570,41 @@ mod tests {
         })
     }
 
-    #[test]
-    fn gemm_into_bitwise_matches_matmul2d() {
-        let a = tensor(vec![5, 7], 1);
-        let b = tensor(vec![7, 4], 2);
-        let reference = a.matmul2d(&b);
-        let mut out = vec![f32::NAN; 20];
-        gemm_into(a.data(), b.data(), &mut out, 5, 7, 4);
-        for (x, y) in out.iter().zip(reference.data()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// The one batched fan-out, serial and batch-parallel, against
+    /// per-batch 2-D products (which never take it).
     #[test]
-    fn bmm_variants_bitwise_match_tensor_methods() {
-        for (bt, m, k, n) in [(2, 3, 4, 5), (3, 16, 8, 16)] {
+    fn batched_gemms_match_per_batch_products() {
+        for (bt, m, k, n) in [(2, 3, 4, 5), (4, 32, 64, 64)] {
             let a = tensor(vec![bt, m, k], 3);
             let b = tensor(vec![bt, k, n], 4);
-            let mut out = vec![f32::NAN; bt * m * n];
-            bmm_into(a.data(), b.data(), &mut out, bt, m, k, n);
-            assert_eq!(out, a.bmm(&b).data());
-
             let bnt = tensor(vec![bt, n, k], 5);
-            bmm_nt_into(a.data(), bnt.data(), &mut out, bt, m, k, n);
-            assert_eq!(out, a.bmm_nt(&bnt).data());
-
             let atn = tensor(vec![bt, k, m], 6);
-            bmm_tn_into(atn.data(), b.data(), &mut out, bt, m, k, n);
-            assert_eq!(out, atn.bmm_tn(&b).data());
+            let block = |t: &Tensor, i: usize, r: usize, c: usize| {
+                Tensor::from_vec(vec![r, c], t.data()[i * r * c..(i + 1) * r * c].to_vec()).unwrap()
+            };
+            let (mut nn, mut nt, mut tn) = (Vec::new(), Vec::new(), Vec::new());
+            for i in 0..bt {
+                let (ai, bi) = (block(&a, i, m, k), block(&b, i, k, n));
+                nn.extend_from_slice(ai.matmul2d(&bi).data());
+                nt.extend_from_slice(ai.matmul2d_nt(&block(&bnt, i, n, k)).data());
+                tn.extend_from_slice(block(&atn, i, k, m).matmul2d_tn(&bi).data());
+            }
+            for threads in [1, 2] {
+                pool::with_threads(threads, || {
+                    let mut out = vec![f32::NAN; bt * m * n];
+                    bmm_into(a.data(), b.data(), &mut out, bt, m, k, n);
+                    assert_eq!(bits(&out), bits(&nn));
+                    bmm_nt_into(a.data(), bnt.data(), &mut out, bt, m, k, n);
+                    assert_eq!(bits(&out), bits(&nt));
+                    bmm_tn_into(atn.data(), b.data(), &mut out, bt, m, k, n);
+                    assert_eq!(bits(&out), bits(&tn));
+                });
+            }
         }
-    }
-
-    #[test]
-    fn im2col_slices_matches_tensor_method() {
-        let x = tensor(vec![2, 3, 5, 5], 7);
-        let reference = x.im2col(3, 3, 1, 1);
-        let mut out = vec![0.0f32; reference.numel()];
-        im2col_into(x.data(), 2, 3, 5, 5, 3, 3, 1, 1, &mut out);
-        assert_eq!(out, reference.data());
     }
 
     #[test]
@@ -309,5 +647,81 @@ mod tests {
         for (x, r) in out.iter().zip(&reference) {
             assert_eq!(x.to_bits(), r.to_bits());
         }
+    }
+
+    /// One stage at a time, the epilogue is the per-channel loop the tape
+    /// kept before sharing it: a bias add, or `scale·x + shift` with no FMA.
+    /// `hw = 13` leaves a vector tail on every run.
+    #[test]
+    fn channel_epilogue_matches_per_channel_loops() {
+        let (b, c, hw) = (2, 3, 13);
+        let x = tensor(vec![b, c, hw], 9);
+        let (bias, scale, shift) = (
+            tensor(vec![c], 10),
+            tensor(vec![c], 11),
+            tensor(vec![c], 12),
+        );
+        let (mut biased, mut affine) = (x.data().to_vec(), x.data().to_vec());
+        for (i, (bv, av)) in biased.iter_mut().zip(&mut affine).enumerate() {
+            let ci = i / hw % c;
+            *bv += bias.data()[ci];
+            *av = scale.data()[ci] * *av + shift.data()[ci];
+        }
+        let mut out = vec![f32::NAN; b * c * hw];
+        channel_epilogue(x.data(), &mut out, b, c, hw, Some(bias.data()), None);
+        assert_eq!(bits(&out), bits(&biased));
+        channel_epilogue(
+            x.data(),
+            &mut out,
+            b,
+            c,
+            hw,
+            None,
+            Some((scale.data(), shift.data())),
+        );
+        assert_eq!(bits(&out), bits(&affine));
+    }
+
+    #[test]
+    fn maxpool_without_argmax_pools_the_same_values() {
+        let x = tensor(vec![3, 2, 6, 8], 13);
+        let (with_arg, _) = x.maxpool2x2();
+        let mut out = vec![f32::NAN; with_arg.numel()];
+        maxpool2x2_into(x.data(), 6, 6, 8, &mut out, None);
+        assert_eq!(bits(&out), bits(with_arg.data()));
+    }
+
+    /// The carried offset reads the element the multi-index names, for
+    /// every axis order of a rank-4 shape with a unit axis.
+    #[test]
+    fn permute_reads_the_indexed_element_for_every_axis_order() {
+        let shape = [2usize, 1, 3, 4];
+        let strides = crate::strides_for(&shape);
+        let x = tensor(shape.to_vec(), 14);
+        for p in 0..24 {
+            let (mut rest, mut axes, mut k) = (vec![0, 1, 2, 3], Vec::new(), p);
+            for n in (1..=4).rev() {
+                axes.push(rest.remove(k % n));
+                k /= n;
+            }
+            let mut out = vec![f32::NAN; x.numel()];
+            permute_into(x.data(), &shape, &axes, &mut out);
+            for (o, got) in out.iter().enumerate() {
+                let (mut rem, mut src) = (o, 0);
+                for d in (0..4).rev() {
+                    src += rem % shape[axes[d]] * strides[axes[d]];
+                    rem /= shape[axes[d]];
+                }
+                assert_eq!(got.to_bits(), x.data()[src].to_bits(), "axes {axes:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "rank <= 8")]
+    fn permute_rejects_rank_above_eight() {
+        let shape = [1usize; 9];
+        let axes: Vec<usize> = (0..9).collect();
+        permute_into(&[0.0], &shape, &axes, &mut [0.0]);
     }
 }

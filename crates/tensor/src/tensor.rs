@@ -2,7 +2,7 @@ use std::fmt;
 
 use mfaplace_rt::rng::Rng;
 
-use crate::{numel, strides_for, TensorError};
+use crate::{lowlevel, numel, strides_for, TensorError};
 
 /// A dense, row-major, heap-allocated `f32` tensor of arbitrary rank.
 ///
@@ -267,22 +267,22 @@ impl Tensor {
 
     /// Element-wise sum. Panics on shape mismatch.
     pub fn add(&self, other: &Tensor) -> Self {
-        self.zip_map(other, |a, b| a + b)
+        self.zip_map(other, lowlevel::add)
     }
 
     /// Element-wise difference. Panics on shape mismatch.
     pub fn sub(&self, other: &Tensor) -> Self {
-        self.zip_map(other, |a, b| a - b)
+        self.zip_map(other, lowlevel::sub)
     }
 
     /// Element-wise product. Panics on shape mismatch.
     pub fn mul(&self, other: &Tensor) -> Self {
-        self.zip_map(other, |a, b| a * b)
+        self.zip_map(other, lowlevel::mul)
     }
 
     /// Multiplies every element by a scalar.
     pub fn scale(&self, c: f32) -> Self {
-        self.map(|x| x * c)
+        self.map(|x| lowlevel::mul(x, c))
     }
 
     /// Sums a list of same-shaped tensors with a **fixed-order pairwise
