@@ -79,10 +79,12 @@ cargo test -q -p mfaplace-placer --offline --test gp_no_alloc
 # Plan ≡ tape, by name and ahead of the workspace pass: the tape, the plan
 # and the Tensor methods all run the slice kernels in `tensor::lowlevel`, so
 # a moved bit is attributed to them before a serving or training suite
-# trips over it.
-echo "==> plan ≡ tape: shared forward kernels + zoo equivalence"
+# trips over it. plan_layout pins copy elision and the per-step profile of
+# the serial, capture-order replay.
+echo "==> plan ≡ tape: shared forward kernels + zoo equivalence + layout"
 cargo test -q -p mfaplace-tensor --offline --lib lowlevel::tests
 cargo test -q -p mfaplace-infer --offline --test plan_equivalence
+cargo test -q -p mfaplace-infer --offline --test plan_layout
 
 echo "==> cargo test --offline (auto-detected kernel backend)"
 cargo test -q --workspace --offline

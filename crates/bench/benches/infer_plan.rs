@@ -3,10 +3,8 @@
 //! versus the plan engine, at grids 32/64 with batches 1/8 plus a
 //! batch-1 run at grid 256 (the placement-scale stress case; batch 8
 //! there would push a single sample past ten seconds for no extra
-//! signal). The batch-1 grid-64/grid-256 points additionally run a
-//! `plan-par` variant — the plan engine with the level scheduler at
-//! four workers — against the serial `plan` baseline (workers = 1,
-//! scheduler effectively off). Writes `results/infer_plan.json`.
+//! signal). Grids 64 and 256 additionally run the int8 `plan-int8`
+//! variant. Writes `results/infer_plan.json`.
 //!
 //! Every (grid, batch, engine) combination runs in its **own child
 //! process**: peak RSS is sampled from the kernel's `VmHWM` watermark,
@@ -26,23 +24,14 @@ use mfaplace_tensor::Tensor;
 
 const CHILD_ENV: &str = "MFA_PLAN_CHILD";
 const CONFIGS: [(usize, usize); 5] = [(32, 1), (32, 8), (64, 1), (64, 8), (256, 1)];
-const ENGINES: [&str; 2] = ["tape", "plan"];
-/// Level-scheduler worker count for the `plan-par` variant.
-const PAR_WORKERS: usize = 4;
-
-/// Engine variants for one (grid, batch) point: tape and serial plan
-/// everywhere; the parallel scheduler only where it can pay off (batch-1
-/// latency at placement-relevant grids — batched forwards already
-/// parallelize across the batch dimension inside the kernels). The
-/// quantized variant (int8 arena with int8 GEMMs) runs at the grids
-/// where arena size matters (64 and the placement-scale 256).
-fn variants(grid: usize, batch: usize) -> &'static [&'static str] {
-    if batch == 1 && grid >= 64 {
-        &["tape", "plan", "plan-par", "plan-int8"]
-    } else if grid >= 64 {
+/// Engine variants for one grid: tape and plan everywhere; the quantized
+/// variant (int8 arena with int8 GEMMs) at the grids where arena size
+/// matters (64 and the placement-scale 256).
+fn variants(grid: usize) -> &'static [&'static str] {
+    if grid >= 64 {
         &["tape", "plan", "plan-int8"]
     } else {
-        &ENGINES
+        &["tape", "plan"]
     }
 }
 
@@ -62,7 +51,6 @@ fn run_child(child: &str) {
     let batch: usize = parts.next().and_then(|s| s.parse().ok()).expect("batch");
     let variant = parts.next().expect("engine");
     let engine = match variant {
-        "plan-par" => Engine::Plan,
         "plan-int8" => Engine::Quant,
         other => Engine::parse(other).expect("engine"),
     };
@@ -72,11 +60,6 @@ fn run_child(child: &str) {
     let model = spec(grid).build(&mut g, &mut rng).expect("build model");
     let mut predictor = ModelPredictor::new(g, model);
     predictor.set_engine(engine);
-    predictor.set_plan_workers(if variant == "plan-par" {
-        PAR_WORKERS
-    } else {
-        1
-    });
     if engine == Engine::Quant {
         // Offline calibration happens outside the sampled region, like
         // the plan compilation warm-up below.
@@ -158,7 +141,7 @@ fn main() {
     let exe = std::env::current_exe().expect("current exe");
     let mut fragments = Vec::new();
     for (grid, batch) in CONFIGS {
-        for engine in variants(grid, batch) {
+        for engine in variants(grid) {
             let out = std::process::Command::new(&exe)
                 .env(CHILD_ENV, format!("{grid}:{batch}:{engine}"))
                 .stderr(std::process::Stdio::inherit())
@@ -206,18 +189,6 @@ fn main() {
                 p,
                 t / p
             );
-            let par = median_of(
-                &merged,
-                &format!("infer/plan-par/grid{grid}/batch{batch}/forward"),
-            );
-            if let Some(pp) = par {
-                println!(
-                    "grid {grid} batch {batch}  plan {:>12.1} ns  plan-par({PAR_WORKERS}w) {:>12.1} ns  scheduler speedup {:.2}x",
-                    p,
-                    pp,
-                    p / pp
-                );
-            }
             let name = format!("infer/plan-int8/grid{grid}/batch{batch}/forward");
             if let Some(qn) = median_of(&merged, &name) {
                 let rss_q = peak_rss_of(&merged, &name)

@@ -230,12 +230,32 @@ mod tests {
         assert!(err.contains("unknown artifact precision code 7"), "{err}");
     }
 
+    /// An artifact compiled when plans still ran in level-major step order
+    /// carries a `MFACAL01` calibration whose ranges would land on the wrong
+    /// steps; loading it must fail and say to recompile.
+    #[test]
+    fn level_order_calibration_is_rejected() {
+        let mut bytes = artifact_to_bytes(&test_calibration(), false, &[9u8; 32]);
+        let body = bytes.len() - 8;
+        bytes[HEADER_LEN..HEADER_LEN + 8].copy_from_slice(b"MFACAL01");
+        let sum = fnv1a(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        let err = match artifact_from_bytes(&bytes) {
+            Ok(_) => panic!("a MFACAL01 calibration was accepted"),
+            Err(e) => e,
+        };
+        assert!(
+            err.contains("MFACAL01") && err.contains("recompile"),
+            "{err}"
+        );
+    }
+
     fn test_calibration() -> Calibration {
         // Build via the serializer's inverse to avoid constructing the
         // (crate-private) fields directly: 8-byte magic, count, input
         // range, 2 ranges, 2 kind tags.
         let mut b = Vec::new();
-        b.extend_from_slice(b"MFACAL01");
+        b.extend_from_slice(b"MFACAL02");
         b.extend_from_slice(&2u32.to_le_bytes());
         b.extend_from_slice(&1.5f32.to_le_bytes());
         b.extend_from_slice(&0.5f32.to_le_bytes());

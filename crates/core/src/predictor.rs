@@ -143,9 +143,6 @@ pub struct ModelPredictor<M: CongestionModel> {
     /// Set on the first failed quantized build; quant forwards then stay
     /// on the f32 fallback (surfaced via metrics/CLI, never a panic).
     quant_broken: Option<String>,
-    /// Level-scheduler worker count for plan forwards (`1`, the default,
-    /// is serial replay; outputs are bitwise identical either way).
-    plan_workers: usize,
 }
 
 impl<M: CongestionModel> ModelPredictor<M> {
@@ -195,20 +192,18 @@ impl<M: CongestionModel> ModelPredictor<M> {
             fold_bn: false,
             quant: None,
             quant_broken: None,
-            plan_workers: 1,
         }
     }
 
-    /// Sets the level-scheduler worker count for plan forwards (`1` =
-    /// serial replay). Purely a latency knob: outputs are bitwise
-    /// identical at any count.
-    pub fn set_plan_workers(&mut self, workers: usize) {
-        self.plan_workers = workers.max(1);
-    }
+    /// Does nothing: plans replay serially, in capture order. Kept, with
+    /// [`ModelPredictor::plan_workers`], only because the benchmark's
+    /// `map_hires` and `place_suite` workloads call it; both go together
+    /// with the benchmark's `infer.plan_par_forward_ms` (ROADMAP item 1(f)).
+    pub fn set_plan_workers(&mut self, _workers: usize) {}
 
-    /// The configured level-scheduler worker count.
+    /// Always `1`: see [`ModelPredictor::set_plan_workers`].
     pub fn plan_workers(&self) -> usize {
-        self.plan_workers
+        1
     }
 
     /// Borrows the wrapped model.
@@ -528,7 +523,7 @@ impl<M: CongestionModel> ModelPredictor<M> {
         };
         let full = {
             let _t = ScopeTimer::new(timer);
-            run_plan(&plan, &mut self.arena, input, self.plan_workers)
+            run_plan(&plan, &mut self.arena, input)
         };
         let mut out_shape = plan.output_shape().to_vec();
         out_shape[0] = n;
@@ -878,6 +873,24 @@ mod tests {
         assert_eq!(via_quant[0].data(), via_plan[0].data());
         assert_eq!(plan.status().fallback, None, "healthy: nothing to report");
         assert_eq!(plan.status().served, Engine::Plan);
+    }
+
+    #[test]
+    fn plan_workers_is_a_no_op() {
+        let d = DesignPreset::design_116()
+            .with_scale(512, 64, 32)
+            .generate(1);
+        let p = d.random_placement(4);
+        let mut serial = small_predictor(11);
+        let mut asked = small_predictor(11); // same seed => same weights
+        asked.set_plan_workers(4);
+        assert_eq!(asked.plan_workers(), 1);
+        let bits = |m: GridMap| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(serial.predict(&d, &p, 32, 32)),
+            bits(asked.predict(&d, &p, 32, 32)),
+            "a worker count must not change the prediction"
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! equivalence suite asserts bit equality against the tape for every zoo
 //! architecture. Quantized plans trade that contract for the
 //! level-map tolerance contract (see `quant.rs`) but stay bitwise
-//! run-to-run and across worker counts.
+//! run to run.
 //!
 //! # Allocation contract
 //!
@@ -24,129 +24,38 @@
 //! its private score row (identical behaviour and threshold as the tape
 //! kernel, so tape-vs-plan comparisons stay fair).
 //!
-//! # Parallel level scheduling
-//!
-//! The plan's steps are stored level-major: each level is a wave of
-//! mutually independent ops whose write spans are pairwise disjoint (see
-//! `assign_arena` / `verify_levels` in `plan.rs`). With `workers > 1`,
-//! [`run_plan`] executes each level's ops concurrently on the
-//! `mfaplace-rt` pool; because every op writes its own disjoint span and
-//! each kernel is deterministic at any worker count, the result is
-//! **bitwise identical** to serial replay — there is no reduction across
-//! ops, so no merge-order hazard exists. Serial replay (`workers == 1`) is
-//! the default: on the measured hosts the scheduler never beat it (see
-//! EXPERIMENTS.md).
-//!
 //! # Safety
 //!
-//! Ops borrow disjoint arena spans mutably and immutably at once through
-//! raw pointers. Soundness rests on the allocator invariant (an op's
-//! output/scratch spans never overlap a live operand span, and same-level
-//! ops never write each other's read or write spans — see
-//! `assign_arena`), which is verified at capture time and re-checked per
-//! op in debug builds.
+//! Each step borrows its own output and scratch spans mutably while reading
+//! its operand spans, all through raw pointers into one arena. Soundness
+//! rests on the allocator invariant `verify_step` states (a step's write
+//! spans are pairwise disjoint, overlap none of its operands, and end
+//! inside the arena): `Plan::layout` checks it for every step at capture
+//! and quantization, and debug builds assert it again before each step
+//! executes.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use mfaplace_rt::pool;
-use mfaplace_rt::timer::ScopeTimer;
 use mfaplace_tensor::layer_norm_rows;
 use mfaplace_tensor::lowlevel::{self, map_into, zip_into};
 
-#[cfg(debug_assertions)]
-use crate::plan::{for_each_operand, spans_overlap, write_spans};
-use crate::plan::{ArenaRange, BmmKind, IrOp, Kernel, Loc, Plan, Step, StepCost, Store, ValId};
+use crate::plan::{
+    verify_step, ArenaRange, BmmKind, IrOp, Kernel, Loc, Plan, Step, StepCost, Store, ValId,
+};
 use crate::quant;
-
-/// Owns the mutable state (activation arena) needed to run a [`Plan`].
-///
-/// The plan itself is held through an `Arc`, so many executors (or a
-/// shared [`crate::PlanCache`]) can reference one compiled plan while each
-/// keeps its own private arena.
-#[derive(Debug)]
-pub struct PlanExecutor {
-    plan: Arc<Plan>,
-    arena: Vec<u64>,
-    runs: u64,
-    workers: usize,
-}
-
-impl PlanExecutor {
-    /// Builds an executor, allocating the arena once up front. Accepts a
-    /// bare `Plan` or an `Arc<Plan>` (e.g. out of a [`crate::PlanCache`]).
-    /// Replays serially until [`PlanExecutor::set_workers`] says otherwise.
-    pub fn new(plan: impl Into<Arc<Plan>>) -> PlanExecutor {
-        let plan = plan.into();
-        let arena = vec![0u64; plan.arena_words()];
-        PlanExecutor {
-            plan,
-            arena,
-            runs: 0,
-            workers: 1,
-        }
-    }
-
-    /// Sets the number of workers used for intra-plan level execution
-    /// (`1` = serial replay). Outputs are bitwise identical either way.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
-
-    /// The configured level-scheduler worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The compiled plan this executor runs.
-    pub fn plan(&self) -> &Plan {
-        &self.plan
-    }
-
-    /// Number of completed forwards.
-    pub fn runs(&self) -> u64 {
-        self.runs
-    }
-
-    /// Arena base address — exposed so tests can assert the buffer is
-    /// reused (stable) across forwards rather than reallocated.
-    pub fn arena_ptr(&self) -> *const u64 {
-        self.arena.as_ptr()
-    }
-
-    /// Runs one forward over `input` (row-major, must match the captured
-    /// input shape) and returns the output slice, valid until the next
-    /// call. Allocation-free: every write lands in the arena.
-    pub fn run_batch(&mut self, input: &[f32]) -> &[f32] {
-        self.runs += 1;
-        run_plan(&self.plan, &mut self.arena, input, self.workers)
-    }
-}
 
 /// Runs one forward of `plan` over `input` using `arena` for every
 /// intermediate, growing (never shrinking) the arena to the plan's
 /// requirement first. Returns the output slice, valid until the arena is
-/// next written.
+/// next written. Allocation-free once the arena is large enough.
 ///
-/// This is the executor's run loop exposed over caller-owned storage, so
-/// one arena can be reused across *different* plans (the predictor keeps
-/// one arena per model while plans live in a shared cache). Safe because
-/// every plan op either fully overwrites its destination span or
-/// explicitly clears it first — stale data from a previous plan is never
-/// observable.
-///
-/// With `workers > 1`, levels of mutually independent ops execute
-/// concurrently on the `mfaplace-rt` pool (contiguous op-index blocks per
-/// worker), bitwise identical to serial replay because same-level ops
-/// write pairwise-disjoint arena spans and every kernel is deterministic
-/// at any worker count.
-pub fn run_plan<'a>(
-    plan: &Plan,
-    arena: &'a mut Vec<u64>,
-    input: &[f32],
-    workers: usize,
-) -> &'a [f32] {
-    replay(plan, arena, input, workers, None)
+/// The arena is caller-owned, so one arena can be reused across
+/// *different* plans (the predictor keeps one arena per model while plans
+/// live in a shared cache). Safe because every plan op either fully
+/// overwrites its destination span or explicitly clears it first — stale
+/// data from a previous plan is never observable.
+pub fn run_plan<'a>(plan: &Plan, arena: &'a mut Vec<u64>, input: &[f32]) -> &'a [f32] {
+    replay(plan, arena, input, None)
 }
 
 /// Called as `observe(step_index, out)` after each step has run; `out` is
@@ -156,12 +65,11 @@ pub(crate) type Observer<'o> = &'o mut dyn FnMut(usize, Option<&[f32]>);
 /// [`run_plan`] with an optional per-step observer — the quantization
 /// calibrator's hook for collecting per-value activation ranges and
 /// [`profile_plan`]'s for step boundaries, so the unobserved run loop
-/// carries neither. Observed replays are serial; the observer only reads.
+/// carries neither. The observer only reads.
 pub(crate) fn replay<'a>(
     plan: &Plan,
     arena: &'a mut Vec<u64>,
     input: &[f32],
-    workers: usize,
     mut observe: Option<Observer<'_>>,
 ) -> &'a [f32] {
     assert_eq!(
@@ -183,39 +91,16 @@ pub(crate) fn replay<'a>(
         }
         _ => None,
     };
-    for range in &plan.levels {
-        let steps = &plan.steps[range.clone()];
-        #[cfg(debug_assertions)]
-        for step in steps {
-            check_disjoint(plan, step);
+    for (i, step) in plan.steps.iter().enumerate() {
+        debug_assert_eq!(
+            verify_step(step, &plan.values, plan.arena_bytes),
+            Ok(()),
+            "step {i}: {step:?}"
+        );
+        exec_step(plan, input, base, step);
+        if let Some(observe) = observe.as_deref_mut() {
+            observe(i, f32_span(step.out));
         }
-        if workers <= 1 || steps.len() == 1 || observe.is_some() {
-            for (i, step) in range.clone().zip(steps) {
-                exec_step(plan, input, base, step);
-                if let Some(observe) = observe.as_deref_mut() {
-                    observe(i, f32_span(step.out));
-                }
-            }
-            continue;
-        }
-        let _lvl = ScopeTimer::new("core/forward_plan_level");
-        let nt = workers.min(steps.len());
-        // Split the host's thread budget between op-level concurrency
-        // and each kernel's own intra-op parallelism (thread overrides
-        // are per-thread, so spawned workers start uncapped).
-        let inner = (pool::max_threads() / nt).max(1);
-        let shared = ArenaBase(base);
-        let shared = &shared;
-        pool::with_threads(nt, || {
-            pool::parallel_for(steps.len(), |r| {
-                let base = shared.0;
-                pool::with_threads(inner, || {
-                    for i in r {
-                        exec_step(plan, input, base, &steps[i]);
-                    }
-                });
-            });
-        });
     }
     mfaplace_rt::timer::count("infer/plan_forwards", 1);
     f32_span(plan.output).expect("plan output is always an f32 arena span")
@@ -224,7 +109,7 @@ pub(crate) fn replay<'a>(
 /// One step of a [`profile_plan`] replay.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StepProfile {
-    /// Position in the plan's (level-major) step list.
+    /// Position in the plan's step list, which is capture order.
     pub index: usize,
     /// Op variant name, suffixed `[i8]` when the step runs on the int8 GEMM.
     pub kind: String,
@@ -255,17 +140,15 @@ pub struct PlanProfile {
 /// of [`PlanProfile::wall_ns`] only by the loop's own prologue and
 /// epilogue.
 pub fn profile_plan(plan: &Plan, arena: &mut Vec<u64>, input: &[f32]) -> PlanProfile {
-    run_plan(plan, arena, input, 1);
+    run_plan(plan, arena, input);
     // The observer only reads the clock; everything else happens outside
-    // the timed replay. Observed replays are serial, so boundaries arrive
-    // in step order.
+    // the timed replay. Boundaries arrive in step order.
     let mut ends = Vec::with_capacity(plan.steps.len());
     let start = Instant::now();
     replay(
         plan,
         arena,
         input,
-        1,
         Some(&mut |_index, _out| ends.push(Instant::now())),
     );
     let wall_ns = start.elapsed().as_nanos() as u64;
@@ -304,15 +187,6 @@ fn step_kind(step: &Step) -> String {
     }
 }
 
-/// The arena base pointer, shared across a level's workers.
-///
-/// Sound to send/share because the level scheduler guarantees every
-/// concurrently executing op writes a pairwise-disjoint span (verified at
-/// capture time by `verify_levels`).
-struct ArenaBase(*mut u8);
-unsafe impl Send for ArenaBase {}
-unsafe impl Sync for ArenaBase {}
-
 /// Typed view of `n` elements at byte offset `off` of the arena.
 ///
 /// # Safety
@@ -320,7 +194,7 @@ unsafe impl Sync for ArenaBase {}
 /// `off` must come from a span `assign_arena` placed (64-byte aligned, in
 /// bounds for `n` elements of `T`), and the view must not overlap any
 /// other live view that is written — the allocator invariant,
-/// debug-asserted by `check_disjoint`.
+/// checked by `verify_step`.
 pub(crate) unsafe fn span<'a, T>(base: *mut u8, off: usize, n: usize) -> &'a mut [T] {
     std::slice::from_raw_parts_mut(base.add(off).cast::<T>(), n)
 }
@@ -357,32 +231,6 @@ pub(crate) unsafe fn direct_f32<'a>(
     }
 }
 
-/// Debug re-check of the allocator invariant: the op's output and scratch
-/// spans overlap neither each other nor any operand span. Allocation-free,
-/// so the zero-allocation contract is testable in debug builds.
-#[cfg(debug_assertions)]
-fn check_disjoint(plan: &Plan, step: &Step) {
-    let writes = write_spans(step, &plan.values);
-    for (i, wa) in writes.clone().enumerate() {
-        for wb in writes.clone().skip(i + 1) {
-            assert!(
-                !spans_overlap(wa, wb),
-                "write spans overlap in step {step:?}"
-            );
-        }
-    }
-    for_each_operand(&step.op, &mut |v| {
-        if let Loc::Arena { off, len } = plan.values[v].loc {
-            for w in writes.clone() {
-                assert!(
-                    !spans_overlap(w, (off, len)),
-                    "operand span overlaps a write span in step {step:?}"
-                );
-            }
-        }
-    });
-}
-
 /// Op-local scratch views an [`exec_op`] call may need beyond its
 /// destination: the conv im2col/GEMM buffers and the attention score row.
 #[derive(Default)]
@@ -407,7 +255,7 @@ fn exec_step(plan: &Plan, input: &[f32], base: *mut u8, step: &Step) {
         } => quant::matmul_i8(plan, input, base, step, qb, bscale, *a_scale),
         // SAFETY: every span handed out below is a weight/input borrow, an
         // operand span, or this step's own output/scratch piece (each taken
-        // once), which `assign_arena` guarantees disjoint for this op; the
+        // once), which `verify_step` checked disjoint for this op; the
         // debug assertion in the run loop re-checks the invariant.
         Kernel::Generic => unsafe {
             // In an all-f32 plan `staged` is empty and every view below is

@@ -4,8 +4,9 @@
 //! and re-walks Rust control flow on every forward. This crate removes all
 //! of that from the inference hot path: one tape recording of a model
 //! forward is captured into a [`Plan`] — a topologically ordered op list
-//! with fixed shapes — which a [`PlanExecutor`] then replays with **zero
-//! heap allocations per forward** from a single liveness-packed arena.
+//! with fixed shapes — which [`run_plan`] then replays serially, in capture
+//! order, with **zero heap allocations per forward** from a single
+//! liveness-packed arena.
 //!
 //! Compilation additionally fuses `conv → bias → channel-affine → relu`
 //! chains and `add → relu` pairs into single kernels (the fused epilogues
@@ -13,8 +14,7 @@
 //! inference-mode batch norm into conv weights
 //! ([`PlanOptions::fold_bn`], off by default). [`Plan::quantize`] lowers a
 //! captured plan to int8 storage and int8 GEMMs given an offline
-//! [`Calibration`]; the result is another [`Plan`], run by the same
-//! executor.
+//! [`Calibration`]; the result is another [`Plan`], run the same way.
 //!
 //! The contract, enforced by this crate's equivalence suite: with default
 //! options, plan outputs are **bitwise identical** to the tape forward for
@@ -23,7 +23,7 @@
 //!
 //! ```
 //! use mfaplace_autograd::Graph;
-//! use mfaplace_infer::{Plan, PlanExecutor, PlanOptions};
+//! use mfaplace_infer::{run_plan, Plan, PlanOptions};
 //! use mfaplace_tensor::Tensor;
 //!
 //! let mut g = Graph::new();
@@ -34,8 +34,8 @@
 //! let y = g.conv2d(x, w, 1, 0);
 //! let y = g.relu(y);
 //! let plan = Plan::capture(&g, mark, x, y, PlanOptions::default()).unwrap();
-//! let mut exec = PlanExecutor::new(plan);
-//! let out = exec.run_batch(&[1.0, -1.0, 0.5, 0.0]);
+//! let mut arena = Vec::new();
+//! let out = run_plan(&plan, &mut arena, &[1.0, -1.0, 0.5, 0.0]);
 //! assert_eq!(out, &[2.0, 0.0, 1.0, 0.0]);
 //! # Ok::<(), mfaplace_tensor::TensorError>(())
 //! ```
@@ -48,6 +48,6 @@ mod quant;
 pub use cache::{
     PlanCache, PlanCacheStats, PlanKey, PlanPrecision, PlanSource, DEFAULT_PLAN_CACHE_BYTES,
 };
-pub use exec::{profile_plan, run_plan, PlanExecutor, PlanProfile, StepProfile};
+pub use exec::{profile_plan, run_plan, PlanProfile, StepProfile};
 pub use plan::{Plan, PlanOptions, PlanStats, StepCost};
 pub use quant::{Calibration, QuantOptions, QuantStats};

@@ -29,27 +29,21 @@
 //!    long as the liveness pass keeps the shared span alive until the last
 //!    reader of **either** value (a write-after-read extension of the
 //!    plain per-value liveness).
-//! 5. **Level scheduling** — the op-level dependency DAG (an edge per
-//!    operand definition, aliases resolved to their roots) is partitioned
-//!    into topological levels: waves of mutually independent ops. Steps are
-//!    reordered level-major (stable within a level), so serial replay is
-//!    still a valid topological order and the executor can run any level's
-//!    ops concurrently.
-//! 6. **Arena assignment** — liveness intervals for every intermediate plus
-//!    the op-local scratch each step declares (conv im2col/GEMM buffers,
-//!    attention score rows, quantize/dequantize staging) are packed by a
-//!    first-fit free list with coalescing into a single byte arena (64-byte
-//!    blocks, so every typed view is aligned) whose peak size is known at
-//!    compile time. Spans are allocated and released at *level*
-//!    granularity, so ops in the same level always hold pairwise-disjoint
-//!    write spans (verified after the pass) — the property that makes
-//!    parallel level execution bitwise identical to serial replay. The
-//!    executor then runs every forward with zero heap allocations.
+//! 5. **Arena assignment** — steps keep the order capture leaves them in
+//!    (the tape order, after fusion, BN folding and copy elision), and
+//!    serial replay runs them in that order. Liveness intervals for every
+//!    intermediate plus the op-local scratch each step declares (conv
+//!    im2col/GEMM buffers, attention score rows, quantize/dequantize
+//!    staging) are packed step by step by a first-fit free list with
+//!    coalescing into a single byte arena (64-byte blocks, so every typed
+//!    view is aligned) whose peak size is known at compile time.
+//!    [`verify_step`] then checks every step's spans, and the executor runs
+//!    every forward with zero heap allocations.
 //!
 //! A captured plan stores every value as f32 and runs every step on the
 //! generic f32 kernel. [`Plan::quantize`] (see `quant.rs`) is an IR→IR
 //! lowering that rewrites only the per-value [`Store`] and per-step
-//! [`Kernel`] tables and re-runs pass 6.
+//! [`Kernel`] tables and re-runs pass 5.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -92,12 +86,6 @@ pub struct PlanStats {
     pub weights: usize,
     /// Weight-table bytes (shared `Arc`s counted once per plan).
     pub weight_bytes: usize,
-    /// Dependency-DAG levels (waves of mutually independent ops). Each
-    /// level advances the longest dependency chain by exactly one op, so
-    /// this is also the critical-path depth in ops.
-    pub levels: usize,
-    /// Ops in the widest level — the plan's maximum op-level parallelism.
-    pub max_level_width: usize,
     /// Pure-reshape `Copy` steps elided into arena aliases.
     pub copies_elided: usize,
     /// Quantization counters; `None` for a plan as captured (all f32).
@@ -151,7 +139,7 @@ pub(crate) struct ValueInfo {
 }
 
 /// An op-local scratch span in the arena, in bytes (live only during its
-/// op's level).
+/// step).
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct ArenaRange {
     pub off: usize,
@@ -378,21 +366,17 @@ pub(crate) struct Step {
 
 /// A compiled, shape-specialized inference program.
 ///
-/// Immutable once compiled; pair it with a [`crate::PlanExecutor`] (which
-/// owns the mutable arena) to run forwards.
+/// Immutable once compiled; [`crate::run_plan`] runs forwards over a
+/// caller-owned arena.
 #[derive(Clone, Debug)]
 pub struct Plan {
+    /// In capture order, which serial replay follows.
     pub(crate) steps: Vec<Step>,
     pub(crate) values: Vec<ValueInfo>,
     pub(crate) weights: Vec<Arc<Tensor>>,
     pub(crate) input: ValId,
     pub(crate) output: ValId,
     pub(crate) arena_bytes: usize,
-    /// Step-index ranges of the dependency levels, in execution order.
-    /// Steps are stored level-major, so the ranges are contiguous and
-    /// cover `0..steps.len()`; ops inside one level are mutually
-    /// independent and write pairwise-disjoint arena spans.
-    pub(crate) levels: Vec<std::ops::Range<usize>>,
     /// Storage root per value (`alias[v] == v` unless `v` is an elided
     /// reshape of another value). Kept so [`Plan::quantize`] can redo
     /// liveness with narrower per-value sizes while honouring the same
@@ -506,7 +490,6 @@ impl Plan {
             fold_bn(&mut steps, &mut values, &mut weights, &mut stats);
         }
         let alias = elide_copies(&mut steps, &values, output_val, &mut stats);
-        let levels = schedule_levels(&mut steps, &values, &alias);
 
         stats.ops = steps.len();
         stats.weights = weights.len();
@@ -514,8 +497,6 @@ impl Plan {
             .iter()
             .map(|w| w.numel() * std::mem::size_of::<f32>())
             .sum();
-        stats.levels = levels.len();
-        stats.max_level_width = levels.iter().map(|r| r.len()).max().unwrap_or(0);
 
         let mut plan = Plan {
             steps,
@@ -524,7 +505,6 @@ impl Plan {
             input: input_val,
             output: output_val,
             arena_bytes: 0,
-            levels,
             alias,
             stats,
         };
@@ -533,17 +513,15 @@ impl Plan {
     }
 
     /// Places every value and declared scratch piece in the arena and
-    /// verifies the result — the last stage of both capture and
+    /// verifies every step — the last stage of both capture and
     /// [`Plan::quantize`].
     pub(crate) fn layout(&mut self) -> Result<(), String> {
-        self.arena_bytes = assign_arena(
-            &mut self.steps,
-            &mut self.values,
-            self.output,
-            &self.alias,
-            &self.levels,
-        );
-        verify_levels(&self.steps, &self.values, &self.levels)?;
+        self.arena_bytes =
+            assign_arena(&mut self.steps, &mut self.values, self.output, &self.alias);
+        for (i, step) in self.steps.iter().enumerate() {
+            verify_step(step, &self.values, self.arena_bytes)
+                .map_err(|e| format!("step {i}: {e}"))?;
+        }
         self.stats.arena_bytes = self.arena_bytes;
         Ok(())
     }
@@ -574,7 +552,7 @@ impl Plan {
     }
 
     /// Estimated bytes of the plan's own metadata: op list, value table,
-    /// alias map, level ranges and per-op heap vectors (fused affines,
+    /// alias map and per-op heap vectors (fused affines,
     /// permute strides, concat part lists, scratch tables). Weight *data*
     /// — f32 tensors and quantized copies — is excluded; it is accounted
     /// separately via [`PlanStats::weight_bytes`]. The plan cache charges
@@ -586,7 +564,6 @@ impl Plan {
         let mut b = self.steps.len() * size_of::<Step>()
             + self.values.len() * size_of::<ValueInfo>()
             + self.alias.len() * size_of::<ValId>()
-            + self.levels.len() * size_of::<std::ops::Range<usize>>()
             + self.weights.len() * size_of::<Arc<Tensor>>();
         for v in &self.values {
             b += v.shape.len() * size_of::<usize>();
@@ -632,17 +609,14 @@ impl Plan {
         );
         let _ = writeln!(
             out,
-            "  fusions: conv+bias {}, conv+affine {}, conv+relu {}, add+relu {}, bn-folded {}",
+            "  fusions: conv+bias {}, conv+affine {}, conv+relu {}, add+relu {}, bn-folded {}, \
+             copies elided {}",
             s.fused_conv_bias,
             s.fused_conv_affine,
             s.fused_conv_relu,
             s.fused_add_relu,
             s.folded_bn,
-        );
-        let _ = writeln!(
-            out,
-            "  scheduler: {} levels (critical path {} ops), widest level {} ops, copies elided {}",
-            s.levels, s.levels, s.max_level_width, s.copies_elided,
+            s.copies_elided,
         );
         if let Some(q) = &s.quant {
             let _ = writeln!(
@@ -1381,47 +1355,6 @@ fn elide_copies(
     alias
 }
 
-/// Partitions the steps into dependency levels (ASAP schedule): `level[s]`
-/// is the length of the longest operand chain feeding `s`, so every level
-/// is a wave of mutually independent ops and the level count equals the
-/// DAG's critical-path depth. Reorders `steps` level-major (stable within
-/// a level, preserving the original op-index merge order) and returns the
-/// contiguous step range of each level.
-fn schedule_levels(
-    steps: &mut Vec<Step>,
-    values: &[ValueInfo],
-    alias: &[ValId],
-) -> Vec<std::ops::Range<usize>> {
-    let n = steps.len();
-    // def_level[v]: level of the step defining root value v (None for the
-    // input and weights, which are ready before level 0).
-    let mut def_level: Vec<Option<usize>> = vec![None; values.len()];
-    let mut level_of: Vec<usize> = vec![0; n];
-    for (i, step) in steps.iter().enumerate() {
-        let mut lv = 0usize;
-        for_each_operand(&step.op, &mut |v| {
-            if let Some(dl) = def_level[alias[v]] {
-                lv = lv.max(dl + 1);
-            }
-        });
-        level_of[i] = lv;
-        def_level[step.out] = Some(lv);
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| (level_of[i], i));
-    let reordered: Vec<Step> = order.iter().map(|&i| steps[i].clone()).collect();
-    *steps = reordered;
-    let mut ranges = Vec::new();
-    let mut start = 0usize;
-    for j in 1..=n {
-        if j == n || level_of[order[j]] != level_of[order[j - 1]] {
-            ranges.push(start..j);
-            start = j;
-        }
-    }
-    ranges
-}
-
 /// Byte sizes of the scratch pieces `step`'s kernel consumes, in order.
 /// The single declaration both the allocator and the executor rely on: the
 /// executor takes whole pieces, never recomputing a size.
@@ -1489,36 +1422,23 @@ fn scratch_bytes(step: &Step, values: &[ValueInfo]) -> Vec<usize> {
 /// Assigns every intermediate and every declared scratch piece an arena
 /// span from liveness intervals; returns the arena length in bytes.
 ///
-/// Spans are allocated and released at **level** granularity: all of a
-/// level's outputs and scratch are placed while every span read at or
-/// after this level is still held, and frees happen only at the end of a
-/// level. Consequences, which the executor's raw-pointer slicing relies
-/// on:
-///
-/// - an op's destination/scratch span never overlaps a live source span
-///   (the per-op invariant serial replay needs), and
-/// - ops in the *same* level hold pairwise-disjoint write spans and never
-///   write a span any same-level op reads (the stronger invariant that
-///   makes parallel level execution bitwise identical to serial replay).
-///
-/// Reads resolve through `alias`, so an elided reshape extends its
-/// source's lifetime to the last reader of the whole alias class.
+/// Walks the steps in replay order. A step's output and then its declared
+/// scratch are placed while every span it reads is still held, so neither
+/// overlaps an operand. Then the scratch, each operand whose last read this
+/// step is, and an output nothing reads go back to the free list. Reads
+/// resolve through `alias`, so an elided reshape extends its source's
+/// lifetime to the last reader of the whole alias class.
 fn assign_arena(
     steps: &mut [Step],
     values: &mut [ValueInfo],
     output: ValId,
     alias: &[ValId],
-    levels: &[std::ops::Range<usize>],
 ) -> usize {
     let out_root = alias[output];
-    // last_level[r]: level of the final read of root value r.
-    let mut last_level: Vec<Option<usize>> = vec![None; values.len()];
-    for (li, range) in levels.iter().enumerate() {
-        for step in &steps[range.clone()] {
-            for_each_operand(&step.op, &mut |v| {
-                last_level[alias[v]] = Some(li);
-            });
-        }
+    // last_read[r]: the step that reads root value r last.
+    let mut last_read: Vec<Option<usize>> = vec![None; values.len()];
+    for (i, step) in steps.iter().enumerate() {
+        for_each_operand(&step.op, &mut |v| last_read[alias[v]] = Some(i));
     }
 
     let mut fl = FreeList::default();
@@ -1529,48 +1449,32 @@ fn assign_arena(
     let release = |fl: &mut FreeList, off: usize, len: usize| {
         fl.release(off / BLOCK, len.div_ceil(BLOCK));
     };
-    let mut freed = vec![false; values.len()];
-    for (li, range) in levels.iter().enumerate() {
-        // Allocate every output and scratch span of the level first…
-        for step in &mut steps[range.clone()] {
-            let out = step.out;
-            let span = place(&mut fl, values[out].numel * values[out].store.elem_bytes());
-            values[out].loc = Loc::Arena {
-                off: span.off,
-                len: span.len,
-            };
-            step.scratch = scratch_bytes(step, values)
-                .into_iter()
-                .map(|len| place(&mut fl, len))
-                .collect();
+    for (i, step) in steps.iter_mut().enumerate() {
+        let out = step.out;
+        let span = place(&mut fl, values[out].numel * values[out].store.elem_bytes());
+        values[out].loc = Loc::Arena {
+            off: span.off,
+            len: span.len,
+        };
+        step.scratch = scratch_bytes(step, values)
+            .into_iter()
+            .map(|len| place(&mut fl, len))
+            .collect();
+        for s in &step.scratch {
+            release(&mut fl, s.off, s.len);
         }
-        // …then release at level end: scratch, operands whose final read
-        // is in this level, and outputs nothing ever reads.
-        for step in &steps[range.clone()] {
-            for s in &step.scratch {
-                release(&mut fl, s.off, s.len);
-            }
-        }
-        for step in &steps[range.clone()] {
-            let mut dying: Vec<ValId> = Vec::new();
-            for_each_operand(&step.op, &mut |v| {
-                let r = alias[v];
-                if last_level[r] == Some(li) && r != out_root && !dying.contains(&r) {
-                    dying.push(r);
-                }
-            });
-            let out = step.out;
-            if last_level[out].is_none() && out != out_root {
-                dying.push(out);
-            }
-            for r in dying {
+        for_each_operand(&step.op, &mut |v| {
+            let r = alias[v];
+            if last_read[r] == Some(i) && r != out_root {
+                // Cleared, so an operand this step reads twice is released once.
+                last_read[r] = None;
                 if let Loc::Arena { off, len } = values[r].loc {
-                    if !freed[r] {
-                        release(&mut fl, off, len);
-                        freed[r] = true;
-                    }
+                    release(&mut fl, off, len);
                 }
             }
+        });
+        if last_read[out].is_none() && out != out_root {
+            release(&mut fl, span.off, span.len);
         }
     }
     // Aliased values share their root's storage (same byte length — a
@@ -1584,66 +1488,48 @@ fn assign_arena(
     fl.high * BLOCK
 }
 
-/// The arena spans `step` writes: its output and its scratch pieces.
-pub(crate) fn write_spans<'a>(
-    step: &'a Step,
-    values: &'a [ValueInfo],
-) -> impl Iterator<Item = (usize, usize)> + Clone + 'a {
+/// The span invariant serial replay relies on, for one step: its write
+/// spans (output and scratch) are pairwise disjoint, none overlaps an arena
+/// operand, and every arena span it reads or writes ends at or before
+/// `arena_bytes`.
+///
+/// [`Plan::layout`] runs it on every step, so a violation is a capture or
+/// quantize error instead of silent data corruption. Debug builds assert it
+/// again before each step executes; it allocates nothing, so the
+/// zero-allocation contract is testable there.
+pub(crate) fn verify_step(
+    step: &Step,
+    values: &[ValueInfo],
+    arena_bytes: usize,
+) -> Result<(), &'static str> {
+    let overlap = |a: (usize, usize), b: (usize, usize)| a.0 < b.0 + b.1 && b.0 < a.0 + a.1;
     let out = match values[step.out].loc {
         Loc::Arena { off, len } => Some((off, len)),
         _ => None,
     };
-    out.into_iter()
+    let writes = out
+        .into_iter()
         .chain(step.scratch.iter().map(|r| (r.off, r.len)))
-        .filter(|&(_, len)| len > 0)
-}
-
-pub(crate) fn spans_overlap(a: (usize, usize), b: (usize, usize)) -> bool {
-    a.0 < b.0 + b.1 && b.0 < a.0 + a.1
-}
-
-/// Post-assignment safety check of the parallel-execution invariant: ops
-/// in the same level must neither write overlapping spans nor write a span
-/// another same-level op reads. A violation turns into a capture error
-/// (the predictor then falls back to the tape engine) instead of silent
-/// data corruption.
-pub(crate) fn verify_levels(
-    steps: &[Step],
-    values: &[ValueInfo],
-    levels: &[std::ops::Range<usize>],
-) -> Result<(), String> {
-    let read_spans = |step: &Step| -> Vec<(usize, usize)> {
-        let mut r = Vec::new();
-        for_each_operand(&step.op, &mut |v| {
-            if let Loc::Arena { off, len } = values[v].loc {
-                if len > 0 {
-                    r.push((off, len));
-                }
-            }
-        });
-        r
-    };
-    for (li, range) in levels.iter().enumerate() {
-        let level = &steps[range.clone()];
-        for i in 0..level.len() {
-            let ri = read_spans(&level[i]);
-            for other in level.iter().skip(i + 1) {
-                let rj = read_spans(other);
-                for a in write_spans(&level[i], values) {
-                    if write_spans(other, values).any(|b| spans_overlap(a, b)) {
-                        return Err(format!("level {li}: write/write span overlap"));
-                    }
-                    if rj.iter().any(|&b| spans_overlap(a, b)) {
-                        return Err(format!("level {li}: write/read span overlap"));
-                    }
-                }
-                for &a in &ri {
-                    if write_spans(other, values).any(|b| spans_overlap(a, b)) {
-                        return Err(format!("level {li}: read/write span overlap"));
-                    }
-                }
-            }
+        .filter(|&(_, len)| len > 0);
+    for (i, w) in writes.clone().enumerate() {
+        if w.0 + w.1 > arena_bytes {
+            return Err("write span past the arena end");
+        }
+        if writes.clone().skip(i + 1).any(|x| overlap(w, x)) {
+            return Err("write spans overlap");
         }
     }
-    Ok(())
+    let mut result = Ok(());
+    for_each_operand(&step.op, &mut |v| match values[v].loc {
+        Loc::Arena { len: 0, .. } => {}
+        Loc::Arena { off, len } if result.is_ok() => {
+            if off + len > arena_bytes {
+                result = Err("operand span past the arena end");
+            } else if writes.clone().any(|w| overlap(w, (off, len))) {
+                result = Err("operand span overlaps a write span");
+            }
+        }
+        _ => {}
+    });
+    result
 }

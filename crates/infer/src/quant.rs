@@ -1,8 +1,8 @@
 //! Quantization as a lowering pass over [`Plan`]: offline calibration,
 //! [`Plan::quantize`], and the int8 kernels the executor dispatches to.
 //!
-//! A quantized plan is an ordinary [`Plan`]: same step list, dependency
-//! levels, alias classes, allocator, verifier and run loop as the f32 plan
+//! A quantized plan is an ordinary [`Plan`]: same step list (in capture
+//! order), alias classes, allocator, verifier and run loop as the f32 plan
 //! it was lowered from. [`Plan::quantize`] takes a [`Calibration`]
 //! (per-step activation abs-max ranges collected by replaying the f32 plan
 //! over representative inputs) and rewrites only two tables:
@@ -26,9 +26,9 @@
 //!   ([`crate::exec::exec_op`]).
 //!
 //! The pass then re-runs the one arena assignment with the narrower value
-//! sizes and each step's declared scratch, so the level-disjointness
-//! verifier, the debug per-op overlap check and the parallel level
-//! scheduler cover quantized plans exactly as they cover f32 ones.
+//! sizes and each step's declared scratch, so the per-step span verifier
+//! (at layout, and again before each step in debug builds) covers
+//! quantized plans exactly as it covers f32 ones.
 //!
 //! # Determinism
 //!
@@ -51,8 +51,8 @@ pub struct QuantOptions {}
 /// Per-step activation ranges collected by replaying a compiled f32 plan
 /// over representative inputs (the offline calibration pass).
 ///
-/// Indexed by **compiled step order** and tagged with each step's op
-/// kind. Step order is a deterministic function of the captured graph
+/// Indexed by **compiled step order** (capture order) and tagged with
+/// each step's op kind. Step order is a deterministic function of the captured graph
 /// structure, but it is *not* perfectly batch-independent (e.g. the
 /// ViT positional embedding tiles itself with an extra concat at batch
 /// 2+), so [`Plan::quantize`] aligns calibration entries to the
@@ -71,7 +71,11 @@ pub struct Calibration {
     pub(crate) kinds: Vec<u8>,
 }
 
-const CALIB_MAGIC: &[u8; 8] = b"MFACAL01";
+/// Version 2: ranges indexed by capture-order steps.
+const CALIB_MAGIC: &[u8; 8] = b"MFACAL02";
+/// Version 1 indexed ranges by the level-major step order plans no longer
+/// have; applying one would hand parallel convs each other's ranges.
+const CALIB_MAGIC_V1: &[u8; 8] = b"MFACAL01";
 
 impl Calibration {
     /// Replays `plan` serially over every batch in `batches` (each a
@@ -95,7 +99,6 @@ impl Calibration {
                 plan,
                 &mut arena,
                 input,
-                1,
                 Some(&mut |i, out| {
                     let out = out.expect("an f32 plan stores every step output as f32");
                     step_absmax[i] = fold_absmax(step_absmax[i], out);
@@ -134,6 +137,13 @@ impl Calibration {
 
     /// Parses [`Calibration::to_bytes`] output.
     pub fn from_bytes(b: &[u8]) -> Result<Calibration, String> {
+        if b.starts_with(CALIB_MAGIC_V1) {
+            return Err(
+                "calibration MFACAL01 predates capture-order plans \
+                        (its ranges follow the old step order): recompile with `mfaplace compile`"
+                    .into(),
+            );
+        }
         if b.len() < 16 || &b[..8] != CALIB_MAGIC {
             return Err("not a calibration blob (bad magic)".into());
         }
@@ -718,7 +728,7 @@ pub(crate) fn matmul_i8(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{verify_levels, PlanOptions};
+    use crate::plan::{verify_step, PlanOptions};
     use crate::run_plan;
     use mfaplace_autograd::Graph;
     use mfaplace_tensor::Tensor;
@@ -766,16 +776,15 @@ mod tests {
         assert!(qs.f16_values >= 1, "{}", qp.summary());
 
         let mut arena = Vec::new();
-        let f32_out = run_plan(&plan, &mut arena, &input, 1).to_vec();
-        let mut qx = crate::PlanExecutor::new(qp);
-        let q_out = qx.run_batch(&input).to_vec();
+        let f32_out = run_plan(&plan, &mut arena, &input).to_vec();
+        let q_out = run_plan(&qp, &mut arena, &input).to_vec();
         assert_eq!(f32_out.len(), q_out.len());
         let tol = 0.05 * max_abs(&f32_out) + 1e-3;
         for (i, (a, b)) in f32_out.iter().zip(&q_out).enumerate() {
             assert!((a - b).abs() <= tol, "elem {i}: f32 {a} vs int8 {b}");
         }
         // Re-running over the same arena must be deterministic.
-        let again = qx.run_batch(&input).to_vec();
+        let again = run_plan(&qp, &mut arena, &input).to_vec();
         assert_eq!(q_out, again);
     }
 
@@ -818,11 +827,9 @@ mod tests {
         assert!(err.contains("recalibrate"), "{err}");
     }
 
-    /// The level verifier covers quantized plans: two int8 convs of one
-    /// input share a level, and pointing one's scratch piece at the
-    /// other's output must be rejected.
-    #[test]
-    fn verify_levels_rejects_a_corrupted_quantized_span() {
+    /// The quantized plan of two int8 convs of one input, summed; its
+    /// layout already passed `verify_step` on every step.
+    fn two_conv_int8() -> Plan {
         let mut g = Graph::new();
         g.set_grad_enabled(false);
         let w = |g: &mut Graph, salt: usize| {
@@ -840,16 +847,28 @@ mod tests {
             .map(|i| (i % 13) as f32 / 6.5 - 1.0)
             .collect();
         let calib = Calibration::collect(&plan, [input.as_slice()]).unwrap();
-        let mut qp = plan.quantize(&calib, QuantOptions::default()).unwrap();
-        assert_eq!(qp.levels[0].len(), 2, "both convs in the first level");
-        assert!(matches!(qp.steps[0].kernel, Kernel::ConvI8 { .. }));
-        verify_levels(&qp.steps, &qp.values, &qp.levels).expect("sound as built");
+        let qp = plan.quantize(&calib, QuantOptions::default()).unwrap();
+        assert!(matches!(qp.steps[1].kernel, Kernel::ConvI8 { .. }));
+        qp
+    }
 
-        let Loc::Arena { off, .. } = qp.values[qp.steps[0].out].loc else {
-            panic!("conv output is arena-resident");
-        };
-        qp.steps[1].scratch[0].off = off;
-        let err = verify_levels(&qp.steps, &qp.values, &qp.levels).unwrap_err();
-        assert!(err.contains("write/write"), "{err}");
+    /// The per-step verifier covers quantized plans: the final add's
+    /// output moved onto the second conv's output, which it reads.
+    #[test]
+    fn verify_step_rejects_an_output_over_its_own_operand() {
+        let mut qp = two_conv_int8();
+        let (conv, add) = (qp.steps[1].out, qp.steps[2].out);
+        qp.values[add].loc = qp.values[conv].loc;
+        let err = verify_step(&qp.steps[2], &qp.values, qp.arena_bytes).unwrap_err();
+        assert!(err.contains("overlap"), "{err}");
+    }
+
+    /// A scratch piece pushed past the end of the arena.
+    #[test]
+    fn verify_step_rejects_a_span_past_the_arena() {
+        let mut qp = two_conv_int8();
+        qp.steps[1].scratch[0].off = qp.arena_bytes;
+        let err = verify_step(&qp.steps[1], &qp.values, qp.arena_bytes).unwrap_err();
+        assert!(err.contains("past the arena end"), "{err}");
     }
 }

@@ -110,11 +110,11 @@ fn warm_forwards_of_f32_and_int8_plans_allocate_nothing() {
                 .count();
             assert!(pams > 0, "{flavour}: plan has no position attention");
             // Warm-up: sizes the arena and registers the timer labels.
-            let warm = run_plan(plan, &mut arena, x.data(), 1).to_vec();
+            let warm = run_plan(plan, &mut arena, x.data()).to_vec();
             let mut same = true;
             let allocs = allocations_in(|| {
                 for _ in 0..3 {
-                    same &= run_plan(plan, &mut arena, x.data(), 1) == &warm[..];
+                    same &= run_plan(plan, &mut arena, x.data()) == &warm[..];
                 }
             });
             assert!(same, "{flavour}: warm forwards drifted from the warm-up");

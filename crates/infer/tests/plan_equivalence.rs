@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 
 use mfaplace_autograd::{Graph, Var};
-use mfaplace_infer::{Plan, PlanExecutor, PlanOptions};
+use mfaplace_infer::{run_plan, Plan, PlanOptions};
 use mfaplace_models::{AnyModel, Arch, ArchSpec, CongestionModel};
 use mfaplace_rt::rng::{SeedableRng, StdRng};
 use mfaplace_tensor::Tensor;
@@ -92,9 +92,8 @@ fn plan_matches_tape_bitwise_across_zoo_batches_and_grids() {
             for b in [1, 3, 8] {
                 let x = input_for(b, grid);
                 let rec = record(&mut g, &mut model, &x, PlanOptions::default(), &mut cache);
-                let mut exec = PlanExecutor::new(rec.plan);
-                let got = exec.run_batch(x.data());
-                assert_bitwise(arch, b, grid, &rec.tape_out, got);
+                let got = run_plan(&rec.plan, &mut Vec::new(), x.data()).to_vec();
+                assert_bitwise(arch, b, grid, &rec.tape_out, &got);
             }
             // The per-model weight snapshot cache deduplicates parameters
             // across the three per-batch-size plans.
@@ -109,19 +108,18 @@ fn repeated_runs_reuse_the_arena_and_stay_bitwise_stable() {
     let x = input_for(3, 16);
     let mut cache = HashMap::new();
     let rec = record(&mut g, &mut model, &x, PlanOptions::default(), &mut cache);
-    let mut exec = PlanExecutor::new(rec.plan);
-    let first = exec.run_batch(x.data()).to_vec();
-    let ptr = exec.arena_ptr();
+    let mut arena = Vec::new();
+    let first = run_plan(&rec.plan, &mut arena, x.data()).to_vec();
+    let ptr = arena.as_ptr();
     for _ in 0..3 {
-        let again = exec.run_batch(x.data());
+        let again = run_plan(&rec.plan, &mut arena, x.data());
         assert_eq!(
             first.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             again.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             "outputs drifted across arena reuse"
         );
     }
-    assert_eq!(ptr, exec.arena_ptr(), "arena was reallocated between runs");
-    assert_eq!(exec.runs(), 4);
+    assert_eq!(ptr, arena.as_ptr(), "arena was reallocated between runs");
 }
 
 #[test]
@@ -162,8 +160,7 @@ fn fold_bn_rewrites_weights_and_stays_within_1e6() {
             "{arch:?}: no BN epilogues folded: {:?}",
             rec.plan.stats()
         );
-        let mut exec = PlanExecutor::new(rec.plan);
-        let got = exec.run_batch(x.data());
+        let got = run_plan(&rec.plan, &mut Vec::new(), x.data()).to_vec();
         // ≤1e-6 in max-norm relative terms: pre-scaling the weights changes
         // conv accumulation rounding by a few ulps, and that error
         // propagates *additively* through later layers, so it is bounded

@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use mfaplace_autograd::Graph;
-use mfaplace_infer::{run_plan, Calibration, Plan, PlanExecutor, PlanOptions, QuantOptions};
+use mfaplace_infer::{run_plan, Calibration, Plan, PlanOptions, QuantOptions};
 use mfaplace_models::{AnyModel, Arch, ArchSpec, CongestionModel};
 use mfaplace_rt::rng::{SeedableRng, StdRng};
 use mfaplace_tensor::Tensor;
@@ -165,10 +165,9 @@ fn assert_level_map_contract(arch: Arch, grid: usize) {
         qs.f32_arena_bytes,
     );
 
-    let mut exec = PlanExecutor::new((*plan).clone());
-    let f32_out = exec.run_batch(x_eval.data()).to_vec();
     let mut arena = Vec::new();
-    let q_out = run_plan(&qplan, &mut arena, x_eval.data(), 1).to_vec();
+    let f32_out = run_plan(&plan, &mut arena, x_eval.data()).to_vec();
+    let q_out = run_plan(&qplan, &mut arena, x_eval.data()).to_vec();
 
     let (flips_decisive, flips_total, tiles) = compare_level_maps(&f32_out, &q_out, 1, grid);
     assert_eq!(
@@ -184,7 +183,7 @@ fn assert_level_map_contract(arch: Arch, grid: usize) {
     );
 
     // Quantized execution is bitwise deterministic run to run.
-    let again = run_plan(&qplan, &mut arena, x_eval.data(), 1);
+    let again = run_plan(&qplan, &mut arena, x_eval.data());
     assert_eq!(
         q_out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         again.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -249,10 +248,9 @@ fn batch1_calibration_aligns_onto_larger_batch_plans() {
     let qplan = plan3
         .quantize(&calib, QuantOptions::default())
         .expect("aligned quant build");
-    let mut exec = PlanExecutor::new((*plan3).clone());
-    let f32_out = exec.run_batch(x3.data()).to_vec();
     let mut arena = Vec::new();
-    let q_out = run_plan(&qplan, &mut arena, x3.data(), 1).to_vec();
+    let f32_out = run_plan(&plan3, &mut arena, x3.data()).to_vec();
+    let q_out = run_plan(&qplan, &mut arena, x3.data()).to_vec();
     let (flips_decisive, flips_total, tiles) = compare_level_maps(&f32_out, &q_out, 3, grid);
     assert_eq!(
         flips_decisive, 0,

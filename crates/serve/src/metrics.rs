@@ -334,7 +334,6 @@ fn render_status(out: &mut String, slot: Option<&str>, status: &SlotStatus) {
     for (family, v) in [
         ("ops", plan.ops),
         ("arena_bytes", plan.arena_bytes),
-        ("levels", plan.levels),
         ("copies_elided", plan.copies_elided),
     ] {
         if slot.is_none() {
@@ -445,7 +444,7 @@ mod tests {
         slot.reload(&other, LoadOptions::default()).unwrap();
         slot.predict_batch(&[input(0.0)]).unwrap();
         let plan = slot.status().predictor.plan.clone().expect("compiled");
-        assert!(plan.ops > 0 && plan.arena_bytes > 0 && plan.levels > 0);
+        assert!(plan.ops > 0 && plan.arena_bytes > 0);
         let events = m.slot(DEFAULT_SLOT);
         events.watch_queue_depth(|| 3);
         events.record_batch(1);
@@ -498,7 +497,6 @@ mod tests {
         for (family, v) in [
             ("ops", plan.ops),
             ("arena_bytes", plan.arena_bytes),
-            ("levels", plan.levels),
             ("copies_elided", plan.copies_elided),
         ] {
             let line = format!("mfaplace_infer_plan_{family} {v}\n");
@@ -580,7 +578,6 @@ mod tests {
         );
         for (family, v) in [
             ("arena_bytes", plan.arena_bytes),
-            ("levels", plan.levels),
             ("copies_elided", plan.copies_elided),
         ] {
             let line = format!("mfaplace_slot_plan_{family}{{slot=\"alpha\"}} {v}\n");

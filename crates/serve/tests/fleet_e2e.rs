@@ -352,7 +352,10 @@ fn metric_families(scrape: &str) -> Vec<String> {
 
 /// The family names and label keys a two-slot fleet rendered before slot
 /// state moved from pushed copies to scrape-time reads. Dashboards key on
-/// these; the refactor may not rename, drop or relabel any of them.
+/// these; the refactor may not rename, drop or relabel any of them. The
+/// one deliberate drop since: the fleet-wide and per-slot plan level
+/// counts, which described the level scheduler and went with it (plans
+/// replay serially, in capture order).
 const FAMILIES_BEFORE_PULL: &[&str] = &[
     "mfaplace_batch_size_bucket{le}",
     "mfaplace_batch_size_count",
@@ -361,7 +364,6 @@ const FAMILIES_BEFORE_PULL: &[&str] = &[
     "mfaplace_engine_info{engine}",
     "mfaplace_infer_plan_arena_bytes",
     "mfaplace_infer_plan_copies_elided",
-    "mfaplace_infer_plan_levels",
     "mfaplace_infer_plan_ops",
     "mfaplace_kernel_backend{backend}",
     "mfaplace_model_info{name}",
@@ -389,7 +391,6 @@ const FAMILIES_BEFORE_PULL: &[&str] = &[
     "mfaplace_slot_model_version{slot}",
     "mfaplace_slot_plan_arena_bytes{slot}",
     "mfaplace_slot_plan_copies_elided{slot}",
-    "mfaplace_slot_plan_levels{slot}",
     "mfaplace_slot_plan_ops{slot}",
     "mfaplace_slot_precision_info{slot,precision}",
     "mfaplace_slot_queue_depth{slot}",

@@ -716,13 +716,12 @@ fn cmd_model_info(flags: &Flags) -> Result<(), String> {
                         let q = s.quant.as_ref().expect("the quant engine compiles int8");
                         println!(
                             "  quant plan (batch 1, grid {}): {} ops, arena {} bytes \
-                             ({:.2}x of f32 {} bytes), {} levels",
+                             ({:.2}x of f32 {} bytes)",
                             spec.grid,
                             s.ops,
                             q.arena_bytes,
                             q.arena_bytes as f64 / q.f32_arena_bytes.max(1) as f64,
                             q.f32_arena_bytes,
-                            s.levels,
                         );
                         println!(
                             "  quant storage: {} i8 / {} f16 / {} f32 values; \
@@ -774,18 +773,14 @@ fn cmd_model_info(flags: &Flags) -> Result<(), String> {
                 );
                 println!(
                     "  plan fusions: {} conv+bias, {} conv+affine, {} conv+relu, \
-                         {} add+relu; {} weight tensors ({} bytes)",
+                         {} add+relu, {} copies elided; {} weight tensors ({} bytes)",
                     s.fused_conv_bias,
                     s.fused_conv_affine,
                     s.fused_conv_relu,
                     s.fused_add_relu,
+                    s.copies_elided,
                     s.weights,
                     s.weight_bytes
-                );
-                println!(
-                    "  plan scheduler: {} levels, critical-path depth {} ops, \
-                         widest level {} ops, {} copies elided",
-                    s.levels, s.levels, s.max_level_width, s.copies_elided,
                 );
             }
         },
