@@ -86,6 +86,17 @@ cargo test -q -p mfaplace-tensor --offline --lib lowlevel::tests
 cargo test -q -p mfaplace-infer --offline --test plan_equivalence
 cargo test -q -p mfaplace-infer --offline --test plan_layout
 
+# The tape backward's contracts, by name and ahead of the workspace pass
+# beside the gradient checks: every backward arm keeps its recorded bits
+# (one table per backend, so both run here) and a warm backward takes no
+# f32 buffer from the allocator. A moved gradient bit is attributed to the
+# backward kernels before train_determinism or golden_regression trips.
+echo "==> gradient checks + backward bits + allocation-free backward"
+cargo test -q -p mfaplace-autograd --offline --test gradcheck_ops
+cargo test -q -p mfaplace-autograd --offline --test backward_bits
+MFAPLACE_KERNELS=scalar cargo test -q -p mfaplace-autograd --offline --test backward_bits
+cargo test -q -p mfaplace-autograd --offline --test backward_no_alloc
+
 echo "==> cargo test --offline (auto-detected kernel backend)"
 cargo test -q --workspace --offline
 
@@ -94,13 +105,12 @@ cargo test -q --workspace --offline
 echo "==> cargo test --offline (forced scalar kernels)"
 MFAPLACE_KERNELS=scalar cargo test -q --workspace --offline
 
-echo "==> gradient checks (primitives + MFA/transformer modules)"
-cargo test -q -p mfaplace-autograd --offline --test gradcheck_ops
-
 echo "==> fused-attention equivalence + buffer-pool suite"
 cargo test -q -p mfaplace-autograd --offline --test attention_equivalence
-cargo test -q -p mfaplace-nn --offline --test fused_attention
-cargo test -q -p mfaplace-models --offline --test fused_mfa
+# MHSA, PAM, CAM and the whole MFA block against the composed chains, which
+# live only in those modules' unit tests.
+cargo test -q -p mfaplace-nn --offline --lib attention::tests
+cargo test -q -p mfaplace-models --offline --lib mfa::tests
 # The attention kernels' other two contracts, by name, so a regression is
 # attributed: any thread count gives the same bits, and a serial plan
 # forward allocates nothing.

@@ -1,8 +1,9 @@
 use std::time::{Duration, Instant};
 
+use mfaplace_tensor::lowlevel;
 use mfaplace_tensor::{
-    attention_fm_backward, attention_fm_into, attention_tm_backward, attention_tm_into,
-    conv_out_size, lowlevel, numel, Tensor,
+    attention_fm_backward_into, attention_fm_into, attention_tm_backward_into, attention_tm_into,
+    conv_out_size, numel, Tensor,
 };
 
 use crate::recycle::BufferPool;
@@ -563,10 +564,9 @@ impl Graph {
     /// `bmm(a, permute(b, [0,2,1]))` without materializing the permuted
     /// copy.
     pub fn bmm_nt(&mut self, a: Var, b: Var) -> Var {
-        let (ba, m) = (self.value(a).shape()[0], self.value(a).shape()[1]);
-        let n = self.value(b).shape()[1];
+        let [ba, m, k, n] = self.bmm_dims(a, b, "bmm_nt", [1, 2, 1, 2]);
         let v = self.pooled(vec![ba, m, n], |nd, o| {
-            nd[a.0].value.bmm_nt_into(&nd[b.0].value, o)
+            lowlevel::bmm_nt_into(nd[a.0].value.data(), nd[b.0].value.data(), o, ba, m, k, n);
         });
         let rg = self.rg(a) || self.rg(b);
         self.push(v, TapeOp::BmmNT(a, b), rg)
@@ -577,13 +577,28 @@ impl Graph {
     /// `bmm(permute(a, [0,2,1]), b)` without materializing the permuted
     /// copy.
     pub fn bmm_tn(&mut self, a: Var, b: Var) -> Var {
-        let (ba, m) = (self.value(a).shape()[0], self.value(a).shape()[2]);
-        let n = self.value(b).shape()[2];
+        let [ba, m, k, n] = self.bmm_dims(a, b, "bmm_tn", [2, 1, 2, 1]);
         let v = self.pooled(vec![ba, m, n], |nd, o| {
-            nd[a.0].value.bmm_tn_into(&nd[b.0].value, o)
+            lowlevel::bmm_tn_into(nd[a.0].value.data(), nd[b.0].value.data(), o, ba, m, k, n);
         });
         let rg = self.rg(a) || self.rg(b);
         self.push(v, TapeOp::BmmTN(a, b), rg)
+    }
+
+    /// `[batch, m, k, n]` of a transpose-aware product of rank-3 `a` and
+    /// `b`, read at the axes `[m in a, k in a, n in b, k in b]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a rank, batch or inner-dimension mismatch.
+    fn bmm_dims(&self, a: Var, b: Var, op: &str, axes: [usize; 4]) -> [usize; 4] {
+        let (sa, sb) = (self.value(a).shape(), self.value(b).shape());
+        assert_eq!(sa.len(), 3, "{op} lhs must be rank-3");
+        assert_eq!(sb.len(), 3, "{op} rhs must be rank-3");
+        assert_eq!(sa[0], sb[0], "{op} batch mismatch");
+        let (k, k2) = (sa[axes[1]], sb[axes[3]]);
+        assert_eq!(k, k2, "{op} inner dimension mismatch");
+        [sa[0], sa[axes[0]], k, sb[axes[2]]]
     }
 
     /// Fused token-major attention `softmax(q·kᵀ·scale)·v` for
@@ -661,9 +676,8 @@ impl Graph {
         // im2col writes every element, padding zeros included.
         let mut cols = self.pool.take_any(c * kh * kw * b * ohow);
         let t0 = self.clock.is_some().then(Instant::now);
-        self.nodes[x.0]
-            .value
-            .im2col_into(kh, kw, stride, pad, &mut cols);
+        let src = self.value(x).data();
+        lowlevel::im2col_into(src, b, c, h, wd, kh, kw, stride, pad, &mut cols);
         let im2col = t0.map(|t0| t0.elapsed());
         let mut y_mat = self.pool.take_any(oc * b * ohow); // [OC, B*OH*OW]
         lowlevel::gemm_into(self.value(w).data(), &cols, &mut y_mat, oc, ckk, b * ohow);
@@ -1119,23 +1133,31 @@ impl Graph {
             1,
             "backward requires a scalar loss"
         );
-        let seed = Tensor::from_vec(self.nodes[loss.0].value.shape().to_vec(), vec![seed])
-            .expect("seed gradient");
-        accum_into(&mut self.nodes[loss.0], seed);
+        let node = &mut self.nodes[loss.0];
+        match &mut node.grad {
+            Some(grad) => grad.data_mut()[0] += seed,
+            slot @ None => {
+                let mut buf = self.pool.take_any(1);
+                buf[0] = seed;
+                *slot = Some(tensor(node.value.shape(), buf));
+            }
+        }
         for i in (0..=loss.0).rev() {
             if !self.nodes[i].requires_grad || self.nodes[i].grad.is_none() {
                 continue;
             }
             let t0 = self.clock.is_some().then(Instant::now);
             let mut col2im = Duration::ZERO;
+            // A node's op only ever accumulates into its parents (indices
+            // below `i`), so its own gradient is read in place.
             let (parents, me) = self.nodes.split_at_mut(i);
-            let node = &mut me[0];
-            // Lent out, not cloned: a node's op only ever accumulates into
-            // its parents (indices below `i`), so nothing reads this slot
-            // while it is empty.
-            let dy = node.grad.take().expect("checked above");
-            backward_op(node, &dy, parents, t0.map(|_| &mut col2im));
-            node.grad = Some(dy);
+            let node = &me[0];
+            let dy = node.grad.as_ref().expect("checked above");
+            let mut grads = Grads {
+                nodes: parents,
+                pool: &mut self.pool,
+            };
+            backward_op(node, dy, &mut grads, t0.map(|_| &mut col2im));
             if let (Some(clock), Some(t0)) = (&mut self.clock, t0) {
                 let span = clock.span(i);
                 span[1] += t0.elapsed();
@@ -1145,86 +1167,100 @@ impl Graph {
     }
 }
 
-/// Adds `g` into a node's gradient accumulator (if it requires grad).
-fn accum(parents: &mut [Node], v: Var, g: Tensor) {
-    if parents[v.0].requires_grad {
-        accum_into(&mut parents[v.0], g);
+/// The backward's view of the tape below the node it is differentiating:
+/// the parents, and the pool every gradient and scratch buffer comes from.
+struct Grads<'a> {
+    nodes: &'a mut [Node],
+    pool: &'a mut BufferPool,
+}
+
+impl Grads<'_> {
+    /// Runs `kernel`, which overwrites its output, on a pooled buffer that
+    /// [`Grads::give`] hands to `v`, if `v` requires grad. The kernel reads
+    /// the other nodes through its first argument.
+    fn put(&mut self, v: Var, kernel: impl FnOnce(&[Node], &mut [f32])) {
+        if self.nodes[v.0].requires_grad {
+            let mut buf = self.pool.take_any(self.nodes[v.0].value.numel());
+            kernel(self.nodes, &mut buf);
+            self.give(v, buf);
+        }
+    }
+
+    /// Hands `buf`, a finished contribution to `v`'s gradient, to `v`: as
+    /// the gradient itself if it is the first, else added into it. A buffer
+    /// `v` does not keep goes back to the pool.
+    fn give(&mut self, v: Var, buf: Vec<f32>) {
+        let node = &mut self.nodes[v.0];
+        match &mut node.grad {
+            _ if !node.requires_grad => self.pool.give(buf),
+            Some(grad) => {
+                lowlevel::accumulate_into(&buf, grad.data_mut());
+                self.pool.give(buf);
+            }
+            slot @ None => *slot = Some(tensor(node.value.shape(), buf)),
+        }
     }
 }
 
-fn accum_into(node: &mut Node, g: Tensor) {
-    match &mut node.grad {
-        Some(acc) => acc.add_scaled_assign(&g, 1.0),
-        slot @ None => *slot = Some(g),
-    }
+/// The value of `v`'s node, as a kernel operand.
+fn val(nodes: &[Node], v: Var) -> &[f32] {
+    nodes[v.0].value.data()
 }
 
-fn gelu_bwd(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    let u = C * (x + 0.044_715 * x * x * x);
-    let t = u.tanh();
-    let du = C * (1.0 + 3.0 * 0.044_715 * x * x);
-    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+/// A tensor of `shape` over `buf`.
+fn tensor(shape: &[usize], buf: Vec<f32>) -> Tensor {
+    Tensor::from_vec(shape.to_vec(), buf).expect("buffer matches its shape")
 }
 
-/// Accumulates `node`'s input gradients into `parents` given its upstream
-/// gradient `dy`; a convolution adds its col2im time to `col2im` when
-/// asked.
-#[allow(clippy::too_many_lines)]
-fn backward_op(node: &Node, dy: &Tensor, parents: &mut [Node], col2im: Option<&mut Duration>) {
+/// Accumulates `node`'s input gradients into its parents given its upstream
+/// gradient `dy`: a dispatch to the `tensor::lowlevel` backward kernels,
+/// skipping every parent that does not require grad. A convolution adds
+/// its col2im time to `col2im` when asked.
+fn backward_op(node: &Node, dy: &Tensor, g: &mut Grads, col2im: Option<&mut Duration>) {
+    use lowlevel::*;
+    let (shape, gy) = (node.value.shape(), dy.data());
+    let pass = |_: &[Node], d: &mut [f32]| d.copy_from_slice(gy);
+    let scaled = |c: f32| move |_: &[Node], d: &mut [f32]| map_into(gy, d, |g| mul(g, c));
+    let times = |o: Var| move |n: &[Node], d: &mut [f32]| zip_into(gy, val(n, o), d, mul);
+    let dims = |g: &Grads, v: Var| g.nodes[v.0].value.dims4();
     match &node.op {
         TapeOp::Leaf => {}
         TapeOp::Add(a, b) => {
-            accum(parents, *a, dy.clone());
-            accum(parents, *b, dy.clone());
+            g.put(*a, pass);
+            g.put(*b, pass);
         }
         TapeOp::Sub(a, b) => {
-            accum(parents, *a, dy.clone());
-            accum(parents, *b, dy.scale(-1.0));
+            g.put(*a, pass);
+            g.put(*b, scaled(-1.0));
         }
         TapeOp::Mul(a, b) => {
-            let ga = dy.mul(&parents[b.0].value);
-            let gb = dy.mul(&parents[a.0].value);
-            accum(parents, *a, ga);
-            accum(parents, *b, gb);
+            g.put(*a, times(*b));
+            g.put(*b, times(*a));
         }
-        TapeOp::Neg(a) => accum(parents, *a, dy.scale(-1.0)),
-        TapeOp::Scale(a, c) => accum(parents, *a, dy.scale(*c)),
+        TapeOp::Neg(a) => g.put(*a, scaled(-1.0)),
+        TapeOp::Scale(a, c) => g.put(*a, scaled(*c)),
         TapeOp::Matmul(a, b) => {
-            let av = &parents[a.0].value;
-            let bv = &parents[b.0].value;
-            // Transpose-aware kernels: bitwise identical to
-            // dy·bᵀ / aᵀ·dy via materialized transposes, without the copies.
-            let ga = dy.matmul2d_nt(bv);
-            let gb = av.matmul2d_tn(dy);
-            accum(parents, *a, ga);
-            accum(parents, *b, gb);
+            let (m, n, k) = (shape[0], shape[1], g.nodes[a.0].value.shape()[1]);
+            // dy·bᵀ and aᵀ·dy as batches of one, without transposed copies.
+            g.put(*a, |nd, d| bmm_nt_into(gy, val(nd, *b), d, 1, m, n, k));
+            g.put(*b, |nd, d| bmm_tn_into(val(nd, *a), gy, d, 1, k, m, n));
         }
         TapeOp::Bmm(a, b) => {
-            let av = &parents[a.0].value;
-            let bv = &parents[b.0].value;
-            let ga = dy.bmm_nt(bv);
-            let gb = av.bmm_tn(dy);
-            accum(parents, *a, ga);
-            accum(parents, *b, gb);
+            let (bt, m, n, k) = (shape[0], shape[1], shape[2], g.nodes[a.0].value.shape()[2]);
+            g.put(*a, |nd, d| bmm_nt_into(gy, val(nd, *b), d, bt, m, n, k));
+            g.put(*b, |nd, d| bmm_tn_into(val(nd, *a), gy, d, bt, k, m, n));
         }
         TapeOp::BmmNT(a, b) => {
             // y = a·bᵀ ⇒ da = dy·b, db = dyᵀ·a.
-            let av = &parents[a.0].value;
-            let bv = &parents[b.0].value;
-            let ga = dy.bmm(bv);
-            let gb = dy.bmm_tn(av);
-            accum(parents, *a, ga);
-            accum(parents, *b, gb);
+            let (bt, m, n, k) = (shape[0], shape[1], shape[2], g.nodes[a.0].value.shape()[2]);
+            g.put(*a, |nd, d| bmm_into(gy, val(nd, *b), d, bt, m, n, k));
+            g.put(*b, |nd, d| bmm_tn_into(gy, val(nd, *a), d, bt, n, m, k));
         }
         TapeOp::BmmTN(a, b) => {
             // y = aᵀ·b ⇒ da = b·dyᵀ, db = a·dy.
-            let av = &parents[a.0].value;
-            let bv = &parents[b.0].value;
-            let ga = bv.bmm_nt(dy);
-            let gb = av.bmm(dy);
-            accum(parents, *a, ga);
-            accum(parents, *b, gb);
+            let (bt, m, n, k) = (shape[0], shape[1], shape[2], g.nodes[a.0].value.shape()[1]);
+            g.put(*a, |nd, d| bmm_nt_into(val(nd, *b), gy, d, bt, k, n, m));
+            g.put(*b, |nd, d| bmm_into(val(nd, *a), gy, d, bt, k, m, n));
         }
         TapeOp::Attention {
             q,
@@ -1233,261 +1269,93 @@ fn backward_op(node: &Node, dy: &Tensor, parents: &mut [Node], col2im: Option<&m
             scale,
             feature_major,
         } => {
-            let (dq, dk, dv) = if *feature_major {
-                attention_fm_backward(
-                    &parents[q.0].value,
-                    &parents[k.0].value,
-                    &parents[v.0].value,
-                    *scale,
-                    dy,
-                )
+            let lens = [*q, *k, *v].map(|x| g.nodes[x.0].value.numel());
+            let [mut dq, mut dk, mut dv] = lens.map(|len| g.pool.take_any(len));
+            let kernel = if *feature_major {
+                attention_fm_backward_into
             } else {
-                attention_tm_backward(
-                    &parents[q.0].value,
-                    &parents[k.0].value,
-                    &parents[v.0].value,
-                    *scale,
-                    dy,
-                )
+                attention_tm_backward_into
             };
+            let [qv, kv, vv] = [q, k, v].map(|x| &g.nodes[x.0].value);
+            kernel(qv, kv, vv, *scale, dy, &mut dq, &mut dk, &mut dv);
             // Accumulation order v, k, q replicates the composed chain's
             // backward sequence (softmax·v bmm, then the key permute, then
             // the score bmm), which is what makes gradients bitwise
             // identical when q/k/v alias one node (CAM's self-attention).
-            accum(parents, *v, dv);
-            accum(parents, *k, dk);
-            accum(parents, *q, dq);
+            g.give(*v, dv);
+            g.give(*k, dk);
+            g.give(*q, dq);
         }
         TapeOp::Conv2d { x, w, stride, pad } => {
             let (b, oc, oh, ow) = node.value.dims4();
-            let (xb, c, h, wd) = parents[x.0].value.dims4();
-            debug_assert_eq!(b, xb);
-            let (kh, kw) = {
-                let ws = parents[w.0].value.shape();
-                (ws[2], ws[3])
-            };
-            let ohow = oh * ow;
-            // reorder dy [B,OC,OH,OW] -> dy_mat [OC, B*OH*OW]
-            let mut dym = vec![0.0f32; dy.numel()];
-            for bi in 0..b {
-                for ocx in 0..oc {
-                    let src = &dy.data()[(bi * oc + ocx) * ohow..(bi * oc + ocx + 1) * ohow];
-                    dym[(ocx * b + bi) * ohow..(ocx * b + bi + 1) * ohow].copy_from_slice(src);
-                }
-            }
-            let dym = Tensor::from_vec(vec![oc, b * ohow], dym).expect("conv dym");
+            let ((_, c, h, wd), (_, _, kh, kw)) = (dims(g, *x), dims(g, *w));
+            let (n, ckk, (s, p)) = (b * oh * ow, c * kh * kw, (*stride, *pad));
             let Saved::Cols(cols) = &node.saved else {
                 unreachable!("conv2d keeps its lowering when it requires grad");
             };
-            if parents[w.0].requires_grad {
-                let dwm = dym.matmul2d_nt(cols);
-                let dw = dwm.reshaped(vec![oc, c, kh, kw]);
-                accum(parents, *w, dw);
-            }
-            if parents[x.0].requires_grad {
-                let ckk = c * kh * kw;
-                let wm = parents[w.0].value.reshape(vec![oc, ckk]).expect("conv wm");
-                let dcols = wm.matmul2d_tn(&dym);
+            let mut dym = g.pool.take_any(gy.len()); // [OC, B*OH*OW]
+            conv_dy_reorder_into(gy, oc, oh * ow, &mut dym);
+            g.put(*w, |_, d| bmm_nt_into(&dym, cols.data(), d, 1, oc, n, ckk));
+            if g.nodes[x.0].requires_grad {
+                let mut dcols = g.pool.take_any(ckk * n);
+                bmm_tn_into(val(g.nodes, *w), &dym, &mut dcols, 1, ckk, oc, n);
                 let t0 = col2im.is_some().then(Instant::now);
-                let dx = dcols.col2im(b, c, h, wd, kh, kw, *stride, *pad);
+                g.put(*x, |_, d| col2im_into(&dcols, b, c, h, wd, kh, kw, s, p, d));
                 if let (Some(sum), Some(t0)) = (col2im, t0) {
                     *sum += t0.elapsed();
                 }
-                accum(parents, *x, dx);
+                g.pool.give(dcols);
             }
+            g.pool.give(dym);
         }
         TapeOp::AddBiasChannel(x, bias) => {
-            let (b, c, h, w) = node.value.dims4();
-            if parents[bias.0].requires_grad {
-                let mut db = vec![0.0f32; c];
-                for bi in 0..b {
-                    for (ci, dbv) in db.iter_mut().enumerate() {
-                        for &g in &dy.data()[(bi * c + ci) * h * w..(bi * c + ci + 1) * h * w] {
-                            *dbv += g;
-                        }
-                    }
-                }
-                accum(
-                    parents,
-                    *bias,
-                    Tensor::from_vec(vec![c], db).expect("bias grad"),
-                );
-            }
-            accum(parents, *x, dy.clone());
+            let (_, _, h, w) = node.value.dims4();
+            g.put(*bias, |_, d| bias_channel_backward_into(gy, h * w, d));
+            g.put(*x, pass);
         }
         TapeOp::AddBiasRow(x, bias) => {
-            let d = *node.value.shape().last().expect("rank >= 1");
-            if parents[bias.0].requires_grad {
-                let mut db = vec![0.0f32; d];
-                for row in dy.data().chunks(d) {
-                    for (acc, &g) in db.iter_mut().zip(row) {
-                        *acc += g;
-                    }
-                }
-                accum(
-                    parents,
-                    *bias,
-                    Tensor::from_vec(vec![d], db).expect("row bias grad"),
-                );
-            }
-            accum(parents, *x, dy.clone());
+            g.put(*bias, |_, d| bias_row_backward_into(gy, d));
+            g.put(*x, pass);
         }
-        TapeOp::Relu(x) => {
-            let xv = &parents[x.0].value;
-            let g = dy.zip_map(xv, |g, x| if x > 0.0 { g } else { 0.0 });
-            accum(parents, *x, g);
-        }
-        TapeOp::LeakyRelu(x, slope) => {
-            let xv = &parents[x.0].value;
-            let s = *slope;
-            let g = dy.zip_map(xv, |g, x| if x > 0.0 { g } else { s * g });
-            accum(parents, *x, g);
-        }
-        TapeOp::Sigmoid(x) => {
-            let g = dy.zip_map(&node.value, |g, s| g * s * (1.0 - s));
-            accum(parents, *x, g);
-        }
-        TapeOp::Gelu(x) => {
-            let xv = &parents[x.0].value;
-            let g = dy.zip_map(xv, |g, x| g * gelu_bwd(x));
-            accum(parents, *x, g);
-        }
+        TapeOp::Relu(x) => g.put(*x, |n, d| zip_into(gy, val(n, *x), d, relu_grad)),
+        TapeOp::LeakyRelu(x, slope) => g.put(*x, |n, d| {
+            zip_into(gy, val(n, *x), d, |g, x| leaky_relu_grad(g, x, *slope));
+        }),
+        TapeOp::Sigmoid(x) => g.put(*x, |_, d| zip_into(gy, node.value.data(), d, sigmoid_grad)),
+        TapeOp::Gelu(x) => g.put(*x, |n, d| zip_into(gy, val(n, *x), d, gelu_grad)),
         TapeOp::BatchNorm2d { x, gamma, beta } => {
             let Saved::Norm { xhat, inv_std } = &node.saved else {
                 unreachable!("batch_norm2d keeps its statistics");
             };
-            let (b, c, h, w) = node.value.dims4();
-            let n = (b * h * w) as f32;
-            let gval = parents[gamma.0].value.data().to_vec();
-            let mut dgamma = vec![0.0f32; c];
-            let mut dbeta = vec![0.0f32; c];
-            let mut sum_dxhat = vec![0.0f32; c];
-            let mut sum_dxhat_xhat = vec![0.0f32; c];
-            for bi in 0..b {
-                for ci in 0..c {
-                    let base = (bi * c + ci) * h * w;
-                    for k in 0..h * w {
-                        let g = dy.data()[base + k];
-                        let xh = xhat.data()[base + k];
-                        dgamma[ci] += g * xh;
-                        dbeta[ci] += g;
-                        let dxh = g * gval[ci];
-                        sum_dxhat[ci] += dxh;
-                        sum_dxhat_xhat[ci] += dxh * xh;
-                    }
-                }
-            }
-            if parents[x.0].requires_grad {
-                let mut dx = vec![0.0f32; dy.numel()];
-                for bi in 0..b {
-                    for ci in 0..c {
-                        let base = (bi * c + ci) * h * w;
-                        for k in 0..h * w {
-                            let g = dy.data()[base + k];
-                            let xh = xhat.data()[base + k];
-                            let dxh = g * gval[ci];
-                            dx[base + k] = inv_std[ci] / n
-                                * (n * dxh - sum_dxhat[ci] - xh * sum_dxhat_xhat[ci]);
-                        }
-                    }
-                }
-                accum(
-                    parents,
-                    *x,
-                    Tensor::from_vec(vec![b, c, h, w], dx).expect("bn dx"),
-                );
-            }
-            accum(
-                parents,
-                *gamma,
-                Tensor::from_vec(vec![c], dgamma).expect("bn dgamma"),
-            );
-            accum(
-                parents,
-                *beta,
-                Tensor::from_vec(vec![c], dbeta).expect("bn dbeta"),
-            );
+            let ((_, c, h, w), xhat) = (node.value.dims4(), xhat.data());
+            let mut sums = g.pool.take_any(4 * c);
+            batch_norm2d_backward_sums(gy, xhat, val(g.nodes, *gamma), h * w, &mut sums);
+            g.put(*x, |n, d| {
+                let gm = val(n, *gamma);
+                batch_norm2d_backward_into(gy, xhat, gm, inv_std, &sums, h * w, d);
+            });
+            g.put(*gamma, |_, d| d.copy_from_slice(&sums[..c]));
+            g.put(*beta, |_, d| d.copy_from_slice(&sums[c..2 * c]));
+            g.pool.give(sums);
         }
         TapeOp::ChannelAffine { x, scale, .. } => {
-            let (b, c, h, w) = node.value.dims4();
-            let mut dx = vec![0.0f32; dy.numel()];
-            for bi in 0..b {
-                for (ci, &sc) in scale.iter().enumerate() {
-                    let base = (bi * c + ci) * h * w;
-                    for k in 0..h * w {
-                        dx[base + k] = dy.data()[base + k] * sc;
-                    }
-                }
-            }
-            accum(
-                parents,
-                *x,
-                Tensor::from_vec(vec![b, c, h, w], dx).expect("affine dx"),
-            );
+            let (_, _, h, w) = node.value.dims4();
+            g.put(*x, |_, d| channel_affine_backward_into(gy, scale, h * w, d));
         }
         TapeOp::LayerNorm { x, gamma, beta, .. } => {
             let Saved::Norm { xhat, inv_std } = &node.saved else {
                 unreachable!("layer_norm keeps its statistics");
             };
-            let d = *node.value.shape().last().expect("rank >= 1");
-            let rows = node.value.numel() / d;
-            let gval = parents[gamma.0].value.data().to_vec();
-            let mut dgamma = vec![0.0f32; d];
-            let mut dbeta = vec![0.0f32; d];
-            let mut dx = vec![0.0f32; dy.numel()];
-            for r in 0..rows {
-                let mut sum_dxh = 0.0f32;
-                let mut sum_dxh_xh = 0.0f32;
-                for k in 0..d {
-                    let g = dy.data()[r * d + k];
-                    let xh = xhat.data()[r * d + k];
-                    dgamma[k] += g * xh;
-                    dbeta[k] += g;
-                    let dxh = g * gval[k];
-                    sum_dxh += dxh;
-                    sum_dxh_xh += dxh * xh;
-                }
-                for k in 0..d {
-                    let g = dy.data()[r * d + k];
-                    let xh = xhat.data()[r * d + k];
-                    let dxh = g * gval[k];
-                    dx[r * d + k] =
-                        inv_std[r] / d as f32 * (d as f32 * dxh - sum_dxh - xh * sum_dxh_xh);
-                }
-            }
-            if parents[x.0].requires_grad {
-                accum(
-                    parents,
-                    *x,
-                    Tensor::from_vec(node.value.shape().to_vec(), dx).expect("ln dx"),
-                );
-            }
-            accum(
-                parents,
-                *gamma,
-                Tensor::from_vec(vec![d], dgamma).expect("ln dgamma"),
-            );
-            accum(
-                parents,
-                *beta,
-                Tensor::from_vec(vec![d], dbeta).expect("ln dbeta"),
-            );
+            let xhat = xhat.data();
+            g.put(*x, |n, d| {
+                layer_norm_backward_into(gy, xhat, val(n, *gamma), inv_std, d);
+            });
+            g.put(*gamma, |_, d| layer_norm_gamma_backward_into(gy, xhat, d));
+            g.put(*beta, |_, d| bias_row_backward_into(gy, d));
         }
         TapeOp::SoftmaxLast(x) => {
-            let s = &node.value;
-            let d = *s.shape().last().expect("rank >= 1");
-            let mut dx = vec![0.0f32; s.numel()];
-            for (r, (srow, grow)) in s.data().chunks(d).zip(dy.data().chunks(d)).enumerate() {
-                let dot: f32 = srow.iter().zip(grow).map(|(&a, &b)| a * b).sum();
-                for k in 0..d {
-                    dx[r * d + k] = srow[k] * (grow[k] - dot);
-                }
-            }
-            accum(
-                parents,
-                *x,
-                Tensor::from_vec(s.shape().to_vec(), dx).expect("softmax dx"),
-            );
+            let (s, d) = (node.value.data(), shape[shape.len() - 1]);
+            g.put(*x, |_, dx| softmax_last_backward_into(s, gy, d, dx));
         }
         TapeOp::CrossEntropy2d {
             logits,
@@ -1496,123 +1364,62 @@ fn backward_op(node: &Node, dy: &Tensor, parents: &mut [Node], col2im: Option<&m
             let Saved::CrossEntropy {
                 probs,
                 labels,
-                weight_sum,
+                weight_sum: ws,
             } = &node.saved
             else {
                 unreachable!("cross_entropy2d keeps its probabilities");
             };
-            let (b, k, h, w) = probs.dims4();
-            let hw = h * w;
-            let gy = dy.item();
-            let mut dx = vec![0.0f32; probs.numel()];
-            for bi in 0..b {
-                for p in 0..hw {
-                    let y = labels[bi * hw + p] as usize;
-                    let wgt = class_weights.as_ref().map_or(1.0, |cw| cw[y]);
-                    for ki in 0..k {
-                        let indicator = if ki == y { 1.0 } else { 0.0 };
-                        dx[(bi * k + ki) * hw + p] =
-                            gy * wgt * (probs.data()[(bi * k + ki) * hw + p] - indicator)
-                                / weight_sum;
-                    }
-                }
-            }
-            accum(
-                parents,
-                *logits,
-                Tensor::from_vec(vec![b, k, h, w], dx).expect("ce dx"),
-            );
+            let ((_, _, h, w), cw) = (probs.dims4(), class_weights.as_deref());
+            g.put(*logits, |_, d| {
+                let p = probs.data();
+                cross_entropy2d_backward_into(p, labels, cw, dy.item(), *ws, h * w, d);
+            });
         }
         TapeOp::MseLoss(pred) => {
             let Saved::Target(target) = &node.saved else {
                 unreachable!("mse_loss keeps its target");
             };
-            let n = target.numel().max(1) as f32;
-            let gy = dy.item();
-            let g = parents[pred.0]
-                .value
-                .zip_map(target, |p, t| gy * 2.0 * (p - t) / n);
-            accum(parents, *pred, g);
+            g.put(*pred, |n, d| {
+                mse_backward_into(val(n, *pred), target.data(), dy.item(), d);
+            });
         }
-        TapeOp::Reshape(x) => {
-            let shape = parents[x.0].value.shape().to_vec();
-            accum(parents, *x, dy.clone().reshaped(shape));
-        }
+        TapeOp::Reshape(x) => g.put(*x, pass),
         TapeOp::Permute { x, axes } => {
-            let mut inv = vec![0usize; axes.len()];
-            for (i, &a) in axes.iter().enumerate() {
-                inv[a] = i;
-            }
-            accum(parents, *x, dy.permute(&inv));
+            g.put(*x, |_, d| permute_backward_into(gy, shape, axes, d));
         }
         TapeOp::ConcatChannels(parts) => {
+            let (b, total_c, h, w) = node.value.dims4();
             let mut c0 = 0usize;
             for &p in parts {
-                let pc = parents[p.0].value.shape()[1];
-                let g = dy.slice_channels(c0, c0 + pc);
-                accum(parents, p, g);
-                c0 += pc;
+                let c1 = c0 + g.nodes[p.0].value.shape()[1];
+                g.put(p, |_, d| {
+                    slice_channels_into(gy, b, total_c, c0, c1, h * w, d)
+                });
+                c0 = c1;
             }
         }
         TapeOp::SliceChannels { x, c0, c1 } => {
-            let (b, c, h, w) = parents[x.0].value.dims4();
-            let hw = h * w;
-            let nc = c1 - c0;
-            let mut dx = vec![0.0f32; b * c * hw];
-            for bi in 0..b {
-                dx[(bi * c + c0) * hw..(bi * c + c1) * hw]
-                    .copy_from_slice(&dy.data()[bi * nc * hw..(bi + 1) * nc * hw]);
-            }
-            accum(
-                parents,
-                *x,
-                Tensor::from_vec(vec![b, c, h, w], dx).expect("slice dx"),
-            );
+            let (_, c, h, w) = dims(g, *x);
+            g.put(*x, |_, d| {
+                slice_channels_backward_into(gy, c, *c0, *c1, h * w, d)
+            });
         }
         TapeOp::Upsample2x(x) => {
-            accum(parents, *x, dy.downsample2x_sum());
+            let (_, _, h, w) = dims(g, *x);
+            g.put(*x, |_, d| upsample2x_backward_into(gy, h, w, d));
         }
         TapeOp::MaxPool2x2(x) => {
             let Saved::Argmax(arg) = &node.saved else {
                 unreachable!("maxpool2x2 keeps its argmax when it requires grad");
             };
-            let shape = parents[x.0].value.shape().to_vec();
-            let mut dx = vec![0.0f32; parents[x.0].value.numel()];
-            for (o, &src_idx) in arg.iter().enumerate() {
-                dx[src_idx] += dy.data()[o];
-            }
-            accum(
-                parents,
-                *x,
-                Tensor::from_vec(shape, dx).expect("maxpool dx"),
-            );
+            g.put(*x, |_, d| maxpool2x2_backward_into(gy, arg, d));
         }
-        TapeOp::Mean(x) => {
-            let n = parents[x.0].value.numel().max(1) as f32;
-            let g = Tensor::full(parents[x.0].value.shape().to_vec(), dy.item() / n);
-            accum(parents, *x, g);
-        }
-        TapeOp::Sum(x) => {
-            let g = Tensor::full(parents[x.0].value.shape().to_vec(), dy.item());
-            accum(parents, *x, g);
-        }
+        TapeOp::Mean(x) => g.put(*x, |_, d| mean_backward_into(dy.item(), d)),
+        TapeOp::Sum(x) => g.put(*x, |_, d| d.fill(dy.item())),
         TapeOp::MulScalarVar(x, s) => {
-            let sv = parents[s.0].value.item();
-            if parents[s.0].requires_grad {
-                let ds: f32 = dy
-                    .data()
-                    .iter()
-                    .zip(parents[x.0].value.data())
-                    .map(|(&g, &xv)| g * xv)
-                    .sum();
-                accum(
-                    parents,
-                    *s,
-                    Tensor::from_vec(parents[s.0].value.shape().to_vec(), vec![ds])
-                        .expect("scalar grad"),
-                );
-            }
-            accum(parents, *x, dy.scale(sv));
+            g.put(*s, |n, d| mul_scalar_var_backward_into(gy, val(n, *x), d));
+            let sv = g.nodes[s.0].value.item();
+            g.put(*x, scaled(sv));
         }
     }
 }
@@ -1672,5 +1479,38 @@ mod tests {
         assert!(g.op_times().iter().all(|t| t.index < 1));
         g.set_op_timing(false);
         assert!(g.op_times().is_empty());
+    }
+
+    /// Shapes whose element counts agree but whose batch or inner sizes do
+    /// not are refused, not multiplied.
+    #[test]
+    fn transpose_aware_products_check_their_shapes() {
+        let panics = |a: Vec<usize>, b: Vec<usize>, tn: bool| {
+            std::panic::catch_unwind(move || {
+                let mut g = Graph::new();
+                let (a, b) = (g.constant(Tensor::zeros(a)), g.constant(Tensor::zeros(b)));
+                if tn {
+                    g.bmm_tn(a, b);
+                } else {
+                    g.bmm_nt(a, b);
+                }
+            })
+            .is_err()
+        };
+        assert!(panics(vec![2, 3, 4], vec![1, 5, 8], false), "nt batch");
+        assert!(panics(vec![2, 3, 4], vec![2, 6, 2], false), "nt inner");
+        assert!(panics(vec![2, 4, 3], vec![1, 8, 5], true), "tn batch");
+        assert!(panics(vec![2, 4, 3], vec![2, 2, 10], true), "tn inner");
+        assert!(!panics(vec![2, 3, 4], vec![2, 5, 4], false));
+        assert!(!panics(vec![2, 4, 3], vec![2, 4, 5], true));
+    }
+
+    #[test]
+    #[should_panic(expected = "matmul2d inner dimension mismatch")]
+    fn matmul_checks_its_inner_dimension() {
+        let mut g = Graph::new();
+        let a = g.constant(Tensor::zeros(vec![2, 3]));
+        let b = g.constant(Tensor::zeros(vec![6, 1]));
+        g.matmul(a, b);
     }
 }

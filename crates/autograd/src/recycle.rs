@@ -6,11 +6,10 @@
 //! keeps truncated storage keyed by element count so the next forward's
 //! allocations become free-list pops.
 //!
-//! Recycling is bitwise-invisible: buffers handed out via [`BufferPool::take`]
-//! are zero-filled (accumulating kernels such as the token-major attention
-//! output rely on zeroed storage exactly as a fresh `vec![0.0; n]` would
-//! provide), and [`BufferPool::take_any`] is reserved for fills that
-//! overwrite every element.
+//! Recycling is bitwise-invisible: [`BufferPool::take_any`] hands out a
+//! buffer with unspecified contents, and every tape kernel — forward and
+//! backward — overwrites all of it (a kernel that accumulates zero-fills
+//! first); buffers handed out via [`BufferPool::take`] are zero-filled.
 
 use std::collections::HashMap;
 

@@ -278,6 +278,22 @@ fn grad_skips_constants() {
     g.backward(loss);
     assert!(g.grad(w).is_some());
     assert!(g.grad(c).is_none(), "constants must not accumulate grads");
+
+    // Mul and LayerNorm with a constant operand each: the dispatcher
+    // computes nothing for the constant (the product's other factor, the
+    // norm's gamma), and the parameters' gradients still arrive.
+    let mut g = Graph::new();
+    let w = g.param(rt(&[3, 4], 38));
+    let c = g.constant(rt(&[3, 4], 39));
+    let gamma = g.constant(rt(&[4], 40));
+    let beta = g.param(rt(&[4], 41));
+    let y = g.mul(c, w);
+    let z = g.layer_norm(y, gamma, beta, 1e-5);
+    let z2 = g.mul(z, z);
+    let loss = g.mean(z2);
+    g.backward(loss);
+    assert!(g.grad(w).is_some() && g.grad(beta).is_some());
+    assert!(g.grad(c).is_none() && g.grad(gamma).is_none());
 }
 
 #[test]

@@ -1,13 +1,11 @@
-//! Before/after benchmark for the fused attention path: the full `ours`
-//! model forward with the fused `attention`/`attention_fm` graph ops
-//! versus the composed `permute → bmm → softmax → bmm` chains they
-//! replaced, at grids 32/64 (forward + train step) and at the
-//! paper-fidelity grid 256 (fused forward only: at grid 256 the PAM
-//! spatial length is L = 65536, so one composed score tensor alone is
-//! L² ≈ 17 GiB and a single composed forward runs for many minutes —
-//! there is no composed baseline to measure, which is itself the
-//! result: only the tiled fused kernel reaches paper-fidelity
-//! resolution at all). Writes `results/attention_fused.json`.
+//! Benchmark of the fused attention path: the full `ours` model forward
+//! with the fused `attention`/`attention_fm` graph ops at grids 32/64
+//! (forward + train step) and at the paper-fidelity grid 256 (forward
+//! only: at grid 256 the PAM spatial length is L = 65536 and the training
+//! tape stops being measurable). The composed `permute → bmm → softmax →
+//! bmm` chains these ops replaced survive only as the bitwise reference in
+//! the attention modules' unit tests; their last timings are in
+//! EXPERIMENTS.md ("Fused attention"). Writes `results/attention_fused.json`.
 //!
 //! A second block times the paper-resolution position attention alone —
 //! `attention_fm` at L = 16384, n = nv = 2, the `mfa1` step that is most of
@@ -16,24 +14,24 @@
 //! how many softmax terms land in the subnormals on their way to zero,
 //! which the hardware handles with microcode assists (EXPERIMENTS.md,
 //! "Subnormal sensitivity"). A third block times the backward of the
-//! training shape — `attention_fm_backward` at L = 1024, n = nv = 2, the
+//! training shape — `attention_fm_backward_into` at L = 1024, n = nv = 2, the
 //! grid-64 model's `mfa1` — at logit standard deviations 1 and 12: the
 //! subnormal weights a trained model's sharper logits produce slow it far
 //! more than they slow the forward (EXPERIMENTS.md, "The seed-8 anomaly").
 //!
-//! Every (grid, variant) combination runs in its **own child process**:
+//! Every grid and every attention row runs in its **own child process**:
 //! peak RSS is sampled from the kernel's `VmHWM` watermark, and a
-//! watermark observed after another variant already ran in the same
-//! process would inherit that variant's retained heap. One process per
-//! variant makes the peak attributable. The parent re-execs itself with
-//! `MFA_ATTN_CHILD=<grid>:<variant>` and merges the children's JSON.
+//! watermark observed after another configuration already ran in the same
+//! process would inherit its retained heap. One process per configuration
+//! makes the peak attributable. The parent re-execs itself with
+//! `MFA_ATTN_CHILD=<grid>` (or `pam:<amp>` / `pam_bwd:<amp>`) and merges
+//! the children's JSON.
 
 use mfaplace_autograd::Graph;
 use mfaplace_models::{CongestionModel, OursConfig, OursModel};
-use mfaplace_nn::set_composed_attention;
 use mfaplace_rt::bench::Suite;
 use mfaplace_rt::rng::{SeedableRng, StdRng};
-use mfaplace_tensor::{attention_fm, attention_fm_backward, Tensor};
+use mfaplace_tensor::{attention_fm, attention_fm_backward_into, Tensor};
 
 const CHILD_ENV: &str = "MFA_ATTN_CHILD";
 /// Logit standard deviations of the position-attention rows.
@@ -44,10 +42,8 @@ const PAM_N: usize = 2;
 const PAM_BWD_AMPLITUDES: [u32; 2] = [1, 12];
 const PAM_BWD_L: usize = 1024;
 const GRIDS: [usize; 3] = [32, 64, 256];
-const VARIANTS: [&str; 2] = ["composed", "fused"];
-/// Largest grid benchmarked beyond a fused-only forward: the composed
-/// baseline and the training tape are quadratic in the PAM spatial
-/// length and stop being measurable above this (see module docs).
+/// Largest grid whose train step is benchmarked: the training tape is
+/// quadratic in the PAM spatial length above it (see module docs).
 const MAX_FULL_GRID: usize = 64;
 
 fn model(g: &mut Graph, grid: usize) -> OursModel {
@@ -91,8 +87,12 @@ fn run_pam_child(amp: u32, backward: bool) {
     let mut suite = Suite::new("attention_fused").with_config(2, 7);
     if backward {
         let [q, k, v, dy] = pam_operands(PAM_BWD_L, amp);
+        let [mut dq, mut dk, mut dv] = [&q, &k, &v].map(|x| vec![0.0; x.numel()]);
         suite.run(&pam_bwd_name(amp), |b| {
-            b.iter(|| std::hint::black_box(attention_fm_backward(&q, &k, &v, 1.0, &dy).0.sum()))
+            b.iter(|| {
+                attention_fm_backward_into(&q, &k, &v, 1.0, &dy, &mut dq, &mut dk, &mut dv);
+                std::hint::black_box(dq.iter().sum::<f32>())
+            })
         });
     } else {
         let [q, k, v, _] = pam_operands(PAM_L, amp);
@@ -103,18 +103,14 @@ fn run_pam_child(amp: u32, backward: bool) {
     print!("{}", suite.to_json());
 }
 
-/// Child mode: benchmark one (grid, variant) — or, for `pam:<amp>`, one
+/// Child mode: benchmark one grid — or, for `pam:<amp>`, one
 /// position-attention row — and print the suite JSON on stdout (the table
 /// goes to stderr).
 fn run_child(spec: &str) {
-    let (grid, variant) = spec
-        .split_once(':')
-        .expect("MFA_ATTN_CHILD=<grid>:<variant>");
-    if let Some(pass) = grid.strip_prefix("pam") {
-        return run_pam_child(variant.parse().expect("amplitude"), pass == "_bwd");
+    if let Some((pass, amp)) = spec.split_once(':') {
+        return run_pam_child(amp.parse().expect("amplitude"), pass == "pam_bwd");
     }
-    let grid: usize = grid.parse().expect("grid");
-    set_composed_attention(variant == "composed");
+    let grid: usize = spec.parse().expect("MFA_ATTN_CHILD=<grid>");
 
     let mut g = Graph::new();
     let mut m = model(&mut g, grid);
@@ -126,7 +122,7 @@ fn run_child(spec: &str) {
     // Inference hot path: the predictor records forwards with gradients off.
     g.set_grad_enabled(false);
     let mark = g.mark();
-    suite.run(&format!("attention/{variant}/grid{grid}/forward"), |b| {
+    suite.run(&format!("attention/fused/grid{grid}/forward"), |b| {
         b.iter(|| {
             let x = g.constant(input.clone());
             let y = m.forward(&mut g, x, false);
@@ -143,7 +139,7 @@ fn run_child(spec: &str) {
     }
     g.set_grad_enabled(true);
     let mark = g.mark();
-    suite.run(&format!("attention/{variant}/grid{grid}/train_step"), |b| {
+    suite.run(&format!("attention/fused/grid{grid}/train_step"), |b| {
         b.iter(|| {
             let x = g.constant(input.clone());
             let y = m.forward(&mut g, x, true);
@@ -193,14 +189,7 @@ fn main() {
     }
 
     let exe = std::env::current_exe().expect("current exe");
-    let mut specs = Vec::new();
-    for grid in GRIDS {
-        for variant in VARIANTS {
-            if grid <= MAX_FULL_GRID || variant != "composed" {
-                specs.push(format!("{grid}:{variant}"));
-            }
-        }
-    }
+    let mut specs: Vec<String> = GRIDS.iter().map(usize::to_string).collect();
     specs.extend(PAM_AMPLITUDES.map(|amp| format!("pam:{amp}")));
     specs.extend(PAM_BWD_AMPLITUDES.map(|amp| format!("pam_bwd:{amp}")));
     let mut fragments = Vec::new();
@@ -221,33 +210,12 @@ fn main() {
 
     for grid in GRIDS {
         for stage in ["forward", "train_step"] {
-            let composed = median_of(&merged, &format!("attention/composed/grid{grid}/{stage}"));
-            let fused = median_of(&merged, &format!("attention/fused/grid{grid}/{stage}"));
-            let rss_c = peak_rss_of(&merged, &format!("attention/composed/grid{grid}/{stage}"));
-            let rss_f = peak_rss_of(&merged, &format!("attention/fused/grid{grid}/{stage}"));
-            if let (Some(c), Some(f)) = (composed, fused) {
-                let rss = match (rss_c, rss_f) {
-                    (Some(c), Some(f)) => format!(
-                        "peak rss {:.1} -> {:.1} MiB",
-                        c as f64 / (1024.0 * 1024.0),
-                        f as f64 / (1024.0 * 1024.0)
-                    ),
-                    _ => "peak rss n/a".to_owned(),
-                };
-                println!(
-                    "grid {grid} {stage:<10} composed {:>12.1} ns  fused {:>12.1} ns  speedup {:.2}x  {rss}",
-                    c,
-                    f,
-                    c / f
-                );
-            } else if let Some(f) = fused {
-                let rss = match rss_f {
-                    Some(f) => format!("peak rss {:.1} MiB", f as f64 / (1024.0 * 1024.0)),
-                    None => "peak rss n/a".to_owned(),
-                };
-                println!(
-                    "grid {grid} {stage:<10} composed   (not measurable)  fused {f:>12.1} ns  {rss}"
-                );
+            let name = format!("attention/fused/grid{grid}/{stage}");
+            if let Some(t) = median_of(&merged, &name) {
+                let rss = peak_rss_of(&merged, &name).map_or("peak rss n/a".to_owned(), |r| {
+                    format!("peak rss {:.1} MiB", r as f64 / (1024.0 * 1024.0))
+                });
+                println!("grid {grid} {stage:<10} fused {t:>12.1} ns  {rss}");
             }
         }
     }

@@ -7,7 +7,7 @@
 //! every skip-connection level and before the transformer stage.
 
 use mfaplace_autograd::{Graph, Var};
-use mfaplace_nn::{composed_attention, Conv2d, Module};
+use mfaplace_nn::{Conv2d, Module};
 use mfaplace_rt::rng::Rng;
 use mfaplace_tensor::Tensor;
 
@@ -35,10 +35,17 @@ impl PamBlock {
             channels,
         }
     }
-}
 
-impl Module for PamBlock {
-    fn forward(&mut self, g: &mut Graph, m: Var, train: bool) -> Var {
+    /// The forward with the position attention `attend(g, q, k, v)` over
+    /// `[B, N, L]` features (C the query, B the key, D the value): the fused
+    /// feature-major op, or in the unit tests the composed chain.
+    fn forward_with(
+        &mut self,
+        g: &mut Graph,
+        m: Var,
+        train: bool,
+        attend: impl FnOnce(&mut Graph, Var, Var, Var) -> Var,
+    ) -> Var {
         let (b, n, h, w) = g.value(m).dims4();
         assert_eq!(n, self.channels, "PAM channel mismatch");
         let l = h * w;
@@ -48,26 +55,21 @@ impl Module for PamBlock {
         let fb = g.reshape(fb, vec![b, n, l]);
         let fc = g.reshape(fc, vec![b, n, l]);
         let fd = g.reshape(fd, vec![b, n, l]);
-        let attended = if composed_attention() {
-            // E[i, j] = B_i . C_j  ->  [B, L, L]
-            let bt = g.permute(fb, &[0, 2, 1]);
-            let e = g.bmm(bt, fc);
-            // P_ji = softmax over i of E[i, j]: row-softmax of E^T.
-            let et = g.permute(e, &[0, 2, 1]);
-            let p = g.softmax_last(et); // p[j, i]
-                                        // out_j = sum_i P_ji D_i  ->  D (N x L) x P^T (L x L)
-            let pt = g.permute(p, &[0, 2, 1]);
-            g.bmm(fd, pt) // [B, N, L]
-        } else {
-            // Fused feature-major kernel: C is the query, B the key, D the
-            // value; none of the [B, L, L] score/softmax/permute tensors are
-            // materialized. Bitwise identical to the chain above.
-            g.attention_fm(fc, fb, fd, 1.0)
-        };
+        let attended = attend(g, fc, fb, fd);
         let m_flat = g.reshape(m, vec![b, n, l]);
         let scaled = g.mul_scalar_var(attended, self.alpha);
         let out = g.add(scaled, m_flat);
         g.reshape(out, vec![b, n, h, w])
+    }
+}
+
+impl Module for PamBlock {
+    /// Fused feature-major attention: none of the `[B, L, L]` score,
+    /// softmax or permute tensors are materialized, and the result is
+    /// bitwise identical to the composed `bmm → permute → softmax → bmm`
+    /// chain.
+    fn forward(&mut self, g: &mut Graph, m: Var, train: bool) -> Var {
+        self.forward_with(g, m, train, |g, q, k, v| g.attention_fm(q, k, v, 1.0))
     }
 
     fn params(&self) -> Vec<Var> {
@@ -97,32 +99,30 @@ impl CamBlock {
             beta: g.param(Tensor::zeros(vec![1])),
         }
     }
-}
 
-impl Module for CamBlock {
-    fn forward(&mut self, g: &mut Graph, m: Var, _train: bool) -> Var {
+    /// The forward with the channel self-attention `attend(g, m)` over the
+    /// `[B, N, L]` feature (tokens are channel vectors).
+    fn forward_with(
+        &mut self,
+        g: &mut Graph,
+        m: Var,
+        attend: impl FnOnce(&mut Graph, Var) -> Var,
+    ) -> Var {
         let (b, n, h, w) = g.value(m).dims4();
-        let l = h * w;
-        let m_flat = g.reshape(m, vec![b, n, l]);
-        let attended = if composed_attention() {
-            // E[i, j] = M_i . M_j  ->  [B, N, N]
-            let mt = g.permute(m_flat, &[0, 2, 1]);
-            let e = g.bmm(m_flat, mt);
-            // C_ji = softmax over i of E[i, j]: row-softmax of E^T.
-            let et = g.permute(e, &[0, 2, 1]);
-            let c = g.softmax_last(et); // c[j, i]
-                                        // out_j = sum_i C_ji M_i  ->  C (N x N) x M (N x L)
-            g.bmm(c, m_flat)
-        } else {
-            // Fused token-major self-attention over channels (tokens =
-            // channel vectors, q = k = v = M). Bitwise identical to the
-            // chain above, including the aliased-gradient accumulation
-            // order into m_flat.
-            g.attention(m_flat, m_flat, m_flat, 1.0)
-        };
+        let m_flat = g.reshape(m, vec![b, n, h * w]);
+        let attended = attend(g, m_flat);
         let scaled = g.mul_scalar_var(attended, self.beta);
         let out = g.add(scaled, m_flat);
         g.reshape(out, vec![b, n, h, w])
+    }
+}
+
+impl Module for CamBlock {
+    /// Fused token-major self-attention with `q = k = v = M`, bitwise
+    /// identical to the composed `bmm → permute → softmax → bmm` chain,
+    /// including the aliased-gradient accumulation order into `M`.
+    fn forward(&mut self, g: &mut Graph, m: Var, _train: bool) -> Var {
+        self.forward_with(g, m, |g, m| g.attention(m, m, m, 1.0))
     }
 
     fn params(&self) -> Vec<Var> {
@@ -203,6 +203,101 @@ mod tests {
     use super::*;
     use mfaplace_rt::rng::SeedableRng;
     use mfaplace_rt::rng::StdRng;
+
+    /// The composed PAM chain the fused op replaced: `E[i, j] = B_i · C_j`,
+    /// `P_ji` the softmax over `i` of `E[i, j]` (a row softmax of `Eᵀ`), and
+    /// `out_j = Σ_i P_ji D_i`.
+    fn composed_pam(g: &mut Graph, c: Var, b: Var, d: Var) -> Var {
+        let bt = g.permute(b, &[0, 2, 1]);
+        let e = g.bmm(bt, c);
+        let et = g.permute(e, &[0, 2, 1]);
+        let p = g.softmax_last(et);
+        let pt = g.permute(p, &[0, 2, 1]);
+        g.bmm(d, pt)
+    }
+
+    /// The composed CAM chain: `E[i, j] = M_i · M_j`, `C_ji` the softmax over
+    /// `i`, `out_j = Σ_i C_ji M_i`.
+    fn composed_cam(g: &mut Graph, m: Var) -> Var {
+        let mt = g.permute(m, &[0, 2, 1]);
+        let e = g.bmm(m, mt);
+        let et = g.permute(e, &[0, 2, 1]);
+        let c = g.softmax_last(et);
+        g.bmm(c, m)
+    }
+
+    /// [`MfaBlock::forward`] with both attentions composed.
+    fn composed_mfa(mfa: &mut MfaBlock, g: &mut Graph, x: Var) -> Var {
+        let r = mfa.reduce.forward(g, x, true);
+        let p = mfa.pam.forward_with(g, r, true, composed_pam);
+        let c = mfa.cam.forward_with(g, r, composed_cam);
+        let sum = g.add(p, c);
+        let restored = mfa.restore.forward(g, sum, true);
+        g.add(restored, x)
+    }
+
+    /// Builds a block from a fixed seed with every scalar gate set to 0.8
+    /// (at their zero init the gates would mask any backward divergence),
+    /// runs `forward` and a backward on a fixed input, and returns the bits
+    /// of the output, the input gradient and every parameter gradient.
+    fn run_block<M: Module>(
+        shape: &[usize],
+        build: impl FnOnce(&mut Graph, &mut StdRng) -> M,
+        forward: impl FnOnce(&mut M, &mut Graph, Var) -> Var,
+    ) -> Vec<Vec<u32>> {
+        let mut g = Graph::new();
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut block = build(&mut g, &mut rng);
+        for &p in &block.params() {
+            if g.value(p).numel() == 1 {
+                *g.value_mut(p) = Tensor::from_vec(vec![1], vec![0.8]).expect("scalar");
+            }
+        }
+        let x = g.param(Tensor::randn(shape.to_vec(), 1.0, &mut rng));
+        let y = forward(&mut block, &mut g, x);
+        let y2 = g.mul(y, y);
+        let loss = g.mean(y2);
+        g.backward(loss);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let mut out = vec![bits(g.value(y)), bits(g.grad(x).expect("input grad"))];
+        for p in block.params() {
+            out.push(g.grad(p).map_or_else(|| vec![0], bits));
+        }
+        out
+    }
+
+    #[test]
+    fn pam_fused_matches_composed_bitwise() {
+        // 5x5 and 7x7 grids give L = 25 / 49: odd, not tile multiples.
+        for (shape, n) in [([2, 3, 5, 5], 3), ([1, 4, 7, 7], 4)] {
+            let build = |g: &mut Graph, rng: &mut StdRng| PamBlock::new(g, n, rng);
+            let fused = run_block(&shape, build, |b, g, x| b.forward(g, x, true));
+            let composed = run_block(&shape, build, |b, g, x| {
+                b.forward_with(g, x, true, composed_pam)
+            });
+            assert_eq!(fused, composed, "pam {shape:?}");
+        }
+    }
+
+    #[test]
+    fn cam_fused_matches_composed_bitwise() {
+        // CAM aliases q = k = v onto one tensor; this exercises the fused
+        // backward's accumulation order into the shared gradient buffer.
+        for shape in [[2, 3, 5, 5], [1, 5, 6, 6]] {
+            let build = |g: &mut Graph, _: &mut StdRng| CamBlock::new(g);
+            let fused = run_block(&shape, build, |b, g, x| b.forward(g, x, true));
+            let composed = run_block(&shape, build, |b, g, x| b.forward_with(g, x, composed_cam));
+            assert_eq!(fused, composed, "cam {shape:?}");
+        }
+    }
+
+    #[test]
+    fn mfa_block_fused_matches_composed_bitwise() {
+        let build = |g: &mut Graph, rng: &mut StdRng| MfaBlock::with_reduction(g, 8, 2, rng);
+        let fused = run_block(&[1, 8, 8, 8], build, |b, g, x| b.forward(g, x, true));
+        let composed = run_block(&[1, 8, 8, 8], build, composed_mfa);
+        assert_eq!(fused, composed);
+    }
 
     #[test]
     fn pam_preserves_shape() {

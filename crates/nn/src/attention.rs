@@ -1,27 +1,7 @@
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use mfaplace_autograd::{Graph, Var};
 use mfaplace_rt::rng::Rng;
 
 use crate::{Linear, Module};
-
-/// When set, attention modules (MHSA here, PAM/CAM in `mfaplace-models`)
-/// record the original composed op chain
-/// (`permute → bmm → scale → softmax → bmm`) instead of the fused streamed
-/// attention op. The fused path is bitwise identical to the composed one
-/// (values and gradients), so this exists only as the reference for
-/// equivalence tests and before/after benchmarks.
-static COMPOSED_ATTENTION: AtomicBool = AtomicBool::new(false);
-
-/// Selects the composed (reference) attention path process-wide.
-pub fn set_composed_attention(enabled: bool) {
-    COMPOSED_ATTENTION.store(enabled, Ordering::SeqCst);
-}
-
-/// Whether the composed (reference) attention path is selected.
-pub fn composed_attention() -> bool {
-    COMPOSED_ATTENTION.load(Ordering::SeqCst)
-}
 
 /// Multi-head scaled-dot-product self-attention (Eq. 9 of the paper).
 ///
@@ -66,10 +46,17 @@ impl MultiHeadSelfAttention {
         let x = g.permute(x, &[0, 2, 1, 3]); // [B, H, L, dh]
         g.reshape(x, vec![b * self.heads, l, dh])
     }
-}
 
-impl Module for MultiHeadSelfAttention {
-    fn forward(&mut self, g: &mut Graph, x: Var, train: bool) -> Var {
+    /// The forward with the per-head attention `attend(g, q, k, v, scale)`
+    /// on `[B*H, L, dh]` tokens: the fused [`Graph::attention`] op, or in the
+    /// unit tests the composed op chain it is held to.
+    fn forward_with(
+        &mut self,
+        g: &mut Graph,
+        x: Var,
+        train: bool,
+        attend: impl FnOnce(&mut Graph, Var, Var, Var, f32) -> Var,
+    ) -> Var {
         let shape = g.value(x).shape().to_vec();
         assert_eq!(shape.len(), 3, "attention input must be [B, L, D]");
         let (b, l, d) = (shape[0], shape[1], shape[2]);
@@ -82,23 +69,21 @@ impl Module for MultiHeadSelfAttention {
         let q = self.split_heads(g, q, b, l); // [B*H, L, dh]
         let k = self.split_heads(g, k, b, l);
         let v = self.split_heads(g, v, b, l);
-
-        let ctx = if composed_attention() {
-            let kt = g.permute(k, &[0, 2, 1]); // [B*H, dh, L]
-            let scores = g.bmm(q, kt); // [B*H, L, L]
-            let scaled = g.scale(scores, 1.0 / (dh as f32).sqrt());
-            let attn = g.softmax_last(scaled);
-            g.bmm(attn, v) // [B*H, L, dh]
-        } else {
-            // Fused streamed kernel: no [L, L] score/softmax tensors on the
-            // tape, bitwise identical to the composed chain above.
-            g.attention(q, k, v, 1.0 / (dh as f32).sqrt())
-        };
+        let ctx = attend(g, q, k, v, 1.0 / (dh as f32).sqrt()); // [B*H, L, dh]
 
         let ctx = g.reshape(ctx, vec![b, self.heads, l, dh]);
         let ctx = g.permute(ctx, &[0, 2, 1, 3]); // [B, L, H, dh]
         let ctx = g.reshape(ctx, vec![b, l, self.dim]);
         self.wo.forward(g, ctx, train)
+    }
+}
+
+impl Module for MultiHeadSelfAttention {
+    /// Fused streamed attention: no `[L, L]` score or softmax tensor on the
+    /// tape, bitwise identical to the composed
+    /// `permute → bmm → scale → softmax → bmm` chain.
+    fn forward(&mut self, g: &mut Graph, x: Var, train: bool) -> Var {
+        self.forward_with(g, x, train, Graph::attention)
     }
 
     fn params(&self) -> Vec<Var> {
@@ -107,5 +92,73 @@ impl Module for MultiHeadSelfAttention {
         p.extend(self.wv.params());
         p.extend(self.wo.params());
         p
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use mfaplace_rt::rng::{SeedableRng, StdRng};
+    use mfaplace_tensor::Tensor;
+
+    use super::*;
+
+    /// The composed chain the fused op replaced:
+    /// `permute → bmm → scale → softmax_last → bmm`.
+    fn composed(g: &mut Graph, q: Var, k: Var, v: Var, scale: f32) -> Var {
+        let kt = g.permute(k, &[0, 2, 1]); // [B*H, dh, L]
+        let scores = g.bmm(q, kt); // [B*H, L, L]
+        let scaled = g.scale(scores, scale);
+        let attn = g.softmax_last(scaled);
+        g.bmm(attn, v)
+    }
+
+    /// One MHSA forward + backward from a fixed seed, fused or composed:
+    /// `(output, input grad, per-param grads)`.
+    fn run(dim: usize, heads: usize, tokens: usize, fused: bool) -> (Tensor, Tensor, Vec<Tensor>) {
+        let mut g = Graph::new();
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut mhsa = MultiHeadSelfAttention::new(&mut g, dim, heads, &mut rng);
+        let x = g.param(Tensor::randn(vec![2, tokens, dim], 1.0, &mut rng));
+        let y = if fused {
+            mhsa.forward(&mut g, x, true)
+        } else {
+            mhsa.forward_with(&mut g, x, true, composed)
+        };
+        let y2 = g.mul(y, y);
+        let loss = g.mean(y2);
+        g.backward(loss);
+        let grad = |v| g.grad(v).cloned().unwrap_or_else(|| Tensor::zeros(vec![1]));
+        let dparams = mhsa.params().into_iter().map(grad).collect();
+        (g.value(y).clone(), grad(x), dparams)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn mhsa_fused_matches_composed_bitwise() {
+        // Odd token counts (not multiples of the attention tile) and several
+        // head layouts, including single-head.
+        for (dim, heads, tokens) in [(8, 2, 5), (6, 3, 9), (4, 1, 33), (8, 4, 7)] {
+            let (y_f, dx_f, dp_f) = run(dim, heads, tokens, true);
+            let (y_c, dx_c, dp_c) = run(dim, heads, tokens, false);
+            let label = format!("mhsa d{dim} h{heads} t{tokens}");
+            assert_eq!(bits(&y_f), bits(&y_c), "{label} value");
+            assert_eq!(bits(&dx_f), bits(&dx_c), "{label} dx");
+            assert_eq!(dp_f.len(), dp_c.len());
+            for (i, (a, b)) in dp_f.iter().zip(&dp_c).enumerate() {
+                assert_eq!(a.shape(), b.shape(), "{label} dparam{i} shape");
+                assert_eq!(bits(a), bits(b), "{label} dparam{i}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "attention dim must be divisible by heads")]
+    fn mhsa_rejects_heads_not_dividing_dim() {
+        let mut g = Graph::new();
+        let mut rng = StdRng::seed_from_u64(0);
+        let _ = MultiHeadSelfAttention::new(&mut g, 10, 3, &mut rng);
     }
 }

@@ -44,7 +44,7 @@ mod optim;
 mod schedule;
 mod transformer;
 
-pub use attention::{composed_attention, set_composed_attention, MultiHeadSelfAttention};
+pub use attention::MultiHeadSelfAttention;
 pub use conv::Conv2d;
 pub use dropout::Dropout;
 pub use linear::Linear;

@@ -432,28 +432,34 @@ pub(crate) fn softmax_row_scalar(s: &mut [f32]) {
     }
 }
 
-/// Backward of [`attention_tm`]: returns `(dq, dk, dv)` for upstream
-/// gradient `dy: [B, Lq, Dv]`.
+/// Backward of [`attention_tm`] for upstream gradient `dy: [B, Lq, Dv]`,
+/// writing `dq`, `dk` and `dv` into caller buffers of `q`'s, `k`'s and
+/// `v`'s lengths (any contents; every element is overwritten).
 ///
 /// Score rows are recomputed tile-by-tile instead of being read from a
 /// stored `[Lq, Lk]` softmax. `dk` and `dv` accumulate over the query index
 /// in globally increasing order (serial over tiles), matching the composed
-/// backward GEMMs bitwise.
+/// backward GEMMs bitwise. The serial score-row scratch is this thread's
+/// kernel scratch, so a warm call allocates nothing.
 ///
 /// # Panics
 ///
-/// Panics on rank or dimension mismatches.
-pub fn attention_tm_backward(
+/// Panics on rank, dimension or buffer-length mismatches.
+#[allow(clippy::too_many_arguments)]
+pub fn attention_tm_backward_into(
     q: &Tensor,
     k: &Tensor,
     v: &Tensor,
     scale: f32,
     dy: &Tensor,
-) -> (Tensor, Tensor, Tensor) {
-    attention_tm_backward_with(simd::active(), q, k, v, scale, dy)
+    dq: &mut [f32],
+    dk: &mut [f32],
+    dv: &mut [f32],
+) {
+    attention_tm_backward_with(simd::active(), q, k, v, scale, dy, dq, dk, dv);
 }
 
-/// Explicit-backend [`attention_tm_backward`] — the differential suite's
+/// Explicit-backend [`attention_tm_backward_into`] — the differential suite's
 /// entry point. `dk`/`dv` accumulate over the query index in globally
 /// increasing order on every backend (the vector arm concatenates exact
 /// per-tile FMA chain segments via accumulate reloads), matching the
@@ -461,7 +467,8 @@ pub fn attention_tm_backward(
 ///
 /// # Panics
 ///
-/// Panics on rank or dimension mismatches.
+/// Panics on rank, dimension or buffer-length mismatches.
+#[allow(clippy::too_many_arguments)]
 pub fn attention_tm_backward_with(
     bk: Backend,
     q: &Tensor,
@@ -469,7 +476,10 @@ pub fn attention_tm_backward_with(
     v: &Tensor,
     scale: f32,
     dy: &Tensor,
-) -> (Tensor, Tensor, Tensor) {
+    dq: &mut [f32],
+    dk: &mut [f32],
+    dv_all: &mut [f32],
+) {
     let (b, lq, d) = (q.shape()[0], q.shape()[1], q.shape()[2]);
     let (lk, dv) = (k.shape()[1], v.shape()[2]);
     assert_eq!(
@@ -477,12 +487,12 @@ pub fn attention_tm_backward_with(
         &[b, lq, dv],
         "attention_tm_backward dy shape mismatch"
     );
+    let lens = [dq.len(), dk.len(), dv_all.len()];
+    assert_eq!(lens, [q, k, v].map(Tensor::numel), "gradient lengths");
     let (qd, kd, vd, dyd) = (q.data(), k.data(), v.data(), dy.data());
-    let mut dq = vec![0.0f32; b * lq * d];
-    let mut dk = vec![0.0f32; b * lk * d];
-    let mut dvb_all = vec![0.0f32; b * lk * dv];
-    let mut s = vec![0.0f32; lk];
-    let mut g = vec![0.0f32; lk];
+    for buf in [&mut *dq, &mut *dk, &mut *dv_all] {
+        buf.fill(0.0);
+    }
     for bi in 0..b {
         let qb = &qd[bi * lq * d..(bi + 1) * lq * d];
         let kb = &kd[bi * lk * d..(bi + 1) * lk * d];
@@ -490,70 +500,70 @@ pub fn attention_tm_backward_with(
         let dyb = &dyd[bi * lq * dv..(bi + 1) * lq * dv];
         let dqb = &mut dq[bi * lq * d..(bi + 1) * lq * d];
         let dkb = &mut dk[bi * lk * d..(bi + 1) * lk * d];
-        let dvb = &mut dvb_all[bi * lk * dv..(bi + 1) * lk * dv];
+        let dvb = &mut dv_all[bi * lk * dv..(bi + 1) * lk * dv];
         if bk != Backend::Scalar {
             tm_backward_vec(bk, qb, kb, vb, dyb, scale, lq, lk, d, dv, dqb, dkb, dvb);
             continue;
         }
-        for i in 0..lq {
-            // Recompute the softmax row exactly as the forward did.
-            let qrow = &qb[i * d..(i + 1) * d];
-            score_row_tm(qrow, kb, scale, lk, d, &mut s);
-            softmax_row(&mut s);
-            let dyrow = &dyb[i * dv..(i + 1) * dv];
-            // g[j] = Σ_d dy[i,d]·v[j,d] (the composed dy·vᵀ GEMM row).
-            for (j, gj) in g.iter_mut().enumerate().take(lk) {
-                let vrow = &vb[j * dv..(j + 1) * dv];
-                let mut acc = 0.0f32;
-                for (&gv, &vv) in dyrow.iter().zip(vrow) {
-                    if gv == 0.0 {
+        simd::with_scratch(|sc| {
+            sc.tile_a.resize(lk, 0.0);
+            sc.tile_b.resize(lk, 0.0);
+            let (s, g) = (&mut sc.tile_a[..], &mut sc.tile_b[..]);
+            for i in 0..lq {
+                // Recompute the softmax row exactly as the forward did.
+                let qrow = &qb[i * d..(i + 1) * d];
+                score_row_tm(qrow, kb, scale, lk, d, s);
+                softmax_row(s);
+                let dyrow = &dyb[i * dv..(i + 1) * dv];
+                // g[j] = Σ_d dy[i,d]·v[j,d] (the composed dy·vᵀ GEMM row).
+                for (j, gj) in g.iter_mut().enumerate().take(lk) {
+                    let vrow = &vb[j * dv..(j + 1) * dv];
+                    let mut acc = 0.0f32;
+                    for (&gv, &vv) in dyrow.iter().zip(vrow) {
+                        if gv == 0.0 {
+                            continue;
+                        }
+                        acc += gv * vv;
+                    }
+                    *gj = acc;
+                }
+                // dv[j,d] += w[j]·dy[i,d]: query index i strictly increasing.
+                for (j, &wj) in s.iter().enumerate() {
+                    if wj == 0.0 {
                         continue;
                     }
-                    acc += gv * vv;
+                    let dvrow = &mut dvb[j * dv..(j + 1) * dv];
+                    for (o, &gv) in dvrow.iter_mut().zip(dyrow) {
+                        *o += wj * gv;
+                    }
                 }
-                *gj = acc;
-            }
-            // dv[j,d] += w[j]·dy[i,d]: query index i strictly increasing.
-            for (j, &wj) in s.iter().enumerate() {
-                if wj == 0.0 {
-                    continue;
+                // Softmax backward then the composed Scale node's backward:
+                // gs[j] = (w[j]·(g[j] - dot))·scale, overwriting g in place.
+                let dot: f32 = s.iter().zip(g.iter()).map(|(&a, &b)| a * b).sum();
+                for (gj, &wj) in g.iter_mut().zip(s.iter()) {
+                    *gj = (wj * (*gj - dot)) * scale;
                 }
-                let dvrow = &mut dvb[j * dv..(j + 1) * dv];
-                for (o, &gv) in dvrow.iter_mut().zip(dyrow) {
-                    *o += wj * gv;
+                // dq[i,p] += gs[j]·k[j,p], key index j increasing (axpy).
+                let dqrow = &mut dqb[i * d..(i + 1) * d];
+                for (j, &gs) in g.iter().enumerate() {
+                    if gs == 0.0 {
+                        continue;
+                    }
+                    let krow = &kb[j * d..(j + 1) * d];
+                    for (o, &kv) in dqrow.iter_mut().zip(krow) {
+                        *o += gs * kv;
+                    }
                 }
-            }
-            // Softmax backward then the composed Scale node's backward:
-            // gs[j] = (w[j]·(g[j] - dot))·scale, overwriting g in place.
-            let dot: f32 = s.iter().zip(&g).map(|(&a, &b)| a * b).sum();
-            for (gj, &wj) in g.iter_mut().zip(&s) {
-                *gj = (wj * (*gj - dot)) * scale;
-            }
-            // dq[i,p] += gs[j]·k[j,p], key index j increasing (axpy).
-            let dqrow = &mut dqb[i * d..(i + 1) * d];
-            for (j, &gs) in g.iter().enumerate() {
-                if gs == 0.0 {
-                    continue;
-                }
-                let krow = &kb[j * d..(j + 1) * d];
-                for (o, &kv) in dqrow.iter_mut().zip(krow) {
-                    *o += gs * kv;
-                }
-            }
-            // dk[j,p] += q[i,p]·gs[j]: query index i strictly increasing.
-            for (j, &gs) in g.iter().enumerate() {
-                let dkrow = &mut dkb[j * d..(j + 1) * d];
-                for (o, &qv) in dkrow.iter_mut().zip(qrow) {
-                    *o += qv * gs;
+                // dk[j,p] += q[i,p]·gs[j]: query index i strictly increasing.
+                for (j, &gs) in g.iter().enumerate() {
+                    let dkrow = &mut dkb[j * d..(j + 1) * d];
+                    for (o, &qv) in dkrow.iter_mut().zip(qrow) {
+                        *o += qv * gs;
+                    }
                 }
             }
-        }
+        });
     }
-    (
-        Tensor::from_vec(vec![b, lq, d], dq).expect("attention_tm dq"),
-        Tensor::from_vec(vec![b, lk, d], dk).expect("attention_tm dk"),
-        Tensor::from_vec(vec![b, lk, dv], dvb_all).expect("attention_tm dv"),
-    )
 }
 
 /// Vector-backend token-major backward for one batch. Tiles run serially
@@ -925,24 +935,31 @@ fn score_row_fm(qb: &[f32], kb: &[f32], scale: f32, n: usize, l: usize, y: usize
     }
 }
 
-/// Backward of [`attention_fm`]: returns `(dq, dk, dv)` for upstream
-/// gradient `dy: [B, Dv, L]`. Score rows are recomputed per query column;
-/// `dk` and `dv` accumulate over the query index in increasing order.
+/// Backward of [`attention_fm`] for upstream gradient `dy: [B, Dv, L]`,
+/// writing `dq`, `dk` and `dv` into caller buffers of `q`'s, `k`'s and
+/// `v`'s lengths (any contents; every element is overwritten). Score rows
+/// are recomputed per query column; `dk` and `dv` accumulate over the query
+/// index in increasing order. Every scratch is this thread's kernel
+/// scratch, so a warm call allocates nothing.
 ///
 /// # Panics
 ///
-/// Panics on rank or dimension mismatches.
-pub fn attention_fm_backward(
+/// Panics on rank, dimension or buffer-length mismatches.
+#[allow(clippy::too_many_arguments)]
+pub fn attention_fm_backward_into(
     q: &Tensor,
     k: &Tensor,
     v: &Tensor,
     scale: f32,
     dy: &Tensor,
-) -> (Tensor, Tensor, Tensor) {
-    attention_fm_backward_with(simd::active(), q, k, v, scale, dy)
+    dq: &mut [f32],
+    dk: &mut [f32],
+    dv: &mut [f32],
+) {
+    attention_fm_backward_with(simd::active(), q, k, v, scale, dy, dq, dk, dv);
 }
 
-/// Explicit-backend [`attention_fm_backward`] — the differential suite's
+/// Explicit-backend [`attention_fm_backward_into`] — the differential suite's
 /// entry point. `dk`/`dv` accumulate over the query index in increasing
 /// order on every backend; the vector arm recomputes the softmax with
 /// exactly the forward's sweeps. Calls without channels take the scalar
@@ -950,7 +967,8 @@ pub fn attention_fm_backward(
 ///
 /// # Panics
 ///
-/// Panics on rank or dimension mismatches.
+/// Panics on rank, dimension or buffer-length mismatches.
+#[allow(clippy::too_many_arguments)]
 pub fn attention_fm_backward_with(
     bk: Backend,
     q: &Tensor,
@@ -958,7 +976,10 @@ pub fn attention_fm_backward_with(
     v: &Tensor,
     scale: f32,
     dy: &Tensor,
-) -> (Tensor, Tensor, Tensor) {
+    dq: &mut [f32],
+    dk: &mut [f32],
+    dv_all: &mut [f32],
+) {
     let (b, n, l) = (q.shape()[0], q.shape()[1], q.shape()[2]);
     let nv = v.shape()[1];
     assert_eq!(
@@ -966,12 +987,12 @@ pub fn attention_fm_backward_with(
         &[b, nv, l],
         "attention_fm_backward dy shape mismatch"
     );
+    let lens = [dq.len(), dk.len(), dv_all.len()];
+    assert_eq!(lens, [q, k, v].map(Tensor::numel), "gradient lengths");
     let (qd, kd, vd, dyd) = (q.data(), k.data(), v.data(), dy.data());
-    let mut dq = vec![0.0f32; b * n * l];
-    let mut dk = vec![0.0f32; b * n * l];
-    let mut dv_all = vec![0.0f32; b * nv * l];
-    let mut s = vec![0.0f32; l];
-    let mut g = vec![0.0f32; l];
+    for buf in [&mut *dq, &mut *dk, &mut *dv_all] {
+        buf.fill(0.0);
+    }
     for bi in 0..b {
         let qb = &qd[bi * n * l..(bi + 1) * n * l];
         let kb = &kd[bi * n * l..(bi + 1) * n * l];
@@ -984,68 +1005,68 @@ pub fn attention_fm_backward_with(
             fm_backward_query_lanes(bk, qb, kb, vb, dyb, scale, n, nv, l, dqb, dkb, dvb);
             continue;
         }
-        for y in 0..l {
-            score_row_fm(qb, kb, scale, n, l, y, &mut s);
-            softmax_row(&mut s);
-            // g[x] = Σ_c v[c,x]·dy[c,y] via axpy over c (increasing).
-            g.fill(0.0);
-            for c in 0..nv {
-                let dyv = dyb[c * l + y];
-                if dyv == 0.0 {
-                    continue;
-                }
-                let vrow = &vb[c * l..(c + 1) * l];
-                for (gx, &vv) in g.iter_mut().zip(vrow) {
-                    *gx += vv * dyv;
-                }
-            }
-            // dv[c,x] += dy[c,y]·w[x]: query index y strictly increasing.
-            for c in 0..nv {
-                let dyv = dyb[c * l + y];
-                if dyv == 0.0 {
-                    continue;
-                }
-                let dvrow = &mut dvb[c * l..(c + 1) * l];
-                for (o, &wx) in dvrow.iter_mut().zip(&*s) {
-                    *o += dyv * wx;
-                }
-            }
-            // gs[x] = (w[x]·(g[x] - dot))·scale, overwriting g in place.
-            let dot: f32 = s.iter().zip(&g).map(|(&a, &b)| a * b).sum();
-            for (gx, &wx) in g.iter_mut().zip(&s) {
-                *gx = (wx * (*gx - dot)) * scale;
-            }
-            // dq[p,y] = Σ_x k[p,x]·gs[x] with the composed lhs zero-skip.
-            for p in 0..n {
-                let krow = &kb[p * l..(p + 1) * l];
-                let mut acc = 0.0f32;
-                for (&kv, &gs) in krow.iter().zip(&*g) {
-                    if kv == 0.0 {
+        simd::with_scratch(|sc| {
+            sc.tile_a.resize(l, 0.0);
+            sc.tile_b.resize(l, 0.0);
+            let (s, g) = (&mut sc.tile_a[..], &mut sc.tile_b[..]);
+            for y in 0..l {
+                score_row_fm(qb, kb, scale, n, l, y, s);
+                softmax_row(s);
+                // g[x] = Σ_c v[c,x]·dy[c,y] via axpy over c (increasing).
+                g.fill(0.0);
+                for c in 0..nv {
+                    let dyv = dyb[c * l + y];
+                    if dyv == 0.0 {
                         continue;
                     }
-                    acc += kv * gs;
+                    let vrow = &vb[c * l..(c + 1) * l];
+                    for (gx, &vv) in g.iter_mut().zip(vrow) {
+                        *gx += vv * dyv;
+                    }
                 }
-                dqb[p * l + y] = acc;
-            }
-            // dk[p,x] += gs[x]·q[p,y]: query index y strictly increasing,
-            // zero-skip on gs (the composed GEMM's lhs).
-            for p in 0..n {
-                let qv = qb[p * l + y];
-                let dkrow = &mut dkb[p * l..(p + 1) * l];
-                for (o, &gs) in dkrow.iter_mut().zip(&*g) {
-                    if gs == 0.0 {
+                // dv[c,x] += dy[c,y]·w[x]: query index y strictly increasing.
+                for c in 0..nv {
+                    let dyv = dyb[c * l + y];
+                    if dyv == 0.0 {
                         continue;
                     }
-                    *o += gs * qv;
+                    let dvrow = &mut dvb[c * l..(c + 1) * l];
+                    for (o, &wx) in dvrow.iter_mut().zip(s.iter()) {
+                        *o += dyv * wx;
+                    }
+                }
+                // gs[x] = (w[x]·(g[x] - dot))·scale, overwriting g in place.
+                let dot: f32 = s.iter().zip(g.iter()).map(|(&a, &b)| a * b).sum();
+                for (gx, &wx) in g.iter_mut().zip(s.iter()) {
+                    *gx = (wx * (*gx - dot)) * scale;
+                }
+                // dq[p,y] = Σ_x k[p,x]·gs[x] with the composed lhs zero-skip.
+                for p in 0..n {
+                    let krow = &kb[p * l..(p + 1) * l];
+                    let mut acc = 0.0f32;
+                    for (&kv, &gs) in krow.iter().zip(g.iter()) {
+                        if kv == 0.0 {
+                            continue;
+                        }
+                        acc += kv * gs;
+                    }
+                    dqb[p * l + y] = acc;
+                }
+                // dk[p,x] += gs[x]·q[p,y]: query index y strictly increasing,
+                // zero-skip on gs (the composed GEMM's lhs).
+                for p in 0..n {
+                    let qv = qb[p * l + y];
+                    let dkrow = &mut dkb[p * l..(p + 1) * l];
+                    for (o, &gs) in dkrow.iter_mut().zip(g.iter()) {
+                        if gs == 0.0 {
+                            continue;
+                        }
+                        *o += gs * qv;
+                    }
                 }
             }
-        }
+        });
     }
-    (
-        Tensor::from_vec(vec![b, n, l], dq).expect("attention_fm dq"),
-        Tensor::from_vec(vec![b, n, l], dk).expect("attention_fm dk"),
-        Tensor::from_vec(vec![b, nv, l], dv_all).expect("attention_fm dv"),
-    )
 }
 
 /// Feature-major backward for one batch with the queries in the vector
@@ -1111,7 +1132,7 @@ mod tests {
     /// bmm, exactly the op chain the tape records without fusion.
     fn composed_tm(q: &Tensor, k: &Tensor, v: &Tensor, scale: f32) -> Tensor {
         let kt = k.permute(&[0, 2, 1]);
-        let scores = q.bmm(&kt).scale(scale);
+        let scores = q.bmm(&kt).map(|x| x * scale);
         scores.softmax_lastdim().bmm(v)
     }
 
@@ -1119,7 +1140,7 @@ mod tests {
     /// row-softmax, `v·pᵗ` output.
     fn composed_fm(q: &Tensor, k: &Tensor, v: &Tensor, scale: f32) -> Tensor {
         let bt = k.permute(&[0, 2, 1]);
-        let e = bt.bmm(q).scale(scale);
+        let e = bt.bmm(q).map(|x| x * scale);
         let p = e.permute(&[0, 2, 1]).softmax_lastdim();
         v.bmm(&p.permute(&[0, 2, 1]))
     }
@@ -1411,8 +1432,8 @@ mod tests {
             for l in [1, 7, 8, 9, 15, 16, 17, 33, 100, 1030] {
                 for b in [1, 3] {
                     for (scale, amp) in [(1.0, 0.7), (0.37, 0.7), (1.0, 9.0)] {
-                        let q = tensor(vec![b, n, l], 30).scale(amp / 0.7);
-                        let k = tensor(vec![b, n, l], 31).scale(amp / 0.7);
+                        let q = tensor(vec![b, n, l], 30).map(|x| x * (amp / 0.7));
+                        let k = tensor(vec![b, n, l], 31).map(|x| x * (amp / 0.7));
                         let v = tensor(vec![b, nv, l], 32);
                         let mut dy = tensor(vec![b, nv, l], 33);
                         // Query column 3 of every batch gets no upstream
@@ -1497,13 +1518,9 @@ mod tests {
                 let (qd, kd, vd) = (q.data(), k.data(), v.data());
                 let mut s = vec![0.0f32; l];
                 attention_fm_slices_with(bk, qd, kd, vd, 2, n, nv, l, 0.37, &mut out, &mut s);
-                let (dq, dk, dv) = attention_fm_backward_with(bk, &q, &k, &v, 0.37, &dy);
-                [
-                    out,
-                    dq.data().to_vec(),
-                    dk.data().to_vec(),
-                    dv.data().to_vec(),
-                ]
+                let [mut dq, mut dk, mut dv] = [&q, &k, &v].map(|x| vec![f32::NAN; x.numel()]);
+                attention_fm_backward_with(bk, &q, &k, &v, 0.37, &dy, &mut dq, &mut dk, &mut dv);
+                [out, dq, dk, dv]
             };
             let want = run(Backend::Scalar);
             for bk in simd::supported() {
@@ -1520,25 +1537,24 @@ mod tests {
         let k = tensor(vec![2, 4, 3], 8);
         let v = tensor(vec![2, 4, 6], 9);
         let dy = Tensor::zeros(vec![2, 5, 6]);
-        let (dq, dk, dv) = attention_tm_backward(&q, &k, &v, 0.5, &dy);
-        assert_eq!(dq.shape(), q.shape());
-        assert_eq!(dk.shape(), k.shape());
-        assert_eq!(dv.shape(), v.shape());
-        assert!(dq.data().iter().all(|&x| x == 0.0));
-        assert!(dk.data().iter().all(|&x| x == 0.0));
-        assert!(dv.data().iter().all(|&x| x == 0.0));
+        let [mut dq, mut dk, mut dv] = [&q, &k, &v].map(|x| vec![f32::NAN; x.numel()]);
+        attention_tm_backward_into(&q, &k, &v, 0.5, &dy, &mut dq, &mut dk, &mut dv);
+        for grad in [dq, dk, dv] {
+            assert!(grad.iter().all(|&x| x == 0.0));
+        }
     }
 
     #[test]
-    fn fm_backward_shapes() {
+    fn fm_backward_overwrites_every_element() {
         let q = tensor(vec![1, 3, 7], 10);
         let k = tensor(vec![1, 3, 7], 11);
         let v = tensor(vec![1, 2, 7], 12);
         let dy = tensor(vec![1, 2, 7], 13);
-        let (dq, dk, dv) = attention_fm_backward(&q, &k, &v, 1.0, &dy);
-        assert_eq!(dq.shape(), q.shape());
-        assert_eq!(dk.shape(), k.shape());
-        assert_eq!(dv.shape(), v.shape());
+        let [mut dq, mut dk, mut dv] = [&q, &k, &v].map(|x| vec![f32::NAN; x.numel()]);
+        attention_fm_backward_into(&q, &k, &v, 1.0, &dy, &mut dq, &mut dk, &mut dv);
+        for grad in [dq, dk, dv] {
+            assert!(grad.iter().all(|x| x.is_finite()), "every element written");
+        }
     }
 
     #[test]

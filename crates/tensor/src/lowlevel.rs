@@ -1,14 +1,14 @@
-//! Slice-level forward kernels: the one implementation of every forward op
-//! the autograd tape records and the compiled inference plan replays.
+//! Slice-level kernels: the one implementation of every forward op the
+//! autograd tape records and the compiled inference plan replays, and of
+//! every backward op the tape runs (the "backward" section below).
 //!
 //! Each function works on raw `&[f32]` slices plus explicit dimensions and
 //! writes a caller-provided output without allocating, so the plan executor
-//! (`mfaplace-infer`) can run it on arena spans, the tape (`Graph` in
+//! (`mfaplace-infer`) runs it on arena spans, the tape (`Graph` in
 //! `mfaplace-autograd`) on its pooled buffers and the [`Tensor`] methods on
-//! fresh vectors. All three call the functions here — GEMM family, conv
-//! lowering and epilogue, element-wise ops, shape ops, softmax — with the
-//! same parallel-dispatch thresholds, so plan ≡ tape bit for bit holds by
-//! construction rather than by keeping copies in step.
+//! fresh vectors — GEMM family, conv lowering and epilogue, element-wise
+//! ops, shape ops, softmax — with the same parallel-dispatch thresholds, so
+//! plan ≡ tape bit for bit holds by construction, not by keeping copies.
 //!
 //! [`conv_reorder_epilogue`] folds the conv output reorder
 //! (`[OC, B·OH·OW] → [B, OC, OH·OW]`) together with the optional bias /
@@ -26,8 +26,8 @@ use mfaplace_rt::pool;
 use crate::attention::softmax_row;
 use crate::kernels::{self, conv_out_size, valid_range, PAR_ELEMS, PAR_GEMM_FLOPS};
 
-/// `out = a[m,k] x b[k,n]`, overwriting `out`. The kernel behind
-/// [`crate::Tensor::matmul2d_into`].
+/// `out = a[m,k] x b[k,n]`, overwriting `out`: the tape's and the plan's
+/// matmul and convolution GEMM.
 ///
 /// # Panics
 ///
@@ -56,7 +56,8 @@ fn batched(
     gemm: impl Fn(&[f32], &[f32], &mut [f32]) + Sync,
 ) {
     let (sa, sb) = (a.len() / bt.max(1), b.len() / bt.max(1));
-    if bt >= pool::max_threads() && bt * m * k * n >= PAR_GEMM_FLOPS {
+    // The flop test first: `max_threads` may ask the OS for the CPU count.
+    if bt * m * k * n >= PAR_GEMM_FLOPS && bt >= pool::max_threads() {
         pool::parallel_chunks_mut(out, m * n, |i, chunk| {
             pool::with_threads(1, || {
                 gemm(&a[i * sa..(i + 1) * sa], &b[i * sb..(i + 1) * sb], chunk);
@@ -88,8 +89,10 @@ pub fn bmm_into(a: &[f32], b: &[f32], out: &mut [f32], bt: usize, m: usize, k: u
     });
 }
 
-/// Batched `a x b^T`: `[bt, m, k] x [bt, n, k] -> [bt, m, n]`, the kernel
-/// behind [`crate::Tensor::bmm_nt_into`].
+/// Batched `a x b^T`: `[bt, m, k] x [bt, n, k] -> [bt, m, n]`, bitwise
+/// identical to the product with the transpose, without materializing it:
+/// the tape's `bmm_nt` and the products' backwards (a 2-D product is a
+/// batch of one).
 ///
 /// # Panics
 ///
@@ -103,8 +106,8 @@ pub fn bmm_nt_into(a: &[f32], b: &[f32], out: &mut [f32], bt: usize, m: usize, k
     });
 }
 
-/// Batched `a^T x b`: `[bt, k, m] x [bt, k, n] -> [bt, m, n]`, the kernel
-/// behind [`crate::Tensor::bmm_tn_into`].
+/// Batched `a^T x b`: `[bt, k, m] x [bt, k, n] -> [bt, m, n]` — the
+/// transposed-left twin of [`bmm_nt_into`].
 ///
 /// # Panics
 ///
@@ -122,7 +125,7 @@ pub fn bmm_tn_into(a: &[f32], b: &[f32], out: &mut [f32], bt: usize, m: usize, k
 /// writing every element of `out` (any prior contents; padding positions
 /// get `T::default()`: `0.0` for the f32 tape and plan, `0` for the int8
 /// plan, where symmetric quantization keeps that exact). The kernel behind
-/// [`crate::Tensor::im2col_into`].
+/// [`crate::Tensor::im2col`] and the tape's and the plans' convolutions.
 ///
 /// # Panics
 ///
@@ -339,6 +342,42 @@ pub fn sigmoid(x: f32) -> f32 {
 pub fn gelu(x: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/pi)
     0.5 * x * (1.0 + (C * (x + 0.044_715 * x * x * x)).tanh())
+}
+
+/// [`relu`]'s input gradient.
+#[inline]
+pub fn relu_grad(dy: f32, x: f32) -> f32 {
+    if x > 0.0 {
+        dy
+    } else {
+        0.0
+    }
+}
+
+/// [`leaky_relu`]'s input gradient.
+#[inline]
+pub fn leaky_relu_grad(dy: f32, x: f32, slope: f32) -> f32 {
+    if x > 0.0 {
+        dy
+    } else {
+        slope * dy
+    }
+}
+
+/// [`sigmoid`]'s input gradient, given its output `s`.
+#[inline]
+pub fn sigmoid_grad(dy: f32, s: f32) -> f32 {
+    dy * s * (1.0 - s)
+}
+
+/// [`gelu`]'s input gradient.
+#[inline]
+pub fn gelu_grad(dy: f32, x: f32) -> f32 {
+    const C: f32 = 0.797_884_6;
+    let u = C * (x + 0.044_715 * x * x * x);
+    let t = u.tanh();
+    let du = C * (1.0 + 3.0 * 0.044_715 * x * x);
+    dy * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
 }
 
 /// Adds `bias: [d]` to every length-`d` row of `x`.
@@ -559,6 +598,345 @@ pub fn softmax_last_into(x: &[f32], d: usize, dst: &mut [f32]) {
     }
 }
 
+// --------------------------------------------------------------- backward
+//
+// The tape's backward arithmetic. Every kernel overwrites its output (any
+// prior contents). A node's first gradient contribution is that output;
+// the tape adds a later one to the gradient with [`accumulate_into`].
+// Zero-filling the gradient and adding every contribution would not be the
+// same: `0.0 + (−0.0)` is `+0.0`, and gradients carry negative zeros. The
+// element-wise backwards are [`map_into`] / [`zip_into`] with `|g| mul(g,
+// c)` (`scale`, `neg` and `sub`'s right operand at `c = −1`, a multiply,
+// not a sign flip), [`mul`], [`relu_grad`], [`leaky_relu_grad`],
+// [`sigmoid_grad`] (given the output) or [`gelu_grad`].
+
+/// `dst += src`: lands a finished contribution on an existing gradient.
+pub fn accumulate_into(src: &[f32], dst: &mut [f32]) {
+    assert_eq!(src.len(), dst.len(), "accumulate length mismatch");
+    for (o, &x) in dst.iter_mut().zip(src) {
+        *o += x;
+    }
+}
+
+/// `ds[0] = Σ dy ⊙ x`: `mul_scalar_var`'s scalar operand's gradient.
+pub fn mul_scalar_var_backward_into(dy: &[f32], x: &[f32], ds: &mut [f32]) {
+    ds[0] = dy.iter().zip(x).map(|(&g, &xv)| g * xv).sum();
+}
+
+/// The bias gradient of `dy: [b, c, hw]` into `db: [c]`, overwriting: each
+/// channel sums its batches' runs in order.
+pub fn bias_channel_backward_into(dy: &[f32], hw: usize, db: &mut [f32]) {
+    db.fill(0.0);
+    for (run, i) in dy.chunks(hw.max(1)).zip(0..) {
+        let sum = &mut db[i % db.len()];
+        for &g in run {
+            *sum += g;
+        }
+    }
+}
+
+/// The bias gradient of `dy: [.., d]` into `db: [d]`, overwriting: each
+/// column sums its rows in order.
+pub fn bias_row_backward_into(dy: &[f32], db: &mut [f32]) {
+    db.fill(0.0);
+    for row in dy.chunks(db.len().max(1)) {
+        for (sum, &g) in db.iter_mut().zip(row) {
+            *sum += g;
+        }
+    }
+}
+
+/// The constant channel affine's input gradient over `[b, c, hw]`, `c =
+/// scale.len()`: `dx = dy · scale[c]`.
+pub fn channel_affine_backward_into(dy: &[f32], scale: &[f32], hw: usize, dx: &mut [f32]) {
+    let runs = dy.chunks(hw.max(1)).zip(dx.chunks_mut(hw.max(1)));
+    for ((grun, orun), &sc) in runs.zip(scale.iter().cycle()) {
+        map_into(grun, orun, |g| g * sc);
+    }
+}
+
+/// Batch norm's sums over `dy, xhat: [b, c, hw]`, `c = gamma.len()`, into
+/// `sums: [4c]` (overwritten): `dγ`, `dβ`, `Σ dx̂` and `Σ dx̂·x̂` with `dx̂ =
+/// dy·γ`, each channel summing its batches' runs in order.
+pub fn batch_norm2d_backward_sums(
+    dy: &[f32],
+    xhat: &[f32],
+    gamma: &[f32],
+    hw: usize,
+    sums: &mut [f32],
+) {
+    let c = gamma.len();
+    assert_eq!(sums.len(), 4 * c, "batch norm sums length mismatch");
+    sums.fill(0.0);
+    let (dgamma, rest) = sums.split_at_mut(c);
+    let (dbeta, rest) = rest.split_at_mut(c);
+    let (sum_dxhat, sum_dxhat_xhat) = rest.split_at_mut(c);
+    let runs = dy.chunks(hw.max(1)).zip(xhat.chunks(hw.max(1)));
+    for ((grun, xrun), i) in runs.zip(0..) {
+        let ci = i % c;
+        for (&g, &xh) in grun.iter().zip(xrun) {
+            dgamma[ci] += g * xh;
+            dbeta[ci] += g;
+            let dxh = g * gamma[ci];
+            sum_dxhat[ci] += dxh;
+            sum_dxhat_xhat[ci] += dxh * xh;
+        }
+    }
+}
+
+/// Batch norm's input gradient from [`batch_norm2d_backward_sums`]' `sums`:
+/// `dx = inv_std/n · (n·dx̂ − Σ dx̂ − x̂·Σ dx̂·x̂)`, `n = b·hw`.
+#[allow(clippy::too_many_arguments)]
+pub fn batch_norm2d_backward_into(
+    dy: &[f32],
+    xhat: &[f32],
+    gamma: &[f32],
+    inv_std: &[f32],
+    sums: &[f32],
+    hw: usize,
+    dx: &mut [f32],
+) {
+    let c = gamma.len();
+    let n = (dy.len() / c.max(1)) as f32;
+    let runs = dy.chunks(hw.max(1)).zip(xhat.chunks(hw.max(1)));
+    for (((grun, xrun), orun), i) in runs.zip(dx.chunks_mut(hw.max(1))).zip(0..) {
+        let ci = i % c;
+        let (gm, is) = (gamma[ci], inv_std[ci]);
+        let (s1, s2) = (sums[2 * c + ci], sums[3 * c + ci]);
+        zip_into(grun, xrun, orun, |g, xh| {
+            is / n * (n * (g * gm) - s1 - xh * s2)
+        });
+    }
+}
+
+/// Layer norm's `dγ = Σ_rows dy ⊙ x̂` into `dgamma: [d]`, overwriting: each
+/// column sums its rows in order. Its `dβ` is [`bias_row_backward_into`].
+pub fn layer_norm_gamma_backward_into(dy: &[f32], xhat: &[f32], dgamma: &mut [f32]) {
+    dgamma.fill(0.0);
+    let d = dgamma.len().max(1);
+    for (grow, xrow) in dy.chunks(d).zip(xhat.chunks(d)) {
+        for ((sum, &g), &xh) in dgamma.iter_mut().zip(grow).zip(xrow) {
+            *sum += g * xh;
+        }
+    }
+}
+
+/// Layer norm's input gradient over rows of `d = gamma.len()`: `dx =
+/// inv_std/d · (d·dx̂ − Σ dx̂ − x̂·Σ dx̂·x̂)` with `dx̂ = dy·γ`, the sums per
+/// row.
+pub fn layer_norm_backward_into(
+    dy: &[f32],
+    xhat: &[f32],
+    gamma: &[f32],
+    inv_std: &[f32],
+    dx: &mut [f32],
+) {
+    let d = gamma.len();
+    let rows = dy.chunks(d.max(1)).zip(xhat.chunks(d.max(1)));
+    for (((grow, xrow), orow), &is) in rows.zip(dx.chunks_mut(d.max(1))).zip(inv_std) {
+        let (mut sum_dxh, mut sum_dxh_xh) = (0.0f32, 0.0f32);
+        for k in 0..d {
+            let dxh = grow[k] * gamma[k];
+            sum_dxh += dxh;
+            sum_dxh_xh += dxh * xrow[k];
+        }
+        for k in 0..d {
+            let dxh = grow[k] * gamma[k];
+            orow[k] = is / d as f32 * (d as f32 * dxh - sum_dxh - xrow[k] * sum_dxh_xh);
+        }
+    }
+}
+
+/// The gradient of a softmax over rows of `d`, given its output `s`: per
+/// row `dx = s ⊙ (dy − Σ s ⊙ dy)`.
+pub fn softmax_last_backward_into(s: &[f32], dy: &[f32], d: usize, dx: &mut [f32]) {
+    let rows = s.chunks(d.max(1)).zip(dy.chunks(d.max(1)));
+    for ((srow, grow), orow) in rows.zip(dx.chunks_mut(d.max(1))) {
+        let dot: f32 = srow.iter().zip(grow).map(|(&a, &b)| a * b).sum();
+        zip_into(srow, grow, orow, |s, g| s * (g - dot));
+    }
+}
+
+/// Pixel-wise cross entropy's logit gradient from its saved softmax
+/// `probs: [b, k, hw]` and `labels: [b, hw]`: `dx = gy · w_y · (p −
+/// [class = y]) / weight_sum`, `w_y` the label's class weight (1 without).
+#[allow(clippy::too_many_arguments)]
+pub fn cross_entropy2d_backward_into(
+    probs: &[f32],
+    labels: &[u8],
+    class_weights: Option<&[f32]>,
+    gy: f32,
+    weight_sum: f32,
+    hw: usize,
+    dx: &mut [f32],
+) {
+    let k = probs.len() / labels.len().max(1);
+    assert_eq!(dx.len(), probs.len(), "cross entropy backward mismatch");
+    for (i, &label) in labels.iter().enumerate() {
+        let (y, base) = (label as usize, (i / hw * k) * hw + i % hw);
+        let wgt = class_weights.map_or(1.0, |cw| cw[y]);
+        for ki in 0..k {
+            let indicator = if ki == y { 1.0 } else { 0.0 };
+            let at = base + ki * hw;
+            dx[at] = gy * wgt * (probs[at] - indicator) / weight_sum;
+        }
+    }
+}
+
+/// Mean squared error's gradient: `dx = gy · 2 · (pred − target) / n`.
+pub fn mse_backward_into(pred: &[f32], target: &[f32], gy: f32, dx: &mut [f32]) {
+    let n = target.len().max(1) as f32;
+    zip_into(pred, target, dx, |p, t| gy * 2.0 * (p - t) / n);
+}
+
+/// `dx = gy / dx.len()` everywhere: `mean`'s gradient (`sum`'s is a
+/// `fill`).
+pub fn mean_backward_into(gy: f32, dx: &mut [f32]) {
+    dx.fill(gy / dx.len().max(1) as f32);
+}
+
+/// Reorders a conv output gradient `dy: [b, oc, ohow]` into the GEMM layout
+/// `dym: [oc, b·ohow]` (overwritten), undoing [`conv_reorder_epilogue`]'s
+/// reorder.
+pub fn conv_dy_reorder_into(dy: &[f32], oc: usize, ohow: usize, dym: &mut [f32]) {
+    assert_eq!(dym.len(), dy.len(), "conv dym length mismatch");
+    let b = dy.len() / (oc * ohow).max(1);
+    for (run, i) in dy.chunks(ohow.max(1)).zip(0..) {
+        let (bi, ocx) = (i / oc, i % oc);
+        dym[(ocx * b + bi) * ohow..][..ohow].copy_from_slice(run);
+    }
+}
+
+/// The adjoint of [`im2col_into`]: scatters `cols: [c·kh·kw, b·oh·ow]` into
+/// `dst: [b, c, h, w]` (overwritten), summing overlaps — a convolution's
+/// input gradient.
+///
+/// Each `(batch, channel)` plane accumulates independently. For one kernel
+/// offset `(ki, kj)` the valid `(oi, oj)` map one-to-one onto input pixels,
+/// so a pixel receives its terms in `(ki, kj)` order — the `(ki, kj, oi,
+/// oj)` order of the element loop — and the valid `oj` of a row are one
+/// run: a `+=` at unit stride, else a strided walk. Planes fan out to the
+/// pool when `dst` is large; bitwise identical at any thread count.
+///
+/// # Panics
+///
+/// Panics on slice-length mismatches.
+#[allow(clippy::too_many_arguments)]
+pub fn col2im_into(
+    cols: &[f32],
+    b: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    stride: usize,
+    pad: usize,
+    dst: &mut [f32],
+) {
+    let (oh, ow) = conv_out_size(h, w, kh, kw, stride, pad);
+    let n = b * oh * ow;
+    assert_eq!(cols.len(), c * kh * kw * n, "col2im input length mismatch");
+    assert_eq!(dst.len(), b * c * h * w, "col2im output length mismatch");
+    dst.fill(0.0);
+    let fill_plane = |bc: usize, plane: &mut [f32]| {
+        let (bi, ci) = (bc / c, bc % c);
+        for ki in 0..kh {
+            let (oi_lo, oi_hi) = valid_range(oh, h, ki, stride, pad);
+            for kj in 0..kw {
+                let (oj_lo, oj_hi) = valid_range(ow, w, kj, stride, pad);
+                if oj_lo == oj_hi {
+                    continue;
+                }
+                let ix0 = oj_lo * stride + kj - pad;
+                let row = ci * kh * kw + ki * kw + kj;
+                let src_b = &cols[row * n + bi * oh * ow..][..oh * ow];
+                for oi in oi_lo..oi_hi {
+                    let iy = oi * stride + ki - pad;
+                    let run = &src_b[oi * ow + oj_lo..oi * ow + oj_hi];
+                    let line = &mut plane[iy * w + ix0..(iy + 1) * w];
+                    if stride == 1 {
+                        for (o, &v) in line.iter_mut().zip(run) {
+                            *o += v;
+                        }
+                    } else {
+                        for (o, &v) in line.iter_mut().step_by(stride).zip(run) {
+                            *o += v;
+                        }
+                    }
+                }
+            }
+        }
+    };
+    if dst.len() >= PAR_ELEMS {
+        pool::parallel_chunks_mut(dst, h * w, fill_plane);
+    } else {
+        for (bc, plane) in dst.chunks_mut(h * w).enumerate() {
+            fill_plane(bc, plane);
+        }
+    }
+}
+
+/// The adjoint of [`upsample2x_into`]: sums each 2×2 block of `dy:
+/// [planes, 2h, 2w]` into `dx: [planes, h, w]` (overwritten) in row-major
+/// order. Planes fan out to the pool when `dy` is large; bitwise identical
+/// at any thread count.
+pub fn upsample2x_backward_into(dy: &[f32], h: usize, w: usize, dx: &mut [f32]) {
+    assert_eq!(dy.len(), 4 * dx.len(), "upsample backward length mismatch");
+    dx.fill(0.0);
+    let fill_plane = |bc: usize, plane: &mut [f32]| {
+        let src = &dy[bc * 4 * h * w..(bc + 1) * 4 * h * w];
+        for (i, row) in src.chunks(2 * w).enumerate() {
+            for (j, &g) in row.iter().enumerate() {
+                plane[(i / 2) * w + j / 2] += g;
+            }
+        }
+    };
+    if dy.len() >= PAR_ELEMS {
+        pool::parallel_chunks_mut(dx, h * w, fill_plane);
+    } else {
+        for (bc, plane) in dx.chunks_mut(h * w).enumerate() {
+            fill_plane(bc, plane);
+        }
+    }
+}
+
+/// Max pooling's input gradient into `dx` (overwritten): zero but at each
+/// output's argmax from [`maxpool2x2_into`], which receives `0.0 + dy`.
+pub fn maxpool2x2_backward_into(dy: &[f32], arg: &[usize], dx: &mut [f32]) {
+    dx.fill(0.0);
+    for (&g, &src) in dy.iter().zip(arg) {
+        dx[src] += g;
+    }
+}
+
+/// [`permute_into`]'s adjoint: `dx = dy` permuted by the inverse of `axes`,
+/// where `dy` has the permuted shape `shape`.
+pub fn permute_backward_into(dy: &[f32], shape: &[usize], axes: &[usize], dx: &mut [f32]) {
+    let mut inv = [0usize; 8];
+    for (i, &a) in axes.iter().enumerate() {
+        inv[a] = i;
+    }
+    permute_into(dy, shape, &inv[..axes.len()], dx);
+}
+
+/// [`slice_channels_into`]'s adjoint: `dx: [b, c, hw]` (overwritten) is
+/// `dy: [b, c1 − c0, hw]` on channels `[c0, c1)` and zero on the others.
+pub fn slice_channels_backward_into(
+    dy: &[f32],
+    c: usize,
+    c0: usize,
+    c1: usize,
+    hw: usize,
+    dx: &mut [f32],
+) {
+    dx.fill(0.0);
+    let part = (c1 - c0) * hw;
+    for (bi, plane) in dx.chunks_mut((c * hw).max(1)).enumerate() {
+        plane[c0 * hw..c1 * hw].copy_from_slice(&dy[bi * part..(bi + 1) * part]);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -590,8 +968,10 @@ mod tests {
             for i in 0..bt {
                 let (ai, bi) = (block(&a, i, m, k), block(&b, i, k, n));
                 nn.extend_from_slice(ai.matmul2d(&bi).data());
-                nt.extend_from_slice(ai.matmul2d_nt(&block(&bnt, i, n, k)).data());
-                tn.extend_from_slice(block(&atn, i, k, m).matmul2d_tn(&bi).data());
+                let bnt_t = block(&bnt, i, n, k).permute(&[1, 0]);
+                nt.extend_from_slice(ai.matmul2d(&bnt_t).data());
+                let atn_t = block(&atn, i, k, m).permute(&[1, 0]);
+                tn.extend_from_slice(atn_t.matmul2d(&bi).data());
             }
             for threads in [1, 2] {
                 pool::with_threads(threads, || {
@@ -685,10 +1065,11 @@ mod tests {
     #[test]
     fn maxpool_without_argmax_pools_the_same_values() {
         let x = tensor(vec![3, 2, 6, 8], 13);
-        let (with_arg, _) = x.maxpool2x2();
-        let mut out = vec![f32::NAN; with_arg.numel()];
+        let (mut with_arg, mut arg) = (vec![f32::NAN; x.numel() / 4], vec![0; x.numel() / 4]);
+        maxpool2x2_into(x.data(), 6, 6, 8, &mut with_arg, Some(&mut arg));
+        let mut out = vec![f32::NAN; with_arg.len()];
         maxpool2x2_into(x.data(), 6, 6, 8, &mut out, None);
-        assert_eq!(bits(&out), bits(with_arg.data()));
+        assert_eq!(bits(&out), bits(&with_arg));
     }
 
     /// The carried offset reads the element the multi-index names, for

@@ -226,17 +226,6 @@ impl Tensor {
         })
     }
 
-    /// In-place variant of [`Tensor::reshape`] that only swaps the shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the element counts differ.
-    pub fn reshaped(mut self, shape: Vec<usize>) -> Self {
-        assert_eq!(numel(&shape), self.data.len(), "reshape element mismatch");
-        self.shape = shape;
-        self
-    }
-
     // --------------------------------------------------------- element-wise
 
     /// Applies `f` to every element, returning a new tensor.
@@ -273,16 +262,6 @@ impl Tensor {
     /// Element-wise difference. Panics on shape mismatch.
     pub fn sub(&self, other: &Tensor) -> Self {
         self.zip_map(other, lowlevel::sub)
-    }
-
-    /// Element-wise product. Panics on shape mismatch.
-    pub fn mul(&self, other: &Tensor) -> Self {
-        self.zip_map(other, lowlevel::mul)
-    }
-
-    /// Multiplies every element by a scalar.
-    pub fn scale(&self, c: f32) -> Self {
-        self.map(|x| lowlevel::mul(x, c))
     }
 
     /// Sums a list of same-shaped tensors with a **fixed-order pairwise
@@ -413,8 +392,6 @@ mod tests {
         let b = Tensor::from_vec(vec![3], vec![4.0, 5.0, 6.0]).unwrap();
         assert_eq!(a.add(&b).data(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).data(), &[3.0, 3.0, 3.0]);
-        assert_eq!(a.mul(&b).data(), &[4.0, 10.0, 18.0]);
-        assert_eq!(a.scale(2.0).data(), &[2.0, 4.0, 6.0]);
     }
 
     #[test]

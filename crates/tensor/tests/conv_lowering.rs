@@ -139,7 +139,7 @@ fn im2col_writes_every_element_and_matches_the_element_loop() {
         // A NaN-dirtied buffer must come out exactly as a zeroed one.
         for fill in [0.0, f32::NAN] {
             let mut got = vec![fill; len];
-            x.im2col_into(k, k, stride, pad, &mut got);
+            lowlevel::im2col_into(x.data(), b, c, h, w, k, k, stride, pad, &mut got);
             assert_eq!(bits(&got), bits(&want), "{label} fill={fill}");
         }
         assert_eq!(
@@ -150,7 +150,9 @@ fn im2col_writes_every_element_and_matches_the_element_loop() {
         // Large enough to fan out: any thread count gives the same bits.
         if len >= 1 << 16 {
             let mut got = vec![f32::NAN; len];
-            pool::with_threads(3, || x.im2col_into(k, k, stride, pad, &mut got));
+            pool::with_threads(3, || {
+                lowlevel::im2col_into(x.data(), b, c, h, w, k, k, stride, pad, &mut got)
+            });
             assert_eq!(bits(&got), bits(&want), "{label} threads=3");
         }
     }
@@ -175,6 +177,24 @@ fn int8_im2col_writes_every_element_and_matches_the_element_loop() {
     }
 }
 
+/// `lowlevel::col2im_into` for a `k × k` kernel, into a NaN-filled buffer
+/// it must overwrite.
+#[allow(clippy::too_many_arguments)]
+fn col2im(
+    cols: &[f32],
+    b: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+) -> Vec<f32> {
+    let mut out = vec![f32::NAN; b * c * h * w];
+    lowlevel::col2im_into(cols, b, c, h, w, k, k, stride, pad, &mut out);
+    out
+}
+
 #[test]
 fn col2im_matches_the_element_loop_bitwise() {
     for (b, c, h, w, k, stride, pad) in cases() {
@@ -186,8 +206,8 @@ fn col2im_matches_the_element_loop_bitwise() {
             (i as f32 * 0.73).sin() * 10f32.powi((i % 4) as i32 - 2)
         });
         let want = col2im_reference(cols.data(), b, c, h, w, k, k, stride, pad);
-        let got = cols.col2im(b, c, h, w, k, k, stride, pad);
-        assert_eq!(bits(got.data()), bits(&want), "{label}");
+        let got = col2im(cols.data(), b, c, h, w, k, stride, pad);
+        assert_eq!(bits(&got), bits(&want), "{label}");
     }
 }
 
@@ -203,7 +223,7 @@ fn paper_sized_lowering_matches_the_element_loops_at_any_thread_count() {
     for nt in [1, 2, 3] {
         let got = pool::with_threads(nt, || x.im2col(3, 3, 1, 1));
         assert_eq!(bits(got.data()), bits(&want), "im2col threads={nt}");
-        let back = pool::with_threads(nt, || cols.col2im(b, c, h, w, 3, 3, 1, 1));
-        assert_eq!(bits(back.data()), bits(&want_back), "col2im threads={nt}");
+        let back = pool::with_threads(nt, || col2im(cols.data(), b, c, h, w, 3, 1, 1));
+        assert_eq!(bits(&back), bits(&want_back), "col2im threads={nt}");
     }
 }

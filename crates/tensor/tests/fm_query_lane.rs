@@ -39,7 +39,7 @@ const LENGTHS: [usize; 11] = [1, 7, 8, 9, 15, 16, 17, 31, 33, 100, 1030];
 /// Composed feature-major (PAM) reference: `kᵀ·q` scores, transposed
 /// row-softmax, `v·pᵀ` output — the op chain the tape records unfused.
 fn composed(q: &Tensor, k: &Tensor, v: &Tensor, scale: f32) -> Tensor {
-    let e = k.permute(&[0, 2, 1]).bmm(q).scale(scale);
+    let e = k.permute(&[0, 2, 1]).bmm(q).map(|x| x * scale);
     let p = e.permute(&[0, 2, 1]).softmax_lastdim();
     v.bmm(&p.permute(&[0, 2, 1]))
 }

@@ -7,7 +7,8 @@
 use mfaplace_rt::check::run_cases;
 use mfaplace_rt::pool;
 use mfaplace_tensor::{
-    attention_fm, attention_fm_backward, attention_tm, attention_tm_backward, Tensor, ATTN_TILE,
+    attention_fm, attention_fm_backward_into, attention_tm, attention_tm_backward_into, lowlevel,
+    Tensor, ATTN_TILE,
 };
 
 /// Runs `f` serially and at several forced worker counts; all results
@@ -28,6 +29,14 @@ fn assert_bitwise_equal_across_threads(label: &str, f: impl Fn() -> Tensor) {
             .all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(bits_equal, "{label}: parallel result differs at nt={nt}");
     }
+}
+
+/// `lowlevel::col2im_into` of a 3×3, stride-1, pad-1 lowering into a
+/// `[b, c, h, w]` tensor, from a NaN-filled buffer it must overwrite.
+fn col2im(cols: &Tensor, b: usize, c: usize, h: usize, w: usize) -> Tensor {
+    let mut out = vec![f32::NAN; b * c * h * w];
+    lowlevel::col2im_into(cols.data(), b, c, h, w, 3, 3, 1, 1, &mut out);
+    Tensor::from_vec(vec![b, c, h, w], out).expect("col2im shape")
 }
 
 #[test]
@@ -73,7 +82,7 @@ fn col2im_parallel_matches_serial_bitwise() {
         |_case, rng| {
             let x = Tensor::randn(vec![4, 8, 64, 64], 1.0, rng);
             let cols = x.im2col(3, 3, 1, 1);
-            assert_bitwise_equal_across_threads("col2im", || cols.col2im(4, 8, 64, 64, 3, 3, 1, 1));
+            assert_bitwise_equal_across_threads("col2im", || col2im(&cols, 4, 8, 64, 64));
         },
     );
 }
@@ -93,7 +102,7 @@ fn conv_forward_backward_parallel_matches_serial_bitwise() {
         assert_bitwise_equal_across_threads("conv_backward_data", || {
             let cols = x.im2col(3, 3, 1, 1);
             let grad_cols = wt.matmul2d(&w.matmul2d(&cols));
-            grad_cols.col2im(2, 8, 64, 64, 3, 3, 1, 1)
+            col2im(&grad_cols, 2, 8, 64, 64)
         });
     });
 }
@@ -108,7 +117,12 @@ fn pooling_and_upsample_parallel_match_serial_bitwise() {
             let x = Tensor::randn(vec![4, 16, 64, 64], 1.0, rng);
             assert_bitwise_equal_across_threads("maxpool", || x.maxpool2x2().0);
             assert_bitwise_equal_across_threads("upsample", || x.upsample2x());
-            assert_bitwise_equal_across_threads("downsample", || x.downsample2x_sum());
+            // The 2×2 sum into a buffer it must overwrite.
+            assert_bitwise_equal_across_threads("downsample", || {
+                let mut out = vec![f32::NAN; x.numel() / 4];
+                lowlevel::upsample2x_backward_into(x.data(), 32, 32, &mut out);
+                Tensor::from_vec(vec![4, 16, 32, 32], out).expect("downsample shape")
+            });
             // Argmax indices must agree too.
             let serial = pool::with_threads(1, || x.maxpool2x2().1);
             let parallel = pool::with_threads(4, || x.maxpool2x2().1);
@@ -117,10 +131,17 @@ fn pooling_and_upsample_parallel_match_serial_bitwise() {
     );
 }
 
-/// Flattens a gradient triple into one tensor so the thread-count helper
-/// compares all three at once.
-fn cat3((a, b, c): (Tensor, Tensor, Tensor)) -> Tensor {
-    let data = [a.data(), b.data(), c.data()].concat();
+/// The signature of the attention backwards.
+type Backward = fn(&Tensor, &Tensor, &Tensor, f32, &Tensor, &mut [f32], &mut [f32], &mut [f32]);
+
+/// Runs an attention backward into NaN-filled buffers and flattens the
+/// gradient triple into one tensor so the thread-count helper compares all
+/// three at once.
+fn cat3(kernel: Backward, [q, k, v]: [&Tensor; 3], scale: f32, dy: &Tensor) -> Tensor {
+    let mut grads = [q, k, v].map(|x| vec![f32::NAN; x.numel()]);
+    let [dq, dk, dv] = &mut grads;
+    kernel(q, k, v, scale, dy, dq, dk, dv);
+    let data = grads.concat();
     Tensor::from_vec(vec![data.len()], data).expect("cat3 shape")
 }
 
@@ -142,7 +163,7 @@ fn attention_parallel_matches_serial_bitwise() {
             let dy = Tensor::randn(vec![b, lq, dv], 1.0, rng);
             assert_bitwise_equal_across_threads("attention_tm", || attention_tm(&q, &k, &v, 0.2));
             assert_bitwise_equal_across_threads("attention_tm_backward", || {
-                cat3(attention_tm_backward(&q, &k, &v, 0.2, &dy))
+                cat3(attention_tm_backward_into, [&q, &k, &v], 0.2, &dy)
             });
 
             let (b, n, nv, l) = (2, 3, 5, 300);
@@ -153,7 +174,7 @@ fn attention_parallel_matches_serial_bitwise() {
             let dy = Tensor::randn(vec![b, nv, l], 1.0, rng);
             assert_bitwise_equal_across_threads("attention_fm", || attention_fm(&q, &k, &v, 0.6));
             assert_bitwise_equal_across_threads("attention_fm_backward", || {
-                cat3(attention_fm_backward(&q, &k, &v, 0.6, &dy))
+                cat3(attention_fm_backward_into, [&q, &k, &v], 0.6, &dy)
             });
 
             // The paper-resolution PAM's channel count (n = nv = 2), long

@@ -2,7 +2,7 @@
 
 use mfaplace_rt::check::{run_cases, vec_f32};
 use mfaplace_rt::rng::Rng;
-use mfaplace_tensor::Tensor;
+use mfaplace_tensor::{lowlevel, Tensor};
 
 fn small_dims(rng: &mut mfaplace_rt::rng::StdRng) -> (usize, usize) {
     (rng.gen_range(1usize..6), rng.gen_range(1usize..6))
@@ -95,11 +95,12 @@ fn im2col_col2im_adjoint() {
             .zip(y.data())
             .map(|(&a, &b)| f64::from(a) * f64::from(b))
             .sum();
-        let back = y.col2im(1, 2, h, h, kh, kh, stride, pad);
+        let mut back = vec![f32::NAN; 2 * h * h];
+        lowlevel::col2im_into(y.data(), 1, 2, h, h, kh, kh, stride, pad, &mut back);
         let rhs: f64 = x
             .data()
             .iter()
-            .zip(back.data())
+            .zip(&back)
             .map(|(&a, &b)| f64::from(a) * f64::from(b))
             .sum();
         assert!(
@@ -141,8 +142,13 @@ fn concat_slice_roundtrip() {
         let a = Tensor::from_fn(vec![2, c1, 3, 3], |i| ((i as u64 ^ seed) % 7) as f32);
         let b = Tensor::from_fn(vec![2, c2, 3, 3], |i| ((i as u64 ^ (seed * 3)) % 5) as f32);
         let cat = Tensor::concat_channels(&[&a, &b]);
-        assert_eq!(cat.slice_channels(0, c1), a);
-        assert_eq!(cat.slice_channels(c1, c1 + c2), b);
+        let slice = |c0: usize, c1_: usize| {
+            let mut out = vec![f32::NAN; 2 * (c1_ - c0) * 9];
+            lowlevel::slice_channels_into(cat.data(), 2, c1 + c2, c0, c1_, 9, &mut out);
+            Tensor::from_vec(vec![2, c1_ - c0, 3, 3], out).unwrap()
+        };
+        assert_eq!(slice(0, c1), a);
+        assert_eq!(slice(c1, c1 + c2), b);
     });
 }
 
@@ -153,7 +159,10 @@ fn upsample_quadruples_mass() {
         let x = Tensor::from_fn(vec![1, 2, 3, 3], |i| ((i as u64 ^ seed) % 9) as f32);
         let up = x.upsample2x();
         assert!((up.sum() - 4.0 * x.sum()).abs() < 1e-3);
-        assert_eq!(up.downsample2x_sum().scale(0.25), x);
+        let mut down = vec![f32::NAN; x.numel()];
+        lowlevel::upsample2x_backward_into(up.data(), 3, 3, &mut down);
+        let down = Tensor::from_vec(vec![1, 2, 3, 3], down).unwrap();
+        assert_eq!(down.map(|v| v * 0.25), x);
     });
 }
 

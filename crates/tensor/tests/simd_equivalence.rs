@@ -31,6 +31,25 @@ fn vector_backends() -> Vec<Backend> {
         .collect()
 }
 
+/// The signature of the explicit-backend attention backwards.
+type Backward =
+    fn(Backend, &Tensor, &Tensor, &Tensor, f32, &Tensor, &mut [f32], &mut [f32], &mut [f32]);
+
+/// Runs an attention backward into NaN-filled buffers it must overwrite
+/// and returns `(dq, dk, dv)`.
+fn backward(
+    kernel: Backward,
+    bk: Backend,
+    [q, k, v]: [&Tensor; 3],
+    scale: f32,
+    dy: &Tensor,
+) -> (Tensor, Tensor, Tensor) {
+    let [mut dq, mut dk, mut dv] = [q, k, v].map(|x| vec![f32::NAN; x.numel()]);
+    kernel(bk, q, k, v, scale, dy, &mut dq, &mut dk, &mut dv);
+    let t = |x: &Tensor, d| Tensor::from_vec(x.shape().to_vec(), d).expect("grad shape");
+    (t(q, dq), t(k, dk), t(v, dv))
+}
+
 /// Max-norm tolerance from the kernel layer's numeric contract.
 fn assert_close(tag: &str, got: &[f32], want: &[f32]) {
     assert_eq!(got.len(), want.len(), "{tag}: length mismatch");
@@ -271,7 +290,13 @@ fn attention_tm_forward_and_backward_match_scalar() {
             &mut want,
             &mut scratch,
         );
-        let (wdq, wdk, wdv) = attention_tm_backward_with(Backend::Scalar, &q, &k, &v, scale, &dy);
+        let (wdq, wdk, wdv) = backward(
+            attention_tm_backward_with,
+            Backend::Scalar,
+            [&q, &k, &v],
+            scale,
+            &dy,
+        );
         for &bk in &backends {
             let mut got = vec![0.0f32; b * lq * dv];
             attention_tm_slices_with(
@@ -289,7 +314,7 @@ fn attention_tm_forward_and_backward_match_scalar() {
                 &mut scratch,
             );
             assert_close(&format!("tm fwd {lq}x{lk}x{d} {bk:?}"), &got, &want);
-            let (dq, dk, dv_) = attention_tm_backward_with(bk, &q, &k, &v, scale, &dy);
+            let (dq, dk, dv_) = backward(attention_tm_backward_with, bk, [&q, &k, &v], scale, &dy);
             assert_close(&format!("tm dq {bk:?}"), dq.data(), wdq.data());
             assert_close(&format!("tm dk {bk:?}"), dk.data(), wdk.data());
             assert_close(&format!("tm dv {bk:?}"), dv_.data(), wdv.data());
@@ -364,7 +389,13 @@ fn attention_fm_forward_and_backward_match_scalar() {
             &mut want,
             &mut scratch,
         );
-        let (wdq, wdk, wdv) = attention_fm_backward_with(Backend::Scalar, &q, &k, &v, scale, &dy);
+        let (wdq, wdk, wdv) = backward(
+            attention_fm_backward_with,
+            Backend::Scalar,
+            [&q, &k, &v],
+            scale,
+            &dy,
+        );
         for &bk in &backends {
             let mut got = vec![f32::NAN; b * nv * l];
             attention_fm_slices_with(
@@ -381,7 +412,7 @@ fn attention_fm_forward_and_backward_match_scalar() {
                 &mut scratch,
             );
             assert_close(&format!("fm fwd {n}x{nv}x{l} {bk:?}"), &got, &want);
-            let (dq, dk, dv_) = attention_fm_backward_with(bk, &q, &k, &v, scale, &dy);
+            let (dq, dk, dv_) = backward(attention_fm_backward_with, bk, [&q, &k, &v], scale, &dy);
             assert_close(&format!("fm dq {bk:?}"), dq.data(), wdq.data());
             assert_close(&format!("fm dk {bk:?}"), dk.data(), wdk.data());
             assert_close(&format!("fm dv {bk:?}"), dv_.data(), wdv.data());
