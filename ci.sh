@@ -136,6 +136,17 @@ echo "==> SIMD differential suite (vector kernels vs scalar reference)"
 cargo test -q -p mfaplace-tensor --offline --test simd_equivalence
 cargo test -q -p mfaplace-core --offline --test kernel_tolerance
 
+# The engine is decided at load: a stale calibration is a load error (and a
+# 409 on reload), quant without a calibration is refused, the file picks
+# the engine, and a re-calibrated predictor serves its new calibration.
+echo "==> engine decided at load: refusals + calibration-keyed int8 plans"
+cargo test -q -p mfaplace-core --offline --lib predictor::tests
+cargo test -q -p mfaplace-core --offline --lib \
+    loader::tests::artifact_with_a_stale_calibration_is_a_load_error
+cargo test -q -p mfaplace-core --offline --test plan_cache \
+    a_recalibrated_predictor_serves_its_new_calibration
+cargo test -q -p mfaplace-serve --offline --lib server::tests
+
 # Quantized serving round trip: offline compile writes an artifact that
 # model-info recognizes and a server loads without re-calibrating; a
 # predict through the quant engine must answer.
@@ -147,14 +158,22 @@ TMPQ=$(mktemp -d)
     --out "$TMPQ/m.mfaw" >/dev/null
 ./target/release/mfaplace compile --model "$TMPQ/m.mfaw" --calib "$TMPQ/d.nl" \
     --placements 1 --iterations 2 --out "$TMPQ/m.mfaq"
-# Capture to a file rather than `| grep -q`: grep exiting at first match
-# would close the pipe while model-info is still printing (SIGPIPE panic).
-./target/release/mfaplace model-info --model "$TMPQ/m.mfaq" >"$TMPQ/info.txt"
-grep -q "quantized serving artifact" "$TMPQ/info.txt" || {
+./target/release/mfaplace model-info --model "$TMPQ/m.mfaq" |
+    grep -q "quantized serving artifact" || {
     echo "model-info does not recognize the compiled artifact" >&2
     rm -rf "$TMPQ"
     exit 1
 }
+# A reader that stops early closes stdout under the CLI: it must end
+# quietly, not panic on the broken pipe.
+./target/release/mfaplace profile --model "$TMPQ/m.mfaq" 2>"$TMPQ/pipe.err" |
+    head -1 >"$TMPQ/pipe.out"
+if [ ! -s "$TMPQ/pipe.out" ] || [ -s "$TMPQ/pipe.err" ]; then
+    echo "profile | head -1 wrote to stderr:" >&2
+    cat "$TMPQ/pipe.err" >&2
+    rm -rf "$TMPQ"
+    exit 1
+fi
 ./target/release/mfaplace place --design "$TMPQ/d.nl" --flow seu --seed 1 \
     --iterations 2 --out "$TMPQ/p.pl" >/dev/null
 ./target/release/mfaplace serve --model "$TMPQ/m.mfaq" \
@@ -177,12 +196,6 @@ if [ "$QUICK" = "1" ]; then
     echo "CI OK (quick tier: benches and smoke runs skipped)"
     exit 0
 fi
-
-# The quant engine must be safe to force globally: anywhere a predictor
-# has no calibration it falls back to the f32 plan bitwise, so the whole
-# workspace stays green under MFAPLACE_ENGINE=quant.
-echo "==> workspace once under the quant engine"
-MFAPLACE_ENGINE=quant cargo test -q --workspace --offline
 
 echo "==> 2-worker training smoke (CLI train path)"
 TMP=$(mktemp -d)

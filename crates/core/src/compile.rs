@@ -6,15 +6,15 @@
 //!
 //! - the full checkpoint bytes (self-describing v2/v3 `.mfaw`),
 //! - the offline [`Calibration`] (per-step activation ranges),
-//! - a precision code (int8, the only one supported) and whether BN
-//!   folding was applied,
+//! - a precision code (int8, the only one supported),
 //! - an FNV-1a checksum over the whole payload.
 //!
 //! [`crate::loader::load_predictor_with_cache`] detects the magic and
-//! rebuilds the predictor with the calibration attached and the quant
-//! engine selected (unless `MFAPLACE_ENGINE` overrides), so `serve` and
-//! `predict` round-trip the artifact with zero extra flags.
+//! rebuilds the predictor with the int8 plan built and the quant engine
+//! selected, so `serve` and `predict` round-trip the artifact with zero
+//! extra flags.
 
+use mfaplace_fpga::features::NUM_FEATURES;
 use mfaplace_infer::{Calibration, PlanStats, QuantOptions};
 use mfaplace_models::ArchSpec;
 use mfaplace_tensor::Tensor;
@@ -31,16 +31,15 @@ const ARTIFACT_VERSION: u32 = 1;
 /// recognized so the rejection can say what they are.
 const PRECISION_INT8: u32 = 1;
 const PRECISION_F16: u32 = 2;
-/// Fixed-size header: magic + version + precision + fold + calib len +
-/// checkpoint len.
+/// Fixed-size header: magic + version + precision + a reserved word +
+/// calib len + checkpoint len. The reserved word once flagged BN folding;
+/// it is written as 0 and ignored on read, so artifacts written with it
+/// set still load (their embedded weights are unfolded either way).
 const HEADER_LEN: usize = 8 + 4 + 4 + 4 + 4 + 8;
 
 /// A parsed serving artifact.
 #[derive(Clone, Debug)]
 pub struct Artifact {
-    /// Whether plans must be compiled with BN folding (the calibration
-    /// was collected on folded plans).
-    pub fold_bn: bool,
     /// Per-step activation ranges.
     pub calibration: Calibration,
     /// The embedded checkpoint file, byte for byte.
@@ -82,13 +81,13 @@ pub fn is_artifact(path: &str) -> bool {
 }
 
 /// Serializes an artifact (deterministic for identical inputs).
-pub fn artifact_to_bytes(calibration: &Calibration, fold_bn: bool, checkpoint: &[u8]) -> Vec<u8> {
+pub fn artifact_to_bytes(calibration: &Calibration, checkpoint: &[u8]) -> Vec<u8> {
     let calib = calibration.to_bytes();
     let mut out = Vec::with_capacity(HEADER_LEN + calib.len() + checkpoint.len() + 8);
     out.extend_from_slice(ARTIFACT_MAGIC);
     out.extend_from_slice(&ARTIFACT_VERSION.to_le_bytes());
     out.extend_from_slice(&PRECISION_INT8.to_le_bytes());
-    out.extend_from_slice(&u32::from(fold_bn).to_le_bytes());
+    out.extend_from_slice(&0u32.to_le_bytes());
     out.extend_from_slice(&(calib.len() as u32).to_le_bytes());
     out.extend_from_slice(&(checkpoint.len() as u64).to_le_bytes());
     out.extend_from_slice(&calib);
@@ -119,7 +118,6 @@ pub fn artifact_from_bytes(b: &[u8]) -> Result<Artifact, String> {
         }
         code => return Err(format!("unknown artifact precision code {code}")),
     }
-    let fold_bn = u32::from_le_bytes(b[16..20].try_into().unwrap()) != 0;
     let calib_len = u32::from_le_bytes(b[20..24].try_into().unwrap()) as usize;
     let ckpt_len = u64::from_le_bytes(b[24..32].try_into().unwrap()) as usize;
     if body.len() != HEADER_LEN + calib_len + ckpt_len {
@@ -130,7 +128,6 @@ pub fn artifact_from_bytes(b: &[u8]) -> Result<Artifact, String> {
     }
     let calibration = Calibration::from_bytes(&body[HEADER_LEN..HEADER_LEN + calib_len])?;
     Ok(Artifact {
-        fold_bn,
         calibration,
         checkpoint: body[HEADER_LEN + calib_len..].to_vec(),
     })
@@ -160,18 +157,17 @@ pub fn compile_for_serving(
     checkpoint_path: &str,
     load: LoadOptions,
     calib_inputs: &[Tensor],
-    fold_bn: bool,
     out_path: &str,
 ) -> Result<CompileReport, String> {
     let (spec, mut predictor) = load_predictor(checkpoint_path, load)?;
-    predictor.set_fold_bn(fold_bn);
+    // Calibrating builds the int8 plan, which proves the calibration
+    // quantizes this model before it is shipped.
     let calibration = predictor.calibrate(calib_inputs, QuantOptions::default())?;
-    // Prove the calibration quantizes this model before shipping it.
     predictor.set_engine(Engine::Quant);
-    let stats = predictor.compile_plan(1, 6, spec.grid, spec.grid)?;
+    let stats = predictor.compile_plan(1, NUM_FEATURES, spec.grid, spec.grid)?;
     let checkpoint =
         std::fs::read(checkpoint_path).map_err(|e| format!("{checkpoint_path}: {e}"))?;
-    let bytes = artifact_to_bytes(&calibration, fold_bn, &checkpoint);
+    let bytes = artifact_to_bytes(&calibration, &checkpoint);
     std::fs::write(out_path, &bytes).map_err(|e| format!("{out_path}: {e}"))?;
     Ok(CompileReport {
         spec,
@@ -189,18 +185,25 @@ mod tests {
     fn artifact_round_trips_bitwise() {
         let calibration = test_calibration();
         let ckpt = vec![1u8, 2, 3, 4, 5];
-        let bytes = artifact_to_bytes(&calibration, true, &ckpt);
+        let bytes = artifact_to_bytes(&calibration, &ckpt);
         let art = artifact_from_bytes(&bytes).unwrap();
-        assert!(art.fold_bn);
         assert_eq!(art.checkpoint, ckpt);
         assert_eq!(art.calibration.to_bytes(), calibration.to_bytes());
         // Determinism: identical inputs, identical bytes.
-        assert_eq!(bytes, artifact_to_bytes(&calibration, true, &ckpt));
+        assert_eq!(bytes, artifact_to_bytes(&calibration, &ckpt));
+        // An artifact written with the reserved (former BN-folding) word
+        // set still loads.
+        let mut folded = bytes.clone();
+        let body = folded.len() - 8;
+        folded[16..20].copy_from_slice(&1u32.to_le_bytes());
+        let sum = fnv1a(&folded[..body]);
+        folded[body..].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(artifact_from_bytes(&folded).unwrap().checkpoint, ckpt);
     }
 
     #[test]
     fn corrupt_artifact_is_rejected() {
-        let bytes = artifact_to_bytes(&test_calibration(), false, &[9u8; 32]);
+        let bytes = artifact_to_bytes(&test_calibration(), &[9u8; 32]);
         let mut flipped = bytes.clone();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x40;
@@ -216,7 +219,7 @@ mod tests {
     #[test]
     fn f16_artifact_is_rejected_as_unsupported() {
         let with_precision = |code: u32| {
-            let mut bytes = artifact_to_bytes(&test_calibration(), false, &[9u8; 32]);
+            let mut bytes = artifact_to_bytes(&test_calibration(), &[9u8; 32]);
             let body = bytes.len() - 8;
             bytes[12..16].copy_from_slice(&code.to_le_bytes());
             let sum = fnv1a(&bytes[..body]);
@@ -235,7 +238,7 @@ mod tests {
     /// steps; loading it must fail and say to recompile.
     #[test]
     fn level_order_calibration_is_rejected() {
-        let mut bytes = artifact_to_bytes(&test_calibration(), false, &[9u8; 32]);
+        let mut bytes = artifact_to_bytes(&test_calibration(), &[9u8; 32]);
         let body = bytes.len() - 8;
         bytes[HEADER_LEN..HEADER_LEN + 8].copy_from_slice(b"MFACAL01");
         let sum = fnv1a(&bytes[..body]);

@@ -10,6 +10,7 @@
 use std::sync::Arc;
 
 use mfaplace_autograd::Graph;
+use mfaplace_fpga::features::NUM_FEATURES;
 use mfaplace_infer::{PlanCache, PlanSource, QuantOptions};
 use mfaplace_models::{AnyModel, Arch, ArchSpec, CongestionModel};
 use mfaplace_nn::checkpoint::{self, Checkpoint, CheckpointMeta};
@@ -64,16 +65,21 @@ pub fn content_hash(path: &str) -> Result<u64, String> {
 /// hash — so any number of predictors loaded from byte-identical files
 /// share one compiled plan set instead of duplicating it.
 ///
+/// Before it returns, the f32 plan for a single-sample
+/// `[1, NUM_FEATURES, grid, grid]` forward is compiled, so a model that
+/// does not capture is a load error, not a failing forward.
+///
 /// Also accepts a quantized serving artifact (`MFAQART1`, written by
 /// [`crate::compile::compile_for_serving`]): the embedded checkpoint is
-/// rebuilt, the embedded calibration attached, BN folding restored, and
-/// the quant engine selected — unless `MFAPLACE_ENGINE` explicitly picks
-/// another engine. Byte-identical artifact files share plans the same
-/// way checkpoints do.
+/// rebuilt, the int8 plan built from the embedded calibration, and the
+/// quant engine selected. Byte-identical artifact files share plans the
+/// same way checkpoints do.
 ///
 /// # Errors
 ///
-/// Same failure modes as [`load_predictor`], plus artifact corruption.
+/// Same failure modes as [`load_predictor`], plus artifact corruption, a
+/// plan that cannot be captured, and an embedded calibration that does
+/// not fit the embedded checkpoint (the error says to recalibrate).
 pub fn load_predictor_with_cache(
     path: &str,
     opts: LoadOptions,
@@ -85,20 +91,26 @@ pub fn load_predictor_with_cache(
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     let source = PlanSource::Content(compile::fnv1a(&bytes));
     let parse = |b: &[u8]| checkpoint::read_checkpoint_bytes(b).map_err(|e| format!("{path}: {e}"));
-    if !bytes.starts_with(compile::ARTIFACT_MAGIC) {
-        return predictor_from_checkpoint(parse(&bytes)?, path, opts, plan_cache, source);
+    let (ckpt, calibration) = if bytes.starts_with(compile::ARTIFACT_MAGIC) {
+        let art = compile::artifact_from_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
+        (parse(&art.checkpoint)?, Some(art.calibration))
+    } else {
+        (parse(&bytes)?, None)
+    };
+    // The file's bytes are not needed past parsing; free them before the
+    // plan capture sets the load's peak memory.
+    drop(bytes);
+    let (spec, mut predictor) = predictor_from_checkpoint(ckpt, path, opts, plan_cache, source)?;
+    let shape = [1, NUM_FEATURES, spec.grid, spec.grid];
+    predictor
+        .compile_plan(1, NUM_FEATURES, spec.grid, spec.grid)
+        .map_err(|e| format!("{path}: {e}"))?;
+    if let Some(calibration) = calibration {
+        predictor
+            .set_calibration(Arc::new(calibration), QuantOptions::default(), &shape)
+            .map_err(|e| format!("{path}: {e}"))?;
+        predictor.set_engine(Engine::Quant);
     }
-    let art = compile::artifact_from_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
-    let (spec, mut predictor) =
-        predictor_from_checkpoint(parse(&art.checkpoint)?, path, opts, plan_cache, source)?;
-    predictor.set_fold_bn(art.fold_bn);
-    predictor.set_calibration(Arc::new(art.calibration), QuantOptions::default());
-    // The artifact's reason to exist is quantized serving: default to
-    // the quant engine, but let an explicit MFAPLACE_ENGINE win.
-    let env = std::env::var("MFAPLACE_ENGINE")
-        .ok()
-        .and_then(|v| Engine::parse(&v));
-    predictor.set_engine(env.unwrap_or(Engine::Quant));
     Ok((spec, predictor))
 }
 
@@ -253,6 +265,30 @@ mod tests {
             .unwrap();
         assert_eq!(out_loaded.data(), out_ref.data());
         std::fs::remove_file(path).ok();
+    }
+
+    /// A `.mfaq` whose calibration was collected on another architecture
+    /// cannot build its int8 plan, so loading it fails and says why.
+    #[test]
+    fn artifact_with_a_stale_calibration_is_a_load_error() {
+        let donor = temp_path("stale_donor.mfaw");
+        init_checkpoint(&small_spec(Arch::UNet), 1, &donor).unwrap();
+        let (_, mut donor) = load_predictor(&donor, LoadOptions::default()).unwrap();
+        let x = mfaplace_tensor::Tensor::full(vec![6, 32, 32], 0.25);
+        let stale = donor
+            .calibrate(std::slice::from_ref(&x), QuantOptions::default())
+            .unwrap();
+
+        let ckpt = temp_path("stale_ours.mfaw");
+        init_checkpoint(&small_spec(Arch::Ours), 2, &ckpt).unwrap();
+        let path = temp_path("stale_ours.mfaq");
+        let bytes = compile::artifact_to_bytes(&stale, &std::fs::read(&ckpt).unwrap());
+        std::fs::write(&path, bytes).unwrap();
+        let err = load_predictor(&path, LoadOptions::default()).err().unwrap();
+        assert!(
+            err.starts_with(&path) && err.contains("recalibrate"),
+            "{err}"
+        );
     }
 
     #[test]

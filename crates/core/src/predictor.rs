@@ -11,14 +11,12 @@
 //! the serve subsystem coalesce concurrent requests without changing
 //! anyone's answer.
 //!
-//! Two interchangeable [`Engine`]s drive the forward: the dynamic autograd
-//! tape (reference) and compiled [`mfaplace_infer`] plans (default) — a
-//! static op list per input shape executed allocation-free from a
-//! liveness-packed arena. Plan outputs are bitwise identical to the tape's
-//! (test-enforced), so switching engines never changes an answer; if a
-//! recorded tape cannot be compiled the predictor falls back to the tape
-//! permanently; [`ModelPredictor::status`] reports which engine is really
-//! serving and why.
+//! The forward runs on one [`Engine`], chosen by what was loaded: compiled
+//! [`mfaplace_infer`] f32 plans (a static op list per input shape executed
+//! allocation-free from a liveness-packed arena, bitwise identical to the
+//! tape) or, once a calibration is attached, their int8 lowering. The
+//! loader builds the plan before it hands a predictor out, so the engine a
+//! predictor reports is the engine that answers.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -29,52 +27,43 @@ use mfaplace_fpga::features::FeatureStack;
 use mfaplace_fpga::gridmap::GridMap;
 use mfaplace_fpga::placement::Placement;
 use mfaplace_infer::{
-    profile_plan, run_plan, Calibration, Plan, PlanCache, PlanKey, PlanOptions, PlanPrecision,
-    PlanProfile, PlanSource, PlanStats, QuantOptions, QuantStats,
+    profile_plan, run_plan, Calibration, Plan, PlanCache, PlanKey, PlanPrecision, PlanProfile,
+    PlanSource, PlanStats, QuantOptions, QuantStats,
 };
 use mfaplace_models::{expected_levels, CongestionModel};
 use mfaplace_placer::CongestionPredictor;
 use mfaplace_rt::timer::ScopeTimer;
 use mfaplace_tensor::Tensor;
 
+use crate::compile::fnv1a;
+
 /// Which machinery runs the inference forward.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Engine {
-    /// Replay the model through the dynamic autograd tape (reference
-    /// implementation; allocates nodes and re-derives shapes per forward).
+    /// Replay the model through the dynamic autograd tape. Not a serving
+    /// engine: it is the reference that tests and benchmarks compare the
+    /// plans against, selectable only through the Rust API.
     Tape,
     /// Execute a compiled, shape-specialized [`mfaplace_infer::Plan`]
     /// (fused kernels, zero allocations per forward). Bitwise identical
     /// outputs to [`Engine::Tape`].
     Plan,
     /// Execute the plan lowered by [`mfaplace_infer::Plan::quantize`] —
-    /// int8/f16 activation arena, int8 GEMM compute — from the f32 plan
-    /// plus an offline [`Calibration`]. Requires calibration to be attached
-    /// (via [`ModelPredictor::set_calibration`] or
-    /// [`ModelPredictor::calibrate`]); without it, or if the quantized
-    /// build fails, forwards silently fall back to the f32 plan (then the
-    /// tape), so selecting this engine never breaks a predictor.
+    /// int8 activation arena, int8 GEMM compute — from the f32 plan plus
+    /// the attached [`Calibration`] (from a `.mfaq` artifact or
+    /// [`ModelPredictor::calibrate`]). Never selected without one.
     Quant,
 }
 
 impl Engine {
-    /// Parses `"tape"` / `"plan"` / `"quant"` (case-insensitive).
+    /// Parses a serving engine, `"plan"` or `"quant"` (case-insensitive).
+    /// The tape is not one, so `"tape"` is `None` like any other word.
     pub fn parse(s: &str) -> Option<Engine> {
         match s.to_ascii_lowercase().as_str() {
-            "tape" => Some(Engine::Tape),
             "plan" => Some(Engine::Plan),
             "quant" => Some(Engine::Quant),
             _ => None,
         }
-    }
-
-    /// Reads `MFAPLACE_ENGINE` (`tape`, `plan` or `quant`); defaults to
-    /// [`Engine::Plan`] when unset or unrecognized.
-    pub fn from_env() -> Engine {
-        std::env::var("MFAPLACE_ENGINE")
-            .ok()
-            .and_then(|v| Engine::parse(&v))
-            .unwrap_or(Engine::Plan)
     }
 
     /// Stable lowercase name (`"tape"` / `"plan"` / `"quant"`).
@@ -87,24 +76,21 @@ impl Engine {
     }
 }
 
-/// Why [`Engine::Quant`] serves the f32 plan on an uncalibrated predictor.
-const NO_CALIBRATION: &str = "quant engine: no calibration attached";
-
-/// What a predictor is doing right now, as opposed to what it was asked to
-/// do — see [`ModelPredictor::status`].
+/// A predictor's engine, precision and plan stats in one consistent
+/// snapshot — see [`ModelPredictor::status`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PredictorStatus {
-    /// The engine selected via [`ModelPredictor::set_engine`].
-    pub requested: Engine,
-    /// The engine the next forward actually runs.
-    pub served: Engine,
+    /// The engine every forward runs.
+    pub engine: Engine,
     /// The numeric precision that forward runs at.
     pub precision: PlanPrecision,
-    /// Why `served` is not `requested`; `None` exactly when they are equal.
-    pub fallback: Option<String>,
-    /// Peak-memory plan stats as the served engine experiences them.
+    /// Peak-memory plan stats of that engine's plans.
     pub plan: Option<PlanStats>,
 }
+
+/// An attached calibration: the ranges, the options and the content hash
+/// that keys its int8 plans in the shared cache.
+type Quant = (Arc<Calibration>, QuantOptions, u64);
 
 /// A trained model plus its graph, usable inside a placement flow.
 pub struct ModelPredictor<M: CongestionModel> {
@@ -125,32 +111,21 @@ pub struct ModelPredictor<M: CongestionModel> {
     arena: Vec<u64>,
     /// Stats of the largest-arena f32 plan resolved so far (peak memory).
     peak_stats: Option<PlanStats>,
-    /// Stats of the largest-arena quantized plan resolved so far
-    /// (arena/weight bytes reflect quantized storage).
+    /// Stats of the largest-arena quantized plan of the attached
+    /// calibration (arena/weight bytes reflect quantized storage).
     peak_quant: Option<PlanStats>,
     /// Parameter snapshots shared across the per-shape plans.
     weight_cache: HashMap<usize, Arc<Tensor>>,
-    /// Set on the first failed capture; the predictor then stays on the
-    /// tape (the error is surfaced via metrics/CLI, never a panic).
-    plan_broken: Option<String>,
-    /// Compile plans with inference-mode BN folded into conv weights
-    /// (keyed separately in the cache; outputs agree with the tape to
-    /// 1e-6 of output scale instead of bitwise).
-    fold_bn: bool,
-    /// Offline calibration + quantization options. `None` means
-    /// uncalibrated: [`Engine::Quant`] then falls back to the f32 plan.
-    quant: Option<(Arc<Calibration>, QuantOptions)>,
-    /// Set on the first failed quantized build; quant forwards then stay
-    /// on the f32 fallback (surfaced via metrics/CLI, never a panic).
-    quant_broken: Option<String>,
+    /// The attached calibration; `None` means uncalibrated, and then
+    /// [`Engine::Quant`] cannot be selected.
+    quant: Option<Quant>,
 }
 
 impl<M: CongestionModel> ModelPredictor<M> {
     /// Wraps a trained `(graph, model)` pair (e.g. from
-    /// [`crate::Trainer::into_parts`]). The forward engine comes from
-    /// `MFAPLACE_ENGINE` (default: compiled plans); plans land in a
-    /// private cache sized by `MFAPLACE_PLAN_CACHE_MB`. Use
-    /// [`ModelPredictor::with_plan_cache`] to share plans across
+    /// [`crate::Trainer::into_parts`]) on the [`Engine::Plan`] engine;
+    /// plans land in a private cache sized by `MFAPLACE_PLAN_CACHE_MB`.
+    /// Use [`ModelPredictor::with_plan_cache`] to share plans across
     /// predictors built from identical weights.
     pub fn new(graph: Graph, model: M) -> Self {
         Self::with_plan_cache(
@@ -181,17 +156,14 @@ impl<M: CongestionModel> ModelPredictor<M> {
             graph,
             model,
             name,
-            engine: Engine::from_env(),
+            engine: Engine::Plan,
             plan_cache,
             plan_source,
             arena: Vec::new(),
             peak_stats: None,
             peak_quant: None,
             weight_cache: HashMap::new(),
-            plan_broken: None,
-            fold_bn: false,
             quant: None,
-            quant_broken: None,
         }
     }
 
@@ -206,103 +178,78 @@ impl<M: CongestionModel> ModelPredictor<M> {
         1
     }
 
+    /// Always `None`: a plan that cannot be built is a load error, so no
+    /// predictor falls back from one engine to another. Kept, with
+    /// [`ModelPredictor::quant_broken`], only because the benchmark's
+    /// `map_hires` and `place_suite` workloads call it.
+    pub fn plan_broken(&self) -> Option<&str> {
+        None
+    }
+
+    /// Always `None`: see [`ModelPredictor::plan_broken`].
+    pub fn quant_broken(&self) -> Option<&str> {
+        None
+    }
+
     /// Borrows the wrapped model.
     pub fn model(&self) -> &M {
         &self.model
     }
 
-    /// The active forward engine.
+    /// The forward engine.
     pub fn engine(&self) -> Engine {
         self.engine
     }
 
-    /// Switches the forward engine. Compiled plans are kept (switching
-    /// back to [`Engine::Plan`] reuses them).
-    pub fn set_engine(&mut self, engine: Engine) {
+    /// Switches the forward engine and returns `true`, or refuses
+    /// [`Engine::Quant`] on an uncalibrated predictor, leaves the engine
+    /// unchanged and returns `false`. Compiled plans are kept either way.
+    pub fn set_engine(&mut self, engine: Engine) -> bool {
+        if engine == Engine::Quant && self.quant.is_none() {
+            return false;
+        }
         self.engine = engine;
+        true
     }
 
-    /// Why plan compilation failed, if it did (the predictor is then
-    /// permanently on the tape fallback).
-    pub fn plan_broken(&self) -> Option<&str> {
-        self.plan_broken.as_deref()
-    }
-
-    /// Why the quantized build failed, if it did (quant forwards then
-    /// stay on the f32 plan fallback).
-    pub fn quant_broken(&self) -> Option<&str> {
-        self.quant_broken.as_deref()
-    }
-
-    /// Enables/disables BN folding for plans compiled *after* this call.
-    /// Folded and unfolded plans live under distinct cache keys, so
-    /// toggling never serves a stale flavour.
-    pub fn set_fold_bn(&mut self, fold: bool) {
-        self.fold_bn = fold;
-    }
-
-    /// Whether plans are compiled with BN folding.
-    pub fn fold_bn(&self) -> bool {
-        self.fold_bn
-    }
-
-    /// Attaches an offline calibration (e.g. from a serving artifact) so
-    /// [`Engine::Quant`] forwards can build quantized plans without
-    /// re-calibrating. Clears any previous quant failure.
-    pub fn set_calibration(&mut self, calibration: Arc<Calibration>, options: QuantOptions) {
-        self.quant = Some((calibration, options));
-        self.quant_broken = None;
+    /// Attaches `calibration` once it has lowered the f32 plan for a
+    /// `shape` forward to int8, so a calibration that does not fit this
+    /// model (e.g. collected on another checkpoint or grid) is an error
+    /// here, never at a forward. On error the previous calibration, if
+    /// any, stays attached.
+    pub(crate) fn set_calibration(
+        &mut self,
+        calibration: Arc<Calibration>,
+        options: QuantOptions,
+        shape: &[usize],
+    ) -> Result<(), String> {
+        let hash = fnv1a(&calibration.to_bytes());
+        let quant = (calibration, options, hash);
+        let plan = self.resolve_plan(shape, Some(&quant))?;
+        self.peak_quant = Some(plan.stats().clone());
+        self.quant = Some(quant);
+        Ok(())
     }
 
     /// The attached calibration, if any.
     pub fn calibration(&self) -> Option<&Arc<Calibration>> {
-        self.quant.as_ref().map(|(c, _)| c)
+        self.quant.as_ref().map(|(c, _, _)| c)
     }
 
-    /// The attached quantization options, if calibrated.
-    pub fn quant_options(&self) -> Option<QuantOptions> {
-        self.quant.as_ref().map(|(_, o)| *o)
-    }
-
-    /// The engine the next forward runs and, when that is not the requested
-    /// one, why — the single encoding of the quant → plan → tape fallback
-    /// rule. Dispatch, [`ModelPredictor::precision`],
-    /// [`ModelPredictor::active_plan_stats`] and [`ModelPredictor::status`]
-    /// all read it, so they cannot disagree.
-    fn effective(&self) -> (Engine, Option<&str>) {
-        let mut served = self.engine;
-        let mut why = None;
-        if served == Engine::Quant && (self.quant.is_none() || self.quant_broken.is_some()) {
-            served = Engine::Plan;
-            why = Some(self.quant_broken.as_deref().unwrap_or(NO_CALIBRATION));
-        }
-        if served == Engine::Plan {
-            if let Some(broken) = &self.plan_broken {
-                served = Engine::Tape;
-                why = Some(broken);
-            }
-        }
-        (served, why)
-    }
-
-    /// The numeric precision forwards currently run at: `int8` while the
-    /// quant engine is really serving, `f32` otherwise.
+    /// The numeric precision forwards run at: `int8` on the quant engine,
+    /// `f32` otherwise.
     pub fn precision(&self) -> PlanPrecision {
-        match self.effective().0 {
+        match self.engine {
             Engine::Quant => PlanPrecision::Int8,
             _ => PlanPrecision::F32,
         }
     }
 
-    /// Requested engine, engine really serving, precision, fallback reason
-    /// and active plan stats in one consistent snapshot.
+    /// Engine, precision and active plan stats in one consistent snapshot.
     pub fn status(&self) -> PredictorStatus {
-        let (served, why) = self.effective();
         PredictorStatus {
-            requested: self.engine,
-            served,
+            engine: self.engine,
             precision: self.precision(),
-            fallback: why.map(str::to_owned),
             plan: self.active_plan_stats(),
         }
     }
@@ -310,9 +257,10 @@ impl<M: CongestionModel> ModelPredictor<M> {
     /// Runs the offline calibration pass: compiles (or fetches) the f32
     /// plan for a single-sample `[1, C, H, W]` forward, replays it
     /// serially over every representative input (each a `[C, H, W]`
-    /// feature stack), records per-step activation abs-max ranges, and
-    /// attaches the result. Deterministic: the same inputs in the same
-    /// order produce a bitwise-identical calibration.
+    /// feature stack), records per-step activation abs-max ranges, builds
+    /// the int8 plan from them and attaches the result. Deterministic: the
+    /// same inputs in the same order produce a bitwise-identical
+    /// calibration.
     pub fn calibrate(
         &mut self,
         inputs: &[Tensor],
@@ -328,10 +276,10 @@ impl<M: CongestionModel> ModelPredictor<M> {
             ));
         }
         let plan_shape = vec![1, shape[0], shape[1], shape[2]];
-        let plan = self.resolve_plan(&plan_shape, PlanPrecision::F32)?;
+        let plan = self.resolve_plan(&plan_shape, None)?;
         let calib = Calibration::collect(&plan, inputs.iter().map(|t| t.data()))?;
         let calib = Arc::new(calib);
-        self.set_calibration(calib.clone(), options);
+        self.set_calibration(calib.clone(), options, &plan_shape)?;
         Ok(calib)
     }
 
@@ -351,22 +299,30 @@ impl<M: CongestionModel> ModelPredictor<M> {
         self.peak_stats.clone()
     }
 
-    /// Quantization counters of the largest-arena quantized plan resolved
-    /// so far, if any quant forward has compiled one.
+    /// Quantization counters of the largest-arena quantized plan of the
+    /// attached calibration, if calibrated.
     pub fn quant_plan_stats(&self) -> Option<QuantStats> {
         self.peak_quant.as_ref()?.quant.clone()
     }
 
-    /// Plan stats as the served engine experiences them: the quantized
-    /// plan's counters (int8/f16 arena and weight bytes) when the quant
-    /// engine is serving a quantized plan, the f32 plan's otherwise —
-    /// what the serve layer renders as `mfaplace_infer_plan_*` gauges.
+    /// Plan stats as the engine experiences them: the quantized plan's
+    /// counters (int8 arena and weight bytes) on the quant engine, the f32
+    /// plan's otherwise — what the serve layer renders as
+    /// `mfaplace_infer_plan_*` gauges.
     pub fn active_plan_stats(&self) -> Option<PlanStats> {
-        let quant = match self.effective().0 {
+        match self.engine {
             Engine::Quant => self.peak_quant.clone(),
+            _ => self.peak_stats.clone(),
+        }
+    }
+
+    /// The calibration the engine's plans are lowered with: the attached
+    /// one on the quant engine, none otherwise.
+    fn engine_quant(&self) -> Option<Quant> {
+        match self.engine {
+            Engine::Quant => self.quant.clone(),
             _ => None,
-        };
-        quant.or_else(|| self.peak_stats.clone())
+        }
     }
 
     /// The batch size a request batch of `n` samples is padded to before
@@ -388,10 +344,10 @@ impl<M: CongestionModel> ModelPredictor<M> {
     }
 
     /// Compiles (or fetches from the shared cache) the plan the next
-    /// `[n, c, h, w]` forward would run — the quantized one while the
-    /// quant engine is really serving, the f32 one otherwise — without
-    /// running it, returning its stats (the `model-info` hook). `n` is
-    /// bucketed exactly as a predict would.
+    /// `[n, c, h, w]` forward would run — the quantized one on the quant
+    /// engine, the f32 one otherwise — without running it, returning its
+    /// stats (the loader's and `model-info`'s hook). `n` is bucketed
+    /// exactly as a predict would.
     ///
     /// Capture runs the model once on a zeros input; zoo forwards branch
     /// only on shape, so the recording is valid for any batch content.
@@ -403,7 +359,7 @@ impl<M: CongestionModel> ModelPredictor<M> {
         w: usize,
     ) -> Result<PlanStats, String> {
         let shape = vec![Self::bucketed_batch(n), c, h, w];
-        let plan = self.resolve_plan(&shape, self.precision())?;
+        let plan = self.resolve_plan(&shape, self.engine_quant().as_ref())?;
         Ok(plan.stats().clone())
     }
 
@@ -415,46 +371,44 @@ impl<M: CongestionModel> ModelPredictor<M> {
     pub fn profile_plan(&mut self, input: &Tensor) -> Result<PlanProfile, String> {
         let mut shape = vec![1];
         shape.extend_from_slice(input.shape());
-        let plan = self.resolve_plan(&shape, self.precision())?;
+        let plan = self.resolve_plan(&shape, self.engine_quant().as_ref())?;
         Ok(profile_plan(&plan, &mut self.arena, input.data()))
     }
 
-    /// Fetches the plan for `shape` at `precision` from the shared cache,
-    /// compiling and inserting it on a miss: f32 plans are captured from
-    /// one tape recording, int8 plans are lowered from the f32 plan with
-    /// the attached calibration. Errors when the capture fails, when no
-    /// calibration is attached, or when the calibration does not match the
-    /// captured plan (stale — e.g. a different checkpoint or grid; the
-    /// error says to recalibrate). Compilation runs outside the cache
-    /// lock, so two predictors racing on one cold key may both compile;
-    /// the loser replaces the winner's identical entry.
+    /// Fetches the plan for `shape` from the shared cache — the f32 plan,
+    /// or with `quant` its int8 lowering — compiling and inserting it on a
+    /// miss: f32 plans are captured from one tape recording, int8 plans
+    /// are lowered from the f32 plan with the calibration. Errors when the
+    /// capture fails or when the calibration does not match the captured
+    /// plan (stale — e.g. a different checkpoint or grid; the error says
+    /// to recalibrate). Compilation runs outside the cache lock, so two
+    /// predictors racing on one cold key may both compile; the loser
+    /// replaces the winner's identical entry.
     fn resolve_plan(
         &mut self,
         shape: &[usize],
-        precision: PlanPrecision,
+        quant: Option<&Quant>,
     ) -> Result<Arc<Plan>, String> {
-        let key = PlanKey {
-            precision,
-            ..PlanKey::f32(self.plan_source, shape.to_vec(), self.fold_bn)
+        let key = match quant {
+            None => PlanKey::f32(self.plan_source, shape.to_vec()),
+            Some(&(_, _, hash)) => PlanKey::int8(self.plan_source, shape.to_vec(), hash),
         };
         let plan = match self.plan_cache.get(&key) {
             Some(plan) => plan,
             None => {
-                let plan = Arc::new(match precision {
-                    PlanPrecision::F32 => self.capture_plan(shape)?,
-                    PlanPrecision::Int8 => {
-                        let (calib, opts) = self.quant.clone().ok_or(NO_CALIBRATION)?;
-                        self.resolve_plan(shape, PlanPrecision::F32)?
-                            .quantize(&calib, opts)?
+                let plan = Arc::new(match quant {
+                    None => self.capture_plan(shape)?,
+                    Some((calib, opts, _)) => {
+                        self.resolve_plan(shape, None)?.quantize(calib, *opts)?
                     }
                 });
                 self.plan_cache.insert(key, plan.clone());
                 plan
             }
         };
-        let peak = match precision {
-            PlanPrecision::F32 => &mut self.peak_stats,
-            PlanPrecision::Int8 => &mut self.peak_quant,
+        let peak = match quant {
+            None => &mut self.peak_stats,
+            Some(_) => &mut self.peak_quant,
         };
         let stats = plan.stats();
         if peak
@@ -471,48 +425,24 @@ impl<M: CongestionModel> ModelPredictor<M> {
         let mark = self.graph.mark();
         let xv = self.graph.constant(Tensor::zeros(shape.to_vec()));
         let yv = self.model.forward(&mut self.graph, xv, false);
-        let captured = Plan::capture_cached(
-            &self.graph,
-            mark,
-            xv,
-            yv,
-            PlanOptions {
-                fold_bn: self.fold_bn,
-            },
-            &mut self.weight_cache,
-        );
+        let captured = Plan::capture_cached(&self.graph, mark, xv, yv, &mut self.weight_cache);
         self.graph.truncate(mark);
         captured
     }
 
-    /// Logits from the compiled `engine` (plan or quant), or `None` when its
-    /// build failed — the reason is latched, so [`Self::effective`] names
-    /// the next engine down. Pads the batch up to its bucket size, runs the
-    /// bucketed plan, and slices the padding back off.
-    fn compiled_logits(&mut self, engine: Engine, batch: &Tensor) -> Option<Tensor> {
+    /// Logits from the engine's compiled plan. Pads the batch up to its
+    /// bucket size, runs the bucketed plan, and slices the padding back
+    /// off. Panics when the plan cannot be built (see
+    /// [`ModelPredictor::predict_batch_tensors`]).
+    fn compiled_logits(&mut self, batch: &Tensor) -> Tensor {
         let n = batch.shape()[0];
         let bucket = Self::bucketed_batch(n);
         let mut plan_shape = batch.shape().to_vec();
         plan_shape[0] = bucket;
-        let quant = engine == Engine::Quant;
-        let (precision, timer) = if quant {
-            (PlanPrecision::Int8, "core/forward_quant")
-        } else {
-            (PlanPrecision::F32, "core/forward_plan")
-        };
-        let plan = match self.resolve_plan(&plan_shape, precision) {
-            Ok(plan) => plan,
-            Err(e) => {
-                let (counter, latch) = if quant {
-                    ("infer/quant_fallback", &mut self.quant_broken)
-                } else {
-                    ("infer/plan_fallback", &mut self.plan_broken)
-                };
-                mfaplace_rt::timer::count(counter, 1);
-                *latch = Some(e);
-                return None;
-            }
-        };
+        let quant = self.engine_quant();
+        let plan = self
+            .resolve_plan(&plan_shape, quant.as_ref())
+            .unwrap_or_else(|e| panic!("{} plan build failed: {e}", self.engine.name()));
         let mut padded = Vec::new();
         let input = if bucket == n {
             batch.data()
@@ -522,16 +452,17 @@ impl<M: CongestionModel> ModelPredictor<M> {
             &padded[..]
         };
         let full = {
-            let _t = ScopeTimer::new(timer);
+            let _t = ScopeTimer::new(match quant {
+                Some(_) => "core/forward_quant",
+                None => "core/forward_plan",
+            });
             run_plan(&plan, &mut self.arena, input)
         };
         let mut out_shape = plan.output_shape().to_vec();
         out_shape[0] = n;
         let per_out = full.len() / bucket;
-        Some(
-            Tensor::from_vec(out_shape, full[..n * per_out].to_vec())
-                .expect("compiled plan output tensor"),
-        )
+        Tensor::from_vec(out_shape, full[..n * per_out].to_vec())
+            .expect("compiled plan output tensor")
     }
 
     /// Tape-engine logits (the reference path).
@@ -554,7 +485,11 @@ impl<M: CongestionModel> ModelPredictor<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `inputs` is empty or the stacks disagree in shape.
+    /// Panics if `inputs` is empty or the stacks disagree in shape, and
+    /// with the build error if the engine's plan for this batch shape
+    /// cannot be built. The loader builds the single-sample plan before it
+    /// returns a predictor, and capture depends on the op set, not the
+    /// batch size, so this is a defect, not an input error.
     pub fn predict_batch_tensors(&mut self, inputs: &[Tensor]) -> Vec<Tensor> {
         assert!(!inputs.is_empty(), "predict_batch_tensors: empty batch");
         let shape = inputs[0].shape().to_vec();
@@ -567,18 +502,9 @@ impl<M: CongestionModel> ModelPredictor<M> {
             data.extend_from_slice(x.data());
         }
         let batch = Tensor::from_vec(vec![n, c, h, w], data).expect("stacked batch");
-
-        // A failed build latches its reason, which moves `effective()` one
-        // engine down the chain; the tape cannot fail, so this terminates.
-        let logits = loop {
-            match self.effective().0 {
-                Engine::Tape => break self.tape_logits(&batch),
-                engine => {
-                    if let Some(logits) = self.compiled_logits(engine, &batch) {
-                        break logits;
-                    }
-                }
-            }
+        let logits = match self.engine {
+            Engine::Tape => self.tape_logits(&batch),
+            Engine::Plan | Engine::Quant => self.compiled_logits(&batch),
         };
         let levels = expected_levels(&logits); // [N, H, W]
         let hw = h * w;
@@ -734,7 +660,6 @@ mod tests {
         for (i, (t, p)) in from_tape.iter().zip(&from_plan).enumerate() {
             assert_eq!(t.data(), p.data(), "sample {i}: engines must agree bitwise");
         }
-        assert!(plan.plan_broken().is_none());
         let stats = plan.plan_stats().expect("plan compiled during predict");
         assert!(stats.ops > 0 && stats.arena_bytes > 0);
         assert!(tape.plan_stats().is_none(), "tape engine compiles nothing");
@@ -751,29 +676,13 @@ mod tests {
     }
 
     #[test]
-    fn quant_engine_without_calibration_falls_back_to_the_plan() {
-        let d = DesignPreset::design_116()
-            .with_scale(512, 64, 32)
-            .generate(1);
-        let p = d.random_placement(7);
-        let x = FeatureStack::extract(&d, &p, 32, 32).to_tensor();
-
-        let mut plan = small_predictor(8);
-        plan.set_engine(Engine::Plan);
-        let mut quant = small_predictor(8); // same seed => same weights
-        quant.set_engine(Engine::Quant);
-        assert_eq!(quant.engine().name(), "quant");
-        assert_eq!(quant.precision().name(), "f32", "uncalibrated => f32");
-
-        let via_plan = plan.predict_batch_tensors(std::slice::from_ref(&x));
-        let via_quant = quant.predict_batch_tensors(std::slice::from_ref(&x));
-        assert_eq!(
-            via_plan[0].data(),
-            via_quant[0].data(),
-            "uncalibrated quant engine must serve the bitwise f32 answer"
-        );
-        assert!(quant.quant_broken().is_none());
-        assert!(quant.quant_plan_stats().is_none(), "nothing quantized");
+    fn quant_engine_is_refused_without_a_calibration() {
+        let mut p = small_predictor(8);
+        assert!(!p.set_engine(Engine::Quant), "nothing to quantize with");
+        assert_eq!(p.status().engine, Engine::Plan, "engine unchanged");
+        assert_eq!(p.precision(), PlanPrecision::F32);
+        assert!(p.set_engine(Engine::Tape) && p.set_engine(Engine::Plan));
+        assert!(p.quant_plan_stats().is_none(), "nothing quantized");
     }
 
     #[test]
@@ -792,15 +701,10 @@ mod tests {
             .calibrate(&inputs, QuantOptions::default())
             .expect("calibration");
         assert!(calib.steps() > 0);
-        predictor.set_engine(Engine::Quant);
+        assert!(predictor.set_engine(Engine::Quant));
         assert_eq!(predictor.precision().name(), "int8");
 
         let outs = predictor.predict_batch_tensors(&inputs);
-        assert!(
-            predictor.quant_broken().is_none(),
-            "{:?}",
-            predictor.quant_broken()
-        );
         for out in &outs {
             assert!(out.data().iter().all(|&v| (0.0..=7.0).contains(&v)));
         }
@@ -819,26 +723,15 @@ mod tests {
         );
     }
 
+    /// A calibration that does not fit this model's plan (collected on a
+    /// much shallower network) is refused when it is attached, and the
+    /// calibration already attached keeps serving.
     #[test]
-    fn status_reports_the_engine_really_serving_and_why() {
+    fn a_stale_calibration_is_refused_and_the_old_one_kept() {
         let d = DesignPreset::design_116()
             .with_scale(512, 64, 32)
             .generate(1);
         let x = FeatureStack::extract(&d, &d.random_placement(5), 32, 32).to_tensor();
-
-        // Uncalibrated quant serves the f32 plan, and says so.
-        let mut p = small_predictor(10);
-        p.set_engine(Engine::Quant);
-        let status = p.status();
-        assert_eq!(
-            (status.requested, status.served),
-            (Engine::Quant, Engine::Plan)
-        );
-        assert_eq!(status.fallback.as_deref(), Some(NO_CALIBRATION));
-
-        // A calibration that does not fit this model's plan (collected on a
-        // much shallower network) latches `quant_broken` on the first
-        // forward; the answer is still the bitwise f32 one.
         let mut g = Graph::new();
         let mut rng = StdRng::seed_from_u64(10);
         let unet = mfaplace_models::UNetModel::new(&mut g, 2, &mut rng);
@@ -846,33 +739,26 @@ mod tests {
         let stale = other
             .calibrate(std::slice::from_ref(&x), QuantOptions::default())
             .unwrap();
-        p.set_calibration(stale, QuantOptions::default());
-        assert_eq!(
-            p.status().served,
-            Engine::Quant,
-            "calibrated, not yet built"
-        );
-        let via_quant = p.predict_batch_tensors(std::slice::from_ref(&x));
+
+        let mut p = small_predictor(10);
+        let fitting = p
+            .calibrate(std::slice::from_ref(&x), QuantOptions::default())
+            .unwrap();
+        assert!(p.set_engine(Engine::Quant));
+        let before = p.predict_batch_tensors(std::slice::from_ref(&x));
+        let err = p
+            .set_calibration(stale, QuantOptions::default(), &[1, 6, 32, 32])
+            .unwrap_err();
+        assert!(err.contains("recalibrate"), "{err}");
+        assert_eq!(p.calibration(), Some(&fitting));
         let status = p.status();
-        assert_eq!(status.requested, Engine::Quant);
-        assert_eq!(status.served, Engine::Plan);
-        assert_eq!(status.precision, PlanPrecision::F32);
-        assert_eq!(status.fallback.as_deref(), p.quant_broken());
-        assert!(
-            status.fallback.as_deref().unwrap().contains("recalibrate"),
-            "{status:?}"
-        );
         assert_eq!(
-            status.plan,
-            p.plan_stats(),
-            "f32 plan stats while fallen back"
+            (status.engine, status.precision),
+            (Engine::Quant, PlanPrecision::Int8)
         );
-        let mut plan = small_predictor(10);
-        plan.set_engine(Engine::Plan);
-        let via_plan = plan.predict_batch_tensors(std::slice::from_ref(&x));
-        assert_eq!(via_quant[0].data(), via_plan[0].data());
-        assert_eq!(plan.status().fallback, None, "healthy: nothing to report");
-        assert_eq!(plan.status().served, Engine::Plan);
+        assert!(status.plan.and_then(|s| s.quant).is_some(), "int8 stats");
+        let after = p.predict_batch_tensors(std::slice::from_ref(&x));
+        assert_eq!(before[0].data(), after[0].data());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 
 use mfaplace_autograd::Graph;
-use mfaplace_infer::{run_plan, Plan, PlanOptions};
+use mfaplace_infer::{run_plan, Plan};
 use mfaplace_models::{AnyModel, Arch, ArchSpec, CongestionModel};
 use mfaplace_rt::rng::{SeedableRng, StdRng};
 use mfaplace_tensor::simd::{self, Backend};
@@ -63,8 +63,7 @@ fn forward_both(g: &mut Graph, model: &mut AnyModel, x: &Tensor) -> (Vec<f32>, V
     let y = model.forward(g, xv, false);
     let tape = g.value(y).data().to_vec();
     let mut cache = HashMap::new();
-    let plan =
-        Plan::capture_cached(g, mark, xv, y, PlanOptions::default(), &mut cache).expect("plan");
+    let plan = Plan::capture_cached(g, mark, xv, y, &mut cache).expect("plan");
     g.truncate(mark);
     let plan_out = run_plan(&plan, &mut Vec::new(), x.data()).to_vec();
     (tape, plan_out)

@@ -1,6 +1,7 @@
 //! Integration tests for the shared compiled-plan cache: content-hash
 //! keyed sharing across predictors, batch-size bucketing (bitwise equal
-//! to the tape), and byte-bounded LRU eviction measured with real plans.
+//! to the tape), int8 plans keyed by their calibration, and byte-bounded
+//! LRU eviction measured with real plans.
 
 use std::sync::Arc;
 
@@ -8,7 +9,7 @@ use mfaplace_core::loader::{
     content_hash, init_checkpoint, load_predictor_with_cache, LoadOptions,
 };
 use mfaplace_core::predictor::{Engine, ModelPredictor};
-use mfaplace_core::{PlanCache, PlanKey, PlanPrecision, QuantOptions};
+use mfaplace_core::{PlanCache, PlanKey, QuantOptions};
 use mfaplace_models::{Arch, ArchSpec, CongestionModel};
 use mfaplace_tensor::Tensor;
 
@@ -52,7 +53,8 @@ fn byte_identical_checkpoints_share_one_plan_set() {
     let out_b = predict_one(&mut b, &x);
     assert_eq!(out_a.data(), out_b.data(), "shared plans, shared answers");
 
-    // One capture (a's miss), then b resolves the same key from the cache.
+    // One capture (a's miss at load), then b resolves the same key from
+    // the cache.
     let stats = cache.stats();
     assert_eq!(stats.entries, 1, "{stats:?}");
     assert_eq!(stats.misses, 1, "{stats:?}");
@@ -105,7 +107,7 @@ fn batch_bucketing_is_bitwise_equal_to_the_tape() {
 
     // The cache holds the bucketed shape, not the literal batch size.
     let source = plan_side.plan_source();
-    let key = |n: usize| PlanKey::f32(source, vec![n, 6, GRID, GRID], false);
+    let key = |n: usize| PlanKey::f32(source, vec![n, 6, GRID, GRID]);
     assert!(cache.contains(&key(4)), "{:?}", cache.stats());
     assert!(!cache.contains(&key(3)), "{:?}", cache.stats());
 }
@@ -134,27 +136,22 @@ fn mixed_precision_plans_share_one_cache_under_distinct_keys() {
     let ckpt = checkpoint("mixed.mfaw", 45);
     let cache = Arc::new(PlanCache::new(256 << 20));
     let (_, mut p) = load_predictor_with_cache(&ckpt, LoadOptions::default(), &cache).unwrap();
+    let f32_only = cache.stats().bytes;
 
-    // Calibrate over a few representative inputs, then serve quantized.
+    // Calibrate over a few representative inputs (which builds the int8
+    // plan), then serve quantized.
     let reps: Vec<Tensor> = (0..3).map(|i| input(i as f32)).collect();
-    p.calibrate(&reps, QuantOptions::default()).unwrap();
-    p.set_engine(Engine::Quant);
+    let calib = p.calibrate(&reps, QuantOptions::default()).unwrap();
+    assert!(p.set_engine(Engine::Quant));
 
     let x = input(0.5);
-    let f32_only = cache.stats().bytes;
     let out = predict_one(&mut p, &x);
-    assert!(p.quant_broken().is_none(), "{:?}", p.quant_broken());
     assert!(out.data().iter().all(|&v| (0.0..=7.0).contains(&v)));
 
     // Same content hash, two flavours, two entries.
-    let source = p.plan_source();
-    let fkey = PlanKey::f32(source, vec![1, 6, GRID, GRID], false);
-    let qkey = PlanKey {
-        precision: PlanPrecision::Int8,
-        ..fkey.clone()
-    };
+    let fkey = PlanKey::f32(p.plan_source(), vec![1, 6, GRID, GRID]);
     assert!(cache.contains(&fkey), "{:?}", cache.stats());
-    assert!(cache.contains(&qkey), "{:?}", cache.stats());
+    assert_eq!(cache.stats().entries, 2, "{:?}", cache.stats());
 
     // At real model sizes the quantized arena is at most half the f32
     // arena, and the cache charges the quant entry its *own* (smaller)
@@ -174,16 +171,54 @@ fn mixed_precision_plans_share_one_cache_under_distinct_keys() {
         with_quant - f32_only
     );
 
-    // A second predictor from a byte-identical checkpoint with the same
-    // calibration resolves the existing quantized entry — no recompile.
+    // A second predictor from a byte-identical checkpoint calibrated the
+    // same way resolves the existing quantized entry — no recompile.
     let misses_before = cache.stats().misses;
     let (_, mut q) = load_predictor_with_cache(&ckpt, LoadOptions::default(), &cache).unwrap();
-    q.set_calibration(p.calibration().unwrap().clone(), QuantOptions::default());
-    q.set_engine(Engine::Quant);
+    q.calibrate(&reps, QuantOptions::default()).unwrap();
+    assert_eq!(q.calibration(), Some(&calib));
+    assert!(q.set_engine(Engine::Quant));
     let out_q = predict_one(&mut q, &x);
     assert_eq!(out_q.data(), out.data(), "shared quant plan, shared answer");
     let stats = cache.stats();
     assert_eq!(stats.misses, misses_before, "{stats:?}");
+}
+
+/// A predictor calibrated a second time serves its second calibration:
+/// int8 plans are keyed by the calibration's content, so the first
+/// calibration's cached plan is not resolved again.
+#[test]
+fn a_recalibrated_predictor_serves_its_new_calibration() {
+    let ckpt = checkpoint("recalibrate.mfaw", 46);
+    let cache = Arc::new(PlanCache::new(256 << 20));
+    let reps: Vec<Tensor> = (0..3).map(|i| input(i as f32)).collect();
+    let scaled: Vec<Tensor> = (0..3)
+        .map(|i| Tensor::from_fn(vec![6, GRID, GRID], |j| 50.0 * reps[i].data()[j]))
+        .collect();
+    let x = input(0.5);
+
+    let (_, mut p) = load_predictor_with_cache(&ckpt, LoadOptions::default(), &cache).unwrap();
+    p.calibrate(&reps, QuantOptions::default()).unwrap();
+    assert!(p.set_engine(Engine::Quant));
+    let first = predict_one(&mut p, &x);
+    p.calibrate(&scaled, QuantOptions::default()).unwrap();
+    let second = predict_one(&mut p, &x);
+
+    // A fresh predictor, with a cache of its own, calibrated only on the
+    // scaled inputs.
+    let private = Arc::new(PlanCache::new(256 << 20));
+    let (_, mut fresh) =
+        load_predictor_with_cache(&ckpt, LoadOptions::default(), &private).unwrap();
+    fresh.calibrate(&scaled, QuantOptions::default()).unwrap();
+    assert!(fresh.set_engine(Engine::Quant));
+    let want = predict_one(&mut fresh, &x);
+
+    assert_ne!(
+        first.data(),
+        want.data(),
+        "the two calibrations must differ"
+    );
+    assert_eq!(second.data(), want.data(), "stale int8 plan served");
 }
 
 #[test]
@@ -206,7 +241,7 @@ fn lru_eviction_tracks_recency_under_a_real_byte_budget() {
     let cache = Arc::new(PlanCache::new(b1 + b4));
     let (_, mut q) = load_predictor_with_cache(&ckpt, LoadOptions::default(), &cache).unwrap();
     let source = q.plan_source();
-    let key = |n: usize| PlanKey::f32(source, vec![n, 6, GRID, GRID], false);
+    let key = |n: usize| PlanKey::f32(source, vec![n, 6, GRID, GRID]);
 
     q.predict_batch_tensors(&inputs[..1]); // capture [1,..]
     q.predict_batch_tensors(&inputs[..2]); // capture [2,..]

@@ -8,16 +8,17 @@
 //! weight snapshots. [`PlanCache`] fixes both:
 //!
 //! - **Keying** — a [`PlanKey`] is `(weight identity, input shape,
-//!   precision, fold_bn)`. The weight identity is the checkpoint file's
+//!   calibration)`. The weight identity is the checkpoint file's
 //!   *content hash* ([`PlanSource::Content`]) for file-loaded predictors,
 //!   so any two predictors rebuilt from byte-identical checkpoints resolve
 //!   to the same entries, regardless of path or load order. In-memory
 //!   models (trainers, tests) get a process-unique nonce
-//!   ([`PlanSource::unique`]) and therefore never share. The precision
-//!   axis keeps an int8 plan and an f32 plan for the same checkpoint+shape
-//!   under distinct keys; the fold axis separates BN-folded plans (folding
-//!   rewrites weights, so folded and unfolded plans are not
-//!   interchangeable at any precision).
+//!   ([`PlanSource::unique`]) and therefore never share. The calibration
+//!   axis is empty for the f32 plan and holds the calibration's content
+//!   hash for an int8 plan, so the f32 plan and each calibration's int8
+//!   plan for the same checkpoint+shape live under distinct keys, and a
+//!   re-calibrated predictor never resolves the previous calibration's
+//!   plan.
 //! - **Byte bounding** — every entry is charged its arena bytes, weight
 //!   bytes (f32 table plus, for quantized plans, the int8 weight copies)
 //!   *and* plan metadata (op list, value/liveness tables — see
@@ -63,8 +64,8 @@ impl PlanSource {
     }
 }
 
-/// Numeric flavour of a cached plan — the key axis that keeps an int8
-/// plan and an f32 plan for the same checkpoint+shape distinct.
+/// Numeric flavour of a plan: what `/model`, `/metrics` and `model-info`
+/// report a predictor serving at.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum PlanPrecision {
     /// The bitwise-faithful f32 plan.
@@ -85,30 +86,36 @@ impl PlanPrecision {
 }
 
 /// Cache key: weight identity, the exact `[N, C, H, W]` input shape the
-/// plan was specialized for (batch-bucketed by the caller), the plan
-/// precision, and whether BN folding rewrote the weights.
+/// plan was specialized for (batch-bucketed by the caller) and, for an
+/// int8 plan, the calibration it was lowered with.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// Weight identity (content hash or unique nonce).
     pub source: PlanSource,
     /// Input shape the plan is specialized for.
     pub shape: Vec<usize>,
-    /// Numeric flavour of the cached plan.
-    pub precision: PlanPrecision,
-    /// Whether the plan was compiled with `fold_bn` (folding changes
-    /// weight values, so folded plans never substitute for unfolded
-    /// ones — at any precision).
-    pub folded: bool,
+    /// `None` for the f32 plan; for an int8 plan, the content hash of the
+    /// [`Calibration`](crate::Calibration) it was lowered with.
+    pub calibration: Option<u64>,
 }
 
 impl PlanKey {
     /// Key for an f32 plan.
-    pub fn f32(source: PlanSource, shape: Vec<usize>, folded: bool) -> PlanKey {
+    pub fn f32(source: PlanSource, shape: Vec<usize>) -> PlanKey {
         PlanKey {
             source,
             shape,
-            precision: PlanPrecision::F32,
-            folded,
+            calibration: None,
+        }
+    }
+
+    /// Key for the int8 plan lowered with the calibration whose content
+    /// hash is `calibration`.
+    pub fn int8(source: PlanSource, shape: Vec<usize>, calibration: u64) -> PlanKey {
+        PlanKey {
+            source,
+            shape,
+            calibration: Some(calibration),
         }
     }
 }
@@ -269,9 +276,7 @@ impl Default for PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::PlanOptions;
     use crate::quant::{Calibration, QuantOptions};
-    use crate::PlanPrecision;
     use mfaplace_autograd::Graph;
     use mfaplace_tensor::Tensor;
 
@@ -285,7 +290,7 @@ mod tests {
         let x = g.constant(Tensor::zeros(vec![1, 1, 2, 2]));
         let y = g.conv2d(x, w, 1, 0);
         let y = g.relu(y);
-        Arc::new(Plan::capture(&g, mark, x, y, PlanOptions::default()).unwrap())
+        Arc::new(Plan::capture(&g, mark, x, y).unwrap())
     }
 
     fn quantize(plan: &Arc<Plan>) -> Arc<Plan> {
@@ -295,14 +300,11 @@ mod tests {
     }
 
     fn key(source: PlanSource, n: usize) -> PlanKey {
-        PlanKey::f32(source, vec![n, 1, 2, 2], false)
+        PlanKey::f32(source, vec![n, 1, 2, 2])
     }
 
     fn qkey(source: PlanSource, n: usize) -> PlanKey {
-        PlanKey {
-            precision: PlanPrecision::Int8,
-            ..key(source, n)
-        }
+        PlanKey::int8(source, vec![n, 1, 2, 2], 1)
     }
 
     #[test]
@@ -320,7 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn precision_and_fold_are_key_axes() {
+    fn precision_and_calibration_are_key_axes() {
         let cache = PlanCache::new(usize::MAX);
         let src = PlanSource::Content(7);
         let plan = tiny_plan(1.5);
@@ -332,9 +334,9 @@ mod tests {
         assert!(q.stats().quant.is_some(), "int8 key holds the int8 plan");
         let f = cache.get(&key(src, 1)).expect("f32 entry untouched");
         assert!(f.stats().quant.is_none(), "f32 key holds the f32 plan");
-        // A folded key never resolves to the unfolded plan.
+        // Another calibration's key never resolves to this int8 plan.
         assert!(cache
-            .get(&PlanKey::f32(src, vec![1, 1, 2, 2], true))
+            .get(&PlanKey::int8(src, vec![1, 1, 2, 2], 2))
             .is_none());
         assert_eq!(cache.stats().entries, 2);
     }

@@ -10,20 +10,17 @@
 //!
 //! Compilation additionally fuses `conv → bias → channel-affine → relu`
 //! chains and `add → relu` pairs into single kernels (the fused epilogues
-//! already exist in `mfaplace-tensor`), and can optionally fold
-//! inference-mode batch norm into conv weights
-//! ([`PlanOptions::fold_bn`], off by default). [`Plan::quantize`] lowers a
+//! already exist in `mfaplace-tensor`). [`Plan::quantize`] lowers a
 //! captured plan to int8 storage and int8 GEMMs given an offline
 //! [`Calibration`]; the result is another [`Plan`], run the same way.
 //!
-//! The contract, enforced by this crate's equivalence suite: with default
-//! options, plan outputs are **bitwise identical** to the tape forward for
-//! every zoo architecture; with `fold_bn` they agree to within 1e-6 of
-//! the output scale (max-norm).
+//! The contract, enforced by this crate's equivalence suite: plan outputs
+//! are **bitwise identical** to the tape forward for every zoo
+//! architecture.
 //!
 //! ```
 //! use mfaplace_autograd::Graph;
-//! use mfaplace_infer::{run_plan, Plan, PlanOptions};
+//! use mfaplace_infer::{run_plan, Plan};
 //! use mfaplace_tensor::Tensor;
 //!
 //! let mut g = Graph::new();
@@ -33,7 +30,7 @@
 //! let x = g.constant(Tensor::zeros(vec![1, 1, 2, 2]));
 //! let y = g.conv2d(x, w, 1, 0);
 //! let y = g.relu(y);
-//! let plan = Plan::capture(&g, mark, x, y, PlanOptions::default()).unwrap();
+//! let plan = Plan::capture(&g, mark, x, y).unwrap();
 //! let mut arena = Vec::new();
 //! let out = run_plan(&plan, &mut arena, &[1.0, -1.0, 0.5, 0.0]);
 //! assert_eq!(out, &[2.0, 0.0, 1.0, 0.0]);
@@ -49,5 +46,5 @@ pub use cache::{
     PlanCache, PlanCacheStats, PlanKey, PlanPrecision, PlanSource, DEFAULT_PLAN_CACHE_BYTES,
 };
 pub use exec::{profile_plan, run_plan, PlanProfile, StepProfile};
-pub use plan::{Plan, PlanOptions, PlanStats, StepCost};
+pub use plan::{Plan, PlanStats, StepCost};
 pub use quant::{Calibration, QuantOptions, QuantStats};

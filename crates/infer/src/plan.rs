@@ -1,5 +1,5 @@
-//! Plan compilation: tape capture, fusion passes, BN folding and the
-//! liveness-packed activation arena.
+//! Plan compilation: tape capture, fusion passes and the liveness-packed
+//! activation arena.
 //!
 //! A [`Plan`] is compiled from **one** recording of a model forward on the
 //! dynamic autograd tape: [`Graph::segment`] yields the recorded
@@ -19,18 +19,14 @@
 //!    epilogue (executed by `conv_reorder_epilogue`, whose per-element
 //!    arithmetic is exactly the tape's op sequence, keeping outputs
 //!    bitwise); `add → relu` pairs fuse the same way.
-//! 3. **BN folding** (optional, [`PlanOptions::fold_bn`]) — a fused
-//!    `channel_affine` epilogue is folded into the conv weight/bias through
-//!    an f64 refold. This changes weight values, so it is off by default:
-//!    the bitwise contract becomes a ≤1e-6 one.
-//! 4. **Copy elision** — pure-reshape [`IrOp::Copy`] steps are rewritten
+//! 3. **Copy elision** — pure-reshape [`IrOp::Copy`] steps are rewritten
 //!    into *aliases* of their source value: no op in the IR ever mutates an
 //!    existing span, so a reshape output can share its source's storage as
 //!    long as the liveness pass keeps the shared span alive until the last
 //!    reader of **either** value (a write-after-read extension of the
 //!    plain per-value liveness).
-//! 5. **Arena assignment** — steps keep the order capture leaves them in
-//!    (the tape order, after fusion, BN folding and copy elision), and
+//! 4. **Arena assignment** — steps keep the order capture leaves them in
+//!    (the tape order, after fusion and copy elision), and
 //!    serial replay runs them in that order. Liveness intervals for every
 //!    intermediate plus the op-local scratch each step declares (conv
 //!    im2col/GEMM buffers, attention score rows, quantize/dequantize
@@ -43,7 +39,7 @@
 //! A captured plan stores every value as f32 and runs every step on the
 //! generic f32 kernel. [`Plan::quantize`] (see `quant.rs`) is an IR→IR
 //! lowering that rewrites only the per-value [`Store`] and per-step
-//! [`Kernel`] tables and re-runs pass 5.
+//! [`Kernel`] tables and re-runs pass 4.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -51,19 +47,6 @@ use std::sync::Arc;
 
 use mfaplace_autograd::{Graph, TapeOp, Var};
 use mfaplace_tensor::{conv_out_size, Tensor};
-
-/// Compile-time options for [`Plan::capture`].
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct PlanOptions {
-    /// Fold the fused inference-mode batch-norm epilogue
-    /// (`channel_affine`) into the preceding conv's weight and bias using
-    /// f64 intermediate arithmetic. Saves one multiply-add per output
-    /// element but changes weight values, so plan outputs are no longer
-    /// bitwise identical to the tape — only within 1e-6 of the output
-    /// scale in max-norm (asserted by the equivalence suite). Default
-    /// **off** to preserve the bitwise contract.
-    pub fold_bn: bool,
-}
 
 /// Counters describing a compiled plan, for `/metrics` and `model-info`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -78,8 +61,6 @@ pub struct PlanStats {
     pub fused_conv_relu: usize,
     /// `add → relu` pairs fused.
     pub fused_add_relu: usize,
-    /// Conv weights rewritten by BN folding.
-    pub folded_bn: usize,
     /// Activation arena size in bytes (peak, fixed at compile time).
     pub arena_bytes: usize,
     /// Weight-table tensors.
@@ -391,15 +372,9 @@ impl Plan {
     ///
     /// See [`Plan::capture_cached`]; this variant snapshots parameters into
     /// a private weight table (no sharing across plans).
-    pub fn capture(
-        g: &Graph,
-        mark: usize,
-        input: Var,
-        output: Var,
-        opts: PlanOptions,
-    ) -> Result<Plan, String> {
+    pub fn capture(g: &Graph, mark: usize, input: Var, output: Var) -> Result<Plan, String> {
         let mut cache = HashMap::new();
-        Self::capture_cached(g, mark, input, output, opts, &mut cache)
+        Self::capture_cached(g, mark, input, output, &mut cache)
     }
 
     /// [`Plan::capture`] with a caller-owned parameter snapshot cache,
@@ -415,7 +390,6 @@ impl Plan {
         mark: usize,
         input: Var,
         output: Var,
-        opts: PlanOptions,
         weight_cache: &mut HashMap<usize, Arc<Tensor>>,
     ) -> Result<Plan, String> {
         let mut values: Vec<ValueInfo> = Vec::new();
@@ -486,9 +460,6 @@ impl Plan {
 
         let mut stats = PlanStats::default();
         fuse(&mut steps, output_val, &mut stats);
-        if opts.fold_bn {
-            fold_bn(&mut steps, &mut values, &mut weights, &mut stats);
-        }
         let alias = elide_copies(&mut steps, &values, output_val, &mut stats);
 
         stats.ops = steps.len();
@@ -609,13 +580,12 @@ impl Plan {
         );
         let _ = writeln!(
             out,
-            "  fusions: conv+bias {}, conv+affine {}, conv+relu {}, add+relu {}, bn-folded {}, \
+            "  fusions: conv+bias {}, conv+affine {}, conv+relu {}, add+relu {}, \
              copies elided {}",
             s.fused_conv_bias,
             s.fused_conv_affine,
             s.fused_conv_relu,
             s.fused_add_relu,
-            s.folded_bn,
             s.copies_elided,
         );
         if let Some(q) = &s.quant {
@@ -1203,64 +1173,6 @@ fn fuse(steps: &mut Vec<Step>, output: ValId, stats: &mut PlanStats) {
     }
     let mut keep = removed.iter().map(|r| !r);
     steps.retain(|_| keep.next().expect("keep mask length"));
-}
-
-/// Folds fused `channel_affine` epilogues into conv weights/bias via f64
-/// intermediates. Only runs when the conv weight (and bias) are
-/// weight-table constants — always true for captured model forwards.
-fn fold_bn(
-    steps: &mut [Step],
-    values: &mut Vec<ValueInfo>,
-    weights: &mut Vec<Arc<Tensor>>,
-    stats: &mut PlanStats,
-) {
-    for step in steps.iter_mut() {
-        let IrOp::Conv2d {
-            w,
-            bias,
-            affine,
-            oc,
-            ..
-        } = &mut step.op
-        else {
-            continue;
-        };
-        if affine.is_none() {
-            continue;
-        }
-        let Loc::Weight(widx) = values[*w].loc else {
-            continue;
-        };
-        let bias_data: Option<Vec<f32>> = match bias {
-            Some(bid) => match values[*bid].loc {
-                Loc::Weight(bidx) => Some(weights[bidx].data().to_vec()),
-                _ => continue,
-            },
-            None => None,
-        };
-        let (scale, shift) = affine.take().expect("checked above");
-        let wt = &weights[widx];
-        let mut wd: Vec<f32> = wt.data().to_vec();
-        let per_oc = wd.len() / *oc;
-        for o in 0..*oc {
-            let s = f64::from(scale[o]);
-            for v in &mut wd[o * per_oc..(o + 1) * per_oc] {
-                *v = (s * f64::from(*v)) as f32;
-            }
-        }
-        let new_w = Tensor::from_vec(wt.shape().to_vec(), wd).expect("folded conv weight");
-        *w = push_weight(values, weights, Arc::new(new_w));
-        let new_bias: Vec<f32> = match &bias_data {
-            Some(bd) => (0..*oc)
-                .map(|o| (f64::from(scale[o]) * f64::from(bd[o]) + f64::from(shift[o])) as f32)
-                .collect(),
-            // No pre-existing bias: the folded bias is the shift exactly.
-            None => shift.clone(),
-        };
-        let new_bias = Tensor::from_vec(vec![*oc], new_bias).expect("folded conv bias");
-        *bias = Some(push_weight(values, weights, Arc::new(new_bias)));
-        stats.folded_bn += 1;
-    }
 }
 
 /// First-fit arena allocator over `(off, len)` holes, with coalescing.

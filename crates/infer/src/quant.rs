@@ -728,7 +728,7 @@ pub(crate) fn matmul_i8(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{verify_step, PlanOptions};
+    use crate::plan::verify_step;
     use crate::run_plan;
     use mfaplace_autograd::Graph;
     use mfaplace_tensor::Tensor;
@@ -754,7 +754,7 @@ mod tests {
         let y = g.relu(y);
         let y = g.sigmoid(y);
         let y = g.conv2d(y, w2, 1, 0);
-        let plan = Plan::capture(&g, mark, x, y, PlanOptions::default()).unwrap();
+        let plan = Plan::capture(&g, mark, x, y).unwrap();
         let input: Vec<f32> = (0..b * 3 * 8 * 8)
             .map(|i| (((i * 131 + 7) % 257) as f32 / 128.0 - 1.0) * 0.9)
             .collect();
@@ -842,7 +842,7 @@ mod tests {
         let x = g.constant(Tensor::zeros(vec![1, 3, 8, 8]));
         let (y1, y2) = (g.conv2d(x, w1, 1, 1), g.conv2d(x, w2, 1, 1));
         let y = g.add(y1, y2);
-        let plan = Plan::capture(&g, mark, x, y, PlanOptions::default()).unwrap();
+        let plan = Plan::capture(&g, mark, x, y).unwrap();
         let input: Vec<f32> = (0..3 * 8 * 8)
             .map(|i| (i % 13) as f32 / 6.5 - 1.0)
             .collect();

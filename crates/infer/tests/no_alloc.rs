@@ -15,7 +15,7 @@ use std::cell::Cell;
 use std::collections::HashMap;
 
 use mfaplace_autograd::Graph;
-use mfaplace_infer::{profile_plan, run_plan, Calibration, Plan, PlanOptions, QuantOptions};
+use mfaplace_infer::{profile_plan, run_plan, Calibration, Plan, QuantOptions};
 use mfaplace_models::{Arch, ArchSpec, CongestionModel};
 use mfaplace_rt::pool;
 use mfaplace_rt::rng::{SeedableRng, StdRng};
@@ -81,8 +81,7 @@ fn warm_forwards_of_f32_and_int8_plans_allocate_nothing() {
     let mark = g.mark();
     let xv = g.constant(x.clone());
     let y = model.forward(&mut g, xv, false);
-    let plan = Plan::capture_cached(&g, mark, xv, y, PlanOptions::default(), &mut HashMap::new())
-        .expect("plan capture");
+    let plan = Plan::capture_cached(&g, mark, xv, y, &mut HashMap::new()).expect("plan capture");
     g.truncate(mark);
     let calib = Calibration::collect(&plan, [x.data()]).expect("calibration");
     let int8 = plan

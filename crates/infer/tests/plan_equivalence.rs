@@ -1,15 +1,14 @@
 //! Plan-vs-tape equivalence across the whole model zoo.
 //!
-//! The contract under test: with default options a compiled plan's output
-//! is **bitwise identical** to the dynamic tape forward for every zoo
-//! architecture, batch size and grid size; with `fold_bn` it agrees to
-//! ≤1e-6. Also asserts the zero-allocation contract (stable arena, no
+//! The contract under test: a compiled plan's output is **bitwise
+//! identical** to the dynamic tape forward for every zoo architecture,
+//! batch size and grid size. Also asserts the zero-allocation contract (stable arena, no
 //! regrowth across forwards) and the fusion/stats counters.
 
 use std::collections::HashMap;
 
 use mfaplace_autograd::{Graph, Var};
-use mfaplace_infer::{run_plan, Plan, PlanOptions};
+use mfaplace_infer::{run_plan, Plan};
 use mfaplace_models::{AnyModel, Arch, ArchSpec, CongestionModel};
 use mfaplace_rt::rng::{SeedableRng, StdRng};
 use mfaplace_tensor::Tensor;
@@ -50,14 +49,13 @@ fn record(
     g: &mut Graph,
     model: &mut AnyModel,
     x: &Tensor,
-    opts: PlanOptions,
     cache: &mut HashMap<usize, std::sync::Arc<Tensor>>,
 ) -> Recorded {
     let mark = g.mark();
     let xv = g.constant(x.clone());
     let y = model.forward(g, xv, false);
     let tape_out = g.value(y).data().to_vec();
-    let plan = Plan::capture_cached(g, mark, xv, y, opts, cache).expect("plan capture");
+    let plan = Plan::capture_cached(g, mark, xv, y, cache).expect("plan capture");
     g.truncate(mark);
     Recorded { tape_out, plan }
 }
@@ -91,7 +89,7 @@ fn plan_matches_tape_bitwise_across_zoo_batches_and_grids() {
             let mut cache = HashMap::new();
             for b in [1, 3, 8] {
                 let x = input_for(b, grid);
-                let rec = record(&mut g, &mut model, &x, PlanOptions::default(), &mut cache);
+                let rec = record(&mut g, &mut model, &x, &mut cache);
                 let got = run_plan(&rec.plan, &mut Vec::new(), x.data()).to_vec();
                 assert_bitwise(arch, b, grid, &rec.tape_out, &got);
             }
@@ -107,7 +105,7 @@ fn repeated_runs_reuse_the_arena_and_stay_bitwise_stable() {
     let (mut g, mut model) = build(Arch::Ours, 16);
     let x = input_for(3, 16);
     let mut cache = HashMap::new();
-    let rec = record(&mut g, &mut model, &x, PlanOptions::default(), &mut cache);
+    let rec = record(&mut g, &mut model, &x, &mut cache);
     let mut arena = Vec::new();
     let first = run_plan(&rec.plan, &mut arena, x.data()).to_vec();
     let ptr = arena.as_ptr();
@@ -127,56 +125,18 @@ fn fusion_collapses_conv_chains_and_reports_stats() {
     let (mut g, mut model) = build(Arch::Ours, 16);
     let x = input_for(2, 16);
     let mut cache = HashMap::new();
-    let rec = record(&mut g, &mut model, &x, PlanOptions::default(), &mut cache);
+    let rec = record(&mut g, &mut model, &x, &mut cache);
     let s = rec.plan.stats();
     assert!(s.ops > 0);
     assert!(s.fused_conv_bias > 0, "no conv+bias fusions: {s:?}");
     assert!(s.fused_conv_affine > 0, "no conv+affine fusions: {s:?}");
     assert!(s.fused_conv_relu > 0, "no conv+relu fusions: {s:?}");
-    assert!(s.folded_bn == 0, "fold_bn off by default: {s:?}");
     assert!(s.arena_bytes > 0 && s.weight_bytes > 0);
     assert_eq!(rec.plan.input_shape(), &[2, 6, 16, 16]);
     assert_eq!(rec.plan.output_shape(), &[2, 8, 16, 16]);
     let summary = rec.plan.summary();
     assert!(summary.contains("compiled plan"), "summary: {summary}");
     assert!(summary.contains("arena"), "summary: {summary}");
-}
-
-#[test]
-fn fold_bn_rewrites_weights_and_stays_within_1e6() {
-    for arch in ARCHS {
-        let (mut g, mut model) = build(arch, 16);
-        let x = input_for(2, 16);
-        let mut cache = HashMap::new();
-        let rec = record(
-            &mut g,
-            &mut model,
-            &x,
-            PlanOptions { fold_bn: true },
-            &mut cache,
-        );
-        assert!(
-            rec.plan.stats().folded_bn > 0,
-            "{arch:?}: no BN epilogues folded: {:?}",
-            rec.plan.stats()
-        );
-        let got = run_plan(&rec.plan, &mut Vec::new(), x.data()).to_vec();
-        // ≤1e-6 in max-norm relative terms: pre-scaling the weights changes
-        // conv accumulation rounding by a few ulps, and that error
-        // propagates *additively* through later layers, so it is bounded
-        // relative to the output scale rather than each element.
-        let scale = rec.tape_out.iter().fold(1.0f32, |m, t| m.max(t.abs()));
-        let max_err = rec
-            .tape_out
-            .iter()
-            .zip(got)
-            .map(|(t, p)| (t - p).abs())
-            .fold(0.0f32, f32::max);
-        assert!(
-            max_err <= 1e-6 * scale,
-            "{arch:?}: fold_bn deviates by {max_err} (> 1e-6 of output scale {scale})"
-        );
-    }
 }
 
 /// Every training-only op is a capture error that names it; the sum form
@@ -209,7 +169,7 @@ fn capture_rejects_training_only_tapes() {
         let x = g.constant(Tensor::from_fn(vec![1, 2, 2, 2], |i| i as f32));
         let y = g.mul(w, x);
         let out = head(&mut g, y);
-        let err = Plan::capture(&g, mark, x, out, PlanOptions::default()).unwrap_err();
+        let err = Plan::capture(&g, mark, x, out).unwrap_err();
         assert!(
             err.contains("training-only") && err.contains(name),
             "{name}: unexpected error: {err}"

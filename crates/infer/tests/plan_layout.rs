@@ -5,7 +5,7 @@
 //! run-to-run stability is `quant_tolerance`'s.)
 
 use mfaplace_autograd::Graph;
-use mfaplace_infer::{profile_plan, run_plan, Calibration, Plan, PlanOptions, QuantOptions};
+use mfaplace_infer::{profile_plan, run_plan, Calibration, Plan, QuantOptions};
 use mfaplace_models::{Arch, ArchSpec, CongestionModel};
 use mfaplace_rt::rng::{SeedableRng, StdRng};
 use mfaplace_tensor::Tensor;
@@ -39,7 +39,7 @@ fn ours_plan(x: &Tensor) -> Plan {
     let mark = g.mark();
     let xv = g.constant(x.clone());
     let y = model.forward(&mut g, xv, false);
-    Plan::capture(&g, mark, xv, y, PlanOptions::default()).expect("plan capture")
+    Plan::capture(&g, mark, xv, y).expect("plan capture")
 }
 
 fn assert_bitwise(what: &str, want: &[f32], got: &[f32]) {
@@ -126,7 +126,7 @@ fn copy_elision_is_safe_when_source_is_read_after_the_alias() {
     let y = g.add(b2, c);
     let tape_out = g.value(y).data().to_vec();
 
-    let plan = Plan::capture(&g, mark, x, y, PlanOptions::default()).expect("capture");
+    let plan = Plan::capture(&g, mark, x, y).expect("capture");
     let s = plan.stats();
     assert!(s.copies_elided >= 2, "reshapes not elided: {s:?}");
     let mut arena = Vec::new();
@@ -146,7 +146,7 @@ fn output_reshape_of_the_input_keeps_its_copy() {
     let y = g.reshape(x, vec![96]);
     let tape_out = g.value(y).data().to_vec();
 
-    let plan = Plan::capture(&g, mark, x, y, PlanOptions::default()).expect("capture");
+    let plan = Plan::capture(&g, mark, x, y).expect("capture");
     let mut arena = Vec::new();
     let got = run_plan(&plan, &mut arena, g.value(x).data());
     assert_bitwise("input-rooted output reshape", &tape_out, got);

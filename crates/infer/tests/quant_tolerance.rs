@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use mfaplace_autograd::Graph;
-use mfaplace_infer::{run_plan, Calibration, Plan, PlanOptions, QuantOptions};
+use mfaplace_infer::{run_plan, Calibration, Plan, QuantOptions};
 use mfaplace_models::{AnyModel, Arch, ArchSpec, CongestionModel};
 use mfaplace_rt::rng::{SeedableRng, StdRng};
 use mfaplace_tensor::Tensor;
@@ -91,8 +91,7 @@ fn capture(
     let mark = g.mark();
     let xv = g.constant(x.clone());
     let y = model.forward(g, xv, false);
-    let plan =
-        Plan::capture_cached(g, mark, xv, y, PlanOptions::default(), cache).expect("plan capture");
+    let plan = Plan::capture_cached(g, mark, xv, y, cache).expect("plan capture");
     g.truncate(mark);
     Arc::new(plan)
 }

@@ -293,8 +293,7 @@ pub struct SlotStatus {
     pub spec: ArchSpec,
     /// Monotonic version, bumped by every successful [`ModelSlot::reload`].
     pub version: u64,
-    /// Requested engine, engine really serving, precision, fallback reason
-    /// and active plan stats.
+    /// Engine, precision and active plan stats.
     pub predictor: PredictorStatus,
 }
 
@@ -424,17 +423,20 @@ impl ModelSlot {
         self.status().version
     }
 
-    /// The inference engine the served predictor was asked to use.
+    /// The inference engine the served predictor runs.
     pub fn engine(&self) -> Engine {
-        self.status().predictor.requested
+        self.status().predictor.engine
     }
 
     /// Switches the served predictor between engines (compiled plans are
-    /// kept either way).
-    pub fn set_engine(&self, engine: Engine) {
+    /// kept either way) and returns `true`, or returns `false` and leaves
+    /// the engine unchanged when the quant engine is asked of a model
+    /// without a calibration (see [`ModelPredictor::set_engine`]).
+    pub fn set_engine(&self, engine: Engine) -> bool {
         let mut model = self.lock();
-        model.predictor.set_engine(engine);
+        let switched = model.predictor.set_engine(engine);
         self.publish(&model);
+        switched
     }
 
     /// Runs one batched forward. Panics inside the model are caught and
@@ -459,7 +461,7 @@ impl ModelSlot {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             model.predictor.predict_batch_tensors(inputs)
         }));
-        // A forward can compile a plan or latch a fallback.
+        // A forward can compile a plan (a new batch bucket).
         self.publish(&model);
         result.map_err(|payload| {
             let msg = payload
@@ -473,17 +475,19 @@ impl ModelSlot {
 
     /// Validates the checkpoint at `path` and atomically swaps it in.
     /// In-flight batches finish on the old model; the swap waits for them.
+    /// The new model serves the engine its file selects: the quant engine
+    /// for a `.mfaq` artifact, the f32 plan for a checkpoint.
     ///
     /// # Errors
     ///
     /// Returns a human-readable error (and leaves the old model serving)
-    /// when the new checkpoint cannot be loaded or its grid differs from
-    /// the served one.
+    /// when the new checkpoint cannot be loaded (its plan included) or its
+    /// grid differs from the served one.
     pub fn reload(&self, path: &str, opts: LoadOptions) -> Result<(u64, ArchSpec), String> {
         // Build and validate entirely before taking the lock: a corrupt
         // file must never interrupt serving. Plans for the new weights go
         // into the same shared cache, keyed by the new file's content hash.
-        let (spec, mut predictor) = load_predictor_with_cache(path, opts, &self.plan_cache)?;
+        let (spec, predictor) = load_predictor_with_cache(path, opts, &self.plan_cache)?;
         let current_grid = self.status().spec.grid;
         if spec.grid != current_grid {
             return Err(format!(
@@ -492,12 +496,10 @@ impl ModelSlot {
                 spec.grid
             ));
         }
+        // Swap the whole loaded state as one assignment — a concurrent
+        // `set_engine` either fully precedes this swap (and is replaced by
+        // the new file's engine) or fully follows it (and overrides).
         let mut slot = self.lock();
-        // Keep the engine choice sticky across hot reloads and swap the
-        // whole loaded state as one assignment — a concurrent `set_engine`
-        // either fully precedes this swap (its choice is the sticky one) or
-        // fully follows it (it overrides).
-        predictor.set_engine(slot.predictor.engine());
         let version = slot.version + 1;
         *slot = LoadedModel {
             predictor,
@@ -679,7 +681,7 @@ pub(crate) mod tests {
             let status = slot.status();
             assert_eq!((status.version, slot.version()), (1, 1));
             assert_eq!(status.spec.grid, 16);
-            assert_eq!(slot.engine(), status.predictor.requested);
+            assert_eq!(slot.engine(), status.predictor.engine);
             let text = metrics.render();
             assert!(text.contains("mfaplace_model_version 1"), "{text}");
             let deadline = Instant::now() + Duration::from_secs(10);

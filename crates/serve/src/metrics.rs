@@ -310,20 +310,10 @@ fn render_status(out: &mut String, slot: Option<&str>, status: &SlotStatus) {
     let p = &status.predictor;
     for (family, key, value) in [
         ("model_info", "name", status.spec.arch.model_name()),
-        ("engine_info", "engine", p.requested.name()),
+        ("engine_info", "engine", p.engine.name()),
         ("precision_info", "precision", p.precision.name()),
     ] {
         out.push_str(&format!("{prefix}{family}{{{label}{key}=\"{value}\"}} 1\n"));
-    }
-    // Only a slot that is not serving what it was asked to has this series.
-    if let (Some(_), Some(reason)) = (slot, &p.fallback) {
-        let reason = reason
-            .replace('\\', "\\\\")
-            .replace('"', "\\\"")
-            .replace('\n', " ");
-        out.push_str(&format!(
-            "{prefix}engine_fallback_info{{{label}reason=\"{reason}\"}} 1\n"
-        ));
     }
     out.push_str(&format!(
         "{prefix}model_version{labels} {}\n",
@@ -502,8 +492,6 @@ mod tests {
             let line = format!("mfaplace_infer_plan_{family} {v}\n");
             assert!(text.contains(&line), "{line}{text}");
         }
-        // Healthy slot: no fallback series.
-        assert!(!text.contains("engine_fallback_info"), "{text}");
     }
 
     #[test]

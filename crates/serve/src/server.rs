@@ -363,11 +363,14 @@ fn route(shared: &Shared, req: &Request) -> Option<Response> {
                 Err(m) => return Some(Response::text(404, m + "\n")),
             };
             match Engine::parse(&name) {
-                Some(engine) => {
-                    fs.slot().set_engine(engine);
+                Some(engine) if fs.slot().set_engine(engine) => {
                     Response::text(200, format!("engine {}\n", engine.name()))
                 }
-                None => Response::text(400, "body must be \"tape\", \"plan\" or \"quant\"\n"),
+                Some(_) => Response::text(
+                    409,
+                    "the quant engine needs a calibration: load a compiled .mfaq artifact\n",
+                ),
+                None => Response::text(400, "body must be \"plan\" or \"quant\"\n"),
             }
         }
         ("GET", "/admin/slots") => Response::text(200, fleet_listing(shared)),
@@ -429,7 +432,7 @@ fn fleet_listing(shared: &Shared) -> String {
             status.spec.arch.model_name(),
             status.spec.grid,
             status.version,
-            status.predictor.requested.name(),
+            status.predictor.engine.name(),
             if default.as_deref() == Some(name.as_str()) {
                 " default"
             } else {
@@ -453,25 +456,19 @@ fn model_info(shared: &Shared, slot: Option<&str>, with_slot_line: bool) -> Resp
     Response::text(200, body)
 }
 
-/// The `/model` body: what was asked for (`engine`), what is really
-/// serving (`served_engine`, `precision`) and — only when those differ —
-/// why (`fallback`).
+/// The `/model` body: the served model, its version, and the engine and
+/// precision every forward runs.
 fn model_text(status: &SlotStatus) -> String {
     let p = &status.predictor;
-    let mut text = format!(
-        "model {}\ngrid {}\nbase_channels {}\nversion {}\nengine {}\nserved_engine {}\nprecision {}\n",
+    format!(
+        "model {}\ngrid {}\nbase_channels {}\nversion {}\nengine {}\nprecision {}\n",
         status.spec.arch.model_name(),
         status.spec.grid,
         status.spec.base_channels,
         status.version,
-        p.requested.name(),
-        p.served.name(),
+        p.engine.name(),
         p.precision.name()
-    );
-    if let Some(reason) = &p.fallback {
-        text.push_str(&format!("fallback {}\n", reason.replace('\n', " ")));
-    }
-    text
+    )
 }
 
 /// `POST /admin/slots` command interpreter. Whitespace-token commands:
@@ -619,69 +616,119 @@ fn predict_on(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batcher::tests::{input, temp_path, tiny_slot, tiny_spec};
+    use crate::batcher::tests::{input, temp_path, tiny_spec};
+    use crate::client;
+    use mfaplace_core::compile::{artifact_to_bytes, compile_for_serving};
     use mfaplace_core::loader::{init_checkpoint, load_predictor};
     use mfaplace_core::QuantOptions;
     use mfaplace_models::{Arch, ArchSpec};
 
-    /// A slot asked for the quant engine whose quantized build fails keeps
-    /// serving the f32 plan; `/model` and `/metrics` must both say so.
+    /// Writes a tiny U-Net checkpoint (or, with `mfaq`, its compiled
+    /// artifact) to `name` and serves it on a free port.
+    fn start(name: &str, mfaq: bool) -> (ServerHandle, String) {
+        let mut path = temp_path(&format!("{name}.mfaw"));
+        init_checkpoint(&tiny_spec(), 1, &path).unwrap();
+        if mfaq {
+            let out = temp_path(&format!("{name}.mfaq"));
+            compile_for_serving(&path, LoadOptions::default(), &[input(0.5)], &out).unwrap();
+            path = out;
+        }
+        let metrics = Arc::new(Metrics::new());
+        let slot = ModelSlot::load(&path, LoadOptions::default(), metrics.clone()).unwrap();
+        let cfg = ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            ..ServeConfig::default()
+        };
+        (serve(slot, metrics, cfg).unwrap(), path)
+    }
+
+    fn call(server: &ServerHandle, method: &str, path: &str, body: &str) -> (u16, String) {
+        let addr = server.addr().to_string();
+        let r = client::request(&addr, method, path, &[], body.as_bytes()).unwrap();
+        (r.status, r.text())
+    }
+
+    /// What `/model` says after the version line.
+    fn engine_lines(server: &ServerHandle) -> String {
+        let (_, text) = call(server, "GET", "/model", "");
+        text.split_once("version ").unwrap().1.to_owned()
+    }
+
+    /// An artifact whose calibration was collected on another architecture
+    /// is a load error, so a reload with it answers 409 and the old model
+    /// keeps serving under its old version.
     #[test]
-    fn model_text_and_metrics_surface_a_latched_fallback() {
-        let x = input(0.5);
-        // A calibration collected on another architecture cannot be
-        // aligned onto the UNet's plan.
-        let other = temp_path("fallback_pgnn.mfaw");
+    fn reload_with_a_stale_artifact_answers_409_and_keeps_the_version() {
+        let (server, ckpt) = start("stale_reload", false);
+        let other = temp_path("stale_reload_pgnn.mfaw");
         let mut other_spec = ArchSpec::new(Arch::Pgnn, 16);
         other_spec.base_channels = 2;
         init_checkpoint(&other_spec, 1, &other).unwrap();
         let (_, mut donor) = load_predictor(&other, LoadOptions::default()).unwrap();
         let stale = donor
-            .calibrate(std::slice::from_ref(&x), QuantOptions::default())
+            .calibrate(&[input(0.5)], QuantOptions::default())
             .unwrap();
+        let mfaq = temp_path("stale_reload.mfaq");
+        let bytes = artifact_to_bytes(&stale, &std::fs::read(&ckpt).unwrap());
+        std::fs::write(&mfaq, bytes).unwrap();
 
-        let ckpt = temp_path("fallback_unet.mfaw");
-        init_checkpoint(&tiny_spec(), 1, &ckpt).unwrap();
-        let (spec, mut predictor) = load_predictor(&ckpt, LoadOptions::default()).unwrap();
-        predictor.set_calibration(stale, QuantOptions::default());
-        predictor.set_engine(Engine::Quant);
-        let metrics = Arc::new(Metrics::new());
-        let slot = ModelSlot::from_predictor(spec, predictor, metrics.clone());
-        slot.predict_batch(std::slice::from_ref(&x)).unwrap();
-
-        let text = model_text(&slot.status());
-        assert!(
-            text.starts_with("model U-net\ngrid 16\nbase_channels 2\nversion 1\n"),
-            "{text}"
-        );
-        assert!(
-            text.contains("engine quant\nserved_engine plan\nprecision f32\nfallback "),
-            "{text}"
-        );
+        let (status, text) = call(&server, "POST", "/admin/reload", &mfaq);
+        assert_eq!(status, 409, "{text}");
         assert!(text.contains("recalibrate"), "{text}");
-        let scrape = metrics.render();
-        assert!(
-            scrape.contains("mfaplace_slot_engine_fallback_info{slot=\"default\",reason=\""),
-            "{scrape}"
+        let (_, model) = call(&server, "GET", "/model", "");
+        assert_eq!(
+            model,
+            "model U-net\ngrid 16\nbase_channels 2\nversion 1\nengine plan\nprecision f32\n"
         );
-        assert!(
-            scrape.contains("mfaplace_slot_engine_info{slot=\"default\",engine=\"quant\"} 1"),
-            "{scrape}"
-        );
-        assert!(
-            scrape.contains("mfaplace_precision_info{precision=\"f32\"} 1"),
-            "{scrape}"
-        );
+        server.join();
+    }
 
-        // A healthy slot reports no fallback on either surface.
-        let metrics = Arc::new(Metrics::new());
-        let healthy = tiny_slot(metrics.clone());
-        healthy.set_engine(Engine::Plan);
-        let text = model_text(&healthy.status());
+    /// `/admin/engine` accepts only the serving engines, and refuses the
+    /// quant engine on a slot without a calibration.
+    #[test]
+    fn admin_engine_refuses_quant_without_a_calibration_and_the_tape() {
+        let (server, _) = start("engine_refusal", false);
+        let (status, text) = call(&server, "POST", "/admin/engine", "quant");
+        assert_eq!(status, 409, "{text}");
+        assert!(text.contains("calibration"), "{text}");
+        let (status, text) = call(&server, "POST", "/admin/engine", "tape");
+        assert_eq!(status, 400, "{text}");
+        assert_eq!(engine_lines(&server), "1\nengine plan\nprecision f32\n");
+        let scrape = server.metrics().render();
         assert!(
-            text.ends_with("engine plan\nserved_engine plan\nprecision f32\n"),
-            "{text}"
+            scrape.contains("mfaplace_slot_engine_info{slot=\"default\",engine=\"plan\"} 1"),
+            "{scrape}"
         );
-        assert!(!metrics.render().contains("engine_fallback_info"));
+        server.join();
+    }
+
+    /// The file decides the engine: a `.mfaq` reloaded onto a plan slot
+    /// serves int8, and a `.mfaw` reloaded onto a quant slot serves f32.
+    #[test]
+    fn reload_serves_the_engine_its_file_selects() {
+        let (plan_slot, _) = start("by_file_plan", false);
+        let (quant_slot, mfaq) = start("by_file_quant", true);
+        assert_eq!(
+            engine_lines(&quant_slot),
+            "1\nengine quant\nprecision int8\n"
+        );
+        let mfaw = temp_path("by_file_other.mfaw");
+        init_checkpoint(&tiny_spec(), 2, &mfaw).unwrap();
+
+        let (status, text) = call(&plan_slot, "POST", "/admin/reload", &mfaq);
+        assert_eq!(status, 200, "{text}");
+        assert_eq!(
+            engine_lines(&plan_slot),
+            "2\nengine quant\nprecision int8\n"
+        );
+        let (status, text) = call(&quant_slot, "POST", "/admin/reload", &mfaw);
+        assert_eq!(status, 200, "{text}");
+        assert_eq!(engine_lines(&quant_slot), "2\nengine plan\nprecision f32\n");
+        for server in [&plan_slot, &quant_slot] {
+            let levels = client::predict_features(&server.addr().to_string(), &input(1.0));
+            assert_eq!(levels.unwrap().shape(), &[16, 16]);
+        }
+        plan_slot.join();
+        quant_slot.join();
     }
 }

@@ -398,11 +398,6 @@ const FAMILIES_BEFORE_PULL: &[&str] = &[
     "mfaplace_slot_requests_total{slot,status}",
 ];
 
-/// The one family added since: present only while a slot is not serving
-/// the engine it was asked for (e.g. under `MFAPLACE_ENGINE=quant` with no
-/// calibration attached).
-const FALLBACK_FAMILY: &str = "mfaplace_slot_engine_fallback_info{slot,reason}";
-
 #[test]
 fn metric_families_and_label_keys_are_unchanged() {
     let ckpt_a = checkpoint("families_a.mfaw", 31);
@@ -415,8 +410,7 @@ fn metric_families_and_label_keys_are_unchanged() {
     let scrape = client::request(&addr, "GET", "/metrics", &[], b"")
         .unwrap()
         .text();
-    let mut families = metric_families(&scrape);
-    families.retain(|f| f != FALLBACK_FAMILY);
+    let families = metric_families(&scrape);
     assert_eq!(families, FAMILIES_BEFORE_PULL, "{scrape}");
     server.join();
 }

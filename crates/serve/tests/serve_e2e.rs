@@ -141,8 +141,8 @@ fn metrics_expose_engine_plan_gauges_and_per_engine_timers() {
     let addr = server.addr().to_string();
 
     // This test is specifically about the plan engine's gauges, so pin the
-    // engine through the admin API instead of inheriting the process
-    // default (ci runs the workspace once under MFAPLACE_ENGINE=quant).
+    // engine through the admin API instead of inheriting the default
+    // the loaded file selects.
     let resp = client::request(&addr, "POST", "/admin/engine", &[], b"plan").unwrap();
     assert_eq!(resp.status, 200, "{}", resp.text());
 

@@ -39,9 +39,8 @@
 //!    permute — holds under the vector backends exactly as it does under
 //!    scalar. Only *scalar-vs-vector* comparisons need a tolerance.
 //! 2. **Tolerance vs. scalar.** Vector results stay within `1e-5` of the
-//!    output scale of the scalar reference in max-norm (the `fold_bn`
-//!    precedent, relaxed from `1e-6` because FMA contraction differences
-//!    grow with reduction length). `crates/tensor/tests/simd_equivalence.rs`
+//!    output scale of the scalar reference in max-norm (`1e-6` would be
+//!    too tight: FMA contraction differences grow with reduction length). `crates/tensor/tests/simd_equivalence.rs`
 //!    enforces this per kernel; `crates/core/tests/kernel_tolerance.rs`
 //!    enforces it end-to-end per zoo architecture, where the predictor-level
 //!    acceptance is "the 8-class argmax congestion level map is unchanged".

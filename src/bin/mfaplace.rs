@@ -108,16 +108,36 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (R, (u64, u64)) {
     (r, ALLOCS.get())
 }
 
+/// Whether a panic is `println!` failing on a stdout whose reader has gone
+/// (`mfaplace profile … | head -5`).
+fn is_closed_stdout(payload: &(dyn std::any::Any + Send)) -> bool {
+    let msg = match payload.downcast_ref::<String>() {
+        Some(msg) => msg.as_str(),
+        None => payload.downcast_ref::<&str>().copied().unwrap_or_default(),
+    };
+    msg.starts_with("failed printing to stdout") && msg.to_lowercase().contains("broken pipe")
+}
+
 fn main() -> ExitCode {
+    // A closed stdout ends the run quietly, as it does for Unix tools: the
+    // panic `println!` raises there is neither reported nor a failure.
+    let report_panic = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if !is_closed_stdout(info.payload()) {
+            report_panic(info);
+        }
+    }));
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+    let code = match std::panic::catch_unwind(|| run(&args)) {
+        Ok(Ok(())) => ExitCode::SUCCESS,
+        Ok(Err(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
+        Err(payload) if is_closed_stdout(&*payload) => ExitCode::SUCCESS,
+        Err(payload) => std::panic::resume_unwind(payload),
     };
     // Per-run timing report, opt-in: timers always record, but the report
     // only prints when MFAPLACE_TIMERS is explicitly set (and not "0").
@@ -152,12 +172,12 @@ const USAGE: &str = "usage:
   mfaplace kernels    (report detected/active SIMD kernel backend)
   mfaplace compile    --model <file.mfaw> --calib <file.nl> [--calib <file.nl> ...] \\
                       [--placements N] [--iterations N] [--seed N] \\
-                      [--fold-bn] --out <file.mfaq>
+                      --out <file.mfaq>
   mfaplace serve      --model [name=]<file.mfaw|file.mfaq> [--model name=<path> ...] \\
-                      [--addr host:port] [--engine tape|plan|quant] \\
+                      [--addr host:port] [--engine plan|quant] \\
                       [--arch ...] [--grid N] [--channels N]   (v1 checkpoints)
   mfaplace predict    --addr host:port --design <file.nl> --placement <file.pl> \\
-                      [--slot name] [--engine tape|plan|quant] [--out <file.ppm>]
+                      [--slot name] [--engine plan|quant] [--out <file.ppm>]
   mfaplace job submit --addr host:port --design <file.nl> [--flow ours|utda|seu|mpku] \\
                       [--seed N] [--slot name] [--predictor model|rudy] \\
                       [--iterations N] [--grid N] [--deadline-ms N] [--watch]
@@ -173,15 +193,16 @@ target). Requests pick a slot with the x-mfaplace-model header or a
 (add/remove/reload). All slots compile into one shared plan cache sized
 by MFAPLACE_PLAN_CACHE_MB; serve also honors MFAPLACE_MAX_BATCH,
 MFAPLACE_BATCH_WINDOW_MS and MFAPLACE_QUEUE_BOUND, and stops with
-POST /admin/shutdown. The inference engine defaults to the compiled plan
-(bitwise identical to the tape); --engine or MFAPLACE_ENGINE selects it,
-and predict's --engine switches the remote server (its --slot's slot)
-via POST /admin/engine before predicting.
+POST /admin/shutdown. The file decides the inference engine: a checkpoint
+serves the compiled f32 plan (bitwise identical to the tape), a compiled
+artifact the int8 plan; --engine quant needs an artifact's calibration.
+predict's --engine switches the remote server (its --slot's slot) via
+POST /admin/engine before predicting.
 compile runs the offline quantization step: it calibrates activation
 ranges over placements of the --calib designs and writes a self-contained
 serving artifact (checkpoint + calibration + precision). serve, predict
 and model-info accept the artifact anywhere a checkpoint is accepted and
-default it to the quant engine; the int8 arena never changes the predicted
+serve it on the quant engine; the int8 arena never changes the predicted
 congestion level map, and anything calibration cannot cover stays f32.
 serve also runs the placement job engine at /jobs (sized by
 MFAPLACE_JOB_WORKERS, MFAPLACE_JOB_QUEUE and MFAPLACE_JOB_DEADLINE_MS);
@@ -308,18 +329,23 @@ fn cmd_kernels() -> Result<(), String> {
     Ok(())
 }
 
-/// `--engine tape|plan|quant`; `None` leaves the `MFAPLACE_ENGINE` default.
+/// `--engine plan|quant`; `None` keeps the engine the loaded file selects.
 fn parse_engine(flags: &Flags) -> Result<Option<Engine>, String> {
     match flags.get("engine") {
         None => Ok(None),
         Some(v) => Engine::parse(v)
             .map(Some)
-            .ok_or_else(|| format!("invalid value for --engine: {v:?} (use tape, plan or quant)")),
+            .ok_or_else(|| format!("invalid value for --engine: {v:?} (use plan or quant)")),
     }
 }
 
+/// Why `--engine quant` was refused on `path`.
+fn no_calibration(path: &str) -> String {
+    format!("{path}: the quant engine needs a calibration; serve a `mfaplace compile` artifact")
+}
+
 /// Flags that take no value (presence means "on").
-const BOOL_FLAGS: &[&str] = &["resume", "watch", "fold-bn", "train"];
+const BOOL_FLAGS: &[&str] = &["resume", "watch", "train"];
 
 /// Parsed command-line flags. Every flag may repeat; `get` returns the
 /// last occurrence (so `--grid 16 --grid 32` means 32) and `all` returns
@@ -624,7 +650,6 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
 fn cmd_compile(flags: &Flags) -> Result<(), String> {
     let model_path = get(flags, "model")?;
     let out = get(flags, "out")?;
-    let fold_bn = flags.contains_key("fold-bn");
     let calib_paths = flags.all("calib");
     if calib_paths.is_empty() {
         return Err("compile needs at least one --calib <file.nl> design".into());
@@ -657,17 +682,16 @@ fn cmd_compile(flags: &Flags) -> Result<(), String> {
         inputs.extend(ds.samples.into_iter().map(|s| s.features));
     }
 
-    let report = compile_for_serving(model_path, opts, &inputs, fold_bn, out)?;
+    let report = compile_for_serving(model_path, opts, &inputs, out)?;
     let q = report
         .stats
         .quant
         .as_ref()
         .expect("compile_for_serving returns the quantized plan's stats");
     println!(
-        "compiled {} (grid {}) for int8 serving{}: {} calibration inputs",
+        "compiled {} (grid {}) for int8 serving: {} calibration inputs",
         report.spec.arch.model_name(),
         report.spec.grid,
-        if fold_bn { ", bn folded" } else { "" },
         report.calib_inputs,
     );
     println!(
@@ -695,10 +719,7 @@ fn cmd_model_info(flags: &Flags) -> Result<(), String> {
     // chokes on the magic.
     if is_artifact(path) {
         let art = read_artifact(path)?;
-        println!(
-            "{path}: quantized serving artifact (int8, bn {})",
-            if art.fold_bn { "folded" } else { "unfolded" },
-        );
+        println!("{path}: quantized serving artifact (int8)");
         println!(
             "  calibration: {} plan steps; embedded checkpoint {} bytes",
             art.calibration.steps(),
@@ -708,30 +729,27 @@ fn cmd_model_info(flags: &Flags) -> Result<(), String> {
         println!("  kernel backend: {}", simd::active().name());
         match load_predictor(path, load_options(flags)?) {
             Err(e) => println!("  quant plan: unavailable ({e})"),
-            Ok((spec, mut predictor)) => {
-                predictor.set_engine(Engine::Quant);
-                match predictor.compile_plan(1, 6, spec.grid, spec.grid) {
-                    Err(e) => println!("  quant plan: unavailable ({e})"),
-                    Ok(s) => {
-                        let q = s.quant.as_ref().expect("the quant engine compiles int8");
-                        println!(
-                            "  quant plan (batch 1, grid {}): {} ops, arena {} bytes \
+            Ok((spec, mut predictor)) => match predictor.compile_plan(1, 6, spec.grid, spec.grid) {
+                Err(e) => println!("  quant plan: unavailable ({e})"),
+                Ok(s) => {
+                    let q = s.quant.as_ref().expect("the quant engine compiles int8");
+                    println!(
+                        "  quant plan (batch 1, grid {}): {} ops, arena {} bytes \
                              ({:.2}x of f32 {} bytes)",
-                            spec.grid,
-                            s.ops,
-                            q.arena_bytes,
-                            q.arena_bytes as f64 / q.f32_arena_bytes.max(1) as f64,
-                            q.f32_arena_bytes,
-                        );
-                        println!(
-                            "  quant storage: {} i8 / {} f16 / {} f32 values; \
+                        spec.grid,
+                        s.ops,
+                        q.arena_bytes,
+                        q.arena_bytes as f64 / q.f32_arena_bytes.max(1) as f64,
+                        q.f32_arena_bytes,
+                    );
+                    println!(
+                        "  quant storage: {} i8 / {} f16 / {} f32 values; \
                              {} int8-GEMM steps, {} generic",
-                            q.i8_values, q.f16_values, q.f32_values, q.i8_steps, q.generic_steps,
-                        );
-                        println!("  quant weights: {} bytes quantized", q.qweight_bytes);
-                    }
+                        q.i8_values, q.f16_values, q.f32_values, q.i8_steps, q.generic_steps,
+                    );
+                    println!("  quant weights: {} bytes quantized", q.qweight_bytes);
                 }
-            }
+            },
         }
         return Ok(());
     }
@@ -1062,10 +1080,10 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
             ));
         }
     }
-    match parse_engine(flags)? {
-        Some(Engine::Tape) => return Err("profile needs a compiled plan (plan or quant)".into()),
-        Some(engine) => predictor.set_engine(engine),
-        None => {}
+    if let Some(engine) = parse_engine(flags)? {
+        if !predictor.set_engine(engine) {
+            return Err(no_calibration(path));
+        }
     }
     // Feature maps are non-negative and O(1); any such input exercises the
     // same kernels (no vector kernel branches on data).
@@ -1078,14 +1096,11 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
         "{path}: {} grid {}, engine {} ({}), kernels {}, {} pool threads",
         spec.arch.model_name(),
         spec.grid,
-        status.served.name(),
+        status.engine.name(),
         status.precision.name(),
         simd::active().name(),
         pool::max_threads(),
     );
-    if let Some(why) = &status.fallback {
-        println!("  fallback from {}: {why}", status.requested.name());
-    }
     let ms = |ns: u64| ns as f64 / 1e6;
     let total: u64 = profile.steps.iter().map(|s| s.ns).sum();
     let share = |ns: u64| 100.0 * ns as f64 / total.max(1) as f64;
@@ -1239,14 +1254,16 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     for (name, path) in &specs {
         let fs = fleet.add_slot(name, path, opts, SlotLimits::default())?;
         if let Some(engine) = engine {
-            fs.slot().set_engine(engine);
+            if !fs.slot().set_engine(engine) {
+                return Err(no_calibration(path));
+            }
         }
         let status = fs.slot().status();
         slot_lines.push(format!(
             "  slot {name}: {} (grid {}, {} engine) from {path}",
             status.spec.arch.model_name(),
             status.spec.grid,
-            status.predictor.requested.name()
+            status.predictor.engine.name()
         ));
     }
     // Placement jobs run through the same fleet, so their per-iteration
