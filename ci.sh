@@ -26,6 +26,15 @@ if grep -rnoE 'target_arch *= *"[^"]*"' crates/*/src src | grep -v '"x86_64"$'; 
     exit 1
 fi
 
+# AVX-512 is one lane-vector type behind the `Lanes` trait: its intrinsics
+# live in that one file, and every kernel body stays generic over the width.
+echo "==> lint: _mm512_ intrinsics only in crates/tensor/src/simd/lanes.rs"
+if grep -rlF '_mm512_' crates/*/src src | grep -vx 'crates/tensor/src/simd/lanes.rs'; then
+    echo "a file above names an _mm512_ intrinsic; add the operation to the" \
+        "Lanes trait in crates/tensor/src/simd/lanes.rs instead" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -118,6 +127,12 @@ cargo test -q -p mfaplace-tensor --offline --test parallel_equivalence
 # The feature-major forward's query-lane kernel against the composed chain,
 # bit for bit, over ragged blocks, key tails, channel groups and threads.
 cargo test -q -p mfaplace-tensor --offline --test fm_query_lane
+# The 16-lane forward against the 8-lane one, bit for bit. On a host without
+# AVX-512F the test passes with a skip note, so the log shows which width
+# this run covered next to the width the kernels report.
+./target/release/mfaplace kernels
+cargo test -q -p mfaplace-tensor --offline --lib \
+    attention::tests::sixteen_query_lanes_match_eight_bitwise -- --nocapture
 # Both query-lane kernels against the four-pass tile, kept in the unit tests
 # as their reference (forward and backward, bit for bit), and the conv
 # lowering against its element loops (im2col writes every element; col2im

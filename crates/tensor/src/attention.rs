@@ -39,8 +39,9 @@
 //! # Tiles, lanes and threads
 //!
 //! Both forwards work on independent blocks of queries — [`ATTN_TILE`]
-//! query rows, or `QUERY_LANES` (8) query columns on the query-lane path —
-//! and above one shared threshold (`L²·(D + Dv) ≥ PAR_GEMM_FLOPS`) the
+//! query rows, or the query columns of one vector on the query-lane path
+//! (`simd::query_lanes`: 16 where the host has AVX-512F, else 8) — and
+//! above one shared threshold (`L²·(D + Dv) ≥ PAR_GEMM_FLOPS`) the
 //! blocks fan out over the `rt` pool. A block's outputs depend on nothing
 //! another block writes and every output element is one FMA chain in
 //! contraction order, so the result is bitwise identical at any thread
@@ -70,11 +71,15 @@
 //! product paying GEMM overheads, the exp sweep wants lanes along keys
 //! while the value product wants lanes along queries (hence the transposed
 //! pack, and a divide that runs at scalar-code width). In `[D, L]` layout the query
-//! columns `q[p, y0..y0 + 8]` are already contiguous, so putting the
-//! *queries* in the vector lanes and looping over the key index removes the
-//! gather, both packs, the transpose and the second GEMM: three sweeps over
-//! an `[L, 8]` scratch (`simd::fm_query_block`), each element seeing exactly
-//! the composed chain's operations:
+//! columns `q[p, y0..y0 + W]` are already contiguous, so putting the
+//! *queries* in the `W` lanes of one vector and looping over the key index
+//! removes the gather, both packs, the transpose and the second GEMM: three
+//! sweeps over an `[L, W]` scratch (`simd::fm_query_block`), each element
+//! seeing exactly the composed chain's operations. `W` is 16 (`__m512`)
+//! where the host has AVX-512F and 8 (`__m256`) otherwise, one generic
+//! kernel body over both (`simd/lanes.rs`); no step below depends on how
+//! many queries share a register, so both widths give every output the
+//! same bits:
 //!
 //! 1. **score** — `s = fma(q_{n−1}, k_{n−1}[x], … fma(q_0, k_0[x], +0)) ·
 //!    scale`: the score microkernel's accumulator, started at `+0` and
@@ -82,13 +87,14 @@
 //!    commutative in its factors, so which one is broadcast is immaterial),
 //!    then the `Scale` node's IEEE multiply; the running max is exact in
 //!    any order;
-//! 2. **exp** — `e = exp8(s − m)`, added into *eight* sum vectors keyed by
+//! 2. **exp** — `e = exp(s − m)`, added into *eight* sum vectors keyed by
 //!    `x mod 8`, combined `((z0+z4)+(z1+z5))+((z2+z6)+(z3+z7))`, then the
 //!    `L mod 8` tail through `exp_scalar` in index order. The row softmax
 //!    (`exp_row_scaled`) keeps one 8-lane running sum whose lane `j` adds
 //!    keys `j, j + 8, …` in order; with queries in the lanes that lane is
 //!    the query's entry of vector `z_j`, so eight vectors and the same tree
-//!    reproduce its lane partials, its fixed tree and its tail, transposed;
+//!    reproduce its lane partials, its fixed tree and its tail, transposed
+//!    (this eight is the row softmax's lane count, not `W`);
 //! 3. **divide + value** — `w = e / z` (one IEEE divide, the same bits at
 //!    any width) and `o_c = fma(v[c,x], w, o_c)` for `x` increasing: the
 //!    value microkernel's one chain per output in contraction order.
@@ -99,9 +105,9 @@
 //! invisible. Calls without channels (`n = 0` or `nv = 0`, which no model
 //! builds) are outside the kernel's contract and take the scalar loop.
 //!
-//! The feature-major backward keeps the queries in the lanes too
-//! (`simd::fm_query_block_backward`): the
-//! forward's score and exp sweeps recompute `e` and `z`; a third sweep forms
+//! The feature-major backward keeps the queries in the lanes too, eight at
+//! a time on every host (`simd::fm_query_block_backward`): the forward's
+//! 8-lane score and exp sweeps recompute `e` and `z`; a third sweep forms
 //! `w`, the upstream products `g` and their `dot`; a fourth the score
 //! gradients and `dq`; and a fifth transposes eight keys at a time into the
 //! lanes so `dv` and `dk` continue their chains over the query index. Per
@@ -715,8 +721,14 @@ pub fn attention_fm_into(q: &Tensor, k: &Tensor, v: &Tensor, scale: f32, out: &m
     assert_eq!(l, lk, "attention_fm q/k length mismatch");
     assert_eq!(l, lv, "attention_fm k/v length mismatch");
     assert_eq!(out.len(), b * nv * l, "attention_fm output length mismatch");
-    let mut scratch = vec![0.0f32; l];
-    attention_fm_slices(
+    let bk = simd::active();
+    let mut scratch = if fm_scalar_arm(bk, n, nv) {
+        vec![0.0f32; l]
+    } else {
+        Vec::new()
+    };
+    attention_fm_slices_with(
+        bk,
         q.data(),
         k.data(),
         v.data(),
@@ -731,15 +743,16 @@ pub fn attention_fm_into(q: &Tensor, k: &Tensor, v: &Tensor, scale: f32, out: &m
 }
 
 /// Slice-level [`attention_fm_into`] with a caller-provided score-row
-/// scratch of at least `l` elements (contents ignored; used by the plan
-/// executor so the serial path allocates nothing per forward). The
-/// parallel tile path allocates its per-worker tile buffers, exactly like
-/// [`attention_tm_slices`]. `out` may hold any contents; every element is
-/// overwritten.
+/// scratch (contents ignored; used by the plan executor so the serial path
+/// allocates nothing per forward). Only the scalar arm reads it — the
+/// vector arm's query blocks run in this thread's kernel scratch, and its
+/// parallel arm allocates a staging buffer. `out` may hold any contents;
+/// every element is overwritten.
 ///
 /// # Panics
 ///
-/// Panics on slice-length mismatches or if `scratch.len() < l`.
+/// Panics on slice-length mismatches, or if the scalar arm runs (the
+/// scalar backend, or a call without channels) with `scratch.len() < l`.
 #[allow(clippy::too_many_arguments)]
 pub fn attention_fm_slices(
     qd: &[f32],
@@ -762,11 +775,13 @@ pub fn attention_fm_slices(
 /// the query-lane kernel, fanned out above the shared threshold (see the
 /// module docs), matching the composed
 /// `bmm`/`scale`/`permute`/`softmax`/`bmm` chain bitwise under the same
-/// backend. Calls without channels take the scalar arm.
+/// backend. Calls without channels take the scalar arm, the only one that
+/// reads `scratch`.
 ///
 /// # Panics
 ///
-/// Panics on slice-length mismatches or if `scratch.len() < l`.
+/// Panics on slice-length mismatches, or if the scalar arm runs with
+/// `scratch.len() < l`.
 #[allow(clippy::too_many_arguments)]
 pub fn attention_fm_slices_with(
     bk: Backend,
@@ -785,17 +800,22 @@ pub fn attention_fm_slices_with(
     assert_eq!(kd.len(), b * n * l, "attention_fm k length mismatch");
     assert_eq!(vd.len(), b * nv * l, "attention_fm v length mismatch");
     assert_eq!(out.len(), b * nv * l, "attention_fm output length mismatch");
-    assert!(scratch.len() >= l, "attention_fm scratch too small");
-    let s = &mut scratch[..l];
+    let scalar = fm_scalar_arm(bk, n, nv);
+    assert!(
+        !scalar || scratch.len() >= l,
+        "attention_fm scratch too small"
+    );
+    let width = simd::query_lanes(bk).0;
     for bi in 0..b {
         let qb = &qd[bi * n * l..(bi + 1) * n * l];
         let kb = &kd[bi * n * l..(bi + 1) * n * l];
         let vb = &vd[bi * nv * l..(bi + 1) * nv * l];
         let ob = &mut out[bi * nv * l..(bi + 1) * nv * l];
-        if bk != Backend::Scalar && n > 0 && nv > 0 {
-            fm_forward_query_lanes(bk, qb, kb, vb, scale, n, nv, l, ob);
+        if !scalar {
+            fm_forward_query_lanes(bk, width, qb, kb, vb, scale, n, nv, l, ob);
             continue;
         }
+        let s = &mut scratch[..l];
         // Scalar reference: one query column at a time, serial — output
         // columns interleave across queries, so there is no contiguous
         // per-query chunk to hand a worker.
@@ -819,10 +839,18 @@ pub fn attention_fm_slices_with(
     }
 }
 
+/// Whether a feature-major call takes the scalar loop: under the scalar
+/// backend, and for calls without channels, which are outside the
+/// query-lane kernels' contract.
+fn fm_scalar_arm(bk: Backend, n: usize, nv: usize) -> bool {
+    bk == Backend::Scalar || n == 0 || nv == 0
+}
+
 /// Feature-major forward for one batch with the queries in the vector
-/// lanes: blocks of [`QUERY_LANES`] query columns, each three sweeps over an
-/// `[l, QUERY_LANES]` scratch ([`simd::fm_query_block`]) — no gather, no
-/// pack, no transposed copy of the probabilities.
+/// lanes: blocks of `width` query columns (`simd::query_lanes`), each three
+/// sweeps over a `[l, width]` scratch ([`simd::fm_query_block`]) — no
+/// gather, no pack, no transposed copy of the probabilities. Either width
+/// gives the same bits.
 ///
 /// Blocks are independent, so under the shared threshold they fan out over
 /// the pool in contiguous runs, one per worker, each worker filling its run
@@ -832,6 +860,7 @@ pub fn attention_fm_slices_with(
 #[allow(clippy::too_many_arguments)]
 fn fm_forward_query_lanes(
     bk: Backend,
+    width: usize,
     qb: &[f32],
     kb: &[f32],
     vb: &[f32],
@@ -841,36 +870,37 @@ fn fm_forward_query_lanes(
     l: usize,
     ob: &mut [f32],
 ) {
-    let n_blocks = l.div_ceil(QUERY_LANES);
+    let n_blocks = l.div_ceil(width);
     let nt = if l * l * (n + nv) >= PAR_GEMM_FLOPS {
         pool::max_threads().min(n_blocks)
     } else {
         1
     };
     if nt <= 1 {
-        return fm_query_blocks(bk, qb, kb, vb, scale, n, nv, l, 0, ob, false);
+        return fm_query_blocks(bk, width, qb, kb, vb, scale, n, nv, l, 0, ob, false);
     }
-    // Block `i` owns `staged[i * QUERY_LANES * nv..]`: every block but the
-    // last is full, so a worker's run of whole blocks is contiguous.
-    let per = n_blocks.div_ceil(nt) * QUERY_LANES;
+    // Block `i` owns `staged[i * width * nv..]`: every block but the last
+    // is full, so a worker's run of whole blocks is contiguous.
+    let per = n_blocks.div_ceil(nt) * width;
     let mut staged = vec![0.0f32; nv * l];
     pool::parallel_chunks_mut(&mut staged, per * nv, |wi, run| {
-        fm_query_blocks(bk, qb, kb, vb, scale, n, nv, l, wi * per, run, true);
+        fm_query_blocks(bk, width, qb, kb, vb, scale, n, nv, l, wi * per, run, true);
     });
-    for (bi, o_block) in staged.chunks(QUERY_LANES * nv).enumerate() {
-        scatter_columns(o_block, nv, l, bi * QUERY_LANES, o_block.len() / nv, ob);
+    for (bi, o_block) in staged.chunks(width * nv).enumerate() {
+        scatter_columns(o_block, nv, l, bi * width, o_block.len() / nv, ob);
     }
 }
 
 /// The query-lane blocks of columns `[y0, y0 + cols)`, `y0` a multiple of
-/// [`QUERY_LANES`]. In place (`staged == false`), `out` is the `[nv, l]`
-/// output from column `y0` on and `cols = l - y0`; staged, `out` holds
+/// `width`. In place (`staged == false`), `out` is the `[nv, l]` output
+/// from column `y0` on and `cols = l - y0`; staged, `out` holds
 /// `cols = out.len() / nv` columns block after block, each a contiguous
-/// `[nv, t]` tile. The `[l, QUERY_LANES]` scratch is the executing thread's
+/// `[nv, t]` tile. The `[l, width]` scratch is the executing thread's
 /// [`simd::Scratch`], so a warm serial call allocates nothing.
 #[allow(clippy::too_many_arguments)]
 fn fm_query_blocks(
     bk: Backend,
+    width: usize,
     qb: &[f32],
     kb: &[f32],
     vb: &[f32],
@@ -884,12 +914,13 @@ fn fm_query_blocks(
 ) {
     let cols = if staged { out.len() / nv } else { l - y0 };
     simd::with_scratch(|sc| {
-        sc.tile_a.resize(QUERY_LANES * l, 0.0);
-        for dy in (0..cols).step_by(QUERY_LANES) {
-            let t = QUERY_LANES.min(cols - dy);
+        sc.tile_a.resize(width * l, 0.0);
+        for dy in (0..cols).step_by(width) {
+            let t = width.min(cols - dy);
             let (at, o_stride) = if staged { (dy * nv, t) } else { (dy, l) };
             simd::fm_query_block(
                 bk,
+                width,
                 qb,
                 kb,
                 vb,
@@ -1001,7 +1032,7 @@ pub fn attention_fm_backward_with(
         let dqb = &mut dq[bi * n * l..(bi + 1) * n * l];
         let dkb = &mut dk[bi * n * l..(bi + 1) * n * l];
         let dvb = &mut dv_all[bi * nv * l..(bi + 1) * nv * l];
-        if bk != Backend::Scalar && n > 0 && nv > 0 {
+        if !fm_scalar_arm(bk, n, nv) {
             fm_backward_query_lanes(bk, qb, kb, vb, dyb, scale, n, nv, l, dqb, dkb, dvb);
             continue;
         }
@@ -1350,7 +1381,8 @@ mod tests {
                         let mut tiled = vec![f32::NAN; nv * l];
                         pool::with_threads(nt, || {
                             let (q, k, v) = (q.data(), k.data(), v.data());
-                            fm_forward_query_lanes(bk, q, k, v, scale, n, nv, l, &mut lanes);
+                            let width = simd::query_lanes(bk).0;
+                            fm_forward_query_lanes(bk, width, q, k, v, scale, n, nv, l, &mut lanes);
                             fm_forward_tiled(bk, q, k, v, scale, n, nv, l, &mut tiled);
                         });
                         for (x, y) in lanes.iter().zip(&tiled) {
@@ -1363,6 +1395,141 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Offsets `s − m` the exp regime inputs below aim their keys at: live
+    /// weights, the subnormal band just above `2^-126` (`fx = −126`), the
+    /// `fx = −127` flush to zero just above the clamp, and the clamp.
+    const EXP_REGIMES: [f32; 14] = [
+        0.0, -1.0, -5.0, -20.0, -50.0, -86.9, -87.3, -87.5, -87.9, -88.2, -88.5, -90.0, -150.0,
+        -300.0,
+    ];
+
+    /// `(q, k, v)` for one batch of `n` / `nv` channels over `l` positions.
+    /// Moderate and wide regimes are hashed values. In the exp regime key
+    /// `x` scores `≈ EXP_REGIMES[x mod 14]` against the key-0 maximum
+    /// (queries within 0.15% of one another), and `v` is zero on the keys
+    /// with weights above `e^-80`, so the outputs are sums of subnormal and
+    /// flushed weights alone, where a moved bit of `e` shows. Every fifth
+    /// query column is `+0` or `−0` in every channel, so it scores `0`
+    /// against every key.
+    fn lane_inputs(regime: usize, n: usize, nv: usize, l: usize, scale: f32) -> [Vec<f32>; 3] {
+        let mut q = tensor(vec![n, l], 50).map(|x| x * [1.0, 20.0, 0.0][regime]);
+        let mut k = tensor(vec![n, l], 51).map(|x| x * [1.0, 20.0, 0.0][regime]);
+        let mut v = tensor(vec![nv, l], 52);
+        if regime == 2 {
+            for x in 0..l {
+                let d = EXP_REGIMES[x % 14];
+                for p in 0..n {
+                    q.data_mut()[p * l + x] = 1.0 + 0.0005 * (x % 4) as f32;
+                    k.data_mut()[p * l + x] = d / (n as f32 * scale);
+                }
+                if d > -80.0 {
+                    for c in 0..nv {
+                        v.data_mut()[c * l + x] = 0.0;
+                    }
+                }
+            }
+        }
+        for y in (2..l).step_by(5) {
+            for p in 0..n {
+                q.data_mut()[p * l + y] = if y % 10 == 2 { 0.0 } else { -0.0 };
+            }
+        }
+        [q, k, v].map(|t| t.data().to_vec())
+    }
+
+    /// How many `(query, key)` pairs of one batch land in each regime of the
+    /// polynomial exp, by an f64 estimate of `s − m`: `[clamped, flushed by
+    /// fx = −127, subnormal]`.
+    fn exp_regime_counts(q: &[f32], k: &[f32], n: usize, l: usize, scale: f32) -> [usize; 3] {
+        let mut counts = [0; 3];
+        let mut s = vec![0.0f64; l];
+        for y in 0..l {
+            for (x, sx) in s.iter_mut().enumerate() {
+                let dot: f64 = (0..n).map(|p| f64::from(q[p * l + y] * k[p * l + x])).sum();
+                *sx = dot * f64::from(scale);
+            }
+            let m = s.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            for &sx in &s {
+                let d = sx - m;
+                if d < -88.376_26 {
+                    counts[0] += 1;
+                } else if d * std::f64::consts::LOG2_E + 0.5 < -126.0 {
+                    counts[1] += 1;
+                } else if d.exp() < f64::from(f32::MIN_POSITIVE) {
+                    counts[2] += 1;
+                }
+            }
+        }
+        counts
+    }
+
+    #[test]
+    fn sixteen_query_lanes_match_eight_bitwise() {
+        // The 16-lane forward instance against the 8-lane one, block by
+        // block over every ragged width (a 16-lane block of `t > 8` queries
+        // against an 8-lane block and the `t − 8` after it, at the first
+        // and the last columns, so key tails and ragged blocks meet), then
+        // whole forwards at one and three threads (staging, scatter).
+        let bk = Backend::Avx2;
+        if !bk.is_supported() || simd::query_lanes(bk).0 != 16 {
+            eprintln!("skipped: no AVX-512F on this host, so no 16-lane query block to compare");
+            return;
+        }
+        let sizes = [1, 2, 8, 9, 16];
+        for l in [16, 24, 33, 47, 1030] {
+            let mut regimes_seen = [0; 3];
+            for (n, nv) in sizes.iter().flat_map(|&n| sizes.map(|nv| (n, nv))) {
+                for (regime, scale) in [(0, 0.37), (1, 1.7), (2, 0.37), (2, -1.3)] {
+                    let [q, k, v] = lane_inputs(regime, n, nv, l, scale);
+                    if regime == 2 {
+                        let seen = exp_regime_counts(&q, &k, n, l, scale);
+                        for (total, c) in regimes_seen.iter_mut().zip(seen) {
+                            *total += c;
+                        }
+                    }
+                    let label = format!("n={n} nv={nv} l={l} regime={regime} scale={scale}");
+                    let mut scr = vec![f32::NAN; 16 * l];
+                    for t in 1..=16.min(l) {
+                        for y0 in [0, l - t] {
+                            // Both widths write `[nv, t]` tiles, channel rows `t` apart.
+                            let mut block = |width, y0, cols, out: &mut [f32]| {
+                                let (q, k, v) = (&q[..], &k[..], &v[..]);
+                                simd::fm_query_block(
+                                    bk, width, q, k, v, scale, n, nv, l, y0, cols, &mut scr, out, t,
+                                );
+                            };
+                            let mut wide = vec![f32::NAN; nv * t];
+                            let mut narrow = wide.clone();
+                            block(16, y0, t, &mut wide);
+                            block(8, y0, t.min(8), &mut narrow);
+                            if t > 8 {
+                                block(8, y0 + 8, t - 8, &mut narrow[8..]);
+                            }
+                            let label = format!("{label} y0={y0} t={t}");
+                            assert_same_bits(&label, &wide, &narrow);
+                        }
+                    }
+                    for nt in [1, 3] {
+                        let [wide, narrow] = [16, 8].map(|width| {
+                            let mut out = vec![f32::NAN; nv * l];
+                            pool::with_threads(nt, || {
+                                fm_forward_query_lanes(
+                                    bk, width, &q, &k, &v, scale, n, nv, l, &mut out,
+                                )
+                            });
+                            out
+                        });
+                        assert_same_bits(&format!("{label} threads={nt}"), &wide, &narrow);
+                    }
+                }
+            }
+            assert!(
+                regimes_seen.iter().all(|&c| c > 0),
+                "l={l}: exp regimes [clamped, flushed, subnormal] hit {regimes_seen:?} times"
+            );
         }
     }
 

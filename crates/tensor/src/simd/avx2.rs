@@ -123,41 +123,8 @@ unsafe fn gemm_tile<const R: usize>(
 
 // --------------------------------------------------------------- softmax
 
-use super::exp::{
-    exp_scalar, EXP_C1, EXP_C2, EXP_HI, EXP_LO, EXP_P0, EXP_P1, EXP_P2, EXP_P3, EXP_P4, EXP_P5,
-    LOG2EF,
-};
-
-/// Polynomial `exp` of 8 lanes (Cephes coefficients, FMA evaluation).
-///
-/// # Safety
-///
-/// Requires AVX2 + FMA.
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn exp8(x: __m256) -> __m256 {
-    let x = _mm256_min_ps(x, _mm256_set1_ps(EXP_HI));
-    let x = _mm256_max_ps(x, _mm256_set1_ps(EXP_LO));
-    let fx = _mm256_floor_ps(_mm256_fmadd_ps(
-        x,
-        _mm256_set1_ps(LOG2EF),
-        _mm256_set1_ps(0.5),
-    ));
-    let x = _mm256_fnmadd_ps(fx, _mm256_set1_ps(EXP_C1), x);
-    let x = _mm256_fnmadd_ps(fx, _mm256_set1_ps(EXP_C2), x);
-    let z = _mm256_mul_ps(x, x);
-    let mut y = _mm256_set1_ps(EXP_P0);
-    y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(EXP_P1));
-    y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(EXP_P2));
-    y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(EXP_P3));
-    y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(EXP_P4));
-    y = _mm256_fmadd_ps(y, x, _mm256_set1_ps(EXP_P5));
-    y = _mm256_add_ps(_mm256_fmadd_ps(y, z, x), _mm256_set1_ps(1.0));
-    let emm0 = _mm256_slli_epi32(
-        _mm256_add_epi32(_mm256_cvttps_epi32(fx), _mm256_set1_epi32(127)),
-        23,
-    );
-    _mm256_mul_ps(y, _mm256_castsi256_ps(emm0))
-}
+use super::exp::exp_scalar;
+use super::lanes::{self, Lanes, LANE_GROUP};
 
 /// Softmax numerators of one scaled row, in place:
 /// `row[i] = exp(row[i]·scale − max_j(row[j]·scale))`; returns their sum.
@@ -200,7 +167,7 @@ pub(crate) unsafe fn exp_row_scaled(row: &mut [f32], scale: f32) -> f32 {
     let mut zv = _mm256_setzero_ps();
     for i in (0..body).step_by(8) {
         let x = _mm256_mul_ps(_mm256_loadu_ps(ptr.add(i)), sv);
-        let e = exp8(_mm256_sub_ps(x, mv));
+        let e = lanes::exp(_mm256_sub_ps(x, mv));
         _mm256_storeu_ps(ptr.add(i), e);
         zv = _mm256_add_ps(zv, e);
     }
@@ -216,287 +183,9 @@ pub(crate) unsafe fn exp_row_scaled(row: &mut [f32], scale: f32) -> f32 {
     z
 }
 
-// ------------------------------------- feature-major attention, query lanes
+// ------------------------------------ feature-major attention backward, lanes
 
 use super::QUERY_LANES;
-
-/// Largest channel group a sweep keeps in registers: one accumulator (or
-/// query vector) per channel, leaving room for the operands around them.
-const LANE_GROUP: usize = 8;
-
-/// One block of the feature-major attention forward with the **queries in
-/// the vector lanes**: output columns `[y0, y0 + t)`, `t ≤ QUERY_LANES`, of
-/// `out[c, y] = Σ_x softmax_x(Σ_p q[p,y]·k[p,x] · scale) · v[c,x]`, written
-/// to `out[c * o_stride + r]` for `r < t`.
-///
-/// In `[D, L]` layout the query columns `q[p, y0..y0 + 8]` are contiguous,
-/// so with lane = query and the key index `x` as the loop nothing has to be
-/// gathered, packed or transposed. Three sweeps over the `[l, 8]` scratch
-/// `scr` (row `x` holds the eight queries' values for key `x`), each
-/// performing per element exactly the operations of the composed
-/// `bmm → scale → softmax → bmm` chain under this backend:
-///
-/// 1. `s[x] = fma(q_{n-1}, k_{n-1}[x], … fma(q_0, k_0[x], +0)) · scale` —
-///    the score microkernel's one FMA chain per element over the channel
-///    index, then the `Scale` node's multiply — with the exact running max;
-/// 2. `e[x] = exp8(s[x] − m)`, summed into eight vectors keyed by `x mod 8`
-///    and combined `((z0+z4)+(z1+z5))+((z2+z6)+(z3+z7))`, then the `l mod 8`
-///    tail through `exp_scalar` in index order: a query's lane of `z_j` is
-///    lane `j` of [`exp_row_scaled`]'s running sum, so this is that row
-///    sum's fixed tree, transposed;
-/// 3. `w[x] = e[x] / z` (the softmax's IEEE divide) and
-///    `o_c = fma(v[c,x], w[x], o_c)` for `x` increasing — the value
-///    microkernel's chain.
-///
-/// Channels are taken [`LANE_GROUP`] at a time: a score chain is carried
-/// from one group to the next through the scratch (an exact f32 store and
-/// reload), and with more than one value group the first stores `w` back
-/// for the rest. Lanes `t..8` of a ragged block compute on zero queries
-/// (finite throughout) and are dropped at the store.
-///
-/// # Safety
-///
-/// Requires AVX2 + FMA. `n ≥ 1`, `nv ≥ 1`, `1 ≤ t ≤ QUERY_LANES`,
-/// `y0 + t ≤ l`; `q` and `k` hold `n * l` elements, `v` holds `nv * l`,
-/// `scr` at least `QUERY_LANES * l`, and `out` at least
-/// `(nv - 1) * o_stride + t` (all asserted by [`super::fm_query_block`]).
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn fm_query_block(
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    scale: f32,
-    n: usize,
-    nv: usize,
-    l: usize,
-    y0: usize,
-    t: usize,
-    scr: &mut [f32],
-    out: &mut [f32],
-    o_stride: usize,
-) {
-    let scr = scr.as_mut_ptr();
-    // (1) Scaled scores and their max; (2) softmax numerators and their sum.
-    let m = score_sweeps(q, k, scale, n, l, y0, t, scr);
-    let z = exp_sweep(scr, l, m);
-
-    // (3) Divide and weighted values.
-    for c0 in (0..nv).step_by(LANE_GROUP) {
-        let vp = v.as_ptr().add(c0 * l);
-        let op = out.as_mut_ptr().add(c0 * o_stride);
-        // The first group divides; it stores `w` only if another follows.
-        let divide = (c0 == 0).then_some((z, nv > LANE_GROUP));
-        match nv - c0 {
-            1 => value_sweep::<1>(vp, l, t, scr, divide, op, o_stride),
-            2 => value_sweep::<2>(vp, l, t, scr, divide, op, o_stride),
-            3 => value_sweep::<3>(vp, l, t, scr, divide, op, o_stride),
-            4 => value_sweep::<4>(vp, l, t, scr, divide, op, o_stride),
-            5 => value_sweep::<5>(vp, l, t, scr, divide, op, o_stride),
-            6 => value_sweep::<6>(vp, l, t, scr, divide, op, o_stride),
-            7 => value_sweep::<7>(vp, l, t, scr, divide, op, o_stride),
-            _ => value_sweep::<LANE_GROUP>(vp, l, t, scr, divide, op, o_stride),
-        }
-    }
-}
-
-/// Sweep (1) of [`fm_query_block`] over every channel group: the scaled
-/// scores of the block's queries into `scr`, returning their per-query max.
-///
-/// # Safety
-///
-/// As [`fm_query_block`].
-#[inline]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn score_sweeps(
-    q: &[f32],
-    k: &[f32],
-    scale: f32,
-    n: usize,
-    l: usize,
-    y0: usize,
-    t: usize,
-    scr: *mut f32,
-) -> __m256 {
-    let mut m = _mm256_setzero_ps();
-    for p0 in (0..n).step_by(LANE_GROUP) {
-        let qp = q.as_ptr().add(p0 * l + y0);
-        let kp = k.as_ptr().add(p0 * l);
-        let scale = (p0 + LANE_GROUP >= n).then_some(scale);
-        m = match n - p0 {
-            1 => score_sweep::<1>(qp, kp, l, t, scr, p0 == 0, scale),
-            2 => score_sweep::<2>(qp, kp, l, t, scr, p0 == 0, scale),
-            3 => score_sweep::<3>(qp, kp, l, t, scr, p0 == 0, scale),
-            4 => score_sweep::<4>(qp, kp, l, t, scr, p0 == 0, scale),
-            5 => score_sweep::<5>(qp, kp, l, t, scr, p0 == 0, scale),
-            6 => score_sweep::<6>(qp, kp, l, t, scr, p0 == 0, scale),
-            7 => score_sweep::<7>(qp, kp, l, t, scr, p0 == 0, scale),
-            _ => score_sweep::<LANE_GROUP>(qp, kp, l, t, scr, p0 == 0, scale),
-        };
-    }
-    m
-}
-
-/// Sweep (2) of [`fm_query_block`]: `scr` from scaled scores to softmax
-/// numerators `exp8(s − m)`, returning their per-query sum. The eights here
-/// are the row softmax's lane count (the key-index modulus), not
-/// `QUERY_LANES`.
-///
-/// # Safety
-///
-/// Requires AVX2 + FMA; `scr` holds `l * QUERY_LANES` floats.
-#[inline]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn exp_sweep(scr: *mut f32, l: usize, m: __m256) -> __m256 {
-    let body = l / 8 * 8;
-    let mut zs = [_mm256_setzero_ps(); 8];
-    for x in (0..body).step_by(8) {
-        for (j, zj) in zs.iter_mut().enumerate() {
-            let s = scr.add((x + j) * QUERY_LANES);
-            let e = exp8(_mm256_sub_ps(_mm256_loadu_ps(s), m));
-            _mm256_storeu_ps(s, e);
-            *zj = _mm256_add_ps(*zj, e);
-        }
-    }
-    let mut z = _mm256_add_ps(
-        _mm256_add_ps(_mm256_add_ps(zs[0], zs[4]), _mm256_add_ps(zs[1], zs[5])),
-        _mm256_add_ps(_mm256_add_ps(zs[2], zs[6]), _mm256_add_ps(zs[3], zs[7])),
-    );
-    for x in body..l {
-        let s = scr.add(x * QUERY_LANES);
-        let mut lanes = [0.0f32; QUERY_LANES];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), _mm256_sub_ps(_mm256_loadu_ps(s), m));
-        for lane in &mut lanes {
-            *lane = exp_scalar(*lane);
-        }
-        let e = _mm256_loadu_ps(lanes.as_ptr());
-        _mm256_storeu_ps(s, e);
-        z = _mm256_add_ps(z, e);
-    }
-    z
-}
-
-/// Score sweep of [`fm_query_block`] for channels `p0..p0 + P`: continues
-/// each element's FMA chain (from `+0` when `first`, else from the scratch)
-/// and stores it back; the last group passes `scale`, multiplies by it and
-/// returns the per-query max of the scaled scores (other groups return an
-/// unused value). `qp` points at `q[p0, y0]`, `kp` at `k[p0, 0]`.
-///
-/// # Safety
-///
-/// As [`fm_query_block`], with `p0 + P ≤ n`.
-#[inline]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn score_sweep<const P: usize>(
-    qp: *const f32,
-    kp: *const f32,
-    l: usize,
-    t: usize,
-    scr: *mut f32,
-    first: bool,
-    scale: Option<f32>,
-) -> __m256 {
-    let mut qv = [_mm256_setzero_ps(); P];
-    for (i, qv) in qv.iter_mut().enumerate() {
-        *qv = load_lanes(qp.add(i * l), t);
-    }
-    let sv = _mm256_set1_ps(scale.unwrap_or(1.0));
-    // The max is the one loop-carried dependency; even and odd keys keep
-    // separate chains (the max of finite values is exact in any order).
-    let mut m = [_mm256_set1_ps(f32::NEG_INFINITY); 2];
-    for x in 0..l {
-        let s = scr.add(x * QUERY_LANES);
-        let mut acc = if first {
-            _mm256_setzero_ps()
-        } else {
-            _mm256_loadu_ps(s)
-        };
-        for (i, &qi) in qv.iter().enumerate() {
-            acc = _mm256_fmadd_ps(qi, _mm256_set1_ps(*kp.add(i * l + x)), acc);
-        }
-        if scale.is_some() {
-            acc = _mm256_mul_ps(acc, sv);
-            m = [m[1], _mm256_max_ps(m[0], acc)];
-        }
-        _mm256_storeu_ps(s, acc);
-    }
-    _mm256_max_ps(m[0], m[1])
-}
-
-/// Value sweep of [`fm_query_block`] for channels `c0..c0 + C`: one
-/// accumulator per channel walking the keys in increasing order, stored to
-/// `op[i * o_stride..][..t]`. With `divide = Some((z, keep))` the weights
-/// are formed here as `e / z` (and written back over `e` when `keep`);
-/// with `None` the scratch already holds them. `vp` points at `v[c0, 0]`.
-///
-/// # Safety
-///
-/// As [`fm_query_block`], with `c0 + C ≤ nv` and `op` at `out[c0 * o_stride]`.
-#[inline]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn value_sweep<const C: usize>(
-    vp: *const f32,
-    l: usize,
-    t: usize,
-    scr: *mut f32,
-    divide: Option<(__m256, bool)>,
-    op: *mut f32,
-    o_stride: usize,
-) {
-    let mut acc = [_mm256_setzero_ps(); C];
-    for x in 0..l {
-        let s = scr.add(x * QUERY_LANES);
-        let mut w = _mm256_loadu_ps(s);
-        if let Some((z, keep)) = divide {
-            w = _mm256_div_ps(w, z);
-            if keep {
-                _mm256_storeu_ps(s, w);
-            }
-        }
-        for (i, a) in acc.iter_mut().enumerate() {
-            *a = _mm256_fmadd_ps(_mm256_set1_ps(*vp.add(i * l + x)), w, *a);
-        }
-    }
-    for (i, &a) in acc.iter().enumerate() {
-        store_lanes(op.add(i * o_stride), t, a);
-    }
-}
-
-/// The first `t` query lanes from `p`; lanes past a ragged block's last
-/// query are zero.
-///
-/// # Safety
-///
-/// Requires AVX2; `p` is readable for `t ≤ QUERY_LANES` floats.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn load_lanes(p: *const f32, t: usize) -> __m256 {
-    if t == QUERY_LANES {
-        return _mm256_loadu_ps(p);
-    }
-    let mut lanes = [0.0f32; QUERY_LANES];
-    std::ptr::copy_nonoverlapping(p, lanes.as_mut_ptr(), t);
-    _mm256_loadu_ps(lanes.as_ptr())
-}
-
-/// Stores the first `t` query lanes of `a` to `p`, dropping the rest.
-///
-/// # Safety
-///
-/// Requires AVX2; `p` is writable for `t ≤ QUERY_LANES` floats.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn store_lanes(p: *mut f32, t: usize, a: __m256) {
-    if t == QUERY_LANES {
-        return _mm256_storeu_ps(p, a);
-    }
-    let mut lanes = [0.0f32; QUERY_LANES];
-    _mm256_storeu_ps(lanes.as_mut_ptr(), a);
-    std::ptr::copy_nonoverlapping(lanes.as_ptr(), p, t);
-}
-
-// ------------------------------------ feature-major attention backward, lanes
 
 /// One block of the feature-major attention **backward** with the queries
 /// in the vector lanes: for queries `[y0, y0 + t)`, writes their columns of
@@ -507,8 +196,9 @@ unsafe fn store_lanes(p: *mut f32, t: usize, a: __m256) {
 /// the unit tests' reference, itself the composed chain's backward under
 /// this backend — in the same order:
 ///
-/// 1. the forward's score sweep ([`score_sweeps`]), reused unchanged;
-/// 2. its exp sweep ([`exp_sweep`]), likewise, so `e` and `z` are the
+/// 1. the forward's score sweep ([`lanes::score_sweeps`]) at eight lanes,
+///    reused unchanged;
+/// 2. its exp sweep ([`lanes::exp_sweep`]), likewise, so `e` and `z` are the
 ///    forward's;
 /// 3. `w = e / z`, stored over `e`; `g = fma(dy[c,y], v[c,x], ·)` over `c`
 ///    increasing from `+0` (the `dy·vᵀ` microkernel chain); and
@@ -556,8 +246,8 @@ pub(crate) unsafe fn fm_query_block_backward(
     dv: &mut [f32],
 ) {
     let (scr, scr_g) = (scr.as_mut_ptr(), scr_g.as_mut_ptr());
-    let m = score_sweeps(q, k, scale, n, l, y0, t, scr);
-    let z = exp_sweep(scr, l, m);
+    let m = lanes::score_sweeps::<__m256>(q, k, scale, n, l, y0, t, scr);
+    let z = lanes::exp_sweep::<__m256>(scr, l, m);
 
     // (3) Weights, upstream products and their dot.
     let mut dot = _mm256_set1_ps(-0.0);
@@ -626,7 +316,7 @@ unsafe fn grad_sweep<const C: usize>(
 ) -> __m256 {
     let mut dyv = [_mm256_setzero_ps(); C];
     for (i, d) in dyv.iter_mut().enumerate() {
-        *d = load_lanes(dyp.add(i * l), t);
+        *d = __m256::load_first(dyp.add(i * l), t);
     }
     for x in 0..l {
         let s = scr.add(x * QUERY_LANES);
@@ -697,7 +387,7 @@ unsafe fn dq_sweep<const P: usize>(
         }
     }
     for (i, &a) in acc.iter().enumerate() {
-        store_lanes(op.add(i * l), t, a);
+        a.store_first(op.add(i * l), t);
     }
 }
 

@@ -12,7 +12,12 @@
 //!   suite pins its results to this backend. Every target without AVX2
 //!   runs it.
 //! - [`Backend::Avx2`] — AVX2 + FMA packed-panel microkernels (x86_64),
-//!   detected via `is_x86_feature_detected!`.
+//!   detected via `is_x86_feature_detected!`. Where the host also has
+//!   AVX-512F (detected once, beside the backend), the position-attention
+//!   forward's query-lane kernel takes sixteen queries per block instead of
+//!   eight ([`query_lanes`]): one generic kernel body over a lane-vector
+//!   trait (`simd/lanes.rs`) with the same bits at either width, so it is
+//!   neither a backend nor a knob.
 //!
 //! The backend is chosen from the `MFAPLACE_KERNELS` environment variable
 //! (`auto` | `scalar` | `avx2`, default `auto`) on first kernel
@@ -58,6 +63,8 @@ use crate::kernels;
 mod avx2;
 #[cfg(target_arch = "x86_64")]
 mod exp;
+#[cfg(target_arch = "x86_64")]
+mod lanes;
 
 /// Kernel backend identifier. See the module docs for the numeric
 /// contract each backend carries.
@@ -124,6 +131,20 @@ pub fn supported() -> Vec<Backend> {
         v.push(Backend::Avx2);
     }
     v
+}
+
+/// Whether the host has AVX-512F, detected once: it sets the query-lane
+/// forward's width under [`Backend::Avx2`] ([`query_lanes`]), not a backend.
+fn has_avx512f() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static DETECTED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        *DETECTED.get_or_init(|| std::arch::is_x86_feature_detected!("avx512f"))
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
 }
 
 /// Process-global active backend: 0 = uninitialized, else `Backend as u8
@@ -580,24 +601,45 @@ pub(crate) fn exp_row_scaled(bk: Backend, row: &mut [f32], scale: f32) -> f32 {
 
 // ------------------------------------- feature-major attention, query lanes
 
-/// Query columns per [`fm_query_block`]: the lanes of one vector.
+/// Query columns per block of the query-lane backward, and of the forward
+/// on a host without AVX-512F: the lanes of one AVX2 register.
 pub(crate) const QUERY_LANES: usize = 8;
 
+/// Query columns per block of the forward where the host has AVX-512F: the
+/// lanes of one `__m512`.
+const WIDE_QUERY_LANES: usize = 16;
+
+/// The feature-major attention forward's query-block width under `bk`, and
+/// the instruction set that runs it: `(16, "avx512f")` where the AVX2
+/// backend runs on a host with AVX-512F, `(8, "avx2")` on one without, and
+/// `(1, "scalar")` for the scalar loop, which takes one query at a time.
+/// Every width gives the same bits (see `fm_query_block`); there is no
+/// knob — `mfaplace kernels` and `mfaplace profile` print it.
+pub fn query_lanes(bk: Backend) -> (usize, &'static str) {
+    match bk {
+        Backend::Scalar => (1, "scalar"),
+        Backend::Avx2 if has_avx512f() => (WIDE_QUERY_LANES, "avx512f"),
+        Backend::Avx2 => (QUERY_LANES, "avx2"),
+    }
+}
+
 /// One block of the feature-major attention forward with the queries in the
-/// vector lanes: output columns `[y0, y0 + t)` of one batch (`q`, `k`:
-/// `[n, l]`, `v`: `[nv, l]`), channel `c` written to
-/// `out[c * o_stride..][..t]`. `scr` is `QUERY_LANES * l` floats of scratch
+/// vector lanes: output columns `[y0, y0 + t)`, `t ≤ width`, of one batch
+/// (`q`, `k`: `[n, l]`, `v`: `[nv, l]`), channel `c` written to
+/// `out[c * o_stride..][..t]`. `scr` is `width * l` floats of scratch
 /// (contents ignored). Per element the arithmetic is that of the composed
-/// `bmm → scale → softmax → bmm` chain under `bk` — see the kernel's docs
-/// for the sweep-by-sweep argument.
+/// `bmm → scale → softmax → bmm` chain under `bk`, at either width — see
+/// the kernel's docs (`simd/lanes.rs`) for the sweep-by-sweep argument.
 ///
 /// # Panics
 ///
-/// Panics if `bk == Backend::Scalar`, or on a shape the kernel's contract
-/// excludes.
+/// Panics unless `bk` is the AVX2 backend and `width` is
+/// [`QUERY_LANES`] or, on a host with AVX-512F, sixteen; or on a shape the
+/// kernel's contract excludes.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn fm_query_block(
     bk: Backend,
+    width: usize,
     q: &[f32],
     k: &[f32],
     v: &[f32],
@@ -613,26 +655,34 @@ pub(crate) fn fm_query_block(
 ) {
     assert!(n >= 1 && nv >= 1, "query-lane block needs channels");
     assert!(
-        (1..=QUERY_LANES).contains(&t) && y0 + t <= l,
+        (1..=width).contains(&t) && y0 + t <= l,
         "query-lane block out of range"
     );
     assert!(
         q.len() == n * l && k.len() == n * l && v.len() == nv * l,
         "query-lane operand length mismatch"
     );
-    assert!(scr.len() >= QUERY_LANES * l, "query-lane scratch too small");
+    assert!(scr.len() >= width * l, "query-lane scratch too small");
     assert!(
         out.len() >= (nv - 1) * o_stride + t,
         "query-lane output too small"
     );
-    match bk {
+    match (bk, width) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2 is only active when detection confirmed avx2+fma;
         // the kernel's shape contract is asserted above.
-        Backend::Avx2 => unsafe {
-            avx2::fm_query_block(q, k, v, scale, n, nv, l, y0, t, scr, out, o_stride)
+        (Backend::Avx2, QUERY_LANES) => unsafe {
+            lanes::fm_query_block_x8(q, k, v, scale, n, nv, l, y0, t, scr, out, o_stride)
         },
-        other => panic!("kernel backend {} has no query-lane kernel", other.name()),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: detection confirmed avx512f; shapes asserted above.
+        (Backend::Avx2, WIDE_QUERY_LANES) if has_avx512f() => unsafe {
+            lanes::fm_query_block_x16(q, k, v, scale, n, nv, l, y0, t, scr, out, o_stride)
+        },
+        (bk, width) => panic!(
+            "kernel backend {} has no {width}-lane query block on this host",
+            bk.name()
+        ),
     }
 }
 

@@ -34,7 +34,9 @@ const CHANNELS: [(usize, usize); 13] = [
     (32, 2),
 ];
 
-const LENGTHS: [usize; 11] = [1, 7, 8, 9, 15, 16, 17, 31, 33, 100, 1030];
+const LENGTHS: [usize; 16] = [
+    1, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 40, 47, 48, 100, 1030,
+];
 
 /// Composed feature-major (PAM) reference: `kᵀ·q` scores, transposed
 /// row-softmax, `v·pᵀ` output — the op chain the tape records unfused.

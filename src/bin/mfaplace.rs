@@ -321,12 +321,20 @@ fn cmd_kernels() -> Result<(), String> {
     println!("active backend: {}", simd::active().name());
     println!("detected best:  {}", simd::detect().name());
     println!("supported:      {}", names.join(" "));
+    println!("query lanes:    {}", query_lanes_label());
     println!(
         "int8 GEMM:      exact i32 accumulation, bitwise across backends \
          (max contraction {})",
         simd::I8_GEMM_MAX_K,
     );
     Ok(())
+}
+
+/// The position-attention forward's query-block width under the active
+/// backend and the instruction set that runs it, e.g. `16 (avx512f)`.
+fn query_lanes_label() -> String {
+    let (width, isa) = simd::query_lanes(simd::active());
+    format!("{width} ({isa})")
 }
 
 /// `--engine plan|quant`; `None` keeps the engine the loaded file selects.
@@ -1093,12 +1101,13 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
     let profile = predictor.profile_plan(&input)?;
     let status = predictor.status();
     println!(
-        "{path}: {} grid {}, engine {} ({}), kernels {}, {} pool threads",
+        "{path}: {} grid {}, engine {} ({}), kernels {}, query lanes {}, {} pool threads",
         spec.arch.model_name(),
         spec.grid,
         status.engine.name(),
         status.precision.name(),
         simd::active().name(),
+        query_lanes_label(),
         pool::max_threads(),
     );
     let ms = |ns: u64| ns as f64 / 1e6;
