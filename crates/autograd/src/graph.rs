@@ -1,6 +1,6 @@
 use std::time::{Duration, Instant};
 
-use mfaplace_tensor::lowlevel;
+use mfaplace_tensor::lowlevel::{self, ConvDims};
 use mfaplace_tensor::{
     attention_fm_backward_into, attention_fm_into, attention_tm_backward_into, attention_tm_into,
     conv_out_size, numel, Tensor,
@@ -672,28 +672,39 @@ impl Graph {
         let (oh, ow) = conv_out_size(h, wd, kh, kw, stride, pad);
         let ohow = oh * ow;
         let oc = self.value(w).shape()[0];
-        let ckk = self.value(w).numel() / oc;
-        // im2col writes every element, padding zeros included.
+        let rg = (self.rg(x) || self.rg(w)) && self.grad_enabled;
+        let dims = ConvDims {
+            b,
+            c,
+            h,
+            w: wd,
+            oc,
+            kh,
+            kw,
+            stride,
+            pad,
+        };
+        if !rg {
+            let v = self.pooled(vec![b, oc, oh, ow], |n, o| {
+                let (xs, ws) = (n[x.0].value.data(), n[w.0].value.data());
+                lowlevel::conv2d_into(xs, ws, dims, None, None, false, o);
+            });
+            return self.push(v, TapeOp::Conv2d { x, w, stride, pad }, false);
+        }
+        // The weight gradient's GEMM reads the im2col lowering, so the node
+        // keeps it (im2col writes every element, padding zeros included),
+        // and the same direct convolution packs its blocks from it rather
+        // than lowering the input a second time.
         let mut cols = self.pool.take_any(c * kh * kw * b * ohow);
         let t0 = self.clock.is_some().then(Instant::now);
         let src = self.value(x).data();
         lowlevel::im2col_into(src, b, c, h, wd, kh, kw, stride, pad, &mut cols);
         let im2col = t0.map(|t0| t0.elapsed());
-        let mut y_mat = self.pool.take_any(oc * b * ohow); // [OC, B*OH*OW]
-        lowlevel::gemm_into(self.value(w).data(), &cols, &mut y_mat, oc, ckk, b * ohow);
-        let v = self.pooled(vec![b, oc, oh, ow], |_, o| {
-            lowlevel::conv_reorder_epilogue(&y_mat, o, b, oc, ohow, None, None, false);
+        let v = self.pooled(vec![b, oc, oh, ow], |n, o| {
+            lowlevel::conv2d_lowered_into(&cols, n[w.0].value.data(), dims, o);
         });
-        self.pool.give(y_mat);
-        let rg = (self.rg(x) || self.rg(w)) && self.grad_enabled;
-        // The lowering is backward-only state: on the inference path it is
-        // recycled immediately instead of riding the tape node.
-        let saved = if rg {
-            Saved::Cols(Tensor::from_vec(vec![c * kh * kw, b * ohow], cols).expect("conv cols"))
-        } else {
-            self.pool.give(cols);
-            Saved::None
-        };
+        let saved =
+            Saved::Cols(Tensor::from_vec(vec![c * kh * kw, b * ohow], cols).expect("conv cols"));
         let node = self.push_saved(v, TapeOp::Conv2d { x, w, stride, pad }, saved, rg);
         if let (Some(clock), Some(d)) = (&mut self.clock, im2col) {
             clock.span(node.0)[2] = d;

@@ -715,12 +715,6 @@ mod tests {
         }
         let qs = predictor.quant_plan_stats().expect("quant plan compiled");
         assert!(qs.i8_steps > 0, "{qs:?}");
-        assert!(
-            qs.arena_bytes * 2 <= qs.f32_arena_bytes,
-            "int8 arena {} vs f32 arena {}",
-            qs.arena_bytes,
-            qs.f32_arena_bytes
-        );
     }
 
     /// A calibration that does not fit this model's plan (collected on a

@@ -5,8 +5,8 @@
 //! # Bitwise contract
 //!
 //! Every op calls the *same* kernel the tape forward calls — the slice
-//! kernels of `mfaplace_tensor::lowlevel` (GEMM family, conv lowering and
-//! epilogue, element-wise and shape ops, softmax), layer norm and the
+//! kernels of `mfaplace_tensor::lowlevel` (GEMM family, the direct
+//! convolution and its epilogue, element-wise and shape ops, softmax), layer norm and the
 //! `*_slices` attention entry points — so the plan and the tape compute
 //! every element with one piece of code and one parallel dispatch. The
 //! equivalence suite asserts bit equality against the tape for every zoo
@@ -17,12 +17,13 @@
 //! # Allocation contract
 //!
 //! A forward performs no heap allocation: outputs and the op-local scratch
-//! each step declares (conv lowering buffers, attention score rows,
-//! quantize/dequantize staging) live at plan-assigned arena offsets. The
-//! one documented exception matches the tape path: when an attention call
-//! is large enough to take the parallel tile path, each worker allocates
-//! its private score row (identical behaviour and threshold as the tape
-//! kernel, so tape-vs-plan comparisons stay fair).
+//! each step declares (attention score rows, the int8 conv's lowering,
+//! quantize/dequantize staging) live at plan-assigned arena offsets; an
+//! f32 convolution packs its column blocks in the thread's kernel scratch.
+//! The one documented exception matches the tape path: when a kernel is
+//! large enough to fan out, each worker allocates its own buffers
+//! (identical behaviour and threshold as the tape kernel, so tape-vs-plan
+//! comparisons stay fair).
 //!
 //! # Safety
 //!
@@ -37,7 +38,7 @@
 use std::time::Instant;
 
 use mfaplace_tensor::layer_norm_rows;
-use mfaplace_tensor::lowlevel::{self, map_into, zip_into};
+use mfaplace_tensor::lowlevel::{self, map_into, zip_into, ConvDims};
 
 use crate::plan::{
     verify_step, ArenaRange, BmmKind, IrOp, Kernel, Loc, Plan, Step, StepCost, Store, ValId,
@@ -119,6 +120,8 @@ pub struct StepProfile {
     pub ns: u64,
     /// FLOPs, `exp` evaluations and bytes the op must do, from its shapes.
     pub cost: StepCost,
+    /// Arena bytes of the op-local scratch the step declares.
+    pub scratch_bytes: usize,
 }
 
 /// Per-step timing of one forward — see [`profile_plan`].
@@ -167,6 +170,7 @@ pub fn profile_plan(plan: &Plan, arena: &mut Vec<u64>, input: &[f32]) -> PlanPro
                 out_numel: plan.values[step.out].numel,
                 ns,
                 cost: plan.step_cost(step),
+                scratch_bytes: step.scratch.iter().map(|r| r.len).sum(),
             }
         })
         .collect();
@@ -231,15 +235,6 @@ pub(crate) unsafe fn direct_f32<'a>(
     }
 }
 
-/// Op-local scratch views an [`exec_op`] call may need beyond its
-/// destination: the conv im2col/GEMM buffers and the attention score row.
-#[derive(Default)]
-pub(crate) struct OpScratch<'a> {
-    pub cols: Option<&'a mut [f32]>,
-    pub ymat: Option<&'a mut [f32]>,
-    pub att: Option<&'a mut [f32]>,
-}
-
 /// Executes one step on its kernel. `base` points at the arena.
 fn exec_step(plan: &Plan, input: &[f32], base: *mut u8, step: &Step) {
     match &step.kernel {
@@ -279,19 +274,11 @@ fn exec_step(plan: &Plan, input: &[f32], base: *mut u8, step: &Step) {
                 Store::F32 => span(base, off, out.numel),
                 _ => take(),
             };
-            let scratch = match &step.op {
-                IrOp::Conv2d { .. } => OpScratch {
-                    cols: Some(take()),
-                    ymat: Some(take()),
-                    att: None,
-                },
-                IrOp::AttentionTm { .. } | IrOp::AttentionFm { .. } => OpScratch {
-                    att: Some(take()),
-                    ..OpScratch::default()
-                },
-                _ => OpScratch::default(),
+            let att = match &step.op {
+                IrOp::AttentionTm { .. } | IrOp::AttentionFm { .. } => Some(take()),
+                _ => None,
             };
-            exec_op(&step.op, &s, dst, scratch);
+            exec_op(&step.op, &s, dst, att);
             if out.store != Store::F32 {
                 quant::store_into(plan, base, step.out, dst);
             }
@@ -299,7 +286,9 @@ fn exec_step(plan: &Plan, input: &[f32], base: *mut u8, step: &Step) {
     }
 }
 
-/// Executes one op's f32 arithmetic against caller-resolved operand views.
+/// Executes one op's f32 arithmetic against caller-resolved operand views;
+/// `att` is an attention step's score-row scratch, the one op-local
+/// scratch an f32 op needs beyond its destination.
 ///
 /// This is the single source of the per-op reference semantics. For an
 /// all-f32 plan every view is arena-resident (keeping the bitwise
@@ -309,7 +298,7 @@ pub(crate) fn exec_op<'a>(
     op: &IrOp,
     s: &impl Fn(ValId) -> &'a [f32],
     dst: &mut [f32],
-    scratch: OpScratch<'_>,
+    att: Option<&mut [f32]>,
 ) {
     match op {
         IrOp::Conv2d {
@@ -327,23 +316,23 @@ pub(crate) fn exec_op<'a>(
             kh,
             kw,
             oc,
-            oh,
-            ow,
             ..
         } => {
-            let xs = s(*x);
-            let ws = s(*w);
-            // im2col writes every element, so the arena span's dead value
-            // from an earlier op never shows through.
-            let cols_m = scratch.cols.expect("conv cols scratch");
-            lowlevel::im2col_into(xs, *b, *c, *h, *w_in, *kh, *kw, *stride, *pad, cols_m);
-            let ymat_m = scratch.ymat.expect("conv ymat scratch");
-            lowlevel::gemm_into(ws, &*cols_m, ymat_m, *oc, *c * *kh * *kw, *b * *oh * *ow);
-            let bias_s = bias.map(s);
+            let dims = ConvDims {
+                b: *b,
+                c: *c,
+                h: *h,
+                w: *w_in,
+                oc: *oc,
+                kh: *kh,
+                kw: *kw,
+                stride: *stride,
+                pad: *pad,
+            };
             let aff = affine
                 .as_ref()
                 .map(|(sc, sh)| (sc.as_slice(), sh.as_slice()));
-            lowlevel::conv_reorder_epilogue(&*ymat_m, dst, *b, *oc, *oh * *ow, bias_s, aff, *relu);
+            lowlevel::conv2d_into(s(*x), s(*w), dims, bias.map(s), aff, *relu, dst);
         }
         IrOp::AddBiasChannel { x, bias, b, c, hw } => {
             lowlevel::channel_epilogue(s(*x), dst, *b, *c, *hw, Some(s(*bias)), None);
@@ -415,7 +404,7 @@ pub(crate) fn exec_op<'a>(
             // The fused kernel accumulates into a zeroed output (the tape
             // takes a zero-filled pool buffer).
             dst.fill(0.0);
-            let sc = scratch.att.expect("attention score-row scratch");
+            let sc = att.expect("attention score-row scratch");
             mfaplace_tensor::attention_tm_slices(
                 s(*q),
                 s(*k),
@@ -441,7 +430,7 @@ pub(crate) fn exec_op<'a>(
             l,
             ..
         } => {
-            let sc = scratch.att.expect("attention score-row scratch");
+            let sc = att.expect("attention score-row scratch");
             mfaplace_tensor::attention_fm_slices(
                 s(*q),
                 s(*k),

@@ -16,7 +16,7 @@
 //!    `Arc<Tensor>` (shared across per-batch-size plans via a caller cache).
 //! 2. **Fusion** — a conv's single-consumer chain of
 //!    `add_bias_channel → channel_affine → relu` collapses into the conv's
-//!    epilogue (executed by `conv_reorder_epilogue`, whose per-element
+//!    epilogue (executed by `conv2d_into`, whose per-element
 //!    arithmetic is exactly the tape's op sequence, keeping outputs
 //!    bitwise); `add → relu` pairs fuse the same way.
 //! 3. **Copy elision** — pure-reshape [`IrOp::Copy`] steps are rewritten
@@ -28,8 +28,8 @@
 //! 4. **Arena assignment** — steps keep the order capture leaves them in
 //!    (the tape order, after fusion and copy elision), and
 //!    serial replay runs them in that order. Liveness intervals for every
-//!    intermediate plus the op-local scratch each step declares (conv
-//!    im2col/GEMM buffers, attention score rows, quantize/dequantize
+//!    intermediate plus the op-local scratch each step declares (attention
+//!    score rows, the int8 conv's lowering, quantize/dequantize
 //!    staging) are packed step by step by a first-fit free list with
 //!    coalescing into a single byte arena (64-byte blocks, so every typed
 //!    view is aligned) whose peak size is known at compile time.
@@ -1087,7 +1087,7 @@ enum Absorb {
 ///
 /// Safe for the bitwise contract: the fused epilogue applies the exact
 /// per-element op sequence the tape recorded (see
-/// `mfaplace_tensor::lowlevel::conv_reorder_epilogue`).
+/// `mfaplace_tensor::lowlevel::conv2d_into`).
 fn fuse(steps: &mut Vec<Step>, output: ValId, stats: &mut PlanStats) {
     // consumers[v] = indices of steps reading v.
     let max_val = steps.iter().map(|s| s.out + 1).max().unwrap_or(0);
@@ -1272,8 +1272,9 @@ fn elide_copies(
 /// executor takes whole pieces, never recomputing a size.
 ///
 /// - generic: one f32 buffer per `staged` operand, an f32 staging buffer
-///   for a narrower-than-f32 output, then the op's own scratch (conv
-///   im2col + `[OC, B*OH*OW]` GEMM result, or one attention score row);
+///   for a narrower-than-f32 output, then the op's own scratch (one
+///   attention score row; a conv packs its column blocks in the thread's
+///   kernel scratch, not the arena);
 /// - int8 conv: the quantized input unless it is already stored as i8,
 ///   the i8 im2col matrix, the i32 GEMM result;
 /// - int8 matmul: the quantized left operand unless stored as i8, the i32
@@ -1311,16 +1312,6 @@ fn scratch_bytes(step: &Step, values: &[ValueInfo]) -> Vec<usize> {
                 pieces.push(4 * values[step.out].numel);
             }
             match op {
-                IrOp::Conv2d {
-                    b,
-                    c,
-                    kh,
-                    kw,
-                    oc,
-                    oh,
-                    ow,
-                    ..
-                } => pieces.extend([4 * c * kh * kw * b * oh * ow, 4 * oc * b * oh * ow]),
                 IrOp::AttentionTm { lk, .. } => pieces.push(4 * lk),
                 IrOp::AttentionFm { l, .. } => pieces.push(4 * l),
                 _ => {}

@@ -789,21 +789,6 @@ mod tests {
     }
 
     #[test]
-    fn int8_arena_is_at_most_half_of_f32() {
-        let (plan, input) = conv_net(4);
-        let calib = Calibration::collect(&plan, [input.as_slice()]).unwrap();
-        let qp = plan.quantize(&calib, QuantOptions::default()).unwrap();
-        let qs = qp.stats().quant.as_ref().expect("quantized");
-        assert!(
-            qs.arena_bytes * 2 <= qs.f32_arena_bytes,
-            "quant arena {} B vs f32 {} B — {}",
-            qs.arena_bytes,
-            qs.f32_arena_bytes,
-            qp.summary()
-        );
-    }
-
-    #[test]
     fn calibration_serializes_bitwise() {
         let (plan, input) = conv_net(1);
         let c1 = Calibration::collect(&plan, [input.as_slice()]).unwrap();

@@ -83,6 +83,16 @@ fn profile_lists_every_step_once_and_accounts_for_the_replay() {
             flavour == "int8",
             "{flavour}: {kinds:?}"
         );
+        // An f32 convolution packs its lowering in the thread's kernel
+        // scratch, one column block at a time: it declares no arena
+        // scratch. The int8 conv still lowers into the arena.
+        for s in &profile.steps {
+            match s.kind.as_str() {
+                "Conv2d" => assert_eq!(s.scratch_bytes, 0, "{flavour}: {s:?}"),
+                "Conv2d[i8]" => assert!(s.scratch_bytes > 0, "{flavour}: {s:?}"),
+                _ => {}
+            }
+        }
         assert!(profile.steps.iter().all(|s| s.out_numel > 0));
         // Every step carries its roofline inputs: writing the output alone
         // is bytes it must move (one per element at the narrowest store),

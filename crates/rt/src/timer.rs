@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Aggregated timing statistics of one scope label.
@@ -43,6 +43,14 @@ fn registry() -> &'static Registry {
     })
 }
 
+/// Locks one registry map. A panic while another thread held the lock
+/// poisons it, but the map only holds plain counters, usable as they are
+/// (at worst one record is partly applied), so the guard is recovered
+/// instead of making every later record, count and report panic too.
+fn lock<T>(map: &Mutex<T>) -> MutexGuard<'_, T> {
+    map.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn enabled() -> bool {
     static ENABLED: OnceLock<AtomicBool> = OnceLock::new();
     ENABLED
@@ -67,7 +75,7 @@ pub fn record(name: &str, dur: Duration) {
     if !enabled() {
         return;
     }
-    let mut timers = registry().timers.lock().expect("timer registry poisoned");
+    let mut timers = lock(&registry().timers);
     let stat = slot(&mut timers, name);
     stat.calls += 1;
     stat.total += dur;
@@ -79,25 +87,14 @@ pub fn count(name: &str, n: u64) {
     if !enabled() {
         return;
     }
-    let mut counters = registry()
-        .counters
-        .lock()
-        .expect("counter registry poisoned");
+    let mut counters = lock(&registry().counters);
     *slot(&mut counters, name) += n;
 }
 
 /// Clears all recorded timings and counters.
 pub fn reset() {
-    registry()
-        .timers
-        .lock()
-        .expect("timer registry poisoned")
-        .clear();
-    registry()
-        .counters
-        .lock()
-        .expect("counter registry poisoned")
-        .clear();
+    lock(&registry().timers).clear();
+    lock(&registry().counters).clear();
 }
 
 /// RAII timer: records the elapsed time under its label on drop.
@@ -145,26 +142,15 @@ pub struct Snapshot {
 
 /// Returns a consistent copy of the current timer and counter registries.
 pub fn snapshot() -> Snapshot {
-    let timers = registry()
-        .timers
-        .lock()
-        .expect("timer registry poisoned")
-        .clone();
-    let counters = registry()
-        .counters
-        .lock()
-        .expect("counter registry poisoned")
-        .clone();
+    let timers = lock(&registry().timers).clone();
+    let counters = lock(&registry().counters).clone();
     Snapshot { timers, counters }
 }
 
 /// Per-run report as an aligned text table, timers then counters.
 pub fn report() -> String {
-    let timers = registry().timers.lock().expect("timer registry poisoned");
-    let counters = registry()
-        .counters
-        .lock()
-        .expect("counter registry poisoned");
+    let timers = lock(&registry().timers);
+    let counters = lock(&registry().counters);
     let mut out = String::new();
     if !timers.is_empty() {
         out.push_str(&format!(
@@ -195,11 +181,8 @@ pub fn report() -> String {
 /// Per-run report as a JSON object:
 /// `{"timers": {name: {calls, total_ns, max_ns}}, "counters": {name: value}}`.
 pub fn report_json() -> String {
-    let timers = registry().timers.lock().expect("timer registry poisoned");
-    let counters = registry()
-        .counters
-        .lock()
-        .expect("counter registry poisoned");
+    let timers = lock(&registry().timers);
+    let counters = lock(&registry().counters);
     let mut out = String::from("{\"timers\":{");
     for (i, (name, s)) in timers.iter().enumerate() {
         if i > 0 {
@@ -283,6 +266,27 @@ mod tests {
         count("snap/events", 10);
         assert_eq!(snap.counters.get("snap/events"), Some(&3));
         reset();
+    }
+
+    #[test]
+    fn a_poisoned_registry_keeps_recording() {
+        let _guard = registry_lock();
+        let poisoner = std::thread::spawn(|| {
+            let _timers = lock(&registry().timers);
+            let _counters = lock(&registry().counters);
+            panic!("poison the timer registry");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(registry().timers.is_poisoned() && registry().counters.is_poisoned());
+        reset();
+        record("poison/scope", Duration::from_micros(40));
+        count("poison/events", 2);
+        let snap = snapshot();
+        assert_eq!(snap.timers.get("poison/scope").map(|s| s.calls), Some(1));
+        assert_eq!(snap.counters.get("poison/events"), Some(&2));
+        assert!(report().contains("poison/scope"));
+        reset();
+        assert!(snapshot().timers.is_empty() && snapshot().counters.is_empty());
     }
 
     #[test]

@@ -323,7 +323,7 @@ const GEMM_COL_BLOCK: usize = 512;
 /// block: for any output element the reduction over `p` runs in the same
 /// order as the unblocked serial loop, so blocking (and thread count)
 /// never changes results bitwise.
-fn gemm_rows(
+pub(crate) fn gemm_rows(
     a: &[f32],
     b: &[f32],
     out: &mut [f32],

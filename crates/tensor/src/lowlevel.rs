@@ -10,9 +10,15 @@
 //! ops, shape ops, softmax — with the same parallel-dispatch thresholds, so
 //! plan ≡ tape bit for bit holds by construction, not by keeping copies.
 //!
-//! [`conv_reorder_epilogue`] folds the conv output reorder
-//! (`[OC, B·OH·OW] → [B, OC, OH·OW]`) together with the optional bias /
-//! channel-affine / ReLU epilogue into a single pass. The per-element
+//! [`conv2d_into`] is the inference convolution: it packs the im2col
+//! lowering one L2-sized column block at a time straight into the GEMM
+//! microkernel's panels and writes each block's product through the
+//! epilogue into `[B, OC, OH·OW]`, with the bits of the lowered path
+//! ([`im2col_into`] → [`gemm_into`] → [`conv_reorder_epilogue`]), which a
+//! convolution that requires grad still takes because its weight gradient
+//! reads the lowering. [`conv_reorder_epilogue`] folds the conv output
+//! reorder (`[OC, B·OH·OW] → [B, OC, OH·OW]`) together with the optional
+//! bias / channel-affine / ReLU epilogue into a single pass. The per-element
 //! arithmetic (`v = y; v += bias[c]; v = scale[c]*v + shift[c]; v =
 //! v.max(0.0)`) is the sequence the tape's separate `add_bias_channel`,
 //! `channel_affine` and `relu` ops apply — they run the same epilogue one
@@ -25,6 +31,7 @@ use mfaplace_rt::pool;
 
 use crate::attention::softmax_row;
 use crate::kernels::{self, conv_out_size, valid_range, PAR_ELEMS, PAR_GEMM_FLOPS};
+use crate::simd::{self, AView, Backend, NR};
 
 /// `out = a[m,k] x b[k,n]`, overwriting `out`: the tape's and the plan's
 /// matmul and convolution GEMM.
@@ -151,8 +158,7 @@ pub fn im2col_into<T: Copy + Default + Send + Sync>(
     // Each output row (ci, ki, kj) gathers independently; rows fan out
     // to the pool when the matrix is large. Every element is written
     // exactly once, so parallel and serial results are bitwise identical.
-    // Per output line the valid columns are one run — a `copy_from_slice`
-    // at unit stride, else a strided walk — between runs of padding.
+    // Per output line the valid columns are one run between padding.
     let fill_row = |row: usize, out_row: &mut [T]| {
         let ci = row / (kh * kw);
         let ki = (row / kw) % kh;
@@ -166,19 +172,9 @@ pub fn im2col_into<T: Copy + Default + Send + Sync>(
                     out_line.fill(T::default());
                     continue;
                 }
-                let (head, rest) = out_line.split_at_mut(oj_lo);
-                let (run, tail) = rest.split_at_mut(oj_hi - oj_lo);
-                head.fill(T::default());
-                tail.fill(T::default());
                 let iy = oi * stride + ki - pad;
                 let line = &plane[iy * w + oj_lo * stride + kj - pad..(iy + 1) * w];
-                if stride == 1 {
-                    run.copy_from_slice(&line[..run.len()]);
-                } else {
-                    for (o, &s) in run.iter_mut().zip(line.iter().step_by(stride)) {
-                        *o = s;
-                    }
-                }
+                put_run(out_line, oj_lo, oj_hi - oj_lo, line, stride);
             }
         }
     };
@@ -189,6 +185,514 @@ pub fn im2col_into<T: Copy + Default + Send + Sync>(
             fill_row(row, out_row);
         }
     }
+}
+
+/// The shape of one 2-D convolution: input `[b, c, h, w]`, weight `[oc, c,
+/// kh, kw]`, one stride for both axes and zero padding on every side.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ConvDims {
+    pub b: usize,
+    pub c: usize,
+    pub h: usize,
+    pub w: usize,
+    pub oc: usize,
+    pub kh: usize,
+    pub kw: usize,
+    pub stride: usize,
+    pub pad: usize,
+}
+
+impl ConvDims {
+    /// Output spatial size `(oh, ow)`.
+    pub fn out_size(&self) -> (usize, usize) {
+        conv_out_size(self.h, self.w, self.kh, self.kw, self.stride, self.pad)
+    }
+}
+
+/// Floats of packed lowering per column block of [`conv2d_into`] (64 KiB):
+/// a block's panels stay in L2 while every output-channel row sweeps them.
+const CONV_BLOCK_FLOATS: usize = 1 << 14;
+
+/// Convolution of `x: [b, c, h, w]` with `w: [oc, c·kh·kw]` into `dst: [b,
+/// oc, oh·ow]` (overwritten), with the optional fused epilogue of
+/// [`conv_reorder_epilogue`] — without ever building the im2col matrix.
+///
+/// The output's `b·oh·ow` columns are walked in blocks whose lowering
+/// fits 16K floats (L2-sized). Each block's lowering is packed straight
+/// from `x`, one run per output line (a copy at unit stride, a gather
+/// otherwise, padding written as zeros) into the vector microkernel's
+/// `[panel][p][NR]` layout — or, under the scalar backend, a row-major
+/// `[c·kh·kw, width]` block for the reference `i-k-j` loop. The block's
+/// product for all `oc` rows then goes through the epilogue straight into
+/// `dst`. Large convolutions fan out over column blocks, never rows, so
+/// each worker packs only its own columns and runs full-height tiles.
+///
+/// Every output element is the same chain over `p = (ci, ki, kj)` from
+/// zero that `im2col_into` → [`gemm_into`] → [`conv_reorder_epilogue`]
+/// computes under the active backend (an FMA chain, or the scalar
+/// reference's zero-skipping mul+add), followed by the same epilogue: the
+/// bits are those of the lowered path at any block width and thread count.
+/// The packed block and its product live in the executing thread's kernel
+/// scratch, so a warm serial call allocates nothing.
+///
+/// # Panics
+///
+/// Panics on slice-length mismatches.
+pub fn conv2d_into(
+    x: &[f32],
+    w: &[f32],
+    dims: ConvDims,
+    bias: Option<&[f32]>,
+    affine: Option<(&[f32], &[f32])>,
+    relu: bool,
+    dst: &mut [f32],
+) {
+    let ConvDims { b, c, h, .. } = dims;
+    assert_eq!(x.len(), b * c * h * dims.w, "conv2d input length mismatch");
+    direct_conv(Source::Input(x), w, dims, bias, affine, relu, dst);
+}
+
+/// [`conv2d_into`] without an epilogue, from the input's whole
+/// `[c·kh·kw, b·oh·ow]` im2col lowering `cols` (as [`im2col_into`] writes
+/// it) instead of the input: a convolution that requires grad keeps that
+/// lowering for its weight gradient, and packing its blocks from it
+/// spares lowering the input twice. Same blocks, kernel and bits.
+///
+/// # Panics
+///
+/// Panics on slice-length mismatches.
+pub fn conv2d_lowered_into(cols: &[f32], w: &[f32], dims: ConvDims, dst: &mut [f32]) {
+    let (oh, ow) = dims.out_size();
+    let rows = dims.c * dims.kh * dims.kw;
+    assert_eq!(
+        cols.len(),
+        rows * dims.b * oh * ow,
+        "conv2d lowering length mismatch"
+    );
+    direct_conv(Source::Lowered(cols), w, dims, None, None, false, dst);
+}
+
+/// The body of [`conv2d_into`] and [`conv2d_lowered_into`].
+fn direct_conv(
+    src: Source<'_>,
+    w: &[f32],
+    dims: ConvDims,
+    bias: Option<&[f32]>,
+    affine: Option<(&[f32], &[f32])>,
+    relu: bool,
+    dst: &mut [f32],
+) {
+    let ConvDims { b, c, h, oc, .. } = dims;
+    let low = Lowering::new(c, h, dims.w, dims.kh, dims.kw, dims.stride, dims.pad);
+    let k = low.rows();
+    let ohow = low.oh * low.ow;
+    let ncols = b * ohow;
+    assert_eq!(w.len(), oc * k, "conv2d weight length mismatch");
+    assert_eq!(dst.len(), b * oc * ohow, "conv2d output length mismatch");
+    if let Some(bv) = bias {
+        assert_eq!(bv.len(), oc, "conv2d bias length mismatch");
+    }
+    if let Some((sc, sh)) = affine {
+        assert_eq!(sc.len(), oc, "conv2d scale length mismatch");
+        assert_eq!(sh.len(), oc, "conv2d shift length mismatch");
+    }
+    if ncols == 0 || oc == 0 {
+        return;
+    }
+    // The flop test first: `max_threads` may ask the OS for the CPU count.
+    let nt = if oc * k * ncols >= PAR_GEMM_FLOPS {
+        pool::max_threads()
+    } else {
+        1
+    };
+    // Whole panels per block, and at least one block per worker.
+    let nb = (CONV_BLOCK_FLOATS / k.max(1) / NR * NR)
+        .max(NR)
+        .min(ncols.div_ceil(nt).next_multiple_of(NR));
+    let n_blocks = ncols.div_ceil(nb);
+    let conv = DirectConv {
+        src,
+        w,
+        dims,
+        low,
+        nb,
+        bias,
+        affine,
+        relu,
+        bk: simd::active(),
+    };
+    if nt.min(n_blocks) <= 1 {
+        conv.blocks(0..n_blocks, |j, o, run| {
+            let (bi, pix) = (j / ohow, j % ohow);
+            conv.epilogue(o, run, &mut dst[(bi * oc + o) * ohow + pix..][..run.len()]);
+        });
+        return;
+    }
+    // Worker `wi` owns the columns `[wi·span, (wi + 1)·span)`: in every
+    // `[oh·ow]` output row, one run, handed out as disjoint row pieces.
+    let per = n_blocks.div_ceil(nt);
+    let span = per * nb;
+    let workers = n_blocks.div_ceil(per);
+    let mut parts: Vec<Vec<&mut [f32]>> =
+        (0..workers).map(|_| Vec::with_capacity(b * oc)).collect();
+    for (r, mut row) in dst.chunks_mut(ohow).enumerate() {
+        let base = r / oc * ohow;
+        for (wi, part) in parts.iter_mut().enumerate() {
+            let lo = (wi * span).clamp(base, base + ohow);
+            let hi = ((wi + 1) * span).clamp(base, base + ohow);
+            let (piece, rest) = std::mem::take(&mut row).split_at_mut(hi - lo);
+            part.push(piece);
+            row = rest;
+        }
+    }
+    pool::parallel_chunks_mut(&mut parts, 1, |wi, part| {
+        let rows = &mut part[0];
+        conv.blocks(wi * per..((wi + 1) * per).min(n_blocks), |j, o, run| {
+            let bi = j / ohow;
+            let start = (wi * span).max(bi * ohow);
+            conv.epilogue(o, run, &mut rows[bi * oc + o][j - start..][..run.len()]);
+        });
+    });
+}
+
+/// What a direct convolution packs its column blocks from.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    /// The `[b, c, h, w]` input, lowered one block at a time.
+    Input(&'a [f32]),
+    /// The whole `[c·kh·kw, b·oh·ow]` lowering, already built.
+    Lowered(&'a [f32]),
+}
+
+/// The invariants of one direct convolution.
+struct DirectConv<'a> {
+    src: Source<'a>,
+    w: &'a [f32],
+    dims: ConvDims,
+    low: Lowering,
+    /// Columns per block, a multiple of `NR`.
+    nb: usize,
+    bias: Option<&'a [f32]>,
+    affine: Option<(&'a [f32], &'a [f32])>,
+    relu: bool,
+    bk: Backend,
+}
+
+impl DirectConv<'_> {
+    /// Computes the column blocks `blocks` in order, handing each block's
+    /// product to `emit(j, o, run)` as one run per output channel `o` and
+    /// batch: columns `[j, j + run.len())`, all in one batch.
+    fn blocks(&self, blocks: std::ops::Range<usize>, mut emit: impl FnMut(usize, usize, &[f32])) {
+        let ohow = self.low.oh * self.low.ow;
+        let ncols = self.dims.b * ohow;
+        simd::with_scratch(|sc| {
+            let simd::Scratch {
+                conv_cols,
+                conv_out,
+                ..
+            } = sc;
+            for blk in blocks {
+                let j0 = blk * self.nb;
+                let width = self.nb.min(ncols - j0);
+                let y = self.block_product(conv_cols, conv_out, j0, width);
+                let mut j = j0;
+                while j < j0 + width {
+                    let len = ((j / ohow + 1) * ohow).min(j0 + width) - j;
+                    for (o, y_row) in y.chunks_exact(width).enumerate() {
+                        emit(j, o, &y_row[j - j0..][..len]);
+                    }
+                    j += len;
+                }
+            }
+        });
+    }
+
+    /// The `[oc, width]` product of the block of columns starting at `j0`,
+    /// in `out`, its lowering packed in `cols`.
+    fn block_product<'s>(
+        &self,
+        cols: &mut Vec<f32>,
+        out: &'s mut Vec<f32>,
+        j0: usize,
+        width: usize,
+    ) -> &'s [f32] {
+        let (k, oc) = (self.low.rows(), self.dims.oc);
+        let grow = |v: &mut Vec<f32>, len: usize| {
+            if v.len() < len {
+                v.resize(len, 0.0);
+            }
+        };
+        grow(out, oc * width);
+        let out = &mut out[..oc * width];
+        match self.bk {
+            Backend::Scalar => {
+                // The lowering's columns `[j0, j0 + width)`, row-major.
+                grow(cols, k * width);
+                let cols = &mut cols[..k * width];
+                let ncols = self.dims.b * self.low.oh * self.low.ow;
+                let start = self.low.position(j0);
+                for (p, row) in cols.chunks_exact_mut(width).enumerate() {
+                    match self.src {
+                        Source::Input(x) => self.low.fill_row(x, p, start, row),
+                        Source::Lowered(m) => row.copy_from_slice(&m[p * ncols + j0..][..width]),
+                    }
+                }
+                kernels::gemm_rows(self.w, cols, out, 0, k, width, false);
+            }
+            bk => {
+                let len = width.div_ceil(NR) * k * NR;
+                grow(cols, len);
+                let cols = &mut cols[..len];
+                self.pack_panels(j0, width, cols);
+                simd::kernel(
+                    bk,
+                    AView::rows(self.w, 0, k),
+                    cols,
+                    out,
+                    oc,
+                    k,
+                    width,
+                    false,
+                );
+            }
+        }
+        out
+    }
+
+    /// Packs the lowering's columns `[j0, j0 + width)` into `NR`-column
+    /// panels, `panel[p][lane]` (lanes past `width` zero). From the input,
+    /// per kernel offset, panel and output-line run of the panel's lanes,
+    /// the valid span is found once; then per channel one head of padding,
+    /// one input run and one tail.
+    fn pack_panels(&self, j0: usize, width: usize, out: &mut [f32]) {
+        let low = &self.low;
+        let (k, taps, hw) = (low.rows(), low.kh * low.kw, low.h * low.w);
+        if k == 0 {
+            return;
+        }
+        // Lanes past `width` feed only lanes the kernel never stores; zeros
+        // keep stale (possibly subnormal) scratch out of them.
+        let lanes_last = width - (width - 1) / NR * NR;
+        if lanes_last < NR {
+            let last = out.len() - k * NR;
+            for prow in out[last..].chunks_exact_mut(NR) {
+                prow[lanes_last..].fill(0.0);
+            }
+        }
+        let x = match self.src {
+            Source::Input(x) => x,
+            Source::Lowered(m) => {
+                let ncols = self.dims.b * low.oh * low.ow;
+                for (panel, dst) in out.chunks_exact_mut(k * NR).enumerate() {
+                    let (c0, lanes) = (j0 + panel * NR, NR.min(width - panel * NR));
+                    for (p, prow) in dst.chunks_exact_mut(NR).enumerate() {
+                        prow[..lanes].copy_from_slice(&m[p * ncols + c0..][..lanes]);
+                    }
+                }
+                return;
+            }
+        };
+        let start = low.position(j0);
+        for ki in 0..low.kh {
+            for kj in 0..low.kw {
+                let valid = low.valid(ki, kj);
+                // Row p = (ci·kh + ki)·kw + kj of each channel ci.
+                let p0 = (ki * low.kw + kj) * NR;
+                let mut pos = start;
+                for (panel, dst) in out.chunks_exact_mut(k * NR).enumerate() {
+                    let lanes = NR.min(width - panel * NR);
+                    pos = low.runs(pos, lanes, |lane, at, len| {
+                        let seg = low.segment(at, len, ki, kj, valid);
+                        let prows = dst[p0 + lane..].chunks_mut(taps * NR).take(low.c);
+                        for (ci, prow) in prows.enumerate() {
+                            put_segment(&mut prow[..len], seg, x, ci * hw, low.stride);
+                        }
+                    });
+                }
+            }
+        }
+    }
+
+    /// The epilogue of output channel `o` over one run.
+    fn epilogue(&self, o: usize, src: &[f32], dst: &mut [f32]) {
+        let bias = self.bias.map(|bv| bv[o]);
+        let affine = self.affine.map(|(sc, sh)| (sc[o], sh[o]));
+        simd::conv_epilogue_with(self.bk, src, dst, bias, affine, self.relu);
+    }
+}
+
+/// An output position `(bi, oi, oj)`: batch, output row, output column.
+type Pos = (usize, usize, usize);
+
+/// The geometry of the im2col lowering of a `[b, c, h, w]` input by a
+/// `kh × kw` kernel: row `p = (ci·kh + ki)·kw + kj`, column `(bi·oh +
+/// oi)·ow + oj`, walked by [`conv2d_into`]'s packers in pieces of output
+/// lines, each written by [`put_run`] like [`im2col_into`]'s whole lines.
+#[derive(Clone, Copy)]
+struct Lowering {
+    c: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    stride: usize,
+    pad: usize,
+    oh: usize,
+    ow: usize,
+}
+
+impl Lowering {
+    fn new(c: usize, h: usize, w: usize, kh: usize, kw: usize, stride: usize, pad: usize) -> Self {
+        let (oh, ow) = conv_out_size(h, w, kh, kw, stride, pad);
+        Lowering {
+            c,
+            h,
+            w,
+            kh,
+            kw,
+            stride,
+            pad,
+            oh,
+            ow,
+        }
+    }
+
+    /// Rows of the lowering, `c·kh·kw`.
+    fn rows(&self) -> usize {
+        self.c * self.kh * self.kw
+    }
+
+    /// The output position of lowering column `j`.
+    fn position(&self, j: usize) -> Pos {
+        let rem = j % (self.oh * self.ow);
+        (j / (self.oh * self.ow), rem / self.ow, rem % self.ow)
+    }
+
+    /// The valid output rows, then columns, of kernel offset `(ki, kj)`.
+    fn valid(&self, ki: usize, kj: usize) -> ((usize, usize), (usize, usize)) {
+        let Lowering {
+            h,
+            w,
+            stride,
+            pad,
+            oh,
+            ow,
+            ..
+        } = *self;
+        (
+            valid_range(oh, h, ki, stride, pad),
+            valid_range(ow, w, kj, stride, pad),
+        )
+    }
+
+    /// Walks `width` columns from output position `start` in output-line
+    /// runs, calling `run(col, at, len)` with `col` counted from `start`;
+    /// returns the position after the last column.
+    fn runs(&self, start: Pos, width: usize, mut run: impl FnMut(usize, Pos, usize)) -> Pos {
+        let (mut bi, mut oi, mut oj) = start;
+        let mut col = 0;
+        while col < width {
+            let len = (self.ow - oj).min(width - col);
+            run(col, (bi, oi, oj), len);
+            col += len;
+            oj += len;
+            if oj == self.ow {
+                (oj, oi) = (0, oi + 1);
+                if oi == self.oh {
+                    (oi, bi) = (0, bi + 1);
+                }
+            }
+        }
+        (bi, oi, oj)
+    }
+
+    /// Where the lowering row of kernel offset `(ki, kj)` (valid output
+    /// ranges `valid`) reads the `len` outputs from `(bi, oi, oj)` on one
+    /// line: `(head, run, at)` — `head` padding, then `run` inputs from
+    /// `x[at + ci·h·w]` on (channel `ci`), then padding.
+    fn segment(
+        &self,
+        (bi, oi, oj): Pos,
+        len: usize,
+        ki: usize,
+        kj: usize,
+        ((oi_lo, oi_hi), (oj_lo, oj_hi)): ((usize, usize), (usize, usize)),
+    ) -> (usize, usize, usize) {
+        if oi < oi_lo || oi >= oi_hi {
+            return (len, 0, 0);
+        }
+        let lo = oj_lo.clamp(oj, oj + len);
+        let hi = oj_hi.clamp(lo, oj + len);
+        if hi == lo {
+            return (len, 0, 0);
+        }
+        let Lowering {
+            c,
+            h,
+            w,
+            stride,
+            pad,
+            ..
+        } = *self;
+        let iy = oi * stride + ki - pad;
+        (
+            lo - oj,
+            hi - lo,
+            (bi * c * h + iy) * w + lo * stride + kj - pad,
+        )
+    }
+
+    /// Writes lowering row `p` over `out.len()` columns from output
+    /// position `start`.
+    fn fill_row(&self, x: &[f32], p: usize, start: Pos, out: &mut [f32]) {
+        let (ci, ki, kj) = (p / (self.kh * self.kw), p / self.kw % self.kh, p % self.kw);
+        let (valid, ci_off) = (self.valid(ki, kj), ci * self.h * self.w);
+        self.runs(start, out.len(), |col, at, len| {
+            let seg = self.segment(at, len, ki, kj, valid);
+            put_segment(&mut out[col..][..len], seg, x, ci_off, self.stride);
+        });
+    }
+}
+
+/// Writes one lowering run: `head` zeros, `run` inputs `src[0]`,
+/// `src[stride]`, …, then zeros to the end of `seg` — the one writer of
+/// every im2col element, by [`im2col_into`] a whole output line at a time
+/// and by [`conv2d_into`]'s packers one piece of a line at a time.
+#[inline(always)]
+fn put_run<T: Copy + Default>(seg: &mut [T], head: usize, run: usize, src: &[T], stride: usize) {
+    let (pre, rest) = seg.split_at_mut(head);
+    let (body, post) = rest.split_at_mut(run);
+    pre.fill(T::default());
+    post.fill(T::default());
+    if stride == 1 {
+        body.copy_from_slice(&src[..body.len()]);
+    } else {
+        for (o, &v) in body.iter_mut().zip(src.iter().step_by(stride)) {
+            *o = v;
+        }
+    }
+}
+
+/// [`put_run`] for a [`Lowering::segment`] of channel offset `ci_off`,
+/// with a fixed-size store for a whole vector panel row.
+fn put_segment(
+    seg: &mut [f32],
+    (head, run, at): (usize, usize, usize),
+    x: &[f32],
+    ci_off: usize,
+    stride: usize,
+) {
+    if let Ok(whole) = <&mut [f32; NR]>::try_from(&mut *seg) {
+        if run == 0 {
+            *whole = [0.0; NR];
+            return;
+        }
+        if run == NR && stride == 1 {
+            whole.copy_from_slice(&x[at + ci_off..][..NR]);
+            return;
+        }
+    }
+    put_run(seg, head, run, &x[at + ci_off..], stride);
 }
 
 /// Reorders a conv GEMM result `y_mat: [oc, b*ohow]` into the `[b, oc,

@@ -226,9 +226,10 @@ pub(crate) const NR: usize = 16;
 /// Output rows per microkernel step.
 const MR: usize = 4;
 
-/// Per-thread reusable buffers for panel packing and attention tiles, so
-/// the steady-state vector path allocates nothing per call (matching the
-/// plan executor's amortized zero-allocation property).
+/// Per-thread reusable buffers for panel packing, attention tiles and the
+/// direct convolution's column blocks, so the steady-state path allocates
+/// nothing per call (matching the plan executor's amortized
+/// zero-allocation property).
 #[derive(Default)]
 pub(crate) struct Scratch {
     pub pack_a: Vec<f32>,
@@ -237,6 +238,10 @@ pub(crate) struct Scratch {
     pub tile_a: Vec<f32>,
     pub tile_b: Vec<f32>,
     pub tile_c: Vec<f32>,
+    /// One column block of a convolution's lowering, packed.
+    pub conv_cols: Vec<f32>,
+    /// That block's `[oc, width]` product, before the epilogue.
+    pub conv_out: Vec<f32>,
 }
 
 #[cfg(test)]
@@ -250,11 +255,15 @@ impl Scratch {
             tile_a,
             tile_b,
             tile_c,
+            conv_cols,
+            conv_out,
         } = self;
-        [pack_a, pack_b, pack_c, tile_a, tile_b, tile_c]
-            .iter()
-            .map(|v| v.capacity())
-            .sum()
+        [
+            pack_a, pack_b, pack_c, tile_a, tile_b, tile_c, conv_cols, conv_out,
+        ]
+        .iter()
+        .map(|v| v.capacity())
+        .sum()
     }
 }
 

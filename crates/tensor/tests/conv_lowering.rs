@@ -10,9 +10,16 @@
 //! the kernel's reach, where whole output rows read nothing), kernels 1, 3
 //! and 5, inputs smaller than the kernel, one and several batches — in f32
 //! and through the int8 twin the quantized plan uses.
+//!
+//! The direct convolution `conv2d_into`, which packs the lowering one column
+//! block at a time instead of building it, is held to the lowered path it
+//! replaced — `im2col_into` → `gemm_into` → `conv_reorder_epilogue` — bit for
+//! bit over the same seams, output widths that make panels straddle lines,
+//! three epilogues, 1–3 threads and every supported kernel backend.
 
 use mfaplace_rt::pool;
-use mfaplace_tensor::{conv_out_size, lowlevel, Tensor};
+use mfaplace_tensor::lowlevel::ConvDims;
+use mfaplace_tensor::{conv_out_size, lowlevel, simd, Tensor};
 
 /// The element-loop im2col: writes the in-bounds positions of a
 /// `[c*kh*kw, b*oh*ow]` matrix and leaves padding as it finds it.
@@ -226,4 +233,165 @@ fn paper_sized_lowering_matches_the_element_loops_at_any_thread_count() {
         let back = pool::with_threads(nt, || col2im(cols.data(), b, c, h, w, 3, 1, 1));
         assert_eq!(bits(&back), bits(&want_back), "col2im threads={nt}");
     }
+}
+
+/// Serializes the tests that force the process-global kernel backend.
+static BACKEND: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// A square-kernel convolution shape.
+#[allow(clippy::too_many_arguments)]
+fn dims(
+    b: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    oc: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+) -> ConvDims {
+    ConvDims {
+        b,
+        c,
+        h,
+        w,
+        oc,
+        kh: k,
+        kw: k,
+        stride,
+        pad,
+    }
+}
+
+/// The lowering's seams above with more channels, plus output widths that
+/// are not multiples of the sixteen-lane panel (2, 4, 8, 10, 20), so panels
+/// straddle output lines and batches.
+fn conv_cases() -> Vec<ConvDims> {
+    let mut out: Vec<_> = cases()
+        .into_iter()
+        .map(|(b, _, h, w, k, stride, pad)| dims(b, 3, h, w, 5, k, stride, pad))
+        .collect();
+    for b in [1, 3] {
+        for (h, w) in [(3, 2), (5, 4), (6, 8), (4, 10), (9, 20)] {
+            for (k, stride, pad) in [(1, 1, 0), (3, 1, 1), (3, 2, 1), (5, 1, 2)] {
+                if h + 2 * pad >= k && w + 2 * pad >= k {
+                    out.push(dims(b, 4, h, w, 6, k, stride, pad));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// A fused epilogue: name, bias, channel affine, ReLU.
+type Epilogue<'a> = (
+    &'a str,
+    Option<&'a [f32]>,
+    Option<(&'a [f32], &'a [f32])>,
+    bool,
+);
+
+/// `conv2d_into` against the lowered path it replaces, `im2col_into` →
+/// `gemm_into` → `conv_reorder_epilogue`, bit for bit, under each epilogue
+/// and thread count, into a NaN-filled destination; without an epilogue,
+/// `conv2d_lowered_into` from that lowering too.
+fn check_direct_conv(label: &str, x: &Tensor, wt: &Tensor, d: ConvDims, threads: &[usize]) {
+    let ConvDims {
+        b,
+        c,
+        h,
+        w,
+        oc,
+        kh,
+        kw,
+        stride,
+        pad,
+    } = d;
+    let (oh, ow) = d.out_size();
+    let (k, ncols) = (c * kh * kw, b * oh * ow);
+    let bias: Vec<f32> = (0..oc).map(|i| (i as f32 * 0.9).sin()).collect();
+    let scale: Vec<f32> = (0..oc).map(|i| 1.0 - (i as f32 * 0.4).cos()).collect();
+    let shift: Vec<f32> = (0..oc).map(|i| (i as f32 * 1.3).sin() * 0.2).collect();
+    let epilogues: [Epilogue; 3] = [
+        ("plain", None, None, false),
+        ("bias+relu", Some(&bias), None, true),
+        (
+            "bias+affine+relu",
+            Some(&bias),
+            Some((&scale, &shift)),
+            true,
+        ),
+    ];
+    let mut cols = vec![0.0f32; k * ncols];
+    lowlevel::im2col_into(x.data(), b, c, h, w, kh, kw, stride, pad, &mut cols);
+    let mut ymat = vec![0.0f32; oc * ncols];
+    lowlevel::gemm_into(wt.data(), &cols, &mut ymat, oc, k, ncols);
+    for (name, bias, affine, relu) in epilogues {
+        let mut want = vec![0.0f32; b * oc * oh * ow];
+        lowlevel::conv_reorder_epilogue(&ymat, &mut want, b, oc, oh * ow, bias, affine, relu);
+        for &nt in threads {
+            let mut got = vec![f32::NAN; want.len()];
+            pool::with_threads(nt, || {
+                lowlevel::conv2d_into(x.data(), wt.data(), d, bias, affine, relu, &mut got)
+            });
+            assert_eq!(bits(&got), bits(&want), "{label} {name} threads={nt}");
+            if bias.is_none() && affine.is_none() && !relu {
+                let mut got = vec![f32::NAN; want.len()];
+                pool::with_threads(nt, || {
+                    lowlevel::conv2d_lowered_into(&cols, wt.data(), d, &mut got)
+                });
+                assert_eq!(bits(&got), bits(&want), "{label} lowered threads={nt}");
+            }
+        }
+    }
+}
+
+#[test]
+fn direct_conv_matches_the_lowered_path_bitwise_on_every_backend() {
+    let _forced = BACKEND.lock().unwrap_or_else(|e| e.into_inner());
+    for bk in simd::supported() {
+        simd::force(Some(bk)).expect("supported backend");
+        for d in conv_cases() {
+            let label = format!("{} {d:?}", bk.name());
+            // Signed values with zeros, a -0.0 and the odd exact zero
+            // weight, which the scalar reference skips.
+            let x = Tensor::from_fn(vec![d.b, d.c, d.h, d.w], |i| match i % 7 {
+                3 => -0.0,
+                5 => 0.0,
+                _ => (i as f32 * 0.61).sin() + 0.1,
+            });
+            let wt = Tensor::from_fn(vec![d.oc, d.c * d.kh * d.kw], |i| match i % 11 {
+                4 => 0.0,
+                _ => (i as f32 * 0.83).cos() * 0.5,
+            });
+            check_direct_conv(&label, &x, &wt, d, &[1, 2, 3]);
+        }
+    }
+    simd::force(None).expect("auto");
+}
+
+#[test]
+fn paper_sized_direct_convs_match_the_lowered_path_at_any_thread_count() {
+    let _forced = BACKEND.lock().unwrap_or_else(|e| e.into_inner());
+    // Shapes big enough to fan out over column blocks: a wide first layer,
+    // a batched 1×1, a deep layer with many blocks per output line, and a
+    // strided one with a ragged last block.
+    let shapes = [
+        dims(1, 6, 64, 64, 8, 3, 1, 1),
+        dims(2, 8, 32, 32, 32, 1, 1, 0),
+        dims(1, 64, 16, 16, 64, 3, 1, 1),
+        dims(1, 8, 63, 61, 8, 3, 2, 1),
+    ];
+    for bk in simd::supported() {
+        simd::force(Some(bk)).expect("supported backend");
+        for d in shapes {
+            let label = format!("{} {d:?}", bk.name());
+            let x = Tensor::from_fn(vec![d.b, d.c, d.h, d.w], |i| (i as f32 * 0.37).cos());
+            let wt = Tensor::from_fn(vec![d.oc, d.c * d.kh * d.kw], |i| {
+                (i as f32 * 0.53).sin() * 0.3
+            });
+            check_direct_conv(&label, &x, &wt, d, &[1, 2, 3]);
+        }
+    }
+    simd::force(None).expect("auto");
 }
