@@ -11,7 +11,7 @@
 //!   the batch.
 //! - **service** — end-to-end HTTP throughput of a real server on a
 //!   loopback socket: one closed-loop client issuing requests one at a
-//!   time (each request pays the full batch window alone) versus eight
+//!   time (each request runs as a batch of one) versus eight
 //!   concurrent clients whose requests the micro-batcher coalesces.
 //!
 //! Responses are bitwise identical either way (asserted in
@@ -178,7 +178,7 @@ fn main() {
         bench_forward(&mut suite, "ours_g32", &ours32),
     ];
 
-    // Service-level: default batching knobs (2 ms window, max batch 8).
+    // Service-level: default batching knobs (no hold, max batch 8).
     let services = [bench_service("ours_g16", &ours16, BatchConfig::default())];
 
     print!("{}", suite.table());

@@ -1,9 +1,13 @@
 //! The dynamic micro-batcher and the hot-swappable model slot.
 //!
 //! Requests enter a bounded queue ([`Batcher::submit`]); a dedicated
-//! worker thread coalesces up to `max_batch` of them within a
-//! `batch_window` and runs **one** `[N, C, H, W]` forward per batch
-//! through the [`ModelSlot`]. Because the batched kernels are bitwise
+//! worker thread takes everything queued, up to `max_batch`, and runs
+//! **one** `[N, C, H, W]` forward per batch through the [`ModelSlot`].
+//! The policy is work-conserving: a free worker never sleeps on a timer,
+//! so a lone request goes straight to the model, and requests that arrive
+//! while a forward runs queue up and become the next batch. A nonzero
+//! `batch_window` opts into holding a partial batch open until its oldest
+//! request has waited that long. Because the batched kernels are bitwise
 //! identical per sample to single-item inference (asserted by
 //! `mfaplace-core`'s predictor tests), coalescing never changes a
 //! response — it only amortizes per-forward overhead across concurrent
@@ -32,7 +36,7 @@ use mfaplace_core::loader::{load_predictor_with_cache, LoadOptions};
 use mfaplace_core::predictor::{Engine, ModelPredictor, PredictorStatus};
 use mfaplace_core::PlanCache;
 use mfaplace_models::{AnyModel, ArchSpec};
-use mfaplace_rt::timer::ScopeTimer;
+use mfaplace_rt::timer::{self, ScopeTimer};
 use mfaplace_tensor::Tensor;
 
 use crate::metrics::{Metrics, SlotMetrics};
@@ -46,8 +50,9 @@ pub const DEFAULT_SLOT: &str = "default";
 pub struct BatchConfig {
     /// Largest number of requests fused into one forward.
     pub max_batch: usize,
-    /// How long the worker waits for more requests after the first one
-    /// arrives before running a partial batch.
+    /// How long a partial batch is held open for more requests, counted
+    /// from the enqueue of its oldest request. Zero (the default) holds
+    /// nothing: a free worker runs whatever is queued at once.
     pub batch_window: Duration,
     /// Bound on queued (not yet running) requests; submissions beyond it
     /// are rejected.
@@ -58,7 +63,7 @@ impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
             max_batch: 8,
-            batch_window: Duration::from_millis(2),
+            batch_window: Duration::ZERO,
             queue_bound: 64,
         }
     }
@@ -106,6 +111,7 @@ pub enum JobError {
 
 struct Job {
     input: Tensor,
+    enqueued: Instant,
     deadline: Instant,
     tx: mpsc::Sender<Result<Tensor, JobError>>,
 }
@@ -177,6 +183,7 @@ impl Batcher {
             if state.jobs.len() < self.cfg.queue_bound {
                 state.jobs.push_back(Job {
                     input,
+                    enqueued: Instant::now(),
                     deadline,
                     tx,
                 });
@@ -196,7 +203,8 @@ impl Batcher {
         self.cv.notify_all();
     }
 
-    /// Collects the next batch, honoring the batching window, or returns
+    /// Collects the next batch — everything queued, up to `max_batch`,
+    /// held open until the oldest job's window has passed — or returns
     /// `None` when draining and empty (worker should exit).
     fn next_batch(&self) -> Option<Vec<Job>> {
         let mut state = self.lock();
@@ -209,9 +217,11 @@ impl Batcher {
             }
             state = self.cv.wait(state).unwrap_or_else(|e| e.into_inner());
         }
-        // First job seen: hold the batch open for the window (or until
-        // full / draining) to give concurrent requests a chance to fuse.
-        let window_ends = Instant::now() + self.cfg.batch_window;
+        // Hold the batch open until the oldest job has waited out the
+        // window (or until full / draining) to give concurrent requests a
+        // chance to fuse. A job that queued behind a running forward has
+        // already waited, and a zero window ends before the loop starts.
+        let window_ends = state.jobs[0].enqueued + self.cfg.batch_window;
         while state.jobs.len() < self.cfg.max_batch && !state.draining {
             let now = Instant::now();
             if now >= window_ends {
@@ -237,6 +247,9 @@ impl Batcher {
             let now = Instant::now();
             let (live, expired): (Vec<Job>, Vec<Job>) =
                 batch.into_iter().partition(|j| j.deadline > now);
+            for job in &live {
+                timer::record("serve/queue_wait", now - job.enqueued);
+            }
             for job in expired {
                 self.metrics.record_deadline_miss();
                 // Receiver may have given up; ignore send failures.
@@ -245,18 +258,19 @@ impl Batcher {
             if live.is_empty() {
                 continue;
             }
-            let inputs: Vec<Tensor> = live.iter().map(|j| j.input.clone()).collect();
+            let (inputs, senders): (Vec<Tensor>, Vec<_>) =
+                live.into_iter().map(|j| (j.input, j.tx)).unzip();
             self.metrics.record_batch(inputs.len());
             let outputs = slot.predict_batch(&inputs);
             match outputs {
                 Ok(levels) => {
-                    for (job, level) in live.into_iter().zip(levels) {
-                        let _ = job.tx.send(Ok(level));
+                    for (tx, level) in senders.into_iter().zip(levels) {
+                        let _ = tx.send(Ok(level));
                     }
                 }
                 Err(msg) => {
-                    for job in live {
-                        let _ = job.tx.send(Err(JobError::ModelError(msg.clone())));
+                    for tx in senders {
+                        let _ = tx.send(Err(JobError::ModelError(msg.clone())));
                     }
                 }
             }
@@ -594,6 +608,54 @@ pub(crate) mod tests {
         assert_eq!(
             batcher.submit(input(2.0), deadline).err(),
             Some(SubmitError::QueueFull)
+        );
+    }
+
+    /// The shipped policy: jobs that queued before the worker looked (as
+    /// behind a running forward) form one batch, and a lone job is taken
+    /// at once.
+    #[test]
+    fn default_policy_takes_what_queued_and_holds_nothing() {
+        let cfg = BatchConfig::default();
+        assert_eq!(cfg.batch_window, Duration::ZERO);
+        let batcher = Batcher::new(cfg, Arc::new(Metrics::new()));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        for i in 0..5 {
+            batcher.submit(input(i as f32), deadline).unwrap();
+        }
+        assert_eq!(batcher.next_batch().unwrap().len(), 5);
+
+        batcher.submit(input(5.0), deadline).unwrap();
+        let start = Instant::now();
+        assert_eq!(batcher.next_batch().unwrap().len(), 1);
+        assert!(
+            start.elapsed() < Duration::from_millis(250),
+            "a lone job was held for {:?}",
+            start.elapsed()
+        );
+    }
+
+    /// An explicit window runs from the oldest job's enqueue, not from
+    /// when the worker picks it up: a job that has already waited longer
+    /// than the window is not held a second time.
+    #[test]
+    fn explicit_window_counts_from_enqueue() {
+        let batcher = Batcher::new(
+            BatchConfig {
+                batch_window: Duration::from_millis(500),
+                ..BatchConfig::default()
+            },
+            Arc::new(Metrics::new()),
+        );
+        let deadline = Instant::now() + Duration::from_secs(10);
+        batcher.submit(input(0.0), deadline).unwrap();
+        std::thread::sleep(Duration::from_millis(600));
+        let start = Instant::now();
+        assert_eq!(batcher.next_batch().unwrap().len(), 1);
+        assert!(
+            start.elapsed() < Duration::from_millis(250),
+            "a job that waited past its window was held another {:?}",
+            start.elapsed()
         );
     }
 

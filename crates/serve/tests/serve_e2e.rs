@@ -54,18 +54,13 @@ fn input(seed: f32) -> Tensor {
     Tensor::from_fn(vec![6, GRID, GRID], |i| ((i as f32) * 0.013 + seed).sin())
 }
 
+/// Runs at an explicit 20 ms window, where the 8 concurrent requests fuse
+/// into few large batches, and at the shipped work-conserving policy, where
+/// a batch is whatever queued behind the running forward — often an odd
+/// size (3, 5, 6 or 7, padded to the 4 or 8 plan bucket).
 #[test]
 fn concurrent_batched_responses_are_bitwise_identical_to_local_inference() {
     let ckpt = checkpoint("e2e_main.mfaw", 7);
-    let server = start_server(
-        &ckpt,
-        BatchConfig {
-            max_batch: 8,
-            batch_window: Duration::from_millis(20),
-            queue_bound: 64,
-        },
-    );
-    let addr = server.addr().to_string();
 
     // Local ground truth: the same checkpoint, predicted one at a time.
     let (_, mut reference) = load_predictor(&ckpt, LoadOptions::default()).unwrap();
@@ -80,58 +75,74 @@ fn concurrent_batched_responses_are_bitwise_identical_to_local_inference() {
         })
         .collect();
 
-    // Fire all 8 requests concurrently so the micro-batcher coalesces them.
-    let got: Vec<Tensor> = std::thread::scope(|s| {
-        let handles: Vec<_> = inputs
-            .iter()
-            .map(|x| {
-                let addr = addr.clone();
-                s.spawn(move || client::predict_features(&addr, x).unwrap())
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-        assert_eq!(g.shape(), &[GRID, GRID]);
-        assert_eq!(
-            g.data(),
-            e.data(),
-            "request {i}: batched response differs from local single-item inference"
+    let windowed = BatchConfig {
+        max_batch: 8,
+        batch_window: Duration::from_millis(20),
+        queue_bound: 64,
+    };
+    for batch in [windowed, BatchConfig::default()] {
+        let server = start_server(&ckpt, batch);
+        let addr = server.addr().to_string();
+
+        // Fire all 8 requests concurrently so the micro-batcher coalesces
+        // them.
+        let got: Vec<Tensor> = std::thread::scope(|s| {
+            let handles: Vec<_> = inputs
+                .iter()
+                .map(|x| s.spawn(|| client::predict_features(&addr, x).unwrap()))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
+            assert_eq!(g.shape(), &[GRID, GRID]);
+            assert_eq!(
+                g.data(),
+                e.data(),
+                "request {i} at {batch:?}: batched response differs from local single-item inference"
+            );
+        }
+
+        // The scrape must reflect the traffic, including batch coalescing.
+        let metrics = client::request(&addr, "GET", "/metrics", &[], b"")
+            .unwrap()
+            .text();
+        assert!(
+            metrics.contains("mfaplace_requests_total{endpoint=\"/predict\",status=\"200\"} 8"),
+            "{metrics}"
         );
+        assert!(metrics.contains("mfaplace_batch_size_sum 8"), "{metrics}");
+        assert!(
+            metrics.contains("mfaplace_request_latency_seconds{quantile=\"0.99\"}"),
+            "{metrics}"
+        );
+        // The graph buffer pool flushes its counters into the process-wide
+        // runtime counter registry on every tape truncation, so after the
+        // predict traffic above the scrape must carry them. The reference
+        // predictor ran 8 repeated-shape forwards in this process, so
+        // recycling has both populated (misses) and reused (hits) the free
+        // lists.
+        assert!(
+            metrics.contains("mfaplace_rt_counter{name=\"graph/pool_misses\"}"),
+            "{metrics}"
+        );
+        assert!(
+            metrics.contains("mfaplace_rt_counter{name=\"graph/pool_hits\"}"),
+            "{metrics}"
+        );
+        assert!(
+            metrics.contains("mfaplace_rt_counter{name=\"graph/pool_recycled_bytes\"}"),
+            "{metrics}"
+        );
+
+        // Each job's wait from enqueue to the start of its batch is a scope
+        // timer, so it is scraped beside the other runtime timers.
+        assert!(
+            metrics.contains("mfaplace_rt_timer_calls{scope=\"serve/queue_wait\"}"),
+            "{metrics}"
+        );
+
+        server.join();
     }
-
-    // The scrape must reflect the traffic, including batch coalescing.
-    let metrics = client::request(&addr, "GET", "/metrics", &[], b"")
-        .unwrap()
-        .text();
-    assert!(
-        metrics.contains("mfaplace_requests_total{endpoint=\"/predict\",status=\"200\"} 8"),
-        "{metrics}"
-    );
-    assert!(metrics.contains("mfaplace_batch_size_sum 8"), "{metrics}");
-    assert!(
-        metrics.contains("mfaplace_request_latency_seconds{quantile=\"0.99\"}"),
-        "{metrics}"
-    );
-    // The graph buffer pool flushes its counters into the process-wide
-    // runtime counter registry on every tape truncation, so after the
-    // predict traffic above the scrape must carry them. The reference
-    // predictor ran 8 repeated-shape forwards in this process, so recycling
-    // has both populated (misses) and reused (hits) the free lists.
-    assert!(
-        metrics.contains("mfaplace_rt_counter{name=\"graph/pool_misses\"}"),
-        "{metrics}"
-    );
-    assert!(
-        metrics.contains("mfaplace_rt_counter{name=\"graph/pool_hits\"}"),
-        "{metrics}"
-    );
-    assert!(
-        metrics.contains("mfaplace_rt_counter{name=\"graph/pool_recycled_bytes\"}"),
-        "{metrics}"
-    );
-
-    server.join();
 }
 
 #[test]

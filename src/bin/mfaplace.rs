@@ -35,6 +35,7 @@ use mfaplace::fpga::features::FeatureStack;
 use mfaplace::fpga::gridmap::GridMap;
 use mfaplace::fpga::io;
 use mfaplace::fpga::viz::{render_heatmap, render_placement};
+use mfaplace::infer::PlanProfile;
 use mfaplace::jobs::{JobEngine, JobsConfig, JobsExtension};
 use mfaplace::models::{Arch, ArchSpec};
 use mfaplace::placer::flows::{
@@ -165,7 +166,8 @@ const USAGE: &str = "usage:
                       [--save-every N] [--stop-after N] [--log <file.jsonl>] \\
                       [--placements N] [--iterations N]
   mfaplace model-info --model <file.mfaw|file.mfaq> [--grid N]
-  mfaplace profile    --model <file.mfaw|file.mfaq> [--grid N] [--engine plan|quant]
+  mfaplace profile    --model <file.mfaw|file.mfaq> [--grid N] [--engine plan|quant] \\
+                      [--repeat N]
   mfaplace profile    --flow ours|utda|seu|mpku --design <file.nl> [--seed N] \\
                       [--iterations N] [--model <file.mfaw>]
   mfaplace profile    --train --model <file.mfaw>
@@ -192,10 +194,12 @@ target). Requests pick a slot with the x-mfaplace-model header or a
 /models/<name>/... path; manage slots at runtime via POST /admin/slots
 (add/remove/reload). All slots compile into one shared plan cache sized
 by MFAPLACE_PLAN_CACHE_MB; serve also honors MFAPLACE_MAX_BATCH,
-MFAPLACE_BATCH_WINDOW_MS and MFAPLACE_QUEUE_BOUND, and stops with
-POST /admin/shutdown. The file decides the inference engine: a checkpoint
-serves the compiled f32 plan (bitwise identical to the tape), a compiled
-artifact the int8 plan; --engine quant needs an artifact's calibration.
+MFAPLACE_BATCH_WINDOW_MS (default 0: no hold, a free worker batches
+whatever queued behind the last forward) and MFAPLACE_QUEUE_BOUND, and
+stops with POST /admin/shutdown. The file decides the inference engine: a
+checkpoint serves the compiled f32 plan (bitwise identical to the tape), a
+compiled artifact the int8 plan; --engine quant needs an artifact's
+calibration.
 predict's --engine switches the remote server (its --slot's slot) via
 POST /admin/engine before predicting.
 compile runs the offline quantization step: it calibrates activation
@@ -214,7 +218,9 @@ train honors MFAPLACE_TRAIN_WORKERS when --workers is not given; --resume
 continues bitwise-exactly from the checkpoint at --out if it exists.
 profile times every step of one warm serial forward of the compiled plan
 (batch 1, synthetic input at the model's grid) and prints the steps sorted
-by time, a per-op-kind roll-up and how much of the forward they cover.
+by time, a per-op-kind roll-up and how much of the forward they cover;
+--repeat N times N warm replays and prints each step's median with its
+quartiles, rolling up and covering by the medians.
 profile --flow runs the placement flow place would run with the same flags
 and prints, per global-placement stage, the calls, time and share of each
 pass (wirelength, spreading, region, overflow, observer) and how much of
@@ -1078,6 +1084,10 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
         return cmd_profile_train(flags);
     }
     let path = get(flags, "model")?;
+    let repeat: usize = get_num(flags, "repeat", 1)?;
+    if repeat == 0 {
+        return Err("--repeat must be at least 1".into());
+    }
     let opts = load_options(flags)?;
     let (spec, mut predictor) = load_predictor(path, opts)?;
     if let Some(grid) = opts.grid {
@@ -1098,7 +1108,17 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
     let input = Tensor::from_fn(vec![6, spec.grid, spec.grid], |i| {
         0.5 + 0.5 * (i as f32 * 0.37).sin()
     });
-    let profile = predictor.profile_plan(&input)?;
+    let runs = (0..repeat)
+        .map(|_| predictor.profile_plan(&input))
+        .collect::<Result<Vec<_>, _>>()?;
+    // Coverage compares whole replays: the per-step medians need not add
+    // up to the median replay (each step's tail is skewed to the right).
+    let (_, steps_sum, _) = quartiles(
+        runs.iter()
+            .map(|r| r.steps.iter().map(|s| s.ns).sum())
+            .collect(),
+    );
+    let (profile, spreads) = median_profile(runs);
     let status = predictor.status();
     println!(
         "{path}: {} grid {}, engine {} ({}), kernels {}, query lanes {}, {} pool threads",
@@ -1120,14 +1140,24 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
         "reference rates, timed now: gemm 256^3 over the pool {gemm_gflops:.1} GFLOP/s, \
          softmax rows of 256 on one thread {softmax_gexps:.2} Gexp/s"
     );
-    let mut steps: Vec<_> = profile.steps.iter().collect();
-    steps.sort_by_key(|s| std::cmp::Reverse(s.ns));
+    let mut steps: Vec<_> = profile.steps.iter().zip(&spreads).collect();
+    steps.sort_by_key(|(s, _)| std::cmp::Reverse(s.ns));
+    // Quartile columns only for a repeated profile: one replay prints the
+    // table it always has.
+    let spread_cols = |q1: &str, q3: &str| {
+        if repeat > 1 {
+            format!(" {q1:>10} {q3:>10}")
+        } else {
+            String::new()
+        }
+    };
     println!(
-        "{:>5}  {:<16} {:>10} {:>10} {:>7} {:>10} {:>9} {:>8} {:>8} {:>7} {:>6}  dims",
+        "{:>5}  {:<16} {:>10} {:>10}{} {:>7} {:>10} {:>9} {:>8} {:>8} {:>7} {:>6}  dims",
         "step",
         "op",
         "out numel",
-        "ms",
+        if repeat > 1 { "median ms" } else { "ms" },
+        spread_cols("q1 ms", "q3 ms"),
         "share",
         "MFLOP",
         "Mexp",
@@ -1136,13 +1166,14 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
         "Gexp/s",
         "GB/s"
     );
-    for s in steps {
+    for (s, &(q1, q3)) in steps {
         println!(
-            "{:>5}  {:<16} {:>10} {:>10.3} {:>6.1}% {:>10.2} {:>9.2} {:>8.2} {:>8.2} {:>7.3} {:>6.2}  {}",
+            "{:>5}  {:<16} {:>10} {:>10.3}{} {:>6.1}% {:>10.2} {:>9.2} {:>8.2} {:>8.2} {:>7.3} {:>6.2}  {}",
             s.index,
             s.kind,
             s.out_numel,
             ms(s.ns),
+            spread_cols(&format!("{:.3}", ms(q1)), &format!("{:.3}", ms(q3))),
             share(s.ns),
             s.cost.flops as f64 / 1e6,
             s.cost.exps as f64 / 1e6,
@@ -1171,13 +1202,49 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
     for (kind, count, ns) in kinds {
         println!("{kind:<16} {count:>6} {:>10.3} {:>6.1}%", ms(ns), share(ns));
     }
+    let of_what = if repeat > 1 {
+        format!(" (medians of {repeat} replays)")
+    } else {
+        String::new()
+    };
     println!(
-        "steps sum {:.3} ms of {:.3} ms replay wall: coverage {:.4}",
-        ms(total),
+        "steps sum {:.3} ms of {:.3} ms replay wall{of_what}: coverage {:.4}",
+        ms(steps_sum),
         ms(profile.wall_ns),
-        total as f64 / profile.wall_ns.max(1) as f64
+        steps_sum as f64 / profile.wall_ns.max(1) as f64
     );
     Ok(())
+}
+
+/// The first quartile, median and third quartile of `ns`, taken at rank
+/// `(n - 1) · k / 4` of the sorted times (the lower one where a quartile
+/// falls between two), so one time is all three.
+fn quartiles(mut ns: Vec<u64>) -> (u64, u64, u64) {
+    ns.sort_unstable();
+    let at = |k: usize| ns[(ns.len() - 1) * k / 4];
+    (at(1), at(2), at(3))
+}
+
+/// Folds the profiles of repeated replays of one plan into one profile
+/// whose step and wall times are the medians, plus each step's first and
+/// third quartile. A single replay comes back unchanged.
+fn median_profile(mut runs: Vec<PlanProfile>) -> (PlanProfile, Vec<(u64, u64)>) {
+    let (_, wall_ns, _) = quartiles(runs.iter().map(|r| r.wall_ns).collect());
+    let per_step: Vec<_> = (0..runs[0].steps.len())
+        .map(|i| quartiles(runs.iter().map(|r| r.steps[i].ns).collect()))
+        .collect();
+    let mut profile = runs.swap_remove(0);
+    profile.wall_ns = wall_ns;
+    let spreads = profile
+        .steps
+        .iter_mut()
+        .zip(per_step)
+        .map(|(step, (q1, median, q3))| {
+            step.ns = median;
+            (q1, q3)
+        })
+        .collect();
+    (profile, spreads)
 }
 
 /// The two reference rates `profile` prints beside each step's achieved
@@ -1296,9 +1363,14 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     for line in slot_lines {
         println!("{line}");
     }
+    let hold = if batch.batch_window.is_zero() {
+        "no hold".to_owned()
+    } else {
+        format!("{:?} window", batch.batch_window)
+    };
     println!(
-        "batching: up to {} requests per {:?} window, queue bound {} per slot",
-        batch.max_batch, batch.batch_window, batch.queue_bound
+        "batching: up to {} requests per batch, {hold}, queue bound {} per slot",
+        batch.max_batch, batch.queue_bound
     );
     println!(
         "jobs: {} worker(s), queue bound {}, default deadline {:?}",
@@ -1514,6 +1586,7 @@ fn cmd_render(flags: &Flags) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mfaplace::infer::StepProfile;
 
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -1529,6 +1602,40 @@ mod tests {
         assert_eq!(flags.all("model"), ["a=x.mfaw", "b=y.mfaw"]);
         assert!(flags.all("missing").is_empty());
         assert!(!flags.contains_key("resume"));
+    }
+
+    fn profile_of(step_ns: &[u64], wall_ns: u64) -> PlanProfile {
+        let steps = step_ns
+            .iter()
+            .enumerate()
+            .map(|(index, &ns)| StepProfile {
+                index,
+                kind: "Conv2d".into(),
+                out_numel: 1,
+                ns,
+                cost: Default::default(),
+                scratch_bytes: 0,
+            })
+            .collect();
+        PlanProfile { steps, wall_ns }
+    }
+
+    #[test]
+    fn repeated_profiles_fold_to_per_step_medians_and_quartiles() {
+        let one = profile_of(&[7, 3], 11);
+        assert_eq!(
+            median_profile(vec![one.clone()]),
+            (one, vec![(7, 7), (3, 3)])
+        );
+
+        let runs = [[5, 40], [1, 10], [4, 20], [2, 50], [3, 30]]
+            .iter()
+            .zip([60, 20, 50, 40, 30])
+            .map(|(ns, wall)| profile_of(ns, wall))
+            .collect();
+        let (median, spreads) = median_profile(runs);
+        assert_eq!(median, profile_of(&[3, 30], 40));
+        assert_eq!(spreads, [(2, 4), (20, 40)]);
     }
 
     #[test]
