@@ -35,6 +35,23 @@ if grep -rlF '_mm512_' crates/*/src src | grep -vx 'crates/tensor/src/simd/lanes
     exit 1
 fi
 
+# A committed artifact must have a writer: a non-comment line under
+# crates/bench/ or src/ that names the file in full. Deleting a bench or a
+# binary without its output leaves an orphan that no run refreshes.
+echo "==> lint: every file under results/ has a writer"
+ORPHANS=0
+for ARTIFACT in results/*; do
+    NAME=$(basename "$ARTIFACT")
+    if ! grep -rhF "$NAME" crates/bench src | grep -qvE '^[[:space:]]*(//|#)'; then
+        echo "$ARTIFACT: no line under crates/bench/ or src/ writes it" >&2
+        ORPHANS=1
+    fi
+done
+if [ "$ORPHANS" -ne 0 ]; then
+    echo "delete the orphan artifact above, or restore the code that writes it" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -300,15 +317,6 @@ cargo bench -q --offline -p mfaplace-bench --bench simd_kernels
 
 echo "==> fused-attention bench (results/attention_fused.json)"
 cargo bench -q --offline -p mfaplace-bench --bench attention_fused
-
-echo "==> compiled-plan bench (results/infer_plan.json)"
-cargo bench -q --offline -p mfaplace-bench --bench infer_plan
-
-echo "==> fleet scaling bench (results/serve_fleet.json)"
-cargo bench -q --offline -p mfaplace-bench --bench serve_fleet
-
-echo "==> placement-jobs bench (results/serve_jobs.json)"
-cargo bench -q --offline -p mfaplace-bench --bench serve_jobs
 
 echo "==> benchmark package gate (fmt, clippy, harness tests, smoke pass)"
 benchmark/check.sh

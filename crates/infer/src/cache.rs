@@ -170,6 +170,16 @@ fn plan_bytes(plan: &Plan) -> usize {
     s.arena_bytes + s.weight_bytes + plan.metadata_bytes()
 }
 
+/// Parses a budget in MiB into bytes, saturating at `usize::MAX`: a shift
+/// would wrap a huge value round to a tiny budget, which evicts every plan
+/// on the next insert.
+fn budget_bytes(mib: &str) -> Option<usize> {
+    mib.trim()
+        .parse::<usize>()
+        .ok()
+        .map(|mb| mb.saturating_mul(1 << 20))
+}
+
 impl PlanCache {
     /// Creates a cache holding at most `max_bytes` of plan arena, weight
     /// and metadata bytes (a budget of 0 still admits one entry at a
@@ -186,8 +196,8 @@ impl PlanCache {
     pub fn from_env() -> PlanCache {
         let max = std::env::var("MFAPLACE_PLAN_CACHE_MB")
             .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map_or(DEFAULT_PLAN_CACHE_BYTES, |mb| mb << 20);
+            .and_then(|v| budget_bytes(&v))
+            .unwrap_or(DEFAULT_PLAN_CACHE_BYTES);
         PlanCache::new(max)
     }
 
@@ -305,6 +315,14 @@ mod tests {
 
     fn qkey(source: PlanSource, n: usize) -> PlanKey {
         PlanKey::int8(source, vec![n, 1, 2, 2], 1)
+    }
+
+    #[test]
+    fn budget_in_mib_saturates_instead_of_wrapping() {
+        assert_eq!(budget_bytes("256"), Some(256 << 20));
+        // 2^44 MiB is 2^64 bytes: a shift wraps it to 0.
+        assert_eq!(budget_bytes(&(1usize << 44).to_string()), Some(usize::MAX));
+        assert_eq!(budget_bytes("lots"), None);
     }
 
     #[test]

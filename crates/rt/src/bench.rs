@@ -4,8 +4,8 @@
 //! phase, then `samples` timed samples (each sample auto-batched so it
 //! lasts long enough for the clock to resolve), and reports the median,
 //! mean and min/max per-iteration time. Results accumulate in a
-//! [`Suite`], print as an aligned table, and serialize to a small stable
-//! JSON schema next to the other artifacts under `results/`.
+//! [`Suite`] and serialize to a small stable JSON schema next to the other
+//! artifacts under `results/`.
 //!
 //! ```
 //! let mut suite = mfaplace_rt::bench::Suite::new("doc");
@@ -174,21 +174,6 @@ impl Suite {
         &self.results
     }
 
-    /// Aligned text table of all results.
-    pub fn table(&self) -> String {
-        let mut out = format!(
-            "{:<40} {:>14} {:>14} {:>14} {:>14}\n",
-            "benchmark", "median_ns", "mean_ns", "min_ns", "max_ns"
-        );
-        for r in &self.results {
-            out.push_str(&format!(
-                "{:<40} {:>14.1} {:>14.1} {:>14.1} {:>14.1}\n",
-                r.name, r.median_ns, r.mean_ns, r.min_ns, r.max_ns
-            ));
-        }
-        out
-    }
-
     /// JSON document:
     /// `{"suite": name, "benchmarks": [{name, samples, iters_per_sample,
     /// median_ns, mean_ns, min_ns, max_ns, peak_rss_bytes}]}`
@@ -201,7 +186,8 @@ impl Suite {
             }
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"samples\":{},\"iters_per_sample\":{},\
-                 \"median_ns\":{:.1},\"mean_ns\":{:.1},\"min_ns\":{:.1},\"max_ns\":{:.1},                 \"peak_rss_bytes\":{}}}",
+                 \"median_ns\":{:.1},\"mean_ns\":{:.1},\"min_ns\":{:.1},\"max_ns\":{:.1},\
+                 \"peak_rss_bytes\":{}}}",
                 escape(&r.name),
                 r.samples,
                 r.iters_per_sample,
@@ -215,14 +201,6 @@ impl Suite {
         }
         out.push_str("]}");
         out
-    }
-
-    /// Writes the JSON document to `path`, creating parent directories.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        if let Some(parent) = std::path::Path::new(path).parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_json())
     }
 }
 
@@ -250,7 +228,7 @@ mod tests {
         assert!(json.starts_with("{\"suite\":\"unit\""), "{json}");
         assert!(json.contains("\"name\":\"spin\""), "{json}");
         assert!(json.contains("\"peak_rss_bytes\":"), "{json}");
-        assert!(suite.table().contains("spin"));
+        assert!(!json.contains("  "), "{json}");
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   small sampling surface the workspace actually uses (`gen_range`,
 //!   uniform/normal `f32` sampling, `seed_from_u64`, stream splitting for
 //!   per-worker reproducibility).
-//! - [`pool`] — a scoped `std::thread` worker pool with
-//!   `parallel_for`/chunked dispatch sized from
+//! - [`pool`] — a scoped `std::thread` worker pool with chunked
+//!   dispatch sized from
 //!   `std::thread::available_parallelism`, a `MFAPLACE_THREADS` env
 //!   override, and a serial fallback. Kernels dispatched through it are
 //!   **bitwise identical** to their serial versions: work is split into

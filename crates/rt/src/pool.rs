@@ -1,13 +1,13 @@
 //! Scoped worker pool over `std::thread` with chunked dispatch.
 //!
-//! Work is dispatched through [`parallel_for`] (index ranges) or
-//! [`parallel_chunks_mut`] (disjoint `&mut` chunks of an output buffer).
-//! Both split work into **contiguous blocks assigned in order**, so a
-//! kernel that computes each output chunk independently produces results
-//! bitwise identical to its serial loop — the per-element reduction order
-//! never changes, only which thread executes it. This serial-equivalence
-//! guarantee is what lets the tensor kernels parallelize without
-//! perturbing training reproducibility.
+//! Work is dispatched through [`parallel_chunks_mut`] (disjoint `&mut`
+//! chunks of an output buffer) or [`parallel_chunks2_mut`] (two buffers in
+//! lock step). Both split work into **contiguous blocks assigned in
+//! order**, so a kernel that computes each output chunk independently
+//! produces results bitwise identical to its serial loop — the
+//! per-element reduction order never changes, only which thread executes
+//! it. This serial-equivalence guarantee is what lets the tensor kernels
+//! parallelize without perturbing training reproducibility.
 //!
 //! Sizing: the worker count defaults to
 //! `std::thread::available_parallelism()`, can be pinned globally with the
@@ -16,7 +16,6 @@
 //! dispatch runs serially on the calling thread — no threads are spawned.
 
 use std::cell::Cell;
-use std::ops::Range;
 
 thread_local! {
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
@@ -61,39 +60,6 @@ pub fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
 /// Number of threads a dispatch over `n_units` units of work will use.
 fn plan(n_units: usize) -> usize {
     max_threads().min(n_units).max(1)
-}
-
-/// Calls `f` on contiguous sub-ranges covering `0..n` exactly once, using
-/// up to [`max_threads`] workers. `f(0..n)` is called directly when one
-/// worker suffices.
-///
-/// The range is split into at most `max_threads()` blocks of near-equal
-/// length; block 0 runs on the calling thread.
-pub fn parallel_for<F>(n: usize, f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    if n == 0 {
-        return;
-    }
-    let nt = plan(n);
-    if nt <= 1 {
-        f(0..n);
-        return;
-    }
-    let per = n.div_ceil(nt);
-    std::thread::scope(|s| {
-        let f = &f;
-        for t in 1..nt {
-            let lo = t * per;
-            let hi = ((t + 1) * per).min(n);
-            if lo >= hi {
-                break;
-            }
-            s.spawn(move || f(lo..hi));
-        }
-        f(0..per.min(n));
-    });
 }
 
 /// Splits `data` into consecutive chunks of `chunk_len` elements (the last
@@ -221,10 +187,10 @@ where
 /// Handle to a persistent team of worker threads created by
 /// [`worker_team`]: dispatch jobs with [`Team::run`] from the body closure.
 ///
-/// Unlike [`parallel_for`], which spawns fresh threads per dispatch, a team
-/// keeps its workers (and their per-worker state, e.g. a replicated model
-/// graph) alive across many dispatches — the shape a training loop needs,
-/// where thousands of steps reuse the same worker-local replicas.
+/// Unlike [`parallel_chunks_mut`], which spawns fresh threads per dispatch,
+/// a team keeps its workers (and their per-worker state, e.g. a replicated
+/// model graph) alive across many dispatches — the shape a training loop
+/// needs, where thousands of steps reuse the same worker-local replicas.
 pub struct Team<J, R> {
     txs: Vec<std::sync::mpsc::Sender<(usize, J)>>,
     rx: std::sync::mpsc::Receiver<(usize, R)>,
@@ -317,20 +283,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn parallel_for_covers_every_index_once() {
-        let hits: Vec<AtomicUsize> = (0..1000).map(|_| AtomicUsize::new(0)).collect();
-        with_threads(4, || {
-            parallel_for(1000, |range| {
-                for i in range {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
 
     #[test]
     fn chunks_visit_each_chunk_once_with_correct_index() {
@@ -372,8 +324,9 @@ mod tests {
     #[test]
     fn serial_override_runs_on_calling_thread() {
         let caller = std::thread::current().id();
+        let mut data = [0u8; 64];
         with_threads(1, || {
-            parallel_for(64, |_| {
+            parallel_chunks_mut(&mut data, 1, |_, _| {
                 assert_eq!(std::thread::current().id(), caller);
             });
         });
@@ -390,7 +343,6 @@ mod tests {
 
     #[test]
     fn empty_dispatches_are_noops() {
-        parallel_for(0, |_| panic!("must not be called"));
         let mut empty: [u8; 0] = [];
         parallel_chunks_mut(&mut empty, 4, |_, _| panic!("must not be called"));
     }

@@ -17,16 +17,13 @@ fn env_var_controls_worker_count() {
     std::env::set_var("MFAPLACE_THREADS", "1");
     assert_eq!(pool::max_threads(), 1);
     let caller = std::thread::current().id();
-    pool::parallel_for(128, |_range| {
+    let mut data = vec![0u32; 64];
+    pool::parallel_chunks_mut(&mut data, 8, |i, chunk| {
         assert_eq!(
             std::thread::current().id(),
             caller,
             "serial path must not spawn"
         );
-    });
-    let mut data = vec![0u32; 64];
-    pool::parallel_chunks_mut(&mut data, 8, |i, chunk| {
-        assert_eq!(std::thread::current().id(), caller);
         chunk.fill(i as u32);
     });
     assert!(data
