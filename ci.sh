@@ -157,12 +157,16 @@ cargo test -q -p mfaplace-tensor --offline --lib \
 cargo test -q -p mfaplace-tensor --offline --lib attention::tests
 cargo test -q -p mfaplace-tensor --offline --test conv_lowering
 # The direct convolution against the lowered path (im2col → GEMM →
-# epilogue), bit for bit on every supported backend and at 1–3 threads,
-# and the timer registry recovering from a panicking lock holder: each by
-# name, under the detected backend and under forced scalar kernels.
+# epilogue) and its backward kernels against the lowered backward (im2col →
+# GEMM for the weight gradient, GEMM → col2im for the input gradient), bit
+# for bit on every supported backend and at 1–3 threads, and the timer
+# registry recovering from a panicking lock holder: each by name, under the
+# detected backend and under forced scalar kernels.
 for KERNELS in auto scalar; do
     MFAPLACE_KERNELS=$KERNELS cargo test -q -p mfaplace-tensor --offline \
         --test conv_lowering direct_conv
+    MFAPLACE_KERNELS=$KERNELS cargo test -q -p mfaplace-tensor --offline \
+        --test conv_lowering conv_backward
     MFAPLACE_KERNELS=$KERNELS cargo test -q -p mfaplace-rt --offline --lib \
         timer::tests::a_poisoned_registry_keeps_recording
 done

@@ -3,7 +3,7 @@ use std::time::{Duration, Instant};
 use mfaplace_tensor::lowlevel::{self, ConvDims};
 use mfaplace_tensor::{
     attention_fm_backward_into, attention_fm_into, attention_tm_backward_into, attention_tm_into,
-    conv_out_size, numel, Tensor,
+    numel, Tensor,
 };
 
 use crate::recycle::BufferPool;
@@ -24,9 +24,9 @@ impl Var {
 
 /// One recorded tape op: its operands and op parameters, as the backward
 /// replays it and as the compiled inference plan (`mfaplace-infer`) lowers
-/// it — see [`Graph::segment`]. Backward-only state (the conv lowering,
-/// normalization statistics, loss targets, pool argmaxes) is kept beside
-/// the op in its node, not here.
+/// it — see [`Graph::segment`]. Backward-only state (normalization
+/// statistics, loss targets, pool argmaxes) is kept beside the op in its
+/// node, not here.
 #[derive(Clone, Debug)]
 pub enum TapeOp {
     /// A parameter, input or constant.
@@ -166,14 +166,12 @@ impl TapeOp {
     }
 }
 
-/// What a node keeps for its backward beyond its op and value (the conv
-/// lowering and the pool argmax only when the node requires grad);
+/// What a node keeps for its backward beyond its op and value (the pool
+/// argmax only when the node requires grad; a convolution keeps nothing);
 /// recycled by [`Graph::truncate`].
 #[derive(Clone)]
 enum Saved {
     None,
-    /// A convolution's im2col lowering (`C·KH·KW × B·OH·OW` floats).
-    Cols(Tensor),
     /// Batch / layer norm: the normalized input and the inverse std per
     /// channel or row.
     Norm {
@@ -209,10 +207,6 @@ pub struct OpTime {
     pub forward: Duration,
     /// The node's backward step, zero if backward never reached it.
     pub backward: Duration,
-    /// The convolution lowering inside `forward` (zero for other ops).
-    pub im2col: Duration,
-    /// Its adjoint inside `backward` (zero for other ops).
-    pub col2im: Duration,
 }
 
 /// The opt-in per-node clock behind [`Graph::set_op_timing`].
@@ -220,14 +214,14 @@ pub struct OpTime {
 struct OpClock {
     /// When the last node was pushed (or the clock started).
     last: Instant,
-    /// Per tape index: forward, backward, im2col, col2im.
-    spans: Vec<[Duration; 4]>,
+    /// Per tape index: forward, backward.
+    spans: Vec<[Duration; 2]>,
 }
 
 impl OpClock {
-    fn span(&mut self, index: usize) -> &mut [Duration; 4] {
+    fn span(&mut self, index: usize) -> &mut [Duration; 2] {
         if self.spans.len() <= index {
-            self.spans.resize(index + 1, [Duration::ZERO; 4]);
+            self.spans.resize(index + 1, [Duration::ZERO; 2]);
         }
         &mut self.spans[index]
     }
@@ -259,8 +253,8 @@ pub struct Graph {
     /// (trainer replicas) start with an empty pool.
     pool: BufferPool,
     /// When `false`, every pushed node records `requires_grad = false`, so
-    /// backward-only storage (conv `cols`) is dropped at creation. The
-    /// inference `Predictor` disables grads after building its model.
+    /// backward-only storage (pool argmaxes) is never kept. The inference
+    /// `Predictor` disables grads after building its model.
     grad_enabled: bool,
     /// Per-node timings, only while [`Graph::set_op_timing`] is on.
     clock: Option<Box<OpClock>>,
@@ -292,7 +286,7 @@ impl Graph {
     /// Enables or disables gradient recording for subsequently pushed
     /// nodes. With grads disabled every new node has
     /// `requires_grad = false` and ops skip retaining backward-only
-    /// storage (the conv `cols` buffers); existing nodes are untouched, so
+    /// storage (the pool argmaxes); existing nodes are untouched, so
     /// a predictor can build its parameters first and then switch the
     /// graph to inference mode.
     pub fn set_grad_enabled(&mut self, enabled: bool) {
@@ -348,10 +342,9 @@ impl Graph {
 
     /// Switches per-node timing on (a fresh clock) or off (discarding what
     /// was recorded). While on, every pushed node is charged the wall time
-    /// since the previous push, every backward step its own wall time, and
-    /// a convolution its im2col / col2im as well; [`Graph::op_times`] reads
-    /// them. Off — the default — the tape keeps no clock, reads none and
-    /// allocates nothing for it.
+    /// since the previous push and every backward step its own wall time;
+    /// [`Graph::op_times`] reads them. Off — the default — the tape keeps no
+    /// clock, reads none and allocates nothing for it.
     pub fn set_op_timing(&mut self, on: bool) {
         self.clock = on.then(|| {
             Box::new(OpClock {
@@ -373,17 +366,13 @@ impl Graph {
             .zip(&self.nodes)
             .enumerate()
             .filter(|(_, (span, _))| span.iter().any(|d| !d.is_zero()))
-            .map(
-                |(index, (&[forward, backward, im2col, col2im], node))| OpTime {
-                    index,
-                    kind: node.op.kind(),
-                    out_numel: node.value.numel(),
-                    forward,
-                    backward,
-                    im2col,
-                    col2im,
-                },
-            )
+            .map(|(index, (&[forward, backward], node))| OpTime {
+                index,
+                kind: node.op.kind(),
+                out_numel: node.value.numel(),
+                forward,
+                backward,
+            })
             .collect()
     }
 
@@ -488,8 +477,7 @@ impl Graph {
         assert!(mark <= self.nodes.len(), "truncate beyond tape length");
         for node in self.nodes.drain(mark..) {
             match node.saved {
-                Saved::Cols(t)
-                | Saved::Norm { xhat: t, .. }
+                Saved::Norm { xhat: t, .. }
                 | Saved::CrossEntropy { probs: t, .. }
                 | Saved::Target(t) => self.pool.give(t.into_vec()),
                 Saved::None | Saved::Argmax(_) => {}
@@ -661,55 +649,16 @@ impl Graph {
         )
     }
 
-    /// 2-D convolution of `x: [B,C,H,W]` with `w: [OC,C,KH,KW]`.
+    /// 2-D convolution of `x: [B,C,H,W]` with `w: [OC,C,KH,KW]`, building no
+    /// im2col matrix with or without grad.
     pub fn conv2d(&mut self, x: Var, w: Var, stride: usize, pad: usize) -> Var {
-        let (kh, kw) = {
-            let ws = self.value(w).shape();
-            assert_eq!(ws.len(), 4, "conv2d weight must be [OC,C,KH,KW]");
-            (ws[2], ws[3])
-        };
-        let (b, c, h, wd) = self.value(x).dims4();
-        let (oh, ow) = conv_out_size(h, wd, kh, kw, stride, pad);
-        let ohow = oh * ow;
-        let oc = self.value(w).shape()[0];
-        let rg = (self.rg(x) || self.rg(w)) && self.grad_enabled;
-        let dims = ConvDims {
-            b,
-            c,
-            h,
-            w: wd,
-            oc,
-            kh,
-            kw,
-            stride,
-            pad,
-        };
-        if !rg {
-            let v = self.pooled(vec![b, oc, oh, ow], |n, o| {
-                let (xs, ws) = (n[x.0].value.data(), n[w.0].value.data());
-                lowlevel::conv2d_into(xs, ws, dims, None, None, false, o);
-            });
-            return self.push(v, TapeOp::Conv2d { x, w, stride, pad }, false);
-        }
-        // The weight gradient's GEMM reads the im2col lowering, so the node
-        // keeps it (im2col writes every element, padding zeros included),
-        // and the same direct convolution packs its blocks from it rather
-        // than lowering the input a second time.
-        let mut cols = self.pool.take_any(c * kh * kw * b * ohow);
-        let t0 = self.clock.is_some().then(Instant::now);
-        let src = self.value(x).data();
-        lowlevel::im2col_into(src, b, c, h, wd, kh, kw, stride, pad, &mut cols);
-        let im2col = t0.map(|t0| t0.elapsed());
-        let v = self.pooled(vec![b, oc, oh, ow], |n, o| {
-            lowlevel::conv2d_lowered_into(&cols, n[w.0].value.data(), dims, o);
+        let dims = conv_dims(&self.nodes, x, w, stride, pad);
+        let (oh, ow) = dims.out_size();
+        let v = self.pooled(vec![dims.b, dims.oc, oh, ow], |n, o| {
+            lowlevel::conv2d_into(val(n, x), val(n, w), dims, None, None, false, o);
         });
-        let saved =
-            Saved::Cols(Tensor::from_vec(vec![c * kh * kw, b * ohow], cols).expect("conv cols"));
-        let node = self.push_saved(v, TapeOp::Conv2d { x, w, stride, pad }, saved, rg);
-        if let (Some(clock), Some(d)) = (&mut self.clock, im2col) {
-            clock.span(node.0)[2] = d;
-        }
-        node
+        let rg = self.rg(x) || self.rg(w);
+        self.push(v, TapeOp::Conv2d { x, w, stride, pad }, rg)
     }
 
     /// Adds a per-channel bias `b: [C]` to `x: [B,C,H,W]`.
@@ -1158,7 +1107,6 @@ impl Graph {
                 continue;
             }
             let t0 = self.clock.is_some().then(Instant::now);
-            let mut col2im = Duration::ZERO;
             // A node's op only ever accumulates into its parents (indices
             // below `i`), so its own gradient is read in place.
             let (parents, me) = self.nodes.split_at_mut(i);
@@ -1168,11 +1116,9 @@ impl Graph {
                 nodes: parents,
                 pool: &mut self.pool,
             };
-            backward_op(node, dy, &mut grads, t0.map(|_| &mut col2im));
+            backward_op(node, dy, &mut grads);
             if let (Some(clock), Some(t0)) = (&mut self.clock, t0) {
-                let span = clock.span(i);
-                span[1] += t0.elapsed();
-                span[3] += col2im;
+                clock.span(i)[1] += t0.elapsed();
             }
         }
     }
@@ -1218,6 +1164,22 @@ fn val(nodes: &[Node], v: Var) -> &[f32] {
     nodes[v.0].value.data()
 }
 
+/// The shape of the convolution of `x: [B,C,H,W]` by `w: [OC,C,KH,KW]`.
+fn conv_dims(nodes: &[Node], x: Var, w: Var, stride: usize, pad: usize) -> ConvDims {
+    let ((b, c, h, wd), (oc, _, kh, kw)) = (nodes[x.0].value.dims4(), nodes[w.0].value.dims4());
+    ConvDims {
+        b,
+        c,
+        h,
+        w: wd,
+        oc,
+        kh,
+        kw,
+        stride,
+        pad,
+    }
+}
+
 /// A tensor of `shape` over `buf`.
 fn tensor(shape: &[usize], buf: Vec<f32>) -> Tensor {
     Tensor::from_vec(shape.to_vec(), buf).expect("buffer matches its shape")
@@ -1225,9 +1187,8 @@ fn tensor(shape: &[usize], buf: Vec<f32>) -> Tensor {
 
 /// Accumulates `node`'s input gradients into its parents given its upstream
 /// gradient `dy`: a dispatch to the `tensor::lowlevel` backward kernels,
-/// skipping every parent that does not require grad. A convolution adds
-/// its col2im time to `col2im` when asked.
-fn backward_op(node: &Node, dy: &Tensor, g: &mut Grads, col2im: Option<&mut Duration>) {
+/// skipping every parent that does not require grad.
+fn backward_op(node: &Node, dy: &Tensor, g: &mut Grads) {
     use lowlevel::*;
     let (shape, gy) = (node.value.shape(), dy.data());
     let pass = |_: &[Node], d: &mut [f32]| d.copy_from_slice(gy);
@@ -1298,26 +1259,13 @@ fn backward_op(node: &Node, dy: &Tensor, g: &mut Grads, col2im: Option<&mut Dura
             g.give(*q, dq);
         }
         TapeOp::Conv2d { x, w, stride, pad } => {
-            let (b, oc, oh, ow) = node.value.dims4();
-            let ((_, c, h, wd), (_, _, kh, kw)) = (dims(g, *x), dims(g, *w));
-            let (n, ckk, (s, p)) = (b * oh * ow, c * kh * kw, (*stride, *pad));
-            let Saved::Cols(cols) = &node.saved else {
-                unreachable!("conv2d keeps its lowering when it requires grad");
-            };
-            let mut dym = g.pool.take_any(gy.len()); // [OC, B*OH*OW]
-            conv_dy_reorder_into(gy, oc, oh * ow, &mut dym);
-            g.put(*w, |_, d| bmm_nt_into(&dym, cols.data(), d, 1, oc, n, ckk));
-            if g.nodes[x.0].requires_grad {
-                let mut dcols = g.pool.take_any(ckk * n);
-                bmm_tn_into(val(g.nodes, *w), &dym, &mut dcols, 1, ckk, oc, n);
-                let t0 = col2im.is_some().then(Instant::now);
-                g.put(*x, |_, d| col2im_into(&dcols, b, c, h, wd, kh, kw, s, p, d));
-                if let (Some(sum), Some(t0)) = (col2im, t0) {
-                    *sum += t0.elapsed();
-                }
-                g.pool.give(dcols);
-            }
-            g.pool.give(dym);
+            let conv = conv_dims(g.nodes, *x, *w, *stride, *pad);
+            g.put(*w, |n, d| {
+                conv2d_weight_backward_into(val(n, *x), gy, conv, d)
+            });
+            g.put(*x, |n, d| {
+                conv2d_input_backward_into(val(n, *w), gy, conv, d)
+            });
         }
         TapeOp::AddBiasChannel(x, bias) => {
             let (_, _, h, w) = node.value.dims4();
@@ -1477,12 +1425,6 @@ mod tests {
             .expect("conv");
         assert_eq!(c.out_numel, 2 * 6 * 6);
         assert!(!c.forward.is_zero() && !c.backward.is_zero());
-        assert!(!c.im2col.is_zero() && c.im2col <= c.forward);
-        assert!(!c.col2im.is_zero() && c.col2im <= c.backward);
-        let lowering = |t: &OpTime| t.im2col + t.col2im;
-        assert!(times
-            .iter()
-            .all(|t| t.kind == "Conv2d" || lowering(t).is_zero()));
 
         // Truncation drops the truncated nodes' times; switching off drops
         // the clock.

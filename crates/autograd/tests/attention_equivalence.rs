@@ -302,3 +302,32 @@ fn no_grad_mode_drops_requires_grad_and_conv_cols() {
     g.backward(s2);
     assert!(g.grad(w).is_some(), "grad mode did not restore");
 }
+
+#[test]
+fn grad_conv_takes_only_its_output_and_saves_nothing() {
+    let mut g = Graph::new();
+    let w = g.param(Tensor::from_vec(vec![2, 3, 3, 3], vec![0.1; 54]).unwrap());
+    let mark = g.mark();
+    let x = g.constant(Tensor::from_vec(vec![1, 3, 8, 8], vec![0.5; 192]).unwrap());
+    let (hits, misses, _, retained) = g.pool_stats();
+    let y = g.conv2d(x, w, 1, 1);
+    assert_eq!(g.value(y).shape(), &[1, 2, 8, 8]);
+    // A conv that requires grad packs its forward from the input, as at
+    // inference: it takes only its output from the pool.
+    let (hits2, misses2, _, _) = g.pool_stats();
+    assert_eq!(
+        hits2 + misses2 - hits - misses,
+        1,
+        "grad conv took buffers beyond its output"
+    );
+    // Its node keeps nothing for the backward, so truncating it returns
+    // only its value to the pool (the input stays on the tape).
+    g.truncate(mark + 1);
+    let (_, _, _, retained2) = g.pool_stats();
+    assert_eq!(retained2 - retained, 1, "grad conv saved a buffer");
+    // The backward re-lowers the input instead, and still reaches w.
+    let y = g.conv2d(x, w, 1, 1);
+    let s = g.sum(y);
+    g.backward(s);
+    assert!(g.grad(w).is_some(), "grad conv produced no weight gradient");
+}

@@ -149,8 +149,8 @@ impl<M: CongestionModel> ModelPredictor<M> {
         let name = model.name().to_string();
         let mut graph = graph;
         // Inference-only: forwards recorded from here on skip gradient
-        // bookkeeping and drop backward-only storage (conv im2col buffers)
-        // at creation instead of retaining it on the tape.
+        // bookkeeping and keep no backward-only storage (pool argmaxes) on
+        // the tape.
         graph.set_grad_enabled(false);
         ModelPredictor {
             graph,

@@ -355,10 +355,20 @@ pub(crate) fn gemm_rows(
     }
 }
 
-/// `out = a x b^T` for `a: [m, k]`, `b: [n, k]`, dispatched to the active
-/// kernel backend.
-pub(crate) fn gemm_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    crate::simd::gemm_nt_with(crate::simd::active(), a, b, out, m, k, n);
+/// `out (+)= a x b^T` for `a: [m, k]`, `b: [n, k]`, dispatched to the
+/// active kernel backend. With `accumulate`, each element's chain continues
+/// from its value in `out`, so splitting the reduction into leading blocks
+/// changes no bit.
+pub(crate) fn gemm_nt(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    accumulate: bool,
+) {
+    crate::simd::gemm_nt_with(crate::simd::active(), a, b, out, m, k, n, accumulate);
 }
 
 /// Scalar reference `a x b^T` without materializing the transpose. Each
@@ -366,7 +376,15 @@ pub(crate) fn gemm_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize,
 /// runs in increasing order with the lhs zero-skip of [`gemm_rows`], so
 /// the result is bitwise identical to `gemm(a, transpose(b))`. Large
 /// products split over output-row blocks.
-pub(crate) fn gemm_nt_scalar(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+pub(crate) fn gemm_nt_scalar(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    accumulate: bool,
+) {
     if m == 0 || n == 0 {
         return;
     }
@@ -376,23 +394,31 @@ pub(crate) fn gemm_nt_scalar(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k:
         1
     };
     if nt <= 1 {
-        gemm_nt_rows(a, b, out, 0, k, n);
+        gemm_nt_rows(a, b, out, 0, k, n, accumulate);
         return;
     }
     let rows_per = m.div_ceil(nt);
     pool::parallel_chunks_mut(out, rows_per * n, |ci, chunk| {
-        gemm_nt_rows(a, b, chunk, ci * rows_per, k, n);
+        gemm_nt_rows(a, b, chunk, ci * rows_per, k, n, accumulate);
     });
 }
 
-fn gemm_nt_rows(a: &[f32], b: &[f32], out: &mut [f32], row0: usize, k: usize, n: usize) {
+fn gemm_nt_rows(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    row0: usize,
+    k: usize,
+    n: usize,
+    accumulate: bool,
+) {
     let rows = out.len() / n;
     for r in 0..rows {
         let arow = &a[(row0 + r) * k..(row0 + r + 1) * k];
         let orow = &mut out[r * n..(r + 1) * n];
         for (j, o) in orow.iter_mut().enumerate() {
             let brow = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
+            let mut acc = if accumulate { *o } else { 0.0 };
             for (&av, &bv) in arow.iter().zip(brow) {
                 if av == 0.0 {
                     continue;

@@ -10,20 +10,20 @@
 //! ops, shape ops, softmax — with the same parallel-dispatch thresholds, so
 //! plan ≡ tape bit for bit holds by construction, not by keeping copies.
 //!
-//! [`conv2d_into`] is the inference convolution: it packs the im2col
-//! lowering one L2-sized column block at a time straight into the GEMM
-//! microkernel's panels and writes each block's product through the
-//! epilogue into `[B, OC, OH·OW]`, with the bits of the lowered path
-//! ([`im2col_into`] → [`gemm_into`] → [`conv_reorder_epilogue`]), which a
-//! convolution that requires grad still takes because its weight gradient
-//! reads the lowering. [`conv_reorder_epilogue`] folds the conv output
-//! reorder (`[OC, B·OH·OW] → [B, OC, OH·OW]`) together with the optional
-//! bias / channel-affine / ReLU epilogue into a single pass. The per-element
-//! arithmetic (`v = y; v += bias[c]; v = scale[c]*v + shift[c]; v =
-//! v.max(0.0)`) is the sequence the tape's separate `add_bias_channel`,
-//! `channel_affine` and `relu` ops apply — they run the same epilogue one
-//! stage at a time through [`channel_epilogue`] — so fusing the loop in the
-//! plan changes memory traffic, not bits.
+//! [`conv2d_into`] is the convolution of training and inference alike: it
+//! packs the im2col lowering one L2-sized column block at a time straight
+//! into the GEMM microkernel's panels and writes each block's product
+//! through the epilogue into `[B, OC, OH·OW]`, with the bits of the lowered
+//! path ([`im2col_into`] → [`gemm_into`] → [`conv_reorder_epilogue`]); its
+//! backward kernels keep the lowered backward's bits the same way.
+//! [`conv_reorder_epilogue`] folds the conv output reorder (`[OC, B·OH·OW]
+//! → [B, OC, OH·OW]`) together with the optional bias / channel-affine /
+//! ReLU epilogue into a single pass. The per-element arithmetic (`v = y; v
+//! += bias[c]; v = scale[c]*v + shift[c]; v = v.max(0.0)`) is the sequence
+//! the tape's separate `add_bias_channel`, `channel_affine` and `relu` ops
+//! apply — they run the same epilogue one stage at a time through
+//! [`channel_epilogue`] — so fusing the loop in the plan changes memory
+//! traffic, not bits.
 //!
 //! [`Tensor`]: crate::Tensor
 
@@ -109,7 +109,7 @@ pub fn bmm_nt_into(a: &[f32], b: &[f32], out: &mut [f32], bt: usize, m: usize, k
     assert_eq!(b.len(), bt * n * k, "bmm_nt_into rhs length mismatch");
     assert_eq!(out.len(), bt * m * n, "bmm_nt_into output length mismatch");
     batched(a, b, out, bt, m, k, n, |a, b, o| {
-        kernels::gemm_nt(a, b, o, m, k, n)
+        kernels::gemm_nt(a, b, o, m, k, n, false)
     });
 }
 
@@ -132,7 +132,7 @@ pub fn bmm_tn_into(a: &[f32], b: &[f32], out: &mut [f32], bt: usize, m: usize, k
 /// writing every element of `out` (any prior contents; padding positions
 /// get `T::default()`: `0.0` for the f32 tape and plan, `0` for the int8
 /// plan, where symmetric quantization keeps that exact). The kernel behind
-/// [`crate::Tensor::im2col`] and the tape's and the plans' convolutions.
+/// [`crate::Tensor::im2col`] and the int8 plan's convolution.
 ///
 /// # Panics
 ///
@@ -158,24 +158,10 @@ pub fn im2col_into<T: Copy + Default + Send + Sync>(
     // Each output row (ci, ki, kj) gathers independently; rows fan out
     // to the pool when the matrix is large. Every element is written
     // exactly once, so parallel and serial results are bitwise identical.
-    // Per output line the valid columns are one run between padding.
+    let low = Lowering::new(c, h, w, kh, kw, stride, pad);
     let fill_row = |row: usize, out_row: &mut [T]| {
-        let ci = row / (kh * kw);
-        let ki = (row / kw) % kh;
-        let kj = row % kw;
-        let (oi_lo, oi_hi) = valid_range(oh, h, ki, stride, pad);
-        let (oj_lo, oj_hi) = valid_range(ow, w, kj, stride, pad);
         for (bi, out_b) in out_row.chunks_exact_mut(oh * ow).enumerate() {
-            let plane = &src[(bi * c + ci) * h * w..][..h * w];
-            for (oi, out_line) in out_b.chunks_exact_mut(ow).enumerate() {
-                if oi < oi_lo || oi >= oi_hi || oj_lo == oj_hi {
-                    out_line.fill(T::default());
-                    continue;
-                }
-                let iy = oi * stride + ki - pad;
-                let line = &plane[iy * w + oj_lo * stride + kj - pad..(iy + 1) * w];
-                put_run(out_line, oj_lo, oj_hi - oj_lo, line, stride);
-            }
+            low.fill_lines(src, row, (bi, 0, 0), out_b);
         }
     };
     if rows * cols >= PAR_ELEMS {
@@ -247,46 +233,12 @@ pub fn conv2d_into(
     relu: bool,
     dst: &mut [f32],
 ) {
-    let ConvDims { b, c, h, .. } = dims;
-    assert_eq!(x.len(), b * c * h * dims.w, "conv2d input length mismatch");
-    direct_conv(Source::Input(x), w, dims, bias, affine, relu, dst);
-}
-
-/// [`conv2d_into`] without an epilogue, from the input's whole
-/// `[c·kh·kw, b·oh·ow]` im2col lowering `cols` (as [`im2col_into`] writes
-/// it) instead of the input: a convolution that requires grad keeps that
-/// lowering for its weight gradient, and packing its blocks from it
-/// spares lowering the input twice. Same blocks, kernel and bits.
-///
-/// # Panics
-///
-/// Panics on slice-length mismatches.
-pub fn conv2d_lowered_into(cols: &[f32], w: &[f32], dims: ConvDims, dst: &mut [f32]) {
-    let (oh, ow) = dims.out_size();
-    let rows = dims.c * dims.kh * dims.kw;
-    assert_eq!(
-        cols.len(),
-        rows * dims.b * oh * ow,
-        "conv2d lowering length mismatch"
-    );
-    direct_conv(Source::Lowered(cols), w, dims, None, None, false, dst);
-}
-
-/// The body of [`conv2d_into`] and [`conv2d_lowered_into`].
-fn direct_conv(
-    src: Source<'_>,
-    w: &[f32],
-    dims: ConvDims,
-    bias: Option<&[f32]>,
-    affine: Option<(&[f32], &[f32])>,
-    relu: bool,
-    dst: &mut [f32],
-) {
     let ConvDims { b, c, h, oc, .. } = dims;
     let low = Lowering::new(c, h, dims.w, dims.kh, dims.kw, dims.stride, dims.pad);
     let k = low.rows();
     let ohow = low.oh * low.ow;
     let ncols = b * ohow;
+    assert_eq!(x.len(), b * c * h * dims.w, "conv2d input length mismatch");
     assert_eq!(w.len(), oc * k, "conv2d weight length mismatch");
     assert_eq!(dst.len(), b * oc * ohow, "conv2d output length mismatch");
     if let Some(bv) = bias {
@@ -311,7 +263,7 @@ fn direct_conv(
         .min(ncols.div_ceil(nt).next_multiple_of(NR));
     let n_blocks = ncols.div_ceil(nb);
     let conv = DirectConv {
-        src,
+        x,
         w,
         dims,
         low,
@@ -355,18 +307,9 @@ fn direct_conv(
     });
 }
 
-/// What a direct convolution packs its column blocks from.
-#[derive(Clone, Copy)]
-enum Source<'a> {
-    /// The `[b, c, h, w]` input, lowered one block at a time.
-    Input(&'a [f32]),
-    /// The whole `[c·kh·kw, b·oh·ow]` lowering, already built.
-    Lowered(&'a [f32]),
-}
-
 /// The invariants of one direct convolution.
 struct DirectConv<'a> {
-    src: Source<'a>,
+    x: &'a [f32],
     w: &'a [f32],
     dims: ConvDims,
     low: Lowering,
@@ -417,32 +360,19 @@ impl DirectConv<'_> {
         width: usize,
     ) -> &'s [f32] {
         let (k, oc) = (self.low.rows(), self.dims.oc);
-        let grow = |v: &mut Vec<f32>, len: usize| {
-            if v.len() < len {
-                v.resize(len, 0.0);
-            }
-        };
-        grow(out, oc * width);
-        let out = &mut out[..oc * width];
+        let out = grown(out, oc * width);
         match self.bk {
             Backend::Scalar => {
                 // The lowering's columns `[j0, j0 + width)`, row-major.
-                grow(cols, k * width);
-                let cols = &mut cols[..k * width];
-                let ncols = self.dims.b * self.low.oh * self.low.ow;
+                let cols = grown(cols, k * width);
                 let start = self.low.position(j0);
                 for (p, row) in cols.chunks_exact_mut(width).enumerate() {
-                    match self.src {
-                        Source::Input(x) => self.low.fill_row(x, p, start, row),
-                        Source::Lowered(m) => row.copy_from_slice(&m[p * ncols + j0..][..width]),
-                    }
+                    self.low.fill_row(self.x, p, start, row);
                 }
                 kernels::gemm_rows(self.w, cols, out, 0, k, width, false);
             }
             bk => {
-                let len = width.div_ceil(NR) * k * NR;
-                grow(cols, len);
-                let cols = &mut cols[..len];
+                let cols = grown(cols, width.div_ceil(NR) * k * NR);
                 self.pack_panels(j0, width, cols);
                 simd::kernel(
                     bk,
@@ -479,19 +409,6 @@ impl DirectConv<'_> {
                 prow[lanes_last..].fill(0.0);
             }
         }
-        let x = match self.src {
-            Source::Input(x) => x,
-            Source::Lowered(m) => {
-                let ncols = self.dims.b * low.oh * low.ow;
-                for (panel, dst) in out.chunks_exact_mut(k * NR).enumerate() {
-                    let (c0, lanes) = (j0 + panel * NR, NR.min(width - panel * NR));
-                    for (p, prow) in dst.chunks_exact_mut(NR).enumerate() {
-                        prow[..lanes].copy_from_slice(&m[p * ncols + c0..][..lanes]);
-                    }
-                }
-                return;
-            }
-        };
         let start = low.position(j0);
         for ki in 0..low.kh {
             for kj in 0..low.kw {
@@ -505,7 +422,7 @@ impl DirectConv<'_> {
                         let seg = low.segment(at, len, ki, kj, valid);
                         let prows = dst[p0 + lane..].chunks_mut(taps * NR).take(low.c);
                         for (ci, prow) in prows.enumerate() {
-                            put_segment(&mut prow[..len], seg, x, ci * hw, low.stride);
+                            put_segment(&mut prow[..len], seg, self.x, ci * hw, low.stride);
                         }
                     });
                 }
@@ -521,13 +438,21 @@ impl DirectConv<'_> {
     }
 }
 
+/// The first `len` elements of `v`, grown to hold them if it is shorter.
+fn grown(v: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if v.len() < len {
+        v.resize(len, 0.0);
+    }
+    &mut v[..len]
+}
+
 /// An output position `(bi, oi, oj)`: batch, output row, output column.
 type Pos = (usize, usize, usize);
 
 /// The geometry of the im2col lowering of a `[b, c, h, w]` input by a
 /// `kh × kw` kernel: row `p = (ci·kh + ki)·kw + kj`, column `(bi·oh +
-/// oi)·ow + oj`, walked by [`conv2d_into`]'s packers in pieces of output
-/// lines, each written by [`put_run`] like [`im2col_into`]'s whole lines.
+/// oi)·ow + oj`, walked by [`conv2d_into`]'s packers and the backward in
+/// pieces of output lines, each written like [`im2col_into`]'s lines.
 #[derive(Clone, Copy)]
 struct Lowering {
     c: usize,
@@ -651,6 +576,56 @@ impl Lowering {
             let seg = self.segment(at, len, ki, kj, valid);
             put_segment(&mut out[col..][..len], seg, x, ci_off, self.stride);
         });
+    }
+
+    /// Writes lowering row `p` over whole output lines from `start` on into
+    /// `out`, `ow` columns a line: per line one input run between padding.
+    fn fill_lines<T: Copy + Default>(&self, x: &[T], p: usize, start: Pos, out: &mut [T]) {
+        let ((bi, oi, _), ci, ki, kj) = (
+            start,
+            p / (self.kh * self.kw),
+            p / self.kw % self.kh,
+            p % self.kw,
+        );
+        let ((oi_lo, oi_hi), (oj_lo, oj_hi)) = self.valid(ki, kj);
+        let (h, w, stride) = (self.h, self.w, self.stride);
+        let plane = &x[(bi * self.c + ci) * h * w..][..h * w];
+        for (oi, out_line) in (oi..).zip(out.chunks_exact_mut(self.ow)) {
+            if oi < oi_lo || oi >= oi_hi || oj_lo == oj_hi {
+                out_line.fill(T::default());
+                continue;
+            }
+            let iy = oi * stride + ki - self.pad;
+            let line = &plane[iy * w + oj_lo * stride + kj - self.pad..(iy + 1) * w];
+            put_run(out_line, oj_lo, oj_hi - oj_lo, line, stride);
+        }
+    }
+
+    /// Adds `rows: [c·kh·kw, width]`, columns from output position `start`,
+    /// into `dst`, a `[b, c, h, w]` gradient: the adjoint of
+    /// [`Lowering::fill_row`], each pixel's terms in row order.
+    fn scatter(&self, rows: &[f32], start: Pos, width: usize, dst: &mut [f32]) {
+        let (taps, hw) = (self.kh * self.kw, self.h * self.w);
+        for (p, row) in rows.chunks_exact(width).enumerate() {
+            let (ci, ki, kj) = (p / taps, p / self.kw % self.kh, p % self.kw);
+            let valid = self.valid(ki, kj);
+            self.runs(start, width, |col, at, len| {
+                let (head, run, at) = self.segment(at, len, ki, kj, valid);
+                if run == 0 {
+                    return;
+                }
+                let (src, line) = (&row[col + head..][..run], &mut dst[at + ci * hw..]);
+                if self.stride == 1 {
+                    for (o, &v) in line.iter_mut().zip(src) {
+                        *o += v;
+                    }
+                } else {
+                    for (o, &v) in line.iter_mut().step_by(self.stride).zip(src) {
+                        *o += v;
+                    }
+                }
+            });
+        }
     }
 }
 
@@ -1299,32 +1274,122 @@ pub fn mean_backward_into(gy: f32, dx: &mut [f32]) {
     dx.fill(gy / dx.len().max(1) as f32);
 }
 
-/// Reorders a conv output gradient `dy: [b, oc, ohow]` into the GEMM layout
-/// `dym: [oc, b·ohow]` (overwritten), undoing [`conv_reorder_epilogue`]'s
-/// reorder.
-pub fn conv_dy_reorder_into(dy: &[f32], oc: usize, ohow: usize, dym: &mut [f32]) {
-    assert_eq!(dym.len(), dy.len(), "conv dym length mismatch");
-    let b = dy.len() / (oc * ohow).max(1);
-    for (run, i) in dy.chunks(ohow.max(1)).zip(0..) {
-        let (bi, ocx) = (i / oc, i % oc);
-        dym[(ocx * b + bi) * ohow..][..ohow].copy_from_slice(run);
+/// A convolution's weight gradient `dw: [oc, c·kh·kw]` (overwritten) from
+/// its input `x` and output gradient `dy: [b, oc, oh·ow]`: `x` re-lowered
+/// one block of output lines at a time, each block continuing every chain
+/// of `dw` in column order, for the bits of `im2col_into` → [`bmm_nt_into`].
+pub fn conv2d_weight_backward_into(x: &[f32], dy: &[f32], dims: ConvDims, dw: &mut [f32]) {
+    let grad = ConvGrad::new(dy, dims);
+    let (k, chw) = (grad.low.rows(), dims.c * dims.h * dims.w);
+    assert_eq!(x.len(), dims.b * chw, "conv2d x length mismatch");
+    assert_eq!(dw.len(), dims.oc * k, "conv2d dw length mismatch");
+    grad.weight(x, dw);
+}
+
+/// A convolution's input gradient `dx: [b, c, h, w]` (overwritten) from its
+/// weight `w: [oc, c·kh·kw]` and `dy`: `wᵀ · dy` one block of output lines
+/// at a time, scattered back at once. Later columns bring a pixel smaller
+/// kernel offsets, so blocks in descending order sum every pixel's terms in
+/// the order of [`bmm_tn_into`] → [`col2im_into`], and so its bits.
+pub fn conv2d_input_backward_into(w: &[f32], dy: &[f32], dims: ConvDims, dx: &mut [f32]) {
+    let (grad, chw) = (ConvGrad::new(dy, dims), dims.c * dims.h * dims.w);
+    assert_eq!(w.len(), dims.oc * grad.low.rows(), "conv2d weight mismatch");
+    assert_eq!(dx.len(), dims.b * chw, "conv2d dx length mismatch");
+    grad.input(w, dx);
+}
+
+/// Floats of lowering per block of a backward (256 KiB, an L2 share).
+const CONV_GRAD_BLOCK_FLOATS: usize = 1 << 16;
+
+/// A convolution's backward, over each image in even blocks of output
+/// lines, as few as fit [`CONV_GRAD_BLOCK_FLOATS`] (or one line each).
+struct ConvGrad<'a> {
+    dy: &'a [f32],
+    dims: ConvDims,
+    low: Lowering,
+}
+
+impl<'a> ConvGrad<'a> {
+    fn new(dy: &'a [f32], dims: ConvDims) -> Self {
+        let ConvDims { c, h, w, .. } = dims;
+        let low = Lowering::new(c, h, w, dims.kh, dims.kw, dims.stride, dims.pad);
+        let ohow = low.oh * low.ow;
+        assert_eq!(dy.len(), dims.b * dims.oc * ohow, "conv2d dy mismatch");
+        ConvGrad { dy, dims, low }
+    }
+
+    /// Image `bi`'s blocks as `(first column, width)`, ascending.
+    fn blocks(&self, bi: usize) -> impl DoubleEndedIterator<Item = (usize, usize)> {
+        let (oh, ow) = (self.low.oh, self.low.ow);
+        let most = (CONV_GRAD_BLOCK_FLOATS / (self.low.rows() * ow).max(1)).max(1);
+        let lines = oh.div_ceil(oh.div_ceil(most));
+        (0..oh)
+            .step_by(lines)
+            .map(move |oi| ((bi * oh + oi) * ow, lines.min(oh - oi) * ow))
+    }
+
+    /// `dy` over the columns `[j0, j0 + width)` of one image as `[oc,
+    /// width]`, in `out`.
+    fn dy_block<'s>(&self, j0: usize, width: usize, out: &'s mut Vec<f32>) -> &'s [f32] {
+        let (oc, ohow) = (self.dims.oc, self.low.oh * self.low.ow);
+        let out = grown(out, oc * width);
+        for (o, row) in out.chunks_exact_mut(width).enumerate() {
+            row.copy_from_slice(&self.dy[(j0 / ohow * oc + o) * ohow + j0 % ohow..][..width]);
+        }
+        out
+    }
+
+    /// The weight gradient: the first block (at column 0) starts every
+    /// chain, the others continue it. Each block's GEMM fans out over `dw`
+    /// rows as any large GEMM does.
+    fn weight(&self, x: &[f32], dw: &mut [f32]) {
+        let (k, oc) = (self.low.rows(), self.dims.oc);
+        if self.dims.b == 0 {
+            dw.fill(0.0);
+        }
+        conv_scratch(|cols, dyb| {
+            for (j0, width) in (0..self.dims.b).flat_map(|bi| self.blocks(bi)) {
+                let dyb = self.dy_block(j0, width, dyb);
+                let low = grown(cols, k * width);
+                for (p, row) in low.chunks_exact_mut(width).enumerate() {
+                    self.low.fill_lines(x, p, self.low.position(j0), row);
+                }
+                kernels::gemm_nt(dyb, low, dw, oc, width, k, j0 > 0);
+            }
+        });
+    }
+
+    /// The input gradient, each image's blocks in descending order. Each
+    /// block's GEMM fans out over its `c·kh·kw` rows.
+    fn input(&self, w: &[f32], dx: &mut [f32]) {
+        let (k, oc) = (self.low.rows(), self.dims.oc);
+        dx.fill(0.0);
+        conv_scratch(|cols, dyb| {
+            for bi in 0..self.dims.b {
+                for (j0, width) in self.blocks(bi).rev() {
+                    let dyb = self.dy_block(j0, width, dyb);
+                    let dcols = grown(cols, k * width);
+                    kernels::gemm_tn(w, dyb, dcols, k, oc, width);
+                    self.low.scatter(dcols, self.low.position(j0), width, dx);
+                }
+            }
+        });
     }
 }
 
+/// Runs `f` on this thread's conv scratch, lifted out of the kernel scratch
+/// so that `f` may run GEMMs, which use the rest.
+fn conv_scratch(f: impl FnOnce(&mut Vec<f32>, &mut Vec<f32>)) {
+    let lift = |v: &mut Vec<f32>| std::mem::take(v);
+    let (mut cols, mut out) =
+        simd::with_scratch(|sc| (lift(&mut sc.conv_cols), lift(&mut sc.conv_out)));
+    f(&mut cols, &mut out);
+    simd::with_scratch(|sc| (sc.conv_cols, sc.conv_out) = (cols, out));
+}
+
 /// The adjoint of [`im2col_into`]: scatters `cols: [c·kh·kw, b·oh·ow]` into
-/// `dst: [b, c, h, w]` (overwritten), summing overlaps — a convolution's
-/// input gradient.
-///
-/// Each `(batch, channel)` plane accumulates independently. For one kernel
-/// offset `(ki, kj)` the valid `(oi, oj)` map one-to-one onto input pixels,
-/// so a pixel receives its terms in `(ki, kj)` order — the `(ki, kj, oi,
-/// oj)` order of the element loop — and the valid `oj` of a row are one
-/// run: a `+=` at unit stride, else a strided walk. Planes fan out to the
-/// pool when `dst` is large; bitwise identical at any thread count.
-///
-/// # Panics
-///
-/// Panics on slice-length mismatches.
+/// `dst: [b, c, h, w]` (overwritten), each pixel's terms in `(ki, kj)`
+/// order — [`conv2d_input_backward_into`]'s scatter over the whole matrix.
 #[allow(clippy::too_many_arguments)]
 pub fn col2im_into(
     cols: &[f32],
@@ -1338,46 +1403,13 @@ pub fn col2im_into(
     pad: usize,
     dst: &mut [f32],
 ) {
-    let (oh, ow) = conv_out_size(h, w, kh, kw, stride, pad);
-    let n = b * oh * ow;
-    assert_eq!(cols.len(), c * kh * kw * n, "col2im input length mismatch");
+    let low = Lowering::new(c, h, w, kh, kw, stride, pad);
+    let n = b * low.oh * low.ow;
+    assert_eq!(cols.len(), low.rows() * n, "col2im input length mismatch");
     assert_eq!(dst.len(), b * c * h * w, "col2im output length mismatch");
     dst.fill(0.0);
-    let fill_plane = |bc: usize, plane: &mut [f32]| {
-        let (bi, ci) = (bc / c, bc % c);
-        for ki in 0..kh {
-            let (oi_lo, oi_hi) = valid_range(oh, h, ki, stride, pad);
-            for kj in 0..kw {
-                let (oj_lo, oj_hi) = valid_range(ow, w, kj, stride, pad);
-                if oj_lo == oj_hi {
-                    continue;
-                }
-                let ix0 = oj_lo * stride + kj - pad;
-                let row = ci * kh * kw + ki * kw + kj;
-                let src_b = &cols[row * n + bi * oh * ow..][..oh * ow];
-                for oi in oi_lo..oi_hi {
-                    let iy = oi * stride + ki - pad;
-                    let run = &src_b[oi * ow + oj_lo..oi * ow + oj_hi];
-                    let line = &mut plane[iy * w + ix0..(iy + 1) * w];
-                    if stride == 1 {
-                        for (o, &v) in line.iter_mut().zip(run) {
-                            *o += v;
-                        }
-                    } else {
-                        for (o, &v) in line.iter_mut().step_by(stride).zip(run) {
-                            *o += v;
-                        }
-                    }
-                }
-            }
-        }
-    };
-    if dst.len() >= PAR_ELEMS {
-        pool::parallel_chunks_mut(dst, h * w, fill_plane);
-    } else {
-        for (bc, plane) in dst.chunks_mut(h * w).enumerate() {
-            fill_plane(bc, plane);
-        }
+    if n > 0 {
+        low.scatter(cols, (0, 0, 0), n, dst);
     }
 }
 

@@ -514,7 +514,8 @@ pub fn gemm_with(
     }
 }
 
-/// Explicit-backend `out = a[m,k] x b[n,k]^T`. See [`gemm_with`].
+/// Explicit-backend `out (+)= a[m,k] x b[n,k]^T`. See [`gemm_with`].
+#[allow(clippy::too_many_arguments)]
 pub fn gemm_nt_with(
     bk: Backend,
     a: &[f32],
@@ -523,13 +524,14 @@ pub fn gemm_nt_with(
     m: usize,
     k: usize,
     n: usize,
+    accumulate: bool,
 ) {
     assert_eq!(a.len(), m * k, "gemm_nt lhs length mismatch");
     assert_eq!(b.len(), n * k, "gemm_nt rhs length mismatch");
     assert_eq!(out.len(), m * n, "gemm_nt output length mismatch");
     match bk {
-        Backend::Scalar => kernels::gemm_nt_scalar(a, b, out, m, k, n),
-        bk => gemm_vec(bk, a, b, out, m, k, n, false, true, false),
+        Backend::Scalar => kernels::gemm_nt_scalar(a, b, out, m, k, n, accumulate),
+        bk => gemm_vec(bk, a, b, out, m, k, n, accumulate, true, false),
     }
 }
 

@@ -15,7 +15,12 @@
 //! block at a time instead of building it, is held to the lowered path it
 //! replaced — `im2col_into` → `gemm_into` → `conv_reorder_epilogue` — bit for
 //! bit over the same seams, output widths that make panels straddle lines,
-//! three epilogues, 1–3 threads and every supported kernel backend.
+//! three epilogues, 1–3 threads and every supported kernel backend. Its
+//! backward kernels, which re-lower `x` and scatter `wᵀ · dy` one block of
+//! output lines at a time, are held to the lowered backward — `im2col_into`
+//! → `bmm_nt_into` for the weight gradient, `bmm_tn_into` → `col2im_into`
+//! for the input gradient — the same way, with shapes that split an image
+//! into several blocks.
 
 use mfaplace_rt::pool;
 use mfaplace_tensor::lowlevel::ConvDims;
@@ -293,8 +298,7 @@ type Epilogue<'a> = (
 
 /// `conv2d_into` against the lowered path it replaces, `im2col_into` →
 /// `gemm_into` → `conv_reorder_epilogue`, bit for bit, under each epilogue
-/// and thread count, into a NaN-filled destination; without an epilogue,
-/// `conv2d_lowered_into` from that lowering too.
+/// and thread count, into a NaN-filled destination.
 fn check_direct_conv(label: &str, x: &Tensor, wt: &Tensor, d: ConvDims, threads: &[usize]) {
     let ConvDims {
         b,
@@ -335,13 +339,6 @@ fn check_direct_conv(label: &str, x: &Tensor, wt: &Tensor, d: ConvDims, threads:
                 lowlevel::conv2d_into(x.data(), wt.data(), d, bias, affine, relu, &mut got)
             });
             assert_eq!(bits(&got), bits(&want), "{label} {name} threads={nt}");
-            if bias.is_none() && affine.is_none() && !relu {
-                let mut got = vec![f32::NAN; want.len()];
-                pool::with_threads(nt, || {
-                    lowlevel::conv2d_lowered_into(&cols, wt.data(), d, &mut got)
-                });
-                assert_eq!(bits(&got), bits(&want), "{label} lowered threads={nt}");
-            }
         }
     }
 }
@@ -391,6 +388,120 @@ fn paper_sized_direct_convs_match_the_lowered_path_at_any_thread_count() {
                 (i as f32 * 0.53).sin() * 0.3
             });
             check_direct_conv(&label, &x, &wt, d, &[1, 2, 3]);
+        }
+    }
+    simd::force(None).expect("auto");
+}
+
+/// The conv backward kernels against the lowered backward they replace, bit
+/// for bit, under each thread count, into NaN-filled gradients: `dw =
+/// dym · im2col(x)ᵀ` and `dx = col2im(wᵀ · dym)`, `dym` being `dy`
+/// reordered to `[oc, b·oh·ow]`.
+fn check_conv_backward(label: &str, x: &Tensor, wt: &Tensor, dy: &Tensor, d: ConvDims) {
+    let ConvDims {
+        b,
+        c,
+        h,
+        w,
+        oc,
+        kh,
+        kw,
+        stride,
+        pad,
+    } = d;
+    let (oh, ow) = d.out_size();
+    let (k, ohow) = (c * kh * kw, oh * ow);
+    let n = b * ohow;
+    let mut dym = vec![0.0f32; oc * n];
+    for (i, run) in dy.data().chunks(ohow.max(1)).enumerate() {
+        let (bi, o) = (i / oc, i % oc);
+        dym[(o * b + bi) * ohow..][..ohow].copy_from_slice(run);
+    }
+    let mut cols = vec![0.0f32; k * n];
+    lowlevel::im2col_into(x.data(), b, c, h, w, kh, kw, stride, pad, &mut cols);
+    let mut want_dw = vec![0.0f32; oc * k];
+    lowlevel::bmm_nt_into(&dym, &cols, &mut want_dw, 1, oc, n, k);
+    let mut dcols = vec![0.0f32; k * n];
+    lowlevel::bmm_tn_into(wt.data(), &dym, &mut dcols, 1, k, oc, n);
+    let mut want_dx = vec![0.0f32; b * c * h * w];
+    lowlevel::col2im_into(&dcols, b, c, h, w, kh, kw, stride, pad, &mut want_dx);
+    for nt in [1, 2, 3] {
+        let mut got = vec![f32::NAN; want_dw.len()];
+        pool::with_threads(nt, || {
+            lowlevel::conv2d_weight_backward_into(x.data(), dy.data(), d, &mut got)
+        });
+        assert_eq!(bits(&got), bits(&want_dw), "{label} dw threads={nt}");
+        let mut got = vec![f32::NAN; want_dx.len()];
+        pool::with_threads(nt, || {
+            lowlevel::conv2d_input_backward_into(wt.data(), dy.data(), d, &mut got)
+        });
+        assert_eq!(bits(&got), bits(&want_dx), "{label} dx threads={nt}");
+    }
+}
+
+/// Input, weight and output gradient for `d`: signed values with zeros and
+/// a -0.0 (the scalar reference skips zero `dy` and weight entries), `dy`
+/// spread over four decades so that overlapping input-gradient terms added
+/// in another order would round differently.
+fn backward_operands(d: ConvDims) -> (Tensor, Tensor, Tensor) {
+    let (oh, ow) = d.out_size();
+    let x = Tensor::from_fn(vec![d.b, d.c, d.h, d.w], |i| match i % 7 {
+        3 => -0.0,
+        5 => 0.0,
+        _ => (i as f32 * 0.61).sin() + 0.1,
+    });
+    let wt = Tensor::from_fn(vec![d.oc, d.c * d.kh * d.kw], |i| match i % 11 {
+        4 => 0.0,
+        _ => (i as f32 * 0.83).cos() * 0.5,
+    });
+    let dy = Tensor::from_fn(vec![d.b, d.oc, oh, ow], |i| match i % 13 {
+        6 => 0.0,
+        9 => -0.0,
+        _ => (i as f32 * 0.73).sin() * 10f32.powi((i % 4) as i32 - 2),
+    });
+    (x, wt, dy)
+}
+
+#[test]
+fn conv_backward_matches_the_lowered_backward_bitwise_on_every_backend() {
+    let _forced = BACKEND.lock().unwrap_or_else(|e| e.into_inner());
+    // The seams of `conv_cases`, then lowerings of thousands of rows whose
+    // output lines are wide enough that each image splits into blocks of one
+    // or two lines (256 KiB of lowering a block), the last one short.
+    let mut shapes = conv_cases();
+    shapes.extend([
+        dims(1, 256, 9, 16, 4, 3, 1, 1),
+        dims(2, 128, 11, 20, 3, 3, 2, 1),
+        dims(1, 2048, 5, 13, 2, 1, 1, 0),
+        dims(3, 256, 9, 40, 3, 3, 2, 0),
+        dims(1, 96, 12, 30, 3, 5, 2, 2),
+    ]);
+    for bk in simd::supported() {
+        simd::force(Some(bk)).expect("supported backend");
+        for d in &shapes {
+            let (x, wt, dy) = backward_operands(*d);
+            check_conv_backward(&format!("{} {d:?}", bk.name()), &x, &wt, &dy, *d);
+        }
+    }
+    simd::force(None).expect("auto");
+}
+
+#[test]
+fn paper_sized_conv_backward_matches_the_lowered_backward_at_any_thread_count() {
+    let _forced = BACKEND.lock().unwrap_or_else(|e| e.into_inner());
+    // The third shape's per-block GEMMs are big enough to fan out over
+    // their output rows.
+    let shapes = [
+        dims(1, 6, 64, 64, 8, 3, 1, 1),
+        dims(2, 8, 32, 32, 32, 1, 1, 0),
+        dims(1, 64, 16, 16, 64, 3, 1, 1),
+        dims(1, 8, 63, 61, 8, 3, 2, 1),
+    ];
+    for bk in simd::supported() {
+        simd::force(Some(bk)).expect("supported backend");
+        for d in shapes {
+            let (x, wt, dy) = backward_operands(d);
+            check_conv_backward(&format!("{} {d:?}", bk.name()), &x, &wt, &dy, d);
         }
     }
     simd::force(None).expect("auto");

@@ -99,13 +99,13 @@ fn gemm_family_matches_scalar_over_random_shapes() {
         // NT: b viewed as [n, k]; TN: a viewed as [k, m].
         let bt = vec_f32(rng, n * k, -1.0, 1.0);
         let mut want_nt = vec![0.0f32; m * n];
-        simd::gemm_nt_with(Backend::Scalar, &a, &bt, &mut want_nt, m, k, n);
+        simd::gemm_nt_with(Backend::Scalar, &a, &bt, &mut want_nt, m, k, n, false);
         let at = vec_f32(rng, k * m, -1.0, 1.0);
         let mut want_tn = vec![0.0f32; m * n];
         simd::gemm_tn_with(Backend::Scalar, &at, &b, &mut want_tn, m, k, n);
         for &bk in &backends {
             let mut got = vec![f32::NAN; m * n];
-            simd::gemm_nt_with(bk, &a, &bt, &mut got, m, k, n);
+            simd::gemm_nt_with(bk, &a, &bt, &mut got, m, k, n, false);
             assert_close(&format!("gemm_nt {m}x{k}x{n} {bk:?}"), &got, &want_nt);
             let mut got = vec![f32::NAN; m * n];
             simd::gemm_tn_with(bk, &at, &b, &mut got, m, k, n);

@@ -165,16 +165,18 @@ const USAGE: &str = "usage:
                       [--epochs N] [--batch N] [--lr F] [--seed N] [--workers N] \\
                       [--save-every N] [--stop-after N] [--log <file.jsonl>] \\
                       [--placements N] [--iterations N]
-  mfaplace model-info --model <file.mfaw|file.mfaq> [--grid N]
+  mfaplace model-info --model <file.mfaw|file.mfaq> [--grid N] \\
+                      [--arch ...] [--channels N]   (v1 checkpoints)
   mfaplace profile    --model <file.mfaw|file.mfaq> [--grid N] [--engine plan|quant] \\
-                      [--repeat N]
+                      [--repeat N] [--arch ...] [--channels N]   (v1 checkpoints)
   mfaplace profile    --flow ours|utda|seu|mpku --design <file.nl> [--seed N] \\
-                      [--iterations N] [--model <file.mfaw>]
+                      [--iterations N] [--model <file.mfaw> [--arch ours|unet|pgnn|pros2] \\
+                      [--grid N] [--channels N]]
   mfaplace profile    --train --model <file.mfaw>
   mfaplace kernels    (report detected/active SIMD kernel backend)
   mfaplace compile    --model <file.mfaw> --calib <file.nl> [--calib <file.nl> ...] \\
                       [--placements N] [--iterations N] [--seed N] \\
-                      --out <file.mfaq>
+                      [--arch ...] [--grid N] [--channels N] --out <file.mfaq>
   mfaplace serve      --model [name=]<file.mfaw|file.mfaq> [--model name=<path> ...] \\
                       [--addr host:port] [--engine plan|quant] \\
                       [--arch ...] [--grid N] [--channels N]   (v1 checkpoints)
@@ -228,9 +230,11 @@ the stages they cover.
 profile --train times one single-sample training shard of the checkpoint's
 model (forward with batch statistics, loss sum, backward) on one kernel
 thread, as a trainer worker runs it: per op kind and output size, the
-forward and backward ms and share, im2col / col2im, the shard's heap
-allocations, and how much of the shard the ops cover.
-every subcommand accepts --kernels auto|scalar|avx2 to pin the SIMD
+forward and backward ms and share, the shard's heap allocations, and how
+much of the shard the ops cover. A convolution builds no im2col matrix
+there either: its backward re-lowers the input a block of lines at a time.
+a flag the subcommand (or profile mode) does not read is an error that
+names it. every subcommand accepts --kernels auto|scalar|avx2 to pin the SIMD
 kernel backend (strict; the MFAPLACE_KERNELS env var is the forgiving
 equivalent, falling back to auto-detection with a warning). scalar is the
 bitwise-golden reference; vector backends carry a documented 1e-5-of-scale
@@ -244,6 +248,7 @@ fn run(args: &[String]) -> Result<(), String> {
         return run_job(&args[1..]);
     }
     let flags = parse_flags(&args[1..])?;
+    check_flags(cmd, &flags)?;
     apply_kernels_flag(&flags)?;
     match cmd.as_str() {
         "kernels" => cmd_kernels(),
@@ -270,6 +275,8 @@ fn run_job(args: &[String]) -> Result<(), String> {
         return Err("job needs an action: submit, status, watch, cancel or list".into());
     };
     let flags = parse_flags(&args[1..])?;
+    check_flags(&format!("job {action}"), &flags)?;
+    apply_kernels_flag(&flags)?;
     match action.as_str() {
         "submit" => cmd_job_submit(&flags),
         "status" => cmd_job_status(&flags),
@@ -279,6 +286,63 @@ fn run_job(args: &[String]) -> Result<(), String> {
         other => Err(format!(
             "unknown job action {other:?} (submit, status, watch, cancel, list)"
         )),
+    }
+}
+
+/// The flags `cmd` reads besides `--kernels`, as its [`USAGE`] entries
+/// name them: per subcommand, `profile` mode (`profile --flow`, `profile
+/// --train`) and `job <action>`; `None` for an unknown command. The usage
+/// text is the one list, so a flag is accepted once it is documented.
+fn known_flags(cmd: &str) -> Option<Vec<String>> {
+    let usage = USAGE.replace("\\\n", " ");
+    let mut known = None;
+    for entry in usage
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("mfaplace "))
+    {
+        let words: Vec<&str> = entry.split_whitespace().collect();
+        let flags: Vec<String> = words.iter().filter_map(|w| flag_name(w)).collect();
+        let name = words.iter().take_while(|w| !w.starts_with(['-', '[', '(']));
+        let mut name = name.copied().collect::<Vec<_>>().join(" ");
+        if name == "profile" {
+            if let Some(mode) = flags.iter().find(|f| *f == "flow" || *f == "train") {
+                name = format!("profile --{mode}");
+            }
+        }
+        if name == cmd {
+            known.get_or_insert_with(Vec::new).extend(flags);
+        }
+    }
+    known
+}
+
+/// `grid` from a usage word such as `--grid`, `[--grid` or `[--grid]]`.
+fn flag_name(word: &str) -> Option<String> {
+    let name = &word[word.find("--")? + 2..];
+    let end = name.find(|c: char| !c.is_ascii_alphanumeric() && c != '-');
+    Some(name[..end.unwrap_or(name.len())].to_string())
+}
+
+/// Refuses a flag `cmd` would not read, naming it: a misspelt or
+/// misplaced flag is an error, not a silently ignored default.
+fn check_flags(cmd: &str, flags: &Flags) -> Result<(), String> {
+    // `cmd_profile`'s order: --flow wins over --train.
+    let cmd = match cmd {
+        "profile" if flags.contains_key("flow") => "profile --flow",
+        "profile" if flags.contains_key("train") => "profile --train",
+        _ => cmd,
+    };
+    let Some(known) = known_flags(cmd) else {
+        return Ok(()); // the dispatch reports the unknown command
+    };
+    // The first unknown name in sorted order, so the message is stable.
+    let unknown = (flags.0.keys())
+        .map(String::as_str)
+        .filter(|name| *name != "kernels" && !known.iter().any(|k| k == name))
+        .min();
+    match unknown {
+        None => Ok(()),
+        Some(name) => Err(format!("{cmd} does not take --{name}")),
     }
 }
 
@@ -965,8 +1029,7 @@ fn cmd_profile_train(flags: &Flags) -> Result<(), String> {
                 wall += t0.elapsed();
                 allocs = [fwd, bwd];
                 for t in g.op_times() {
-                    let times = [t.forward, t.backward, t.im2col, t.col2im];
-                    OpRow::add(&mut rows, (t.kind, t.out_numel), 1, times);
+                    OpRow::add(&mut rows, (t.kind, t.out_numel), 1, [t.forward, t.backward]);
                 }
             }
             g.set_op_timing(false);
@@ -1019,12 +1082,6 @@ fn cmd_profile_train(flags: &Flags) -> Result<(), String> {
     for (kind, row) in &kinds {
         line(kind, row);
     }
-    let lowering = |i: usize| rows.iter().map(|r| r.1.times[i]).sum::<Duration>();
-    println!(
-        "conv lowering: im2col {:.3} ms of the forward, col2im {:.3} ms of the backward",
-        ms(lowering(2)),
-        ms(lowering(3)),
-    );
     println!(
         "allocations per shard: forward {} ({:.1} MB), backward {} ({:.1} MB)",
         allocs[0].0,
@@ -1041,12 +1098,12 @@ fn cmd_profile_train(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// One row of `profile --train`: nodes seen and their summed forward,
-/// backward, im2col and col2im times, over every timed shard.
+/// One row of `profile --train`: nodes seen and their summed forward and
+/// backward times, over every timed shard.
 #[derive(Default)]
 struct OpRow {
     nodes: usize,
-    times: [Duration; 4],
+    times: [Duration; 2],
 }
 
 impl OpRow {
@@ -1055,7 +1112,7 @@ impl OpRow {
     }
 
     /// Adds `nodes` and `times` into `key`'s row, opening it if needed.
-    fn add<K: PartialEq>(rows: &mut Vec<(K, OpRow)>, key: K, nodes: usize, times: [Duration; 4]) {
+    fn add<K: PartialEq>(rows: &mut Vec<(K, OpRow)>, key: K, nodes: usize, times: [Duration; 2]) {
         let at = match rows.iter().position(|r| r.0 == key) {
             Some(at) => at,
             None => {
@@ -1590,6 +1647,112 @@ mod tests {
 
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// `cmd`'s flags check on `args`.
+    fn check(cmd: &str, args: &[&str]) -> Result<(), String> {
+        check_flags(cmd, &parse_flags(&argv(args)).unwrap())
+    }
+
+    #[test]
+    fn subcommands_refuse_flags_they_do_not_read() {
+        let refused = [
+            (
+                "generate",
+                &["--design", "116", "--sead", "7"][..],
+                "--sead",
+            ),
+            (
+                "profile",
+                &["--train", "--repeat", "3"],
+                "--train does not take --repeat",
+            ),
+            (
+                "profile",
+                &["--train", "--grid", "48"],
+                "--train does not take --grid",
+            ),
+            ("profile", &["--train", "--bogus", "1"], "--bogus"),
+            (
+                "profile",
+                &["--flow", "seu", "--train"],
+                "--flow does not take --train",
+            ),
+            ("job status", &["--addr", "a", "--design", "d"], "--design"),
+        ];
+        for (cmd, args, want) in refused {
+            let err = check(cmd, args).expect_err(want);
+            assert!(err.contains(want), "{cmd} {args:?}: {err}");
+        }
+        // What each mode reads passes, and --kernels goes everywhere.
+        check(
+            "generate",
+            &["--design", "116", "--seed", "7", "--out", "d.nl"],
+        )
+        .unwrap();
+        check(
+            "profile",
+            &["--train", "--model", "m", "--kernels", "scalar"],
+        )
+        .unwrap();
+        check(
+            "profile",
+            &["--model", "m", "--repeat", "3", "--grid", "32"],
+        )
+        .unwrap();
+        check(
+            "profile",
+            &["--flow", "seu", "--design", "d", "--seed", "2"],
+        )
+        .unwrap();
+        check("job list", &["--addr", "a", "--kernels", "auto"]).unwrap();
+    }
+
+    #[test]
+    fn every_command_has_usage_and_ci_passes_the_flag_check() {
+        let commands = [
+            "kernels",
+            "generate",
+            "place",
+            "route",
+            "features",
+            "render",
+            "init-model",
+            "train",
+            "model-info",
+            "profile",
+            "profile --flow",
+            "profile --train",
+            "compile",
+            "serve",
+            "predict",
+            "job submit",
+            "job status",
+            "job watch",
+            "job cancel",
+            "job list",
+        ];
+        for cmd in commands {
+            assert!(known_flags(cmd).is_some(), "{cmd} has no usage entry");
+        }
+        // Every invocation in ci.sh, its continuation lines joined, up to
+        // its first redirection or pipe.
+        let ci = include_str!("../../ci.sh").replace("\\\n", " ");
+        let mut seen = 0;
+        for (_, rest) in ci.lines().filter_map(|l| l.split_once("release/mfaplace ")) {
+            let ends = [" 2>", ">", "|", ";", "&", ")"].map(|m| rest.find(m));
+            let line = &rest[..ends.into_iter().flatten().min().unwrap_or(rest.len())];
+            let words: Vec<&str> = line
+                .split_whitespace()
+                .map(|w| w.trim_matches('"'))
+                .collect();
+            let cmd_words = if words[0] == "job" { 2 } else { 1 };
+            let (cmd, args) = words.split_at(cmd_words);
+            let flags = parse_flags(&argv(args)).unwrap();
+            check_flags(&cmd.join(" "), &flags).unwrap_or_else(|e| panic!("ci.sh: {e}"));
+            seen += 1;
+        }
+        assert!(seen >= 15, "found only {seen} invocations in ci.sh");
     }
 
     #[test]
