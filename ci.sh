@@ -35,6 +35,21 @@ if grep -rlF '_mm512_' crates/*/src src | grep -vx 'crates/tensor/src/simd/lanes
     exit 1
 fi
 
+# When and how wide a kernel fans out is rt::pool's decision alone (`split`,
+# `row_blocks`): a kernel that reads the thread count or a threshold itself
+# is a second policy. Test modules may pin a thread count.
+echo "==> lint: no max_threads(, PAR_GEMM_FLOPS or PAR_ELEMS in crates/tensor/src"
+POLICY=$(find crates/tensor/src -name '*.rs' | sort | xargs awk '
+    FNR == 1 { live = 1 }
+    /^mod tests/ { live = 0 }
+    live && /max_threads\(|PAR_GEMM_FLOPS|PAR_ELEMS/ { print FILENAME ":" FNR ": " $0 }')
+if [ -n "$POLICY" ]; then
+    echo "$POLICY" >&2
+    echo "a kernel above decides its own fan-out; ask rt::pool::split (or" \
+        "row_blocks) instead" >&2
+    exit 1
+fi
+
 # A committed artifact must have a writer: a non-comment line under
 # crates/bench/ or src/ that names the file in full. Deleting a bench or a
 # binary without its output leaves an orphan that no run refreshes.
@@ -160,7 +175,8 @@ cargo test -q -p mfaplace-tensor --offline --test conv_lowering
 # epilogue) and its backward kernels against the lowered backward (im2col →
 # GEMM for the weight gradient, GEMM → col2im for the input gradient), bit
 # for bit on every supported backend and at 1–3 threads, and the timer
-# registry recovering from a panicking lock holder: each by name, under the
+# registry recovering from a panicking lock holder, and every pooled kernel
+# family's split, pinned by the threads it spawns: each by name, under the
 # detected backend and under forced scalar kernels.
 for KERNELS in auto scalar; do
     MFAPLACE_KERNELS=$KERNELS cargo test -q -p mfaplace-tensor --offline \
@@ -169,6 +185,8 @@ for KERNELS in auto scalar; do
         --test conv_lowering conv_backward
     MFAPLACE_KERNELS=$KERNELS cargo test -q -p mfaplace-rt --offline --lib \
         timer::tests::a_poisoned_registry_keeps_recording
+    MFAPLACE_KERNELS=$KERNELS cargo test -q -p mfaplace-tensor --offline \
+        --test fan_out_spawns every_kernel_family_keeps_its_split
 done
 cargo test -q -p mfaplace-infer --offline --test no_alloc
 

@@ -132,6 +132,8 @@ pub struct PlanProfile {
     /// Wall time of the whole replay call, prologue and epilogue included:
     /// what the step times must add up to.
     pub wall_ns: u64,
+    /// Worker threads the timed replay spawned ([`mfaplace_rt::pool::spawns`]).
+    pub spawns: u64,
 }
 
 /// Times every step of one warm serial forward of `plan` over `input`.
@@ -147,6 +149,7 @@ pub fn profile_plan(plan: &Plan, arena: &mut Vec<u64>, input: &[f32]) -> PlanPro
     // The observer only reads the clock; everything else happens outside
     // the timed replay. Boundaries arrive in step order.
     let mut ends = Vec::with_capacity(plan.steps.len());
+    let spawns = mfaplace_rt::pool::spawns();
     let start = Instant::now();
     replay(
         plan,
@@ -155,6 +158,7 @@ pub fn profile_plan(plan: &Plan, arena: &mut Vec<u64>, input: &[f32]) -> PlanPro
         Some(&mut |_index, _out| ends.push(Instant::now())),
     );
     let wall_ns = start.elapsed().as_nanos() as u64;
+    let spawns = mfaplace_rt::pool::spawns() - spawns;
     let mut last = start;
     let steps = plan
         .steps
@@ -174,7 +178,11 @@ pub fn profile_plan(plan: &Plan, arena: &mut Vec<u64>, input: &[f32]) -> PlanPro
             }
         })
         .collect();
-    PlanProfile { steps, wall_ns }
+    PlanProfile {
+        steps,
+        wall_ns,
+        spawns,
+    }
 }
 
 /// The op's variant name, read off its `Debug` form so the op vocabulary

@@ -10,13 +10,15 @@
 //!   small sampling surface the workspace actually uses (`gen_range`,
 //!   uniform/normal `f32` sampling, `seed_from_u64`, stream splitting for
 //!   per-worker reproducibility).
-//! - [`pool`] — a scoped `std::thread` worker pool with chunked
-//!   dispatch sized from
-//!   `std::thread::available_parallelism`, a `MFAPLACE_THREADS` env
-//!   override, and a serial fallback. Kernels dispatched through it are
-//!   **bitwise identical** to their serial versions: work is split into
-//!   disjoint output chunks and the per-element reduction order is never
-//!   changed.
+//! - [`pool`] — a scoped `std::thread` worker pool and the one fan-out
+//!   policy of the kernels (`split`: a threshold per kind of work, then
+//!   the thread count capped at the units), with a serial fallback. The
+//!   thread count is resolved once, at the first parallel decision, from
+//!   the `MFAPLACE_THREADS` env override or
+//!   `std::thread::available_parallelism`. Kernels dispatched through it
+//!   are **bitwise identical** to their serial versions: work is split
+//!   into disjoint output chunks and the per-element reduction order is
+//!   never changed.
 //! - [`timer`] — RAII scope timers and counters feeding a per-run report
 //!   (text or JSON).
 //! - [`check`] — a shrink-free randomized-test harness (fixed seeds,

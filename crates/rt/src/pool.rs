@@ -1,43 +1,74 @@
-//! Scoped worker pool over `std::thread` with chunked dispatch.
+//! Scoped worker pool over `std::thread`, and the one fan-out policy every
+//! parallel kernel follows.
 //!
-//! Work is dispatched through [`parallel_chunks_mut`] (disjoint `&mut`
-//! chunks of an output buffer) or [`parallel_chunks2_mut`] (two buffers in
-//! lock step). Both split work into **contiguous blocks assigned in
-//! order**, so a kernel that computes each output chunk independently
-//! produces results bitwise identical to its serial loop — the
-//! per-element reduction order never changes, only which thread executes
-//! it. This serial-equivalence guarantee is what lets the tensor kernels
-//! parallelize without perturbing training reproducibility.
+//! **When to fan out** is [`split`]'s decision alone: a dispatch of
+//! [`Work`] over some number of independent units gets one worker below
+//! its kind's threshold, else the thread count capped at the units. The
+//! five row-split GEMMs go through [`row_blocks`]; the kernels with a rule
+//! of their own (the convolution sizes its column blocks from the count,
+//! the batched GEMM takes the batch level only when every worker gets a
+//! batch) ask [`split`] and keep their arithmetic.
 //!
-//! Sizing: the worker count defaults to
-//! `std::thread::available_parallelism()`, can be pinned globally with the
-//! `MFAPLACE_THREADS` environment variable, and can be overridden
-//! per-scope (e.g. in tests) with [`with_threads`]. With one worker every
-//! dispatch runs serially on the calling thread — no threads are spawned.
+//! **How** is [`fan_out`]: items are split into **contiguous blocks
+//! assigned in order**, the first on the calling thread, so a kernel that
+//! computes each output chunk independently produces results bitwise
+//! identical to its serial loop — the per-element reduction order never
+//! changes, only which thread executes it. This serial-equivalence
+//! guarantee is what lets the tensor kernels parallelize without
+//! perturbing training reproducibility. Every block of a parallel fan-out
+//! runs under a budget of one thread, so a dispatch nested inside it is
+//! serial by construction. [`parallel_chunks_mut`] is the same
+//! distribution over the chunks of one buffer at the full thread count.
+//!
+//! Sizing: the thread count is resolved once per process, at the first
+//! parallel decision — `MFAPLACE_THREADS` when it is a positive integer,
+//! else `std::thread::available_parallelism()` — and [`with_threads`]
+//! overrides it per scope (e.g. in tests). With one worker every dispatch
+//! runs serially on the calling thread — no threads are spawned.
+//! [`spawns`] counts the threads spawned so far.
 
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 thread_local! {
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
+static SPAWNS: AtomicU64 = AtomicU64::new(0);
+
+/// Worker threads this process has spawned through the pool so far
+/// ([`fan_out`] and [`worker_team`]).
+pub fn spawns() -> u64 {
+    SPAWNS.load(Ordering::Relaxed)
+}
+
 /// Maximum number of worker threads a dispatch may use.
 ///
-/// Resolution order: [`with_threads`] scope override, then the
-/// `MFAPLACE_THREADS` environment variable (ignored unless it parses to a
-/// positive integer), then `std::thread::available_parallelism()`.
+/// Resolution order: [`with_threads`] scope override, then the process
+/// thread count, read once on first use: the `MFAPLACE_THREADS`
+/// environment variable when it parses to a positive integer, else
+/// `std::thread::available_parallelism()`. Empty or `0` means the host
+/// default; any other value warns once on stderr and means it too.
 pub fn max_threads() -> usize {
-    if let Some(n) = THREAD_OVERRIDE.with(|o| o.get()) {
-        return n.max(1);
-    }
-    if let Ok(s) = std::env::var("MFAPLACE_THREADS") {
-        if let Ok(n) = s.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    THREAD_OVERRIDE.with(Cell::get).unwrap_or_else(|| {
+        *THREADS.get_or_init(|| {
+            let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+            let knob = std::env::var("MFAPLACE_THREADS").unwrap_or_default();
+            match knob.trim().parse::<usize>() {
+                Ok(n) if n >= 1 => n,
+                Ok(_) => host,
+                Err(_) if knob.trim().is_empty() => host,
+                Err(_) => {
+                    eprintln!(
+                        "warning: MFAPLACE_THREADS={knob} is not a thread count; using {host}"
+                    );
+                    host
+                }
             }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+        })
+    })
 }
 
 /// Runs `f` with [`max_threads`] pinned to `n` on the current thread.
@@ -57,14 +88,67 @@ pub fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// Number of threads a dispatch over `n_units` units of work will use.
-fn plan(n_units: usize) -> usize {
-    max_threads().min(n_units).max(1)
+/// The size of a dispatch, by kind; each kind has its own fan-out
+/// threshold.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Work {
+    /// Multiply-adds of a GEMM-shaped kernel (GEMM, convolution,
+    /// attention): fans out from 2¹⁹.
+    Flops(usize),
+    /// Elements moved by a data-movement kernel (im2col, pooling,
+    /// upsampling): fans out from 2¹⁶.
+    Elems(usize),
+}
+
+/// Workers a dispatch of `work` over `units` independent units should use:
+/// one below the threshold of `work`'s kind — the work would not pay for a
+/// spawn — else [`max_threads`] capped at `units` (pass `usize::MAX` for
+/// the thread count itself). Always at least one.
+pub fn split(work: Work, units: usize) -> usize {
+    let big = match work {
+        Work::Flops(n) => n >= 1 << 19,
+        Work::Elems(n) => n >= 1 << 16,
+    };
+    // The threshold first: below it the thread count is never read.
+    if big {
+        max_threads().min(units).max(1)
+    } else {
+        1
+    }
+}
+
+/// Runs `f` on every item, the items split into at most `workers`
+/// contiguous blocks of `⌈n / workers⌉` in order: the first block on the
+/// calling thread, each other one on a thread of its own. With one block
+/// the items run in order on the calling thread with the budget as it is;
+/// with more, every block runs under a budget of one thread.
+pub fn fan_out<I, F>(workers: usize, mut items: impl ExactSizeIterator<Item = I>, f: F)
+where
+    I: Send,
+    F: Fn(I) + Sync,
+{
+    let n = items.len();
+    let workers = workers.min(n);
+    if workers <= 1 {
+        return items.for_each(f);
+    }
+    let per = n.div_ceil(workers);
+    let f = &f;
+    let run = move |block: Vec<I>| with_threads(1, || block.into_iter().for_each(f));
+    std::thread::scope(|s| {
+        let first: Vec<I> = items.by_ref().take(per).collect();
+        for _ in 1..n.div_ceil(per) {
+            let block: Vec<I> = items.by_ref().take(per).collect();
+            SPAWNS.fetch_add(1, Ordering::Relaxed);
+            s.spawn(move || run(block));
+        }
+        run(first);
+    });
 }
 
 /// Splits `data` into consecutive chunks of `chunk_len` elements (the last
 /// may be shorter) and calls `f(chunk_index, chunk)` for each, distributing
-/// chunks over up to [`max_threads`] workers in contiguous blocks.
+/// chunks over up to [`max_threads`] workers with [`fan_out`].
 ///
 /// Each chunk is visited exactly once with a unique `&mut` borrow, so
 /// kernels that write disjoint output chunks need no synchronization and
@@ -75,113 +159,29 @@ where
     F: Fn(usize, &mut [T]) + Sync,
 {
     assert!(chunk_len > 0, "parallel_chunks_mut: chunk_len must be > 0");
-    if data.is_empty() {
-        return;
-    }
-    let n_chunks = data.len().div_ceil(chunk_len);
-    let nt = plan(n_chunks);
-    if nt <= 1 {
-        for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(i, chunk);
-        }
-        return;
-    }
-    // Bucket chunks into `nt` contiguous blocks, preserving chunk indices.
-    let per = n_chunks.div_ceil(nt);
-    let mut buckets: Vec<Vec<(usize, &mut [T])>> = Vec::with_capacity(nt);
-    let mut current: Vec<(usize, &mut [T])> = Vec::with_capacity(per);
-    for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
-        current.push((i, chunk));
-        if current.len() == per {
-            buckets.push(std::mem::take(&mut current));
-        }
-    }
-    if !current.is_empty() {
-        buckets.push(current);
-    }
-    std::thread::scope(|s| {
-        let f = &f;
-        let mut iter = buckets.into_iter();
-        let first = iter.next();
-        for bucket in iter {
-            s.spawn(move || {
-                for (i, chunk) in bucket {
-                    f(i, chunk);
-                }
-            });
-        }
-        if let Some(bucket) = first {
-            for (i, chunk) in bucket {
-                f(i, chunk);
-            }
-        }
-    });
+    fan_out(
+        max_threads(),
+        data.chunks_mut(chunk_len).enumerate(),
+        |(i, c)| f(i, c),
+    );
 }
 
-/// `(chunk index, chunk of first buffer, chunk of second buffer)` unit of
-/// work handed to [`parallel_chunks2_mut`] workers.
-type PairedChunk<'s, T, U> = (usize, &'s mut [T], &'s mut [U]);
-
-/// Lock-step variant of [`parallel_chunks_mut`] for kernels with two
-/// output buffers (e.g. max-pool values + argmax indices): chunk `i` of
-/// `a` (length `chunk_a`) and chunk `i` of `b` (length `chunk_b`) are
-/// passed to `f` together. Both buffers must split into the same number
-/// of chunks.
-pub fn parallel_chunks2_mut<T, U, F>(a: &mut [T], b: &mut [U], chunk_a: usize, chunk_b: usize, f: F)
+/// The row split of a GEMM-shaped kernel: `out` holds `rows` equal rows and
+/// the kernel does `flops` multiply-adds. Runs `f(row0, block)` over
+/// blocks of whole rows starting at row `row0` — one block per worker that
+/// [`split`] grants, or all of `out` on the calling thread.
+pub fn row_blocks<T, F>(out: &mut [T], rows: usize, flops: usize, f: F)
 where
     T: Send,
-    U: Send,
-    F: Fn(usize, &mut [T], &mut [U]) + Sync,
+    F: Fn(usize, &mut [T]) + Sync,
 {
-    assert!(
-        chunk_a > 0 && chunk_b > 0,
-        "parallel_chunks2_mut: chunk lengths must be > 0"
-    );
-    let n_chunks = a.len().div_ceil(chunk_a);
-    assert_eq!(
-        n_chunks,
-        b.len().div_ceil(chunk_b),
-        "parallel_chunks2_mut: buffers disagree on chunk count"
-    );
-    if n_chunks == 0 {
-        return;
+    let workers = split(Work::Flops(flops), rows);
+    if workers <= 1 {
+        return f(0, out);
     }
-    let nt = plan(n_chunks);
-    if nt <= 1 {
-        for (i, (ca, cb)) in a.chunks_mut(chunk_a).zip(b.chunks_mut(chunk_b)).enumerate() {
-            f(i, ca, cb);
-        }
-        return;
-    }
-    let per = n_chunks.div_ceil(nt);
-    let mut buckets: Vec<Vec<PairedChunk<T, U>>> = Vec::with_capacity(nt);
-    let mut current: Vec<PairedChunk<T, U>> = Vec::with_capacity(per);
-    for (i, (ca, cb)) in a.chunks_mut(chunk_a).zip(b.chunks_mut(chunk_b)).enumerate() {
-        current.push((i, ca, cb));
-        if current.len() == per {
-            buckets.push(std::mem::take(&mut current));
-        }
-    }
-    if !current.is_empty() {
-        buckets.push(current);
-    }
-    std::thread::scope(|s| {
-        let f = &f;
-        let mut iter = buckets.into_iter();
-        let first = iter.next();
-        for bucket in iter {
-            s.spawn(move || {
-                for (i, ca, cb) in bucket {
-                    f(i, ca, cb);
-                }
-            });
-        }
-        if let Some(bucket) = first {
-            for (i, ca, cb) in bucket {
-                f(i, ca, cb);
-            }
-        }
-    });
+    let per = rows.div_ceil(workers);
+    let blocks = out.chunks_mut(per * (out.len() / rows)).enumerate();
+    fan_out(workers, blocks, |(i, block)| f(i * per, block));
 }
 
 /// Handle to a persistent team of worker threads created by
@@ -262,6 +262,7 @@ where
             let res_tx = res_tx.clone();
             let state = &state;
             let work = &work;
+            SPAWNS.fetch_add(1, Ordering::Relaxed);
             scope.spawn(move || {
                 let mut s = state(w);
                 while let Ok((idx, job)) = rx.recv() {
@@ -300,25 +301,69 @@ mod tests {
     }
 
     #[test]
-    fn chunks2_visit_pairs_in_lockstep() {
-        let mut vals = vec![0u32; 60];
-        let mut tags = vec![0u8; 30];
+    fn fan_out_hands_out_contiguous_blocks_in_order() {
+        // Ten pairs over four workers are blocks of three: 3, 3, 3, 1. Each
+        // block runs on one thread, in order, under a budget of one.
+        let mut vals = [0u32; 20];
+        let mut tags = [0u8; 10];
+        let ran = std::sync::Mutex::new(Vec::new());
         with_threads(4, || {
-            parallel_chunks2_mut(&mut vals, &mut tags, 10, 5, |i, va, tb| {
-                for v in va.iter_mut() {
-                    *v = i as u32;
-                }
-                for t in tb.iter_mut() {
-                    *t = i as u8;
-                }
+            let pairs = vals.chunks_mut(2).zip(tags.chunks_mut(1)).enumerate();
+            fan_out(4, pairs, |(i, (va, tb))| {
+                va.fill(i as u32);
+                tb.fill(i as u8);
+                assert_eq!(max_threads(), 1, "a block's nested dispatch is serial");
+                ran.lock().unwrap().push((std::thread::current().id(), i));
             });
         });
         for (j, v) in vals.iter().enumerate() {
-            assert_eq!(*v, (j / 10) as u32);
+            assert_eq!(*v, (j / 2) as u32);
         }
         for (j, t) in tags.iter().enumerate() {
-            assert_eq!(*t, (j / 5) as u8);
+            assert_eq!(*t, j as u8);
         }
+        let ran = ran.into_inner().unwrap();
+        for block in [0..3, 3..6, 6..9, 9..10] {
+            let mine: Vec<_> = ran.iter().filter(|r| block.contains(&r.1)).collect();
+            assert!(mine.windows(2).all(|w| w[0].0 == w[1].0 && w[0].1 < w[1].1));
+            assert_eq!(mine.len(), block.len());
+        }
+    }
+
+    #[test]
+    fn split_fans_out_only_above_the_threshold_of_its_kind() {
+        with_threads(3, || {
+            assert_eq!(split(Work::Flops((1 << 19) - 1), 100), 1);
+            assert_eq!(split(Work::Flops(1 << 19), 100), 3);
+            assert_eq!(split(Work::Flops(1 << 19), 2), 2);
+            assert_eq!(split(Work::Flops(1 << 19), 0), 1);
+            assert_eq!(split(Work::Elems((1 << 16) - 1), 100), 1);
+            assert_eq!(split(Work::Elems(1 << 16), usize::MAX), 3);
+        });
+    }
+
+    #[test]
+    fn row_blocks_split_whole_rows() {
+        // Seven rows of three over three workers: blocks of 3, 3 and 1 rows.
+        let mut out = vec![0usize; 21];
+        with_threads(3, || {
+            row_blocks(&mut out, 7, 1 << 19, |row0, block| {
+                let rows = block.len() / 3;
+                for (r, row) in block.chunks_mut(3).enumerate() {
+                    row.fill(100 * (row0 + r) + rows);
+                }
+            });
+        });
+        let want: Vec<usize> = [3, 3, 3, 3, 3, 3, 1]
+            .iter()
+            .enumerate()
+            .flat_map(|(r, &n)| [100 * r + n; 3])
+            .collect();
+        assert_eq!(out, want);
+        // Below the threshold: one call over everything.
+        row_blocks(&mut out, 7, 10, |row0, block| {
+            assert_eq!((row0, block.len()), (0, 21));
+        });
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! routing pass), not inner loops. Only the first record under a label
 //! allocates (its registry key); after that a scope or count is
 //! allocation-free, which the compiled-plan forward relies on. Set
-//! `MFAPLACE_TIMERS=0` to disable recording entirely.
+//! `MFAPLACE_TIMERS=0` to disable recording entirely; any other value also
+//! asks for the report at the end of a run ([`report_requested`]).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -51,14 +51,32 @@ fn lock<T>(map: &Mutex<T>) -> MutexGuard<'_, T> {
     map.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// What a `MFAPLACE_TIMERS` value asks for, as `(record, report)`: unset
+/// records without a report, `0` (surrounding whitespace ignored) does
+/// neither, and any other value does both.
+fn timers_knob(value: Option<&str>) -> (bool, bool) {
+    match value.map(str::trim) {
+        None => (true, false),
+        Some("0") => (false, false),
+        Some(_) => (true, true),
+    }
+}
+
+/// [`timers_knob`] of this process's `MFAPLACE_TIMERS`, read once.
+fn knob() -> (bool, bool) {
+    static KNOB: OnceLock<(bool, bool)> = OnceLock::new();
+    *KNOB.get_or_init(|| timers_knob(std::env::var("MFAPLACE_TIMERS").ok().as_deref()))
+}
+
 fn enabled() -> bool {
-    static ENABLED: OnceLock<AtomicBool> = OnceLock::new();
-    ENABLED
-        .get_or_init(|| {
-            let on = std::env::var("MFAPLACE_TIMERS").map_or(true, |v| v.trim() != "0");
-            AtomicBool::new(on)
-        })
-        .load(Ordering::Relaxed)
+    knob().0
+}
+
+/// Whether this run asked for the timing report at its end:
+/// `MFAPLACE_TIMERS` is set and is not `0`. Recording is on by default;
+/// the report is opt-in.
+pub fn report_requested() -> bool {
+    knob().1
 }
 
 /// The entry for `name`, looked up by `&str` so that only the first use of
@@ -266,6 +284,17 @@ mod tests {
         count("snap/events", 10);
         assert_eq!(snap.counters.get("snap/events"), Some(&3));
         reset();
+    }
+
+    #[test]
+    fn timers_knob_is_one_rule_for_recording_and_the_report() {
+        assert_eq!(timers_knob(None), (true, false));
+        for off in ["0", " 0", "0\n", "\t0 "] {
+            assert_eq!(timers_knob(Some(off)), (false, false), "{off:?}");
+        }
+        for on in ["1", " 1", "yes", ""] {
+            assert_eq!(timers_knob(Some(on)), (true, true), "{on:?}");
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! Both forwards work on independent blocks of queries — [`ATTN_TILE`]
 //! query rows, or the query columns of one vector on the query-lane path
 //! (`simd::query_lanes`: 16 where the host has AVX-512F, else 8) — and
-//! above one shared threshold (`L²·(D + Dv) ≥ PAR_GEMM_FLOPS`) the
+//! when `rt::pool::split` grants workers for `L²·(D + Dv)` flops the
 //! blocks fan out over the `rt` pool. A block's outputs depend on nothing
 //! another block writes and every output element is one FMA chain in
 //! contraction order, so the result is bitwise identical at any thread
@@ -115,9 +115,8 @@
 //! — the kernel's docs argue it sweep by sweep — so the tile stays only as
 //! the unit tests' reference.
 
-use mfaplace_rt::pool;
+use mfaplace_rt::pool::{self, Work};
 
-use crate::kernels::PAR_GEMM_FLOPS;
 use crate::simd::{self, AView, Backend, QUERY_LANES};
 use crate::Tensor;
 
@@ -256,19 +255,21 @@ pub fn attention_tm_slices_with(
     );
     assert!(scratch.len() >= lk, "attention_tm scratch too small");
     let scratch = &mut scratch[..lk];
+    // Query tiles write disjoint output rows, so the per-batch fan-out is
+    // bitwise-safe: each row's arithmetic is thread-independent.
+    let nt = pool::split(Work::Flops(lq * lk * (d + dv)), lq.div_ceil(ATTN_TILE));
     for bi in 0..b {
         let qb = &qd[bi * lq * d..(bi + 1) * lq * d];
         let kb = &kd[bi * lk * d..(bi + 1) * lk * d];
         let vb = &vd[bi * lk * dv..(bi + 1) * lk * dv];
         let ob = &mut out[bi * lq * dv..(bi + 1) * lq * dv];
         if bk != Backend::Scalar {
-            tm_forward_vec(bk, qb, kb, vb, scale, lq, lk, d, dv, ob);
+            tm_forward_vec(bk, nt, qb, kb, vb, scale, lq, lk, d, dv, ob);
             continue;
         }
-        // Query tiles write disjoint output rows, so the per-batch fan-out
-        // is bitwise-safe: each row's arithmetic is thread-independent.
-        if lq * lk * (d + dv) >= PAR_GEMM_FLOPS && lq > ATTN_TILE {
-            pool::parallel_chunks_mut(ob, ATTN_TILE * dv, |ti, chunk| {
+        if nt > 1 {
+            let tiles = ob.chunks_mut(ATTN_TILE * dv).enumerate();
+            pool::fan_out(nt, tiles, |(ti, chunk)| {
                 let mut s = vec![0.0f32; lk];
                 attn_tm_rows(qb, kb, vb, scale, lk, d, dv, ti * ATTN_TILE, chunk, &mut s);
             });
@@ -282,11 +283,12 @@ pub fn attention_tm_slices_with(
 /// once, then each query tile runs score-GEMM → scale → softmax rows →
 /// value-GEMM through the microkernel. Per-element chains are identical to
 /// the composed `bmm`/`scale`/`softmax`/`bmm` sequence under the same
-/// backend, and rows are thread-independent, so the parallel fan-out uses
-/// the same policy as the scalar path.
+/// backend, and rows are thread-independent, so the tiles fan out over the
+/// `nt` workers the scalar path's split grants.
 #[allow(clippy::too_many_arguments)]
 fn tm_forward_vec(
     bk: Backend,
+    nt: usize,
     qb: &[f32],
     kb: &[f32],
     vb: &[f32],
@@ -308,8 +310,9 @@ fn tm_forward_vec(
         simd::pack_b(vb, lk, dv, false, pv_buf); // v panels for the NN value tile
         let pk: &[f32] = pk_buf;
         let pv: &[f32] = pv_buf;
-        if lq * lk * (d + dv) >= PAR_GEMM_FLOPS && lq > ATTN_TILE {
-            pool::parallel_chunks_mut(ob, ATTN_TILE * dv, |ti, chunk| {
+        if nt > 1 {
+            let tiles = ob.chunks_mut(ATTN_TILE * dv).enumerate();
+            pool::fan_out(nt, tiles, |(ti, chunk)| {
                 let rows = chunk.len() / dv;
                 let mut s = vec![0.0f32; rows * lk];
                 tm_tile_vec(
@@ -772,7 +775,7 @@ pub fn attention_fm_slices(
 /// Explicit-backend [`attention_fm_slices`] — the differential suite's
 /// entry point. The scalar arm is the verbatim reference loop, one query
 /// column at a time; the vector arm runs blocks of query columns through
-/// the query-lane kernel, fanned out above the shared threshold (see the
+/// the query-lane kernel, fanned out as the pool's split grants (see the
 /// module docs), matching the composed
 /// `bmm`/`scale`/`permute`/`softmax`/`bmm` chain bitwise under the same
 /// backend. Calls without channels take the scalar arm, the only one that
@@ -852,11 +855,11 @@ fn fm_scalar_arm(bk: Backend, n: usize, nv: usize) -> bool {
 /// gather, no pack, no transposed copy of the probabilities. Either width
 /// gives the same bits.
 ///
-/// Blocks are independent, so under the shared threshold they fan out over
-/// the pool in contiguous runs, one per worker, each worker filling its run
-/// of a block-major staging buffer that is scattered into the interleaved
-/// output columns after the join. Serially a block's outputs are contiguous
-/// per channel in `ob` and are stored in place.
+/// Blocks are independent, so when the pool's split grants workers they
+/// fan out over the pool in contiguous runs, one per worker, each worker
+/// filling its run of a block-major staging buffer that is scattered into
+/// the interleaved output columns after the join. Serially a block's
+/// outputs are contiguous per channel in `ob` and are stored in place.
 #[allow(clippy::too_many_arguments)]
 fn fm_forward_query_lanes(
     bk: Backend,
@@ -871,11 +874,7 @@ fn fm_forward_query_lanes(
     ob: &mut [f32],
 ) {
     let n_blocks = l.div_ceil(width);
-    let nt = if l * l * (n + nv) >= PAR_GEMM_FLOPS {
-        pool::max_threads().min(n_blocks)
-    } else {
-        1
-    };
+    let nt = pool::split(Work::Flops(l * l * (n + nv)), n_blocks);
     if nt <= 1 {
         return fm_query_blocks(bk, width, qb, kb, vb, scale, n, nv, l, 0, ob, false);
     }
@@ -883,7 +882,7 @@ fn fm_forward_query_lanes(
     // is full, so a worker's run of whole blocks is contiguous.
     let per = n_blocks.div_ceil(nt) * width;
     let mut staged = vec![0.0f32; nv * l];
-    pool::parallel_chunks_mut(&mut staged, per * nv, |wi, run| {
+    pool::fan_out(nt, staged.chunks_mut(per * nv).enumerate(), |(wi, run)| {
         fm_query_blocks(bk, width, qb, kb, vb, scale, n, nv, l, wi * per, run, true);
     });
     for (bi, o_block) in staged.chunks(width * nv).enumerate() {

@@ -12,25 +12,20 @@
 //!
 //! # Parallel dispatch and serial equivalence
 //!
-//! The hot kernels (GEMM, batched GEMM, im2col/col2im, pooling,
-//! upsampling) route through [`mfaplace_rt::pool`] when the work exceeds
-//! the `PAR_*` thresholds below. Every dispatch splits the **output**
-//! buffer into disjoint chunks and keeps the per-element computation —
-//! including the order of floating-point accumulation — identical to the
-//! serial loop, so results are bitwise identical at any thread count
-//! (`MFAPLACE_THREADS=1` vs. N is exact, not approximate). The thresholds
-//! keep small tensors on the serial path where thread spawn overhead would
-//! dominate.
+//! The hot kernels (GEMM, batched GEMM, im2col, convolution, pooling,
+//! upsampling, attention) fan out through [`mfaplace_rt::pool`], whose
+//! `split` alone decides from the work's size whether a call is worth a
+//! thread and how many it gets; the thread count is read once, at the
+//! first parallel decision. Every dispatch splits the **output** buffer
+//! into disjoint chunks and keeps the per-element computation — including
+//! the order of floating-point accumulation — identical to the serial
+//! loop, so results are bitwise identical at any thread count
+//! (`MFAPLACE_THREADS=1` vs. N is exact, not approximate). Small tensors
+//! stay on the serial path, where a thread spawn would dominate.
 
 use mfaplace_rt::pool;
 
 use crate::{lowlevel, Tensor};
-
-/// Minimum multiply-add count before a GEMM fans out to the pool.
-pub(crate) const PAR_GEMM_FLOPS: usize = 1 << 19;
-/// Minimum element count before data-movement kernels (im2col, col2im,
-/// pooling, upsampling) fan out to the pool.
-pub(crate) const PAR_ELEMS: usize = 1 << 16;
 
 impl Tensor {
     // ------------------------------------------------------------- matmul
@@ -296,18 +291,8 @@ pub(crate) fn gemm_scalar(
     if m == 0 || n == 0 {
         return;
     }
-    let nt = if m * k * n >= PAR_GEMM_FLOPS {
-        pool::max_threads().min(m)
-    } else {
-        1
-    };
-    if nt <= 1 {
-        gemm_rows(a, b, out, 0, k, n, accumulate);
-        return;
-    }
-    let rows_per = m.div_ceil(nt);
-    pool::parallel_chunks_mut(out, rows_per * n, |ci, chunk| {
-        gemm_rows(a, b, chunk, ci * rows_per, k, n, accumulate);
+    pool::row_blocks(out, m, m * k * n, |row0, rows| {
+        gemm_rows(a, b, rows, row0, k, n, accumulate);
     });
 }
 
@@ -388,18 +373,8 @@ pub(crate) fn gemm_nt_scalar(
     if m == 0 || n == 0 {
         return;
     }
-    let nt = if m * k * n >= PAR_GEMM_FLOPS {
-        pool::max_threads().min(m)
-    } else {
-        1
-    };
-    if nt <= 1 {
-        gemm_nt_rows(a, b, out, 0, k, n, accumulate);
-        return;
-    }
-    let rows_per = m.div_ceil(nt);
-    pool::parallel_chunks_mut(out, rows_per * n, |ci, chunk| {
-        gemm_nt_rows(a, b, chunk, ci * rows_per, k, n, accumulate);
+    pool::row_blocks(out, m, m * k * n, |row0, rows| {
+        gemm_nt_rows(a, b, rows, row0, k, n, accumulate);
     });
 }
 
@@ -446,18 +421,8 @@ pub(crate) fn gemm_tn_scalar(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k:
     if m == 0 || n == 0 {
         return;
     }
-    let nt = if m * k * n >= PAR_GEMM_FLOPS {
-        pool::max_threads().min(m)
-    } else {
-        1
-    };
-    if nt <= 1 {
-        gemm_tn_rows(a, b, out, 0, m, k, n);
-        return;
-    }
-    let rows_per = m.div_ceil(nt);
-    pool::parallel_chunks_mut(out, rows_per * n, |ci, chunk| {
-        gemm_tn_rows(a, b, chunk, ci * rows_per, m, k, n);
+    pool::row_blocks(out, m, m * k * n, |row0, rows| {
+        gemm_tn_rows(a, b, rows, row0, m, k, n);
     });
 }
 

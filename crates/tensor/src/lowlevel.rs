@@ -27,10 +27,10 @@
 //!
 //! [`Tensor`]: crate::Tensor
 
-use mfaplace_rt::pool;
+use mfaplace_rt::pool::{self, Work};
 
 use crate::attention::softmax_row;
-use crate::kernels::{self, conv_out_size, valid_range, PAR_ELEMS, PAR_GEMM_FLOPS};
+use crate::kernels::{self, conv_out_size, valid_range};
 use crate::simd::{self, AView, Backend, NR};
 
 /// `out = a[m,k] x b[k,n]`, overwriting `out`: the tape's and the plan's
@@ -48,7 +48,7 @@ pub fn gemm_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: u
 
 /// The batched-GEMM dispatch every batched product runs: with at least one
 /// batch per worker and enough work, fan out across batches (each inner
-/// GEMM pinned serial to avoid nested spawning); otherwise let each
+/// GEMM serial, as in every block of a fan-out); otherwise let each
 /// per-batch GEMM decide its own row-level parallelism. `gemm(a_i, b_i,
 /// out_i)` computes batch `i` from `a`'s and `b`'s `i`-th blocks.
 #[allow(clippy::too_many_arguments)]
@@ -63,22 +63,12 @@ fn batched(
     gemm: impl Fn(&[f32], &[f32], &mut [f32]) + Sync,
 ) {
     let (sa, sb) = (a.len() / bt.max(1), b.len() / bt.max(1));
-    // The flop test first: `max_threads` may ask the OS for the CPU count.
-    if bt * m * k * n >= PAR_GEMM_FLOPS && bt >= pool::max_threads() {
-        pool::parallel_chunks_mut(out, m * n, |i, chunk| {
-            pool::with_threads(1, || {
-                gemm(&a[i * sa..(i + 1) * sa], &b[i * sb..(i + 1) * sb], chunk);
-            });
-        });
-    } else {
-        for i in 0..bt {
-            gemm(
-                &a[i * sa..(i + 1) * sa],
-                &b[i * sb..(i + 1) * sb],
-                &mut out[i * m * n..(i + 1) * m * n],
-            );
-        }
-    }
+    let nt = pool::split(Work::Flops(bt * m * k * n), usize::MAX);
+    let workers = if bt >= nt { nt } else { 1 };
+    let batches = out.chunks_mut((m * n).max(1)).enumerate();
+    pool::fan_out(workers, batches, |(i, chunk)| {
+        gemm(&a[i * sa..(i + 1) * sa], &b[i * sb..(i + 1) * sb], chunk);
+    });
 }
 
 /// Batched `[bt, m, k] x [bt, k, n] -> [bt, m, n]`, the kernel behind
@@ -164,13 +154,10 @@ pub fn im2col_into<T: Copy + Default + Send + Sync>(
             low.fill_lines(src, row, (bi, 0, 0), out_b);
         }
     };
-    if rows * cols >= PAR_ELEMS {
-        pool::parallel_chunks_mut(out, cols, fill_row);
-    } else {
-        for (row, out_row) in out.chunks_mut(cols).enumerate() {
-            fill_row(row, out_row);
-        }
-    }
+    let nt = pool::split(Work::Elems(rows * cols), rows);
+    pool::fan_out(nt, out.chunks_mut(cols).enumerate(), |(row, out_row)| {
+        fill_row(row, out_row);
+    });
 }
 
 /// The shape of one 2-D convolution: input `[b, c, h, w]`, weight `[oc, c,
@@ -251,12 +238,7 @@ pub fn conv2d_into(
     if ncols == 0 || oc == 0 {
         return;
     }
-    // The flop test first: `max_threads` may ask the OS for the CPU count.
-    let nt = if oc * k * ncols >= PAR_GEMM_FLOPS {
-        pool::max_threads()
-    } else {
-        1
-    };
+    let nt = pool::split(Work::Flops(oc * k * ncols), usize::MAX);
     // Whole panels per block, and at least one block per worker.
     let nb = (CONV_BLOCK_FLOATS / k.max(1) / NR * NR)
         .max(NR)
@@ -297,8 +279,7 @@ pub fn conv2d_into(
             row = rest;
         }
     }
-    pool::parallel_chunks_mut(&mut parts, 1, |wi, part| {
-        let rows = &mut part[0];
+    pool::fan_out(workers, parts.into_iter().enumerate(), |(wi, mut rows)| {
         conv.blocks(wi * per..((wi + 1) * per).min(n_blocks), |j, o, run| {
             let bi = j / ohow;
             let start = (wi * span).max(bi * ohow);
@@ -988,13 +969,10 @@ pub fn upsample2x_into(src: &[f32], planes: usize, h: usize, w: usize, dst: &mut
             }
         }
     };
-    if dst.len() >= PAR_ELEMS {
-        pool::parallel_chunks_mut(dst, 4 * h * w, fill_plane);
-    } else {
-        for (bc, plane) in dst.chunks_mut(4 * h * w).enumerate() {
-            fill_plane(bc, plane);
-        }
-    }
+    let nt = pool::split(Work::Elems(dst.len()), planes);
+    pool::fan_out(nt, dst.chunks_mut(4 * h * w).enumerate(), |(bc, plane)| {
+        fill_plane(bc, plane);
+    });
 }
 
 /// 2×2 max pooling with stride 2 over `planes` planes of `h × w` (both
@@ -1047,18 +1025,20 @@ pub fn maxpool2x2_into(
             }
         }
     };
-    // Below the threshold the same plane walk runs on the calling thread.
-    let threads = if src.len() >= PAR_ELEMS {
-        pool::max_threads()
-    } else {
-        1
-    };
-    pool::with_threads(threads, || match arg {
-        Some(arg) => pool::parallel_chunks2_mut(dst, arg, oh * ow, oh * ow, |bc, o, a| {
-            pool_plane(bc, o, Some(a));
-        }),
-        None => pool::parallel_chunks_mut(dst, oh * ow, |bc, o| pool_plane(bc, o, None)),
-    });
+    let nt = pool::split(Work::Elems(src.len()), planes);
+    let outs = dst.chunks_mut(oh * ow);
+    match arg {
+        Some(arg) => {
+            assert_eq!(
+                arg.len(),
+                planes * oh * ow,
+                "maxpool argmax length mismatch"
+            );
+            let pairs = outs.zip(arg.chunks_mut(oh * ow)).enumerate();
+            pool::fan_out(nt, pairs, |(bc, (o, a))| pool_plane(bc, o, Some(a)));
+        }
+        None => pool::fan_out(nt, outs.enumerate(), |(bc, o)| pool_plane(bc, o, None)),
+    }
 }
 
 /// Softmax over rows of length `d`: `dst` is `x` with every row run
@@ -1428,13 +1408,9 @@ pub fn upsample2x_backward_into(dy: &[f32], h: usize, w: usize, dx: &mut [f32]) 
             }
         }
     };
-    if dy.len() >= PAR_ELEMS {
-        pool::parallel_chunks_mut(dx, h * w, fill_plane);
-    } else {
-        for (bc, plane) in dx.chunks_mut(h * w).enumerate() {
-            fill_plane(bc, plane);
-        }
-    }
+    let planes = dx.chunks_mut(h * w);
+    let nt = pool::split(Work::Elems(dy.len()), planes.len());
+    pool::fan_out(nt, planes.enumerate(), |(bc, plane)| fill_plane(bc, plane));
 }
 
 /// Max pooling's input gradient into `dx` (overwritten): zero but at each

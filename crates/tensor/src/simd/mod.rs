@@ -465,24 +465,13 @@ fn gemm_vec(
                 AView::rows(a, row0 * k, k)
             }
         };
-        let nt = if m * k * n >= kernels::PAR_GEMM_FLOPS {
-            pool::max_threads().min(m)
-        } else {
-            1
-        };
-        if nt <= 1 {
-            kernel(bk, aview(0), packed, out, m, k, n, accumulate);
-            return;
-        }
-        let rows_per = m.div_ceil(nt);
-        pool::parallel_chunks_mut(out, rows_per * n, |ci, chunk| {
-            let rows = chunk.len() / n;
+        pool::row_blocks(out, m, m * k * n, |row0, rows| {
             kernel(
                 bk,
-                aview(ci * rows_per),
+                aview(row0),
                 packed,
-                chunk,
                 rows,
+                rows.len() / n,
                 k,
                 n,
                 accumulate,
@@ -925,7 +914,10 @@ fn i8_gemm_scalar(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n: us
 
 /// Explicit-backend exact int8 GEMM `out[m,n] = a[m,k] × b[k,n]` with i32
 /// accumulators — the quantized plan executor's conv/matmul core and the
-/// differential suite's entry point. All backends are bitwise identical.
+/// differential suite's entry point. All backends are bitwise identical,
+/// and large products split over output-row blocks like the f32 GEMM's:
+/// rows are independent exact integer chains, so partitioning can never
+/// change a bit.
 pub fn i8_gemm_with(
     bk: Backend,
     a: &[i8],
@@ -945,40 +937,27 @@ pub fn i8_gemm_with(
     if m == 0 || n == 0 {
         return;
     }
-    match bk {
-        Backend::Scalar => i8_gemm_scalar(a, b, out, m, k, n),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Avx2` is only ever active()/forced when
-        // `is_x86_feature_detected!` confirmed avx2; lengths asserted.
-        Backend::Avx2 => unsafe { avx2::i8_gemm(a, b, out, m, k, n) },
-        #[allow(unreachable_patterns)]
-        other => panic!(
-            "kernel backend {} not compiled on this target",
-            other.name()
-        ),
-    }
+    pool::row_blocks(out, m, m * k * n, |r0, out| {
+        let m = out.len() / n;
+        let a = &a[r0 * k..(r0 + m) * k];
+        match bk {
+            Backend::Scalar => i8_gemm_scalar(a, b, out, m, k, n),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Avx2` is only ever active()/forced when
+            // `is_x86_feature_detected!` confirmed avx2; lengths asserted.
+            Backend::Avx2 => unsafe { avx2::i8_gemm(a, b, out, m, k, n) },
+            #[allow(unreachable_patterns)]
+            other => panic!(
+                "kernel backend {} not compiled on this target",
+                other.name()
+            ),
+        }
+    });
 }
 
-/// Dispatched [`i8_gemm_with`] over the active backend, with the same
-/// row-parallel fan-out policy as the f32 GEMM. Safe at any worker count:
-/// rows are independent exact integer chains, so partitioning can never
-/// change a bit.
+/// [`i8_gemm_with`] over the active backend.
 pub fn i8_gemm(a: &[i8], b: &[i8], out: &mut [i32], m: usize, k: usize, n: usize) {
-    let bk = active();
-    let nt = if m * k * n >= kernels::PAR_GEMM_FLOPS {
-        pool::max_threads().min(m)
-    } else {
-        1
-    };
-    if nt <= 1 || m <= 1 {
-        return i8_gemm_with(bk, a, b, out, m, k, n);
-    }
-    let rows_per = m.div_ceil(nt);
-    pool::parallel_chunks_mut(out, rows_per * n, |ci, chunk| {
-        let rows = chunk.len() / n;
-        let r0 = ci * rows_per;
-        i8_gemm_with(bk, &a[r0 * k..(r0 + rows) * k], b, chunk, rows, k, n);
-    });
+    i8_gemm_with(active(), a, b, out, m, k, n);
 }
 
 #[cfg(test)]

@@ -140,9 +140,9 @@ fn main() -> ExitCode {
         Err(payload) if is_closed_stdout(&*payload) => ExitCode::SUCCESS,
         Err(payload) => std::panic::resume_unwind(payload),
     };
-    // Per-run timing report, opt-in: timers always record, but the report
-    // only prints when MFAPLACE_TIMERS is explicitly set (and not "0").
-    if std::env::var("MFAPLACE_TIMERS").is_ok_and(|v| v != "0") {
+    // Per-run timing report, opt-in: timers record by default, but the
+    // report only prints when MFAPLACE_TIMERS asks for it.
+    if timer::report_requested() {
         eprint!("{}", timer::report());
     }
     code
@@ -1178,7 +1178,8 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
     let (profile, spreads) = median_profile(runs);
     let status = predictor.status();
     println!(
-        "{path}: {} grid {}, engine {} ({}), kernels {}, query lanes {}, {} pool threads",
+        "{path}: {} grid {}, engine {} ({}), kernels {}, query lanes {}, {} pool threads, \
+         {} spawns per replay",
         spec.arch.model_name(),
         spec.grid,
         status.engine.name(),
@@ -1186,6 +1187,7 @@ fn cmd_profile(flags: &Flags) -> Result<(), String> {
         simd::active().name(),
         query_lanes_label(),
         pool::max_threads(),
+        profile.spawns,
     );
     let ms = |ns: u64| ns as f64 / 1e6;
     let total: u64 = profile.steps.iter().map(|s| s.ns).sum();
@@ -1780,7 +1782,11 @@ mod tests {
                 scratch_bytes: 0,
             })
             .collect();
-        PlanProfile { steps, wall_ns }
+        PlanProfile {
+            steps,
+            wall_ns,
+            spawns: 0,
+        }
     }
 
     #[test]
