@@ -22,7 +22,7 @@ cargo fmt --all --check
 echo "==> lint: no target_arch but x86_64 in crates/*/src or src/"
 if grep -rnoE 'target_arch *= *"[^"]*"' crates/*/src src | grep -v '"x86_64"$'; then
     echo "a cfg above names a target_arch no CI tier builds; add" \
-        "\`cargo check --target …\` for it to ci.sh first (ROADMAP item 8(b))" >&2
+        "\`cargo check --target …\` for it to ci.sh first" >&2
     exit 1
 fi
 
@@ -147,11 +147,19 @@ echo "==> cargo test --offline (forced scalar kernels)"
 MFAPLACE_KERNELS=scalar cargo test -q --workspace --offline
 
 echo "==> fused-attention equivalence + buffer-pool suite"
-cargo test -q -p mfaplace-autograd --offline --test attention_equivalence
-# MHSA, PAM, CAM and the whole MFA block against the composed chains, which
-# live only in those modules' unit tests.
-cargo test -q -p mfaplace-nn --offline --lib attention::tests
-cargo test -q -p mfaplace-models --offline --lib mfa::tests
+# The tape's attention ops, then MHSA, PAM, CAM and the whole MFA block,
+# against the composed chains (which live only in these tests), under the
+# detected backend and under forced scalar kernels. The CAM's aliased
+# gradient keeps the composed summation order only while its transposes sit
+# inside its one tape op; these are the tests that catch a move.
+for KERNELS in auto scalar; do
+    MFAPLACE_KERNELS=$KERNELS cargo test -q -p mfaplace-autograd --offline \
+        --test attention_equivalence
+    MFAPLACE_KERNELS=$KERNELS cargo test -q -p mfaplace-nn --offline --lib \
+        attention::tests
+    MFAPLACE_KERNELS=$KERNELS cargo test -q -p mfaplace-models --offline --lib \
+        mfa::tests
+done
 # The attention kernels' other two contracts, by name, so a regression is
 # attributed: any thread count gives the same bits, and a serial plan
 # forward allocates nothing.

@@ -3,7 +3,7 @@ use std::time::{Duration, Instant};
 use mfaplace_tensor::lowlevel::{self, ConvDims};
 use mfaplace_tensor::{
     attention_fm_backward_into, attention_fm_into, attention_tm_backward_into, attention_tm_into,
-    numel, Tensor,
+    attention_tm_scratch, numel, Tensor,
 };
 
 use crate::recycle::BufferPool;
@@ -590,24 +590,24 @@ impl Graph {
     }
 
     /// Fused token-major attention `softmax(q·kᵀ·scale)·v` for
-    /// `q: [B,Lq,D]`, `k: [B,Lk,D]`, `v: [B,Lk,Dv]`.
-    ///
-    /// Forward streams query row-tiles (the `[Lq, Lk]` score/softmax
-    /// matrices are never materialized — peak activation memory drops from
-    /// `O(L²)` to `O(tile·L)`), and backward recomputes score rows instead
-    /// of storing the softmax on the tape. Output and all three gradients
-    /// are bitwise identical to the composed
-    /// `permute → bmm → scale → softmax_last → bmm` chain, including when
-    /// `q`, `k`, `v` alias the same node (gradient contributions accumulate
-    /// in the composed order: v, then k, then q).
+    /// `q, k: [B,L,D]`, `v: [B,L,Dv]` (the CAM): one tape node that
+    /// transposes into pooled scratch around the feature-major kernel,
+    /// forward and backward. Output and all three gradients are bitwise
+    /// identical to the composed `permute → bmm → scale → softmax_last → bmm`
+    /// chain, also when `q`, `k`, `v` alias one node: the contributions
+    /// reach it in the composed order (v, then k, then q). Permute nodes
+    /// around [`Graph::attention_fm`] would first sum the three in their own
+    /// gradient, another f32 sum — hence the transposes inside the op.
     pub fn attention(&mut self, q: Var, k: Var, v: Var, scale: f32) -> Var {
-        let (b, lq) = (self.value(q).shape()[0], self.value(q).shape()[1]);
+        let [b, l, d] = <[usize; 3]>::try_from(self.value(q).shape()).expect("attention q rank");
         let dv = self.value(v).shape()[2];
-        let val = self.pooled(vec![b, lq, dv], |n, o| {
-            // The fused kernel accumulates output rows in place.
-            o.fill(0.0);
-            attention_tm_into(&n[q.0].value, &n[k.0].value, &n[v.0].value, scale, o);
+        let [len, _] = attention_tm_scratch(b, l, d, dv, q == k && k == v);
+        let mut scratch = self.pool.take_any(len);
+        let val = self.pooled(vec![b, l, dv], |n, o| {
+            let [qv, kv, vv] = [q, k, v].map(|x| &n[x.0].value);
+            attention_tm_into(qv, kv, vv, scale, o, &mut scratch);
         });
+        self.pool.give(scratch);
         let rg = self.rg(q) || self.rg(k) || self.rg(v);
         self.push(
             val,
@@ -1243,13 +1243,17 @@ fn backward_op(node: &Node, dy: &Tensor, g: &mut Grads) {
         } => {
             let lens = [*q, *k, *v].map(|x| g.nodes[x.0].value.numel());
             let [mut dq, mut dk, mut dv] = lens.map(|len| g.pool.take_any(len));
-            let kernel = if *feature_major {
-                attention_fm_backward_into
-            } else {
-                attention_tm_backward_into
-            };
             let [qv, kv, vv] = [q, k, v].map(|x| &g.nodes[x.0].value);
-            kernel(qv, kv, vv, *scale, dy, &mut dq, &mut dk, &mut dv);
+            if *feature_major {
+                attention_fm_backward_into(qv, kv, vv, *scale, dy, &mut dq, &mut dk, &mut dv);
+            } else {
+                let [b, l, d] = [0, 1, 2].map(|i| qv.shape()[i]);
+                let [_, len] = attention_tm_scratch(b, l, d, vv.shape()[2], q == k && k == v);
+                let mut s = g.pool.take_any(len);
+                let (dq, dk, dv) = (&mut dq, &mut dk, &mut dv);
+                attention_tm_backward_into(qv, kv, vv, *scale, dy, dq, dk, dv, &mut s);
+                g.pool.give(s);
+            }
             // Accumulation order v, k, q replicates the composed chain's
             // backward sequence (softmax·v bmm, then the key permute, then
             // the score bmm), which is what makes gradients bitwise

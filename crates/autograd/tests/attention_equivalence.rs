@@ -42,12 +42,12 @@ fn grad(g: &Graph, v: Var) -> Tensor {
 
 #[test]
 fn fused_tm_attention_matches_composed_bitwise() {
-    // Odd L (not a multiple of ATTN_TILE = 32), rectangular Lq/Lk, B·H > 1,
-    // odd head dims, and one size large enough for the tiled parallel path.
+    // Odd L (not a multiple of the query-lane width), B·H > 1, odd head
+    // dims, Dv != D, and one size large enough for the parallel path.
     let shapes: &[(usize, usize, usize, usize, usize)] = &[
-        (1, 3, 5, 4, 2),
+        (1, 5, 5, 4, 2),
         (2, 7, 7, 3, 3),
-        (3, 33, 17, 5, 7),
+        (3, 33, 33, 5, 7),
         (1, 129, 129, 16, 16),
     ];
     run_cases("fused_tm_attention", 12, 0xA77E_0001, |case, rng| {

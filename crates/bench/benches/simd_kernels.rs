@@ -1,5 +1,6 @@
 //! Microbenchmarks for the dispatched SIMD kernels: packed-panel GEMM,
-//! fused attention (token-mixing layout), softmax rows, and the conv
+//! fused attention (one head batch of the grid-256 model's multi-head
+//! self-attention, feature-major), softmax rows, and the conv
 //! bias→affine→ReLU epilogue, each run once per supported kernel
 //! backend. Writes `results/simd_kernels.json` and prints the
 //! vector-vs-scalar speedup per kernel.
@@ -14,16 +15,18 @@
 use mfaplace_rt::bench::Suite;
 use mfaplace_rt::rng::{Rng, SeedableRng, StdRng};
 use mfaplace_tensor::simd::{self, Backend};
-use mfaplace_tensor::{attention_tm_slices, Tensor};
+use mfaplace_tensor::{attention_fm_slices, Tensor};
 
 const CHILD_ENV: &str = "MFA_SIMD_CHILD";
 
 /// GEMM problem: 256x256x256, the ViT-block scale at grid 256.
 const GEMM_DIM: usize = 256;
-/// Attention problem: 2 heads over 256 tokens, head dim 64.
-const ATTN_B: usize = 2;
+/// Attention problem: the grid-256 model's multi-head self-attention, four
+/// heads (`B·H`) over 256 tokens, head dim 16, in the feature-major layout
+/// `[B·H, dh, L]` it splits its heads into.
+const ATTN_B: usize = 4;
 const ATTN_L: usize = 256;
-const ATTN_D: usize = 64;
+const ATTN_D: usize = 16;
 /// Softmax problem: 4096 rows of 256 logits, softmaxed in place (the
 /// output of one pass is a valid input for the next, so no per-iteration
 /// copy pollutes the measurement).
@@ -72,19 +75,17 @@ fn run_child(name: &str) {
     let mut scratch = vec![0.0f32; ATTN_L];
     let scale = 1.0 / (ATTN_D as f32).sqrt();
     suite.run(
-        &format!("simd/{name}/attention_tm/b{ATTN_B}l{ATTN_L}d{ATTN_D}"),
+        &format!("simd/{name}/attention_fm/b{ATTN_B}l{ATTN_L}d{ATTN_D}"),
         |bch| {
             bch.iter(|| {
-                attn_out.fill(0.0);
-                attention_tm_slices(
+                attention_fm_slices(
                     &q,
                     &k,
                     &v,
                     ATTN_B,
-                    ATTN_L,
-                    ATTN_L,
                     ATTN_D,
                     ATTN_D,
+                    ATTN_L,
                     scale,
                     &mut attn_out,
                     &mut scratch,
@@ -170,7 +171,7 @@ fn main() {
 
     let kernels = [
         format!("gemm/{GEMM_DIM}cubed"),
-        format!("attention_tm/b{ATTN_B}l{ATTN_L}d{ATTN_D}"),
+        format!("attention_fm/b{ATTN_B}l{ATTN_L}d{ATTN_D}"),
         format!("softmax/{SOFTMAX_ROWS}x{SOFTMAX_N}"),
         "conv_epilogue/1m".to_owned(),
     ];

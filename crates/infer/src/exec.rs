@@ -17,9 +17,10 @@
 //! # Allocation contract
 //!
 //! A forward performs no heap allocation: outputs and the op-local scratch
-//! each step declares (attention score rows, the int8 conv's lowering,
-//! quantize/dequantize staging) live at plan-assigned arena offsets; an
-//! f32 convolution packs its column blocks in the thread's kernel scratch.
+//! each step declares (attention score rows and the token-major adapter's
+//! transposes, the int8 conv's lowering, quantize/dequantize staging) live
+//! at plan-assigned arena offsets; an f32 convolution packs its column
+//! blocks in the thread's kernel scratch.
 //! The one documented exception matches the tape path: when a kernel is
 //! large enough to fan out, each worker allocates its own buffers
 //! (identical behaviour and threshold as the tape kernel, so tape-vs-plan
@@ -37,8 +38,8 @@
 
 use std::time::Instant;
 
-use mfaplace_tensor::layer_norm_rows;
 use mfaplace_tensor::lowlevel::{self, map_into, zip_into, ConvDims};
+use mfaplace_tensor::{attention_fm_slices, attention_tm_slices, layer_norm_rows};
 
 use crate::plan::{
     verify_step, ArenaRange, BmmKind, IrOp, Kernel, Loc, Plan, Step, StepCost, Store, ValId,
@@ -295,8 +296,9 @@ fn exec_step(plan: &Plan, input: &[f32], base: *mut u8, step: &Step) {
 }
 
 /// Executes one op's f32 arithmetic against caller-resolved operand views;
-/// `att` is an attention step's score-row scratch, the one op-local
-/// scratch an f32 op needs beyond its destination.
+/// `att` is an attention step's scratch (the feature-major score row, or
+/// the token-major adapter's transposes), the one op-local scratch an f32
+/// op needs beyond its destination.
 ///
 /// This is the single source of the per-op reference semantics. For an
 /// all-f32 plan every view is arena-resident (keeping the bitwise
@@ -403,29 +405,12 @@ pub(crate) fn exec_op<'a>(
             v,
             scale,
             b,
-            lq,
-            lk,
+            l,
             d,
             dv,
-            ..
         } => {
-            // The fused kernel accumulates into a zeroed output (the tape
-            // takes a zero-filled pool buffer).
-            dst.fill(0.0);
-            let sc = att.expect("attention score-row scratch");
-            mfaplace_tensor::attention_tm_slices(
-                s(*q),
-                s(*k),
-                s(*v),
-                *b,
-                *lq,
-                *lk,
-                *d,
-                *dv,
-                *scale,
-                dst,
-                sc,
-            );
+            let sc = att.expect("attention scratch");
+            attention_tm_slices(s(*q), s(*k), s(*v), *b, *l, *d, *dv, *scale, dst, sc);
         }
         IrOp::AttentionFm {
             q,
@@ -436,21 +421,9 @@ pub(crate) fn exec_op<'a>(
             n,
             nv,
             l,
-            ..
         } => {
             let sc = att.expect("attention score-row scratch");
-            mfaplace_tensor::attention_fm_slices(
-                s(*q),
-                s(*k),
-                s(*v),
-                *b,
-                *n,
-                *nv,
-                *l,
-                *scale,
-                dst,
-                sc,
-            );
+            attention_fm_slices(s(*q), s(*k), s(*v), *b, *n, *nv, *l, *scale, dst, sc);
         }
         IrOp::Copy { x } => {
             dst.copy_from_slice(s(*x));

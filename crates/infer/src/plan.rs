@@ -29,10 +29,11 @@
 //!    (the tape order, after fusion and copy elision), and
 //!    serial replay runs them in that order. Liveness intervals for every
 //!    intermediate plus the op-local scratch each step declares (attention
-//!    score rows, the int8 conv's lowering, quantize/dequantize
-//!    staging) are packed step by step by a first-fit free list with
-//!    coalescing into a single byte arena (64-byte blocks, so every typed
-//!    view is aligned) whose peak size is known at compile time.
+//!    score rows and the token-major adapter's transposes, the int8 conv's
+//!    lowering, quantize/dequantize staging) are packed step by step by a
+//!    first-fit free list with coalescing into a single byte arena (64-byte
+//!    blocks, so every typed view is aligned) whose peak size is known at
+//!    compile time.
 //!    [`verify_step`] then checks every step's spans, and the executor runs
 //!    every forward with zero heap allocations.
 //!
@@ -46,7 +47,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use mfaplace_autograd::{Graph, TapeOp, Var};
-use mfaplace_tensor::{conv_out_size, Tensor};
+use mfaplace_tensor::{attention_tm_scratch, conv_out_size, Tensor};
 
 /// Counters describing a compiled plan, for `/metrics` and `model-info`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -267,14 +268,15 @@ pub(crate) enum IrOp {
         k: usize,
         n: usize,
     },
+    /// The token-major layout adapter over the feature-major kernel: one
+    /// step, its transposes in its declared scratch.
     AttentionTm {
         q: ValId,
         k: ValId,
         v: ValId,
         scale: f32,
         b: usize,
-        lq: usize,
-        lk: usize,
+        l: usize,
         d: usize,
         dv: usize,
     },
@@ -738,37 +740,28 @@ fn lower_op(index: usize, op: &TapeOp, mut cx: LowerCtx<'_>) -> Result<IrOp, Str
             feature_major,
         } => {
             let (q, k, v) = (cx.resolve(*q)?, cx.resolve(*k)?, cx.resolve(*v)?);
+            let (s, sv, scale) = (cx.shape(q), cx.shape(v), *scale);
             if *feature_major {
-                let (b, n, l) = {
-                    let s = cx.shape(q);
-                    (s[0], s[1], s[2])
-                };
-                let nv = cx.shape(v)[1];
+                let (b, n, l, nv) = (s[0], s[1], s[2], sv[1]);
                 IrOp::AttentionFm {
                     q,
                     k,
                     v,
-                    scale: *scale,
+                    scale,
                     b,
                     n,
                     nv,
                     l,
                 }
             } else {
-                let (b, lq, d) = {
-                    let s = cx.shape(q);
-                    (s[0], s[1], s[2])
-                };
-                let lk = cx.shape(k)[1];
-                let dv = cx.shape(v)[2];
+                let (b, l, d, dv) = (s[0], s[1], s[2], sv[2]);
                 IrOp::AttentionTm {
                     q,
                     k,
                     v,
-                    scale: *scale,
+                    scale,
                     b,
-                    lq,
-                    lk,
+                    l,
                     d,
                     dv,
                 }
@@ -1045,12 +1038,10 @@ impl Plan {
                 0,
                 format!("b={bt} m={m} k={k} n={n}"),
             ),
-            IrOp::AttentionTm {
-                b, lq, lk, d, dv, ..
-            } => (
-                (b * lq * lk * (2 * d + 2 * dv)) as u64,
-                (b * lq * lk) as u64,
-                format!("b={b} Lq={lq} Lk={lk} d={d} dv={dv}"),
+            IrOp::AttentionTm { b, l, d, dv, .. } => (
+                (b * l * l * (2 * d + 2 * dv)) as u64,
+                (b * l * l) as u64,
+                format!("b={b} L={l} d={d} dv={dv}"),
             ),
             IrOp::AttentionFm { b, n, nv, l, .. } => (
                 (b * l * l * (2 * n + 2 * nv)) as u64,
@@ -1273,8 +1264,9 @@ fn elide_copies(
 ///
 /// - generic: one f32 buffer per `staged` operand, an f32 staging buffer
 ///   for a narrower-than-f32 output, then the op's own scratch (one
-///   attention score row; a conv packs its column blocks in the thread's
-///   kernel scratch, not the arena);
+///   attention score row, or the token-major adapter's transposed operands
+///   and output; a conv packs its column blocks in the thread's kernel
+///   scratch, not the arena);
 /// - int8 conv: the quantized input unless it is already stored as i8,
 ///   the i8 im2col matrix, the i32 GEMM result;
 /// - int8 matmul: the quantized left operand unless stored as i8, the i32
@@ -1312,7 +1304,19 @@ fn scratch_bytes(step: &Step, values: &[ValueInfo]) -> Vec<usize> {
                 pieces.push(4 * values[step.out].numel);
             }
             match op {
-                IrOp::AttentionTm { lk, .. } => pieces.push(4 * lk),
+                IrOp::AttentionTm {
+                    q,
+                    k,
+                    v,
+                    b,
+                    l,
+                    d,
+                    dv,
+                    ..
+                } => {
+                    let [len, _] = attention_tm_scratch(*b, *l, *d, *dv, q == k && k == v);
+                    pieces.push(4 * len);
+                }
                 IrOp::AttentionFm { l, .. } => pieces.push(4 * l),
                 _ => {}
             }

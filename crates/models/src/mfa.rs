@@ -120,7 +120,10 @@ impl CamBlock {
 impl Module for CamBlock {
     /// Fused token-major self-attention with `q = k = v = M`, bitwise
     /// identical to the composed `bmm → permute → softmax → bmm` chain,
-    /// including the aliased-gradient accumulation order into `M`.
+    /// including the aliased-gradient accumulation order into `M`. That
+    /// order is why the transposes to the feature-major kernel's layout sit
+    /// inside [`Graph::attention`]: as permute nodes here, the three
+    /// contributions would be summed before the residual's, not after it.
     fn forward(&mut self, g: &mut Graph, m: Var, _train: bool) -> Var {
         self.forward_with(g, m, |g, m| g.attention(m, m, m, 1.0))
     }

@@ -6,7 +6,8 @@ use crate::{Linear, Module};
 /// Multi-head scaled-dot-product self-attention (Eq. 9 of the paper).
 ///
 /// Operates on token sequences of shape `[B, L, D]`. `D` must be divisible
-/// by the number of heads.
+/// by the number of heads. Each head attends in the feature-major layout
+/// `[dh, L]` of the one fused attention kernel.
 #[derive(Debug, Clone)]
 pub struct MultiHeadSelfAttention {
     wq: Linear,
@@ -40,16 +41,44 @@ impl MultiHeadSelfAttention {
         self.heads
     }
 
-    fn split_heads(&self, g: &mut Graph, x: Var, b: usize, l: usize) -> Var {
-        let dh = self.dim / self.heads;
-        let x = g.reshape(x, vec![b, l, self.heads, dh]);
-        let x = g.permute(x, &[0, 2, 1, 3]); // [B, H, L, dh]
-        g.reshape(x, vec![b * self.heads, l, dh])
+    /// The forward with the per-head attention `attend(g, q, k, v, scale)`
+    /// on `[B·H, ·, ·]` heads: the permutation `split` of `[B, L, H, dh]`,
+    /// merged back by the permutation `merge` of the result.
+    fn forward_heads(
+        &mut self,
+        g: &mut Graph,
+        x: Var,
+        train: bool,
+        [split, merge]: [[usize; 4]; 2],
+        attend: impl FnOnce(&mut Graph, Var, Var, Var, f32) -> Var,
+    ) -> Var {
+        let shape = g.value(x).shape().to_vec();
+        assert_eq!(shape.len(), 3, "attention input must be [B, L, D]");
+        let (b, l, d) = (shape[0], shape[1], shape[2]);
+        assert_eq!(d, self.dim, "attention dim mismatch");
+        let (h, dh) = (self.heads, self.dim / self.heads);
+        let heads = split.map(|a| [b, l, h, dh][a]);
+        let split_heads = |g: &mut Graph, x| {
+            let x = g.reshape(x, vec![b, l, h, dh]);
+            let x = g.permute(x, &split);
+            g.reshape(x, vec![b * h, heads[2], heads[3]])
+        };
+
+        let q = self.wq.forward(g, x, train);
+        let k = self.wk.forward(g, x, train);
+        let v = self.wv.forward(g, x, train);
+        let (q, k, v) = (split_heads(g, q), split_heads(g, k), split_heads(g, v));
+        let ctx = attend(g, q, k, v, 1.0 / (dh as f32).sqrt());
+
+        let ctx = g.reshape(ctx, heads.to_vec());
+        let ctx = g.permute(ctx, &merge); // [B, L, H, dh]
+        let ctx = g.reshape(ctx, vec![b, l, self.dim]);
+        self.wo.forward(g, ctx, train)
     }
 
-    /// The forward with the per-head attention `attend(g, q, k, v, scale)`
-    /// on `[B*H, L, dh]` tokens: the fused [`Graph::attention`] op, or in the
-    /// unit tests the composed op chain it is held to.
+    /// The forward with token-major heads (`[B·H, L, dh]`), the layout of
+    /// the composed chain the unit tests hold the fused forward to.
+    #[cfg(test)]
     fn forward_with(
         &mut self,
         g: &mut Graph,
@@ -57,33 +86,19 @@ impl MultiHeadSelfAttention {
         train: bool,
         attend: impl FnOnce(&mut Graph, Var, Var, Var, f32) -> Var,
     ) -> Var {
-        let shape = g.value(x).shape().to_vec();
-        assert_eq!(shape.len(), 3, "attention input must be [B, L, D]");
-        let (b, l, d) = (shape[0], shape[1], shape[2]);
-        assert_eq!(d, self.dim, "attention dim mismatch");
-        let dh = self.dim / self.heads;
-
-        let q = self.wq.forward(g, x, train);
-        let k = self.wk.forward(g, x, train);
-        let v = self.wv.forward(g, x, train);
-        let q = self.split_heads(g, q, b, l); // [B*H, L, dh]
-        let k = self.split_heads(g, k, b, l);
-        let v = self.split_heads(g, v, b, l);
-        let ctx = attend(g, q, k, v, 1.0 / (dh as f32).sqrt()); // [B*H, L, dh]
-
-        let ctx = g.reshape(ctx, vec![b, self.heads, l, dh]);
-        let ctx = g.permute(ctx, &[0, 2, 1, 3]); // [B, L, H, dh]
-        let ctx = g.reshape(ctx, vec![b, l, self.dim]);
-        self.wo.forward(g, ctx, train)
+        self.forward_heads(g, x, train, [[0, 2, 1, 3]; 2], attend)
     }
 }
 
 impl Module for MultiHeadSelfAttention {
-    /// Fused streamed attention: no `[L, L]` score or softmax tensor on the
-    /// tape, bitwise identical to the composed
-    /// `permute → bmm → scale → softmax → bmm` chain.
+    /// Fused streamed attention on feature-major heads: the split permutes
+    /// straight to `[B·H, dh, L]` for [`Graph::attention_fm`] and the merge
+    /// permutes back, bitwise identical to the composed `permute → bmm →
+    /// scale → softmax → bmm` chain on token-major heads (each head operand
+    /// has one consumer, so the permutes' gradients are exact).
     fn forward(&mut self, g: &mut Graph, x: Var, train: bool) -> Var {
-        self.forward_with(g, x, train, Graph::attention)
+        const FEATURE_MAJOR: [[usize; 4]; 2] = [[0, 2, 3, 1], [0, 3, 1, 2]];
+        self.forward_heads(g, x, train, FEATURE_MAJOR, Graph::attention_fm)
     }
 
     fn params(&self) -> Vec<Var> {

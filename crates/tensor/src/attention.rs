@@ -1,10 +1,24 @@
-//! Fused streamed attention kernels.
+//! Fused streamed attention: one kernel, two layouts.
 //!
-//! Computes `softmax(q·kᵀ·scale)·v` in query row-tiles with a per-row score
-//! scratch buffer — the `[L, L]` score and softmax matrices are never
-//! materialized, dropping peak activation memory from `O(L²)` to
-//! `O(tile·L)`. The backward pass recomputes score rows instead of reading
-//! a stored softmax.
+//! Computes `softmax(q·kᵀ·scale)·v` without the `[L, L]` score and softmax
+//! matrices (peak activation memory `O(block·L)`, not `O(L²)`); the
+//! backward recomputes scores instead of reading a stored softmax.
+//!
+//! The kernel is **feature-major** (`[B, D, L]`), the layout of the position
+//! attention (PAM) and of multi-head self-attention's heads. The channel
+//! attention (CAM) is **token-major** (`[B, L, D]`: its tokens are the rows
+//! of a `[B, N, HW]` feature), and `attention_tm*` serve it as a layout
+//! adapter over the one kernel: transpose the operands into caller scratch,
+//! run the kernel, transpose the output or the gradients back. Moving bits
+//! does not change them, so the adapter has the kernel's bits.
+//!
+//! The transposes sit inside the op, not in permute nodes around it, for
+//! the CAM's gradient: with `q = k = v = M` and the residual adding `M`
+//! again, four contributions meet in `M`'s gradient, and the composed chain
+//! sums them `((gy + dv) + dk) + dq`. One op handing back `dv`, `dk`, `dq`
+//! keeps that sum; a permute node would first add the three in its own
+//! gradient, `gy + ((dv + dk) + dq)`, and move the CAM's bits. (Moving the
+//! residual into the transposed layout instead reorders `beta`'s gradient.)
 //!
 //! # Bitwise contract
 //!
@@ -14,9 +28,9 @@
 //! autograd tape would otherwise record, **under whichever kernel backend
 //! is active** (`crate::simd`): the scalar arms below are the verbatim
 //! reference loops, and the vector arms express the same computation as
-//! microkernel tile sequences whose per-element FMA chains coincide with
-//! the composed GEMMs run under the same backend. Specifically, for the
-//! scalar backend:
+//! query-lane sweeps whose per-element FMA chains coincide with the
+//! composed GEMMs run under the same backend. Specifically, for the scalar
+//! backend:
 //!
 //! - every per-element reduction runs over its contraction index in
 //!   increasing order, matching the composed GEMM/softmax loops;
@@ -31,46 +45,29 @@
 //!   ±0.0 to it never changes its bits, so skipping any subset of zero
 //!   products is bitwise neutral for finite data.
 //!
-//! Two memory layouts are provided: **token-major** (`[B, L, D]`,
-//! multi-head self-attention and the channel-attention CAM) and
-//! **feature-major** (`[B, D, L]`, the position-attention PAM, which keeps
-//! channels outermost and attends over spatial positions).
+//! # Blocks, lanes and threads
 //!
-//! # Tiles, lanes and threads
-//!
-//! Both forwards work on independent blocks of queries — [`ATTN_TILE`]
-//! query rows, or the query columns of one vector on the query-lane path
-//! (`simd::query_lanes`: 16 where the host has AVX-512F, else 8) — and
-//! when `rt::pool::split` grants workers for `L²·(D + Dv)` flops the
-//! blocks fan out over the `rt` pool. A block's outputs depend on nothing
-//! another block writes and every output element is one FMA chain in
-//! contraction order, so the result is bitwise identical at any thread
-//! count. Token-major tiles are output rows and are written in place;
-//! feature-major blocks are output *columns*, so in parallel each is
-//! computed into a block-local `[Dv, t]` tile of a staging buffer and
-//! scattered after the join. The serial paths take every buffer from the
-//! caller or from this thread's kernel scratch and allocate nothing; the
-//! parallel paths allocate per worker.
-//!
-//! ## Four passes per tile
-//!
-//! The token-major forward. A tile is score GEMM, softmax numerators,
-//! divide, value GEMM — fused wherever fusing leaves each element's
-//! arithmetic untouched: the microkernel overwrites its output, so reused
-//! tile buffers are resized but never zero-filled, and the composed chain's
-//! `Scale` node rides the softmax's max and exp sweeps
-//! (`simd::softmax_row_scaled`, an exact IEEE multiply wherever it happens).
-//! The feature-major form of the same four passes, whose value product
-//! wants the softmax tile transposed, lives only in the unit tests: it is
-//! the reference the query-lane kernels below are held to, bit for bit.
+//! The forward works on independent blocks of query columns — one vector's
+//! worth on the query-lane path (`simd::query_lanes`: 16 where the host has
+//! AVX-512F, else 8) — and when `rt::pool::split` grants workers for
+//! `L²·(D + Dv)` flops the blocks fan out over the `rt` pool. A block's
+//! outputs depend on nothing another block writes and every output element
+//! is one FMA chain in contraction order, so the result is bitwise
+//! identical at any thread count. Blocks are output *columns*, so in
+//! parallel each is computed into a block-local `[Dv, t]` tile of a staging
+//! buffer and scattered after the join. The serial paths take every buffer
+//! from the caller or from this thread's kernel scratch and allocate
+//! nothing; the parallel paths allocate per worker.
 //!
 //! ## Queries in the lanes
 //!
-//! The feature-major vector path. The four-pass tile spends most of its
-//! time rearranging: a K = 2 "GEMM" through packed panels is an outer
-//! product paying GEMM overheads, the exp sweep wants lanes along keys
-//! while the value product wants lanes along queries (hence the transposed
-//! pack, and a divide that runs at scalar-code width). In `[D, L]` layout the query
+//! The vector path. A four-pass tile — score GEMM, softmax, transposed
+//! pack, value GEMM, kept in the unit tests as the reference the query-lane
+//! kernels are held to bit for bit — spends most of its time rearranging: a
+//! K = 2 "GEMM" through packed panels is an outer product paying GEMM
+//! overheads, the exp sweep wants lanes along keys while the value product
+//! wants lanes along queries (hence the transposed pack, and a divide that
+//! runs at scalar-code width). In `[D, L]` layout the query
 //! columns `q[p, y0..y0 + W]` are already contiguous, so putting the
 //! *queries* in the `W` lanes of one vector and looping over the key index
 //! removes the gather, both packs, the transpose and the second GEMM: three
@@ -80,7 +77,6 @@
 //! kernel body over both (`simd/lanes.rs`); no step below depends on how
 //! many queries share a register, so both widths give every output the
 //! same bits:
-//!
 //! 1. **score** — `s = fma(q_{n−1}, k_{n−1}[x], … fma(q_0, k_0[x], +0)) ·
 //!    scale`: the score microkernel's accumulator, started at `+0` and
 //!    walked over the channel index in increasing order (`fma` is
@@ -99,13 +95,13 @@
 //!    any width) and `o_c = fma(v[c,x], w, o_c)` for `x` increasing: the
 //!    value microkernel's one chain per output in contraction order.
 //!
-//! Signed zeros need no argument beyond the four-pass path's: no vector
+//! Signed zeros need no argument beyond the four-pass tile's: no vector
 //! backend zero-skips, chains start at `+0` exactly as the microkernel's
 //! do, and `exp` maps `±0` to the same `1.0`, so a max of `+0` or `−0` is
 //! invisible. Calls without channels (`n = 0` or `nv = 0`, which no model
 //! builds) are outside the kernel's contract and take the scalar loop.
 //!
-//! The feature-major backward keeps the queries in the lanes too, eight at
+//! The backward keeps the queries in the lanes too, eight at
 //! a time on every host (`simd::fm_query_block_backward`): the forward's
 //! 8-lane score and exp sweeps recompute `e` and `z`; a third sweep forms
 //! `w`, the upstream products `g` and their `dot`; a fourth the score
@@ -117,304 +113,175 @@
 
 use mfaplace_rt::pool::{self, Work};
 
-use crate::simd::{self, AView, Backend, QUERY_LANES};
-use crate::Tensor;
+use crate::simd::{self, Backend, QUERY_LANES};
+use crate::{lowlevel, Tensor};
 
-/// Query rows processed per tile: the parallel-dispatch granularity of the
-/// forward pass and the recomputation granularity of the backward pass.
-pub const ATTN_TILE: usize = 32;
-
-/// Token-major fused attention: `q: [B, Lq, D]`, `k: [B, Lk, D]`,
-/// `v: [B, Lk, Dv] -> [B, Lq, Dv]`.
-///
-/// `out[b, i, d] = Σ_j softmax_j(Σ_p q[b,i,p]·k[b,j,p] · scale) · v[b,j,d]`.
+/// Token-major attention: `q, k: [B, L, D]`, `v: [B, L, Dv] -> [B, L, Dv]`,
+/// `out[b, i, c] = Σ_j softmax_j(Σ_p q[b,i,p]·k[b,j,p] · scale) · v[b,j,c]`
+/// — the feature-major kernel on transposed operands (see the module docs).
 ///
 /// # Panics
 ///
-/// Panics on rank or dimension mismatches.
+/// Panics on rank or dimension mismatches, including `Lq != Lk`.
 pub fn attention_tm(q: &Tensor, k: &Tensor, v: &Tensor, scale: f32) -> Tensor {
-    let (b, lq) = (q.shape()[0], q.shape()[1]);
-    let dv = v.shape()[2];
-    let mut out = vec![0.0f32; b * lq * dv];
-    attention_tm_into(q, k, v, scale, &mut out);
-    Tensor::from_vec(vec![b, lq, dv], out).expect("attention_tm shape")
+    let [b, l, d, dv] = tm_dims(q, k, v);
+    let mut out = vec![0.0f32; b * l * dv];
+    let [len, _] = attention_tm_scratch(b, l, d, dv, aliased([q, k, v].map(Tensor::data)));
+    attention_tm_into(q, k, v, scale, &mut out, &mut vec![0.0f32; len]);
+    Tensor::from_vec(vec![b, l, dv], out).expect("attention_tm shape")
 }
 
-/// [`attention_tm`] writing into a caller-provided buffer.
-///
-/// `out` **must be zero-filled**: output rows are accumulated over keys in
-/// index order (a recycled buffer from the autograd pool is handed out
-/// zeroed for exactly this reason).
+/// [`attention_tm`] into `out` (any contents; all overwritten), with
+/// scratch of the forward's [`attention_tm_scratch`] length.
 ///
 /// # Panics
 ///
-/// Panics on rank/dimension mismatches or if `out.len() != B*Lq*Dv`.
-pub fn attention_tm_into(q: &Tensor, k: &Tensor, v: &Tensor, scale: f32, out: &mut [f32]) {
-    assert_eq!(q.rank(), 3, "attention_tm q must be rank-3");
-    assert_eq!(k.rank(), 3, "attention_tm k must be rank-3");
-    assert_eq!(v.rank(), 3, "attention_tm v must be rank-3");
-    let (b, lq, d) = (q.shape()[0], q.shape()[1], q.shape()[2]);
-    let (bk, lk, dk) = (k.shape()[0], k.shape()[1], k.shape()[2]);
-    let (bv, lv, dv) = (v.shape()[0], v.shape()[1], v.shape()[2]);
-    assert_eq!(b, bk, "attention_tm q/k batch mismatch");
-    assert_eq!(b, bv, "attention_tm q/v batch mismatch");
-    assert_eq!(d, dk, "attention_tm q/k feature mismatch");
-    assert_eq!(lk, lv, "attention_tm k/v length mismatch");
-    assert_eq!(
-        out.len(),
-        b * lq * dv,
-        "attention_tm output length mismatch"
-    );
-    let mut scratch = vec![0.0f32; lk];
-    attention_tm_slices(
-        q.data(),
-        k.data(),
-        v.data(),
-        b,
-        lq,
-        lk,
-        d,
-        dv,
-        scale,
-        out,
-        &mut scratch,
-    );
+/// Panics on rank/dimension mismatches, `Lq != Lk`, or buffer lengths.
+pub fn attention_tm_into(
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    scale: f32,
+    out: &mut [f32],
+    scratch: &mut [f32],
+) {
+    let [b, l, d, dv] = tm_dims(q, k, v);
+    let [qd, kd, vd] = [q, k, v].map(Tensor::data);
+    attention_tm_slices(qd, kd, vd, b, l, d, dv, scale, out, scratch);
 }
 
-/// Slice-level [`attention_tm_into`] with a caller-provided score-row
-/// scratch of at least `lk` elements (contents ignored; used by the plan
-/// executor so the serial path allocates nothing per forward). The parallel
-/// tile path still allocates one score row per tile worker, exactly like
-/// the tape path. `out` **must be zero-filled**.
+/// Floats of scratch the token-major adapter takes for `[b, l, d]` queries
+/// and keys and `[b, l, dv]` values, `[forward, backward]`: the transposed
+/// operands — one copy when `aliased`, that is when `q`, `k` and `v` are one
+/// buffer, as the CAM passes them — then the transposed output and the
+/// kernel's score row, or the transposed upstream and three gradients.
+pub fn attention_tm_scratch(b: usize, l: usize, d: usize, dv: usize, aliased: bool) -> [usize; 2] {
+    let operands = b * l * if aliased { d } else { 2 * d + dv };
+    [operands + b * l * dv + l, operands + 2 * b * l * (d + dv)]
+}
+
+/// Slice-level [`attention_tm_into`] — the plan executor's entry point,
+/// which declares the scratch in its arena so a serial forward allocates
+/// nothing.
 ///
 /// # Panics
 ///
-/// Panics on slice-length mismatches or if `scratch.len() < lk`.
+/// Panics on slice-length mismatches or if `scratch` is short.
 #[allow(clippy::too_many_arguments)]
 pub fn attention_tm_slices(
     qd: &[f32],
     kd: &[f32],
     vd: &[f32],
     b: usize,
-    lq: usize,
-    lk: usize,
+    l: usize,
     d: usize,
     dv: usize,
     scale: f32,
     out: &mut [f32],
     scratch: &mut [f32],
 ) {
-    attention_tm_slices_with(
-        simd::active(),
-        qd,
-        kd,
-        vd,
-        b,
-        lq,
-        lk,
-        d,
-        dv,
-        scale,
-        out,
-        scratch,
-    );
+    let [lqk, lv] = [b * l * d, b * l * dv];
+    let lens = [qd.len(), kd.len(), vd.len(), out.len()];
+    assert_eq!(lens, [lqk, lqk, lv, lv], "attention_tm lengths");
+    let [need, _] = attention_tm_scratch(b, l, d, dv, aliased([qd, kd, vd]));
+    assert!(scratch.len() >= need, "attention_tm scratch too small");
+    let ([qt, kt, vt], rest) = transpose_operands([qd, kd, vd], [b, l, d, dv], scratch);
+    let (ot, row) = rest.split_at_mut(out.len());
+    attention_fm_slices(qt, kt, vt, b, d, dv, l, scale, ot, row);
+    lowlevel::permute_into(ot, &[b, dv, l], &[0, 2, 1], out);
 }
 
-/// Explicit-backend [`attention_tm_slices`] — the differential suite's
-/// entry point. The scalar arm is the verbatim reference loop; the vector
-/// arms run the same computation as packed microkernel tile sequences
-/// (score tile, scale, softmax rows, weighted-value tile), so within a
-/// backend the fused result stays bitwise identical to the composed op
-/// chain executed under that same backend.
+/// Backward of [`attention_tm`] for upstream gradient `dy: [B, L, Dv]`,
+/// writing `dq`, `dk` and `dv` into caller buffers of `q`'s, `k`'s and
+/// `v`'s lengths (any contents; every element is overwritten), with caller
+/// scratch of the backward's [`attention_tm_scratch`] length.
 ///
 /// # Panics
 ///
-/// Panics on slice-length mismatches or if `scratch.len() < lk`.
+/// Panics on rank, dimension or buffer-length mismatches.
 #[allow(clippy::too_many_arguments)]
-pub fn attention_tm_slices_with(
-    bk: Backend,
-    qd: &[f32],
-    kd: &[f32],
-    vd: &[f32],
-    b: usize,
-    lq: usize,
-    lk: usize,
-    d: usize,
-    dv: usize,
+pub fn attention_tm_backward_into(
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
     scale: f32,
-    out: &mut [f32],
+    dy: &Tensor,
+    dq: &mut [f32],
+    dk: &mut [f32],
+    dv: &mut [f32],
     scratch: &mut [f32],
 ) {
-    assert_eq!(qd.len(), b * lq * d, "attention_tm q length mismatch");
-    assert_eq!(kd.len(), b * lk * d, "attention_tm k length mismatch");
-    assert_eq!(vd.len(), b * lk * dv, "attention_tm v length mismatch");
-    assert_eq!(
-        out.len(),
-        b * lq * dv,
-        "attention_tm output length mismatch"
-    );
-    assert!(scratch.len() >= lk, "attention_tm scratch too small");
-    let scratch = &mut scratch[..lk];
-    // Query tiles write disjoint output rows, so the per-batch fan-out is
-    // bitwise-safe: each row's arithmetic is thread-independent.
-    let nt = pool::split(Work::Flops(lq * lk * (d + dv)), lq.div_ceil(ATTN_TILE));
-    for bi in 0..b {
-        let qb = &qd[bi * lq * d..(bi + 1) * lq * d];
-        let kb = &kd[bi * lk * d..(bi + 1) * lk * d];
-        let vb = &vd[bi * lk * dv..(bi + 1) * lk * dv];
-        let ob = &mut out[bi * lq * dv..(bi + 1) * lq * dv];
-        if bk != Backend::Scalar {
-            tm_forward_vec(bk, nt, qb, kb, vb, scale, lq, lk, d, dv, ob);
-            continue;
-        }
-        if nt > 1 {
-            let tiles = ob.chunks_mut(ATTN_TILE * dv).enumerate();
-            pool::fan_out(nt, tiles, |(ti, chunk)| {
-                let mut s = vec![0.0f32; lk];
-                attn_tm_rows(qb, kb, vb, scale, lk, d, dv, ti * ATTN_TILE, chunk, &mut s);
-            });
-        } else {
-            attn_tm_rows(qb, kb, vb, scale, lk, d, dv, 0, ob, scratch);
-        }
+    let [b, l, d, nv] = tm_dims(q, k, v);
+    assert_eq!(dy.shape(), [b, l, nv], "attention_tm dy shape");
+    let lens = [dq.len(), dk.len(), dv.len()];
+    assert_eq!(lens, [q, k, v].map(Tensor::numel), "gradient lengths");
+    let ops = [q, k, v].map(Tensor::data);
+    let [_, need] = attention_tm_scratch(b, l, d, nv, aliased(ops));
+    assert!(scratch.len() >= need, "attention_tm scratch too small");
+    let ([qt, kt, vt], rest) = transpose_operands(ops, [b, l, d, nv], scratch);
+    let (dyt, rest) = transposed(dy.data(), [b, l, nv], rest);
+    let (dqt, rest) = rest.split_at_mut(dq.len());
+    let (dkt, rest) = rest.split_at_mut(dk.len());
+    let dvt = &mut rest[..dv.len()];
+    let bk = simd::active();
+    attention_fm_backward_with(bk, qt, kt, vt, dyt, b, d, nv, l, scale, dqt, dkt, dvt);
+    for (t, rows, grad) in [(dqt, d, dq), (dkt, d, dk), (dvt, nv, dv)] {
+        lowlevel::permute_into(t, &[b, rows, l], &[0, 2, 1], grad);
     }
 }
 
-/// Vector-backend token-major forward for one batch: `k`/`v` are packed
-/// once, then each query tile runs score-GEMM → scale → softmax rows →
-/// value-GEMM through the microkernel. Per-element chains are identical to
-/// the composed `bmm`/`scale`/`softmax`/`bmm` sequence under the same
-/// backend, and rows are thread-independent, so the tiles fan out over the
-/// `nt` workers the scalar path's split grants.
-#[allow(clippy::too_many_arguments)]
-fn tm_forward_vec(
-    bk: Backend,
-    nt: usize,
-    qb: &[f32],
-    kb: &[f32],
-    vb: &[f32],
-    scale: f32,
-    lq: usize,
-    lk: usize,
-    d: usize,
-    dv: usize,
-    ob: &mut [f32],
-) {
-    simd::with_scratch(|sc| {
-        let simd::Scratch {
-            pack_a: pk_buf,
-            pack_b: pv_buf,
-            tile_a: s_buf,
-            ..
-        } = sc;
-        simd::pack_b(kb, d, lk, true, pk_buf); // kᵀ panels for the NT score tile
-        simd::pack_b(vb, lk, dv, false, pv_buf); // v panels for the NN value tile
-        let pk: &[f32] = pk_buf;
-        let pv: &[f32] = pv_buf;
-        if nt > 1 {
-            let tiles = ob.chunks_mut(ATTN_TILE * dv).enumerate();
-            pool::fan_out(nt, tiles, |(ti, chunk)| {
-                let rows = chunk.len() / dv;
-                let mut s = vec![0.0f32; rows * lk];
-                tm_tile_vec(
-                    bk,
-                    qb,
-                    pk,
-                    pv,
-                    scale,
-                    lk,
-                    d,
-                    dv,
-                    ti * ATTN_TILE,
-                    rows,
-                    chunk,
-                    &mut s,
-                );
-            });
-        } else {
-            let mut i0 = 0;
-            while i0 < lq {
-                let rows = ATTN_TILE.min(lq - i0);
-                s_buf.resize(rows * lk, 0.0);
-                let chunk = &mut ob[i0 * dv..(i0 + rows) * dv];
-                tm_tile_vec(bk, qb, pk, pv, scale, lk, d, dv, i0, rows, chunk, s_buf);
-                i0 += rows;
-            }
-        }
-    });
+/// `[B, L, D, Dv]` of token-major `q, k: [B, L, D]`, `v: [B, L, Dv]`.
+///
+/// # Panics
+///
+/// Panics on rank or dimension mismatches, and on `Lq != Lk`: no caller
+/// builds a rectangular attention, and the kernel attends a sequence to
+/// itself.
+fn tm_dims(q: &Tensor, k: &Tensor, v: &Tensor) -> [usize; 4] {
+    let ([b, lq, d], [b2, lk, d2], [b3, lv, dv]) = (dims(q), dims(k), dims(v));
+    assert_eq!([b2, d2, b3, lv], [b, d, b, lk], "attention_tm shapes");
+    assert_eq!(lq, lk, "attention_tm needs as many keys as queries");
+    [b, lq, d, dv]
 }
 
-/// One vector token-major forward tile: output rows `[i0, i0 + rows)`.
-#[allow(clippy::too_many_arguments)]
-fn tm_tile_vec(
-    bk: Backend,
-    qb: &[f32],
-    pk: &[f32],
-    pv: &[f32],
-    scale: f32,
-    lk: usize,
-    d: usize,
-    dv: usize,
-    i0: usize,
-    rows: usize,
-    chunk: &mut [f32],
-    s: &mut [f32],
-) {
-    let s = &mut s[..rows * lk];
-    simd::kernel(bk, AView::rows(qb, i0 * d, d), pk, s, rows, d, lk, false);
-    for r in 0..rows {
-        simd::softmax_row_scaled(bk, &mut s[r * lk..(r + 1) * lk], scale);
-    }
-    simd::kernel(bk, AView::rows(s, 0, lk), pv, chunk, rows, lk, dv, false);
+/// The shape of a rank-3 attention operand.
+fn dims(t: &Tensor) -> [usize; 3] {
+    <[usize; 3]>::try_from(t.shape()).expect("attention operands are rank-3")
 }
 
-/// Forward row-tile worker: computes output rows `[i0, i0 + rows)` of one
-/// batch, with a single score-row scratch reused across the tile's rows.
-#[allow(clippy::too_many_arguments)]
-fn attn_tm_rows(
-    qb: &[f32],
-    kb: &[f32],
-    vb: &[f32],
-    scale: f32,
-    lk: usize,
-    d: usize,
-    dv: usize,
-    i0: usize,
-    chunk: &mut [f32],
-    s: &mut [f32],
-) {
-    let rows = chunk.len() / dv;
-    for r in 0..rows {
-        let qrow = &qb[(i0 + r) * d..(i0 + r + 1) * d];
-        score_row_tm(qrow, kb, scale, lk, d, &mut *s);
-        softmax_row(&mut *s);
-        let orow = &mut chunk[r * dv..(r + 1) * dv];
-        for (j, &wj) in s.iter().enumerate() {
-            // Same lhs zero-skip as the composed softmax·v GEMM.
-            if wj == 0.0 {
-                continue;
-            }
-            let vrow = &vb[j * dv..(j + 1) * dv];
-            for (o, &vv) in orow.iter_mut().zip(vrow) {
-                *o += wj * vv;
-            }
-        }
-    }
+/// Whether `q`, `k` and `v` are one buffer, which the adapter transposes
+/// once.
+fn aliased([q, k, v]: [&[f32]; 3]) -> bool {
+    std::ptr::eq(q, k) && std::ptr::eq(k, v)
 }
 
-/// One scaled score row `s[j] = (Σ_p qrow[p]·k[j,p]) · scale`, reduction
-/// over `p` in increasing order with the composed GEMM's lhs zero-skip.
-fn score_row_tm(qrow: &[f32], kb: &[f32], scale: f32, lk: usize, d: usize, s: &mut [f32]) {
-    for (j, sj) in s.iter_mut().enumerate().take(lk) {
-        let krow = &kb[j * d..(j + 1) * d];
-        let mut acc = 0.0f32;
-        for (&qv, &kv) in qrow.iter().zip(krow) {
-            if qv == 0.0 {
-                continue;
-            }
-            acc += qv * kv;
-        }
-        *sj = acc * scale;
+/// The token-major operands `[b, l, d]`, `[b, l, d]`, `[b, l, dv]`
+/// transposed to `[b, d, l]`, `[b, d, l]`, `[b, dv, l]` at the front of
+/// `scratch` — once if they are one buffer — and the rest of `scratch`.
+fn transpose_operands<'s>(
+    ops: [&[f32]; 3],
+    [b, l, d, dv]: [usize; 4],
+    scratch: &'s mut [f32],
+) -> ([&'s [f32]; 3], &'s mut [f32]) {
+    let (qt, rest) = transposed(ops[0], [b, l, d], scratch);
+    if aliased(ops) {
+        return ([qt; 3], rest);
     }
+    let (kt, rest) = transposed(ops[1], [b, l, d], rest);
+    let (vt, rest) = transposed(ops[2], [b, l, dv], rest);
+    ([qt, kt, vt], rest)
+}
+
+/// The `[b, rows, cols]` `src` transposed to `[b, cols, rows]` at the front
+/// of `scratch`, and the rest of `scratch`.
+fn transposed<'s>(
+    src: &[f32],
+    shape: [usize; 3],
+    scratch: &'s mut [f32],
+) -> (&'s [f32], &'s mut [f32]) {
+    let (t, rest) = scratch.split_at_mut(src.len());
+    lowlevel::permute_into(src, &shape, &[0, 2, 1], t);
+    (t, rest)
 }
 
 /// In-place softmax of one score row, routed through the active kernel
@@ -441,252 +308,6 @@ pub(crate) fn softmax_row_scalar(s: &mut [f32]) {
     }
 }
 
-/// Backward of [`attention_tm`] for upstream gradient `dy: [B, Lq, Dv]`,
-/// writing `dq`, `dk` and `dv` into caller buffers of `q`'s, `k`'s and
-/// `v`'s lengths (any contents; every element is overwritten).
-///
-/// Score rows are recomputed tile-by-tile instead of being read from a
-/// stored `[Lq, Lk]` softmax. `dk` and `dv` accumulate over the query index
-/// in globally increasing order (serial over tiles), matching the composed
-/// backward GEMMs bitwise. The serial score-row scratch is this thread's
-/// kernel scratch, so a warm call allocates nothing.
-///
-/// # Panics
-///
-/// Panics on rank, dimension or buffer-length mismatches.
-#[allow(clippy::too_many_arguments)]
-pub fn attention_tm_backward_into(
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    scale: f32,
-    dy: &Tensor,
-    dq: &mut [f32],
-    dk: &mut [f32],
-    dv: &mut [f32],
-) {
-    attention_tm_backward_with(simd::active(), q, k, v, scale, dy, dq, dk, dv);
-}
-
-/// Explicit-backend [`attention_tm_backward_into`] — the differential suite's
-/// entry point. `dk`/`dv` accumulate over the query index in globally
-/// increasing order on every backend (the vector arm concatenates exact
-/// per-tile FMA chain segments via accumulate reloads), matching the
-/// composed backward GEMMs bitwise under the same backend.
-///
-/// # Panics
-///
-/// Panics on rank, dimension or buffer-length mismatches.
-#[allow(clippy::too_many_arguments)]
-pub fn attention_tm_backward_with(
-    bk: Backend,
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    scale: f32,
-    dy: &Tensor,
-    dq: &mut [f32],
-    dk: &mut [f32],
-    dv_all: &mut [f32],
-) {
-    let (b, lq, d) = (q.shape()[0], q.shape()[1], q.shape()[2]);
-    let (lk, dv) = (k.shape()[1], v.shape()[2]);
-    assert_eq!(
-        dy.shape(),
-        &[b, lq, dv],
-        "attention_tm_backward dy shape mismatch"
-    );
-    let lens = [dq.len(), dk.len(), dv_all.len()];
-    assert_eq!(lens, [q, k, v].map(Tensor::numel), "gradient lengths");
-    let (qd, kd, vd, dyd) = (q.data(), k.data(), v.data(), dy.data());
-    for buf in [&mut *dq, &mut *dk, &mut *dv_all] {
-        buf.fill(0.0);
-    }
-    for bi in 0..b {
-        let qb = &qd[bi * lq * d..(bi + 1) * lq * d];
-        let kb = &kd[bi * lk * d..(bi + 1) * lk * d];
-        let vb = &vd[bi * lk * dv..(bi + 1) * lk * dv];
-        let dyb = &dyd[bi * lq * dv..(bi + 1) * lq * dv];
-        let dqb = &mut dq[bi * lq * d..(bi + 1) * lq * d];
-        let dkb = &mut dk[bi * lk * d..(bi + 1) * lk * d];
-        let dvb = &mut dv_all[bi * lk * dv..(bi + 1) * lk * dv];
-        if bk != Backend::Scalar {
-            tm_backward_vec(bk, qb, kb, vb, dyb, scale, lq, lk, d, dv, dqb, dkb, dvb);
-            continue;
-        }
-        simd::with_scratch(|sc| {
-            sc.tile_a.resize(lk, 0.0);
-            sc.tile_b.resize(lk, 0.0);
-            let (s, g) = (&mut sc.tile_a[..], &mut sc.tile_b[..]);
-            for i in 0..lq {
-                // Recompute the softmax row exactly as the forward did.
-                let qrow = &qb[i * d..(i + 1) * d];
-                score_row_tm(qrow, kb, scale, lk, d, s);
-                softmax_row(s);
-                let dyrow = &dyb[i * dv..(i + 1) * dv];
-                // g[j] = Σ_d dy[i,d]·v[j,d] (the composed dy·vᵀ GEMM row).
-                for (j, gj) in g.iter_mut().enumerate().take(lk) {
-                    let vrow = &vb[j * dv..(j + 1) * dv];
-                    let mut acc = 0.0f32;
-                    for (&gv, &vv) in dyrow.iter().zip(vrow) {
-                        if gv == 0.0 {
-                            continue;
-                        }
-                        acc += gv * vv;
-                    }
-                    *gj = acc;
-                }
-                // dv[j,d] += w[j]·dy[i,d]: query index i strictly increasing.
-                for (j, &wj) in s.iter().enumerate() {
-                    if wj == 0.0 {
-                        continue;
-                    }
-                    let dvrow = &mut dvb[j * dv..(j + 1) * dv];
-                    for (o, &gv) in dvrow.iter_mut().zip(dyrow) {
-                        *o += wj * gv;
-                    }
-                }
-                // Softmax backward then the composed Scale node's backward:
-                // gs[j] = (w[j]·(g[j] - dot))·scale, overwriting g in place.
-                let dot: f32 = s.iter().zip(g.iter()).map(|(&a, &b)| a * b).sum();
-                for (gj, &wj) in g.iter_mut().zip(s.iter()) {
-                    *gj = (wj * (*gj - dot)) * scale;
-                }
-                // dq[i,p] += gs[j]·k[j,p], key index j increasing (axpy).
-                let dqrow = &mut dqb[i * d..(i + 1) * d];
-                for (j, &gs) in g.iter().enumerate() {
-                    if gs == 0.0 {
-                        continue;
-                    }
-                    let krow = &kb[j * d..(j + 1) * d];
-                    for (o, &kv) in dqrow.iter_mut().zip(krow) {
-                        *o += gs * kv;
-                    }
-                }
-                // dk[j,p] += q[i,p]·gs[j]: query index i strictly increasing.
-                for (j, &gs) in g.iter().enumerate() {
-                    let dkrow = &mut dkb[j * d..(j + 1) * d];
-                    for (o, &qv) in dkrow.iter_mut().zip(qrow) {
-                        *o += qv * gs;
-                    }
-                }
-            }
-        });
-    }
-}
-
-/// Vector-backend token-major backward for one batch. Tiles run serially
-/// in increasing query order; the softmax tile is recomputed with exactly
-/// the forward's kernel sequence, `dk`/`dv` accumulate per tile (exact
-/// chain concatenation), and the softmax+scale backward rows use the same
-/// scalar expressions as the tape's `SoftmaxLast`/`Scale` nodes.
-#[allow(clippy::too_many_arguments)]
-fn tm_backward_vec(
-    bk: Backend,
-    qb: &[f32],
-    kb: &[f32],
-    vb: &[f32],
-    dyb: &[f32],
-    scale: f32,
-    lq: usize,
-    lk: usize,
-    d: usize,
-    dv: usize,
-    dqb: &mut [f32],
-    dkb: &mut [f32],
-    dvb: &mut [f32],
-) {
-    simd::with_scratch(|sc| {
-        let simd::Scratch {
-            pack_a: pk_nt,
-            pack_b: pv_nt,
-            pack_c: pk_nn,
-            tile_a: s_buf,
-            tile_b: g_buf,
-            tile_c: bt_buf,
-            ..
-        } = sc;
-        simd::pack_b(kb, d, lk, true, pk_nt); // kᵀ panels: score recompute
-        simd::pack_b(vb, dv, lk, true, pv_nt); // vᵀ panels: g = dy·vᵀ
-        simd::pack_b(kb, lk, d, false, pk_nn); // k panels: dq = gs·k
-        let mut i0 = 0;
-        while i0 < lq {
-            let rows = ATTN_TILE.min(lq - i0);
-            // Recompute the softmax tile exactly as the forward did.
-            s_buf.resize(rows * lk, 0.0);
-            simd::kernel(
-                bk,
-                AView::rows(qb, i0 * d, d),
-                pk_nt,
-                s_buf,
-                rows,
-                d,
-                lk,
-                false,
-            );
-            for r in 0..rows {
-                simd::softmax_row_scaled(bk, &mut s_buf[r * lk..(r + 1) * lk], scale);
-            }
-            // g[t,j] = Σ_c dy[i0+t,c]·v[j,c] (the composed dy·vᵀ tile).
-            g_buf.resize(rows * lk, 0.0);
-            simd::kernel(
-                bk,
-                AView::rows(dyb, i0 * dv, dv),
-                pv_nt,
-                g_buf,
-                rows,
-                dv,
-                lk,
-                false,
-            );
-            // dv[j,c] += Σ_t w[t,j]·dy[i0+t,c]: query index strictly
-            // increasing across tiles, chain resumed by the accumulate
-            // reload.
-            simd::pack_b(&dyb[i0 * dv..(i0 + rows) * dv], rows, dv, false, bt_buf);
-            let wview = AView {
-                data: s_buf,
-                base: 0,
-                row_stride: 1,
-                p_stride: lk,
-            };
-            simd::kernel(bk, wview, bt_buf, dvb, lk, rows, dv, true);
-            // gs[t,j] = (w[t,j]·(g[t,j] − dot))·scale — the tape's
-            // SoftmaxLast backward then the Scale node's backward, row by
-            // row in the exact scalar expressions.
-            for r in 0..rows {
-                let srow = &s_buf[r * lk..(r + 1) * lk];
-                let grow = &mut g_buf[r * lk..(r + 1) * lk];
-                let dot: f32 = srow.iter().zip(grow.iter()).map(|(&a, &b)| a * b).sum();
-                for (gj, &wj) in grow.iter_mut().zip(srow) {
-                    *gj = (wj * (*gj - dot)) * scale;
-                }
-            }
-            // dq[i0+t,p] = Σ_j gs[t,j]·k[j,p] (rows written exactly once).
-            simd::kernel(
-                bk,
-                AView::rows(g_buf, 0, lk),
-                pk_nn,
-                &mut dqb[i0 * d..(i0 + rows) * d],
-                rows,
-                lk,
-                d,
-                false,
-            );
-            // dk[j,p] += Σ_t gs[t,j]·q[i0+t,p]: same accumulate chaining
-            // as dv.
-            simd::pack_b(&qb[i0 * d..(i0 + rows) * d], rows, d, false, bt_buf);
-            let gsview = AView {
-                data: g_buf,
-                base: 0,
-                row_stride: 1,
-                p_stride: lk,
-            };
-            simd::kernel(bk, gsview, bt_buf, dkb, lk, rows, d, true);
-            i0 += rows;
-        }
-    });
-}
-
 /// Feature-major fused attention: `q: [B, D, L]`, `k: [B, D, L]`,
 /// `v: [B, Dv, L] -> [B, Dv, L]`.
 ///
@@ -698,8 +319,7 @@ fn tm_backward_vec(
 ///
 /// Panics on rank or dimension mismatches.
 pub fn attention_fm(q: &Tensor, k: &Tensor, v: &Tensor, scale: f32) -> Tensor {
-    let (b, l) = (q.shape()[0], q.shape()[2]);
-    let nv = v.shape()[1];
+    let [b, nv, l] = dims(v);
     let mut out = vec![0.0f32; b * nv * l];
     attention_fm_into(q, k, v, scale, &mut out);
     Tensor::from_vec(vec![b, nv, l], out).expect("attention_fm shape")
@@ -712,37 +332,12 @@ pub fn attention_fm(q: &Tensor, k: &Tensor, v: &Tensor, scale: f32) -> Tensor {
 ///
 /// Panics on rank/dimension mismatches or if `out.len() != B*Dv*L`.
 pub fn attention_fm_into(q: &Tensor, k: &Tensor, v: &Tensor, scale: f32, out: &mut [f32]) {
-    assert_eq!(q.rank(), 3, "attention_fm q must be rank-3");
-    assert_eq!(k.rank(), 3, "attention_fm k must be rank-3");
-    assert_eq!(v.rank(), 3, "attention_fm v must be rank-3");
-    let (b, n, l) = (q.shape()[0], q.shape()[1], q.shape()[2]);
-    let (bk, nk, lk) = (k.shape()[0], k.shape()[1], k.shape()[2]);
-    let (bv, nv, lv) = (v.shape()[0], v.shape()[1], v.shape()[2]);
-    assert_eq!(b, bk, "attention_fm q/k batch mismatch");
-    assert_eq!(b, bv, "attention_fm q/v batch mismatch");
-    assert_eq!(n, nk, "attention_fm q/k feature mismatch");
-    assert_eq!(l, lk, "attention_fm q/k length mismatch");
-    assert_eq!(l, lv, "attention_fm k/v length mismatch");
-    assert_eq!(out.len(), b * nv * l, "attention_fm output length mismatch");
+    let ([b, n, l], [b2, n2, l2], [b3, nv, l3]) = (dims(q), dims(k), dims(v));
+    assert_eq!([b2, n2, l2, b3, l3], [b, n, l, b, l], "attention_fm shapes");
     let bk = simd::active();
-    let mut scratch = if fm_scalar_arm(bk, n, nv) {
-        vec![0.0f32; l]
-    } else {
-        Vec::new()
-    };
-    attention_fm_slices_with(
-        bk,
-        q.data(),
-        k.data(),
-        v.data(),
-        b,
-        n,
-        nv,
-        l,
-        scale,
-        out,
-        &mut scratch,
-    );
+    let mut scratch = vec![0.0f32; if fm_scalar_arm(bk, n, nv) { l } else { 0 }];
+    let [qd, kd, vd] = [q, k, v].map(Tensor::data);
+    attention_fm_slices_with(bk, qd, kd, vd, b, n, nv, l, scale, out, &mut scratch);
 }
 
 /// Slice-level [`attention_fm_into`] with a caller-provided score-row
@@ -799,15 +394,11 @@ pub fn attention_fm_slices_with(
     out: &mut [f32],
     scratch: &mut [f32],
 ) {
-    assert_eq!(qd.len(), b * n * l, "attention_fm q length mismatch");
-    assert_eq!(kd.len(), b * n * l, "attention_fm k length mismatch");
-    assert_eq!(vd.len(), b * nv * l, "attention_fm v length mismatch");
-    assert_eq!(out.len(), b * nv * l, "attention_fm output length mismatch");
+    let [lqk, lv] = [b * n * l, b * nv * l];
+    let lens = [qd.len(), kd.len(), vd.len(), out.len()];
+    assert_eq!(lens, [lqk, lqk, lv, lv], "attention_fm lengths");
     let scalar = fm_scalar_arm(bk, n, nv);
-    assert!(
-        !scalar || scratch.len() >= l,
-        "attention_fm scratch too small"
-    );
+    assert!(!scalar || scratch.len() >= l, "attention_fm scratch");
     let width = simd::query_lanes(bk).0;
     for bi in 0..b {
         let qb = &qd[bi * n * l..(bi + 1) * n * l];
@@ -986,40 +577,59 @@ pub fn attention_fm_backward_into(
     dk: &mut [f32],
     dv: &mut [f32],
 ) {
-    attention_fm_backward_with(simd::active(), q, k, v, scale, dy, dq, dk, dv);
+    let (b, n, l) = (q.shape()[0], q.shape()[1], q.shape()[2]);
+    let nv = v.shape()[1];
+    assert_eq!(dy.shape(), [b, nv, l], "attention_fm dy shape");
+    let [qd, kd, vd, dyd] = [q, k, v, dy].map(Tensor::data);
+    attention_fm_backward_with(
+        simd::active(),
+        qd,
+        kd,
+        vd,
+        dyd,
+        b,
+        n,
+        nv,
+        l,
+        scale,
+        dq,
+        dk,
+        dv,
+    );
 }
 
-/// Explicit-backend [`attention_fm_backward_into`] — the differential suite's
-/// entry point. `dk`/`dv` accumulate over the query index in increasing
-/// order on every backend; the vector arm recomputes the softmax with
-/// exactly the forward's sweeps. Calls without channels take the scalar
-/// arm.
+/// Explicit-backend slice-level [`attention_fm_backward_into`] — the
+/// differential suite's and the token-major adapter's entry point. `dk`/`dv`
+/// accumulate over the query index in increasing order on every backend;
+/// the vector arm recomputes the softmax with exactly the forward's sweeps.
+/// Calls without channels take the scalar arm.
 ///
 /// # Panics
 ///
-/// Panics on rank, dimension or buffer-length mismatches.
+/// Panics on slice-length mismatches.
 #[allow(clippy::too_many_arguments)]
 pub fn attention_fm_backward_with(
     bk: Backend,
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
+    qd: &[f32],
+    kd: &[f32],
+    vd: &[f32],
+    dyd: &[f32],
+    b: usize,
+    n: usize,
+    nv: usize,
+    l: usize,
     scale: f32,
-    dy: &Tensor,
     dq: &mut [f32],
     dk: &mut [f32],
     dv_all: &mut [f32],
 ) {
-    let (b, n, l) = (q.shape()[0], q.shape()[1], q.shape()[2]);
-    let nv = v.shape()[1];
+    let [lqk, lv] = [b * n * l, b * nv * l];
+    let lens = [qd, kd, vd, dyd, dq, dk, dv_all].map(|x| x.len());
     assert_eq!(
-        dy.shape(),
-        &[b, nv, l],
-        "attention_fm_backward dy shape mismatch"
+        lens,
+        [lqk, lqk, lv, lv, lqk, lqk, lv],
+        "attention_fm lengths"
     );
-    let lens = [dq.len(), dk.len(), dv_all.len()];
-    assert_eq!(lens, [q, k, v].map(Tensor::numel), "gradient lengths");
-    let (qd, kd, vd, dyd) = (q.data(), k.data(), v.data(), dy.data());
     for buf in [&mut *dq, &mut *dk, &mut *dv_all] {
         buf.fill(0.0);
     }
@@ -1151,6 +761,10 @@ fn fm_backward_query_lanes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::AView;
+
+    /// Query columns per tile of the four-pass reference below.
+    const TILE: usize = 32;
 
     fn tensor(shape: Vec<usize>, seed: usize) -> Tensor {
         Tensor::from_fn(shape, |i| {
@@ -1192,7 +806,7 @@ mod tests {
     }
 
     /// The four-pass feature-major forward of one batch, the reference the
-    /// query-lane forward is held to. Per tile of [`ATTN_TILE`] query
+    /// query-lane forward is held to. Per tile of [`TILE`] query
     /// columns, each pass leaves every element's arithmetic that of the
     /// composed chain under `bk`:
     ///
@@ -1216,8 +830,8 @@ mod tests {
         let [mut pk, mut q_buf, mut e_buf, mut pt_buf, mut o_buf]: [Vec<f32>; 5] =
             Default::default();
         simd::pack_b(kb, n, l, false, &mut pk);
-        for y0 in (0..l).step_by(ATTN_TILE) {
-            let t = ATTN_TILE.min(l - y0);
+        for y0 in (0..l).step_by(TILE) {
+            let t = TILE.min(l - y0);
             gather_columns(qb, n, l, y0, t, &mut q_buf);
             e_buf.resize(t * l, 0.0);
             let qview = AView {
@@ -1270,8 +884,8 @@ mod tests {
             Default::default();
         simd::pack_b(kb, n, l, false, &mut pk); // k panels: score recompute
         simd::pack_b(vb, nv, l, false, &mut pv); // v panels: g = vᵀ·dy
-        for y0 in (0..l).step_by(ATTN_TILE) {
-            let t = ATTN_TILE.min(l - y0);
+        for y0 in (0..l).step_by(TILE) {
+            let t = TILE.min(l - y0);
             // Recompute the softmax tile exactly as the forward did.
             gather_columns(qb, n, l, y0, t, &mut q_buf);
             e_buf.resize(t * l, 0.0);
@@ -1320,12 +934,12 @@ mod tests {
 
     #[test]
     fn tm_forward_bitwise_matches_composed() {
-        // Odd lengths (not multiples of ATTN_TILE), rectangular q/k, and a
-        // size big enough to engage the tiled parallel path.
-        for (b, lq, lk, d, dv) in [(1, 3, 5, 4, 2), (2, 33, 7, 5, 3), (1, 129, 129, 16, 16)] {
-            let q = tensor(vec![b, lq, d], 1);
-            let k = tensor(vec![b, lk, d], 2);
-            let v = tensor(vec![b, lk, dv], 3);
+        // Odd lengths, Dv != D, and a size big enough to engage the
+        // parallel query blocks.
+        for (b, l, d, dv) in [(1, 5, 4, 2), (2, 33, 5, 3), (1, 129, 16, 16)] {
+            let q = tensor(vec![b, l, d], 1);
+            let k = tensor(vec![b, l, d], 2);
+            let v = tensor(vec![b, l, dv], 3);
             for scale in [1.0, 0.37] {
                 assert_bitwise(
                     &attention_tm(&q, &k, &v, scale),
@@ -1333,6 +947,48 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn tm_adapter_transposes_aliased_operands_once() {
+        // One buffer as q, k and v runs in the smaller scratch and gives
+        // the bits of three separate copies, forward and backward.
+        let (b, l, d) = (2, 9, 5);
+        let x = tensor(vec![b, l, d], 17);
+        let dy = tensor(vec![b, l, d], 18);
+        let (y, z) = (x.clone(), x.clone());
+        let [shared, _] = attention_tm_scratch(b, l, d, d, true);
+        assert!(shared < attention_tm_scratch(b, l, d, d, false)[0]);
+        let mut out = vec![f32::NAN; x.numel()];
+        attention_tm_into(&x, &x, &x, 0.5, &mut out, &mut vec![f32::NAN; shared]);
+        assert_same_bits(
+            "aliased forward",
+            &out,
+            attention_tm(&x, &y, &z, 0.5).data(),
+        );
+        let backward = |[q, k, v]: [&Tensor; 3], aliased| {
+            let mut grads = [q, k, v].map(|t| vec![f32::NAN; t.numel()]);
+            let [dq, dk, dv] = &mut grads;
+            let mut sc = vec![f32::NAN; attention_tm_scratch(b, l, d, d, aliased)[1]];
+            attention_tm_backward_into(q, k, v, 0.5, &dy, dq, dk, dv, &mut sc);
+            grads
+        };
+        let (got, want) = (backward([&x, &x, &x], true), backward([&x, &y, &z], false));
+        for (name, got, want) in [
+            ("dq", &got[0], &want[0]),
+            ("dk", &got[1], &want[1]),
+            ("dv", &got[2], &want[2]),
+        ] {
+            assert_same_bits(&format!("aliased {name}"), got, want);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "as many keys as queries")]
+    fn tm_adapter_rejects_rectangular_attention() {
+        let q = tensor(vec![1, 4, 3], 14);
+        let kv = tensor(vec![1, 5, 3], 15);
+        let _ = attention_tm(&q, &kv, &kv, 1.0);
     }
 
     #[test]
@@ -1685,7 +1341,10 @@ mod tests {
                 let mut s = vec![0.0f32; l];
                 attention_fm_slices_with(bk, qd, kd, vd, 2, n, nv, l, 0.37, &mut out, &mut s);
                 let [mut dq, mut dk, mut dv] = [&q, &k, &v].map(|x| vec![f32::NAN; x.numel()]);
-                attention_fm_backward_with(bk, &q, &k, &v, 0.37, &dy, &mut dq, &mut dk, &mut dv);
+                let dyd = dy.data();
+                attention_fm_backward_with(
+                    bk, qd, kd, vd, dyd, 2, n, nv, l, 0.37, &mut dq, &mut dk, &mut dv,
+                );
                 [out, dq, dk, dv]
             };
             let want = run(Backend::Scalar);
@@ -1700,11 +1359,12 @@ mod tests {
     #[test]
     fn tm_backward_shapes_and_zero_dy() {
         let q = tensor(vec![2, 5, 3], 7);
-        let k = tensor(vec![2, 4, 3], 8);
-        let v = tensor(vec![2, 4, 6], 9);
+        let k = tensor(vec![2, 5, 3], 8);
+        let v = tensor(vec![2, 5, 6], 9);
         let dy = Tensor::zeros(vec![2, 5, 6]);
         let [mut dq, mut dk, mut dv] = [&q, &k, &v].map(|x| vec![f32::NAN; x.numel()]);
-        attention_tm_backward_into(&q, &k, &v, 0.5, &dy, &mut dq, &mut dk, &mut dv);
+        let mut sc = vec![f32::NAN; attention_tm_scratch(2, 5, 3, 6, false)[1]];
+        attention_tm_backward_into(&q, &k, &v, 0.5, &dy, &mut dq, &mut dk, &mut dv, &mut sc);
         for grad in [dq, dk, dv] {
             assert!(grad.iter().all(|&x| x == 0.0));
         }
@@ -1721,16 +1381,5 @@ mod tests {
         for grad in [dq, dk, dv] {
             assert!(grad.iter().all(|x| x.is_finite()), "every element written");
         }
-    }
-
-    #[test]
-    fn tm_into_requires_zeroed_and_matches() {
-        let q = tensor(vec![1, 4, 3], 14);
-        let k = tensor(vec![1, 5, 3], 15);
-        let v = tensor(vec![1, 5, 2], 16);
-        let base = attention_tm(&q, &k, &v, 0.25);
-        let mut buf = vec![0.0f32; base.numel()];
-        attention_tm_into(&q, &k, &v, 0.25, &mut buf);
-        assert_eq!(base.data(), &buf[..]);
     }
 }

@@ -233,11 +233,8 @@ const MR: usize = 4;
 #[derive(Default)]
 pub(crate) struct Scratch {
     pub pack_a: Vec<f32>,
-    pub pack_b: Vec<f32>,
-    pub pack_c: Vec<f32>,
     pub tile_a: Vec<f32>,
     pub tile_b: Vec<f32>,
-    pub tile_c: Vec<f32>,
     /// One column block of a convolution's lowering, packed.
     pub conv_cols: Vec<f32>,
     /// That block's `[oc, width]` product, before the epilogue.
@@ -250,20 +247,15 @@ impl Scratch {
     pub(crate) fn floats(&self) -> usize {
         let Scratch {
             pack_a,
-            pack_b,
-            pack_c,
             tile_a,
             tile_b,
-            tile_c,
             conv_cols,
             conv_out,
         } = self;
-        [
-            pack_a, pack_b, pack_c, tile_a, tile_b, tile_c, conv_cols, conv_out,
-        ]
-        .iter()
-        .map(|v| v.capacity())
-        .sum()
+        [pack_a, tile_a, tile_b, conv_cols, conv_out]
+            .iter()
+            .map(|v| v.capacity())
+            .sum()
     }
 }
 
@@ -357,7 +349,7 @@ fn pack_bt(src: &[f32], k: usize, n: usize, buf: &mut Vec<f32>) {
 /// Strided view of the A operand of [`kernel`]: element `(row, p)` of the
 /// product reads `a[base + row * row_stride + p * p_stride]`. Covers NN
 /// (`row_stride = k, p_stride = 1`), TN (`row_stride = 1, p_stride = m`)
-/// and packed attention tiles without copying A.
+/// and the unit tests' four-pass attention tiles without copying A.
 #[derive(Clone, Copy)]
 pub(crate) struct AView<'a> {
     pub data: &'a [f32],

@@ -2,7 +2,7 @@
 //! worker threads it spawns: one above-threshold call per family at three
 //! workers, plus a below-threshold call that must stay on the calling
 //! thread. Each count follows from the family's split — the row blocks,
-//! batches, planes, column blocks or query tiles it hands the pool — so a
+//! batches, planes, column blocks or query blocks it hands the pool — so a
 //! change to any split moves a count here before it moves a bit
 //! elsewhere.
 //!
@@ -10,7 +10,7 @@
 
 use mfaplace_rt::pool;
 use mfaplace_tensor::simd::{self, Backend};
-use mfaplace_tensor::{attention_fm_slices_with, attention_tm_slices_with, lowlevel};
+use mfaplace_tensor::{attention_fm_slices_with, lowlevel};
 
 /// Worker threads `f` spawns at a budget of three.
 fn spawned(f: impl FnOnce()) -> u64 {
@@ -35,24 +35,13 @@ fn gemm_spawns(bk: Backend, m: usize, k: usize, n: usize) -> [u64; 3] {
     ]
 }
 
-fn attention_spawns(bk: Backend) -> [u64; 2] {
-    // Token-major: two batches of 128 queries, four tiles of 32 each.
-    let (b, l, d) = (2, 128, 16);
-    let x = filled(b * l * d);
-    let mut out = vec![0.0; b * l * d];
-    let mut scratch = vec![0.0; l];
-    let tm = spawned(|| {
-        attention_tm_slices_with(bk, &x, &x, &x, b, l, l, d, d, 0.25, &mut out, &mut scratch)
-    });
-    // Feature-major: one batch of 256 positions over 8 channels.
+fn attention_spawns(bk: Backend) -> u64 {
+    // One batch of 256 positions over 8 channels.
     let (n, l) = (8, 256);
     let x = filled(n * l);
     let mut out = vec![0.0; n * l];
     let mut scratch = vec![0.0; l];
-    let fm = spawned(|| {
-        attention_fm_slices_with(bk, &x, &x, &x, 1, n, n, l, 0.25, &mut out, &mut scratch)
-    });
-    [tm, fm]
+    spawned(|| attention_fm_slices_with(bk, &x, &x, &x, 1, n, n, l, 0.25, &mut out, &mut scratch))
 }
 
 #[test]
@@ -77,11 +66,13 @@ fn every_kernel_family_keeps_its_split() {
             expect(&format!("{name} gemm nt {m}x{k}x{n}"), nt, want);
             expect(&format!("{name} gemm tn {m}x{k}x{n}"), tn, want);
         }
-        let [tm, fm] = attention_spawns(bk);
-        expect(&format!("{name} attention tm 2x128x16"), tm, 2);
-        // The scalar feature-major loop never fans out.
+        // The scalar attention loop never fans out.
         let fm_want = if bk == Backend::Scalar { 0 } else { 2 };
-        expect(&format!("{name} attention fm 8x256"), fm, fm_want);
+        expect(
+            &format!("{name} attention fm 8x256"),
+            attention_spawns(bk),
+            fm_want,
+        );
     }
     let (a, b) = (vec![1i8; 37 * 128], vec![1i8; 128 * 128]);
     let mut out = vec![0i32; 37 * 128];

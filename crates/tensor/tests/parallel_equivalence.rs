@@ -7,8 +7,8 @@
 use mfaplace_rt::check::run_cases;
 use mfaplace_rt::pool;
 use mfaplace_tensor::{
-    attention_fm, attention_fm_backward_into, attention_tm, attention_tm_backward_into, lowlevel,
-    Tensor, ATTN_TILE,
+    attention_fm, attention_fm_backward_into, attention_tm, attention_tm_backward_into,
+    attention_tm_scratch, lowlevel, Tensor,
 };
 
 /// Runs `f` serially and at several forced worker counts; all results
@@ -152,22 +152,27 @@ fn attention_parallel_matches_serial_bitwise() {
         2,
         0xE9_08,
         |_case, rng| {
-            // Both layouts above the tile fan-out threshold (L²·(D+Dv) ≥
-            // 2¹⁹, more than one tile), with a ragged last tile, Dv != D
+            // Both layouts above the fan-out threshold (L²·(D+Dv) ≥ 2¹⁹,
+            // more than one query block), with a ragged last block, Dv != D
             // and two batches — under whichever kernel backend is active.
-            let (b, lq, lk, d, dv) = (2, 150, 130, 24, 16);
-            assert!(lq % ATTN_TILE != 0 && lq * lk * (d + dv) >= 1 << 19);
-            let q = Tensor::randn(vec![b, lq, d], 1.0, rng);
-            let k = Tensor::randn(vec![b, lk, d], 1.0, rng);
-            let v = Tensor::randn(vec![b, lk, dv], 1.0, rng);
-            let dy = Tensor::randn(vec![b, lq, dv], 1.0, rng);
+            let (b, l, d, dv) = (2, 150, 24, 16);
+            assert!(l % 16 != 0 && l * l * (d + dv) >= 1 << 19);
+            let q = Tensor::randn(vec![b, l, d], 1.0, rng);
+            let k = Tensor::randn(vec![b, l, d], 1.0, rng);
+            let v = Tensor::randn(vec![b, l, dv], 1.0, rng);
+            let dy = Tensor::randn(vec![b, l, dv], 1.0, rng);
             assert_bitwise_equal_across_threads("attention_tm", || attention_tm(&q, &k, &v, 0.2));
+            let tm_backward: Backward = |q, k, v, scale, dy, dq, dk, dv| {
+                let [b, l, d] = [0, 1, 2].map(|i| q.shape()[i]);
+                let mut sc = vec![f32::NAN; attention_tm_scratch(b, l, d, v.shape()[2], false)[1]];
+                attention_tm_backward_into(q, k, v, scale, dy, dq, dk, dv, &mut sc);
+            };
             assert_bitwise_equal_across_threads("attention_tm_backward", || {
-                cat3(attention_tm_backward_into, [&q, &k, &v], 0.2, &dy)
+                cat3(tm_backward, [&q, &k, &v], 0.2, &dy)
             });
 
             let (b, n, nv, l) = (2, 3, 5, 300);
-            assert!(l % ATTN_TILE != 0 && l * l * (n + nv) >= 1 << 19);
+            assert!(l % 16 != 0 && l * l * (n + nv) >= 1 << 19);
             let q = Tensor::randn(vec![b, n, l], 1.0, rng);
             let k = Tensor::randn(vec![b, n, l], 1.0, rng);
             let v = Tensor::randn(vec![b, nv, l], 1.0, rng);

@@ -6,8 +6,7 @@
 //! output's max-norm scale (`crate::simd` module docs). Shapes are drawn
 //! to cross the microkernel's blocking boundaries — column tails that are
 //! not a multiple of the 16-lane panel width, row tails off the 4-row
-//! group, `K = 0` / `K = 1` contractions, and single-row/column outputs —
-//! plus the aliased `q = k = v` self-attention case.
+//! group, `K = 0` / `K = 1` contractions, and single-row/column outputs.
 //!
 //! Two invariants are checked bitwise rather than with a tolerance:
 //! accumulate-chaining (a split-K GEMM accumulated in two calls equals the
@@ -17,10 +16,7 @@
 use mfaplace_rt::check::{run_cases, vec_f32};
 use mfaplace_rt::rng::Rng;
 use mfaplace_tensor::simd::{self, Backend};
-use mfaplace_tensor::{
-    attention_fm_backward_with, attention_fm_slices_with, attention_tm_backward_with,
-    attention_tm_slices_with, Tensor,
-};
+use mfaplace_tensor::{attention_fm_backward_with, attention_fm_slices_with, Tensor};
 
 /// Backends to differentiate against scalar (empty on a scalar-only host,
 /// which leaves the suite trivially green rather than failing).
@@ -31,21 +27,21 @@ fn vector_backends() -> Vec<Backend> {
         .collect()
 }
 
-/// The signature of the explicit-backend attention backwards.
-type Backward =
-    fn(Backend, &Tensor, &Tensor, &Tensor, f32, &Tensor, &mut [f32], &mut [f32], &mut [f32]);
-
-/// Runs an attention backward into NaN-filled buffers it must overwrite
-/// and returns `(dq, dk, dv)`.
+/// Runs the explicit-backend feature-major attention backward into
+/// NaN-filled buffers it must overwrite and returns `(dq, dk, dv)`.
 fn backward(
-    kernel: Backward,
     bk: Backend,
     [q, k, v]: [&Tensor; 3],
     scale: f32,
     dy: &Tensor,
 ) -> (Tensor, Tensor, Tensor) {
     let [mut dq, mut dk, mut dv] = [q, k, v].map(|x| vec![f32::NAN; x.numel()]);
-    kernel(bk, q, k, v, scale, dy, &mut dq, &mut dk, &mut dv);
+    let [b, n, l] = [0, 1, 2].map(|i| q.shape()[i]);
+    let [qd, kd, vd, dyd] = [q, k, v, dy].map(Tensor::data);
+    let nv = v.shape()[1];
+    attention_fm_backward_with(
+        bk, qd, kd, vd, dyd, b, n, nv, l, scale, &mut dq, &mut dk, &mut dv,
+    );
     let t = |x: &Tensor, d| Tensor::from_vec(x.shape().to_vec(), d).expect("grad shape");
     (t(q, dq), t(k, dk), t(v, dv))
 }
@@ -256,108 +252,6 @@ fn layer_norm_rows_match_scalar_within_tolerance() {
 }
 
 #[test]
-fn attention_tm_forward_and_backward_match_scalar() {
-    let backends = vector_backends();
-    run_cases("attention_tm", 24, 0xA77A, |case, rng| {
-        // Cross the ATTN_TILE=32 boundary and exercise K = 1 edges.
-        let b = Rng::gen_range::<usize, _>(rng, 1..3);
-        let lq = Rng::gen_range::<usize, _>(rng, 1..70);
-        let lk = Rng::gen_range::<usize, _>(rng, 1..70);
-        let d = if case % 5 == 0 {
-            1
-        } else {
-            Rng::gen_range::<usize, _>(rng, 1..20)
-        };
-        let dv = Rng::gen_range::<usize, _>(rng, 1..20);
-        let scale = Rng::gen_range::<f32, _>(rng, 0.1..1.3);
-        let q = Tensor::from_vec(vec![b, lq, d], vec_f32(rng, b * lq * d, -1.0, 1.0)).unwrap();
-        let k = Tensor::from_vec(vec![b, lk, d], vec_f32(rng, b * lk * d, -1.0, 1.0)).unwrap();
-        let v = Tensor::from_vec(vec![b, lk, dv], vec_f32(rng, b * lk * dv, -1.0, 1.0)).unwrap();
-        let dy = Tensor::from_vec(vec![b, lq, dv], vec_f32(rng, b * lq * dv, -1.0, 1.0)).unwrap();
-        let mut want = vec![0.0f32; b * lq * dv];
-        let mut scratch = vec![0.0f32; lk];
-        attention_tm_slices_with(
-            Backend::Scalar,
-            q.data(),
-            k.data(),
-            v.data(),
-            b,
-            lq,
-            lk,
-            d,
-            dv,
-            scale,
-            &mut want,
-            &mut scratch,
-        );
-        let (wdq, wdk, wdv) = backward(
-            attention_tm_backward_with,
-            Backend::Scalar,
-            [&q, &k, &v],
-            scale,
-            &dy,
-        );
-        for &bk in &backends {
-            let mut got = vec![0.0f32; b * lq * dv];
-            attention_tm_slices_with(
-                bk,
-                q.data(),
-                k.data(),
-                v.data(),
-                b,
-                lq,
-                lk,
-                d,
-                dv,
-                scale,
-                &mut got,
-                &mut scratch,
-            );
-            assert_close(&format!("tm fwd {lq}x{lk}x{d} {bk:?}"), &got, &want);
-            let (dq, dk, dv_) = backward(attention_tm_backward_with, bk, [&q, &k, &v], scale, &dy);
-            assert_close(&format!("tm dq {bk:?}"), dq.data(), wdq.data());
-            assert_close(&format!("tm dk {bk:?}"), dk.data(), wdk.data());
-            assert_close(&format!("tm dv {bk:?}"), dv_.data(), wdv.data());
-        }
-    });
-}
-
-#[test]
-fn attention_tm_aliased_qkv_matches_scalar() {
-    // Self-attention with one buffer serving as q, k and v — the kernels
-    // only read the operands, so aliasing must be handled on all backends.
-    run_cases("attention_tm_aliased", 8, 0xA11A, |_case, rng| {
-        let (b, l, d) = (
-            Rng::gen_range::<usize, _>(rng, 1..3),
-            Rng::gen_range::<usize, _>(rng, 1..40),
-            Rng::gen_range::<usize, _>(rng, 1..12),
-        );
-        let x = vec_f32(rng, b * l * d, -1.0, 1.0);
-        let mut scratch = vec![0.0f32; l];
-        let mut want = vec![0.0f32; b * l * d];
-        attention_tm_slices_with(
-            Backend::Scalar,
-            &x,
-            &x,
-            &x,
-            b,
-            l,
-            l,
-            d,
-            d,
-            0.5,
-            &mut want,
-            &mut scratch,
-        );
-        for bk in vector_backends() {
-            let mut got = vec![0.0f32; b * l * d];
-            attention_tm_slices_with(bk, &x, &x, &x, b, l, l, d, d, 0.5, &mut got, &mut scratch);
-            assert_close(&format!("tm aliased {bk:?}"), &got, &want);
-        }
-    });
-}
-
-#[test]
 fn attention_fm_forward_and_backward_match_scalar() {
     let backends = vector_backends();
     run_cases("attention_fm", 24, 0xFA77, |case, rng| {
@@ -389,13 +283,7 @@ fn attention_fm_forward_and_backward_match_scalar() {
             &mut want,
             &mut scratch,
         );
-        let (wdq, wdk, wdv) = backward(
-            attention_fm_backward_with,
-            Backend::Scalar,
-            [&q, &k, &v],
-            scale,
-            &dy,
-        );
+        let (wdq, wdk, wdv) = backward(Backend::Scalar, [&q, &k, &v], scale, &dy);
         for &bk in &backends {
             let mut got = vec![f32::NAN; b * nv * l];
             attention_fm_slices_with(
@@ -412,7 +300,7 @@ fn attention_fm_forward_and_backward_match_scalar() {
                 &mut scratch,
             );
             assert_close(&format!("fm fwd {n}x{nv}x{l} {bk:?}"), &got, &want);
-            let (dq, dk, dv_) = backward(attention_fm_backward_with, bk, [&q, &k, &v], scale, &dy);
+            let (dq, dk, dv_) = backward(bk, [&q, &k, &v], scale, &dy);
             assert_close(&format!("fm dq {bk:?}"), dq.data(), wdq.data());
             assert_close(&format!("fm dk {bk:?}"), dk.data(), wdk.data());
             assert_close(&format!("fm dv {bk:?}"), dv_.data(), wdv.data());
